@@ -58,6 +58,35 @@ def _resolve_manifold_path(name_or_path):
     )
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_types(raw):
+    """Reject input the JSON types allow but the model does not: bools or
+    floats where counts belong, ragged Hodge tables, bare pairing blocks."""
+    for key in ("dim_c", "dim_real"):
+        if key in raw and not (_is_int(raw[key]) and raw[key] >= 0):
+            raise ValueError("%s must be a nonnegative integer" % key)
+    betti = raw.get("betti", [])
+    if not (isinstance(betti, list) and all(map(_is_int, betti))):
+        raise ValueError("betti must be a list of integers")
+    for key in ("hodge", "hodgeB"):
+        if "hodge" not in raw or key not in raw:
+            continue
+        rows, size = raw[key], raw["dim_c"] + 1
+        if not (isinstance(rows, list) and len(rows) == size and all(
+                isinstance(row, list) and len(row) == size
+                and all(map(_is_int, row)) for row in rows)):
+            raise ValueError("%s must be a %dx%d table of integers (dim_c + 1 "
+                             "rows and columns)" % (key, size, size))
+    pairing = raw.get("pairing") or []
+    if not (isinstance(pairing, list) and all(
+            isinstance(b, dict) and "degree" in b and "matrix" in b
+            for b in pairing)):
+        raise ValueError("pairing must be a list of {degree, matrix} blocks")
+
+
 def load_manifold(path):
     """Parse and validate a manifold JSON file into ManifoldData."""
     path = Path(path)
@@ -74,9 +103,10 @@ def load_manifold(path):
     if unknown:
         raise InputError("%s: unknown fields %s" % (path, sorted(unknown)))
     try:
+        if "hodge" in raw and "dim_c" not in raw:
+            raise ValueError("a Hodge table needs dim_c")
+        _check_types(raw)
         if "hodge" in raw:
-            if "dim_c" not in raw:
-                raise ValueError("a Hodge table needs dim_c")
             X = ManifoldData.from_hodge(
                 name,
                 raw["dim_c"],
@@ -169,7 +199,7 @@ def cmd_series(args):
     _emit("brute:  %s" % b)
     _emit("closed: %s" % c)
     result = orbifold._compare("%s order %d" % (kind, order), b, c,
-                               orbifold.kind_var(kind))
+                               orbifold.KINDS[kind].var)
     if result.status == "pass":
         _emit("verdict: equal")
         return 0

@@ -2,32 +2,14 @@
 
 Conjugacy classes of S_n are the partitions of n; a class is stored as the
 multiplicity map l -> N_l (number of l-cycles).  Alongside enumeration this
-module knows the centralizer order prod N_l! l^(N_l), the shape of the
-fixed locus of a permutation of the given type (N_l copies of X per cycle
-length l), and the grading shift of the corresponding twisted sector: half
-the codimension of the fixed locus, which the caller scales by whichever
-dimension (real or complex) its grading uses.
+module knows the centralizer order prod N_l! l^(N_l) and the moved-cycle
+count sum_l (l-1) N_l: the fixed locus of a permutation of the given type
+has codimension dim * moved_cycles(), and the caller regrades the twisted
+sector by half of it in whichever dimension (real or complex) its grading
+uses.
 """
 
 from math import factorial
-
-
-class ShiftData:
-    """Grading shift of a twisted sector.
-
-    codim = dim * sum_l (l-1) N_l for the caller's dimension scale, and the
-    shift F is codim/2, kept doubled (F2 == codim) so half-integers stay
-    exact.
-    """
-
-    __slots__ = ("F2", "codim")
-
-    def __init__(self, codim):
-        self.F2 = codim
-        self.codim = codim
-
-    def __repr__(self):
-        return "ShiftData(F=%g, codim=%d)" % (self.F2 / 2, self.codim)
 
 
 class CycleType:
@@ -76,21 +58,9 @@ class CycleType:
             z *= factorial(c) * l**c
         return z
 
-    def fixed_locus_factors(self):
-        """The fixed locus of this type is prod_l X^(N_l); its centralizer
-        quotient is prod_l Sym^(N_l)(X).  Returned as the map l -> N_l."""
-        return dict(self.mult)
-
     def moved_cycles(self):
         """sum_l (l-1) N_l: cycles weighted by how much they collapse."""
         return sum((l - 1) * c for l, c in self.mult.items())
-
-    def grading_shift(self, dim):
-        """Sector shift for a manifold of the given dimension: the fixed
-        locus has codimension dim * sum (l-1) N_l, and the grading moves by
-        half of it.  Pass the real dimension for the single grading and the
-        complex dimension for each slot of the bigrading."""
-        return ShiftData(dim * self.moved_cycles())
 
 
 def _partitions_desc(n, cap):

@@ -10,40 +10,46 @@ symmetric powers) and the closed generating functions are computed here in
 exact arithmetic, so any claimed identity can be checked coefficient by
 coefficient.
 
-Series kinds (the public names dispatched by brute_series / closed_series):
+Every closed form is a plethystic exponential PE[f] of a single-particle
+series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
+kinds marked + take super signs, twist(PE[twist(f)]).  P, E, C: Poincare,
+Hodge, chi_(-y) polynomials of X; e, s, a: its Euler number, signature,
+arithmetic genus; k = dim_C/2, m = dim_R/2; L(g; w) = sum_{l>=1} g w^(l-1)
+q^l, one copy per cycle length l regraded by w per moved cycle.
 
-==================  ==========================================================
-euler_sym           Euler numbers of the plain symmetric products Sym^n(X)
-euler_orb           orbifold Euler numbers of (X^n, S_n), one sector per class
-poincare_sym        Poincare polynomials of Sym^n(X)
-poincare_orb        Poincare polynomials of (X^n, S_n) with sector shifts
-hodge_sym           Hodge polynomials of Sym^n(X)
-hodge_orb           Hodge polynomials of (X^n, S_n) with sector shifts
-chiy_sym            chi_(-y) genera of Sym^n(X), exponential form
-chiy_orb            chi_(-y) genera of (X^n, S_n), sector weights y^F
-arith_sym/arith_orb arithmetic genera (the y -> 0 corner of the chi series)
-sign_sym/sign_orb   signatures (the y -> -1 corner; orb needs even dim_C)
-*_B                 the same with polyvector-field (B-algebra) Hodge numbers
-gottsche_poincare   Betti series of the Hilbert schemes of points (surfaces)
-gottsche_hodge      Hodge series of the Hilbert schemes of points (surfaces)
-dmvv_q0/dmvv_q0_B   y^(-dim/2)-normalized chi series in the variable p
-==================  ==========================================================
+===================  =========================================================
+euler_sym            e q: Euler numbers of the plain symmetric products
+euler_orb            L(e; 1): orbifold Euler numbers, one sector per class
+poincare_sym +       P q: Poincare polynomials of Sym^n(X)
+poincare_orb +       L(P; t^m): the same for (X^n, S_n) with sector shifts
+hodge_sym +          E q: Hodge polynomials of Sym^n(X)
+hodge_orb +          L(E; x^k y^k): the same for (X^n, S_n)
+chiy_sym             C q: chi_(-y) genera of Sym^n(X)
+chiy_orb             L(C; y^k): chi_(-y) genera of (X^n, S_n), weights y^F
+arith_sym/arith_orb  a q: arithmetic genera (the y -> 0 corner)
+sign_sym             s q + (e - s)/2 q^2: signatures (the y -> -1 corner)
+sign_orb             sum_m s_m q^m + (e - s_m)/2 q^(2m), s_m = -s for even m
+                     and odd k, else s (needs even dim_C)
+*_B                  the same on the polyvector-field (B-algebra) table
+gottsche_poincare +  L(P; t^2): Betti series of Hilbert schemes of points
+gottsche_hodge +     L(E; x y): Hodge series of Hilbert schemes of points
+dmvv_q0/dmvv_q0_B    L(y^(-k) C; 1) in the variable p: normalized chi_(-y)
+===================  =========================================================
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .cycletypes import cycle_types
 from .graded import BigradedDims, GradedDims
 from .series import (
     Series,
-    binom_pow,
-    exp_series,
     first_mismatch,
-    geometric,
-    product_over_levels,
+    plethystic_exp,
     render_key,
     specialize,
     substitute,
+    twist,
 )
 
 
@@ -278,83 +284,28 @@ def sector_hodge(X, n):
     return _sector_hodge(X.hodge, X.dim_c, n)
 
 
-def sector_hodge_b(X, n):
-    if X.hodge_b is None:
-        raise ValueError("missing B-table on %s" % X.name)
-    return _sector_hodge(X.hodge_b, X.dim_c, n)
-
-
 # -- series kinds --------------------------------------------------------------
-
-SERIES_KINDS = (
-    "euler_sym", "euler_orb",
-    "poincare_sym", "poincare_orb",
-    "hodge_sym", "hodge_orb",
-    "chiy_sym", "chiy_orb",
-    "arith_sym", "arith_orb",
-    "sign_sym", "sign_orb",
-    "hodge_sym_B", "chiy_sym_B",
-    "hodge_orb_B", "chiy_orb_B",
-    "gottsche_poincare", "gottsche_hodge",
-    "dmvv_q0", "dmvv_q0_B",
-)
-
-_NEEDS_HODGE = frozenset(
-    k for k in SERIES_KINDS
-    if k not in ("euler_sym", "euler_orb", "poincare_sym", "poincare_orb",
-                 "gottsche_poincare")
-)
-# kinds carrying the full (x, y) refinement, whose expansion dominates cost
-_HODGE_WEIGHT = frozenset(
-    ("hodge_sym", "hodge_orb", "hodge_sym_B", "hodge_orb_B", "gottsche_hodge",
-     "dmvv_q0", "dmvv_q0_B")
-)
-_B_KINDS = frozenset(k for k in SERIES_KINDS if k.endswith("_B"))
-_SURFACE_KINDS = frozenset(("gottsche_poincare", "gottsche_hodge"))
-# kinds whose natural truncation variable is p rather than q
-P_VAR_KINDS = frozenset(("dmvv_q0", "dmvv_q0_B"))
-
-
-def kind_var(kind):
-    return "p" if kind in P_VAR_KINDS else "q"
-
-
-def applicability(kind, X):
-    """None when the kind applies to X, else a one-line reason."""
-    if kind not in SERIES_KINDS:
-        raise ValueError("unknown series kind %r" % (kind,))
-    if kind in _NEEDS_HODGE and X.hodge is None:
-        return "needs a Hodge table"
-    if kind in _B_KINDS and X.hodge_b is None:
-        return "needs a B-table (supply hodgeB or mark the input Calabi-Yau)"
-    if kind in _SURFACE_KINDS and X.dim_c != 2:
-        return "Hilbert-scheme series need a surface (dim_C = 2)"
-    if kind == "sign_orb" and (X.dim_c is None or X.dim_c % 2):
-        return "orbifold signature needs even complex dimension"
-    if kind == "arith_orb" and (X.dim_c is None or X.dim_c < 1):
-        return "orbifold arithmetic-genus formula needs dim_C >= 1"
-    return None
-
-
-def _require(kind, X):
-    reason = applicability(kind, X)
-    if reason is not None:
-        raise ValueError("kind %s not applicable to %s: %s"
-                         % (kind, X.name, reason))
 
 
 def _qpow(var, order, coeff, n):
     return Series.term(var, order, coeff, {var: n})
 
 
-def _chiy_orb_brute(X, order, b_version):
+def _by_n(order, coeff):
+    """sum_{n <= order} coeff(n) q^n; coeff(n) is a number or a polynomial."""
+    total = Series.zero("q", order)
+    for n in range(order + 1):
+        total = total + coeff(n) * _qpow("q", order, 1, n)
+    return total
+
+
+def _chiy_orb_brute(X, table, order):
     """sum_n q^n sum_sectors y^F chi_(-y)(sector), F = k * codim-weight.
 
     The sector genus is taken on the untwisted quotient (a product of plain
     symmetric powers, all integer bidegrees); the regrading contributes the
     exact monomial weight y^F, half-integer exponents included.
     """
-    table = X.hodge_b if b_version else X.hodge
     cache = {}
     total = Series.zero("q", order)
     for n in range(order + 1):
@@ -371,229 +322,182 @@ def _chiy_orb_brute(X, order, b_version):
     return total
 
 
+def _scalar_orb_brute(order, block, k):
+    """sum_n q^n sum_sectors (-1)^(k * moved cycles) prod_l block(N_l): a
+    sector contributes the product of its symmetric-power invariants."""
+    total = Series.zero("q", order)
+    for n in range(order + 1):
+        acc = 0
+        for ct in cycle_types(n):
+            prod = 1
+            for l, nl in sorted(ct.mult.items()):
+                prod *= block(nl)
+            acc += -prod if (k * ct.moved_cycles()) % 2 else prod
+        total = total + _qpow("q", order, acc, n)
+    return total
+
+
+def _levels(poly, order, shift):
+    """sum_{l >= 1} poly * prod_v v^((l-1) shift[v]) * (counting var)^l: one
+    copy of the single-particle polynomial per cycle length l, regraded by
+    the shift of each of its l - 1 moved cycles."""
+    f = Series.zero(poly.var, order)
+    for l in range(1, order + 1):
+        exps = {v: (l - 1) * e for v, e in shift.items()}
+        exps[poly.var] = l
+        f = f + poly * Series.term(poly.var, order, 1, exps)
+    return f
+
+
+def _sign_f(X, order, levels):
+    """sum_{m <= levels} eps_m sgn q^m + (chi - eps_m sgn)/2 q^(2m), the
+    logarithm of prod_m (1-q^(2m))^(-chi/2) ((1+q^m)/(1-q^m))^(eps_m sgn/2);
+    eps_m = -1 on even m when k = dim_C/2 is odd, else 1."""
+    chi, sgn, k = X.euler(), X.signature(), X.dim_c // 2
+    f = Series.zero("q", order)
+    for m in range(1, levels + 1):
+        e = -sgn if (k % 2 and m % 2 == 0) else sgn
+        f = f + _qpow("q", order, e, m)
+        f = f + _qpow("q", order, Fraction(chi - e, 2), 2 * m)
+    return f
+
+
+# Requirements: (holds(X), reason when it does not), checked in order.
+_HAS_HODGE = (lambda X: X.hodge is not None, "needs a Hodge table")
+_HAS_B_TABLE = (lambda X: X.hodge_b is not None, "needs a B-table (supply "
+                "hodgeB or mark the input Calabi-Yau)")
+_IS_SURFACE = (lambda X: X.dim_c == 2,
+               "Hilbert-scheme series need a surface (dim_C = 2)")
+_EVEN_DIM_C = (lambda X: X.dim_c is not None and X.dim_c % 2 == 0,
+               "orbifold signature needs even complex dimension")
+_POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
+                   "orbifold arithmetic-genus formula needs dim_C >= 1")
+
+# One spec per kind.  var: the counting variable; needs: requirements;
+# twisted: the closed form is the super PE twist(PE[twist(f)]), signed by
+# total degree; surface_order: default-order cap on surfaces for the (x, y)-
+# weighted kinds, whose expansion dominates cost; table: the ManifoldData
+# attribute handed to both builders as T.  brute(X, T, order) sums sectors;
+# single(X, T, order) is the single-particle series f of the closed form.
+KindSpec = namedtuple(
+    "KindSpec", "var needs twisted surface_order table brute single")
+
+KINDS = {
+    "euler_sym": KindSpec(
+        "q", (), False, None, "hodge",
+        lambda X, T, order: _by_n(order, lambda n: symprod_dims(X, n).euler()),
+        lambda X, T, order: _qpow("q", order, X.euler(), 1)),
+    "euler_orb": KindSpec(
+        "q", (), False, None, "hodge",
+        lambda X, T, order: _scalar_orb_brute(
+            order, lambda nl: X.betti.sym_power(nl).euler(), 0),
+        lambda X, T, order: _levels(
+            Series.constant("q", None, X.euler()), order, {})),
+    "poincare_sym": KindSpec(
+        "q", (), True, None, "hodge",
+        lambda X, T, order: _by_n(
+            order, lambda n: symprod_dims(X, n).poincare_poly()),
+        lambda X, T, order: X.betti.poincare_poly() * _qpow("q", order, 1, 1)),
+    "poincare_orb": KindSpec(
+        "q", (), True, None, "hodge",
+        lambda X, T, order: _by_n(
+            order, lambda n: sector_dims(X, n).poincare_poly()),
+        lambda X, T, order: _levels(X.betti.poincare_poly(), order, {"t": X.m})),
+    "hodge_sym": KindSpec(
+        "q", (_HAS_HODGE,), True, 6, "hodge",
+        lambda X, T, order: _by_n(order, lambda n: T.sym_power(n).hodge_poly()),
+        lambda X, T, order: T.hodge_poly() * _qpow("q", order, 1, 1)),
+    "hodge_orb": KindSpec(
+        "q", (_HAS_HODGE,), True, 6, "hodge",
+        lambda X, T, order: _by_n(
+            order, lambda n: _sector_hodge(T, X.dim_c, n).hodge_poly()),
+        lambda X, T, order: _levels(T.hodge_poly(), order, {
+            "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)})),
+    "chiy_sym": KindSpec(
+        "q", (_HAS_HODGE,), False, None, "hodge",
+        lambda X, T, order: _by_n(order, lambda n: chi_minus_y(T.sym_power(n))),
+        lambda X, T, order: chi_minus_y(T) * _qpow("q", order, 1, 1)),
+    "chiy_orb": KindSpec(
+        "q", (_HAS_HODGE,), False, None, "hodge", _chiy_orb_brute,
+        lambda X, T, order: _levels(
+            chi_minus_y(T), order, {"y": Fraction(X.dim_c, 2)})),
+    "arith_sym": KindSpec(
+        "q", (_HAS_HODGE,), False, None, "hodge",
+        lambda X, T, order: _by_n(
+            order, lambda n: genus(symprod_hodge(X, n), "arithmetic")),
+        lambda X, T, order: _qpow("q", order, X.arithmetic_genus(), 1)),
+    "arith_orb": KindSpec(
+        "q", (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
+        lambda X, T, order: specialize(_chiy_orb_brute(X, T, order), {"y": 0}),
+        lambda X, T, order: _qpow("q", order, X.arithmetic_genus(), 1)),
+    "sign_sym": KindSpec(
+        "q", (_HAS_HODGE,), False, None, "hodge",
+        lambda X, T, order: _by_n(
+            order, lambda n: genus(symprod_hodge(X, n), "signature")),
+        lambda X, T, order: _sign_f(X, order, 1)),
+    "sign_orb": KindSpec(
+        "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
+        lambda X, T, order: _scalar_orb_brute(
+            order, lambda nl: genus(T.sym_power(nl), "signature"),
+            X.dim_c // 2),
+        lambda X, T, order: _sign_f(X, order, order)),
+}
+# Added after the literal so that SERIES_KINDS keeps its published order.
+_B_NEEDS = (_HAS_HODGE, _HAS_B_TABLE)
+for _kind in ("hodge_sym", "chiy_sym", "hodge_orb", "chiy_orb"):
+    KINDS[_kind + "_B"] = KINDS[_kind]._replace(needs=_B_NEEDS, table="hodge_b")
+KINDS["gottsche_poincare"] = KindSpec(
+    "q", (_HAS_HODGE, _IS_SURFACE), True, None, "hodge",
+    KINDS["poincare_orb"].brute,
+    lambda X, T, order: _levels(X.betti.poincare_poly(), order, {"t": 2}))
+KINDS["gottsche_hodge"] = KindSpec(
+    "q", (_HAS_HODGE, _IS_SURFACE), True, 6, "hodge",
+    KINDS["hodge_orb"].brute,
+    lambda X, T, order: _levels(T.hodge_poly(), order, {"x": 1, "y": 1}))
+KINDS["dmvv_q0"] = KindSpec(
+    "p", (_HAS_HODGE,), False, 6, "hodge",
+    lambda X, T, order: substitute(_chiy_orb_brute(X, T, order), "q",
+                                   {"y": Fraction(-X.dim_c, 2), "p": 1}),
+    lambda X, T, order: _levels(chi_minus_y(T, "p") * Series.term(
+        "p", None, 1, {"y": Fraction(-X.dim_c, 2)}), order, {}))
+KINDS["dmvv_q0_B"] = KINDS["dmvv_q0"]._replace(needs=_B_NEEDS, table="hodge_b")
+
+SERIES_KINDS = tuple(KINDS)
+
+
+def applicability(kind, X):
+    """None when the kind applies to X, else a one-line reason."""
+    if kind not in KINDS:
+        raise ValueError("unknown series kind %r" % (kind,))
+    for holds, reason in KINDS[kind].needs:
+        if not holds(X):
+            return reason
+    return None
+
+
+def _require(kind, X):
+    reason = applicability(kind, X)
+    if reason is not None:
+        raise ValueError("kind %s not applicable to %s: %s"
+                         % (kind, X.name, reason))
+
+
 def brute_series(kind, X, order):
     """Assemble the series named by kind from explicit sector data."""
     _require(kind, X)
-    if kind == "euler_sym":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            total = total + _qpow("q", order, symprod_dims(X, n).euler(), n)
-        return total
-    if kind == "euler_orb":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            acc = 0
-            for ct in cycle_types(n):
-                prod = 1
-                for l, nl in sorted(ct.mult.items()):
-                    prod *= X.betti.sym_power(nl).euler()
-                acc += prod
-            total = total + _qpow("q", order, acc, n)
-        return total
-    if kind == "poincare_sym":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            poly = symprod_dims(X, n).poincare_poly("q")
-            total = total + poly * _qpow("q", order, 1, n)
-        return total
-    if kind == "poincare_orb":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            poly = sector_dims(X, n).poincare_poly("q")
-            total = total + poly * _qpow("q", order, 1, n)
-        return total
-    if kind in ("hodge_sym", "hodge_sym_B"):
-        table = X.hodge_b if kind.endswith("_B") else X.hodge
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            poly = table.sym_power(n).hodge_poly("q")
-            total = total + poly * _qpow("q", order, 1, n)
-        return total
-    if kind in ("hodge_orb", "hodge_orb_B"):
-        fn = sector_hodge_b if kind.endswith("_B") else sector_hodge
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            poly = fn(X, n).hodge_poly("q")
-            total = total + poly * _qpow("q", order, 1, n)
-        return total
-    if kind in ("chiy_sym", "chiy_sym_B"):
-        table = X.hodge_b if kind.endswith("_B") else X.hodge
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            poly = chi_minus_y(table.sym_power(n))
-            total = total + poly * _qpow("q", order, 1, n)
-        return total
-    if kind in ("chiy_orb", "chiy_orb_B"):
-        return _chiy_orb_brute(X, order, kind.endswith("_B"))
-    if kind == "arith_sym":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            total = total + _qpow(
-                "q", order, genus(symprod_hodge(X, n), "arithmetic"), n
-            )
-        return total
-    if kind == "arith_orb":
-        return specialize(_chiy_orb_brute(X, order, False), {"y": 0})
-    if kind == "sign_sym":
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            total = total + _qpow(
-                "q", order, genus(symprod_hodge(X, n), "signature"), n
-            )
-        return total
-    if kind == "sign_orb":
-        k = X.dim_c // 2
-        total = Series.zero("q", order)
-        for n in range(order + 1):
-            acc = 0
-            for ct in cycle_types(n):
-                prod = 1
-                for l, nl in sorted(ct.mult.items()):
-                    prod *= genus(X.hodge.sym_power(nl), "signature")
-                f = k * ct.moved_cycles()
-                acc += prod if f % 2 == 0 else -prod
-            total = total + _qpow("q", order, acc, n)
-        return total
-    if kind == "gottsche_poincare":
-        return brute_series("poincare_orb", X, order)
-    if kind == "gottsche_hodge":
-        return brute_series("hodge_orb", X, order)
-    if kind in ("dmvv_q0", "dmvv_q0_B"):
-        base = _chiy_orb_brute(X, order, kind.endswith("_B"))
-        return substitute(base, "q", {"y": Fraction(-X.dim_c, 2), "p": 1})
-    raise ValueError("unknown series kind %r" % (kind,))
-
-
-def _closed_hodge_product(var, order, table, k2):
-    """Product formula for the regraded Hodge series: one binomial factor
-    per level l and table entry (p, q), on the monomial
-    x^(p + k(l-1)) y^(q + k(l-1)) q^l, with super sign from the parity of
-    the shifted total degree p + q + 2k(l-1)."""
-
-    def factor(l):
-        s2 = k2 * (l - 1)
-        f = Series.one(var, order)
-        for (dp, dq), h in sorted(table.dims.items()):
-            exps = {"x": Fraction(dp + s2, 2), "y": Fraction(dq + s2, 2),
-                    var: l}
-            odd = ((dp + dq + 2 * s2) // 2) % 2 == 1
-            if odd:
-                f = f * binom_pow(var, order, 1, exps, h)
-            else:
-                f = f * binom_pow(var, order, -1, exps, -h)
-        return f
-
-    return factor
-
-
-def _closed_chiy_exp(var, order, chi_poly, k2):
-    """exp( sum_n (1/n) chi_(-y^n) q^n / (1 - (y^k q)^n) ), expanded."""
-    total = Series.zero(var, order)
-    for n in range(1, order + 1):
-        chi_n = substitute(chi_poly, "y", {"y": n})
-        geom = Series.zero(var, order)
-        j = 0
-        while n * (j + 1) <= order:
-            geom = geom + Series.term(
-                var, order, Fraction(1, n),
-                {var: n * (j + 1), "y": Fraction(k2 * n * j, 2)},
-            )
-            j += 1
-        total = total + chi_n * geom
-    return exp_series(total)
+    spec = KINDS[kind]
+    return spec.brute(X, getattr(X, spec.table), order)
 
 
 def closed_series(kind, X, order):
-    """Expand the closed-form generating function named by kind."""
+    """Expand the closed form of kind: the plethystic exponential of its
+    single-particle series, super-signed for the twisted kinds."""
     _require(kind, X)
-    chi = X.euler() if kind.startswith(("euler", "sign")) else None
-    if kind == "euler_sym":
-        return binom_pow("q", order, -1, {"q": 1}, -chi)
-    if kind == "euler_orb":
-        return product_over_levels(
-            "q", order, lambda l: binom_pow("q", order, -1, {"q": l}, -chi)
-        )
-    if kind in ("poincare_sym", "poincare_orb"):
-        m = X.m
-        top = 1 if kind == "poincare_orb" else 0
-
-        def factor(l):
-            f = Series.one("q", order)
-            for dd, b in sorted(X.betti.dims.items()):
-                d2 = dd + 2 * m * (l - 1)
-                exps = {"t": Fraction(d2, 2), "q": l}
-                if (d2 // 2) % 2:
-                    f = f * binom_pow("q", order, 1, exps, b)
-                else:
-                    f = f * binom_pow("q", order, -1, exps, -b)
-            return f
-
-        if top:
-            return product_over_levels("q", order, factor)
-        return factor(1)
-    if kind in ("hodge_sym", "hodge_sym_B", "hodge_orb", "hodge_orb_B"):
-        table = X.hodge_b if kind.endswith("_B") else X.hodge
-        factor = _closed_hodge_product("q", order, table, X.dim_c)
-        if kind.startswith("hodge_sym"):
-            return factor(1)
-        return product_over_levels("q", order, factor)
-    if kind in ("chiy_sym", "chiy_sym_B"):
-        chi_poly = X.chi_minus_y_poly("q", b_version=kind.endswith("_B"))
-        total = Series.zero("q", order)
-        for n in range(1, order + 1):
-            chi_n = substitute(chi_poly, "y", {"y": n})
-            total = total + chi_n * _qpow("q", order, Fraction(1, n), n)
-        return exp_series(total)
-    if kind in ("chiy_orb", "chiy_orb_B"):
-        chi_poly = X.chi_minus_y_poly("q", b_version=kind.endswith("_B"))
-        return _closed_chiy_exp("q", order, chi_poly, X.dim_c)
-    if kind in ("arith_sym", "arith_orb"):
-        return binom_pow("q", order, -1, {"q": 1}, -X.arithmetic_genus())
-    if kind == "sign_sym":
-        sgn = X.signature()
-        out = binom_pow("q", order, -1, {"q": 2}, Fraction(-chi, 2))
-        out = out * binom_pow("q", order, 1, {"q": 1}, Fraction(sgn, 2))
-        out = out * binom_pow("q", order, -1, {"q": 1}, Fraction(-sgn, 2))
-        return out
-    if kind == "sign_orb":
-        sgn = X.signature()
-        k = X.dim_c // 2
-
-        def factor(m):
-            eps = -1 if (k % 2 and m % 2 == 0) else 1
-            f = binom_pow("q", order, -1, {"q": 2 * m}, Fraction(-chi, 2))
-            f = f * binom_pow("q", order, 1, {"q": m}, Fraction(eps * sgn, 2))
-            f = f * binom_pow("q", order, -1, {"q": m}, Fraction(-eps * sgn, 2))
-            return f
-
-        return product_over_levels("q", order, factor)
-    if kind == "gottsche_poincare":
-        def factor(l):
-            f = Series.one("q", order)
-            for dd, b in sorted(X.betti.dims.items()):
-                d = dd // 2
-                exps = {"t": d + 2 * (l - 1), "q": l}
-                if d % 2:
-                    f = f * binom_pow("q", order, 1, exps, b)
-                else:
-                    f = f * binom_pow("q", order, -1, exps, -b)
-            return f
-
-        return product_over_levels("q", order, factor)
-    if kind == "gottsche_hodge":
-        factor = _closed_hodge_product("q", order, X.hodge, 2)
-        return product_over_levels("q", order, factor)
-    if kind in ("dmvv_q0", "dmvv_q0_B"):
-        chi_poly = X.chi_minus_y_poly("p", b_version=kind.endswith("_B"))
-        k2 = X.dim_c
-        total = Series.zero("p", order)
-        for n in range(1, order + 1):
-            chi_n = substitute(chi_poly, "y", {"y": n})
-            weight = Series.term("p", order, Fraction(1, n),
-                                 {"y": Fraction(-k2 * n, 2)})
-            total = total + chi_n * weight * geometric("p", order, {"p": n})
-        return exp_series(total)
-    raise ValueError("unknown series kind %r" % (kind,))
+    spec = KINDS[kind]
+    f = spec.single(X, getattr(X, spec.table), order)
+    if spec.twisted:
+        return twist(plethystic_exp(twist(f)))
+    return plethystic_exp(f)
 
 
 # -- verification ---------------------------------------------------------------
@@ -639,7 +543,7 @@ def verify(kind, X, order):
         return CheckResult("%s order %d" % (kind, order), "skip", [reason])
     b = brute_series(kind, X, order)
     c = closed_series(kind, X, order)
-    return _compare("%s order %d" % (kind, order), b, c, kind_var(kind))
+    return _compare("%s order %d" % (kind, order), b, c, KINDS[kind].var)
 
 
 def _subst_xy_to_t(s):
@@ -702,11 +606,10 @@ def cross_checks(X, order, hodge_order):
 
 
 def hodge_kind_order(kind, X, order):
-    """Default truncation order per kind: Hodge-weight kinds on surfaces
-    drop from 8 to 6 to keep exact expansion fast."""
-    if kind in _HODGE_WEIGHT and X.dim_c == 2:
-        return min(order, 6)
-    return order
+    """Default truncation order per kind: the (x, y)-weighted kinds on
+    surfaces drop to their spec's surface_order to keep expansion fast."""
+    cap = KINDS[kind].surface_order
+    return min(order, cap) if cap is not None and X.dim_c == 2 else order
 
 
 def verify_all(X, order=8, fixed_order=None):

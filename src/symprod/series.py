@@ -18,7 +18,6 @@ it combines with finite orders as "no constraint".
 """
 
 from fractions import Fraction
-from math import comb
 
 VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
@@ -246,11 +245,6 @@ class Series:
             n >>= 1
         return result
 
-    def truncate(self, order):
-        if self.order is not None and (order is None or order > self.order):
-            raise SeriesUsageError("cannot extend a truncated series")
-        return Series(self.var, order, self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -316,95 +310,63 @@ def _render_term(var, key, c):
 # -- expansion primitives ----------------------------------------------------
 
 
-def binom_pow(var, order, sign, exps, alpha):
-    """Expand (1 + sign*M)^alpha where M = prod(v^e) is a monomial.
+def plethystic_exp(f):
+    """The plethystic exponential PE[f] = exp(sum_{k>=1} psi_k(f) / k).
 
-    M must involve the counting variable with positive exponent, so the
-    generalized binomial series terminates at the truncation order.  alpha
-    may be any exact rational (fractional exponents appear in the
-    signature-type product formulas).
+    psi_k raises every variable to its k-th power, so each term c*M of f
+    contributes the factor (1 - M)^(-c).  Every term of f must carry a
+    positive power of the counting variable.  Writing f = sum_d f_d q^d and
+    PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
+    recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
+    on Laurent polynomials in t, x, y.  Coefficients stay plain integers
+    when f is integral (the division by n is then exact).
     """
-    if order is None:
-        raise SeriesUsageError("binom_pow needs a finite truncation order")
-    if sign not in (1, -1):
-        raise SeriesUsageError("sign must be +1 or -1")
-    alpha = _as_fraction(alpha)
-    key = monomial_key(exps)
-    e = key[_VI[var]]
-    if e <= 0 or e % 2:
-        raise SeriesUsageError(
-            "binomial expansion needs a positive integer counting exponent"
-        )
-    jmax = (2 * order) // e
-    terms = {_ZERO_KEY: Fraction(1)}
-    coeff = Fraction(1)
-    for j in range(1, jmax + 1):
-        coeff = coeff * (alpha - (j - 1)) / j
-        if not coeff:
-            break
-        c = coeff if (sign == 1 or j % 2 == 0) else -coeff
-        terms[_scale_key(key, j)] = c
-    return Series(var, order, terms)
+    if f.order is None:
+        raise SeriesUsageError("plethystic_exp needs a finite truncation order")
+    order, ti = f.order, _VI[f.var]
+    integral = f.is_integral()
+    D = [{} for _ in range(order + 1)]
+    for key, c in f.terms.items():
+        d = key[ti] // 2
+        if d == 0:
+            raise SeriesUsageError("plethystic_exp needs every term to carry "
+                                   "the counting variable")
+        base = key[:ti] + (0,) + key[ti + 1:]
+        c = d * (c.numerator if integral else c)
+        for j in range(1, order // d + 1):
+            mono = _scale_key(base, j)
+            D[d * j][mono] = D[d * j].get(mono, 0) + c
+    D = [[(mono, c) for mono, c in Dk.items() if c] for Dk in D]
+    F, terms = [[(_ZERO_KEY, 1)]], {_ZERO_KEY: 1}
+    for n in range(1, order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            Fk = F[n - k]
+            for m1, c1 in D[k]:
+                for m2, c2 in Fk:
+                    mono = _mul_key(m1, m2)
+                    acc[mono] = acc.get(mono, 0) + c1 * c2
+        F.append([(mono, c // n if integral else c / n)
+                  for mono, c in acc.items() if c])
+        for mono, c in F[n]:
+            terms[mono[:ti] + (2 * n,) + mono[ti + 1:]] = c
+    return Series(f.var, order, terms)
 
 
-def log1m(var, order, exps):
-    """log(1 - M) = -sum_{j>=1} M^j / j for a monomial M, truncated."""
-    if order is None:
-        raise SeriesUsageError("log1m needs a finite truncation order")
-    key = monomial_key(exps)
-    e = key[_VI[var]]
-    if e <= 0 or e % 2:
-        raise SeriesUsageError("log1m needs a positive integer counting exponent")
+def twist(s):
+    """Multiply every term by (-1)^(total t, x, y degree); an involution.
+
+    twist(plethystic_exp(twist(f))) is the super plethystic exponential: a
+    term c*M of f with odd total degree contributes (1 + M)^c in place of
+    (1 - M)^(-c), as an odd class does in a super symmetric power.
+    """
     terms = {}
-    for j in range(1, (2 * order) // e + 1):
-        terms[_scale_key(key, j)] = Fraction(-1, j)
-    return Series(var, order, terms)
-
-
-def exp_series(s):
-    """exp of a series with no constant term (every term must carry a
-    positive power of the counting variable, so the sum terminates)."""
-    if s.order is None:
-        raise SeriesUsageError("exp needs a finite truncation order")
-    ti = _VI[s.var]
-    if s.is_zero():
-        return Series.one(s.var, s.order)
-    emin = min(key[ti] for key in s.terms)
-    if emin <= 0:
-        raise SeriesUsageError("exp requires a zero constant term")
-    result = Series.one(s.var, s.order)
-    power = Series.one(s.var, s.order)
-    for j in range(1, (2 * s.order) // emin + 1):
-        power = power * s * Fraction(1, j)
-        if power.is_zero():
-            break
-        result = result + power
-    return result
-
-
-def product_over_levels(var, order, factor):
-    """prod_{l=1..order} factor(l), for factors of the form 1 + O(var^l).
-
-    Levels beyond the truncation order contribute nothing, so the infinite
-    product is exact to the requested order.  Evaluation is sequential and
-    deterministic.
-    """
-    if order is None:
-        raise SeriesUsageError("product_over_levels needs a finite order")
-    ti = _VI[var]
-    result = Series.one(var, order)
-    for l in range(1, order + 1):
-        f = factor(l)
-        if f.var != var:
-            raise SeriesUsageError("level factor uses the wrong counting variable")
-        if f.constant_term() != 1:
-            raise SeriesUsageError("level factor must have constant term 1")
-        if any(0 < key[ti] < 2 * l for key in f.terms):
-            raise SeriesUsageError(
-                "level-%d factor has terms below %s^%d" % (l, var, l)
-            )
-        result = result * f
-    return result
+    for key, c in s.terms.items():
+        d = key[2] + key[3] + key[4]  # doubled total t, x, y degree
+        if d % 2:
+            raise SeriesDomainError("a half-integer total degree has no parity")
+        terms[key] = -c if d % 4 else c
+    return Series(s.var, s.order, terms)
 
 
 def substitute(s, v, exps, coeff=1):
@@ -569,19 +531,3 @@ def render_key(var, key):
     body = _render_term(var, key, Fraction(1))
     return body
 
-
-def geometric(var, order, exps, start=1):
-    """sum_{j>=start} M^j truncated: the tail of 1/(1-M) for a monomial M."""
-    if order is None:
-        raise SeriesUsageError("geometric needs a finite truncation order")
-    key = monomial_key(exps)
-    e = key[_VI[var]]
-    if e <= 0 or e % 2:
-        raise SeriesUsageError("geometric needs a positive integer counting exponent")
-    terms = {}
-    if start == 0:
-        terms[_ZERO_KEY] = Fraction(1)
-        start = 1
-    for j in range(start, (2 * order) // e + 1):
-        terms[_scale_key(key, j)] = Fraction(1)
-    return Series(var, order, terms)

@@ -160,6 +160,35 @@ def test_load_rejects_missing_tables(tmp_path):
         cli.load_manifold(path)
 
 
+K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("payload", [
+    {"dim_c": 1, "hodge": [[1, 0.5], [0, 1]]},
+    {"dim_c": 1, "hodge": [[1, "1"], [0, 1]]},
+    {"dim_c": 1, "hodge": [[1, 0], [0, True]]},
+    {"dim_c": 1, "hodge": [[1, 0, 0], [0, 1]]},
+    {"dim_c": 2, "hodge": [[1, 0], [0, 1]]},
+    {"dim_c": 1, "hodge": [[1, 0], [0, 1]], "hodgeB": [[1, 0]]},
+    {"dim_c": 1, "hodge": [[1, 0], [0, 1]], "hodgeB": [[1, 0], [0, 1.0]]},
+    {"dim_c": True, "hodge": [[1, 0], [0, 1]]},
+    {"dim_c": 2.0, "hodge": K3_ROWS},
+    {"dim_real": 2, "betti": [True, 0, 1]},
+    {"dim_real": 2.0, "betti": [1, 0, 1]},
+    {"dim_real": 2, "betti": [1, 0, "1"]},
+    {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"degree": 0}]},
+    {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"matrix": [[1]]}]},
+    {"dim_c": 2, "hodge": K3_ROWS, "pairing": {"degree": 0}},
+])
+def test_load_rejects_malformed_input(tmp_path, capsys, payload):
+    path = write(tmp_path, payload)
+    with pytest.raises(cli.InputError):
+        cli.load_manifold(path)
+    for argv in (["verify-all"], ["fock-verify", "--max-charge", "1"]):
+        code, out, err = run(capsys, *argv, "--manifold", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_load_betti_only(tmp_path):
     X = cli.load_manifold(
         write(tmp_path, {"name": "sphere4", "dim_real": 4,

@@ -68,29 +68,12 @@ def test_class_equation():
         assert total == factorial(n)
 
 
-def test_fixed_locus_factors():
-    assert CycleType({1: 3}).fixed_locus_factors() == {1: 3}
-    assert CycleType({3: 1}).fixed_locus_factors() == {3: 1}
-    assert CycleType({1: 2, 2: 1}).fixed_locus_factors() == {1: 2, 2: 1}
-
-
 def test_grading_shift_examples():
-    # a 3-cycle on the cube of a complex surface: F = 2 per bigrading slot
-    three_cycle = CycleType({3: 1})
-    shift = three_cycle.grading_shift(2)
-    assert shift.F2 == 4 and shift.codim == 4
-
-    assert CycleType({1: 5}).grading_shift(6).F2 == 0
-
-    # a transposition on the square of a curve: F = 1/2
-    transposition = CycleType({2: 1})
-    shift = transposition.grading_shift(1)
-    assert shift.F2 == 1 and shift.codim == 1
-
-
-def test_shift_scales_with_dimension():
-    # passing the real dimension gives the single-grading shift, which is
-    # twice the per-slot bigrading shift of the complex dimension
-    for parts in ((2,), (3, 2), (4, 1, 1)):
-        ct = CycleType.from_parts(parts)
-        assert ct.grading_shift(4).F2 == 2 * ct.grading_shift(2).F2
+    # a sector regrades by dim * moved_cycles() / 2 per grading slot
+    assert CycleType({3: 1}).moved_cycles() == 2  # F = 2 on a surface cube
+    assert CycleType({1: 5}).moved_cycles() == 0
+    assert CycleType({2: 1}).moved_cycles() == 1  # F = 1/2 on a curve square
+    # n minus the number of cycles, for every type
+    for n in range(7):
+        for ct in cycle_types(n):
+            assert ct.moved_cycles() == n - sum(ct.mult.values())

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprod import orbifold as ob
 from symprod.graded import BigradedDims, GradedDims
@@ -247,6 +249,35 @@ def test_verify_mismatch_carries_both_series():
     assert r.status == "fail"
     assert any("first mismatch" in line for line in r.lines)
     assert any("lhs:" in line for line in r.lines)
+
+
+small = st.integers(min_value=0, max_value=2)
+
+
+@st.composite
+def small_manifolds(draw):
+    """Random Betti tables (odd classes included) or Hodge tables with
+    dim_C in {1, 2, 3} (odd dim_C gives half-integer sector shifts), the
+    latter sometimes with an explicit B-table."""
+    if draw(st.booleans()):
+        dim_real = draw(st.sampled_from((0, 2, 4, 6)))
+        betti = draw(st.lists(small, min_size=dim_real + 1,
+                              max_size=dim_real + 1))
+        return ManifoldData.from_betti("betti", dim_real, betti)
+    d = draw(st.sampled_from((1, 2, 3)))
+    row = st.lists(small, min_size=d + 1, max_size=d + 1)
+    table = st.lists(row, min_size=d + 1, max_size=d + 1)
+    return ManifoldData.from_hodge("hodge", d, draw(table),
+                                   hodge_b_rows=draw(st.none() | table))
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_manifolds(), st.integers(min_value=0, max_value=4))
+def test_brute_equals_closed_on_random_tables(X, order):
+    for kind in ob.SERIES_KINDS:
+        if ob.applicability(kind, X) is None:
+            assert ob.brute_series(kind, X, order) == \
+                ob.closed_series(kind, X, order), kind
 
 
 def test_kind_rejection(catalog):

@@ -8,14 +8,11 @@ from symprod.series import (
     Series,
     SeriesDomainError,
     SeriesUsageError,
-    binom_pow,
-    exp_series,
     first_mismatch,
-    geometric,
-    log1m,
-    product_over_levels,
+    plethystic_exp,
     specialize,
     substitute,
+    twist,
 )
 
 H = Fraction(1, 2)
@@ -81,108 +78,134 @@ def test_mul_truncates_at_min_order():
     assert (a * b).order == 2
 
 
-# ---------------------------------------------------------------- binom_pow
+# ------------------------------------------------ plethystic exponential
+# PE[c*M] = (1 - M)^(-c) for a monomial M, and PE[f + g] = PE[f] * PE[g].
+
+
+def PE(terms, order, var="q"):
+    return plethystic_exp(S(terms, order, var))
+
+
+def partition_counts(order):
+    """Independent oracle: the partition-count DP."""
+    table = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            table[n] += table[n - part]
+    return table
 
 
 def test_binom_negative_two():
     # (1-q)^-2 = sum (j+1) q^j
-    got = binom_pow("q", 3, -1, {"q": 1}, -2)
+    got = PE([(2, {"q": 1})], 3)
     assert got == S([(j + 1, {"q": j}) for j in range(4)], 3)
 
 
 def test_binom_alpha_zero():
-    assert binom_pow("q", 4, 1, {"t": 2, "q": 1}, 0) == Series.one("q", 4)
+    assert PE([(0, {"t": 2, "q": 1})], 4) == Series.one("q", 4)
 
 
 def test_binom_half_exponent():
     # (1-q^2)^(-1/2) = 1 + q^2/2 + 3q^4/8 + ...
-    got = binom_pow("q", 4, -1, {"q": 2}, Fraction(-1, 2))
+    got = PE([(H, {"q": 2})], 4)
     assert got == S([(1, {}), (H, {"q": 2}), (Fraction(3, 8), {"q": 4})], 4)
 
 
 def test_binom_integer_alpha_matches_repeated_mul():
+    # t*q is odd, so the twisted PE of e*t*q is (1 + t*q)^e
     base = S([(1, {}), (1, {"t": 1, "q": 1})], 5)
     for e in range(4):
-        assert binom_pow("q", 5, 1, {"t": 1, "q": 1}, e) == base**e
+        f = S([(e, {"t": 1, "q": 1})], 5)
+        assert twist(plethystic_exp(twist(f))) == base**e
 
 
 def test_binom_constant_monomial_rejected():
     with pytest.raises(SeriesUsageError):
-        binom_pow("q", 3, -1, {"t": 2}, -1)
-
-
-# ---------------------------------------------------------------- exp / log
+        PE([(-1, {"t": 2})], 3)
 
 
 def test_exp_zero():
-    assert exp_series(Series.zero("q", 5)) == Series.one("q", 5)
+    assert plethystic_exp(Series.zero("q", 5)) == Series.one("q", 5)
 
 
 def test_exp_of_scaled_log_matches_binomial():
-    got = exp_series(log1m("q", 3, {"q": 1}) * (-2))
-    assert got == binom_pow("q", 3, -1, {"q": 1}, -2)
+    # PE[2q] = exp(-2 log(1-q)) = (1-q)^-2 through its ring law
+    assert PE([(2, {"q": 1})], 3) == PE([(1, {"q": 1})], 3) ** 2
 
 
 def test_log1m_definition():
-    got = log1m("q", 3, {"q": 1})
-    assert got == S(
-        [(-1, {"q": 1}), (Fraction(-1, 2), {"q": 2}), (Fraction(-1, 3), {"q": 3})],
-        3,
-    )
+    # PE[-M] = exp(log(1 - M)) = 1 - M
+    got = PE([(-1, {"t": 1, "q": 1})], 3)
+    assert got == S([(1, {}), (-1, {"t": 1, "q": 1})], 3)
 
 
 def test_exp_log_roundtrip_on_monomials():
     for exps in ({"q": 1}, {"q": 2}, {"t": 1, "q": 1}, {"x": H, "q": 2}):
-        lhs = exp_series(log1m("q", 6, exps))
+        lhs = PE([(1, exps)], 6)
         rhs = Series.one("q", 6) - Series.term("q", 6, 1, exps)
-        assert lhs == rhs
+        assert lhs * rhs == Series.one("q", 6)
 
 
 def test_exp_rejects_constant_term():
     with pytest.raises(SeriesUsageError):
-        exp_series(Series.constant("q", 3, 1))
+        plethystic_exp(Series.constant("q", 3, 1))
 
 
-# ---------------------------------------------------------- product over levels
+def test_exp_rejects_exact_series():
+    with pytest.raises(SeriesUsageError):
+        plethystic_exp(Series.term("q", None, 1, {"q": 1}))
 
 
 def test_levels_two_colors():
-    got = product_over_levels(
-        "q", 3, lambda l: binom_pow("q", 3, -1, {"q": l}, -2)
-    )
+    # prod_l (1 - q^l)^-2 = PE[sum_l 2 q^l]
+    got = PE([(2, {"q": l}) for l in range(1, 4)], 3)
     assert got == S([(1, {}), (2, {"q": 1}), (5, {"q": 2}), (10, {"q": 3})], 3)
 
 
 def test_levels_all_one():
-    got = product_over_levels("q", 4, lambda l: Series.one("q", 4))
-    assert got == Series.one("q", 4)
+    assert PE([], 4) == Series.one("q", 4)
 
 
 def test_levels_partition_numbers():
-    got = product_over_levels(
-        "q", 5, lambda l: binom_pow("q", 5, -1, {"q": l}, -1)
-    )
-    # independent oracle: partition-count DP
-    table = [1] + [0] * 5
-    for part in range(1, 6):
-        for n in range(part, 6):
-            table[n] += table[n - part]
+    got = PE([(1, {"q": l}) for l in range(1, 6)], 5)
+    table = partition_counts(5)
     assert got == S([(table[n], {"q": n}) for n in range(6)], 5)
 
 
 def test_levels_reject_bad_constant():
     with pytest.raises(SeriesUsageError):
-        product_over_levels(
-            "q", 3, lambda l: Series.constant("q", 3, 2)
-        )
+        PE([(2, {}), (1, {"q": 1})], 3)
 
 
 def test_levels_reject_low_order_terms():
-    # every level-l factor must be 1 + O(q^l)
+    # every term needs a positive power of the counting variable, p included
     with pytest.raises(SeriesUsageError):
-        product_over_levels(
-            "q", 3, lambda l: binom_pow("q", 3, -1, {"q": 1}, -1)
-        )
+        PE([(1, {"y": -H}), (1, {"y": -H, "p": 1})], 3, var="p")
+
+
+def test_pe_partition_numbers_at_high_order():
+    # PE[q/(1-q)] is the partition generating function
+    got = PE([(1, {"q": l}) for l in range(1, 31)], 30)
+    assert [got.terms[(2 * n, 0, 0, 0, 0)] for n in range(31)] == \
+        partition_counts(30)
+
+
+def test_pe_fraction_coefficients():
+    # the signature kinds' exponents: PE[q/2 + q^2/2] = (1-q)^(-1/2)(1-q^2)^(-1/2)
+    got = PE([(H, {"q": 1}), (H, {"q": 2})], 4)
+    assert not got.is_integral()
+    assert got * got == PE([(1, {"q": 1}), (1, {"q": 2})], 4)
+
+
+def test_twist_is_an_involution_and_signs_odd_degree():
+    s = S([(1, {}), (2, {"t": 1, "q": 1}), (3, {"x": H, "y": H, "q": 1}),
+           (5, {"x": 1, "y": 1, "q": 2})], 2)
+    assert twist(twist(s)) == s
+    assert twist(s) == S([(1, {}), (-2, {"t": 1, "q": 1}),
+                          (-3, {"x": H, "y": H, "q": 1}),
+                          (5, {"x": 1, "y": 1, "q": 2})], 2)
+    with pytest.raises(SeriesDomainError):
+        twist(S([(1, {"x": H, "q": 1})], 2))
 
 
 # ---------------------------------------------------------------- substitute
@@ -290,7 +313,8 @@ def test_first_mismatch_reports_lowest_term():
 
 
 def test_geometric_tail():
-    assert geometric("q", 4, {"q": 2}) == S([(1, {"q": 2}), (1, {"q": 4})], 4)
+    got = PE([(1, {"q": 2})], 4) - Series.one("q", 4)
+    assert got == S([(1, {"q": 2}), (1, {"q": 4})], 4)
 
 
 # ------------------------------------------------------------- ring laws (pbt)
@@ -324,3 +348,12 @@ def test_ring_laws(a, b, c):
 @given(small_series())
 def test_additive_inverse(a):
     assert a + (-a) == Series.zero("q", 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_series(), small_series())
+def test_plethystic_exp_turns_sums_into_products(a, b):
+    # drop the q^0 terms, which PE rejects
+    a, b = (Series("q", 3, {k: c for k, c in s.terms.items() if k[0]})
+            for s in (a, b))
+    assert plethystic_exp(a + b) == plethystic_exp(a) * plethystic_exp(b)
