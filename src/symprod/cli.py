@@ -64,7 +64,8 @@ def _is_int(v):
 
 def _check_types(raw):
     """Reject input the JSON types allow but the model does not: bools or
-    floats where counts belong, ragged Hodge tables, bare pairing blocks."""
+    floats where counts belong, ragged Hodge tables, a calabi_yau flag that
+    is not a bool, pairing blocks without an int degree and a list of rows."""
     for key in ("dim_c", "dim_real"):
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 0):
             raise ValueError("%s must be a nonnegative integer" % key)
@@ -80,11 +81,16 @@ def _check_types(raw):
                 and all(map(_is_int, row)) for row in rows)):
             raise ValueError("%s must be a %dx%d table of integers (dim_c + 1 "
                              "rows and columns)" % (key, size, size))
+    if not isinstance(raw.get("calabi_yau", False), bool):
+        raise ValueError("calabi_yau must be true or false")
     pairing = raw.get("pairing") or []
     if not (isinstance(pairing, list) and all(
-            isinstance(b, dict) and "degree" in b and "matrix" in b
+            isinstance(b, dict) and _is_int(b.get("degree"))
+            and isinstance(b.get("matrix"), list)
+            and all(isinstance(row, list) for row in b["matrix"])
             for b in pairing)):
-        raise ValueError("pairing must be a list of {degree, matrix} blocks")
+        raise ValueError("pairing must be a list of {degree, matrix} blocks "
+                         "with an integer degree and a list of matrix rows")
 
 
 def load_manifold(path):

@@ -387,36 +387,6 @@ class FockSpace:
         state, sign = res
         return {state: Fraction(sign)}
 
-    def hopf_coproduct(self, state):
-        """Sum over splittings of the factor multiset, with Koszul signs.
-
-        Returns {(left_state, right_state): coefficient}; generators are
-        primitive, and the coproduct is the multiplicative extension.
-        """
-        n = len(state)
-        parities = [self.gens[g].parity for _, g in state]
-        out = {}
-        for mask in range(1 << n):
-            left, right = [], []
-            sign = 1
-            odd_right_before = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    left.append(state[i])
-                    if parities[i] and odd_right_before % 2:
-                        sign = -sign
-                else:
-                    right.append(state[i])
-                    if parities[i]:
-                        odd_right_before += 1
-            key = (tuple(left), tuple(right))
-            t = out.get(key, 0) + sign
-            if t:
-                out[key] = t
-            else:
-                del out[key]
-        return {k: Fraction(v) for k, v in out.items()}
-
     def character(self, max_charge):
         """sum over basis states of q^charge t^degree, an exact series."""
         terms = {}

@@ -103,6 +103,9 @@ class GradedDims:
                 out[d1 + d2] = out.get(d1 + d2, 0) + b1 * b2
         return GradedDims(out)
 
+    __add__ = dsum
+    __mul__ = tensor
+
     def _blocks(self):
         blocks = []
         for d, b in sorted(self.dims.items()):
@@ -201,6 +204,9 @@ class BigradedDims:
                 k = (p1 + p2, q1 + q2)
                 out[k] = out.get(k, 0) + h1 * h2
         return BigradedDims(out)
+
+    __add__ = dsum
+    __mul__ = tensor
 
     def to_graded(self):
         """Collapse to the total grading p + q."""

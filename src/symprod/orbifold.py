@@ -5,10 +5,14 @@ For a manifold X, the n-th symmetric product sector decomposition runs over
 cycle types of S_n: a permutation with N_l l-cycles fixes a product of
 copies of X, one per cycle, and its centralizer quotient is the product of
 the Sym^(N_l)(X).  Twisted sectors are regraded by half the codimension of
-the fixed locus.  Both the brute-force assembly (partition sums over super
-symmetric powers) and the closed generating functions are computed here in
-exact arithmetic, so any claimed identity can be checked coefficient by
-coefficient.
+the fixed locus.  Both the brute-force assembly and the closed generating
+functions are computed here in exact arithmetic, so any claimed identity can
+be checked coefficient by coefficient.
+
+The brute side is one cycle-type sector sum, _sector_sum: each kind names a
+block(l, N), the invariant of Sym^N(H*X) regraded for N l-cycles, and the
+sum multiplies blocks over the cycle lengths of every cycle type.  Blocks
+are ints, dims (which support + and *) or Series.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -39,6 +43,9 @@ dmvv_q0/dmvv_q0_B    L(y^(-k) C; 1) in the variable p: normalized chi_(-y)
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, reduce
+from math import prod
+from operator import add
 
 from .cycletypes import cycle_types
 from .graded import BigradedDims, GradedDims
@@ -230,60 +237,6 @@ def genus(table, which, var="q"):
     raise ValueError("unknown genus %r" % (which,))
 
 
-# -- sector assembly (brute force) --------------------------------------------
-
-
-def symprod_dims(X, n):
-    """Graded dimensions of Sym^n(X): the super symmetric power of H*(X)."""
-    return X.betti.sym_power(n)
-
-
-def symprod_hodge(X, n):
-    if X.hodge is None:
-        raise ValueError("missing Hodge data on %s" % X.name)
-    return X.hodge.sym_power(n)
-
-
-def sector_dims(X, n):
-    """Graded dimensions of all cycle-type sectors of (X^n, S_n).
-
-    Each l-cycle contributes a copy of H*(X) regraded up by m(l-1) (half
-    the real codimension of the fixed locus per cycle); the N_l cycles of
-    equal length are then interchanged, leaving the super symmetric power
-    of the regraded space.
-    """
-    m = X.m
-    total = GradedDims({})
-    for ct in cycle_types(n):
-        term = GradedDims({0: 1})
-        for l, nl in sorted(ct.mult.items()):
-            block = X.betti.shift(2 * m * (l - 1)).sym_power(nl)
-            term = term.tensor(block)
-        total = total.dsum(term)
-    return total
-
-
-def _sector_hodge(table, k2, n):
-    total = BigradedDims({})
-    for ct in cycle_types(n):
-        term = BigradedDims({(0, 0): 1})
-        for l, nl in sorted(ct.mult.items()):
-            s2 = k2 * (l - 1)
-            block = table.shift2(s2, s2).sym_power(nl)
-            term = term.tensor(block)
-        total = total.dsum(term)
-    return total
-
-
-def sector_hodge(X, n):
-    """Bigraded analogue of sector_dims, shifted by (k(l-1), k(l-1)) per
-    cycle with dim_C X = 2k; bidegrees may be half-integers but p + q stays
-    an integer."""
-    if X.hodge is None:
-        raise ValueError("missing Hodge data on %s" % X.name)
-    return _sector_hodge(X.hodge, X.dim_c, n)
-
-
 # -- series kinds --------------------------------------------------------------
 
 
@@ -299,42 +252,32 @@ def _by_n(order, coeff):
     return total
 
 
-def _chiy_orb_brute(X, table, order):
-    """sum_n q^n sum_sectors y^F chi_(-y)(sector), F = k * codim-weight.
+def _sector_sum(order, block, step=lambda value: value):
+    """sum_n q^n step(sum over cycle types of S_n of prod_l block(l, N_l)).
 
-    The sector genus is taken on the untwisted quotient (a product of plain
-    symmetric powers, all integer bidegrees); the regrading contributes the
-    exact monomial weight y^F, half-integer exponents included.
+    block(l, N) is the invariant of the N l-cycles of a sector: Sym^N of
+    H*(X), regraded for their (l - 1) N moved cycles.  Each block is
+    computed once per call; block(1, 0), the zeroth power, is the unit.
     """
-    cache = {}
-    total = Series.zero("q", order)
-    for n in range(order + 1):
-        for ct in cycle_types(n):
-            part = Series.one("q", None)
-            for l, nl in sorted(ct.mult.items()):
-                if nl not in cache:
-                    cache[nl] = chi_minus_y(table.sym_power(nl))
-                part = part * cache[nl]
-            f2 = X.dim_c * ct.moved_cycles()  # doubled shift F
-            weight = Series.term("q", order, 1,
-                                 {"q": n, "y": Fraction(f2, 2)})
-            total = total + part * weight
-    return total
+    cached = cache(block)
+    unit = cached(1, 0)
+
+    def sectors(n):
+        return reduce(add, (
+            prod((cached(l, nl) for l, nl in ct.mult.items()),
+                 start=unit)
+            for ct in cycle_types(n)))
+
+    return _by_n(order, lambda n: step(sectors(n)))
 
 
-def _scalar_orb_brute(order, block, k):
-    """sum_n q^n sum_sectors (-1)^(k * moved cycles) prod_l block(N_l): a
-    sector contributes the product of its symmetric-power invariants."""
-    total = Series.zero("q", order)
-    for n in range(order + 1):
-        acc = 0
-        for ct in cycle_types(n):
-            prod = 1
-            for l, nl in sorted(ct.mult.items()):
-                prod *= block(nl)
-            acc += -prod if (k * ct.moved_cycles()) % 2 else prod
-        total = total + _qpow("q", order, acc, n)
-    return total
+def _chiy_orb_brute(X, T, order):
+    """Sector genera taken on the untwisted quotient (plain symmetric powers,
+    integer bidegrees), each l-cycle weighted by the exact monomial
+    y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
+    return _sector_sum(order, lambda l, nl: chi_minus_y(T.sym_power(nl))
+                       * Series.term("q", None, 1,
+                                     {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
 
 
 def _levels(poly, order, shift):
@@ -385,23 +328,24 @@ KindSpec = namedtuple(
 KINDS = {
     "euler_sym": KindSpec(
         "q", (), False, None, "hodge",
-        lambda X, T, order: _by_n(order, lambda n: symprod_dims(X, n).euler()),
+        lambda X, T, order: _by_n(order, lambda n: X.betti.sym_power(n).euler()),
         lambda X, T, order: _qpow("q", order, X.euler(), 1)),
     "euler_orb": KindSpec(
         "q", (), False, None, "hodge",
-        lambda X, T, order: _scalar_orb_brute(
-            order, lambda nl: X.betti.sym_power(nl).euler(), 0),
+        lambda X, T, order: _sector_sum(
+            order, lambda l, nl: X.betti.sym_power(nl).euler()),
         lambda X, T, order: _levels(
             Series.constant("q", None, X.euler()), order, {})),
     "poincare_sym": KindSpec(
         "q", (), True, None, "hodge",
         lambda X, T, order: _by_n(
-            order, lambda n: symprod_dims(X, n).poincare_poly()),
+            order, lambda n: X.betti.sym_power(n).poincare_poly()),
         lambda X, T, order: X.betti.poincare_poly() * _qpow("q", order, 1, 1)),
     "poincare_orb": KindSpec(
         "q", (), True, None, "hodge",
-        lambda X, T, order: _by_n(
-            order, lambda n: sector_dims(X, n).poincare_poly()),
+        lambda X, T, order: _sector_sum(
+            order, lambda l, nl: X.betti.shift(2 * X.m * (l - 1)).sym_power(nl),
+            GradedDims.poincare_poly),
         lambda X, T, order: _levels(X.betti.poincare_poly(), order, {"t": X.m})),
     "hodge_sym": KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
@@ -409,8 +353,10 @@ KINDS = {
         lambda X, T, order: T.hodge_poly() * _qpow("q", order, 1, 1)),
     "hodge_orb": KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order: _by_n(
-            order, lambda n: _sector_hodge(T, X.dim_c, n).hodge_poly()),
+        lambda X, T, order: _sector_sum(
+            order, lambda l, nl: T.shift2(X.dim_c * (l - 1),
+                                          X.dim_c * (l - 1)).sym_power(nl),
+            BigradedDims.hodge_poly),
         lambda X, T, order: _levels(T.hodge_poly(), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)})),
     "chiy_sym": KindSpec(
@@ -424,7 +370,7 @@ KINDS = {
     "arith_sym": KindSpec(
         "q", (_HAS_HODGE,), False, None, "hodge",
         lambda X, T, order: _by_n(
-            order, lambda n: genus(symprod_hodge(X, n), "arithmetic")),
+            order, lambda n: genus(T.sym_power(n), "arithmetic")),
         lambda X, T, order: _qpow("q", order, X.arithmetic_genus(), 1)),
     "arith_orb": KindSpec(
         "q", (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
@@ -433,13 +379,13 @@ KINDS = {
     "sign_sym": KindSpec(
         "q", (_HAS_HODGE,), False, None, "hodge",
         lambda X, T, order: _by_n(
-            order, lambda n: genus(symprod_hodge(X, n), "signature")),
+            order, lambda n: genus(T.sym_power(n), "signature")),
         lambda X, T, order: _sign_f(X, order, 1)),
     "sign_orb": KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
-        lambda X, T, order: _scalar_orb_brute(
-            order, lambda nl: genus(T.sym_power(nl), "signature"),
-            X.dim_c // 2),
+        lambda X, T, order: _sector_sum(
+            order, lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)
+            * genus(T.sym_power(nl), "signature")),
         lambda X, T, order: _sign_f(X, order, order)),
 }
 # Added after the literal so that SERIES_KINDS keeps its published order.
@@ -620,8 +566,8 @@ def verify_all(X, order=8, fixed_order=None):
             kind, X, order
         )
         results.append(verify(kind, X, n))
-    hodge_n = fixed_order if fixed_order is not None else (
-        6 if X.dim_c == 2 else order
+    hodge_n = fixed_order if fixed_order is not None else hodge_kind_order(
+        "hodge_orb", X, order
     )
     base_n = fixed_order if fixed_order is not None else order
     results.extend(cross_checks(X, base_n, hodge_n))

@@ -179,6 +179,11 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"degree": 0}]},
     {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"matrix": [[1]]}]},
     {"dim_c": 2, "hodge": K3_ROWS, "pairing": {"degree": 0}},
+    {"dim_c": 2, "hodge": K3_ROWS,
+     "pairing": [{"degree": "a", "matrix": [[1]]}]},
+    {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"degree": 0, "matrix": 5}]},
+    {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": "false"},
+    {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": 1},
 ])
 def test_load_rejects_malformed_input(tmp_path, capsys, payload):
     path = write(tmp_path, payload)
