@@ -65,7 +65,8 @@ def _is_int(v):
 def _check_types(raw):
     """Reject input the JSON types allow but the model does not: bools or
     floats where counts belong, ragged Hodge tables, a calabi_yau flag that
-    is not a bool, pairing blocks without an int degree and a list of rows."""
+    is not a bool, pairing blocks other than an int degree and a list of
+    matrix rows."""
     for key in ("dim_c", "dim_real"):
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 0):
             raise ValueError("%s must be a nonnegative integer" % key)
@@ -85,12 +86,12 @@ def _check_types(raw):
         raise ValueError("calabi_yau must be true or false")
     pairing = raw.get("pairing") or []
     if not (isinstance(pairing, list) and all(
-            isinstance(b, dict) and _is_int(b.get("degree"))
-            and isinstance(b.get("matrix"), list)
+            isinstance(b, dict) and set(b) == {"degree", "matrix"}
+            and _is_int(b["degree"]) and isinstance(b["matrix"], list)
             and all(isinstance(row, list) for row in b["matrix"])
             for b in pairing)):
-        raise ValueError("pairing must be a list of {degree, matrix} blocks "
-                         "with an integer degree and a list of matrix rows")
+        raise ValueError("pairing must be a list of blocks with exactly the "
+                         "keys degree (an integer) and matrix (a list of rows)")
 
 
 def load_manifold(path):
@@ -222,8 +223,8 @@ def cmd_fock_verify(args):
             "fock-verify needs dim_real divisible by 4; %s has dim_real %d"
             % (X.name, X.dim_real)
         )
-    _emit("# fock-verify %s max-charge=%d" % (X.name, args.max_charge))
     results = fock.check_relations(X, args.max_charge)
+    _emit("# fock-verify %s max-charge=%d" % (X.name, args.max_charge))
     return 1 if _emit_results(results) else 0
 
 
@@ -243,6 +244,17 @@ def cmd_catalog(args):
     raise InputError("unknown catalog action %r" % (args.action,))
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "%r is not a nonnegative integer" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symprod",
@@ -253,7 +265,7 @@ def build_parser():
     p = sub.add_parser("series", help="print one generating series")
     p.add_argument("kind")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--mode", choices=("brute", "closed", "both"),
                    default="closed")
     p.set_defaults(fn=cmd_series)
@@ -261,13 +273,13 @@ def build_parser():
     p = sub.add_parser("fock-verify",
                        help="check the Heisenberg relations on the Fock basis")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--max-charge", type=int, default=3)
+    p.add_argument("--max-charge", type=_nonnegative_int, default=3)
     p.set_defaults(fn=cmd_fock_verify)
 
     p = sub.add_parser("verify-all",
                        help="run every applicable identity check")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
     p.set_defaults(fn=cmd_verify_all)
 
     p = sub.add_parser("catalog", help="bundled manifold catalog")

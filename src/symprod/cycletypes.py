@@ -2,11 +2,10 @@
 
 Conjugacy classes of S_n are the partitions of n; a class is stored as the
 multiplicity map l -> N_l (number of l-cycles).  Alongside enumeration this
-module knows the centralizer order prod N_l! l^(N_l) and the moved-cycle
-count sum_l (l-1) N_l: the fixed locus of a permutation of the given type
-has codimension dim * moved_cycles(), and the caller regrades the twisted
-sector by half of it in whichever dimension (real or complex) its grading
-uses.
+module knows the centralizer order prod N_l! l^(N_l).  The twisted sector of
+a class is the product over l of N_l-th symmetric powers of a level-l copy
+of X; orbifold._sector_sum builds those blocks and regrades each by its
+(l - 1) N_l moved cycles.
 """
 
 from math import factorial
@@ -57,10 +56,6 @@ class CycleType:
         for l, c in self.mult.items():
             z *= factorial(c) * l**c
         return z
-
-    def moved_cycles(self):
-        """sum_l (l-1) N_l: cycles weighted by how much they collapse."""
-        return sum((l - 1) * c for l, c in self.mult.items())
 
 
 def _partitions_desc(n, cap):

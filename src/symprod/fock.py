@@ -7,16 +7,21 @@ on countably many copies of that space, one per level l >= 1; a basis state
 is a canonically sorted multiset of (level, generator) factors in which odd
 generators never repeat at the same level.
 
-Operators: create(m, a) multiplies by the level-m copy of a, with the
-Koszul sign of sorting the new factor into place; annihilate(m, a) is m
-times the graded contraction against the pairing (central charge 1).  The
-defining super-commutation relation
+Operators take one generator index a: create(m, a) multiplies by the
+level-m copy of a, with the Koszul sign of sorting the new factor into
+place; annihilate(m, a) is m times the graded contraction against the
+pairing (central charge 1).  The defining super-commutation relation
 
     [annihilate(m, a), create(n, b)] = m * eta(a, b) * delta_{m,n} * Id
 
 is machine-checkable on any truncated basis, away from states where the
-truncation could leak.  Only even d is supported: for odd d the parity of a
-level-l factor would depend on l and the algebra is not defined here.
+truncation could leak.  check_relations does it with one bracket routine:
+given operator families A_a, B_b and a domain of states, it counts the
+(a, b, s) with A_a B_b s - eps_ab B_b A_a s != c_ab s, where eps_ab is the
+Koszul sign of a and b and c_ab the expected scalar.  The mixed,
+create/create and annihilate/annihilate relations are three calls of it.
+Only even d is supported: for odd d the parity of a level-l factor would
+depend on l and the algebra is not defined here.
 """
 
 from bisect import bisect_left
@@ -61,14 +66,13 @@ class FockOperator:
     def apply_state(self, state):
         out = self._fn(state)
         c0 = self.space.state_charge(state)
-        d0 = None if self.degree is None else self.space.state_degree(state)
+        d0 = self.space.state_degree(state)
         for s in out:
             if self.space.state_charge(s) - c0 != self.charge:
                 raise AssertionError(
                     "%s violated its declared charge step" % self.label
                 )
-            if d0 is not None and \
-                    self.space.state_degree(s) - d0 != self.degree:
+            if self.space.state_degree(s) - d0 != self.degree:
                 raise AssertionError(
                     "%s violated its declared degree step" % self.label
                 )
@@ -87,13 +91,15 @@ class FockOperator:
 
 
 def _parse_entry(x):
-    if isinstance(x, bool):
-        raise ValueError("pairing entries must be rationals")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
     if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError("pairing entries must be integers or 'a/b' strings")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("pairing entries must be integers or 'a/b' strings, "
+                     "not %r" % (x,))
 
 
 def _invertible(matrix):
@@ -164,12 +170,12 @@ def default_pairing(X):
             if len(neg) != len(pos):
                 raise ValueError("default pairing needs Poincare duality")
             for a, b in zip(neg, pos):
-                _fill_symmetric(eta, gens, a, b, Fraction(1))
+                _fill_symmetric(eta, gens, a, b, 1)
         else:
             mid = by_degree[0]
             if d % 2 == 0:
                 for a in mid:
-                    eta[(a, a)] = Fraction(1)
+                    eta[(a, a)] = 1
             else:
                 if len(mid) % 2:
                     raise ValueError(
@@ -177,7 +183,7 @@ def default_pairing(X):
                         "nondegenerate antisymmetric pairing"
                     )
                 for a, b in zip(mid[0::2], mid[1::2]):
-                    _fill_symmetric(eta, gens, a, b, Fraction(1))
+                    _fill_symmetric(eta, gens, a, b, 1)
     return eta
 
 
@@ -192,6 +198,8 @@ def pairing_from_blocks(X, blocks):
     seen = set()
     for block in blocks:
         j = block["degree"]
+        if j in seen or -j in seen:
+            raise ValueError("pairing block for degree %d given twice" % abs(j))
         mat = [[_parse_entry(x) for x in row] for row in block["matrix"]]
         neg = by_degree.get(-j, [])
         pos = by_degree.get(j, [])
@@ -244,7 +252,7 @@ class FockSpace:
             self.eta = pairing_from_blocks(X, pairing_blocks)
 
     def eta_value(self, i, j):
-        return self.eta.get((i, j), Fraction(0))
+        return self.eta.get((i, j), 0)
 
     # -- states ------------------------------------------------------------
 
@@ -305,76 +313,50 @@ class FockSpace:
 
     # -- operators -----------------------------------------------------------
 
-    def _alpha_items(self, alpha):
-        if isinstance(alpha, int):
-            return [(alpha, Fraction(1))]
-        return sorted((g, Fraction(c)) for g, c in alpha.items() if c)
-
-    def create(self, m, alpha):
-        """Multiplication by the level-m copy of alpha (an index into the
-        generator basis, or {index: coefficient})."""
+    def create(self, m, g):
+        """Multiplication by the level-m copy of generator g."""
         if m < 1:
             raise ValueError("level must be >= 1")
-        items = self._alpha_items(alpha)
-        degrees = {self.gens[g].degree_shifted for g, _ in items}
-        degree = degrees.pop() + m * self.d if len(degrees) == 1 else None
+        factor = (m, g)
+        odd = self.gens[g].parity
 
         def fn(state):
-            out = {}
-            for g, c in items:
-                parity = self.gens[g].parity
-                factor = (m, g)
-                pos = bisect_left(state, factor)
-                if parity and pos < len(state) and state[pos] == factor:
-                    continue
-                odd_before = sum(
-                    1 for l, h in state[:pos] if self.gens[h].parity
-                )
-                sign = -1 if (parity and odd_before % 2) else 1
-                new = state[:pos] + (factor,) + state[pos:]
-                t = out.get(new, 0) + sign * c
-                if t:
-                    out[new] = t
-                else:
-                    del out[new]
-            return out
+            pos = bisect_left(state, factor)
+            if odd and pos < len(state) and state[pos] == factor:
+                return {}
+            odd_before = sum(self.gens[h].parity for _, h in state[:pos])
+            sign = -1 if odd and odd_before % 2 else 1
+            return {state[:pos] + (factor,) + state[pos:]: sign}
 
+        degree = self.gens[g].degree_shifted + m * self.d
         return FockOperator(self, m, degree, fn, "create(%d)" % m)
 
-    def annihilate(self, m, alpha):
-        """m times the graded contraction by the level-m copy of alpha.
+    def annihilate(self, m, g):
+        """m times the graded contraction by the level-m copy of generator g.
 
-        The removed factor pairs with alpha, so it sits in the opposite
-        shifted degree: the operator moves degrees by degree_shifted - m*d
-        (the degree of the level-m copy of alpha itself, as it must be for
-        the commutator with a creation operator to have degree zero).
+        The removed factor pairs with g, so it sits in the opposite shifted
+        degree: the operator moves degrees by degree_shifted - m*d (the
+        degree of the level-m copy of g itself, as it must be for the
+        commutator with a creation operator to have degree zero).
         """
         if m < 1:
             raise ValueError("level must be >= 1")
-        items = self._alpha_items(alpha)
-        degrees = {self.gens[g].degree_shifted for g, _ in items}
-        degree = degrees.pop() - m * self.d if len(degrees) == 1 else None
+        odd = self.gens[g].parity
 
         def fn(state):
             out = {}
-            for g, c in items:
-                parity = self.gens[g].parity
-                odd_before = 0
-                for idx, (l, h) in enumerate(state):
-                    if l == m:
-                        pair = self.eta_value(g, h)
-                        if pair:
-                            sign = -1 if (parity and odd_before % 2) else 1
-                            new = state[:idx] + state[idx + 1:]
-                            t = out.get(new, 0) + m * sign * pair * c
-                            if t:
-                                out[new] = t
-                            else:
-                                del out[new]
-                    if self.gens[h].parity:
-                        odd_before += 1
+            odd_before = 0
+            for idx, (l, h) in enumerate(state):
+                pair = self.eta_value(g, h) if l == m else 0
+                if pair:
+                    sign = -1 if odd and odd_before % 2 else 1
+                    new = state[:idx] + state[idx + 1:]
+                    # a repeated factor is even, so its terms never cancel
+                    out[new] = out.get(new, 0) + m * sign * pair
+                odd_before += self.gens[h].parity
             return out
 
+        degree = self.gens[g].degree_shifted - m * self.d
         return FockOperator(self, -m, degree, fn, "annihilate(%d)" % m)
 
     # -- Hopf structure -------------------------------------------------------
@@ -385,7 +367,7 @@ class FockSpace:
         if res is None:
             return {}
         state, sign = res
-        return {state: Fraction(sign)}
+        return {state: sign}
 
     def character(self, max_charge):
         """sum over basis states of q^charge t^degree, an exact series."""
@@ -399,19 +381,26 @@ class FockSpace:
         return Series("q", max_charge, terms)
 
 
-def _vec_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        t = out.get(k, 0) - v
-        if t:
-            out[k] = t
-        else:
-            del out[k]
-    return out
-
-
-def _vec_scale(a, c):
-    return {k: c * v for k, v in a.items()} if c else {}
+def _bracket_violations(space, A, B, domain, scalar=lambda i, j: 0):
+    """Count the (i, j, s) with s in domain for which the super-commutator
+    A_i B_j s - eps_ij B_j A_i s is not scalar(i, j) * s, where A_i and B_j
+    belong to generators i and j and eps_ij is their Koszul sign.  Each
+    operator meets each domain state once; the outer applications run on
+    those images."""
+    a_images = [[a.apply_state(s) for s in domain] for a in A]
+    b_images = [[b.apply_state(s) for s in domain] for b in B]
+    bad = 0
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            eps = -1 if space.gens[i].parity and space.gens[j].parity else 1
+            want = scalar(i, j)
+            for s, a_s, b_s in zip(domain, a_images[i], b_images[j]):
+                lhs = a.apply(b_s)
+                for t, c in b.apply(a_s).items():
+                    lhs[t] = lhs.get(t, 0) - eps * c
+                if lhs.pop(s, 0) != want or any(lhs.values()):
+                    bad += 1
+    return bad
 
 
 def check_relations(X, max_charge, pairing_blocks=None):
@@ -427,113 +416,49 @@ def check_relations(X, max_charge, pairing_blocks=None):
     """
     space = FockSpace(X, pairing_blocks)
     C = max_charge
-    basis = space.basis(C)
     by_charge = {}
-    for s in basis:
+    for s in space.basis(C):
         by_charge.setdefault(space.state_charge(s), []).append(s)
 
     def states_up_to(c):
-        for charge in range(max(c, -1) + 1):
-            yield from by_charge.get(charge, ())
+        return [s for charge in range(c + 1) for s in by_charge.get(charge, ())]
 
-    results = []
     gens = range(len(space.gens))
+    mixed = cc = aa = 0
+    for m in range(1, C):
+        for n in range(1, C - m + 1):
+            ann_m = [space.annihilate(m, i) for i in gens]
+            cre_n = [space.create(n, j) for j in gens]
+            domain = states_up_to(C - max(m, n))
+            # [annihilate_m(a), create_n(b)] = m eta(a,b) delta_{m,n} Id
+            mixed += _bracket_violations(
+                space, ann_m, cre_n, domain,
+                lambda i, j: m * space.eta_value(i, j) if m == n else 0)
+            # create/create needs full headroom for the intermediate state
+            cc += _bracket_violations(
+                space, [space.create(m, i) for i in gens], cre_n,
+                states_up_to(C - m - n))
+            # annihilate/annihilate vanishes (no upward leak at all)
+            aa += _bracket_violations(
+                space, ann_m, [space.annihilate(n, j) for j in gens], domain)
 
-    mixed_bad = []
-    cc_bad = []
-    aa_bad = []
-    parities = [g.parity for g in space.gens]
-    pairs = [(m, n) for m in range(1, C) for n in range(1, C)
-             if m + n <= C]
-    for m, n in pairs:
-        creators = [space.create(n, j) for j in gens]
-        ann_m = [space.annihilate(m, i) for i in gens]
-        ann_n = [space.annihilate(n, j) for j in gens]
-        dom_mixed = list(states_up_to(C - max(m, n)))
-        cre_applied = [[op.apply_state(s) for s in dom_mixed] for op in creators]
-        annm_applied = [[op.apply_state(s) for s in dom_mixed] for op in ann_m]
-        annn_applied = [[op.apply_state(s) for s in dom_mixed] for op in ann_n]
-
-        # [annihilate_m(a), create_n(b)] = m eta(a,b) delta_{m,n} Id
-        for i in gens:
-            ann_i = ann_m[i]
-            for j in gens:
-                eps = -1 if (parities[i] and parities[j]) else 1
-                cre_j = creators[j]
-                expect = space.eta_value(i, j) * m if m == n else Fraction(0)
-                for idx, s in enumerate(dom_mixed):
-                    lhs = _vec_sub(
-                        ann_i.apply(cre_applied[j][idx]),
-                        _vec_scale(cre_j.apply(annm_applied[i][idx]), eps),
-                    )
-                    want = {s: expect} if expect else {}
-                    if lhs != want:
-                        mixed_bad.append((m, n, i, j, s))
-
-        # create/create needs full headroom for the intermediate state
-        dom_cc = list(states_up_to(C - m - n))
-        cre_m = [space.create(m, i) for i in gens]
-        for i in gens:
-            for j in gens:
-                eps = -1 if (parities[i] and parities[j]) else 1
-                for s in dom_cc:
-                    lhs = _vec_sub(
-                        cre_m[i].apply(creators[j].apply_state(s)),
-                        _vec_scale(creators[j].apply(cre_m[i].apply_state(s)),
-                                   eps),
-                    )
-                    if lhs:
-                        cc_bad.append((m, n, i, j, s))
-
-        # annihilate/annihilate vanishes (no upward leak at all)
-        for i in gens:
-            ann_i = ann_m[i]
-            for j in gens:
-                eps = -1 if (parities[i] and parities[j]) else 1
-                for idx, s in enumerate(dom_mixed):
-                    lhs = _vec_sub(
-                        ann_i.apply(annn_applied[j][idx]),
-                        _vec_scale(ann_n[j].apply(annm_applied[i][idx]), eps),
-                    )
-                    if lhs:
-                        aa_bad.append((m, n, i, j, s))
-
-    results.append(CheckResult(
-        "heisenberg mixed commutators (max charge %d)" % C,
-        "pass" if not mixed_bad else "fail",
-        ["%d violations" % len(mixed_bad)] if mixed_bad else [],
-    ))
-    results.append(CheckResult(
-        "create/create super-commutators vanish",
-        "pass" if not cc_bad else "fail",
-        ["%d violations" % len(cc_bad)] if cc_bad else [],
-    ))
-    results.append(CheckResult(
-        "annihilate/annihilate super-commutators vanish",
-        "pass" if not aa_bad else "fail",
-        ["%d violations" % len(aa_bad)] if aa_bad else [],
-    ))
-
-    hopf_bad = 0
+    hopf = 0
     for m in range(1, C + 1):
         for i in gens:
             cre = space.create(m, i)
-            single = ((m, i),)
             for s in states_up_to(C - m):
-                direct = cre.apply_state(s)
-                via_product = space.hopf_product(single, s)
-                if direct != via_product:
-                    hopf_bad += 1
-    results.append(CheckResult(
-        "compositional (Hopf) creation matches direct creation",
-        "pass" if not hopf_bad else "fail",
-        ["%d violations" % hopf_bad] if hopf_bad else [],
-    ))
+                if cre.apply_state(s) != space.hopf_product(((m, i),), s):
+                    hopf += 1
 
-    results.append(_compare(
-        "Fock character = regraded sector series",
-        space.character(C),
-        closed_series("poincare_orb", X, C),
-        "q",
-    ))
-    return results
+    def verdict(name, bad):
+        return CheckResult(name, "fail" if bad else "pass",
+                           ["%d violations" % bad] if bad else [])
+
+    return [
+        verdict("heisenberg mixed commutators (max charge %d)" % C, mixed),
+        verdict("create/create super-commutators vanish", cc),
+        verdict("annihilate/annihilate super-commutators vanish", aa),
+        verdict("compositional (Hopf) creation matches direct creation", hopf),
+        _compare("Fock character = regraded sector series",
+                 space.character(C), closed_series("poincare_orb", X, C), "q"),
+    ]

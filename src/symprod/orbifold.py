@@ -482,13 +482,20 @@ def _compare(name, a, b, var):
     return CheckResult(name, "fail", lines)
 
 
-def verify(kind, X, order):
+def _series_of(X):
+    """(build, kind, order) -> build(kind, X, order) for build in
+    {brute_series, closed_series}, each series built once per run."""
+    return cache(lambda build, kind, order: build(kind, X, order))
+
+
+def verify(kind, X, order, built=None):
     """Compute brute and closed series for the kind and compare exactly."""
     reason = applicability(kind, X)
     if reason is not None:
         return CheckResult("%s order %d" % (kind, order), "skip", [reason])
-    b = brute_series(kind, X, order)
-    c = closed_series(kind, X, order)
+    built = built or _series_of(X)
+    b = built(brute_series, kind, order)
+    c = built(closed_series, kind, order)
     return _compare("%s order %d" % (kind, order), b, c, KINDS[kind].var)
 
 
@@ -496,45 +503,46 @@ def _subst_xy_to_t(s):
     return substitute(substitute(s, "x", {"t": 1}), "y", {"t": 1})
 
 
-def cross_checks(X, order, hodge_order):
+def cross_checks(X, order, hodge_order, built=None):
     """Identities tying different series kinds together."""
+    built = built or _series_of(X)
     out = []
     complex_x = X.hodge is not None
 
     if complex_x:
         n0 = min(order, hodge_order)
-        lhs = _subst_xy_to_t(brute_series("hodge_orb", X, n0))
-        rhs = brute_series("poincare_orb", X, n0)
+        lhs = _subst_xy_to_t(built(brute_series, "hodge_orb", n0))
+        rhs = built(brute_series, "poincare_orb", n0)
         out.append(_compare("cross hodge_orb(x=y=t) = poincare_orb", lhs, rhs, "q"))
 
-        lhs = specialize(brute_series("chiy_orb", X, order), {"y": 1})
-        rhs = brute_series("euler_orb", X, order)
+        lhs = specialize(built(brute_series, "chiy_orb", order), {"y": 1})
+        rhs = built(brute_series, "euler_orb", order)
         out.append(_compare("cross chiy_orb(y=1) = euler_orb", lhs, rhs, "q"))
 
-        lhs = specialize(brute_series("chiy_sym", X, order), {"y": 1})
-        rhs = brute_series("euler_sym", X, order)
+        lhs = specialize(built(brute_series, "chiy_sym", order), {"y": 1})
+        rhs = built(brute_series, "euler_sym", order)
         out.append(_compare("cross chiy_sym(y=1) = euler_sym", lhs, rhs, "q"))
 
-        lhs = specialize(brute_series("chiy_sym", X, order), {"y": -1})
-        rhs = brute_series("sign_sym", X, order)
+        lhs = specialize(built(brute_series, "chiy_sym", order), {"y": -1})
+        rhs = built(brute_series, "sign_sym", order)
         out.append(_compare("cross chiy_sym(y=-1) = sign_sym", lhs, rhs, "q"))
 
         if X.dim_c % 2 == 0 and X.dim_c >= 0:
-            lhs = specialize(brute_series("chiy_orb", X, order), {"y": -1})
-            rhs = brute_series("sign_orb", X, order)
+            lhs = specialize(built(brute_series, "chiy_orb", order), {"y": -1})
+            rhs = built(brute_series, "sign_orb", order)
             out.append(_compare("cross chiy_orb(y=-1) = sign_orb", lhs, rhs, "q"))
 
     if X.m % 2 == 0:
-        lhs = specialize(brute_series("poincare_orb", X, order), {"t": -1})
-        rhs = brute_series("euler_orb", X, order)
+        lhs = specialize(built(brute_series, "poincare_orb", order), {"t": -1})
+        rhs = built(brute_series, "euler_orb", order)
         out.append(_compare("cross poincare_orb(t=-1) = euler_orb", lhs, rhs, "q"))
 
     if complex_x and X.dim_c == 2:
-        lhs = closed_series("gottsche_poincare", X, order)
-        rhs = closed_series("poincare_orb", X, order)
+        lhs = built(closed_series, "gottsche_poincare", order)
+        rhs = built(closed_series, "poincare_orb", order)
         out.append(_compare("cross gottsche_poincare = poincare_orb", lhs, rhs, "q"))
-        lhs = closed_series("gottsche_hodge", X, hodge_order)
-        rhs = closed_series("hodge_orb", X, hodge_order)
+        lhs = built(closed_series, "gottsche_hodge", hodge_order)
+        rhs = built(closed_series, "hodge_orb", hodge_order)
         out.append(_compare("cross gottsche_hodge = hodge_orb", lhs, rhs, "q"))
 
     if X.calabi_yau and X.hodge_b is not None:
@@ -560,15 +568,16 @@ def hodge_kind_order(kind, X, order):
 
 def verify_all(X, order=8, fixed_order=None):
     """Run every applicable kind plus the cross checks, in a fixed order."""
+    built = _series_of(X)
     results = []
     for kind in SERIES_KINDS:
         n = fixed_order if fixed_order is not None else hodge_kind_order(
             kind, X, order
         )
-        results.append(verify(kind, X, n))
+        results.append(verify(kind, X, n, built))
     hodge_n = fixed_order if fixed_order is not None else hodge_kind_order(
         "hodge_orb", X, order
     )
     base_n = fixed_order if fixed_order is not None else order
-    results.extend(cross_checks(X, base_n, hodge_n))
+    results.extend(cross_checks(X, base_n, hodge_n, built))
     return results

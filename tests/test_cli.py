@@ -194,6 +194,32 @@ def test_load_rejects_malformed_input(tmp_path, capsys, payload):
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+P2_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+TOP, MIDDLE = {"degree": 2, "matrix": [[1]]}, {"degree": 0, "matrix": [[1]]}
+
+
+@pytest.mark.parametrize("pairing, argv", [
+    ([{"degree": 2, "matrix": [["1/0"]]}, MIDDLE], None),
+    ([TOP, MIDDLE, {"degree": 0, "matrix": [[2]]}], None),
+    ([TOP, {"degree": -2, "matrix": [[1]]}, MIDDLE], None),
+    ([TOP, {"degree": 0, "matrix": [[1]], "note": "x"}], None),
+    ([{"degree": 2, "matrix": [[1, 0]]}, MIDDLE], None),
+    ([{"degree": 2, "matrix": [[0]]}, MIDDLE], None),
+    (None, ["verify-all", "--order", "-1"]),
+    (None, ["fock-verify", "--max-charge", "-1"]),
+])
+def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
+                                                  argv):
+    payload = {"name": "p2x", "dim_c": 2, "hodge": P2_ROWS}
+    if pairing is not None:
+        payload["pairing"] = pairing
+    argv = argv or ["fock-verify", "--max-charge", "1"]
+    path = write(tmp_path, payload)
+    code, out, err = run(capsys, *argv, "--manifold", str(path))
+    assert code == 2 and out == ""
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_load_betti_only(tmp_path):
     X = cli.load_manifold(
         write(tmp_path, {"name": "sphere4", "dim_real": 4,

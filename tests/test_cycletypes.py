@@ -67,13 +67,3 @@ def test_class_equation():
         )
         assert total == factorial(n)
 
-
-def test_grading_shift_examples():
-    # a sector regrades by dim * moved_cycles() / 2 per grading slot
-    assert CycleType({3: 1}).moved_cycles() == 2  # F = 2 on a surface cube
-    assert CycleType({1: 5}).moved_cycles() == 0
-    assert CycleType({2: 1}).moved_cycles() == 1  # F = 1/2 on a curve square
-    # n minus the number of cycles, for every type
-    for n in range(7):
-        for ct in cycle_types(n):
-            assert ct.moved_cycles() == n - sum(ct.mult.values())

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from symprod import fock, orbifold
+from symprod import cli, fock, orbifold
 from symprod.fock import FockSpace, default_pairing
 from symprod.orbifold import ManifoldData
 
@@ -208,21 +210,6 @@ def test_distinct_levels_commute(p2):
 # ------------------------------------------------------------------- Hopf
 
 
-def test_linear_combination_operators(p2):
-    from fractions import Fraction
-
-    combo = {0: Fraction(2), 2: Fraction(-1, 3)}
-    cre = p2.create(1, combo)
-    assert cre.degree is None  # mixed degrees: only the charge is declared
-    got = cre.apply_state(())
-    assert got == {((1, 0),): Fraction(2), ((1, 2),): Fraction(-1, 3)}
-    ann = p2.annihilate(1, combo)
-    # eta(combo, .) pairs 0 with 2 and 2 with 0
-    assert ann.apply(got) == {
-        (): 2 * Fraction(-1, 3) * 1 + Fraction(-1, 3) * 2 * 1
-    }
-
-
 def test_hopf_product_unit(p2):
     s = ((1, 0), (2, 1))
     assert p2.hopf_product((), s) == {s: 1}
@@ -305,3 +292,63 @@ def test_check_relations_odd_cohomology():
     X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
     results = fock.check_relations(X, 3)
     assert all(r.status == "pass" for r in results)
+
+
+def fock_verify(capsys, *argv):
+    code = cli.main(["fock-verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_fock_verify_p2_stdout(capsys):
+    assert fock_verify(capsys, "--manifold", "p2", "--max-charge", "4") == (0, (
+        "# fock-verify p2 max-charge=4\n"
+        "PASS heisenberg mixed commutators (max charge 4)\n"
+        "PASS create/create super-commutators vanish\n"
+        "PASS annihilate/annihilate super-commutators vanish\n"
+        "PASS compositional (Hopf) creation matches direct creation\n"
+        "PASS Fock character = regraded sector series\n"
+        "5 checks, 0 failed\n"
+    ))
+
+
+@pytest.mark.parametrize("faulty_sign, expected", [
+    # creation loses the Koszul sign of odd generators
+    (1, "FAIL heisenberg mixed commutators (max charge 3)\n"
+        "  74 violations\n"
+        "FAIL create/create super-commutators vanish\n"
+        "  92 violations\n"
+        "PASS annihilate/annihilate super-commutators vanish\n"
+        "FAIL compositional (Hopf) creation matches direct creation\n"
+        "  38 violations\n"
+        "PASS Fock character = regraded sector series\n"
+        "5 checks, 3 failed\n"),
+    # annihilation loses the Koszul sign of odd generators
+    (-1, "FAIL heisenberg mixed commutators (max charge 3)\n"
+         "  106 violations\n"
+         "PASS create/create super-commutators vanish\n"
+         "FAIL annihilate/annihilate super-commutators vanish\n"
+         "  12 violations\n"
+         "PASS compositional (Hopf) creation matches direct creation\n"
+         "PASS Fock character = regraded sector series\n"
+         "5 checks, 2 failed\n"),
+])
+def test_check_relations_catches_a_dropped_sign(tmp_path, capsys, monkeypatch,
+                                                faulty_sign, expected):
+    # operators whose charge step has the given sign return |coefficients|:
+    # the only signs they produce are Koszul signs, so those are dropped
+    apply_state = fock.FockOperator.apply_state
+
+    def faulty(op, state):
+        out = apply_state(op, state)
+        if op.charge * faulty_sign > 0:
+            return {s: abs(c) for s, c in out.items()}
+        return out
+
+    monkeypatch.setattr(fock.FockOperator, "apply_state", faulty)
+    path = tmp_path / "odd4.json"
+    path.write_text(json.dumps({"name": "odd4", "dim_real": 4,
+                                "betti": [1, 2, 0, 2, 1]}))
+    code, out = fock_verify(capsys, "--manifold", str(path),
+                            "--max-charge", "3")
+    assert code == 1
+    assert out == "# fock-verify odd4 max-charge=3\n" + expected
