@@ -198,7 +198,7 @@ def pairing_from_blocks(X, blocks):
     seen = set()
     for block in blocks:
         j = block["degree"]
-        if j in seen or -j in seen:
+        if abs(j) in seen:
             raise ValueError("pairing block for degree %d given twice" % abs(j))
         mat = [[_parse_entry(x) for x in row] for row in block["matrix"]]
         neg = by_degree.get(-j, [])
@@ -225,7 +225,7 @@ def pairing_from_blocks(X, blocks):
                 for c, b in enumerate(pos):
                     if mat[r][c]:
                         _fill_symmetric(eta, gens, a, b, mat[r][c])
-        seen.add(j)
+        seen.add(abs(j))
     for j in by_degree:
         if abs(j) not in seen and by_degree[j]:
             raise ValueError("pairing block for degree %d missing" % abs(j))
@@ -239,8 +239,8 @@ class FockSpace:
         self.manifold = X
         if X.dim_real % 4:
             raise ValueError(
-                "Fock construction needs d = dim_real/2 even; %s has d = %d"
-                % (X.name, X.dim_real // 2)
+                "Fock construction needs dim_real divisible by 4; %s has "
+                "dim_real %d" % (X.name, X.dim_real)
             )
         self.d = X.dim_real // 2
         self.gens, self._by_degree = build_generators(X)
@@ -371,14 +371,9 @@ class FockSpace:
 
     def character(self, max_charge):
         """sum over basis states of q^charge t^degree, an exact series."""
-        terms = {}
-        for state in self.basis(max_charge):
-            c = self.state_charge(state)
-            d = self.state_degree(state)
-            s = Series.term("q", max_charge, 1, {"q": c, "t": d})
-            key = next(iter(s.terms))
-            terms[key] = terms.get(key, 0) + 1
-        return Series("q", max_charge, terms)
+        return Series.from_terms("q", max_charge, (
+            (1, {"q": self.state_charge(s), "t": self.state_degree(s)})
+            for s in self.basis(max_charge)))
 
 
 def _bracket_violations(space, A, B, domain, scalar=lambda i, j: 0):

@@ -190,51 +190,24 @@ def chi_minus_y(table, var="q"):
     Well defined for any admissible bigrading (p + q is an integer even when
     p and q are halves), and multiplicative under tensor product.
     """
-    out = Series.zero(var, None)
-    for (dp, dq), h in sorted(table.dims.items()):
-        sign = -1 if ((dp + dq) // 2) % 2 else 1
-        out = out + Series.term(var, None, sign * h, {"y": Fraction(dp, 2)})
-    return out
+    return Series.from_terms(var, None, (
+        (-h if ((dp + dq) // 2) % 2 else h, {"y": Fraction(dp, 2)})
+        for (dp, dq), h in table.dims.items()))
 
 
-def genus(table, which, var="q"):
-    """Classical genus of a bigraded dimension table.
-
-    chi_y returns sum_q (-1)^q h^{p,q} y^p as a series in y; signature and
-    arithmetic are its values at y = 1 and y = 0, euler its value at y = -1
-    (computed as (-1)^(p+q) so half-integer bidegrees stay legal).  chi_y,
-    signature and arithmetic need integer q-degrees: (-1)^q has no meaning
-    on a strict half-integer.
+def genus(table, which):
+    """Classical genus of a bigraded dimension table: the signature or the
+    arithmetic genus, the values of chi_y = sum_q (-1)^q h^{p,q} y^p at
+    y = 1 and y = 0.  Both need integer q-degrees: (-1)^q has no meaning on
+    a strict half-integer.
     """
-    if which == "euler":
-        return sum(
-            (h if ((dp + dq) // 2) % 2 == 0 else -h)
-            for (dp, dq), h in table.dims.items()
-        )
-    if which in ("chi_y", "signature", "arithmetic"):
-        for (dp, dq) in table.dims:
-            if dq % 2:
-                raise ValueError(
-                    "genus %r needs integer second degrees" % (which,)
-                )
-        if which == "chi_y":
-            out = Series.zero(var, None)
-            for (dp, dq), h in sorted(table.dims.items()):
-                sign = -1 if (dq // 2) % 2 else 1
-                out = out + Series.term(var, None, sign * h,
-                                        {"y": Fraction(dp, 2)})
-            return out
-        if which == "signature":
-            return sum(
-                (h if (dq // 2) % 2 == 0 else -h)
-                for (dp, dq), h in table.dims.items()
-            )
-        return sum(
-            (h if (dq // 2) % 2 == 0 else -h)
-            for (dp, dq), h in table.dims.items()
-            if dp == 0
-        )
-    raise ValueError("unknown genus %r" % (which,))
+    if which not in ("signature", "arithmetic"):
+        raise ValueError("unknown genus %r" % (which,))
+    if any(dq % 2 for _, dq in table.dims):
+        raise ValueError("genus %r needs integer second degrees" % (which,))
+    return sum(h if (dq // 2) % 2 == 0 else -h
+               for (dp, dq), h in table.dims.items()
+               if which == "signature" or dp == 0)
 
 
 # -- series kinds --------------------------------------------------------------
@@ -284,12 +257,9 @@ def _levels(poly, order, shift):
     """sum_{l >= 1} poly * prod_v v^((l-1) shift[v]) * (counting var)^l: one
     copy of the single-particle polynomial per cycle length l, regraded by
     the shift of each of its l - 1 moved cycles."""
-    f = Series.zero(poly.var, order)
-    for l in range(1, order + 1):
-        exps = {v: (l - 1) * e for v, e in shift.items()}
-        exps[poly.var] = l
-        f = f + poly * Series.term(poly.var, order, 1, exps)
-    return f
+    return poly * Series.from_terms(poly.var, order, (
+        (1, {poly.var: l, **{v: (l - 1) * e for v, e in shift.items()}})
+        for l in range(1, order + 1)))
 
 
 def _sign_f(X, order, levels):
@@ -297,12 +267,11 @@ def _sign_f(X, order, levels):
     logarithm of prod_m (1-q^(2m))^(-chi/2) ((1+q^m)/(1-q^m))^(eps_m sgn/2);
     eps_m = -1 on even m when k = dim_C/2 is odd, else 1."""
     chi, sgn, k = X.euler(), X.signature(), X.dim_c // 2
-    f = Series.zero("q", order)
+    pairs = []
     for m in range(1, levels + 1):
         e = -sgn if (k % 2 and m % 2 == 0) else sgn
-        f = f + _qpow("q", order, e, m)
-        f = f + _qpow("q", order, Fraction(chi - e, 2), 2 * m)
-    return f
+        pairs += [(e, {"q": m}), (Fraction(chi - e, 2), {"q": 2 * m})]
+    return Series.from_terms("q", order, pairs)
 
 
 # Requirements: (holds(X), reason when it does not), checked in order.
@@ -458,10 +427,6 @@ class CheckResult:
         self.name = name
         self.status = status  # "pass" | "fail" | "skip"
         self.lines = list(lines)
-
-    @property
-    def passed(self):
-        return self.status != "fail"
 
     def __repr__(self):
         return "CheckResult(%r, %r)" % (self.name, self.status)

@@ -12,6 +12,9 @@ variables are exact and may carry negative (Laurent) exponents, which is
 sound because each fixed power of the counting variable has finitely many
 companions.
 
+One routine, substitute, replaces a variable by a monomial; specialize is
+substitute by constants, one variable after another.
+
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
 it combines with finite orders as "no constraint".
@@ -130,14 +133,21 @@ class Series:
         return cls.constant(var, order, 1)
 
     @classmethod
+    def from_terms(cls, var, order, pairs):
+        """The sum of coeff * prod(v^e) over (coeff, {v: e}) pairs, with
+        exponents in (1/2)Z; duplicate monomials add and zeros drop."""
+        terms = {}
+        for coeff, exps in pairs:
+            key = monomial_key(exps)
+            terms[key] = terms.get(key, 0) + _as_fraction(coeff)
+        return cls(var, order, terms)
+
+    @classmethod
     def term(cls, var, order, coeff, exps):
         """Single term coeff * prod(v^e) with exponents in (1/2)Z."""
-        return cls(var, order, {monomial_key(exps): _as_fraction(coeff)})
+        return cls.from_terms(var, order, [(coeff, exps)])
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def constant_term(self):
         return self.terms.get(_ZERO_KEY, Fraction(0))
@@ -376,10 +386,11 @@ def substitute(s, v, exps, coeff=1):
     replacement must involve exactly one counting variable, with positive
     integer exponent (e.g. q -> y^(-1/2) p moves a q-series to a p-series).
     Substituting for any other variable must not touch the counting ones.
+    coeff may be zero, which kills the positive powers of v; a negative
+    power of zero, or coeff at a strict half-integer exponent other than 1
+    and 0, raises SeriesDomainError.
     """
     coeff = _as_fraction(coeff)
-    if not coeff:
-        raise SeriesUsageError("replacement monomial must be nonzero")
     if v not in _VI:
         raise SeriesUsageError("unknown variable %r" % (v,))
     rkey = monomial_key(exps)
@@ -412,18 +423,10 @@ def substitute(s, v, exps, coeff=1):
     terms = {}
     for key, c in s.terms.items():
         d = key[vi]
-        if d == 0:
-            nk, nc = key, c
-        else:
-            if d % 2:
-                if coeff != 1:
-                    raise SeriesDomainError(
-                        "cannot raise coefficient %s to the half-integer "
-                        "exponent %s" % (coeff, half_str(d))
-                    )
-                nc = c
-            else:
-                nc = c * coeff ** (d // 2)
+        if d:
+            c = c * _rational_power(coeff, d)
+            if not c:
+                continue
             nk = list(key)
             nk[vi] = 0
             for u in VARS:
@@ -437,80 +440,45 @@ def substitute(s, v, exps, coeff=1):
                         % (half_str(d), half_str(ru))
                     )
                 nk[_VI[u]] += prod // 2
-            nk = tuple(nk)
-        if nk[_VI[new_var]] < 0:
+            key = tuple(nk)
+        if key[_VI[new_var]] < 0:
             raise SeriesUsageError(
                 "substitution produced a negative counting exponent"
             )
-        t = terms.get(nk, 0) + nc
+        t = terms.get(key, 0) + c
         if t:
-            terms[nk] = t
+            terms[key] = t
         else:
-            del terms[nk]
+            del terms[key]
     return Series(new_var, new_order, terms)
 
 
 def _rational_power(base, d):
-    """base^(d/2) exactly; d is a doubled exponent."""
-    if d % 2 == 0:
-        e = d // 2
-        if base == 0:
-            if e > 0:
-                return Fraction(0)
-            if e == 0:
-                return Fraction(1)
-            raise SeriesDomainError("zero raised to a negative power")
-        return base ** e
-    if base == 1:
-        return Fraction(1)
+    """base^(d/2) exactly; d is a nonzero doubled exponent."""
     if base == 0:
-        if d > 0:
-            return Fraction(0)
-        raise SeriesDomainError("zero raised to a negative power")
+        if d < 0:
+            raise SeriesDomainError("zero raised to a negative power")
+        return base
+    if d % 2 == 0:
+        return base ** (d // 2)
+    if base == 1:
+        return base
     raise SeriesDomainError(
         "cannot evaluate %s at the half-integer exponent %s" % (base, half_str(d))
     )
 
 
 def specialize(s, assignments):
-    """Assign exact rational values to non-counting variables.
+    """Assign exact rational values to non-counting variables, one after
+    another: each is substitute(s, v, {}, value).
 
-    Negative values are rejected on strict half-integer exponents: a sign
+    A strict half-integer exponent only takes the values 1 and 0: a sign
     has no square root in Q, and hitting this is always a misuse of a
     half-graded series.
     """
-    for v in assignments:
-        if v not in _VI:
-            raise SeriesUsageError("unknown variable %r" % (v,))
-        if v == s.var:
-            raise SeriesUsageError("cannot assign a value to the counting variable")
-    items = [(_VI[v], _as_fraction(val)) for v, val in assignments.items()]
-    terms = {}
-    for key, c in s.terms.items():
-        nc = c
-        nk = list(key)
-        for vi, val in items:
-            d = key[vi]
-            if d == 0:
-                continue
-            if val < 0 and d % 2:
-                raise SeriesDomainError(
-                    "negative value %s at half-integer exponent %s"
-                    % (val, half_str(d))
-                )
-            nc = nc * _rational_power(val, d)
-            nk[vi] = 0
-            if not nc:
-                break
-        if not nc:
-            continue
-        nk = tuple(nk)
-        t = terms.get(nk, 0) + nc
-        if t:
-            terms[nk] = t
-        else:
-            del terms[nk]
-    return Series(s.var, s.order, terms)
+    for v, value in assignments.items():
+        s = substitute(s, v, {}, value)
+    return s
 
 
 def first_mismatch(a, b):

@@ -220,6 +220,20 @@ def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
     assert "error: " in err and "Traceback" not in err
 
 
+def test_pairing_block_at_negative_degree_is_the_transpose(tmp_path, capsys):
+    # p2's degree -2 block is the transpose of its 1x1 degree 2 block
+    outs = []
+    for top in (TOP, {"degree": -2, "matrix": [[1]]}):
+        path = write(tmp_path, {"name": "p2x", "dim_c": 2, "hodge": P2_ROWS,
+                                "pairing": [top, MIDDLE]})
+        code, out, err = run(capsys, "fock-verify", "--manifold", str(path),
+                             "--max-charge", "3")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith("5 checks, 0 failed\n")
+
+
 def test_load_betti_only(tmp_path):
     X = cli.load_manifold(
         write(tmp_path, {"name": "sphere4", "dim_real": 4,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from symprod.series import (
     SeriesDomainError,
     SeriesUsageError,
     first_mismatch,
+    monomial_key,
     plethystic_exp,
     specialize,
     substitute,
@@ -19,10 +21,32 @@ H = Fraction(1, 2)
 
 
 def S(terms, order=None, var="q"):
-    out = Series.zero(var, order)
-    for coeff, exps in terms:
-        out = out + Series.term(var, order, coeff, exps)
-    return out
+    return Series.from_terms(var, order, terms)
+
+
+# ---------------------------------------------------------------- from_terms
+
+
+def test_from_terms_sums_duplicates_and_drops_cancellations():
+    s = Series.from_terms("q", 3, [
+        (2, {"t": 1}), (1, {"q": 1}), (3, {"t": 1}), (-1, {"q": 1}),
+        (H, {"x": H, "q": 2}),
+    ])
+    assert s.terms == {monomial_key({"t": 1}): 5,
+                       monomial_key({"x": H, "q": 2}): H}
+
+
+def test_from_terms_truncates_above_order():
+    s = Series.from_terms("q", 2, [(1, {}), (1, {"q": 2}), (7, {"q": 3})])
+    assert str(s) == "1 + q^2"
+    assert s == Series.one("q", 2) + Series.term("q", 2, 1, {"q": 2})
+
+
+def test_from_terms_rejects_float_coefficients():
+    with pytest.raises(SeriesUsageError):
+        Series.from_terms("q", 2, [(1.5, {"q": 1})])
+    with pytest.raises(SeriesUsageError):
+        Series.from_terms("q", 2, [(1.5, {"q": 1}), (-1.5, {"q": 1})])
 
 
 # ---------------------------------------------------------------- add / mul
@@ -244,6 +268,14 @@ def test_substitute_rejects_vanishing_counting_var():
         substitute(s, "q", {"t": 1})
 
 
+def test_substitute_zero_coefficient():
+    s = S([(1, {}), (2, {"y": 1, "q": 1}), (3, {"y": H, "t": 1, "q": 2})], 2)
+    assert substitute(s, "y", {}, 0) == S([(1, {})], 2)
+    assert substitute(s, "y", {"t": 1}, 0) == S([(1, {})], 2)
+    with pytest.raises(SeriesDomainError):
+        substitute(S([(1, {}), (1, {"y": -1, "q": 1})], 2), "y", {}, 0)
+
+
 def test_substitute_rejects_quarter_exponents():
     s = S([(1, {"x": H, "q": 1})], 2)
     with pytest.raises(SeriesDomainError):
@@ -284,6 +316,78 @@ def test_substitute_specialize_commute_on_disjoint_vars():
     a = specialize(substitute(s, "t", {"t": 3}), {"x": -1})
     b = substitute(specialize(s, {"x": -1}), "t", {"t": 3})
     assert a == b
+
+
+# Of these values only 0 and 1 have a rational square root, and they are the
+# ones specialize takes at a strict half-integer exponent; so the oracle's
+# "a^e when rational, else rejected" is specialize's contract on every draw.
+VALUES = (-2, -1, 0, 1, 2, H, Fraction(-1, 3))
+
+
+def power(a, e):
+    """a^e for rational a and e in (1/2)Z; None when it is not rational."""
+    a = Fraction(a)
+    if a == 0 and e < 0:
+        return None
+    if e.denominator == 1:
+        return a ** int(e)
+    if a < 0:
+        return None
+    root = Fraction(isqrt(a.numerator), isqrt(a.denominator))
+    return root ** int(2 * e) if root * root == a else None
+
+
+def merge(pairs):
+    """Sum (coeff, {var: exponent}) pairs by monomial; zeros drop."""
+    merged = {}
+    for c, exps in pairs:
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        merged[key] = merged.get(key, 0) + c
+    return [(c, dict(key)) for key, c in merged.items() if c]
+
+
+def evaluate(pairs, assignments):
+    """The oracle: evaluate (coeff, {var: exponent}) pairs term by term, one
+    variable after another.  Returns the evaluated pairs, or the error type
+    of a rejected case."""
+    pairs = merge(pairs)
+    for v, a in assignments.items():
+        if v == "q":
+            return SeriesUsageError
+        out = []
+        for c, exps in pairs:
+            factor = power(a, Fraction(exps.get(v, 0)))
+            if factor is None:
+                return SeriesDomainError
+            out.append((c * factor, {w: e for w, e in exps.items() if w != v}))
+        pairs = merge(out)
+    return pairs
+
+
+# (coeff, exps) pairs in q up to q^3 with t, x, y exponents in
+# {-3/2, ..., 3/2}, half-integers included
+laurent_terms = st.lists(st.tuples(
+    st.integers(-3, 3).filter(bool),
+    st.fixed_dictionaries({"q": st.integers(0, 3)}, optional={
+        v: st.integers(-3, 3).map(lambda d: Fraction(d, 2)) for v in "txy"}),
+), max_size=6)
+
+
+assignments = st.lists(
+    st.tuples(st.sampled_from("txyq"), st.sampled_from(VALUES)),
+    min_size=1, max_size=3, unique_by=lambda item: item[0]).map(dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_terms, assignments)
+def test_specialize_matches_termwise_evaluation(pairs, values):
+    s = Series.from_terms("q", 3, pairs)
+    expected = evaluate(pairs, values)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            specialize(s, values)
+    else:
+        assert specialize(s, values) == Series.from_terms("q", 3, expected)
 
 
 # ---------------------------------------------------------------- rendering
