@@ -129,16 +129,19 @@ def load_manifold(path):
                                      "the Hodge table")
             if "dim_real" in raw and raw["dim_real"] != 2 * raw["dim_c"]:
                 raise ValueError("dim_real inconsistent with dim_c")
-            return X
-        if "betti" in raw:
+        elif "betti" in raw:
             if raw.get("calabi_yau") or "hodgeB" in raw:
                 raise ValueError("B-data needs a Hodge table")
             if "dim_real" not in raw:
                 raise ValueError("a Betti vector needs dim_real")
             X = ManifoldData.from_betti(name, raw["dim_real"], raw["betti"])
             X.pairing = raw.get("pairing")
-            return X
-        raise ValueError("need one of 'betti' or 'hodge'")
+        else:
+            raise ValueError("need one of 'betti' or 'hodge'")
+        if X.pairing is not None:
+            # shapes, entries and invertibility, for every command alike
+            fock.pairing_from_blocks(X, X.pairing)
+        return X
     except ValueError as exc:
         raise InputError("%s: %s" % (path, exc))
 
@@ -147,23 +150,19 @@ def _load(name_or_path):
     return load_manifold(_resolve_manifold_path(name_or_path))
 
 
-def _emit(line):
-    sys.stdout.write(line + "\n")
-
-
 def _emit_results(results):
     failed = 0
     for r in results:
         if r.status == "skip":
-            _emit("SKIP %s (%s)" % (r.name, "; ".join(r.lines)))
+            print("SKIP %s (%s)" % (r.name, "; ".join(r.lines)))
             continue
-        _emit("%s %s" % ("PASS" if r.status == "pass" else "FAIL", r.name))
+        print("%s %s" % ("PASS" if r.status == "pass" else "FAIL", r.name))
         if r.status == "fail":
             failed += 1
             for line in r.lines:
-                _emit("  " + line)
+                print("  " + line)
     ran = sum(1 for r in results if r.status != "skip")
-    _emit("%d checks, %d failed" % (ran, failed))
+    print("%d checks, %d failed" % (ran, failed))
     return failed
 
 
@@ -192,32 +191,34 @@ def cmd_series(args):
             built[mode] = build(kind, X, order)
             _assert_integral(built[mode], "%s %s" % (mode, kind))
     if args.mode != "both":
-        _emit(str(built[args.mode]))
+        print(built[args.mode])
         return 0
     b, c = built["brute"], built["closed"]
-    _emit("brute:  %s" % b)
-    _emit("closed: %s" % c)
+    # print's separator supplies the second space, so a long series text is
+    # written as it is, not copied into a longer line first
+    print("brute: ", b)
+    print("closed:", c)
     result = orbifold._compare("%s order %d" % (kind, order), b, c,
                                orbifold.KINDS[kind].var)
     if result.status == "pass":
-        _emit("verdict: equal")
+        print("verdict: equal")
         return 0
-    _emit("verdict: mismatch")
+    print("verdict: mismatch")
     for line in result.lines[:1]:
-        _emit("  " + line)
+        print("  " + line)
     return 1
 
 
 def cmd_fock_verify(args):
     X = _load(args.manifold)
     results = fock.check_relations(X, args.max_charge)
-    _emit("# fock-verify %s max-charge=%d" % (X.name, args.max_charge))
+    print("# fock-verify %s max-charge=%d" % (X.name, args.max_charge))
     return 1 if _emit_results(results) else 0
 
 
 def cmd_verify_all(args):
     X = _load(args.manifold)
-    _emit("# verify-all %s order=%s"
+    print("# verify-all %s order=%s"
           % (X.name, args.order if args.order is not None else "default"))
     results = orbifold.verify_all(X, order=8, fixed_order=args.order)
     return 1 if _emit_results(results) else 0
@@ -226,7 +227,7 @@ def cmd_verify_all(args):
 def cmd_catalog(args):
     if args.action == "list":
         for name in catalog_names():
-            _emit(name)
+            print(name)
         return 0
     raise InputError("unknown catalog action %r" % (args.action,))
 

@@ -4,8 +4,9 @@ Conjugacy classes of S_n are the partitions of n; a class is stored as the
 multiplicity map l -> N_l (number of l-cycles).  Alongside enumeration this
 module knows the centralizer order prod N_l! l^(N_l).  The twisted sector of
 a class is the product over l of N_l-th symmetric powers of a level-l copy
-of X; orbifold._sector_sum builds those blocks and regrades each by its
-(l - 1) N_l moved cycles.
+of X, regraded by its (l - 1) N_l moved cycles.  orbifold._sector_sum sums
+these sectors without listing classes, as a product over cycle lengths;
+this module is the class-by-class picture that tests check it against.
 """
 
 from math import factorial

@@ -381,7 +381,7 @@ def _bracket_violations(space, A, B, domain, scalar=lambda i, j: 0):
     A_i B_j s - eps_ij B_j A_i s is not scalar(i, j) * s, where A_i and B_j
     belong to generators i and j and eps_ij is their Koszul sign.  Each
     operator meets each domain state once; the outer applications run on
-    those images."""
+    those images, and only on the nonempty ones."""
     a_images = [[a.apply_state(s) for s in domain] for a in A]
     b_images = [[b.apply_state(s) for s in domain] for b in B]
     bad = 0
@@ -390,9 +390,10 @@ def _bracket_violations(space, A, B, domain, scalar=lambda i, j: 0):
             eps = -1 if space.gens[i].parity and space.gens[j].parity else 1
             want = scalar(i, j)
             for s, a_s, b_s in zip(domain, a_images[i], b_images[j]):
-                lhs = a.apply(b_s)
-                for t, c in b.apply(a_s).items():
-                    lhs[t] = lhs.get(t, 0) - eps * c
+                lhs = a.apply(b_s) if b_s else {}
+                if a_s:
+                    for t, c in b.apply(a_s).items():
+                        lhs[t] = lhs.get(t, 0) - eps * c
                 if lhs.pop(s, 0) != want or any(lhs.values()):
                     bad += 1
     return bad

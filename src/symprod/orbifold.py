@@ -9,10 +9,11 @@ the fixed locus.  Both the brute-force assembly and the closed generating
 functions are computed here in exact arithmetic, so any claimed identity can
 be checked coefficient by coefficient.
 
-The brute side is one cycle-type sector sum, _sector_sum: each kind names a
-block(l, N), the invariant of Sym^N(H*X) regraded for N l-cycles, and the
-sum multiplies blocks over the cycle lengths of every cycle type.  Blocks
-are ints, dims (which support + and *) or Series.
+The brute side is one sector sum, _sector_sum.  Each kind names a
+block(l, N), the invariant of Sym^N(H*X) regraded for N l-cycles.  The sum
+over cycle types of prod_l block(l, N_l) is the truncated product over
+cycle lengths l of sum_N block(l, N) q^(lN).  Blocks are ints, dims (which
+support + and *) or Series.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -43,11 +44,8 @@ dmvv_q0/dmvv_q0_B    L(y^(-k) C; 1) in the variable p: normalized chi_(-y)
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, reduce
-from math import prod
-from operator import add
+from functools import cache
 
-from .cycletypes import cycle_types
 from .graded import BigradedDims, GradedDims
 from .series import (
     Series,
@@ -226,22 +224,23 @@ def _by_n(order, coeff):
 
 
 def _sector_sum(order, block, step=lambda value: value):
-    """sum_n q^n step(sum over cycle types of S_n of prod_l block(l, N_l)).
+    """sum_n q^n step(c_n), c_n the sum over cycle types of S_n of
+    prod_l block(l, N_l).
 
     block(l, N) is the invariant of the N l-cycles of a sector: Sym^N of
-    H*(X), regraded for their (l - 1) N moved cycles.  Each block is
-    computed once per call; block(1, 0), the zeroth power, is the unit.
+    H*(X), regraded for their (l - 1) N moved cycles.  By distributivity
+    c_n is the q^n coefficient of prod_{l >= 1} sum_N block(l, N) q^(lN).
+    c starts as the l = 1 factor and takes in one cycle length per pass,
+    updating from the top down, so each c[n - lN] it reads still holds the
+    product over the shorter lengths.  Each block is computed once.
     """
-    cached = cache(block)
-    unit = cached(1, 0)
-
-    def sectors(n):
-        return reduce(add, (
-            prod((cached(l, nl) for l, nl in ct.mult.items()),
-                 start=unit)
-            for ct in cycle_types(n)))
-
-    return _by_n(order, lambda n: step(sectors(n)))
+    c = [block(1, n) for n in range(order + 1)]
+    for l in range(2, order + 1):
+        level = [block(l, N) for N in range(order // l + 1)]
+        for n in range(order, l - 1, -1):
+            for N in range(1, n // l + 1):
+                c[n] += c[n - l * N] * level[N]
+    return _by_n(order, lambda n: step(c[n]))
 
 
 def _chiy_orb_brute(X, T, order):

@@ -149,9 +149,6 @@ class Series:
 
     # -- basic queries -----------------------------------------------------
 
-    def constant_term(self):
-        return self.terms.get(_ZERO_KEY, Fraction(0))
-
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -243,18 +240,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise SeriesUsageError("only nonnegative integer powers of series")
-        result = Series.one(self.var, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -273,7 +258,10 @@ class Series:
         if not self.terms:
             return "0"
         parts = []
-        for key, c in self.sorted_terms():
+        # sort the keys alone: a list of (key, c) pairs would add one more
+        # small object per term to the peak memory of printing a series
+        for key in sorted(self.terms, key=self._sort_key):
+            c = self.terms[key]
             body = _render_term(self.var, key, c)
             if not parts:
                 parts.append("-" + body if c < 0 else body)

@@ -196,17 +196,26 @@ def test_load_rejects_malformed_input(tmp_path, capsys, payload):
 
 P2_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 TOP, MIDDLE = {"degree": 2, "matrix": [[1]]}, {"degree": 0, "matrix": [[1]]}
+BAD_PAIRINGS = [
+    [{"degree": 2, "matrix": [["1/0"]]}, MIDDLE],
+    [TOP, MIDDLE, {"degree": 0, "matrix": [[2]]}],
+    [TOP, {"degree": -2, "matrix": [[1]]}, MIDDLE],
+    [TOP, {"degree": 0, "matrix": [[1]], "note": "x"}],
+    [{"degree": 2, "matrix": [[1, 0]]}, MIDDLE],
+    [{"degree": 2, "matrix": [[0]]}, MIDDLE],
+]
 
 
+# The pairing is checked on load, so the commands that never build a Fock
+# space reject a bad one too.
 @pytest.mark.parametrize("pairing, argv", [
-    ([{"degree": 2, "matrix": [["1/0"]]}, MIDDLE], None),
-    ([TOP, MIDDLE, {"degree": 0, "matrix": [[2]]}], None),
-    ([TOP, {"degree": -2, "matrix": [[1]]}, MIDDLE], None),
-    ([TOP, {"degree": 0, "matrix": [[1]], "note": "x"}], None),
-    ([{"degree": 2, "matrix": [[1, 0]]}, MIDDLE], None),
-    ([{"degree": 2, "matrix": [[0]]}, MIDDLE], None),
+    (pairing, None) for pairing in BAD_PAIRINGS
+] + [
     (None, ["verify-all", "--order", "-1"]),
     (None, ["fock-verify", "--max-charge", "-1"]),
+] + [
+    (pairing, argv) for argv in (["verify-all"], ["series", "hodge_orb"])
+    for pairing in BAD_PAIRINGS
 ])
 def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
                                                   argv):

@@ -138,9 +138,11 @@ def test_binom_half_exponent():
 def test_binom_integer_alpha_matches_repeated_mul():
     # t*q is odd, so the twisted PE of e*t*q is (1 + t*q)^e
     base = S([(1, {}), (1, {"t": 1, "q": 1})], 5)
+    power = Series.one("q", 5)
     for e in range(4):
         f = S([(e, {"t": 1, "q": 1})], 5)
-        assert twist(plethystic_exp(twist(f))) == base**e
+        assert twist(plethystic_exp(twist(f))) == power
+        power = power * base
 
 
 def test_binom_constant_monomial_rejected():
@@ -154,7 +156,8 @@ def test_exp_zero():
 
 def test_exp_of_scaled_log_matches_binomial():
     # PE[2q] = exp(-2 log(1-q)) = (1-q)^-2 through its ring law
-    assert PE([(2, {"q": 1})], 3) == PE([(1, {"q": 1})], 3) ** 2
+    once = PE([(1, {"q": 1})], 3)
+    assert PE([(2, {"q": 1})], 3) == once * once
 
 
 def test_log1m_definition():
