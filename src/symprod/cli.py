@@ -26,12 +26,7 @@ import sys
 from pathlib import Path
 
 from . import fock, orbifold
-from .orbifold import ManifoldData
-from .series import SeriesDomainError, SeriesUsageError
-
-
-class InputError(Exception):
-    """Bad file, schema violation, or invalid kind/manifold combination."""
+from .orbifold import InputError, ManifoldData
 
 
 def catalog_dir():
@@ -84,8 +79,8 @@ def _check_types(raw):
                              "rows and columns)" % (key, size, size))
     if not isinstance(raw.get("calabi_yau", False), bool):
         raise ValueError("calabi_yau must be true or false")
-    pairing = raw.get("pairing") or []
-    if not (isinstance(pairing, list) and all(
+    pairing = raw.get("pairing")
+    if pairing is not None and not (isinstance(pairing, list) and all(
             isinstance(b, dict) and set(b) == {"degree", "matrix"}
             and _is_int(b["degree"]) and isinstance(b["matrix"], list)
             and all(isinstance(row, list) for row in b["matrix"])
@@ -183,7 +178,7 @@ def cmd_series(args):
         )
     order = args.order
     if order is None:
-        order = orbifold.hodge_kind_order(kind, X, 8)
+        order = orbifold.default_order(kind, X)
     built = {}
     for mode, build in (("brute", orbifold.brute_series),
                         ("closed", orbifold.closed_series)):
@@ -220,7 +215,7 @@ def cmd_verify_all(args):
     X = _load(args.manifold)
     print("# verify-all %s order=%s"
           % (X.name, args.order if args.order is not None else "default"))
-    results = orbifold.verify_all(X, order=8, fixed_order=args.order)
+    results = orbifold.verify_all(X, args.order)
     return 1 if _emit_results(results) else 0
 
 
@@ -286,8 +281,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.fn(args)
-    except (InputError, SeriesUsageError, SeriesDomainError,
-            ValueError) as exc:
+    except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except AssertionError as exc:

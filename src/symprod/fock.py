@@ -27,7 +27,7 @@ depend on l and the algebra is not defined here.
 from bisect import bisect_left
 from fractions import Fraction
 
-from .orbifold import CheckResult, _compare, closed_series
+from .orbifold import CheckResult, InputError, _compare, closed_series
 from .series import Series
 
 
@@ -157,7 +157,7 @@ def default_pairing(X):
     form and is rejected.  Returns {(i, j): value} over generator ids.
     """
     if not X.has_duality():
-        raise ValueError("default pairing needs Poincare duality on %s" % X.name)
+        raise InputError("default pairing needs Poincare duality on %s" % X.name)
     gens, by_degree = build_generators(X)
     d = X.dim_real // 2
     eta = {}
@@ -168,7 +168,7 @@ def default_pairing(X):
             neg = by_degree[j]
             pos = by_degree.get(-j, [])
             if len(neg) != len(pos):
-                raise ValueError("default pairing needs Poincare duality")
+                raise InputError("default pairing needs Poincare duality")
             for a, b in zip(neg, pos):
                 _fill_symmetric(eta, gens, a, b, 1)
         else:
@@ -178,7 +178,7 @@ def default_pairing(X):
                     eta[(a, a)] = 1
             else:
                 if len(mid) % 2:
-                    raise ValueError(
+                    raise InputError(
                         "odd middle block of odd dimension has no "
                         "nondegenerate antisymmetric pairing"
                     )
@@ -238,7 +238,7 @@ class FockSpace:
     def __init__(self, X, pairing_blocks=None):
         self.manifold = X
         if X.dim_real % 4:
-            raise ValueError(
+            raise InputError(
                 "Fock construction needs dim_real divisible by 4; %s has "
                 "dim_real %d" % (X.name, X.dim_real)
             )

@@ -40,6 +40,10 @@ gottsche_poincare +  L(P; t^2): Betti series of Hilbert schemes of points
 gottsche_hodge +     L(E; x y): Hodge series of Hilbert schemes of points
 dmvv_q0/dmvv_q0_B    L(y^(-k) C; 1) in the variable p: normalized chi_(-y)
 ===================  =========================================================
+
+verify_all also checks identities between kinds, one row of CROSS_CHECKS
+each: a lhs kind under substitutions equals a rhs kind (chiy_orb(y=1) =
+euler_orb).
 """
 
 from collections import namedtuple
@@ -56,6 +60,10 @@ from .series import (
     substitute,
     twist,
 )
+
+
+class InputError(ValueError):
+    """Input at fault: a bad file or schema, or an inapplicable kind."""
 
 
 class ManifoldData:
@@ -216,11 +224,12 @@ def _qpow(var, order, coeff, n):
 
 
 def _by_n(order, coeff):
-    """sum_{n <= order} coeff(n) q^n; coeff(n) is a number or a polynomial."""
-    total = Series.zero("q", order)
+    """sum_{n <= order} coeff(n) q^n; coeff(n) is a number or a polynomial.
+    The parts lie in distinct powers of q, so their terms never collide."""
+    terms = {}
     for n in range(order + 1):
-        total = total + coeff(n) * _qpow("q", order, 1, n)
-    return total
+        terms.update((coeff(n) * _qpow("q", order, 1, n)).terms)
+    return Series("q", order, terms)
 
 
 def _sector_sum(order, block, step=lambda value: value):
@@ -392,7 +401,7 @@ def applicability(kind, X):
 def _require(kind, X):
     reason = applicability(kind, X)
     if reason is not None:
-        raise ValueError("kind %s not applicable to %s: %s"
+        raise InputError("kind %s not applicable to %s: %s"
                          % (kind, X.name, reason))
 
 
@@ -463,51 +472,56 @@ def verify(kind, X, order, built=None):
     return _compare("%s order %d" % (kind, order), b, c, KINDS[kind].var)
 
 
-def _subst_xy_to_t(s):
-    return substitute(substitute(s, "x", {"t": 1}), "y", {"t": 1})
+# Identities between kinds, one (name, route, lhs, subs, rhs, extra) row
+# each: route builds both sides, the substitutions (v, monomial, coeff) act
+# on the lhs, and extra, unless None, is a further requirement on X.  A row
+# runs when both kinds apply, at the order verify uses for its lhs kind.
+CROSS_CHECKS = (
+    ("cross hodge_orb(x=y=t) = poincare_orb", brute_series, "hodge_orb",
+     (("x", {"t": 1}, 1), ("y", {"t": 1}, 1)), "poincare_orb", None),
+    ("cross chiy_orb(y=1) = euler_orb", brute_series, "chiy_orb",
+     (("y", {}, 1),), "euler_orb", None),
+    ("cross chiy_sym(y=1) = euler_sym", brute_series, "chiy_sym",
+     (("y", {}, 1),), "euler_sym", None),
+    ("cross chiy_sym(y=-1) = sign_sym", brute_series, "chiy_sym",
+     (("y", {}, -1),), "sign_sym", None),
+    ("cross chiy_orb(y=-1) = sign_orb", brute_series, "chiy_orb",
+     (("y", {}, -1),), "sign_orb", None),
+    ("cross poincare_orb(t=-1) = euler_orb", brute_series, "poincare_orb",
+     (("t", {}, -1),), "euler_orb", lambda X: X.m % 2 == 0),
+    ("cross gottsche_poincare = poincare_orb", closed_series,
+     "gottsche_poincare", (), "poincare_orb", None),
+    ("cross gottsche_hodge = hodge_orb", closed_series, "gottsche_hodge",
+     (), "hodge_orb", None),
+)
 
 
-def cross_checks(X, order, hodge_order, built=None):
-    """Identities tying different series kinds together."""
+def default_order(kind, X):
+    """Truncation order of a kind when none is given: 8, or the kind's
+    surface_order on surfaces, where (x, y)-weighted expansion dominates."""
+    cap = KINDS[kind].surface_order
+    return cap if cap is not None and X.dim_c == 2 else 8
+
+
+def _order(kind, X, order):
+    return default_order(kind, X) if order is None else order
+
+
+def cross_checks(X, order=None, built=None):
+    """The CROSS_CHECKS rows that apply to X, then Serre duality of the
+    B-genus on Calabi-Yau input.  order None: each row's default_order."""
     built = built or _series_of(X)
     out = []
-    complex_x = X.hodge is not None
-
-    if complex_x:
-        n0 = min(order, hodge_order)
-        lhs = _subst_xy_to_t(built(brute_series, "hodge_orb", n0))
-        rhs = built(brute_series, "poincare_orb", n0)
-        out.append(_compare("cross hodge_orb(x=y=t) = poincare_orb", lhs, rhs, "q"))
-
-        lhs = specialize(built(brute_series, "chiy_orb", order), {"y": 1})
-        rhs = built(brute_series, "euler_orb", order)
-        out.append(_compare("cross chiy_orb(y=1) = euler_orb", lhs, rhs, "q"))
-
-        lhs = specialize(built(brute_series, "chiy_sym", order), {"y": 1})
-        rhs = built(brute_series, "euler_sym", order)
-        out.append(_compare("cross chiy_sym(y=1) = euler_sym", lhs, rhs, "q"))
-
-        lhs = specialize(built(brute_series, "chiy_sym", order), {"y": -1})
-        rhs = built(brute_series, "sign_sym", order)
-        out.append(_compare("cross chiy_sym(y=-1) = sign_sym", lhs, rhs, "q"))
-
-        if X.dim_c % 2 == 0 and X.dim_c >= 0:
-            lhs = specialize(built(brute_series, "chiy_orb", order), {"y": -1})
-            rhs = built(brute_series, "sign_orb", order)
-            out.append(_compare("cross chiy_orb(y=-1) = sign_orb", lhs, rhs, "q"))
-
-    if X.m % 2 == 0:
-        lhs = specialize(built(brute_series, "poincare_orb", order), {"t": -1})
-        rhs = built(brute_series, "euler_orb", order)
-        out.append(_compare("cross poincare_orb(t=-1) = euler_orb", lhs, rhs, "q"))
-
-    if complex_x and X.dim_c == 2:
-        lhs = built(closed_series, "gottsche_poincare", order)
-        rhs = built(closed_series, "poincare_orb", order)
-        out.append(_compare("cross gottsche_poincare = poincare_orb", lhs, rhs, "q"))
-        lhs = built(closed_series, "gottsche_hodge", hodge_order)
-        rhs = built(closed_series, "hodge_orb", hodge_order)
-        out.append(_compare("cross gottsche_hodge = hodge_orb", lhs, rhs, "q"))
+    for name, route, lhs_kind, subs, rhs_kind, extra in CROSS_CHECKS:
+        if applicability(lhs_kind, X) or applicability(rhs_kind, X) \
+                or (extra and not extra(X)):
+            continue
+        n = _order(lhs_kind, X, order)
+        lhs = built(route, lhs_kind, n)
+        for v, exps, coeff in subs:
+            lhs = substitute(lhs, v, exps, coeff)
+        out.append(_compare(name, lhs, built(route, rhs_kind, n),
+                            KINDS[lhs_kind].var))
 
     if X.calabi_yau and X.hodge_b is not None:
         # Serre duality for the polyvector genus of a Calabi-Yau d-fold:
@@ -523,25 +537,10 @@ def cross_checks(X, order, hodge_order, built=None):
     return out
 
 
-def hodge_kind_order(kind, X, order):
-    """Default truncation order per kind: the (x, y)-weighted kinds on
-    surfaces drop to their spec's surface_order to keep expansion fast."""
-    cap = KINDS[kind].surface_order
-    return min(order, cap) if cap is not None and X.dim_c == 2 else order
-
-
-def verify_all(X, order=8, fixed_order=None):
-    """Run every applicable kind plus the cross checks, in a fixed order."""
+def verify_all(X, order=None):
+    """Run every applicable kind plus the cross checks, in a fixed order;
+    order None runs each kind at its default_order."""
     built = _series_of(X)
-    results = []
-    for kind in SERIES_KINDS:
-        n = fixed_order if fixed_order is not None else hodge_kind_order(
-            kind, X, order
-        )
-        results.append(verify(kind, X, n, built))
-    hodge_n = fixed_order if fixed_order is not None else hodge_kind_order(
-        "hodge_orb", X, order
-    )
-    base_n = fixed_order if fixed_order is not None else order
-    results.extend(cross_checks(X, base_n, hodge_n, built))
-    return results
+    results = [verify(kind, X, _order(kind, X, order), built)
+               for kind in SERIES_KINDS]
+    return results + cross_checks(X, order, built)

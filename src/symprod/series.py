@@ -129,10 +129,6 @@ class Series:
         return cls(var, order, {_ZERO_KEY: _as_fraction(value)})
 
     @classmethod
-    def one(cls, var, order=None):
-        return cls.constant(var, order, 1)
-
-    @classmethod
     def from_terms(cls, var, order, pairs):
         """The sum of coeff * prod(v^e) over (coeff, {v: e}) pairs, with
         exponents in (1/2)Z; duplicate monomials add and zeros drop."""
@@ -168,9 +164,6 @@ class Series:
         rest = tuple(key[_VI[v]] for v in _TIEBREAK if v != self.var)
         return (key[ti],) + rest
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_var(self, other):
@@ -202,17 +195,6 @@ class Series:
         return Series(self.var, order, terms)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.var, self.order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(self.var, None, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -248,9 +230,6 @@ class Series:
             and self.order == other.order
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.var, self.order, tuple(self.sorted_terms())))
 
     # -- rendering ---------------------------------------------------------
 

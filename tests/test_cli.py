@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symprod import cli
 
@@ -97,6 +102,32 @@ def test_fock_verify_odd_d(capsys):
     assert "divisible by 4" in err
 
 
+# sha256 of `verify-all --manifold <name>` stdout; the CLI promises that
+# its output bytes do not change.
+VERIFY_ALL_SHA256 = {
+    "point":
+        "4e2923f6bbaeae772a21a1d0ed5c79ff92003a73ccfeca36e176f43a9feb408d",
+    "p1": "00f81a34389a253739cc66740dcbc1fb56bf27e6cf41a05dfd93b5417a798373",
+    "elliptic":
+        "22c4cf383db840be6e4e418462dfd92294dc0cb0ff2aebbd9416e534b7c3e160",
+    "genus2":
+        "a0fbdf7a4f27814813b6d3b5c6af8bc7040ad5c81997db34a17444d6879354cf",
+    "p2": "bbfb91444940414406073aeaddcf3235f4b7d84b9c758ba452134575a88d7217",
+    "k3": "9867d046dee66a34434801872a8ee06f6f43de1aa66ae38d93765c2286a4875c",
+    "abelian":
+        "8ed7db915d9cade8f32af975037f8805836a5c9862706c3f4bad5a16823f2dbc",
+    "p1xp1":
+        "3c8369501ac30b3591062f99efc951a975ce05c841b54bbd615662836d90ec38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "verify-all", "--manifold", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[name]
+
+
 def test_output_deterministic(capsys):
     args = ("verify-all", "--manifold", "p1", "--order", "4")
     code1, out1, _ = run(capsys, *args)
@@ -182,6 +213,8 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_c": 2, "hodge": K3_ROWS,
      "pairing": [{"degree": "a", "matrix": [[1]]}]},
     {"dim_c": 2, "hodge": K3_ROWS, "pairing": [{"degree": 0, "matrix": 5}]},
+    {"dim_c": 2, "hodge": K3_ROWS, "pairing": 0},
+    {"dim_real": 4, "betti": [1, 0, 1, 0, 1], "pairing": False},
     {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": "false"},
     {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": 1},
 ])
@@ -299,3 +332,46 @@ def test_duality_violation_surfaces_on_fock(tmp_path, capsys):
                        "--max-charge", "2")
     assert code == 2
     assert "duality" in err
+
+
+# A plausible manifold with up to two fields replaced by any JSON value: the
+# CLI exits 0, 1 or 2 and never raises, and an input error (exit 2) writes
+# nothing to stdout.
+_ints = st.integers(-2, 5)
+_counts = st.integers(0, 3)
+_values = st.one_of(
+    _ints, st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(_ints, st.lists(_ints, max_size=4)), max_size=4),
+    st.lists(st.fixed_dictionaries({"degree": _ints, "matrix": st.lists(
+        st.lists(_ints, max_size=2), max_size=2)}), max_size=2),
+)
+_betti_manifolds = st.fixed_dictionaries({
+    "dim_real": st.integers(0, 4).map(lambda m: 2 * m),
+    "betti": st.lists(_counts, max_size=5)})
+_hodge_manifolds = st.integers(0, 2).flatmap(lambda d: st.fixed_dictionaries(
+    {"dim_c": st.just(d), "hodge": st.lists(st.lists(
+        _counts, min_size=d + 1, max_size=d + 1), min_size=d + 1,
+        max_size=d + 1)}, optional={"calabi_yau": st.booleans()}))
+_manifolds = st.builds(
+    lambda base, wild: {**base, **wild},
+    st.one_of(_betti_manifolds, _hodge_manifolds),
+    st.dictionaries(st.sampled_from((
+        "name", "dim_c", "dim_real", "betti", "hodge", "hodgeB", "calabi_yau",
+        "pairing")), _values, max_size=2))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_manifolds)
+def test_any_manifold_json_exits_cleanly(tmp_path, payload):
+    path = write(tmp_path, payload)
+    for argv in (["verify-all", "--order", "2"],
+                 ["fock-verify", "--max-charge", "1"],
+                 ["series", "sign_orb", "--order", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--manifold", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")

@@ -336,6 +336,27 @@ def test_verify_all_point_passes(catalog):
     assert len(ran) >= 20
 
 
+# The kinds in their published order; the first four need Betti numbers only.
+PUBLISHED_KINDS = (
+    "euler_sym", "euler_orb", "poincare_sym", "poincare_orb", "hodge_sym",
+    "hodge_orb", "chiy_sym", "chiy_orb", "arith_sym", "arith_orb", "sign_sym",
+    "sign_orb", "hodge_sym_B", "chiy_sym_B", "hodge_orb_B", "chiy_orb_B",
+    "gottsche_poincare", "gottsche_hodge", "dmvv_q0", "dmvv_q0_B",
+)
+
+
+@pytest.mark.parametrize("dim_real, betti, crosses", [
+    # S^4 has even m = 2, so only the t = -1 identity applies
+    (4, [1, 0, 0, 0, 1], [("cross poincare_orb(t=-1) = euler_orb", "pass")]),
+    (2, [1, 2, 1], []),
+])
+def test_verify_all_on_betti_only_input(dim_real, betti, crosses):
+    X = ManifoldData.from_betti("X", dim_real, betti)
+    got = [(r.name, r.status) for r in ob.verify_all(X)]
+    assert got == [("%s order 8" % kind, "pass" if i < 4 else "skip")
+                   for i, kind in enumerate(PUBLISHED_KINDS)] + crosses
+
+
 # ------------------------------------------------- convention cross-instances
 
 
