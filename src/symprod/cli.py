@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import fock, orbifold
+from . import orbifold
 from .orbifold import InputError, ManifoldData
 
 
@@ -134,6 +134,7 @@ def load_manifold(path):
         else:
             raise ValueError("need one of 'betti' or 'hodge'")
         if X.pairing is not None:
+            from . import fock
             # shapes, entries and invertibility, for every command alike
             fock.pairing_from_blocks(X, X.pairing)
         return X
@@ -205,6 +206,9 @@ def cmd_series(args):
 
 
 def cmd_fock_verify(args):
+    # imported here, not at the top: only fock-verify and a manifold with a
+    # pairing need the Fock module, so the other commands skip loading it
+    from . import fock
     X = _load(args.manifold)
     results = fock.check_relations(X, args.max_charge)
     print("# fock-verify %s max-charge=%d" % (X.name, args.max_charge))

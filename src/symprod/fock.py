@@ -7,76 +7,60 @@ on countably many copies of that space, one per level l >= 1; a basis state
 is a canonically sorted multiset of (level, generator) factors in which odd
 generators never repeat at the same level.
 
-Operators take one generator index a: create(m, a) multiplies by the
-level-m copy of a, with the Koszul sign of sorting the new factor into
-place; annihilate(m, a) is m times the graded contraction against the
-pairing (central charge 1).  The defining super-commutation relation
+Operators come in families, one per level: creators(n) applies every
+generator's level-n creation operator to a state at once (with the Koszul
+sign of sorting the new factor into place), and annihilators(m) contracts
+each level-m factor of a state against its pairing partners only (m times
+the graded contraction, central charge 1).  create(m, a) and
+annihilate(m, a) are their generator-a entries.  Every output state is
+audited against an index of the basis, enumerated once, holding each
+state's charge and degree.  The defining super-commutation relation
 
     [annihilate(m, a), create(n, b)] = m * eta(a, b) * delta_{m,n} * Id
 
 is machine-checkable on any truncated basis, away from states where the
-truncation could leak.  check_relations does it with one bracket routine:
-given operator families A_a, B_b and a domain of states, it counts the
-(a, b, s) with A_a B_b s - eps_ab B_b A_a s != c_ab s, where eps_ab is the
-Koszul sign of a and b and c_ab the expected scalar.  The mixed,
-create/create and annihilate/annihilate relations are three calls of it.
+truncation could leak.  check_relations takes one domain state s at a
+time and accumulates A_a B_b s - eps_ab B_b A_a s (eps_ab the Koszul sign
+of a and b) for the (a, b) that either term touches; a pair violates the
+relation when that is not c_ab s, c_ab the expected scalar, so an
+untouched pair (value 0) is a violation exactly when c_ab != 0.  The
+mixed, create/create and annihilate/annihilate relations are three calls.
 Only even d is supported: for odd d the parity of a level-l factor would
 depend on l and the algebra is not defined here.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 
 from .orbifold import CheckResult, InputError, _compare, closed_series
 from .series import Series
 
 
-class Generator:
-    """One basis element of H*(X) in the symmetric regrading."""
-
-    __slots__ = ("id", "degree_shifted", "parity")
-
-    def __init__(self, gid, degree_shifted, parity):
-        self.id = gid
-        self.degree_shifted = degree_shifted
-        self.parity = parity
-
-    def __repr__(self):
-        return "Generator(%d, deg=%d, %s)" % (
-            self.id, self.degree_shifted, "odd" if self.parity else "even"
-        )
+# One basis element of H*(X) in the symmetric regrading.
+Generator = namedtuple("Generator", "id degree_shifted parity")
 
 
 class FockOperator:
-    """A sparse linear operator with declared charge and degree steps.
+    """One generator's entry of a family: create(m, g) or annihilate(m, g),
+    charge +-m and degree step degree_shifted(g) + charge * d.  Applying it
+    indexes the basis far enough to audit the state and its images."""
 
-    Every application audits its output: each produced basis state must
-    differ from the input by exactly the declared (charge, degree).
-    """
+    __slots__ = ("space", "charge", "degree", "gen")
 
-    __slots__ = ("space", "charge", "degree", "_fn", "label")
-
-    def __init__(self, space, charge, degree, fn, label):
+    def __init__(self, space, m, gen, sign):
+        if m < 1:
+            raise ValueError("level must be >= 1")
         self.space = space
-        self.charge = charge
-        self.degree = degree
-        self._fn = fn
-        self.label = label
+        self.charge = charge = sign * m
+        self.degree = space.gens[gen].degree_shifted + charge * space.d
+        self.gen = gen
 
     def apply_state(self, state):
-        out = self._fn(state)
-        c0 = self.space.state_charge(state)
-        d0 = self.space.state_degree(state)
-        for s in out:
-            if self.space.state_charge(s) - c0 != self.charge:
-                raise AssertionError(
-                    "%s violated its declared charge step" % self.label
-                )
-            if self.space.state_degree(s) - d0 != self.degree:
-                raise AssertionError(
-                    "%s violated its declared degree step" % self.label
-                )
-        return out
+        space = self.space
+        space.index(space.state_charge(state) + max(self.charge, 0))
+        family = space.creators if self.charge > 0 else space.annihilators
+        return family(abs(self.charge))(state).get(self.gen, {})
 
     def apply(self, vec):
         out = {}
@@ -250,6 +234,8 @@ class FockSpace:
             self.eta = default_pairing(X)
         else:
             self.eta = pairing_from_blocks(X, pairing_blocks)
+        self.odd = [g.parity for g in self.gens]
+        self._cap, self._states, self._table = -1, [], {}
 
     def eta_value(self, i, j):
         return self.eta.get((i, j), 0)
@@ -285,11 +271,8 @@ class FockSpace:
     def basis(self, max_charge):
         """All canonical states of charge <= max_charge, deterministically
         ordered by (charge, factors)."""
-        letters = [
-            (l, g.id, g.parity)
-            for l in range(1, max_charge + 1)
-            for g in self.gens
-        ]
+        letters = [(l, g.id, g.parity)
+                   for l in range(1, max_charge + 1) for g in self.gens]
         out = []
 
         def rec(idx, budget, cur):
@@ -299,103 +282,145 @@ class FockSpace:
                 if l > budget:
                     continue
                 cap = 1 if parity else budget // l
-                taken = 0
-                for _ in range(cap):
+                for taken in range(1, cap + 1):
                     cur.append((l, g))
-                    taken += 1
                     rec(i + 1, budget - taken * l, cur)
-                for _ in range(taken):
-                    cur.pop()
+                del cur[-cap:]
 
         rec(0, max_charge, [])
         out.sort(key=lambda s: (self.state_charge(s), s))
         return out
 
+    def index(self, max_charge):
+        """The basis up to max_charge: a prefix of one charge-sorted
+        enumeration, redone only for a higher charge, together with the
+        table {state: (charge, degree)} the operator families audit by."""
+        table = self._table
+        if max_charge > self._cap:
+            self._cap, self._states = max_charge, self.basis(max_charge)
+            self._table = table = {
+                s: (self.state_charge(s), self.state_degree(s))
+                for s in self._states}
+        return self._states[:bisect_right(self._states, max_charge,
+                                          key=lambda s: table[s][0])]
+
     # -- operators -----------------------------------------------------------
 
-    def create(self, m, g):
-        """Multiplication by the level-m copy of generator g."""
-        if m < 1:
-            raise ValueError("level must be >= 1")
-        factor = (m, g)
-        odd = self.gens[g].parity
+    def _audited(self, charge, label, family):
+        """Wrap a family s -> {g: {t: coeff}}, s an indexed basis state, so
+        that every output t must be one too, with (charge, degree) that of s
+        plus the declared step (charge, degree_shifted(g) + charge * d)."""
+        steps = [g.degree_shifted + charge * self.d for g in self.gens]
 
-        def fn(state):
-            pos = bisect_left(state, factor)
-            if odd and pos < len(state) and state[pos] == factor:
-                return {}
-            odd_before = sum(self.gens[h].parity for _, h in state[:pos])
-            sign = -1 if odd and odd_before % 2 else 1
-            return {state[:pos] + (factor,) + state[pos:]: sign}
+        def apply(s):
+            out = family(s)
+            table = self._table
+            c0, d0 = table[s]
+            for g, images in out.items():
+                want = (c0 + charge, d0 + steps[g])
+                for t in images:
+                    got = table.get(t)
+                    if got != want:
+                        what = ("step: %r is not an indexed basis state" % (t,)
+                                if got is None else "charge step"
+                                if got[0] != want[0] else "degree step")
+                        raise AssertionError(
+                            "%s violated its declared %s" % (label, what))
+            return out
+        return apply
 
-        degree = self.gens[g].degree_shifted + m * self.d
-        return FockOperator(self, m, degree, fn, "create(%d)" % m)
+    def creators(self, n):
+        """Every generator's level-n creation operator at once, as a map
+        s -> {g: {s with the level-n copy of g sorted in: Koszul sign}}; an
+        odd g already at level n in s has no entry."""
+        odd, factors = self.odd, [(n, g.id) for g in self.gens]
 
-    def annihilate(self, m, g):
-        """m times the graded contraction by the level-m copy of generator g.
+        def family(s):
+            out = {}
+            for g, f in enumerate(factors):
+                pos = bisect_left(s, f)
+                if odd[g] and pos < len(s) and s[pos] == f:
+                    continue
+                sign = -1 if odd[g] and sum(
+                    odd[h] for _, h in s[:pos]) % 2 else 1
+                out[g] = {s[:pos] + (f,) + s[pos:]: sign}
+            return out
+        return self._audited(n, "create(%d)" % n, family)
 
-        The removed factor pairs with g, so it sits in the opposite shifted
-        degree: the operator moves degrees by degree_shifted - m*d (the
-        degree of the level-m copy of g itself, as it must be for the
-        commutator with a creation operator to have degree zero).
-        """
-        if m < 1:
-            raise ValueError("level must be >= 1")
-        odd = self.gens[g].parity
+    def annihilators(self, m):
+        """Every generator's level-m annihilation operator at once, as a
+        map s -> {g: {t: coeff}} over the g with a nonzero image: a level-m
+        factor h of s meets only the g with eta(g, h) != 0.  The g operator
+        moves degrees by degree_shifted(g) - m*d, the degree of the level-m
+        copy of g, so its commutator with a creation has degree zero."""
+        odd, partners = self.odd, {}
+        for (g, h), v in self.eta.items():
+            partners.setdefault(h, []).append((g, m * v))
 
-        def fn(state):
+        def family(s):
             out = {}
             odd_before = 0
-            for idx, (l, h) in enumerate(state):
-                pair = self.eta_value(g, h) if l == m else 0
-                if pair:
-                    sign = -1 if odd and odd_before % 2 else 1
-                    new = state[:idx] + state[idx + 1:]
-                    # a repeated factor is even, so its terms never cancel
-                    out[new] = out.get(new, 0) + m * sign * pair
-                odd_before += self.gens[h].parity
+            for idx, (l, h) in enumerate(s):
+                if l == m and h in partners:
+                    rest = s[:idx] + s[idx + 1:]
+                    for g, v in partners[h]:
+                        images = out.setdefault(g, {})
+                        # a repeated factor is even, so its terms never cancel
+                        images[rest] = images.get(rest, 0) + (
+                            -v if odd[g] and odd_before % 2 else v)
+                odd_before += odd[h]
             return out
+        return self._audited(-m, "annihilate(%d)" % m, family)
 
-        degree = self.gens[g].degree_shifted - m * self.d
-        return FockOperator(self, -m, degree, fn, "annihilate(%d)" % m)
+    def create(self, m, g):
+        """The g entry of creators(m), multiplication by the level-m g."""
+        return FockOperator(self, m, g, 1)
+
+    def annihilate(self, m, g):
+        """The g entry of annihilators(m)."""
+        return FockOperator(self, m, g, -1)
 
     # -- Hopf structure -------------------------------------------------------
 
     def hopf_product(self, s1, s2):
         """Product of two basis states in the symmetric algebra."""
         res = self.canonical_state(list(s1) + list(s2))
-        if res is None:
-            return {}
-        state, sign = res
-        return {state: sign}
+        return {} if res is None else {res[0]: res[1]}
 
     def character(self, max_charge):
-        """sum over basis states of q^charge t^degree, an exact series."""
+        """sum over indexed basis states of q^charge t^degree, exactly."""
+        states = self.index(max_charge)
+        table = self._table
         return Series.from_terms("q", max_charge, (
-            (1, {"q": self.state_charge(s), "t": self.state_degree(s)})
-            for s in self.basis(max_charge)))
+            (1, {"q": table[s][0], "t": table[s][1]}) for s in states))
 
 
-def _bracket_violations(space, A, B, domain, scalar=lambda i, j: 0):
-    """Count the (i, j, s) with s in domain for which the super-commutator
-    A_i B_j s - eps_ij B_j A_i s is not scalar(i, j) * s, where A_i and B_j
-    belong to generators i and j and eps_ij is their Koszul sign.  Each
-    operator meets each domain state once; the outer applications run on
-    those images, and only on the nonempty ones."""
-    a_images = [[a.apply_state(s) for s in domain] for a in A]
-    b_images = [[b.apply_state(s) for s in domain] for b in B]
+def _violations(A, B, domain, odd, scalar):
+    """Count the (i, j, s), s in domain, where A_i B_j s - eps_ij B_j A_i s
+    is not scalar[i, j] * s (0 when absent) for families A and B, eps_ij
+    the Koszul sign of generators i and j.  Only the pairs either term
+    touches are accumulated; an untouched pair is 0, so it counts exactly
+    when its scalar is nonzero."""
     bad = 0
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            eps = -1 if space.gens[i].parity and space.gens[j].parity else 1
-            want = scalar(i, j)
-            for s, a_s, b_s in zip(domain, a_images[i], b_images[j]):
-                lhs = a.apply(b_s) if b_s else {}
-                if a_s:
-                    for t, c in b.apply(a_s).items():
-                        lhs[t] = lhs.get(t, 0) - eps * c
-                if lhs.pop(s, 0) != want or any(lhs.values()):
-                    bad += 1
+    for s in domain:
+        lhs = {}
+        for j, images in B(s).items():
+            for t, c in images.items():
+                for i, out in A(t).items():
+                    acc = lhs.setdefault((i, j), {})
+                    for u, w in out.items():
+                        acc[u] = acc.get(u, 0) + c * w
+        for i, images in A(s).items():
+            for t, c in images.items():
+                for j, out in B(t).items():
+                    acc = lhs.setdefault((i, j), {})
+                    e = -c if odd[i] and odd[j] else c
+                    for u, w in out.items():
+                        acc[u] = acc.get(u, 0) - e * w
+        for ij, acc in lhs.items():
+            if acc.pop(s, 0) != scalar.get(ij, 0) or any(acc.values()):
+                bad += 1
+        bad += sum(ij not in lhs for ij in scalar)
     return bad
 
 
@@ -412,39 +437,29 @@ def check_relations(X, max_charge, pairing_blocks=None):
     """
     space = FockSpace(X, pairing_blocks)
     C = max_charge
-    by_charge = {}
-    for s in space.basis(C):
-        by_charge.setdefault(space.state_charge(s), []).append(s)
-
-    def states_up_to(c):
-        return [s for charge in range(c + 1) for s in by_charge.get(charge, ())]
-
-    gens = range(len(space.gens))
+    space.index(C)  # before the families, which audit against it
+    odd = space.odd
+    cre = {n: space.creators(n) for n in range(1, C + 1)}
+    ann = {m: space.annihilators(m) for m in range(1, C)}
     mixed = cc = aa = 0
     for m in range(1, C):
         for n in range(1, C - m + 1):
-            ann_m = [space.annihilate(m, i) for i in gens]
-            cre_n = [space.create(n, j) for j in gens]
-            domain = states_up_to(C - max(m, n))
+            domain = space.index(C - max(m, n))
             # [annihilate_m(a), create_n(b)] = m eta(a,b) delta_{m,n} Id
-            mixed += _bracket_violations(
-                space, ann_m, cre_n, domain,
-                lambda i, j: m * space.eta_value(i, j) if m == n else 0)
+            scalar = {ij: m * v for ij, v in space.eta.items()
+                      if m == n and v}
+            mixed += _violations(ann[m], cre[n], domain, odd, scalar)
             # create/create needs full headroom for the intermediate state
-            cc += _bracket_violations(
-                space, [space.create(m, i) for i in gens], cre_n,
-                states_up_to(C - m - n))
+            cc += _violations(cre[m], cre[n], space.index(C - m - n), odd, {})
             # annihilate/annihilate vanishes (no upward leak at all)
-            aa += _bracket_violations(
-                space, ann_m, [space.annihilate(n, j) for j in gens], domain)
+            aa += _violations(ann[m], ann[n], domain, odd, {})
 
     hopf = 0
     for m in range(1, C + 1):
-        for i in gens:
-            cre = space.create(m, i)
-            for s in states_up_to(C - m):
-                if cre.apply_state(s) != space.hopf_product(((m, i),), s):
-                    hopf += 1
+        for s in space.index(C - m):
+            images = cre[m](s)
+            hopf += sum(images.get(i, {}) != space.hopf_product(((m, i),), s)
+                        for i in range(len(odd)))
 
     def verdict(name, bad):
         return CheckResult(name, "fail" if bad else "pass",

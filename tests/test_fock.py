@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprod import cli, fock, orbifold
 from symprod.fock import FockSpace, default_pairing
@@ -311,6 +314,20 @@ def test_fock_verify_p2_stdout(capsys):
     ))
 
 
+def drop_signs(monkeypatch, faulty_sign):
+    """Make the creation (faulty_sign 1) or annihilation (-1) families
+    return |coefficients|, dropping their Koszul signs."""
+    name = "creators" if faulty_sign > 0 else "annihilators"
+    build = getattr(FockSpace, name)
+
+    def faulty(space, level):
+        family = build(space, level)
+        return lambda s: {g: {t: abs(c) for t, c in images.items()}
+                          for g, images in family(s).items()}
+
+    monkeypatch.setattr(FockSpace, name, faulty)
+
+
 @pytest.mark.parametrize("faulty_sign, expected", [
     # creation loses the Koszul sign of odd generators
     (1, "FAIL heisenberg mixed commutators (max charge 3)\n"
@@ -336,15 +353,7 @@ def test_check_relations_catches_a_dropped_sign(tmp_path, capsys, monkeypatch,
                                                 faulty_sign, expected):
     # operators whose charge step has the given sign return |coefficients|:
     # the only signs they produce are Koszul signs, so those are dropped
-    apply_state = fock.FockOperator.apply_state
-
-    def faulty(op, state):
-        out = apply_state(op, state)
-        if op.charge * faulty_sign > 0:
-            return {s: abs(c) for s, c in out.items()}
-        return out
-
-    monkeypatch.setattr(fock.FockOperator, "apply_state", faulty)
+    drop_signs(monkeypatch, faulty_sign)
     path = tmp_path / "odd4.json"
     path.write_text(json.dumps({"name": "odd4", "dim_real": 4,
                                 "betti": [1, 2, 0, 2, 1]}))
@@ -352,3 +361,116 @@ def test_check_relations_catches_a_dropped_sign(tmp_path, capsys, monkeypatch,
                             "--max-charge", "3")
     assert code == 1
     assert out == "# fock-verify odd4 max-charge=3\n" + expected
+
+
+# ------------------------------------------------------- per-pair oracle
+
+
+def literal_counts(X, C):
+    """Violation counts of the four operator checks by a literal loop over
+    every (i, j, s), one generator's operator at a time."""
+    space = FockSpace(X)
+    states = space.basis(C)
+    gens = range(len(space.gens))
+
+    def upto(c):
+        return [s for s in states if space.state_charge(s) <= c]
+
+    def bracket(A, B, domain, scalar):
+        bad = 0
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                eps = -1 if space.gens[i].parity and space.gens[j].parity \
+                    else 1
+                for s in domain:
+                    lhs = a.apply(b.apply_state(s))
+                    for t, c in b.apply(a.apply_state(s)).items():
+                        lhs[t] = lhs.get(t, 0) - eps * c
+                    if lhs.pop(s, 0) != scalar(i, j) or any(lhs.values()):
+                        bad += 1
+        return bad
+
+    mixed = cc = aa = 0
+    for m in range(1, C):
+        for n in range(1, C - m + 1):
+            ann_m = [space.annihilate(m, i) for i in gens]
+            cre_n = [space.create(n, j) for j in gens]
+            domain = upto(C - max(m, n))
+            mixed += bracket(ann_m, cre_n, domain, lambda i, j: (
+                m * space.eta_value(i, j) if m == n else 0))
+            cc += bracket([space.create(m, i) for i in gens], cre_n,
+                          upto(C - m - n), lambda i, j: 0)
+            aa += bracket(ann_m, [space.annihilate(n, j) for j in gens],
+                          domain, lambda i, j: 0)
+    hopf = sum(space.create(m, i).apply_state(s)
+               != space.hopf_product(((m, i),), s)
+               for m in range(1, C + 1) for i in gens for s in upto(C - m))
+    return [mixed, cc, aa, hopf]
+
+
+def _betti_with_odd_classes(dim_real):
+    """Poincare-symmetric Betti vectors with b_0 = 1, some odd class and at
+    most six generators."""
+    half = dim_real // 2
+    return st.lists(st.integers(0, 1), min_size=half, max_size=half).map(
+        lambda low: [1] + low[:-1] + [low[-1]] + low[-2::-1] + [1]
+    ).filter(lambda b: any(b[1::2]) and sum(b) <= 6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([4, 8]).flatmap(
+    lambda dim: st.tuples(st.just(dim), _betti_with_odd_classes(dim))),
+    st.integers(1, 3))
+def test_check_relations_counts_match_a_per_pair_loop(dim_betti, charge):
+    dim_real, betti = dim_betti
+    X = ManifoldData.from_betti("rand", dim_real, betti)
+    # clean, either sign dropped, and annihilators that return nothing (so
+    # the pairs with a nonzero expected scalar are untouched)
+    for fault in (0, 1, -1, "mute"):
+        with pytest.MonkeyPatch.context() as mp:
+            if fault == "mute":
+                mp.setattr(FockSpace, "annihilators",
+                           lambda space, m: lambda s: {})
+            elif fault:
+                drop_signs(mp, fault)
+            results = fock.check_relations(X, charge)
+            counts = [int(r.lines[0].split()[0]) if r.status == "fail"
+                      else 0 for r in results[:4]]
+            assert counts == literal_counts(X, charge), (betti, fault)
+
+
+# ------------------------------------------------------------------ audit
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    ("charge", r"create\(1\) violated its declared charge step"),
+    ("degree", r"create\(1\) violated its declared degree step"),
+    ("basis", r"create\(1\) violated its declared step: \(\(.*\)\) is "
+              r"not an indexed basis state"),
+])
+def test_family_audit_failure_exits_1(capsys, monkeypatch, corrupt, message):
+    # the creation families emit the input state itself (charge step 0),
+    # file each image under the next generator (another degree step), or
+    # reverse each image's factors (no basis state)
+    audited = FockSpace._audited
+
+    def faulty(space, charge, label, family):
+        def wrong(s):
+            out = family(s)
+            if charge < 0:
+                return out
+            if corrupt == "charge":
+                return {g: {s: 1} for g in out}
+            if corrupt == "degree":
+                n = len(space.gens)
+                return {(g + 1) % n: images for g, images in out.items()}
+            return {g: {t[::-1]: c for t, c in images.items()}
+                    for g, images in out.items()}
+        return audited(space, charge, label, wrong)
+
+    monkeypatch.setattr(FockSpace, "_audited", faulty)
+    code = cli.main(["fock-verify", "--manifold", "p2", "--max-charge", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert re.search(message, err), err
+    assert "Traceback" not in err and "KeyError" not in err
