@@ -108,6 +108,8 @@ def load_manifold(path):
         if "hodge" in raw and "dim_c" not in raw:
             raise ValueError("a Hodge table needs dim_c")
         _check_types(raw)
+        if not isinstance(name, str) or "".join(name.splitlines()) != name:
+            raise ValueError("name must be a string without line breaks")
         if "hodge" in raw:
             X = ManifoldData.from_hodge(
                 name,

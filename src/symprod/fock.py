@@ -7,16 +7,17 @@ on countably many copies of that space, one per level l >= 1; a basis state
 is a canonically sorted multiset of (level, generator) factors in which odd
 generators never repeat at the same level.
 
-Operators come in families, one per level: creators(n) applies every
-generator's level-n creation operator to a state at once (with the Koszul
-sign of sorting the new factor into place), and annihilators(m) contracts
-each level-m factor of a state against its pairing partners only (m times
-the graded contraction, central charge 1).  create(m, a) and
-annihilate(m, a) are their generator-a entries.  Every output state is
-audited against an index of the basis, enumerated once, holding each
-state's charge and degree.  The defining super-commutation relation
+Operators come in families, one per level l >= 1 (a lower level raises
+ValueError): creators(n) applies every generator's level-n creation
+operator to a state at once (with the Koszul sign of sorting the new
+factor into place), and annihilators(m) contracts each level-m factor of a
+state against its pairing partners only (m times the graded contraction,
+central charge 1).  Every output state is audited against an index of the
+basis, enumerated once, holding each state's charge and degree.  The
+defining super-commutation relation of the generator-a entry of
+annihilators(m) and the generator-b entry of creators(n),
 
-    [annihilate(m, a), create(n, b)] = m * eta(a, b) * delta_{m,n} * Id
+    [annihilators(m)_a, creators(n)_b] = m * eta(a, b) * delta_{m,n} * Id
 
 is machine-checkable on any truncated basis, away from states where the
 truncation could leak.  check_relations takes one domain state s at a
@@ -39,39 +40,6 @@ from .series import Series
 
 # One basis element of H*(X) in the symmetric regrading.
 Generator = namedtuple("Generator", "id degree_shifted parity")
-
-
-class FockOperator:
-    """One generator's entry of a family: create(m, g) or annihilate(m, g),
-    charge +-m and degree step degree_shifted(g) + charge * d.  Applying it
-    indexes the basis far enough to audit the state and its images."""
-
-    __slots__ = ("space", "charge", "degree", "gen")
-
-    def __init__(self, space, m, gen, sign):
-        if m < 1:
-            raise ValueError("level must be >= 1")
-        self.space = space
-        self.charge = charge = sign * m
-        self.degree = space.gens[gen].degree_shifted + charge * space.d
-        self.gen = gen
-
-    def apply_state(self, state):
-        space = self.space
-        space.index(space.state_charge(state) + max(self.charge, 0))
-        family = space.creators if self.charge > 0 else space.annihilators
-        return family(abs(self.charge))(state).get(self.gen, {})
-
-    def apply(self, vec):
-        out = {}
-        for state, c in vec.items():
-            for s, w in self.apply_state(state).items():
-                t = out.get(s, 0) + c * w
-                if t:
-                    out[s] = t
-                else:
-                    del out[s]
-        return out
 
 
 def _parse_entry(x):
@@ -100,8 +68,8 @@ def _invertible(matrix):
         m[col], m[piv] = m[piv], m[col]
         inv = Fraction(1) / m[col][col]
         for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
+            if m[r][col]:
+                f = m[r][col] * inv
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return True
@@ -134,41 +102,35 @@ def _fill_symmetric(eta, gens, i, j, value):
 
 def default_pairing(X):
     """Identity blocks between opposite shifted degrees; standard
-    symplectic middle block when the middle parity is odd.
+    symplectic middle block (1 at (2k, 2k+1), -1 at (2k+1, 2k)) when the
+    middle parity is odd, identity when it is even.
 
     Needs Poincare duality (matching dimensions in opposite degrees); an
     odd middle block of odd dimension admits no nondegenerate antisymmetric
-    form and is rejected.  Returns {(i, j): value} over generator ids.
+    form and is rejected.  The blocks go through pairing_from_blocks, which
+    builds every pairing; returns {(i, j): value} over generator ids.
     """
     if not X.has_duality():
         raise InputError("default pairing needs Poincare duality on %s" % X.name)
-    gens, by_degree = build_generators(X)
-    d = X.dim_real // 2
-    eta = {}
+    _, by_degree = build_generators(X)
+    symplectic = X.dim_real // 2 % 2
+    blocks = []
     for j in sorted(by_degree):
         if j > 0:
             continue
-        if j < 0:
-            neg = by_degree[j]
-            pos = by_degree.get(-j, [])
-            if len(neg) != len(pos):
-                raise InputError("default pairing needs Poincare duality")
-            for a, b in zip(neg, pos):
-                _fill_symmetric(eta, gens, a, b, 1)
+        n = len(by_degree[j])
+        if j == 0 and symplectic:
+            if n % 2:
+                raise InputError(
+                    "odd middle block of odd dimension has no "
+                    "nondegenerate antisymmetric pairing"
+                )
+            mat = [[(r % 2 == 0 and c == r + 1) - (r % 2 == 1 and c == r - 1)
+                    for c in range(n)] for r in range(n)]
         else:
-            mid = by_degree[0]
-            if d % 2 == 0:
-                for a in mid:
-                    eta[(a, a)] = 1
-            else:
-                if len(mid) % 2:
-                    raise InputError(
-                        "odd middle block of odd dimension has no "
-                        "nondegenerate antisymmetric pairing"
-                    )
-                for a, b in zip(mid[0::2], mid[1::2]):
-                    _fill_symmetric(eta, gens, a, b, 1)
-    return eta
+            mat = [[int(r == c) for c in range(n)] for r in range(n)]
+        blocks.append({"degree": -j, "matrix": mat})
+    return pairing_from_blocks(X, blocks)
 
 
 def pairing_from_blocks(X, blocks):
@@ -236,9 +198,6 @@ class FockSpace:
             self.eta = pairing_from_blocks(X, pairing_blocks)
         self.odd = [g.parity for g in self.gens]
         self._cap, self._states, self._table = -1, [], {}
-
-    def eta_value(self, i, j):
-        return self.eta.get((i, j), 0)
 
     # -- states ------------------------------------------------------------
 
@@ -333,6 +292,8 @@ class FockSpace:
         """Every generator's level-n creation operator at once, as a map
         s -> {g: {s with the level-n copy of g sorted in: Koszul sign}}; an
         odd g already at level n in s has no entry."""
+        if n < 1:
+            raise ValueError("level must be >= 1")
         odd, factors = self.odd, [(n, g.id) for g in self.gens]
 
         def family(s):
@@ -353,6 +314,8 @@ class FockSpace:
         factor h of s meets only the g with eta(g, h) != 0.  The g operator
         moves degrees by degree_shifted(g) - m*d, the degree of the level-m
         copy of g, so its commutator with a creation has degree zero."""
+        if m < 1:
+            raise ValueError("level must be >= 1")
         odd, partners = self.odd, {}
         for (g, h), v in self.eta.items():
             partners.setdefault(h, []).append((g, m * v))
@@ -371,14 +334,6 @@ class FockSpace:
                 odd_before += odd[h]
             return out
         return self._audited(-m, "annihilate(%d)" % m, family)
-
-    def create(self, m, g):
-        """The g entry of creators(m), multiplication by the level-m g."""
-        return FockOperator(self, m, g, 1)
-
-    def annihilate(self, m, g):
-        """The g entry of annihilators(m)."""
-        return FockOperator(self, m, g, -1)
 
     # -- Hopf structure -------------------------------------------------------
 

@@ -217,6 +217,11 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_real": 4, "betti": [1, 0, 1, 0, 1], "pairing": False},
     {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": "false"},
     {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": 1},
+    {"dim_c": 2, "hodge": K3_ROWS, "name": None},
+    {"dim_c": 2, "hodge": K3_ROWS, "name": 5},
+    {"dim_c": 2, "hodge": K3_ROWS, "name": [1, 2]},
+    {"dim_c": 2, "hodge": K3_ROWS, "name": "a\nb"},
+    {"dim_c": 2, "hodge": K3_ROWS, "name": "a\u2028b"},
 ])
 def test_load_rejects_malformed_input(tmp_path, capsys, payload):
     path = write(tmp_path, payload)

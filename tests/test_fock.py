@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symprod import cli, fock, orbifold
 from symprod.fock import FockSpace, default_pairing
-from symprod.orbifold import ManifoldData
+from symprod.orbifold import InputError, ManifoldData
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +62,17 @@ def test_odd_d_rejected(catalog):
 
 def test_default_pairing_p2(p2):
     # generators 0, 1, 2 in degrees 0, 2, 4: blocks H^0 <-> H^4, H^2 middle
-    assert p2.eta_value(0, 2) == 1
-    assert p2.eta_value(2, 0) == 1
-    assert p2.eta_value(1, 1) == 1
-    assert p2.eta_value(0, 1) == 0
+    assert p2.eta.get((0, 2), 0) == 1
+    assert p2.eta.get((2, 0), 0) == 1
+    assert p2.eta.get((1, 1), 0) == 1
+    assert p2.eta.get((0, 1), 0) == 0
 
 
 def test_default_pairing_k3_middle_identity(k3):
     mids = [g.id for g in k3.gens if g.degree_shifted == 0]
     assert len(mids) == 22
     for i in mids:
-        assert k3.eta_value(i, i) == 1
+        assert k3.eta.get((i, i), 0) == 1
 
 
 def test_default_pairing_odd_middle_is_symplectic(catalog):
@@ -94,6 +94,52 @@ def test_default_pairing_rejects_broken_duality():
         default_pairing(X)
 
 
+def _poincare_betti(dim_real):
+    """Poincare-symmetric Betti vectors [b_0, ..., b_dim_real]."""
+    half = dim_real // 2
+    return st.lists(st.integers(0, 3), min_size=half + 1,
+                    max_size=half + 1).map(lambda low: low + low[-2::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda dim: st.tuples(st.just(dim), _poincare_betti(dim))),
+    st.integers(0, 8))
+def test_default_pairing_structure(dim_betti, k):
+    dim_real, betti = dim_betti
+    X = ManifoldData.from_betti("rand", dim_real, betti)
+    gens, by_degree = fock.build_generators(X)
+    mid = by_degree.get(0, [])
+    d = dim_real // 2
+    if d % 2 and len(mid) % 2:
+        with pytest.raises(InputError, match="odd middle block"):
+            default_pairing(X)
+    else:
+        expect = {}
+        # opposite shifted degrees pair by the identity, mirrored with the
+        # Koszul sign (the two degrees have one parity)
+        for j, ids in by_degree.items():
+            if j < 0:
+                for a, b in zip(ids, by_degree[-j]):
+                    expect[(a, b)] = 1
+                    expect[(b, a)] = -1 if gens[a].parity else 1
+        if d % 2:  # the standard symplectic form
+            for a, b in zip(mid[0::2], mid[1::2]):
+                expect[(a, b)], expect[(b, a)] = 1, -1
+        else:
+            for a in mid:
+                expect[(a, a)] = 1
+        eta = default_pairing(X)
+        assert eta == expect
+        assert all(type(v) is int for v in eta.values())
+    # one more class off the middle degree breaks Poincare duality
+    k %= dim_real + 1
+    if 2 * k != dim_real:
+        broken = betti[:k] + [betti[k] + 1] + betti[k + 1:]
+        with pytest.raises(InputError, match="Poincare duality"):
+            default_pairing(ManifoldData.from_betti("bad", dim_real, broken))
+
+
 def test_pairing_graded_symmetry(catalog):
     for name in ("p2", "k3", "genus2", "elliptic"):
         X = catalog[name]
@@ -110,8 +156,8 @@ def test_custom_pairing_blocks(catalog):
         {"degree": 0, "matrix": [[1]]},
     ]
     space = FockSpace(catalog["p2"], blocks)
-    assert space.eta_value(0, 2) == 2
-    assert space.eta_value(2, 0) == 2
+    assert space.eta.get((0, 2), 0) == 2
+    assert space.eta.get((2, 0), 0) == 2
     # relations hold for any nondegenerate graded-symmetric pairing
     results = fock.check_relations(catalog["p2"], 3, blocks)
     assert all(r.status == "pass" for r in results)
@@ -134,20 +180,37 @@ def test_custom_pairing_rejects_missing_block(catalog):
 # ---------------------------------------------------------------- operators
 
 
+def apply(family, g, vec):
+    """The generator-g entry of an operator family applied linearly to a
+    vector {state: coefficient}, dropping zero coefficients."""
+    out = {}
+    for state, c in vec.items():
+        for s, w in family(state).get(g, {}).items():
+            t = out.get(s, 0) + c * w
+            if t:
+                out[s] = t
+            else:
+                del out[s]
+    return out
+
+
 def test_annihilate_vacuum(p2):
+    p2.index(0)  # the families audit against the indexed basis
     for m in (1, 2):
         for g in range(3):
-            assert p2.annihilate(m, g).apply_state(()) == {}
+            assert p2.annihilators(m)(()).get(g, {}) == {}
 
 
 def test_create_then_annihilate_scalar(p2):
     # annihilate(m, a) create(m, b) |0> = m eta(a, b) |0>
+    p2.index(3)
     for m in (1, 2, 3):
+        cre, ann = p2.creators(m), p2.annihilators(m)
         for a in range(3):
             for b in range(3):
-                created = p2.create(m, b).apply_state(())
-                out = p2.annihilate(m, a).apply(created)
-                expect = m * p2.eta_value(a, b)
+                created = cre(()).get(b, {})
+                out = apply(ann, a, created)
+                expect = m * p2.eta.get((a, b), 0)
                 assert out == ({(): expect} if expect else {})
 
 
@@ -156,10 +219,11 @@ def test_odd_create_squares_to_zero(catalog):
     X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
     space = FockSpace(X)
     odd = next(g.id for g in space.gens if g.parity)
-    cre = space.create(1, odd)
-    once = cre.apply_state(())
+    space.index(2)
+    cre = space.creators(1)
+    once = cre(()).get(odd, {})
     assert once == {((1, odd),): 1}
-    assert cre.apply(once) == {}
+    assert apply(cre, odd, once) == {}
 
 
 def test_koszul_sign_on_reordering(catalog):
@@ -180,33 +244,39 @@ def test_canonicalization_is_stable(p2, catalog):
         assert state == s and sign == 1
 
 
+def steps(space, s, images):
+    """(charge, degree) of each image state minus that of s."""
+    return {(space.state_charge(t) - space.state_charge(s),
+             space.state_degree(t) - space.state_degree(s)) for t in images}
+
+
 def test_declared_steps_audited(p2):
     # create moves charge by +m and degree by degree_shifted + m*d
-    cre = p2.create(2, 0)
-    assert cre.charge == 2
-    assert cre.degree == p2.gens[0].degree_shifted + 2 * p2.d
-    ann = p2.annihilate(2, 0)
-    assert ann.charge == -2
-    assert ann.degree == p2.gens[0].degree_shifted - 2 * p2.d
+    p2.index(2)
+    shift = p2.gens[0].degree_shifted
+    created = p2.creators(2)(()).get(0, {})
+    assert steps(p2, (), created) == {(2, shift + 2 * p2.d)}
     state = ((2, 2),)
-    out = ann.apply_state(state)
-    assert out == {(): 2 * p2.eta_value(0, 2)}
+    out = p2.annihilators(2)(state).get(0, {})
+    assert steps(p2, state, out) == {(-2, shift - 2 * p2.d)}
+    assert out == {(): 2 * p2.eta.get((0, 2), 0)}
 
 
 def test_level_zero_rejected(p2):
     with pytest.raises(ValueError):
-        p2.create(0, 0)
+        p2.creators(0)
     with pytest.raises(ValueError):
-        p2.annihilate(0, 0)
+        p2.annihilators(0)
 
 
 def test_distinct_levels_commute(p2):
     # [create(1, a), create(2, b)] = 0 exactly, not only modulo truncation
     a, b = 0, 1
-    c1, c2 = p2.create(1, a), p2.create(2, b)
+    p2.index(5)
+    c1, c2 = p2.creators(1), p2.creators(2)
     for s in p2.basis(2):
-        lhs = c1.apply(c2.apply_state(s))
-        rhs = c2.apply(c1.apply_state(s))
+        lhs = apply(c1, a, apply(c2, b, {s: 1}))
+        rhs = apply(c2, b, apply(c1, a, {s: 1}))
         assert lhs == rhs
 
 
@@ -270,15 +340,14 @@ def test_hopf_product_associative(catalog):
 def test_level2_commutator_on_wide_domain(p2):
     # [annihilate(2, a), create(2, b)] = 2 eta(a, b) Id on every state of
     # charge <= 4, checked on a basis truncated high enough not to leak
-    states = [s for s in p2.basis(6) if p2.state_charge(s) <= 4]
+    states = [s for s in p2.index(6) if p2.state_charge(s) <= 4]
+    ann, cre = p2.annihilators(2), p2.creators(2)
     for a in range(3):
-        ann = p2.annihilate(2, a)
         for b in range(3):
-            cre = p2.create(2, b)
-            expect = 2 * p2.eta_value(a, b)
+            expect = 2 * p2.eta.get((a, b), 0)
             for s in states:
-                lhs = ann.apply(cre.apply_state(s))
-                rhs = cre.apply(ann.apply_state(s))
+                lhs = apply(ann, a, apply(cre, b, {s: 1}))
+                rhs = apply(cre, b, apply(ann, a, {s: 1}))
                 for k, v in rhs.items():
                     lhs[k] = lhs.get(k, 0) - v
                 lhs = {k: v for k, v in lhs.items() if v}
@@ -368,23 +437,25 @@ def test_check_relations_catches_a_dropped_sign(tmp_path, capsys, monkeypatch,
 
 def literal_counts(X, C):
     """Violation counts of the four operator checks by a literal loop over
-    every (i, j, s), one generator's operator at a time."""
+    every (i, j, s), one generator's entry of each family at a time."""
     space = FockSpace(X)
-    states = space.basis(C)
+    states = space.index(C)  # the families audit against this table
     gens = range(len(space.gens))
+    cre = {n: space.creators(n) for n in range(1, C + 1)}
+    ann = {m: space.annihilators(m) for m in range(1, C)}
 
     def upto(c):
         return [s for s in states if space.state_charge(s) <= c]
 
     def bracket(A, B, domain, scalar):
         bad = 0
-        for i, a in enumerate(A):
-            for j, b in enumerate(B):
+        for i in gens:
+            for j in gens:
                 eps = -1 if space.gens[i].parity and space.gens[j].parity \
                     else 1
                 for s in domain:
-                    lhs = a.apply(b.apply_state(s))
-                    for t, c in b.apply(a.apply_state(s)).items():
+                    lhs = apply(A, i, apply(B, j, {s: 1}))
+                    for t, c in apply(B, j, apply(A, i, {s: 1})).items():
                         lhs[t] = lhs.get(t, 0) - eps * c
                     if lhs.pop(s, 0) != scalar(i, j) or any(lhs.values()):
                         bad += 1
@@ -393,17 +464,12 @@ def literal_counts(X, C):
     mixed = cc = aa = 0
     for m in range(1, C):
         for n in range(1, C - m + 1):
-            ann_m = [space.annihilate(m, i) for i in gens]
-            cre_n = [space.create(n, j) for j in gens]
             domain = upto(C - max(m, n))
-            mixed += bracket(ann_m, cre_n, domain, lambda i, j: (
-                m * space.eta_value(i, j) if m == n else 0))
-            cc += bracket([space.create(m, i) for i in gens], cre_n,
-                          upto(C - m - n), lambda i, j: 0)
-            aa += bracket(ann_m, [space.annihilate(n, j) for j in gens],
-                          domain, lambda i, j: 0)
-    hopf = sum(space.create(m, i).apply_state(s)
-               != space.hopf_product(((m, i),), s)
+            mixed += bracket(ann[m], cre[n], domain, lambda i, j: (
+                m * space.eta.get((i, j), 0) if m == n else 0))
+            cc += bracket(cre[m], cre[n], upto(C - m - n), lambda i, j: 0)
+            aa += bracket(ann[m], ann[n], domain, lambda i, j: 0)
+    hopf = sum(cre[m](s).get(i, {}) != space.hopf_product(((m, i),), s)
                for m in range(1, C + 1) for i in gens for s in upto(C - m))
     return [mixed, cc, aa, hopf]
 
