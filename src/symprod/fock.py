@@ -13,9 +13,10 @@ operator to a state at once (with the Koszul sign of sorting the new
 factor into place), and annihilators(m) contracts each level-m factor of a
 state against its pairing partners only (m times the graded contraction,
 central charge 1).  Every output state is audited against an index of the
-basis, enumerated once, holding each state's charge and degree.  The
-defining super-commutation relation of the generator-a entry of
-annihilators(m) and the generator-b entry of creators(n),
+basis, enumerated once, holding each state's charge and degree; a family
+applied to a state outside that index, or creating beyond it, raises
+ValueError.  The defining super-commutation relation of the generator-a
+entry of annihilators(m) and the generator-b entry of creators(n),
 
     [annihilators(m)_a, creators(n)_b] = m * eta(a, b) * delta_{m,n} * Id
 
@@ -181,21 +182,16 @@ def pairing_from_blocks(X, blocks):
 class FockSpace:
     """Fock model over a manifold with even d = dim_real / 2."""
 
-    def __init__(self, X, pairing_blocks=None):
-        self.manifold = X
+    def __init__(self, X):
         if X.dim_real % 4:
             raise InputError(
                 "Fock construction needs dim_real divisible by 4; %s has "
                 "dim_real %d" % (X.name, X.dim_real)
             )
         self.d = X.dim_real // 2
-        self.gens, self._by_degree = build_generators(X)
-        if pairing_blocks is None:
-            pairing_blocks = X.pairing
-        if pairing_blocks is None:
-            self.eta = default_pairing(X)
-        else:
-            self.eta = pairing_from_blocks(X, pairing_blocks)
+        self.gens = build_generators(X)[0]
+        self.eta = default_pairing(X) if X.pairing is None \
+            else pairing_from_blocks(X, X.pairing)
         self.odd = [g.parity for g in self.gens]
         self._cap, self._states, self._table = -1, [], {}
 
@@ -268,13 +264,22 @@ class FockSpace:
     def _audited(self, charge, label, family):
         """Wrap a family s -> {g: {t: coeff}}, s an indexed basis state, so
         that every output t must be one too, with (charge, degree) that of s
-        plus the declared step (charge, degree_shifted(g) + charge * d)."""
+        plus the declared step (charge, degree_shifted(g) + charge * d).  A
+        state beyond the index, given or to be created, is the caller's
+        fault (ValueError); a wrong step is the family's (AssertionError)."""
         steps = [g.degree_shifted + charge * self.d for g in self.gens]
 
         def apply(s):
+            table, cap = self._table, self._cap
+            got = table.get(s)
+            if got is None:
+                raise ValueError("%r is not a state of the basis indexed to "
+                                 "charge %d" % (s, cap))
+            c0, d0 = got
+            if c0 + charge > cap:
+                raise ValueError("%s of %r leaves the basis indexed to "
+                                 "charge %d" % (label, s, cap))
             out = family(s)
-            table = self._table
-            c0, d0 = table[s]
             for g, images in out.items():
                 want = (c0 + charge, d0 + steps[g])
                 for t in images:
@@ -379,7 +384,7 @@ def _violations(A, B, domain, odd, scalar):
     return bad
 
 
-def check_relations(X, max_charge, pairing_blocks=None):
+def check_relations(X, max_charge):
     """Machine-check the Heisenberg relations on the truncated basis.
 
     For every pair of basis generators and all levels m, n >= 1 with
@@ -390,7 +395,7 @@ def check_relations(X, max_charge, pairing_blocks=None):
     (Hopf) form of the creation operators and the basis character against
     the closed sector product formula.  Returns a list of CheckResults.
     """
-    space = FockSpace(X, pairing_blocks)
+    space = FockSpace(X)
     C = max_charge
     space.index(C)  # before the families, which audit against it
     odd = space.odd

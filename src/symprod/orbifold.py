@@ -19,22 +19,24 @@ Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
 kinds marked + take super signs, twist(PE[twist(f)]).  P, E, C: Poincare,
 Hodge, chi_(-y) polynomials of X; e, s, a: its Euler number, signature,
-arithmetic genus; k = dim_C/2, m = dim_R/2; L(g; w) = sum_{l>=1} g w^(l-1)
-q^l, one copy per cycle length l regraded by w per moved cycle.
+arithmetic genus; k = dim_C/2, m = dim_R/2; L(g; w) = sum_{l<=c} g w^(l-1)
+q^l, one copy per cycle length l up to the cycle bound c, regraded by w per
+moved cycle.
+
+Each family's _orb kind takes every cycle length (no bound c); its _sym
+kind is the same spec cut to cycles of length 1 (c = 1): the identity-class
+summand H*(X^n)^(S_n) = H*(Sym^n X), whose f is the l = 1 term.
 
 ===================  =========================================================
-euler_sym            e q: Euler numbers of the plain symmetric products
-euler_orb            L(e; 1): orbifold Euler numbers, one sector per class
-poincare_sym +       P q: Poincare polynomials of Sym^n(X)
-poincare_orb +       L(P; t^m): the same for (X^n, S_n) with sector shifts
-hodge_sym +          E q: Hodge polynomials of Sym^n(X)
-hodge_orb +          L(E; x^k y^k): the same for (X^n, S_n)
-chiy_sym             C q: chi_(-y) genera of Sym^n(X)
-chiy_orb             L(C; y^k): chi_(-y) genera of (X^n, S_n), weights y^F
-arith_sym/arith_orb  a q: arithmetic genera (the y -> 0 corner)
-sign_sym             s q + (e - s)/2 q^2: signatures (the y -> -1 corner)
-sign_orb             sum_m s_m q^m + (e - s_m)/2 q^(2m), s_m = -s for even m
-                     and odd k, else s (needs even dim_C)
+euler_orb/_sym       L(e; 1): Euler numbers, one sector per class
+poincare_orb/_sym +  L(P; t^m): Poincare polynomials with sector shifts
+hodge_orb/_sym +     L(E; x^k y^k): Hodge polynomials with sector shifts
+chiy_orb/_sym        L(C; y^k): chi_(-y) genera, sector weights y^F
+arith_orb/_sym       a q: arithmetic genera, the y -> 0 corner, where the
+                     twisted sectors vanish (_orb needs dim_C >= 1)
+sign_orb/_sym        sum_{m<=c} s_m q^m + (e - s_m)/2 q^(2m): signatures, the
+                     y -> -1 corner; s_m = -s for even m and odd k, else s
+                     (_orb needs even dim_C)
 *_B                  the same on the polyvector-field (B-algebra) table
 gottsche_poincare +  L(P; t^2): Betti series of Hilbert schemes of points
 gottsche_hodge +     L(E; x y): Hodge series of Hilbert schemes of points
@@ -219,64 +221,57 @@ def genus(table, which):
 # -- series kinds --------------------------------------------------------------
 
 
-def _qpow(var, order, coeff, n):
-    return Series.term(var, order, coeff, {var: n})
-
-
-def _by_n(order, coeff):
-    """sum_{n <= order} coeff(n) q^n; coeff(n) is a number or a polynomial.
-    The parts lie in distinct powers of q, so their terms never collide."""
-    terms = {}
-    for n in range(order + 1):
-        terms.update((coeff(n) * _qpow("q", order, 1, n)).terms)
-    return Series("q", order, terms)
-
-
-def _sector_sum(order, block, step=lambda value: value):
-    """sum_n q^n step(c_n), c_n the sum over cycle types of S_n of
-    prod_l block(l, N_l).
+def _sector_sum(order, cycles, block, step=lambda value: value):
+    """sum_n q^n step(c_n), c_n the sum over the cycle types of S_n with no
+    cycle longer than cycles of prod_l block(l, N_l).
 
     block(l, N) is the invariant of the N l-cycles of a sector: Sym^N of
     H*(X), regraded for their (l - 1) N moved cycles.  By distributivity
-    c_n is the q^n coefficient of prod_{l >= 1} sum_N block(l, N) q^(lN).
-    c starts as the l = 1 factor and takes in one cycle length per pass,
-    updating from the top down, so each c[n - lN] it reads still holds the
-    product over the shorter lengths.  Each block is computed once.
+    c_n is the q^n coefficient of prod_{l <= cycles} sum_N block(l, N)
+    q^(lN).  c starts as the l = 1 factor, block(1, n), the untwisted
+    sector Sym^n, and takes in one further cycle length per pass, updating
+    from the top down, so each c[n - lN] it reads still holds the product
+    over the shorter lengths.  Each block is computed once.  The parts of
+    the result lie in distinct powers of q, so their terms never collide.
     """
     c = [block(1, n) for n in range(order + 1)]
-    for l in range(2, order + 1):
+    for l in range(2, cycles + 1):
         level = [block(l, N) for N in range(order // l + 1)]
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
                 c[n] += c[n - l * N] * level[N]
-    return _by_n(order, lambda n: step(c[n]))
+    terms = {}
+    for n in range(order + 1):
+        terms.update((step(c[n]) * Series.term("q", order, 1, {"q": n})).terms)
+    return Series("q", order, terms)
 
 
-def _chiy_orb_brute(X, T, order):
+def _chiy_orb_brute(X, T, order, cycles):
     """Sector genera taken on the untwisted quotient (plain symmetric powers,
     integer bidegrees), each l-cycle weighted by the exact monomial
     y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    return _sector_sum(order, lambda l, nl: chi_minus_y(T.sym_power(nl))
+    return _sector_sum(order, cycles,
+                       lambda l, nl: chi_minus_y(T.sym_power(nl))
                        * Series.term("q", None, 1,
                                      {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
 
 
-def _levels(poly, order, shift):
-    """sum_{l >= 1} poly * prod_v v^((l-1) shift[v]) * (counting var)^l: one
-    copy of the single-particle polynomial per cycle length l, regraded by
-    the shift of each of its l - 1 moved cycles."""
+def _levels(poly, order, shift, cycles):
+    """sum_{l <= cycles} poly * prod_v v^((l-1) shift[v]) * (counting var)^l:
+    one copy of the single-particle polynomial per cycle length l, regraded
+    by the shift of each of its l - 1 moved cycles."""
     return poly * Series.from_terms(poly.var, order, (
         (1, {poly.var: l, **{v: (l - 1) * e for v, e in shift.items()}})
-        for l in range(1, order + 1)))
+        for l in range(1, cycles + 1)))
 
 
-def _sign_f(X, order, levels):
-    """sum_{m <= levels} eps_m sgn q^m + (chi - eps_m sgn)/2 q^(2m), the
+def _sign_f(X, T, order, cycles):
+    """sum_{m <= cycles} eps_m sgn q^m + (chi - eps_m sgn)/2 q^(2m), the
     logarithm of prod_m (1-q^(2m))^(-chi/2) ((1+q^m)/(1-q^m))^(eps_m sgn/2);
     eps_m = -1 on even m when k = dim_C/2 is odd, else 1."""
     chi, sgn, k = X.euler(), X.signature(), X.dim_c // 2
     pairs = []
-    for m in range(1, levels + 1):
+    for m in range(1, cycles + 1):
         e = -sgn if (k % 2 and m % 2 == 0) else sgn
         pairs += [(e, {"q": m}), (Fraction(chi - e, 2), {"q": 2 * m})]
     return Series.from_terms("q", order, pairs)
@@ -297,92 +292,84 @@ _POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
 # twisted: the closed form is the super PE twist(PE[twist(f)]), signed by
 # total degree; surface_order: default-order cap on surfaces for the (x, y)-
 # weighted kinds, whose expansion dominates cost; table: the ManifoldData
-# attribute handed to both builders as T.  brute(X, T, order) sums sectors;
-# single(X, T, order) is the single-particle series f of the closed form.
+# attribute handed to both builders as T; cycles: the longest cycle a
+# sector may have, 1 for Sym^n(X) and None (any) for (X^n, S_n).
+# brute(X, T, order, cycles) sums sectors; single(X, T, order, cycles) is
+# the single-particle series f of the closed form.
 KindSpec = namedtuple(
-    "KindSpec", "var needs twisted surface_order table brute single")
+    "KindSpec", "var needs twisted surface_order table brute single cycles",
+    defaults=(None,))
+
+
+def _family(name, spec, **overrides):
+    """The Sym^n(X) kind and the (X^n, S_n) kind of one spec: Sym^n(X) is
+    the untwisted sector of (X^n, S_n), the spec cut to 1-cycles."""
+    return {name + "_sym": spec._replace(cycles=1, **overrides),
+            name + "_orb": spec}
+
 
 KINDS = {
-    "euler_sym": KindSpec(
+    **_family("euler", KindSpec(
         "q", (), False, None, "hodge",
-        lambda X, T, order: _by_n(order, lambda n: X.betti.sym_power(n).euler()),
-        lambda X, T, order: _qpow("q", order, X.euler(), 1)),
-    "euler_orb": KindSpec(
-        "q", (), False, None, "hodge",
-        lambda X, T, order: _sector_sum(
-            order, lambda l, nl: X.betti.sym_power(nl).euler()),
-        lambda X, T, order: _levels(
-            Series.constant("q", None, X.euler()), order, {})),
-    "poincare_sym": KindSpec(
+        lambda X, T, order, cycles: _sector_sum(
+            order, cycles, lambda l, nl: X.betti.sym_power(nl).euler()),
+        lambda X, T, order, cycles: _levels(
+            Series.constant("q", None, X.euler()), order, {}, cycles))),
+    **_family("poincare", KindSpec(
         "q", (), True, None, "hodge",
-        lambda X, T, order: _by_n(
-            order, lambda n: X.betti.sym_power(n).poincare_poly()),
-        lambda X, T, order: X.betti.poincare_poly() * _qpow("q", order, 1, 1)),
-    "poincare_orb": KindSpec(
-        "q", (), True, None, "hodge",
-        lambda X, T, order: _sector_sum(
-            order, lambda l, nl: X.betti.shift(2 * X.m * (l - 1)).sym_power(nl),
+        lambda X, T, order, cycles: _sector_sum(
+            order, cycles,
+            lambda l, nl: X.betti.shift(2 * X.m * (l - 1)).sym_power(nl),
             GradedDims.poincare_poly),
-        lambda X, T, order: _levels(X.betti.poincare_poly(), order, {"t": X.m})),
-    "hodge_sym": KindSpec(
+        lambda X, T, order, cycles: _levels(
+            X.betti.poincare_poly(), order, {"t": X.m}, cycles))),
+    **_family("hodge", KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order: _by_n(order, lambda n: T.sym_power(n).hodge_poly()),
-        lambda X, T, order: T.hodge_poly() * _qpow("q", order, 1, 1)),
-    "hodge_orb": KindSpec(
-        "q", (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order: _sector_sum(
-            order, lambda l, nl: T.shift2(X.dim_c * (l - 1),
-                                          X.dim_c * (l - 1)).sym_power(nl),
+        lambda X, T, order, cycles: _sector_sum(
+            order, cycles,
+            lambda l, nl: T.shift2(X.dim_c * (l - 1),
+                                   X.dim_c * (l - 1)).sym_power(nl),
             BigradedDims.hodge_poly),
-        lambda X, T, order: _levels(T.hodge_poly(), order, {
-            "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)})),
-    "chiy_sym": KindSpec(
-        "q", (_HAS_HODGE,), False, None, "hodge",
-        lambda X, T, order: _by_n(order, lambda n: chi_minus_y(T.sym_power(n))),
-        lambda X, T, order: chi_minus_y(T) * _qpow("q", order, 1, 1)),
-    "chiy_orb": KindSpec(
+        lambda X, T, order, cycles: _levels(T.hodge_poly(), order, {
+            "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
+    **_family("chiy", KindSpec(
         "q", (_HAS_HODGE,), False, None, "hodge", _chiy_orb_brute,
-        lambda X, T, order: _levels(
-            chi_minus_y(T), order, {"y": Fraction(X.dim_c, 2)})),
-    "arith_sym": KindSpec(
-        "q", (_HAS_HODGE,), False, None, "hodge",
-        lambda X, T, order: _by_n(
-            order, lambda n: genus(T.sym_power(n), "arithmetic")),
-        lambda X, T, order: _qpow("q", order, X.arithmetic_genus(), 1)),
-    "arith_orb": KindSpec(
+        lambda X, T, order, cycles: _levels(
+            chi_minus_y(T), order, {"y": Fraction(X.dim_c, 2)}, cycles))),
+    # At y = 0 a twisted sector's weight y^(k(l-1)N) vanishes, so f is a q.
+    **_family("arith", KindSpec(
         "q", (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
-        lambda X, T, order: specialize(_chiy_orb_brute(X, T, order), {"y": 0}),
-        lambda X, T, order: _qpow("q", order, X.arithmetic_genus(), 1)),
-    "sign_sym": KindSpec(
-        "q", (_HAS_HODGE,), False, None, "hodge",
-        lambda X, T, order: _by_n(
-            order, lambda n: genus(T.sym_power(n), "signature")),
-        lambda X, T, order: _sign_f(X, order, 1)),
-    "sign_orb": KindSpec(
+        lambda X, T, order, cycles: specialize(
+            _chiy_orb_brute(X, T, order, cycles), {"y": 0}),
+        lambda X, T, order, cycles: Series.term(
+            "q", order, X.arithmetic_genus(), {"q": 1})),
+        needs=(_HAS_HODGE,)),
+    **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
-        lambda X, T, order: _sector_sum(
-            order, lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)
+        lambda X, T, order, cycles: _sector_sum(
+            order, cycles, lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)
             * genus(T.sym_power(nl), "signature")),
-        lambda X, T, order: _sign_f(X, order, order)),
+        _sign_f),
+        needs=(_HAS_HODGE,)),
 }
 # Added after the literal so that SERIES_KINDS keeps its published order.
 _B_NEEDS = (_HAS_HODGE, _HAS_B_TABLE)
 for _kind in ("hodge_sym", "chiy_sym", "hodge_orb", "chiy_orb"):
     KINDS[_kind + "_B"] = KINDS[_kind]._replace(needs=_B_NEEDS, table="hodge_b")
-KINDS["gottsche_poincare"] = KindSpec(
-    "q", (_HAS_HODGE, _IS_SURFACE), True, None, "hodge",
-    KINDS["poincare_orb"].brute,
-    lambda X, T, order: _levels(X.betti.poincare_poly(), order, {"t": 2}))
-KINDS["gottsche_hodge"] = KindSpec(
-    "q", (_HAS_HODGE, _IS_SURFACE), True, 6, "hodge",
-    KINDS["hodge_orb"].brute,
-    lambda X, T, order: _levels(T.hodge_poly(), order, {"x": 1, "y": 1}))
+_SURFACE_NEEDS = (_HAS_HODGE, _IS_SURFACE)
+KINDS["gottsche_poincare"] = KINDS["poincare_orb"]._replace(
+    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
+        X.betti.poincare_poly(), order, {"t": 2}, cycles))
+KINDS["gottsche_hodge"] = KINDS["hodge_orb"]._replace(
+    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
+        T.hodge_poly(), order, {"x": 1, "y": 1}, cycles))
 KINDS["dmvv_q0"] = KindSpec(
     "p", (_HAS_HODGE,), False, 6, "hodge",
-    lambda X, T, order: substitute(_chiy_orb_brute(X, T, order), "q",
-                                   {"y": Fraction(-X.dim_c, 2), "p": 1}),
-    lambda X, T, order: _levels(chi_minus_y(T, "p") * Series.term(
-        "p", None, 1, {"y": Fraction(-X.dim_c, 2)}), order, {}))
+    lambda X, T, order, cycles: substitute(
+        _chiy_orb_brute(X, T, order, cycles), "q",
+        {"y": Fraction(-X.dim_c, 2), "p": 1}),
+    lambda X, T, order, cycles: _levels(chi_minus_y(T, "p") * Series.term(
+        "p", None, 1, {"y": Fraction(-X.dim_c, 2)}), order, {}, cycles))
 KINDS["dmvv_q0_B"] = KINDS["dmvv_q0"]._replace(needs=_B_NEEDS, table="hodge_b")
 
 SERIES_KINDS = tuple(KINDS)
@@ -409,7 +396,7 @@ def brute_series(kind, X, order):
     """Assemble the series named by kind from explicit sector data."""
     _require(kind, X)
     spec = KINDS[kind]
-    return spec.brute(X, getattr(X, spec.table), order)
+    return spec.brute(X, getattr(X, spec.table), order, spec.cycles or order)
 
 
 def closed_series(kind, X, order):
@@ -417,7 +404,7 @@ def closed_series(kind, X, order):
     single-particle series, super-signed for the twisted kinds."""
     _require(kind, X)
     spec = KINDS[kind]
-    f = spec.single(X, getattr(X, spec.table), order)
+    f = spec.single(X, getattr(X, spec.table), order, spec.cycles or order)
     if spec.twisted:
         return twist(plethystic_exp(twist(f)))
     return plethystic_exp(f)

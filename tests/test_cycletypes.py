@@ -1,8 +1,7 @@
 from collections import Counter
 from itertools import permutations
-from math import factorial
 
-from symprod.cycletypes import CycleType, cycle_types
+from symprod.cycletypes import cycle_types
 
 
 def perm_cycle_type(perm):
@@ -22,48 +21,33 @@ def perm_cycle_type(perm):
     return tuple(sorted(parts, reverse=True))
 
 
+def parts(ct):
+    """The partition {l: N_l} lists, as descending parts."""
+    return tuple(l for l in sorted(ct, reverse=True) for _ in range(ct[l]))
+
+
 def test_partition_counts():
     assert len(cycle_types(4)) == 5
     assert len(cycle_types(6)) == 11
-    assert cycle_types(0) == [CycleType({})]
+    assert cycle_types(0) == [{}]
 
 
 def test_descending_lex_order():
-    got = [ct.parts() for ct in cycle_types(4)]
+    got = [parts(ct) for ct in cycle_types(4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_each_type_once_and_sums_to_n():
     for n in range(9):
-        types = cycle_types(n)
+        types = [parts(ct) for ct in cycle_types(n)]
         assert len(set(types)) == len(types)
-        for ct in types:
-            assert sum(l * c for l, c in ct.mult.items()) == n
-
-
-def test_centralizer_identity_type():
-    assert CycleType({1: 4}).centralizer_order() == 24
-
-
-def test_centralizer_examples_s4():
-    assert CycleType({1: 2, 2: 1}).centralizer_order() == 4
-    assert CycleType({4: 1}).centralizer_order() == 4
-
-
-def test_centralizer_against_sn_enumeration():
-    # |Z_g| = n! / (class size), classes counted by brute force
-    for n in range(1, 6):
-        counts = Counter(
-            perm_cycle_type(p) for p in permutations(range(n))
-        )
         for ct in cycle_types(n):
-            assert ct.centralizer_order() == factorial(n) // counts[ct.parts()]
+            assert all(c >= 1 for c in ct.values())
+            assert sum(l * c for l, c in ct.items()) == n
 
 
-def test_class_equation():
-    for n in range(9):
-        total = sum(
-            factorial(n) // ct.centralizer_order() for ct in cycle_types(n)
-        )
-        assert total == factorial(n)
-
+def test_cycle_types_are_those_of_all_permutations():
+    for n in range(6):
+        seen = Counter(perm_cycle_type(p) for p in permutations(range(n)))
+        listed = [parts(ct) for ct in cycle_types(n)]
+        assert sorted(listed) == sorted(seen)

@@ -150,31 +150,36 @@ def test_pairing_graded_symmetry(catalog):
             assert eta.get((j, i)) == sign * v
 
 
-def test_custom_pairing_blocks(catalog):
-    blocks = [
+def p2_with_pairing(blocks):
+    return ManifoldData.from_hodge("p2", 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   pairing=blocks)
+
+
+def test_custom_pairing_blocks():
+    X = p2_with_pairing([
         {"degree": 2, "matrix": [["2"]]},
         {"degree": 0, "matrix": [[1]]},
-    ]
-    space = FockSpace(catalog["p2"], blocks)
+    ])
+    space = FockSpace(X)
     assert space.eta.get((0, 2), 0) == 2
     assert space.eta.get((2, 0), 0) == 2
     # relations hold for any nondegenerate graded-symmetric pairing
-    results = fock.check_relations(catalog["p2"], 3, blocks)
+    results = fock.check_relations(X, 3)
     assert all(r.status == "pass" for r in results)
 
 
-def test_custom_pairing_rejects_degenerate(catalog):
-    blocks = [
+def test_custom_pairing_rejects_degenerate():
+    X = p2_with_pairing([
         {"degree": 2, "matrix": [[0]]},
         {"degree": 0, "matrix": [[1]]},
-    ]
+    ])
     with pytest.raises(ValueError):
-        FockSpace(catalog["p2"], blocks)
+        FockSpace(X)
 
 
-def test_custom_pairing_rejects_missing_block(catalog):
+def test_custom_pairing_rejects_missing_block():
     with pytest.raises(ValueError):
-        FockSpace(catalog["p2"], [{"degree": 0, "matrix": [[1]]}])
+        FockSpace(p2_with_pairing([{"degree": 0, "matrix": [[1]]}]))
 
 
 # ---------------------------------------------------------------- operators
@@ -260,6 +265,24 @@ def test_declared_steps_audited(p2):
     out = p2.annihilators(2)(state).get(0, {})
     assert steps(p2, state, out) == {(-2, shift - 2 * p2.d)}
     assert out == {(): 2 * p2.eta.get((0, 2), 0)}
+
+
+def test_family_beyond_the_index_raises_value_error(catalog):
+    # a state outside the indexed basis, or a creation leaving it, is the
+    # caller's fault, not a broken operator
+    space = FockSpace(catalog["p2"])
+    with pytest.raises(ValueError, match="indexed to charge -1"):
+        space.creators(1)(())
+    space.index(1)
+    with pytest.raises(ValueError, match=r"create\(1\) of .* leaves the "
+                                         r"basis indexed to charge 1"):
+        space.creators(1)(((1, 0),))
+    with pytest.raises(ValueError, match="not a state of the basis indexed "
+                                         "to charge 1"):
+        space.annihilators(1)(((2, 0),))
+    # within the index the same calls succeed
+    space.index(2)
+    assert space.creators(1)(((1, 0),))[0] == {((1, 0), (1, 0)): 1}
 
 
 def test_level_zero_rejected(p2):

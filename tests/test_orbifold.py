@@ -12,7 +12,8 @@ from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
 from symprod.graded import BigradedDims, GradedDims
 from symprod.orbifold import ManifoldData
-from symprod.series import Series, specialize, substitute
+from symprod.series import (Series, plethystic_exp, specialize, substitute,
+                            twist)
 
 
 def series_coeffs(s, order):
@@ -149,22 +150,35 @@ def test_sector_hodge_elliptic_total(catalog):
     assert catalog["elliptic"].hodge.sym_power(2).total_dim() == 8
 
 
-def cycle_type_sector_sum(order, block, step=lambda value: value):
+def q_power(c, order, n):
+    """c q^n, truncated at order."""
+    return c * Series.term("q", order, 1, {"q": n})
+
+
+def cycle_type_sector_sum(order, cycles, block, step=lambda value: value):
     """The sector picture term by term: for each n, a fresh product
-    prod_l block(l, N_l) per cycle type of S_n, summed."""
+    prod_l block(l, N_l) per cycle type of S_n with no cycle longer than
+    cycles, summed."""
     block = cache(block)
 
     def sectors(n):
-        terms = [reduce(mul, (block(l, nl) for l, nl in ct.mult.items()),
-                        block(1, 0)) for ct in cycle_types(n)]
+        terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
+                        block(1, 0))
+                 for ct in cycle_types(n) if all(l <= cycles for l in ct)]
         return reduce(add, terms)
 
-    return ob._by_n(order, lambda n: step(sectors(n)))
+    return reduce(add, (q_power(step(sectors(n)), order, n)
+                        for n in range(order + 1)))
 
 
 def test_sector_sum_counts_partitions():
-    got = ob._sector_sum(8, lambda l, nl: 1)
+    got = ob._sector_sum(8, 8, lambda l, nl: 1)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    # partitions into parts of length at most 1 and at most 2
+    got = ob._sector_sum(8, 1, lambda l, nl: 1)
+    assert scalar_coeffs(got, 8) == [1] * 9
+    got = ob._sector_sum(8, 2, lambda l, nl: 1)
+    assert scalar_coeffs(got, 8) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
 # Hodge tables need not be symmetric: the Hopf surface S^1 x S^3 is not
@@ -302,20 +316,25 @@ small = st.integers(min_value=0, max_value=2)
 
 
 @st.composite
-def small_manifolds(draw):
-    """Random Betti tables (odd classes included) or Hodge tables with
-    dim_C in {1, 2, 3} (odd dim_C gives half-integer sector shifts), the
-    latter sometimes with an explicit B-table."""
-    if draw(st.booleans()):
-        dim_real = draw(st.sampled_from((0, 2, 4, 6)))
-        betti = draw(st.lists(small, min_size=dim_real + 1,
-                              max_size=dim_real + 1))
-        return ManifoldData.from_betti("betti", dim_real, betti)
+def hodge_manifolds(draw):
+    """Random Hodge tables with dim_C in {1, 2, 3} (odd dim_C gives
+    half-integer sector shifts), sometimes with an explicit B-table."""
     d = draw(st.sampled_from((1, 2, 3)))
     row = st.lists(small, min_size=d + 1, max_size=d + 1)
     table = st.lists(row, min_size=d + 1, max_size=d + 1)
     return ManifoldData.from_hodge("hodge", d, draw(table),
                                    hodge_b_rows=draw(st.none() | table))
+
+
+@st.composite
+def small_manifolds(draw):
+    """Random Betti tables (odd classes included) or Hodge tables."""
+    if draw(st.booleans()):
+        dim_real = draw(st.sampled_from((0, 2, 4, 6)))
+        betti = draw(st.lists(small, min_size=dim_real + 1,
+                              max_size=dim_real + 1))
+        return ManifoldData.from_betti("betti", dim_real, betti)
+    return draw(hodge_manifolds())
 
 
 @settings(max_examples=15, deadline=None)
@@ -410,3 +429,74 @@ def test_dmvv_brute_is_substituted_chiy(catalog):
     chiy = ob.brute_series("chiy_orb", k3, 4)
     moved = substitute(chiy, "q", {"y": Fraction(-2, 2), "p": 1})
     assert moved == ob.brute_series("dmvv_q0", k3, 4)
+
+
+# ----------------------------------------------------------- Sym^n(X) kinds
+
+# Each Sym^n(X) kind as its own literal sum sum_n q^n INV(Sym^n V), V the
+# table it reads: (V(X), INV).  Its closed form is Macdonald's PE[INV(V) q],
+# super-signed for the twisted kinds, except that the signature is the
+# y -> -1 corner of chi_(-y), where psi_2 sends y to 1, so its
+# single-particle series is s q + (e - s)/2 q^2.
+SYM_ORACLES = {
+    "euler_sym": (lambda X: X.betti, GradedDims.euler),
+    "poincare_sym": (lambda X: X.betti, GradedDims.poincare_poly),
+    "hodge_sym": (lambda X: X.hodge, BigradedDims.hodge_poly),
+    "chiy_sym": (lambda X: X.hodge, ob.chi_minus_y),
+    "arith_sym": (lambda X: X.hodge, lambda V: ob.genus(V, "arithmetic")),
+    "sign_sym": (lambda X: X.hodge, lambda V: ob.genus(V, "signature")),
+    "hodge_sym_B": (lambda X: X.hodge_b, BigradedDims.hodge_poly),
+    "chiy_sym_B": (lambda X: X.hodge_b, ob.chi_minus_y),
+}
+TWISTED_SYM = ("poincare_sym", "hodge_sym", "hodge_sym_B")
+
+
+def sym_oracle(kind, X, order):
+    """(sum_n q^n INV(Sym^n V), PE[f]) for a Sym^n(X) kind, literally."""
+    table, inv = SYM_ORACLES[kind]
+    V = table(X)
+    brute = reduce(add, (q_power(inv(V.sym_power(n)), order, n)
+                         for n in range(order + 1)))
+    f = q_power(inv(V), order, 1)
+    if kind == "sign_sym":
+        f = f + q_power(Fraction(X.euler() - inv(V), 2), order, 2)
+    if kind in TWISTED_SYM:
+        return brute, twist(plethystic_exp(twist(f)))
+    return brute, plethystic_exp(f)
+
+
+def check_sym_kinds(X, orders):
+    for kind in SYM_ORACLES:
+        if ob.applicability(kind, X) is None:
+            for order in orders:
+                brute, closed = sym_oracle(kind, X, order)
+                assert ob.brute_series(kind, X, order) == brute, (kind, order)
+                assert ob.closed_series(kind, X, order) == closed, \
+                    (kind, order)
+
+
+def test_sym_oracles_cover_every_sym_kind():
+    assert set(SYM_ORACLES) == {k for k in ob.SERIES_KINDS if "_sym" in k}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sym_kinds_are_symmetric_power_sums(catalog, name):
+    check_sym_kinds(catalog[name], range(7))
+
+
+@settings(max_examples=15, deadline=None)
+@given(hodge_manifolds())
+def test_sym_kinds_are_symmetric_power_sums_on_random_tables(X):
+    check_sym_kinds(X, range(7))
+
+
+@pytest.mark.parametrize("family", ("euler", "poincare", "hodge", "chiy",
+                                    "arith", "sign"))
+def test_sym_kind_is_its_orb_kind_cut_to_one_cycles(family):
+    sym, orb = ob.KINDS[family + "_sym"], ob.KINDS[family + "_orb"]
+    assert sym.brute is orb.brute and sym.single is orb.single
+    assert (sym.cycles, orb.cycles) == (1, None)
+    differ = {f for f in ob.KindSpec._fields
+              if getattr(sym, f) != getattr(orb, f)}
+    assert differ == ({"cycles", "needs"} if family in ("arith", "sign")
+                      else {"cycles"})
