@@ -9,12 +9,11 @@ Also realizes the Heisenberg-superalgebra action on the associated Fock
 space with machine-checked commutation relations.
 """
 
-from .graded import BigradedDims, GradedDims
+from .graded import GradedDims
 from .orbifold import ManifoldData, SERIES_KINDS, brute_series, closed_series
 from .series import Series
 
 __all__ = [
-    "BigradedDims",
     "GradedDims",
     "ManifoldData",
     "SERIES_KINDS",

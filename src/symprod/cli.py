@@ -120,7 +120,8 @@ def load_manifold(path):
                 pairing=raw.get("pairing"),
             )
             if "betti" in raw:
-                stated = {2 * d: b for d, b in enumerate(raw["betti"]) if b}
+                stated = {(2 * d, 0): b
+                          for d, b in enumerate(raw["betti"]) if b}
                 if stated != X.betti.dims:
                     raise ValueError("stated Betti numbers disagree with "
                                      "the Hodge table")

@@ -85,9 +85,9 @@ def build_generators(X):
     d = X.dim_real // 2
     gens = []
     by_degree = {}
-    for dd in sorted(X.betti.dims):
+    for (dd, _), b in sorted(X.betti.dims.items()):
         deg = dd // 2
-        for _ in range(X.betti.dims[dd]):
+        for _ in range(b):
             g = Generator(len(gens), deg - d, deg % 2)
             gens.append(g)
             by_degree.setdefault(g.degree_shifted, []).append(g.id)

@@ -52,11 +52,13 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .graded import BigradedDims, GradedDims
+from .graded import GradedDims
 from .series import (
     Series,
     first_mismatch,
+    mismatch_counts,
     plethystic_exp,
+    render_head,
     render_key,
     specialize,
     substitute,
@@ -71,10 +73,12 @@ class InputError(ValueError):
 class ManifoldData:
     """Input description of a closed manifold X.
 
-    Degrees are stored doubled like everywhere else; Hodge tables are
-    supported on integer bidegrees.  `hodge_b` holds the dimensions of the
-    polyvector-field Dolbeault groups H^q(X, Lambda^p TX), indexed like a
-    Hodge table at (p, q).
+    Degrees are stored doubled like everywhere else; the Betti table puts
+    degree d at (d, 0), and Hodge tables are supported on integer
+    bidegrees.  `hodge_b` holds the dimensions of the polyvector-field
+    Dolbeault groups H^q(X, Lambda^p TX), indexed like a Hodge table at
+    (p, q).  Every table is validated here, once: entries nonnegative, at
+    integer degrees in range.
     """
 
     def __init__(self, name, dim_real, betti, dim_c=None, hodge=None,
@@ -92,7 +96,7 @@ class ManifoldData:
     @classmethod
     def from_betti(cls, name, dim_real, betti_list):
         """Real manifold from its Betti vector [b_0, b_1, ...]."""
-        dims = {2 * d: b for d, b in enumerate(betti_list) if b}
+        dims = {(2 * d, 0): b for d, b in enumerate(betti_list) if b}
         return cls(name, dim_real, GradedDims(dims))
 
     @classmethod
@@ -101,27 +105,25 @@ class ManifoldData:
         """Complex manifold from its Hodge table rows[p][q] = h^{p,q}."""
         hodge = _table_from_rows(rows)
         hodge_b = _table_from_rows(hodge_b_rows) if hodge_b_rows else None
-        betti = hodge.to_graded()
+        betti = hodge.collapse()
         X = cls(name, 2 * dim_c, betti, dim_c=dim_c, hodge=hodge,
                 hodge_b=hodge_b, calabi_yau=calabi_yau, pairing=pairing)
         return X
 
     def _validate(self):
+        if any(b < 0 for table in (self.betti, self.hodge, self.hodge_b)
+               if table is not None for b in table.dims.values()):
+            raise ValueError("dimensions must be nonnegative")
         if self.dim_real < 0 or self.dim_real % 2:
             raise ValueError("dim_real must be a nonnegative even integer")
-        if not self.betti.is_integer_graded():
-            raise ValueError("Betti degrees must be integers")
-        for d in self.betti.dims:
-            if d < 0 or d > 2 * self.dim_real:
-                raise ValueError("Betti degree out of range")
+        if not self.betti.within(self.dim_real, 0):
+            raise ValueError("Betti degree out of range")
         if self.hodge is not None:
             if self.dim_c is None or 2 * self.dim_c != self.dim_real:
                 raise ValueError("complex dimension inconsistent with dim_real")
-            for (p, q) in self.hodge.dims:
-                if p % 2 or q % 2 or p < 0 or q < 0 \
-                        or p > 2 * self.dim_c or q > 2 * self.dim_c:
-                    raise ValueError("Hodge bidegrees must be integers in range")
-            if self.hodge.to_graded() != self.betti:
+            if not self.hodge.within(self.dim_c, self.dim_c):
+                raise ValueError("Hodge bidegrees must be integers in range")
+            if self.hodge.collapse() != self.betti:
                 raise ValueError("Betti numbers disagree with the Hodge table")
         elif self.dim_c is not None:
             raise ValueError("dim_c given without a Hodge table")
@@ -133,9 +135,8 @@ class ManifoldData:
         if self.hodge_b is not None:
             if self.hodge is None:
                 raise ValueError("hodge_b given without a Hodge table")
-            for (p, q) in self.hodge_b.dims:
-                if p % 2 or q % 2:
-                    raise ValueError("B-table bidegrees must be integers")
+            if not self.hodge_b.within(self.dim_c, self.dim_c):
+                raise ValueError("B-table bidegrees must be integers in range")
 
     # -- numeric invariants --------------------------------------------------
 
@@ -162,7 +163,8 @@ class ManifoldData:
     def has_duality(self):
         n2 = 2 * self.dim_real
         return all(
-            self.betti.dims.get(d, 0) == self.betti.dims.get(n2 - d, 0)
+            self.betti.dims.get((d, 0), 0)
+            == self.betti.dims.get((n2 - d, 0), 0)
             for d in range(0, n2 + 2, 2)
         )
 
@@ -176,7 +178,7 @@ def _table_from_rows(rows):
         for q, h in enumerate(row):
             if h:
                 dims[(2 * p, 2 * q)] = h
-    return BigradedDims(dims)
+    return GradedDims(dims)
 
 
 def derive_B_table(X):
@@ -184,7 +186,7 @@ def derive_B_table(X):
     if X.hodge is None or X.dim_c is None:
         raise ValueError("derive_B_table needs a complex manifold")
     d2 = 2 * X.dim_c
-    return BigradedDims(
+    return GradedDims(
         {(d2 - p, q): h for (p, q), h in X.hodge.dims.items()}
     )
 
@@ -320,17 +322,17 @@ KINDS = {
         lambda X, T, order, cycles: _sector_sum(
             order, cycles,
             lambda l, nl: X.betti.shift(2 * X.m * (l - 1)).sym_power(nl),
-            GradedDims.poincare_poly),
+            lambda dims: dims.poly("t")),
         lambda X, T, order, cycles: _levels(
-            X.betti.poincare_poly(), order, {"t": X.m}, cycles))),
+            X.betti.poly("t"), order, {"t": X.m}, cycles))),
     **_family("hodge", KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
         lambda X, T, order, cycles: _sector_sum(
             order, cycles,
-            lambda l, nl: T.shift2(X.dim_c * (l - 1),
-                                   X.dim_c * (l - 1)).sym_power(nl),
-            BigradedDims.hodge_poly),
-        lambda X, T, order, cycles: _levels(T.hodge_poly(), order, {
+            lambda l, nl: T.shift(X.dim_c * (l - 1),
+                                  X.dim_c * (l - 1)).sym_power(nl),
+            lambda dims: dims.poly("x")),
+        lambda X, T, order, cycles: _levels(T.poly("x"), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
     **_family("chiy", KindSpec(
         "q", (_HAS_HODGE,), False, None, "hodge", _chiy_orb_brute,
@@ -359,10 +361,10 @@ for _kind in ("hodge_sym", "chiy_sym", "hodge_orb", "chiy_orb"):
 _SURFACE_NEEDS = (_HAS_HODGE, _IS_SURFACE)
 KINDS["gottsche_poincare"] = KINDS["poincare_orb"]._replace(
     needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
-        X.betti.poincare_poly(), order, {"t": 2}, cycles))
+        X.betti.poly("t"), order, {"t": 2}, cycles))
 KINDS["gottsche_hodge"] = KINDS["hodge_orb"]._replace(
     needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
-        T.hodge_poly(), order, {"x": 1, "y": 1}, cycles))
+        T.poly("x"), order, {"x": 1, "y": 1}, cycles))
 KINDS["dmvv_q0"] = KindSpec(
     "p", (_HAS_HODGE,), False, 6, "hodge",
     lambda X, T, order, cycles: substitute(
@@ -427,7 +429,13 @@ class CheckResult:
         return "CheckResult(%r, %r)" % (self.name, self.status)
 
 
+# A failure report prints at most this many terms of each side.
+DUMP_TERMS = 20
+
+
 def _compare(name, a, b, var):
+    """Pass, or fail with the first mismatch, the number of differing
+    coefficients per power of var, and both sides cut to DUMP_TERMS terms."""
     if a == b:
         return CheckResult(name, "pass")
     mism = first_mismatch(a, b)
@@ -437,8 +445,10 @@ def _compare(name, a, b, var):
         lines.append(
             "first mismatch at %s: %s vs %s" % (render_key(var, key), ca, cb)
         )
-    lines.append("lhs: %s" % a)
-    lines.append("rhs: %s" % b)
+        lines.append("differing coefficients per power of %s: %s"
+                     % (var, mismatch_counts(a, b)))
+    lines.append("lhs: %s" % render_head(a, DUMP_TERMS))
+    lines.append("rhs: %s" % render_head(b, DUMP_TERMS))
     return CheckResult(name, "fail", lines)
 
 

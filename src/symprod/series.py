@@ -20,6 +20,7 @@ All values are immutable after construction and every operation is pure.
 it combines with finite orders as "no constraint".
 """
 
+from collections import Counter
 from fractions import Fraction
 
 VARS = ("q", "p", "t", "x", "y")
@@ -459,6 +460,25 @@ def first_mismatch(a, b):
         if ca != cb:
             return key, ca, cb
     return None
+
+
+def mismatch_counts(a, b):
+    """The number of differing coefficients of a and b at each power of the
+    counting variable, as text: "q^0: 2, q^3: 1"."""
+    ti = _VI[a.var]
+    counts = Counter(k[ti] // 2 for k in a.terms.keys() | b.terms.keys()
+                     if a.terms.get(k) != b.terms.get(k))
+    return ", ".join("%s^%d: %d" % (a.var, n, count)
+                     for n, count in sorted(counts.items()))
+
+
+def render_head(s, limit):
+    """str(s) cut after its first limit terms in canonical order, followed
+    by the number of terms left out."""
+    keys = sorted(s.terms, key=s._sort_key)
+    head = Series(s.var, s.order, {k: s.terms[k] for k in keys[:limit]})
+    more = len(keys) - limit
+    return "%s … (%d more terms)" % (head, more) if more > 0 else str(head)
 
 
 def render_key(var, key):

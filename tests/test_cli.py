@@ -157,7 +157,8 @@ def test_load_k3_derives_betti(tmp_path):
     path = write(tmp_path, {"dim_c": 2,
                             "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]})
     X = cli.load_manifold(path)
-    assert [X.betti.dims.get(2 * d, 0) for d in range(5)] == [1, 0, 22, 0, 1]
+    assert [X.betti.dims.get((2 * d, 0), 0) for d in range(5)] \
+        == [1, 0, 22, 0, 1]
 
 
 def test_load_point(tmp_path):
@@ -222,6 +223,10 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_c": 2, "hodge": K3_ROWS, "name": [1, 2]},
     {"dim_c": 2, "hodge": K3_ROWS, "name": "a\nb"},
     {"dim_c": 2, "hodge": K3_ROWS, "name": "a\u2028b"},
+    # one negative entry: rejected by ManifoldData's validation
+    {"dim_c": 1, "hodge": [[1, -1], [0, 1]]},
+    {"dim_c": 1, "hodge": [[1, 0], [0, 1]], "hodgeB": [[1, 0], [-1, 1]]},
+    {"dim_real": 2, "betti": [1, -2, 1]},
 ])
 def test_load_rejects_malformed_input(tmp_path, capsys, payload):
     path = write(tmp_path, payload)

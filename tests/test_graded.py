@@ -2,19 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod.graded import BigradedDims, GradedDims
-from symprod.series import Series, plethystic_exp, twist
+from conftest import sym_power_oracle
+from symprod.graded import GradedDims
+from symprod.series import Series, plethystic_exp, substitute, twist
 
-# degrees below are doubled: GradedDims({0: 1, 4: 1}) is one class in degree
-# 0 and one in degree 2
+# degrees below are doubled: GradedDims({(0, 0): 1, (4, 0): 1}) is one class
+# in degree 0 and one in degree 2
 
 
 def G(natural):
-    return GradedDims({2 * d: b for d, b in natural.items()})
+    """A Betti table: degree d at (d, 0)."""
+    return GradedDims({(2 * d, 0): b for d, b in natural.items()})
 
 
 def B(natural):
-    return BigradedDims({(2 * p, 2 * q): h for (p, q), h in natural.items()})
+    return GradedDims({(2 * p, 2 * q): h for (p, q), h in natural.items()})
 
 
 K3 = B({(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
@@ -32,9 +34,9 @@ def test_shift_zero_is_identity():
     assert v.shift(0) == v
 
 
-def test_shift2_half_step_on_k3():
-    got = K3.shift2(1, 1)
-    expect = BigradedDims(
+def test_shift_half_step_on_k3():
+    got = K3.shift(1, 1)
+    expect = GradedDims(
         {(1, 1): 1, (5, 1): 1, (1, 5): 1, (3, 3): 20, (5, 5): 1}
     )
     assert got == expect
@@ -47,9 +49,12 @@ def test_dsum_and_tensor_units():
     assert v.tensor(v) == G({0: 1, 1: 2, 2: 1})
 
 
-def test_bigraded_rejects_non_integer_total():
+def test_odd_total_degree_has_no_parity():
+    w = GradedDims({(1, 2): 1})
     with pytest.raises(ValueError):
-        BigradedDims({(1, 2): 1})
+        w.sym_power(2)
+    with pytest.raises(ValueError):
+        w.euler()
 
 
 # -------------------------------------------------------------- sym powers
@@ -77,7 +82,7 @@ def test_sym_power_zero_is_unit():
 
 def test_sym_power_rejects_half_integer_degrees():
     with pytest.raises(ValueError):
-        GradedDims({1: 1}).sym_power(2)
+        GradedDims({(1, 0): 1}).sym_power(2)
 
 
 def test_sym_power_matches_oracle_exhaustively():
@@ -90,9 +95,9 @@ def test_sym_power_matches_oracle_exhaustively():
         G({0: 1, 1: 4, 2: 1}),
     ]
     for v in spaces:
-        assert v.total_dim() <= 6
+        assert sum(v.dims.values()) <= 6
         for n in range(5):
-            assert v.sym_power(n) == v.sym_power_oracle(n), (v, n)
+            assert v.sym_power(n) == sym_power_oracle(v, n), (v, n)
 
 
 def test_sym_power2_matches_oracle():
@@ -104,14 +109,14 @@ def test_sym_power2_matches_oracle():
     ]
     for w in tables:
         for n in range(5):
-            assert w.sym_power(n) == w.sym_power_oracle(n), (w, n)
+            assert w.sym_power(n) == sym_power_oracle(w, n), (w, n)
 
 
 def test_sym_power2_half_integer_support():
-    w = B({(0, 0): 1, (1, 1): 1}).shift2(1, 1)
+    w = B({(0, 0): 1, (1, 1): 1}).shift(1, 1)
     got = w.sym_power(2)
     # both shifted classes have odd total degree, so they anticommute
-    assert got == BigradedDims({(4, 4): 1})
+    assert got == GradedDims({(4, 4): 1})
 
 
 @st.composite
@@ -144,10 +149,10 @@ def test_sym_power_generating_law(v):
     order = 4
     lhs = Series.zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + v.sym_power(n).poincare_poly("q") * Series.term(
+        lhs = lhs + v.sym_power(n).poly("t") * Series.term(
             "q", order, 1, {"q": n}
         )
-    f = v.poincare_poly("q") * Series.term("q", order, 1, {"q": 1})
+    f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 
 
@@ -155,14 +160,14 @@ def test_shifted_generating_law():
     # sym powers of W[l,m] match the exponent-shifted product formula
     w = B({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
     l2 = m2 = 1  # shift by (1/2, 1/2)
-    shifted = w.shift2(l2, m2)
+    shifted = w.shift(l2, m2)
     order = 4
     lhs = Series.zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + shifted.sym_power(n).hodge_poly("q") * Series.term(
+        lhs = lhs + shifted.sym_power(n).poly("x") * Series.term(
             "q", order, 1, {"q": n}
         )
-    f = shifted.hodge_poly("q") * Series.term("q", order, 1, {"q": 1})
+    f = shifted.poly("x") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 
 
@@ -170,13 +175,13 @@ def test_shifted_generating_law():
 
 
 def test_poincare_poly_read_off():
-    assert str(G({0: 1, 2: 1}).poincare_poly("q")) == "1 + t^2"
-    assert str(GradedDims({}).poincare_poly("q")) == "0"
+    assert str(G({0: 1, 2: 1}).poly("t")) == "1 + t^2"
+    assert str(GradedDims({}).poly("t")) == "0"
 
 
 def test_hodge_poly_k3():
     # canonical term order: x-exponent ascending before y
-    got = K3.hodge_poly("q")
+    got = K3.poly("x")
     assert str(got) == "1 + y^2 + 20*x*y + x^2 + x^2*y^2"
 
 
@@ -186,12 +191,15 @@ def test_partition_series_from_single_even_class():
     order = 5
     lhs = Series.zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + v.sym_power(n).poincare_poly("q") * Series.term(
+        lhs = lhs + v.sym_power(n).poly("t") * Series.term(
             "q", order, 1, {"q": n}
         )
-    f = v.poincare_poly("q") * Series.term("q", order, 1, {"q": 1})
+    f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 
 
-def test_to_graded_collapse():
-    assert K3.to_graded() == G({0: 1, 1: 0, 2: 22, 3: 0, 4: 1})
+def test_collapse_to_total_degree():
+    assert K3.collapse() == G({0: 1, 1: 0, 2: 22, 3: 0, 4: 1})
+    # the Poincare polynomial of the collapse is the Hodge one at x = y = t
+    at_t = substitute(substitute(K3.poly("x"), "x", {"t": 1}), "y", {"t": 1})
+    assert at_t == K3.collapse().poly("t")

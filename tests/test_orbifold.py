@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG_NAMES
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
-from symprod.graded import BigradedDims, GradedDims
+from symprod.graded import GradedDims
 from symprod.orbifold import ManifoldData
 from symprod.series import (Series, plethystic_exp, specialize, substitute,
                             twist)
@@ -45,16 +45,48 @@ def colored_partition_counts(colors, order):
 
 def test_from_hodge_derives_betti(catalog):
     k3 = catalog["k3"]
-    assert k3.betti == GradedDims({0: 1, 4: 22, 8: 1})
+    assert k3.betti == GradedDims({(0, 0): 1, (4, 0): 22, (8, 0): 1})
     assert k3.euler() == 24
     assert k3.signature() == -16
     assert k3.arithmetic_genus() == 2
 
 
 def test_betti_hodge_consistency_enforced():
-    hodge = BigradedDims({(0, 0): 1, (2, 2): 1})
+    hodge = GradedDims({(0, 0): 1, (2, 2): 1})
     with pytest.raises(ValueError):
-        ManifoldData("bad", 2, GradedDims({0: 2}), dim_c=1, hodge=hodge)
+        ManifoldData("bad", 2, GradedDims({(0, 0): 2}), dim_c=1, hodge=hodge)
+
+
+BETTI_S2 = GradedDims({(0, 0): 1, (4, 0): 1})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ManifoldData("neg", 2, GradedDims(
+        {(0, 0): 1, (2, 0): -2, (4, 0): 1})), "nonnegative"),
+    (lambda: ManifoldData.from_hodge("neg", 1, [[1, -1], [0, 1]]),
+     "nonnegative"),
+    (lambda: ManifoldData.from_hodge("neg", 1, [[1, 0], [0, 1]],
+                                     hodge_b_rows=[[1, 0], [-1, 1]]),
+     "nonnegative"),
+    (lambda: ManifoldData("high", 2, GradedDims({(0, 0): 1, (6, 0): 1})),
+     "Betti degree out of range"),
+    (lambda: ManifoldData("half", 2, GradedDims({(1, 0): 1})),
+     "Betti degree out of range"),
+    (lambda: ManifoldData("q", 2, GradedDims({(0, 2): 1})),
+     "Betti degree out of range"),
+    (lambda: ManifoldData("high", 2, BETTI_S2, dim_c=1,
+                          hodge=GradedDims({(0, 0): 1, (4, 0): 1})),
+     "Hodge bidegrees"),
+    (lambda: ManifoldData("high", 2, BETTI_S2, dim_c=1,
+                          hodge=GradedDims({(0, 0): 1, (2, 2): 1}),
+                          hodge_b=GradedDims({(6, 0): 1})),
+     "B-table bidegrees"),
+], ids=["negative betti", "negative hodge", "negative hodgeB", "betti high",
+        "betti half-integer", "betti off (d, 0)", "hodge high", "hodgeB high"])
+def test_validate_rejects_bad_tables(build, message):
+    # the tables themselves check nothing; ManifoldData is the boundary
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_real_manifold_without_hodge():
@@ -73,14 +105,14 @@ def test_cy_derives_b_table(catalog):
 
 
 def test_derive_b_table_point(catalog):
-    assert ob.derive_B_table(catalog["point"]) == BigradedDims({(0, 0): 1})
+    assert ob.derive_B_table(catalog["point"]) == GradedDims({(0, 0): 1})
 
 
 def test_derive_b_table_asymmetric():
     # a made-up CY-like table where the row swap is visible
     X = ManifoldData.from_hodge("toy", 1, [[1, 2], [2, 1]])
     got = ob.derive_B_table(X)
-    assert got == BigradedDims({(2, 0): 1, (2, 2): 2, (0, 0): 2, (0, 2): 1})
+    assert got == GradedDims({(2, 0): 1, (2, 2): 2, (0, 0): 2, (0, 2): 1})
 
 
 # ------------------------------------------------------------------- genera
@@ -99,14 +131,14 @@ def test_genus_point(catalog):
 
 
 def test_genus_rejects_half_integer_q_degree():
-    w = BigradedDims({(1, 1): 1})
+    w = GradedDims({(1, 1): 1})
     with pytest.raises(ValueError):
         ob.genus(w, "signature")
 
 
 def test_chi_minus_y_multiplicative():
-    a = BigradedDims({(0, 0): 1, (2, 2): 3})
-    b = BigradedDims({(0, 2): 2, (2, 0): 2})
+    a = GradedDims({(0, 0): 1, (2, 2): 3})
+    b = GradedDims({(0, 2): 2, (2, 0): 2})
     lhs = ob.chi_minus_y(a.tensor(b))
     rhs = ob.chi_minus_y(a) * ob.chi_minus_y(b)
     assert lhs == rhs
@@ -120,26 +152,26 @@ def sector_coeff(kind, X, n):
     return ob.brute_series(kind, X, n).counting_coefficient(n)
 
 
-def dims_coeff(dims):
-    """A dims table as a q^0 coefficient keyed like sector_coeff."""
-    poly = dims.poincare_poly() if isinstance(dims, GradedDims) \
-        else dims.hodge_poly()
-    return poly.counting_coefficient(0)
+def dims_coeff(dims, x):
+    """A dims table as a q^0 coefficient keyed like sector_coeff: its
+    Poincare polynomial with x = "t", its Hodge polynomial with x = "x"."""
+    return dims.poly(x).counting_coefficient(0)
 
 
 def test_sector_dims_p1(catalog):
     p1 = catalog["p1"]
-    assert sector_coeff("poincare_orb", p1, 2) == dims_coeff(
-        GradedDims({0: 1, 2: 1, 4: 1, 6: 1, 8: 1}))
-    assert sector_coeff("poincare_orb", p1, 0) == dims_coeff(GradedDims({0: 1}))
-    assert sector_coeff("poincare_orb", p1, 1) == dims_coeff(p1.betti)
+    assert sector_coeff("poincare_orb", p1, 2) == dims_coeff(GradedDims(
+        {(0, 0): 1, (2, 0): 1, (4, 0): 1, (6, 0): 1, (8, 0): 1}), "t")
+    assert sector_coeff("poincare_orb", p1, 0) == dims_coeff(
+        GradedDims({(0, 0): 1}), "t")
+    assert sector_coeff("poincare_orb", p1, 1) == dims_coeff(p1.betti, "t")
 
 
 def test_sector_hodge_p1(catalog):
     got = sector_coeff("hodge_orb", catalog["p1"], 2)
-    assert got == dims_coeff(BigradedDims(
+    assert got == dims_coeff(GradedDims(
         {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (4, 4): 1}
-    ))
+    ), "x")
 
 
 def test_sector_hodge_elliptic_total(catalog):
@@ -147,7 +179,7 @@ def test_sector_hodge_elliptic_total(catalog):
     # two odd classes square to zero) plus the 4-dimensional twisted copy
     got = sector_coeff("hodge_orb", catalog["elliptic"], 2)
     assert all(c > 0 for c in got.values()) and sum(got.values()) == 12
-    assert catalog["elliptic"].hodge.sym_power(2).total_dim() == 8
+    assert sum(catalog["elliptic"].hodge.sym_power(2).dims.values()) == 8
 
 
 def q_power(c, order, n):
@@ -198,14 +230,15 @@ def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
 
 def test_symprod_dims_p1_is_projective_space(catalog):
     got = catalog["p1"].betti.sym_power(3)
-    assert got == GradedDims({0: 1, 4: 1, 8: 1, 12: 1})
+    assert got == GradedDims({(0, 0): 1, (4, 0): 1, (8, 0): 1, (12, 0): 1})
 
 
 def test_symprod_dims_genus2_total(catalog):
     # Sym^2 of a genus-2 curve has Betti numbers 1, 4, 7, 4, 1
     got = catalog["genus2"].betti.sym_power(2)
-    assert got == GradedDims({0: 1, 2: 4, 4: 7, 6: 4, 8: 1})
-    assert got.total_dim() == 17
+    assert got == GradedDims(
+        {(0, 0): 1, (2, 0): 4, (4, 0): 7, (6, 0): 4, (8, 0): 1})
+    assert sum(got.dims.values()) == 17
 
 
 # ---------------------------------------------------------------- spot values
@@ -256,8 +289,8 @@ def test_hodge_orb_k3_matches_hilbert_square_diamond(catalog):
         (4, 0): 1, (3, 1): 21, (2, 2): 232, (1, 3): 21, (0, 4): 1,
         (4, 2): 1, (3, 3): 21, (2, 4): 1, (4, 4): 1,
     }
-    assert got == dims_coeff(BigradedDims(
-        {(2 * p, 2 * q): h for (p, q), h in expect.items()}))
+    assert got == dims_coeff(GradedDims(
+        {(2 * p, 2 * q): h for (p, q), h in expect.items()}), "x")
 
 
 def test_constant_terms_are_one(catalog):
@@ -310,6 +343,23 @@ def test_verify_mismatch_carries_both_series():
     assert r.status == "fail"
     assert any("first mismatch" in line for line in r.lines)
     assert any("lhs:" in line for line in r.lines)
+
+
+def test_mismatch_report_is_bounded():
+    # 3 powers of q times 31 powers of t: 93 terms a side, all differing
+    pairs = [(1, {"t": j, "q": i}) for i in range(3) for j in range(31)]
+    a = Series.from_terms("q", 2, pairs)
+    b = Series.from_terms("q", 2, [(2, exps) for _, exps in pairs])
+    r = ob._compare("fabricated", a, b, "q")
+    more = " \u2026 (%d more terms)" % (93 - ob.DUMP_TERMS)
+    assert r.lines[:2] == [
+        "first mismatch at 1: 1 vs 2",
+        "differing coefficients per power of q: q^0: 31, q^1: 31, q^2: 31"]
+    for line, s in zip(r.lines[2:], (a, b)):
+        head = line[len("lhs: "):-len(more)]
+        assert line.endswith(more) and str(s).startswith(head + " + ")
+        assert head.count(" + ") == ob.DUMP_TERMS - 1
+    assert len(r.lines) == 4
 
 
 small = st.integers(min_value=0, max_value=2)
@@ -440,12 +490,12 @@ def test_dmvv_brute_is_substituted_chiy(catalog):
 # single-particle series is s q + (e - s)/2 q^2.
 SYM_ORACLES = {
     "euler_sym": (lambda X: X.betti, GradedDims.euler),
-    "poincare_sym": (lambda X: X.betti, GradedDims.poincare_poly),
-    "hodge_sym": (lambda X: X.hodge, BigradedDims.hodge_poly),
+    "poincare_sym": (lambda X: X.betti, lambda V: V.poly("t")),
+    "hodge_sym": (lambda X: X.hodge, lambda V: V.poly("x")),
     "chiy_sym": (lambda X: X.hodge, ob.chi_minus_y),
     "arith_sym": (lambda X: X.hodge, lambda V: ob.genus(V, "arithmetic")),
     "sign_sym": (lambda X: X.hodge, lambda V: ob.genus(V, "signature")),
-    "hodge_sym_B": (lambda X: X.hodge_b, BigradedDims.hodge_poly),
+    "hodge_sym_B": (lambda X: X.hodge_b, lambda V: V.poly("x")),
     "chiy_sym_B": (lambda X: X.hodge_b, ob.chi_minus_y),
 }
 TWISTED_SYM = ("poincare_sym", "hodge_sym", "hodge_sym_B")
