@@ -147,19 +147,6 @@ class ManifoldData:
     def euler(self):
         return self.betti.euler()
 
-    def signature(self):
-        return genus(self.hodge, "signature")
-
-    def arithmetic_genus(self):
-        return genus(self.hodge, "arithmetic")
-
-    def chi_minus_y_poly(self, var="q", b_version=False):
-        """chi_(-y) as a polynomial in y: sum (-1)^(p+q) h^{p,q} y^p."""
-        table = self.hodge_b if b_version else self.hodge
-        if table is None:
-            raise ValueError("missing Hodge data on %s" % self.name)
-        return chi_minus_y(table, var)
-
     def has_duality(self):
         n2 = 2 * self.dim_real
         return all(
@@ -271,7 +258,7 @@ def _sign_f(X, T, order, cycles):
     """sum_{m <= cycles} eps_m sgn q^m + (chi - eps_m sgn)/2 q^(2m), the
     logarithm of prod_m (1-q^(2m))^(-chi/2) ((1+q^m)/(1-q^m))^(eps_m sgn/2);
     eps_m = -1 on even m when k = dim_C/2 is odd, else 1."""
-    chi, sgn, k = X.euler(), X.signature(), X.dim_c // 2
+    chi, sgn, k = X.euler(), genus(X.hodge, "signature"), X.dim_c // 2
     pairs = []
     for m in range(1, cycles + 1):
         e = -sgn if (k % 2 and m % 2 == 0) else sgn
@@ -344,7 +331,7 @@ KINDS = {
         lambda X, T, order, cycles: specialize(
             _chiy_orb_brute(X, T, order, cycles), {"y": 0}),
         lambda X, T, order, cycles: Series.term(
-            "q", order, X.arithmetic_genus(), {"q": 1})),
+            "q", order, genus(X.hodge, "arithmetic"), {"q": 1})),
         needs=(_HAS_HODGE,)),
     **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
@@ -526,8 +513,8 @@ def cross_checks(X, order=None, built=None):
         # input; an explicitly supplied B-table on other manifolds obeys
         # the series identities but not this relation.
         d = X.dim_c
-        lhs = X.chi_minus_y_poly("q", b_version=True)
-        flip = substitute(X.chi_minus_y_poly("q"), "y", {"y": -1})
+        lhs = chi_minus_y(X.hodge_b, "q")
+        flip = substitute(chi_minus_y(X.hodge, "q"), "y", {"y": -1})
         rhs = flip * Series.term("q", None, (-1) ** d, {"y": d})
         out.append(_compare("cross B-genus Serre duality", lhs, rhs, "q"))
 

@@ -1,9 +1,10 @@
 """Exact truncated power series in the variables q, p, t, x, y.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction) and
-exponents live in (1/2)Z.  Exponents are stored *doubled*, so that all
-bookkeeping is plain integer arithmetic: the monomial t^(3/2) q^2 is the
-key with doubled exponents t -> 3, q -> 4.
+Coefficients are exact rationals, the numbers Python's arithmetic produces:
+an int, or a fractions.Fraction where a value is not an integer, so integer
+series compute in plain int arithmetic.  Exponents live in (1/2)Z and are
+stored *doubled*, so that all bookkeeping is plain integer arithmetic: the
+monomial t^(3/2) q^2 is the key with doubled exponents t -> 3, q -> 4.
 
 Every series designates one counting variable -- always q or p here -- in
 which it is truncated: terms whose counting exponent exceeds the order are
@@ -11,6 +12,13 @@ dropped, and counting exponents must be nonnegative integers.  All other
 variables are exact and may carry negative (Laurent) exponents, which is
 sound because each fixed power of the counting variable has finitely many
 companions.
+
+Terms are validated once, where they enter: Series.from_terms (which term
+and constant go through), a scalar factor of *, and substitute's coeff take
+only int and Fraction coefficients (a bool enters as the int it equals), and
+from_terms checks the counting exponents.  Series(var, order, terms) is the
+internal constructor for terms already valid, such as the results of +, *,
+plethystic_exp, twist and substitute: it only drops zeros and truncates.
 
 One routine, substitute, replaces a variable by a monomial; specialize is
 substitute by constants, one variable after another.
@@ -42,12 +50,20 @@ class SeriesDomainError(ArithmeticError):
     to a strict half-integer exponent."""
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
+def _exact(c):
+    """An entering coefficient as an int, or a Fraction when it is not an
+    integer; a bool enters as the int it equals."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise SeriesUsageError("coefficients must be exact rationals, got %r" % (c,))
+
+
+def _counting_index(var):
+    if var not in COUNTING_VARS:
+        raise SeriesUsageError("counting variable must be q or p, got %r" % (var,))
+    return _VI[var]
 
 
 def _dexp(e):
@@ -93,25 +109,12 @@ class Series:
     __slots__ = ("var", "order", "terms")
 
     def __init__(self, var, order, terms=None):
-        if var not in COUNTING_VARS:
-            raise SeriesUsageError("counting variable must be q or p, got %r" % (var,))
+        ti = _counting_index(var)
         if order is not None and (not isinstance(order, int) or order < 0):
             raise SeriesUsageError("order must be a nonnegative integer or None")
-        ti = _VI[var]
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = _as_fraction(c)
-                if not c:
-                    continue
-                e = key[ti]
-                if e < 0 or e % 2:
-                    raise SeriesUsageError(
-                        "counting-variable exponents must be nonnegative integers"
-                    )
-                if order is not None and e > 2 * order:
-                    continue
-                clean[key] = c
+        cap = None if order is None else 2 * order
+        clean = {key: c for key, c in (terms or {}).items()
+                 if c and (cap is None or key[ti] <= cap)}
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
@@ -127,16 +130,23 @@ class Series:
 
     @classmethod
     def constant(cls, var, order=None, value=1):
-        return cls(var, order, {_ZERO_KEY: _as_fraction(value)})
+        return cls.from_terms(var, order, [(value, {})])
 
     @classmethod
     def from_terms(cls, var, order, pairs):
         """The sum of coeff * prod(v^e) over (coeff, {v: e}) pairs, with
-        exponents in (1/2)Z; duplicate monomials add and zeros drop."""
+        exponents in (1/2)Z; duplicate monomials add and zeros drop.  Each
+        coeff must be an int or a Fraction, and each counting exponent a
+        nonnegative integer."""
+        ti = _counting_index(var)
         terms = {}
         for coeff, exps in pairs:
             key = monomial_key(exps)
-            terms[key] = terms.get(key, 0) + _as_fraction(coeff)
+            if key[ti] < 0 or key[ti] % 2:
+                raise SeriesUsageError(
+                    "counting-variable exponents must be nonnegative integers"
+                )
+            terms[key] = terms.get(key, 0) + _exact(coeff)
         return cls(var, order, terms)
 
     @classmethod
@@ -182,26 +192,20 @@ class Series:
         return min(a, b)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
             other = Series.constant(self.var, None, other)
         self._check_same_var(other)
         order = self._min_order(self.order, other.order)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + c
         return Series(self.var, order, terms)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Series.zero(self.var, self.order)
+        if not isinstance(other, Series):
+            c = _exact(other)
             return Series(self.var, self.order, {k: c * v for k, v in self.terms.items()})
         self._check_same_var(other)
         order = self._min_order(self.order, other.order)
@@ -214,11 +218,7 @@ class Series:
                 if cap is not None and e1 + k2[ti] > cap:
                     continue
                 key = _mul_key(k1, k2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                terms[key] = terms.get(key, 0) + c1 * c2
         return Series(self.var, order, terms)
 
     __rmul__ = __mul__
@@ -253,10 +253,6 @@ class Series:
         return "Series(%r, order=%r: %s)" % (self.var, self.order, str(self))
 
 
-def _render_coeff(c):
-    return str(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
 def _render_term(var, key, c):
     factors = []
     for v in _TIEBREAK:
@@ -278,11 +274,11 @@ def _render_term(var, key, c):
         factors.append("%s^%d" % (var, d // 2))
     a = abs(c)
     if not factors:
-        return _render_coeff(a)
+        return str(a)
     mono = "*".join(factors)
     if a == 1:
         return mono
-    return "%s*%s" % (_render_coeff(a), mono)
+    return "%s*%s" % (a, mono)
 
 
 # -- expansion primitives ----------------------------------------------------
@@ -296,8 +292,9 @@ def plethystic_exp(f):
     positive power of the counting variable.  Writing f = sum_d f_d q^d and
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
-    on Laurent polynomials in t, x, y.  Coefficients stay plain integers
-    when f is integral (the division by n is then exact).
+    on Laurent polynomials in t, x, y.  When f is integral the division by
+    n is exact and stays in int; otherwise it is Fraction(c, n), never the
+    float c / n.
     """
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")
@@ -310,7 +307,7 @@ def plethystic_exp(f):
             raise SeriesUsageError("plethystic_exp needs every term to carry "
                                    "the counting variable")
         base = key[:ti] + (0,) + key[ti + 1:]
-        c = d * (c.numerator if integral else c)
+        c = d * c
         for j in range(1, order // d + 1):
             mono = _scale_key(base, j)
             D[d * j][mono] = D[d * j].get(mono, 0) + c
@@ -324,7 +321,7 @@ def plethystic_exp(f):
                 for m2, c2 in Fk:
                     mono = _mul_key(m1, m2)
                     acc[mono] = acc.get(mono, 0) + c1 * c2
-        F.append([(mono, c // n if integral else c / n)
+        F.append([(mono, c // n if integral else Fraction(c, n))
                   for mono, c in acc.items() if c])
         for mono, c in F[n]:
             terms[mono[:ti] + (2 * n,) + mono[ti + 1:]] = c
@@ -358,7 +355,7 @@ def substitute(s, v, exps, coeff=1):
     power of zero, or coeff at a strict half-integer exponent other than 1
     and 0, raises SeriesDomainError.
     """
-    coeff = _as_fraction(coeff)
+    coeff = _exact(coeff)
     if v not in _VI:
         raise SeriesUsageError("unknown variable %r" % (v,))
     rkey = monomial_key(exps)
@@ -413,11 +410,7 @@ def substitute(s, v, exps, coeff=1):
             raise SeriesUsageError(
                 "substitution produced a negative counting exponent"
             )
-        t = terms.get(key, 0) + c
-        if t:
-            terms[key] = t
-        else:
-            del terms[key]
+        terms[key] = terms.get(key, 0) + c
     return Series(new_var, new_order, terms)
 
 
@@ -428,7 +421,10 @@ def _rational_power(base, d):
             raise SeriesDomainError("zero raised to a negative power")
         return base
     if d % 2 == 0:
-        return base ** (d // 2)
+        if d > 0:
+            return base ** (d // 2)
+        # an int base would turn into a float under a negative power
+        return _exact(Fraction(base) ** (d // 2))
     if base == 1:
         return base
     raise SeriesDomainError(
@@ -455,8 +451,8 @@ def first_mismatch(a, b):
     a._check_same_var(b)
     keys = set(a.terms) | set(b.terms)
     for key in sorted(keys, key=a._sort_key):
-        ca = a.terms.get(key, Fraction(0))
-        cb = b.terms.get(key, Fraction(0))
+        ca = a.terms.get(key, 0)
+        cb = b.terms.get(key, 0)
         if ca != cb:
             return key, ca, cb
     return None
@@ -483,6 +479,5 @@ def render_head(s, limit):
 
 def render_key(var, key):
     """Canonical text for a bare monomial (used in mismatch reports)."""
-    body = _render_term(var, key, Fraction(1))
-    return body
+    return _render_term(var, key, 1)
 

@@ -95,8 +95,8 @@ def test_criterion_4_b_algebra_versions(catalog):
         # Serre duality for the polyvector genus: the B-series equals
         # (-1)^d y^d times chi_(-1/y); coefficientwise over the y-support
         d = X.dim_c
-        lhs = X.chi_minus_y_poly("q", b_version=True)
-        rhs = substitute(X.chi_minus_y_poly("q"), "y", {"y": -1}) * \
+        lhs = ob.chi_minus_y(X.hodge_b, "q")
+        rhs = substitute(ob.chi_minus_y(X.hodge, "q"), "y", {"y": -1}) * \
             Series.term("q", None, (-1) ** d, {"y": d})
         assert lhs == rhs, "Serre relation fails on %s" % name
     print("ACCEPTANCE 4 (B-algebra versions and Serre duality): PASS")

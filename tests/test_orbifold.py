@@ -47,8 +47,8 @@ def test_from_hodge_derives_betti(catalog):
     k3 = catalog["k3"]
     assert k3.betti == GradedDims({(0, 0): 1, (4, 0): 22, (8, 0): 1})
     assert k3.euler() == 24
-    assert k3.signature() == -16
-    assert k3.arithmetic_genus() == 2
+    assert ob.genus(k3.hodge, "signature") == -16
+    assert ob.genus(k3.hodge, "arithmetic") == 2
 
 
 def test_betti_hodge_consistency_enforced():
@@ -301,6 +301,18 @@ def test_constant_terms_are_one(catalog):
             for build in (ob.brute_series, ob.closed_series):
                 assert build(kind, X, 3).counting_coefficient(0) \
                     == {(0, 0, 0, 0, 0): 1}
+
+
+def test_catalog_series_hold_only_int_coefficients(catalog):
+    # integer generating functions are computed in plain int arithmetic
+    for X in catalog.values():
+        for kind in ob.SERIES_KINDS:
+            if ob.applicability(kind, X):
+                continue
+            order = ob.default_order(kind, X)
+            for build in (ob.brute_series, ob.closed_series):
+                types = {type(c) for c in build(kind, X, order).terms.values()}
+                assert types == {int}, (kind, X.name, build.__name__, types)
 
 
 def test_brute_coefficients_nonnegative_for_dimension_kinds(catalog):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symprod.series import (
+    VARS,
     Series,
     SeriesDomainError,
     SeriesUsageError,
@@ -47,6 +48,22 @@ def test_from_terms_rejects_float_coefficients():
         Series.from_terms("q", 2, [(1.5, {"q": 1})])
     with pytest.raises(SeriesUsageError):
         Series.from_terms("q", 2, [(1.5, {"q": 1}), (-1.5, {"q": 1})])
+    # counting exponents are checked where terms enter, even beyond the order
+    for q in (-1, H, Fraction(21, 2)):
+        with pytest.raises(SeriesUsageError):
+            Series.from_terms("q", 2, [(1, {"q": q})])
+    s = S([(1, {"q": 1})], 2)
+    with pytest.raises(SeriesUsageError):
+        s * 1.5
+    with pytest.raises(SeriesUsageError):
+        1.5 * s
+    with pytest.raises(SeriesUsageError):
+        s + 1.5
+    # a bool enters as the int it equals
+    one = Series.constant("q", 2, True)
+    assert str(one) == "1"
+    assert [type(c) for c in one.terms.values()] == [int]
+    assert [type(c) for c in (s * True).terms.values()] == [int]
 
 
 # ---------------------------------------------------------------- add / mul
@@ -464,3 +481,71 @@ def test_plethystic_exp_turns_sums_into_products(a, b):
     a, b = (Series("q", 3, {k: c for k, c in s.terms.items() if k[0]})
             for s in (a, b))
     assert plethystic_exp(a + b) == plethystic_exp(a) * plethystic_exp(b)
+
+
+# ------------------------------------------------------ exact coefficients (pbt)
+# A result holds ints, or Fractions where Python's arithmetic makes them:
+# never a float (an int divided by /) and never a bool (which renders True).
+
+exact_coeffs = st.one_of(st.integers(-3, 3), st.booleans(),
+                         st.integers(-3, 3).map(Fraction),
+                         st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def exact_series(draw):
+    """(series, whether every drawn coefficient is an integer)."""
+    terms = draw(st.lists(st.tuples(exact_coeffs, st.fixed_dictionaries(
+        {"q": st.integers(0, 3)},
+        optional={v: st.integers(-2, 2) for v in "txy"})), max_size=5))
+    return S(terms, 3), all(Fraction(c).denominator == 1 for c, _ in terms)
+
+
+def assert_exact(s, integral):
+    for c in s.terms.values():
+        assert type(c) is int if integral else type(c) in (int, Fraction), c
+
+
+def is_integer(c):
+    return Fraction(c).denominator == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_series(), exact_series(), exact_coeffs)
+def test_results_hold_exact_coefficients(a, b, c):
+    (a, ia), (b, ib) = a, b
+    assert_exact(a, ia)
+    assert_exact(a + b, ia and ib)
+    assert_exact(a * b, ia and ib)
+    assert_exact(a * c, ia and is_integer(c))
+    assert_exact(c * a, ia and is_integer(c))
+    assert_exact(twist(a), ia)
+    f = Series("q", 3, {k: v for k, v in a.terms.items() if k[0]})
+    assert_exact(plethystic_exp(f), ia)
+    assert_exact(twist(plethystic_exp(twist(f))), ia)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_series(), st.sampled_from("txy"),
+       st.dictionaries(st.sampled_from("txy"), st.integers(-2, 2),
+                       max_size=2), exact_coeffs)
+def test_substitution_holds_exact_coefficients(a, v, exps, coeff):
+    a, ia = a
+    # coeff^e is an integer for every power e of v present
+    integral = ia and is_integer(coeff) and (
+        coeff in (-1, 1) or all(k[VARS.index(v)] >= 0 for k in a.terms))
+    try:
+        got = substitute(a, v, exps, coeff)
+    except SeriesDomainError:
+        assert coeff == 0
+        return
+    assert_exact(got, integral)
+    assert_exact(specialize(a, {v: coeff}), integral)
+    assert_exact(specialize(got, {w: -1 for w in "txy"}), integral)
+
+
+def test_specialize_negative_power_is_a_fraction_not_a_float():
+    got = specialize(S([(1, {"y": -1, "q": 1})], 2), {"y": 2})
+    assert list(got.terms.items()) == [(monomial_key({"q": 1}), H)]
+    assert type(got.terms[monomial_key({"q": 1})]) is Fraction
+    assert str(got) == "1/2*q"
