@@ -227,11 +227,9 @@ def cmd_verify_all(args):
 
 
 def cmd_catalog(args):
-    if args.action == "list":
-        for name in catalog_names():
-            print(name)
-        return 0
-    raise InputError("unknown catalog action %r" % (args.action,))
+    for name in catalog_names():
+        print(name)
+    return 0
 
 
 def _nonnegative_int(text):

@@ -9,8 +9,8 @@ symmetrically, odd generators anticommute (so they square to zero).
 
 The constructor only drops zero entries.  Input tables are validated once,
 where they enter (ManifoldData), so the internal products build maps without
-re-checking them.  A half-integer total degree has no parity: sym_power and
-euler, which need parities, reject it once per block.
+re-checking them.  A half-integer total degree has no parity: sym_powers
+and euler, which need parities, reject it once per block.
 """
 
 from math import comb
@@ -83,37 +83,38 @@ class GradedDims:
             out[p + q, 0] = out.get((p + q, 0), 0) + b
         return GradedDims(out)
 
-    def sym_power(self, n):
-        """n-th super symmetric power, by per-block convolution.
-
-        Each even block of dimension b contributes multisets (C(b+j-1, j)
-        ways for j particles), each odd block subsets (C(b, j) ways); a DP
-        over the total particle count glues the blocks together.  Exact
-        integer counts.
-        """
+    def sym_powers(self, n):
+        """Super symmetric powers Sym^n, Sym^(n-1), ..., Sym^0 from one
+        per-block convolution: each even block of dimension b contributes
+        multisets (C(b+j-1, j) ways for j particles), each odd block subsets
+        (C(b, j) ways).  Exact integer counts.  Being a generator, it raises
+        only when advanced: ValueError on n < 0 or a half-integer degree."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         slots = [{} for _ in range(n + 1)]
         slots[0][0, 0] = 1
         blocks = self._blocks()
         for i, (p, q, b, odd) in enumerate(blocks):
-            # in place, top down, so slots[used] is read before this block
-            # reaches it (j = 0 keeps it); the last block only fills slots[n]
-            last = i == len(blocks) - 1
-            for used in range(n - 1, -1, -1):
-                here = slots[used]
-                if not here:
-                    continue
-                for j in range(n - used if last else 1, n + 1 - used):
+            # in place, top down: slots below top still hold the earlier
+            # blocks; on the last block each finished slot leaves at once
+            for top in range(n, -1, -1):
+                tgt = slots[top]
+                for j in range(1, top + 1):
                     ways = comb(b, j) if odd else comb(b + j - 1, j)
                     if not ways:
                         break
-                    tgt = slots[used + j]
                     dp, dq = j * p, j * q
-                    for (p0, q0), c in here.items():
+                    for (p0, q0), c in slots[top - j].items():
                         k = (p0 + dp, q0 + dq)
                         tgt[k] = tgt.get(k, 0) + c * ways
-        return GradedDims(slots[n])
+                if i == len(blocks) - 1:
+                    yield GradedDims(slots.pop())
+        while slots:  # no blocks: Sym^0 is the unit, the rest vanish
+            yield GradedDims(slots.pop())
+
+    def sym_power(self, n):
+        """n-th super symmetric power: what sym_powers yields first."""
+        return next(self.sym_powers(n))
 
     def poly(self, x):
         """sum dim x^p y^q as an exact Series: the Poincare polynomial of a

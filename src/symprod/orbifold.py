@@ -10,10 +10,10 @@ functions are computed here in exact arithmetic, so any claimed identity can
 be checked coefficient by coefficient.
 
 The brute side is one sector sum, _sector_sum.  Each kind names a
-block(l, N), the invariant of Sym^N(H*X) regraded for N l-cycles.  The sum
-over cycle types of prod_l block(l, N_l) is the truncated product over
-cycle lengths l of sum_N block(l, N) q^(lN).  Blocks are ints, dims (which
-support + and *) or Series.
+level(l, count): block(l, N) for N = 0..count, the invariants of Sym^N(H*X)
+regraded for N l-cycles, from one symmetric-power DP.  The sum over cycle
+types of prod_l block(l, N_l) is the truncated product over cycle lengths l
+of sum_N block(l, N) q^(lN).  Blocks are ints, dims (+ and *) or Series.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -48,7 +48,7 @@ each: a lhs kind under substitutions equals a rhs kind (chiy_orb(y=1) =
 euler_orb).
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -106,9 +106,8 @@ class ManifoldData:
         hodge = _table_from_rows(rows)
         hodge_b = _table_from_rows(hodge_b_rows) if hodge_b_rows else None
         betti = hodge.collapse()
-        X = cls(name, 2 * dim_c, betti, dim_c=dim_c, hodge=hodge,
-                hodge_b=hodge_b, calabi_yau=calabi_yau, pairing=pairing)
-        return X
+        return cls(name, 2 * dim_c, betti, dim_c=dim_c, hodge=hodge,
+                   hodge_b=hodge_b, calabi_yau=calabi_yau, pairing=pairing)
 
     def _validate(self):
         if any(b < 0 for table in (self.betti, self.hodge, self.hodge_b)
@@ -187,9 +186,10 @@ def chi_minus_y(table, var="q"):
     Well defined for any admissible bigrading (p + q is an integer even when
     p and q are halves), and multiplicative under tensor product.
     """
-    return Series.from_terms(var, None, (
-        (-h if ((dp + dq) // 2) % 2 else h, {"y": Fraction(dp, 2)})
-        for (dp, dq), h in table.dims.items()))
+    terms = Counter()
+    for (dp, dq), h in table.dims.items():  # y is the last of series.VARS
+        terms[0, 0, 0, 0, dp] += -h if ((dp + dq) // 2) % 2 else h
+    return Series(var, None, terms)
 
 
 def genus(table, which):
@@ -210,39 +210,41 @@ def genus(table, which):
 # -- series kinds --------------------------------------------------------------
 
 
-def _sector_sum(order, cycles, block, step=lambda value: value):
-    """sum_n q^n step(c_n), c_n the sum over the cycle types of S_n with no
-    cycle longer than cycles of prod_l block(l, N_l).
+def _sector_sum(order, cycles, level, step=lambda value: value):
+    """sum_n q^n step(c_n), c_n the q^n coefficient of prod_{l <= cycles}
+    sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks.
 
-    block(l, N) is the invariant of the N l-cycles of a sector: Sym^N of
-    H*(X), regraded for their (l - 1) N moved cycles.  By distributivity
-    c_n is the q^n coefficient of prod_{l <= cycles} sum_N block(l, N)
-    q^(lN).  c starts as the l = 1 factor, block(1, n), the untwisted
-    sector Sym^n, and takes in one further cycle length per pass, updating
+    c starts as a copy of level(1, order), the untwisted sectors (a level
+    may share its list), and takes in one further cycle length per pass,
     from the top down, so each c[n - lN] it reads still holds the product
-    over the shorter lengths.  Each block is computed once.  The parts of
-    the result lie in distinct powers of q, so their terms never collide.
-    """
-    c = [block(1, n) for n in range(order + 1)]
+    over the shorter lengths.  Each level is computed once.  The parts of
+    the result lie in distinct powers of q, so their terms never collide."""
+    c = list(level(1, order))
     for l in range(2, cycles + 1):
-        level = [block(l, N) for N in range(order // l + 1)]
+        blocks = level(l, order // l)
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
-                c[n] += c[n - l * N] * level[N]
+                c[n] += c[n - l * N] * blocks[N]
     terms = {}
     for n in range(order + 1):
         terms.update((step(c[n]) * Series.term("q", order, 1, {"q": n})).terms)
     return Series("q", order, terms)
 
 
+def _genus_sum(T, order, cycles, inv, weight=lambda l, nl: 1):
+    """_sector_sum of blocks weight(l, N) * inv(Sym^N T), weight 1 at l = 1;
+    one DP serves every l, and map frees each Sym^N before the DP resumes."""
+    invs = [*map(inv, T.sym_powers(order))][::-1]
+    return _sector_sum(order, cycles, lambda l, top: invs[:top + 1] if l == 1
+                       else [weight(l, N) * invs[N] for N in range(top + 1)])
+
+
 def _chiy_orb_brute(X, T, order, cycles):
     """Sector genera taken on the untwisted quotient (plain symmetric powers,
     integer bidegrees), each l-cycle weighted by the exact monomial
     y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    return _sector_sum(order, cycles,
-                       lambda l, nl: chi_minus_y(T.sym_power(nl))
-                       * Series.term("q", None, 1,
-                                     {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
+    return _genus_sum(T, order, cycles, chi_minus_y, lambda l, nl: Series.term(
+        "q", None, 1, {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
 
 
 def _levels(poly, order, shift, cycles):
@@ -300,24 +302,23 @@ def _family(name, spec, **overrides):
 KINDS = {
     **_family("euler", KindSpec(
         "q", (), False, None, "hodge",
-        lambda X, T, order, cycles: _sector_sum(
-            order, cycles, lambda l, nl: X.betti.sym_power(nl).euler()),
+        lambda X, T, order, cycles: _genus_sum(
+            X.betti, order, cycles, GradedDims.euler),
         lambda X, T, order, cycles: _levels(
             Series.constant("q", None, X.euler()), order, {}, cycles))),
     **_family("poincare", KindSpec(
         "q", (), True, None, "hodge",
         lambda X, T, order, cycles: _sector_sum(
-            order, cycles,
-            lambda l, nl: X.betti.shift(2 * X.m * (l - 1)).sym_power(nl),
+            order, cycles, lambda l, top: [
+                *X.betti.shift(2 * X.m * (l - 1)).sym_powers(top)][::-1],
             lambda dims: dims.poly("t")),
         lambda X, T, order, cycles: _levels(
             X.betti.poly("t"), order, {"t": X.m}, cycles))),
     **_family("hodge", KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
         lambda X, T, order, cycles: _sector_sum(
-            order, cycles,
-            lambda l, nl: T.shift(X.dim_c * (l - 1),
-                                  X.dim_c * (l - 1)).sym_power(nl),
+            order, cycles, lambda l, top: [*T.shift(
+                X.dim_c * (l - 1), X.dim_c * (l - 1)).sym_powers(top)][::-1],
             lambda dims: dims.poly("x")),
         lambda X, T, order, cycles: _levels(T.poly("x"), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
@@ -335,9 +336,9 @@ KINDS = {
         needs=(_HAS_HODGE,)),
     **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
-        lambda X, T, order, cycles: _sector_sum(
-            order, cycles, lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)
-            * genus(T.sym_power(nl), "signature")),
+        lambda X, T, order, cycles: _genus_sum(
+            T, order, cycles, lambda dims: genus(dims, "signature"),
+            lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)),
         _sign_f),
         needs=(_HAS_HODGE,)),
 }

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sym_power_oracle
@@ -129,6 +129,35 @@ def small_graded(draw):
         )
     )
     return G(support)
+
+
+@st.composite
+def small_bigraded(draw):
+    corner = st.integers(min_value=0, max_value=2)
+    return B(draw(st.dictionaries(st.tuples(corner, corner),
+                                  st.integers(min_value=1, max_value=2),
+                                  max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graded(), small_bigraded()),
+       st.integers(min_value=0, max_value=4))
+@example(GradedDims({}), 3)
+@example(G({1: 2, 3: 1}), 4)
+@example(K3, 0)
+def test_sym_powers_yield_every_power_from_the_top(v, n):
+    assert list(v.sym_powers(n))[::-1] == [sym_power_oracle(v, N)
+                                           for N in range(n + 1)]
+    assert v.sym_power(n) == next(v.sym_powers(n))
+
+
+def test_sym_powers_raise_when_first_advanced():
+    negative = G({0: 1}).sym_powers(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(negative)
+    half = GradedDims({(1, 0): 1}).sym_powers(2)
+    with pytest.raises(ValueError, match="half-integer"):
+        next(half)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb
@@ -187,11 +188,13 @@ def q_power(c, order, n):
     return c * Series.term("q", order, 1, {"q": n})
 
 
-def cycle_type_sector_sum(order, cycles, block, step=lambda value: value):
+def cycle_type_sector_sum(order, cycles, level, step=lambda value: value):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) per cycle type of S_n with no cycle longer than
-    cycles, summed."""
-    block = cache(block)
+    cycles, summed.  Each block(l, N) is the top of its own level(l, N), so
+    the kinds whose levels run a DP per call take each Sym^N from its own
+    DP, not from the one DP per level of _sector_sum."""
+    block = cache(lambda l, nl: level(l, nl)[nl])
 
     def sectors(n):
         terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
@@ -204,12 +207,13 @@ def cycle_type_sector_sum(order, cycles, block, step=lambda value: value):
 
 
 def test_sector_sum_counts_partitions():
-    got = ob._sector_sum(8, 8, lambda l, nl: 1)
+    ones = lambda l, count: [1] * (count + 1)
+    got = ob._sector_sum(8, 8, ones)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     # partitions into parts of length at most 1 and at most 2
-    got = ob._sector_sum(8, 1, lambda l, nl: 1)
+    got = ob._sector_sum(8, 1, ones)
     assert scalar_coeffs(got, 8) == [1] * 9
-    got = ob._sector_sum(8, 2, lambda l, nl: 1)
+    got = ob._sector_sum(8, 2, ones)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
@@ -226,6 +230,23 @@ def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
     monkeypatch.setattr(ob, "_sector_sum", cycle_type_sector_sum)
     for (kind, n), series in got.items():
         assert ob.brute_series(kind, X, n) == series, (kind, n)
+
+
+def test_brute_peak_memory_stays_within_one_top_power(catalog):
+    # the invariant kinds reduce each Sym^N as it is yielded, so at most one
+    # finished power is alive beside the DP's partial slots
+    k3 = catalog["k3"]
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: k3.hodge.sym_power(18))
+    assert peak(lambda: ob.brute_series("sign_orb", k3, 18)) <= 1.25 * alone
 
 
 def test_symprod_dims_p1_is_projective_space(catalog):
