@@ -59,23 +59,6 @@ class GradedDims:
         return GradedDims({(p + dp, q + dq): b
                            for (p, q), b in self.dims.items()})
 
-    def dsum(self, other):
-        out = dict(self.dims)
-        for k, b in other.dims.items():
-            out[k] = out.get(k, 0) + b
-        return GradedDims(out)
-
-    def tensor(self, other):
-        out = {}
-        for (p1, q1), b1 in self.dims.items():
-            for (p2, q2), b2 in other.dims.items():
-                k = (p1 + p2, q1 + q2)
-                out[k] = out.get(k, 0) + b1 * b2
-        return GradedDims(out)
-
-    __add__ = dsum
-    __mul__ = tensor
-
     def collapse(self):
         """Collapse to the total grading: (p, q) -> (p + q, 0)."""
         out = {}

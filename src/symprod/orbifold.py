@@ -13,7 +13,9 @@ The brute side is one sector sum, _sector_sum.  Each kind names a
 level(l, count): block(l, N) for N = 0..count, the invariants of Sym^N(H*X)
 regraded for N l-cycles, from one symmetric-power DP.  The sum over cycle
 types of prod_l block(l, N_l) is the truncated product over cycle lengths l
-of sum_N block(l, N) q^(lN).  Blocks are ints, dims (+ and *) or Series.
+of sum_N block(l, N) q^(lN).  Every block is a {code: coeff} map of one
+series.Codec, packed as the DP yields its Sym^N (an int v is {0: v}), and
+the product runs on series.mul_add.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -54,9 +56,11 @@ from functools import cache
 
 from .graded import GradedDims
 from .series import (
+    Codec,
     Series,
     first_mismatch,
     mismatch_counts,
+    mul_add,
     plethystic_exp,
     render_head,
     render_key,
@@ -210,41 +214,61 @@ def genus(table, which):
 # -- series kinds --------------------------------------------------------------
 
 
-def _sector_sum(order, cycles, level, step=lambda value: value):
-    """sum_n q^n step(c_n), c_n the q^n coefficient of prod_{l <= cycles}
-    sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks.
+def _sector_sum(order, cycles, level, codec):
+    """sum_n c_n q^n, c_n the q^n coefficient of prod_{l <= cycles}
+    sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
+    as {code: coeff} maps of codec, which no exponent of a c_n outgrows.
 
     c starts as a copy of level(1, order), the untwisted sectors (a level
-    may share its list), and takes in one further cycle length per pass,
-    from the top down, so each c[n - lN] it reads still holds the product
-    over the shorter lengths.  Each level is computed once.  The parts of
-    the result lie in distinct powers of q, so their terms never collide."""
-    c = list(level(1, order))
+    may share its list and maps), and takes in one further cycle length per
+    pass, from the top down, so each c[n - lN] it reads still holds the
+    product over the shorter lengths while mul_add accumulates into c[n] in
+    place.  Each level is computed once."""
+    c = [dict(block) for block in level(1, order)]
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
-                c[n] += c[n - l * N] * blocks[N]
-    terms = {}
-    for n in range(order + 1):
-        terms.update((step(c[n]) * Series.term("q", order, 1, {"q": n})).terms)
-    return Series("q", order, terms)
+                mul_add(c[n], c[n - l * N], blocks[N])
+    return codec.series("q", order, c)
 
 
-def _genus_sum(T, order, cycles, inv, weight=lambda l, nl: 1):
-    """_sector_sum of blocks weight(l, N) * inv(Sym^N T), weight 1 at l = 1;
-    one DP serves every l, and map frees each Sym^N before the DP resumes."""
+def _codec(T, order, shift=0):
+    """Codec of a sector sum over T regraded by at most shift per moved
+    cycle: block(l, N) has no exponent above N (r + (l - 1) shift) <=
+    lN max(r, shift), r the largest of T, so c_n none above n max(r, shift),
+    and q^n adds 2n."""
+    return Codec(order * max([2, shift] + [abs(d) for k in T.dims for d in k]))
+
+
+def _poly_sum(T, order, cycles, x, dp, dq=0):
+    """_sector_sum of the Sym^N T shifted by (dp, dq) per moved cycle, one
+    DP per cycle length, each power packed as its poly(x) when yielded."""
+    codec = _codec(T, order, max(dp, dq))
+    return _sector_sum(order, cycles, lambda l, top: [*map(
+        lambda dims: codec.packed(dims.poly(x)),
+        T.shift(dp * (l - 1), dq * (l - 1)).sym_powers(top))][::-1], codec)
+
+
+def _genus_sum(T, order, cycles, codec, inv, weight=lambda l, nl: {0: 1}):
+    """_sector_sum of blocks weight(l, N) * inv(Sym^N T), both {code: coeff}
+    maps of codec, weight 1 at l = 1; one DP serves every l, and map frees
+    each Sym^N before the DP resumes."""
     invs = [*map(inv, T.sym_powers(order))][::-1]
     return _sector_sum(order, cycles, lambda l, top: invs[:top + 1] if l == 1
-                       else [weight(l, N) * invs[N] for N in range(top + 1)])
+                       else [mul_add({}, weight(l, N), invs[N])
+                             for N in range(top + 1)], codec)
 
 
 def _chiy_orb_brute(X, T, order, cycles):
     """Sector genera taken on the untwisted quotient (plain symmetric powers,
     integer bidegrees), each l-cycle weighted by the exact monomial
     y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    return _genus_sum(T, order, cycles, chi_minus_y, lambda l, nl: Series.term(
+    codec = _codec(T, order, X.dim_c)
+    weight = lambda l, nl: codec.packed(Series.term(
         "q", None, 1, {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
+    return _genus_sum(T, order, cycles, codec,
+                      lambda dims: codec.packed(chi_minus_y(dims)), weight)
 
 
 def _levels(poly, order, shift, cycles):
@@ -303,23 +327,20 @@ KINDS = {
     **_family("euler", KindSpec(
         "q", (), False, None, "hodge",
         lambda X, T, order, cycles: _genus_sum(
-            X.betti, order, cycles, GradedDims.euler),
+            X.betti, order, cycles, _codec(X.betti, order),
+            lambda dims: {0: dims.euler()}),
         lambda X, T, order, cycles: _levels(
             Series.constant("q", None, X.euler()), order, {}, cycles))),
     **_family("poincare", KindSpec(
         "q", (), True, None, "hodge",
-        lambda X, T, order, cycles: _sector_sum(
-            order, cycles, lambda l, top: [
-                *X.betti.shift(2 * X.m * (l - 1)).sym_powers(top)][::-1],
-            lambda dims: dims.poly("t")),
+        lambda X, T, order, cycles: _poly_sum(
+            X.betti, order, cycles, "t", 2 * X.m),
         lambda X, T, order, cycles: _levels(
             X.betti.poly("t"), order, {"t": X.m}, cycles))),
     **_family("hodge", KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order, cycles: _sector_sum(
-            order, cycles, lambda l, top: [*T.shift(
-                X.dim_c * (l - 1), X.dim_c * (l - 1)).sym_powers(top)][::-1],
-            lambda dims: dims.poly("x")),
+        lambda X, T, order, cycles: _poly_sum(
+            T, order, cycles, "x", X.dim_c, X.dim_c),
         lambda X, T, order, cycles: _levels(T.poly("x"), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
     **_family("chiy", KindSpec(
@@ -337,8 +358,9 @@ KINDS = {
     **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
         lambda X, T, order, cycles: _genus_sum(
-            T, order, cycles, lambda dims: genus(dims, "signature"),
-            lambda l, nl: (-1) ** (X.dim_c // 2 * (l - 1) * nl)),
+            T, order, cycles, _codec(T, order),
+            lambda dims: {0: genus(dims, "signature")},
+            lambda l, nl: {0: (-1) ** (X.dim_c // 2 * (l - 1) * nl)}),
         _sign_f),
         needs=(_HAS_HODGE,)),
 }

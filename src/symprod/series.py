@@ -23,6 +23,11 @@ plethystic_exp, twist and substitute: it only drops zeros and truncates.
 One routine, substitute, replaces a variable by a monomial; specialize is
 substitute by constants, one variable after another.
 
+The hot product loops, in plethystic_exp and the brute sector sum, run
+on a Codec: it packs each key into one int, so monomials multiply by adding
+ints, and mul_add accumulates acc += a * b over sparse {code: coeff} maps.
+Every Series still holds 5-tuple keys.
+
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
 it combines with finite orders as "no constraint".
@@ -35,7 +40,6 @@ VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
 
 _VI = {v: i for i, v in enumerate(VARS)}
-_ZERO_KEY = (0, 0, 0, 0, 0)
 # canonical secondary ordering of the non-counting exponents
 _TIEBREAK = ("t", "x", "y", "p", "q")
 
@@ -90,10 +94,6 @@ def monomial_key(exps):
 
 def _mul_key(k1, k2):
     return (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3], k1[4] + k2[4])
-
-
-def _scale_key(k, j):
-    return (j * k[0], j * k[1], j * k[2], j * k[3], j * k[4])
 
 
 def half_str(d):
@@ -281,6 +281,60 @@ def _render_term(var, key, c):
     return "%s*%s" % (a, mono)
 
 
+# -- packed monomials --------------------------------------------------------
+
+
+class Codec:
+    """Keys packed into ints: the five doubled exponents are the balanced
+    (signed) digits of one int in base 2^width, y the least significant, so
+    Laurent and half-integer exponents stay exact and the code of a product
+    of monomials is the sum of their codes.  Exact while no exponent of a
+    code the caller forms exceeds bound in absolute value; width adds a sign
+    bit and a carry bit."""
+
+    def __init__(self, bound):
+        w = self.width = bound.bit_length() + 2
+        self.mask, self.half = (1 << w) - 1, 1 << w - 1
+        self.shifts = range(4 * w, -1, -w)
+        # half the base in every digit makes the digits of a code nonnegative
+        self.bias = self.pack([self.half] * 5)
+
+    def pack(self, key):
+        code = 0
+        for e in key:
+            code = (code << self.width) + e
+        return code
+
+    def unpack(self, code):
+        v, mask, half, key = code + self.bias, self.mask, self.half, []
+        for s in self.shifts:
+            key.append((v >> s & mask) - half)
+        return tuple(key)
+
+    def packed(self, s):
+        """The {code: coeff} map of the Series s."""
+        return {self.pack(key): c for key, c in s.terms.items()}
+
+    def series(self, var, order, coeffs):
+        """The Series sum_n coeffs[n] var^n of {code: coeff} maps that hold
+        no power of var, each term unpacked once."""
+        step = self.pack(monomial_key({var: 1}))
+        return Series(var, order, {self.unpack(code + n * step): c
+                                   for n, cn in enumerate(coeffs)
+                                   for code, c in cn.items()})
+
+
+def mul_add(acc, a, b):
+    """acc += a * b on {code: coeff} maps of one Codec, in place; returns
+    acc.  Cancelled terms stay as zeros for the caller to drop."""
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
 # -- expansion primitives ----------------------------------------------------
 
 
@@ -292,40 +346,35 @@ def plethystic_exp(f):
     positive power of the counting variable.  Writing f = sum_d f_d q^d and
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
-    on Laurent polynomials in t, x, y.  When f is integral the division by
-    n is exact and stays in int; otherwise it is Fraction(c, n), never the
-    float c / n.
+    on Laurent polynomials in t, x, y, held as {code: coeff} maps of one
+    Codec and unpacked once per term of the result.  When f is integral
+    the division by n is exact and stays in int; otherwise it is
+    Fraction(c, n), never the float c / n.
     """
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")
     order, ti = f.order, _VI[f.var]
     integral = f.is_integral()
-    D = [{} for _ in range(order + 1)]
+    # a monomial of D_k is at most k times one of f, a monomial of F_n a
+    # product of D_k with the k summing to n, and the result adds 2n at ti
+    codec = Codec(order * max([2] + [abs(e) for key in f.terms for e in key]))
+    D = [Counter() for _ in range(order + 1)]
     for key, c in f.terms.items():
         d = key[ti] // 2
         if d == 0:
             raise SeriesUsageError("plethystic_exp needs every term to carry "
                                    "the counting variable")
-        base = key[:ti] + (0,) + key[ti + 1:]
-        c = d * c
+        base = codec.pack(key[:ti] + (0,) + key[ti + 1:])
         for j in range(1, order // d + 1):
-            mono = _scale_key(base, j)
-            D[d * j][mono] = D[d * j].get(mono, 0) + c
-    D = [[(mono, c) for mono, c in Dk.items() if c] for Dk in D]
-    F, terms = [[(_ZERO_KEY, 1)]], {_ZERO_KEY: 1}
+            D[d * j][j * base] += d * c
+    F = [{0: 1}]
     for n in range(1, order + 1):
         acc = {}
         for k in range(1, n + 1):
-            Fk = F[n - k]
-            for m1, c1 in D[k]:
-                for m2, c2 in Fk:
-                    mono = _mul_key(m1, m2)
-                    acc[mono] = acc.get(mono, 0) + c1 * c2
-        F.append([(mono, c // n if integral else Fraction(c, n))
-                  for mono, c in acc.items() if c])
-        for mono, c in F[n]:
-            terms[mono[:ti] + (2 * n,) + mono[ti + 1:]] = c
-    return Series(f.var, order, terms)
+            mul_add(acc, D[k], F[n - k])
+        F.append({code: c // n if integral else Fraction(c, n)
+                  for code, c in acc.items() if c})
+    return codec.series(f.var, order, F)
 
 
 def twist(s):

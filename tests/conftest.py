@@ -1,10 +1,12 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from symprod.cli import catalog_dir, load_manifold
 from symprod.graded import GradedDims
+from symprod.series import Series
 
 CATALOG_NAMES = (
     "point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1",
@@ -34,3 +36,44 @@ def sym_power_oracle(v, n):
                 basis = oc + ec
                 out[sum(p for p, _ in basis), sum(q for _, q in basis)] += 1
     return GradedDims(out)
+
+
+def dsum(a, b):
+    """Direct sum of two dimension tables."""
+    out = Counter(a.dims)
+    out.update(b.dims)
+    return GradedDims(out)
+
+
+def tensor(a, b):
+    """Tensor product of two dimension tables: bidegrees add."""
+    out = Counter()
+    for (p1, q1), b1 in a.dims.items():
+        for (p2, q2), b2 in b.dims.items():
+            out[p1 + p2, q1 + q2] += b1 * b2
+    return GradedDims(out)
+
+
+def pe_oracle(f):
+    """PE[f] by the Euler-transform recurrence n F_n = sum_k D_k F_(n-k)
+    on 5-tuple keys, multiplying monomials exponent by exponent."""
+    order, ti = f.order, ("q", "p").index(f.var)
+    integral = f.is_integral()
+    D = [Counter() for _ in range(order + 1)]
+    for key, c in f.terms.items():
+        d = key[ti] // 2
+        base = key[:ti] + (0,) + key[ti + 1:]
+        for j in range(1, order // d + 1):
+            D[d * j][tuple(j * e for e in base)] += d * c
+    F, terms = [{(0,) * 5: 1}], {(0,) * 5: 1}
+    for n in range(1, order + 1):
+        acc = Counter()
+        for k in range(1, n + 1):
+            for m1, c1 in D[k].items():
+                for m2, c2 in F[n - k].items():
+                    acc[tuple(a + b for a, b in zip(m1, m2))] += c1 * c2
+        F.append({m: c // n if integral else Fraction(c, n)
+                  for m, c in acc.items() if c})
+        for m, c in F[n].items():
+            terms[m[:ti] + (2 * n,) + m[ti + 1:]] = c
+    return Series(f.var, order, terms)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG_NAMES
+from conftest import CATALOG_NAMES, tensor
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
 from symprod.graded import GradedDims
 from symprod.orbifold import ManifoldData
-from symprod.series import (Series, plethystic_exp, specialize, substitute,
-                            twist)
+from symprod.series import (Codec, Series, plethystic_exp, specialize,
+                            substitute, twist)
 
 
 def series_coeffs(s, order):
@@ -140,7 +140,7 @@ def test_genus_rejects_half_integer_q_degree():
 def test_chi_minus_y_multiplicative():
     a = GradedDims({(0, 0): 1, (2, 2): 3})
     b = GradedDims({(0, 2): 2, (2, 0): 2})
-    lhs = ob.chi_minus_y(a.tensor(b))
+    lhs = ob.chi_minus_y(tensor(a, b))
     rhs = ob.chi_minus_y(a) * ob.chi_minus_y(b)
     assert lhs == rhs
 
@@ -188,13 +188,15 @@ def q_power(c, order, n):
     return c * Series.term("q", order, 1, {"q": n})
 
 
-def cycle_type_sector_sum(order, cycles, level, step=lambda value: value):
+def cycle_type_sector_sum(order, cycles, level, codec):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) per cycle type of S_n with no cycle longer than
     cycles, summed.  Each block(l, N) is the top of its own level(l, N), so
     the kinds whose levels run a DP per call take each Sym^N from its own
-    DP, not from the one DP per level of _sector_sum."""
-    block = cache(lambda l, nl: level(l, nl)[nl])
+    DP, not from the one DP per level of _sector_sum; it is unpacked to a
+    Series, so the products multiply 5-tuple keys, not codes."""
+    block = cache(lambda l, nl: Series("q", order, {
+        codec.unpack(code): c for code, c in level(l, nl)[nl].items()}))
 
     def sectors(n):
         terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
@@ -202,18 +204,18 @@ def cycle_type_sector_sum(order, cycles, level, step=lambda value: value):
                  for ct in cycle_types(n) if all(l <= cycles for l in ct)]
         return reduce(add, terms)
 
-    return reduce(add, (q_power(step(sectors(n)), order, n)
+    return reduce(add, (q_power(sectors(n), order, n)
                         for n in range(order + 1)))
 
 
 def test_sector_sum_counts_partitions():
-    ones = lambda l, count: [1] * (count + 1)
-    got = ob._sector_sum(8, 8, ones)
+    ones = lambda l, count: [{0: 1}] * (count + 1)
+    got = ob._sector_sum(8, 8, ones, Codec(16))
     assert scalar_coeffs(got, 8) == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     # partitions into parts of length at most 1 and at most 2
-    got = ob._sector_sum(8, 1, ones)
+    got = ob._sector_sum(8, 1, ones, Codec(16))
     assert scalar_coeffs(got, 8) == [1] * 9
-    got = ob._sector_sum(8, 2, ones)
+    got = ob._sector_sum(8, 2, ones, Codec(16))
     assert scalar_coeffs(got, 8) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
@@ -232,21 +234,42 @@ def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
         assert ob.brute_series(kind, X, n) == series, (kind, n)
 
 
+def traced_peak(build):
+    """The tracemalloc peak, in bytes, of running build()."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_brute_peak_memory_stays_within_one_top_power(catalog):
     # the invariant kinds reduce each Sym^N as it is yielded, so at most one
     # finished power is alive beside the DP's partial slots
     k3 = catalog["k3"]
+    alone = traced_peak(lambda: k3.hodge.sym_power(18))
+    assert traced_peak(lambda: ob.brute_series("sign_orb", k3, 18)) \
+        <= 1.25 * alone
 
-    def peak(build):
-        tracemalloc.start()
-        try:
-            build()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    alone = peak(lambda: k3.hodge.sym_power(18))
-    assert peak(lambda: ob.brute_series("sign_orb", k3, 18)) <= 1.25 * alone
+def test_brute_levels_pack_each_power_as_it_is_yielded(catalog, monkeypatch):
+    # hodge_orb packs each Sym^N of a level as its DP yields it, so one
+    # unpacked power at a time is alive beside the packed ones (2.1 times
+    # one top power at order 16; packing a built level reads 3.4).  The
+    # levels are built and dropped without the product, whose result
+    # would outweigh them.
+    k3 = catalog["k3"]
+
+    def levels_only(order, cycles, level, codec):
+        for l in range(1, cycles + 1):
+            level(l, order // l)
+
+    monkeypatch.setattr(ob, "_sector_sum", levels_only)
+    top = lambda: k3.hodge.sym_power(16)
+    levels = lambda: ob.brute_series("hodge_orb", k3, 16)
+    top(), levels()  # first calls also allocate the interpreter's caches
+    assert traced_peak(levels) <= 2.75 * traced_peak(top)
 
 
 def test_symprod_dims_p1_is_projective_space(catalog):

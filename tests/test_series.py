@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pe_oracle
 from symprod.series import (
     VARS,
     Series,
@@ -239,6 +240,37 @@ def test_pe_fraction_coefficients():
     got = PE([(H, {"q": 1}), (H, {"q": 2})], 4)
     assert not got.is_integral()
     assert got * got == PE([(1, {"q": 1}), (1, {"q": 2})], 4)
+
+
+# Doubled exponents of every size: odd (half-integer) and negative (Laurent)
+# ones, and ones past 2^16 times the order, which no 16-bit field holds.
+doubled = st.one_of(st.integers(-5, 5), st.integers(-2**20, 2**20))
+
+
+@st.composite
+def pe_input(draw):
+    """f over q or p, up to order 6, every term carrying the counting
+    variable; the other four exponents are any doubled exponents."""
+    var = draw(st.sampled_from(("q", "p")))
+    order = draw(st.integers(0, 6))
+    ti = VARS.index(var)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = [draw(doubled) for _ in VARS]
+        key[ti] = 2 * draw(st.integers(1, max(order, 1)))
+        terms[tuple(key)] = draw(st.one_of(
+            st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)))
+    return Series(var, order, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pe_input())
+@example(Series("q", 0))
+@example(Series("p", 4))
+@example(Series("q", 5, {(2, 0, -2**19 - 1, 3, -7): 1,
+                         (4, 2**18, 0, -1, 0): Fraction(-1, 3)}))
+def test_packed_plethystic_exp_matches_the_tuple_key_recurrence(f):
+    assert plethystic_exp(f) == pe_oracle(f)
 
 
 def test_twist_is_an_involution_and_signs_odd_degree():
