@@ -92,9 +92,11 @@ def _check_types(raw):
 def load_manifold(path):
     """Parse and validate a manifold JSON file into ManifoldData."""
     path = Path(path)
+    # ValueError covers bad JSON, bad UTF-8 and an over-long integer literal,
+    # RecursionError JSON nested too deeply to parse
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise InputError("%s: manifold file must be a JSON object" % path)

@@ -453,7 +453,7 @@ def _compare(name, a, b, var):
     if mism is not None:
         key, ca, cb = mism
         lines.append(
-            "first mismatch at %s: %s vs %s" % (render_key(var, key), ca, cb)
+            "first mismatch at %s: %s vs %s" % (render_key(key), ca, cb)
         )
         lines.append("differing coefficients per power of %s: %s"
                      % (var, mismatch_counts(a, b)))

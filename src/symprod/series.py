@@ -20,6 +20,10 @@ from_terms checks the counting exponents.  Series(var, order, terms) is the
 internal constructor for terms already valid, such as the results of +, *,
 plethystic_exp, twist and substitute: it only drops zeros and truncates.
 
+A q-series holds no power of p, and a p-series none of q: from_terms
+refuses such a term, and no other operation makes one.  The canonical term
+order (counting exponent, then t, x, y) is then the order of the keys.
+
 One routine, substitute, replaces a variable by a monomial; specialize is
 substitute by constants, one variable after another.
 
@@ -40,8 +44,8 @@ VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
 
 _VI = {v: i for i, v in enumerate(VARS)}
-# canonical secondary ordering of the non-counting exponents
-_TIEBREAK = ("t", "x", "y", "p", "q")
+# the factors of a rendered term in order, the counting variable last
+_FACTORS = tuple((v, _VI[v]) for v in ("t", "x", "y", "p", "q"))
 
 
 class SeriesUsageError(ValueError):
@@ -137,7 +141,7 @@ class Series:
         """The sum of coeff * prod(v^e) over (coeff, {v: e}) pairs, with
         exponents in (1/2)Z; duplicate monomials add and zeros drop.  Each
         coeff must be an int or a Fraction, and each counting exponent a
-        nonnegative integer."""
+        nonnegative integer, with no power of the other counting variable."""
         ti = _counting_index(var)
         terms = {}
         for coeff, exps in pairs:
@@ -146,6 +150,9 @@ class Series:
                 raise SeriesUsageError(
                     "counting-variable exponents must be nonnegative integers"
                 )
+            if key[1 - ti]:
+                raise SeriesUsageError("a %s-series holds no power of %s"
+                                       % (var, COUNTING_VARS[1 - ti]))
             terms[key] = terms.get(key, 0) + _exact(coeff)
         return cls(var, order, terms)
 
@@ -169,11 +176,6 @@ class Series:
                 k[ti] = 0
                 out[tuple(k)] = c
         return out
-
-    def _sort_key(self, key):
-        ti = _VI[self.var]
-        rest = tuple(key[_VI[v]] for v in _TIEBREAK if v != self.var)
-        return (key[ti],) + rest
 
     # -- arithmetic --------------------------------------------------------
 
@@ -235,30 +237,31 @@ class Series:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
         # sort the keys alone: a list of (key, c) pairs would add one more
         # small object per term to the peak memory of printing a series
-        for key in sorted(self.terms, key=self._sort_key):
-            c = self.terms[key]
-            body = _render_term(self.var, key, c)
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        return _render(self.terms, sorted(self.terms))
 
     def __repr__(self):
         return "Series(%r, order=%r: %s)" % (self.var, self.order, str(self))
 
 
-def _render_term(var, key, c):
+def _render(terms, keys):
+    """The terms at keys, in that order, as text; "0" when there are none."""
+    parts = []
+    for key in keys:
+        c = terms[key]
+        body = _render_term(key, c)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts) or "0"
+
+
+def _render_term(key, c):
     factors = []
-    for v in _TIEBREAK:
-        if v == var:
-            continue
-        d = key[_VI[v]]
+    for v, i in _FACTORS:
+        d = key[i]
         if d == 0:
             continue
         if d == 2:
@@ -267,11 +270,6 @@ def _render_term(var, key, c):
             factors.append("%s^%d" % (v, d // 2))
         else:
             factors.append("%s^(%s)" % (v, half_str(d)))
-    d = key[_VI[var]]
-    if d == 2:
-        factors.append(var)
-    elif d:
-        factors.append("%s^%d" % (var, d // 2))
     a = abs(c)
     if not factors:
         return str(a)
@@ -498,8 +496,7 @@ def first_mismatch(a, b):
     """First differing coefficient of two series over the same counting
     variable, in canonical term order; None when they agree termwise."""
     a._check_same_var(b)
-    keys = set(a.terms) | set(b.terms)
-    for key in sorted(keys, key=a._sort_key):
+    for key in sorted(a.terms.keys() | b.terms.keys()):
         ca = a.terms.get(key, 0)
         cb = b.terms.get(key, 0)
         if ca != cb:
@@ -520,13 +517,12 @@ def mismatch_counts(a, b):
 def render_head(s, limit):
     """str(s) cut after its first limit terms in canonical order, followed
     by the number of terms left out."""
-    keys = sorted(s.terms, key=s._sort_key)
-    head = Series(s.var, s.order, {k: s.terms[k] for k in keys[:limit]})
+    keys = sorted(s.terms)
+    head = _render(s.terms, keys[:limit])
     more = len(keys) - limit
-    return "%s … (%d more terms)" % (head, more) if more > 0 else str(head)
+    return "%s … (%d more terms)" % (head, more) if more > 0 else head
 
 
-def render_key(var, key):
+def render_key(key):
     """Canonical text for a bare monomial (used in mismatch reports)."""
-    return _render_term(var, key, 1)
-
+    return _render_term(key, 1)

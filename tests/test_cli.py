@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symprod import cli
+from symprod import cli, orbifold
 
 
 def run(capsys, *argv):
@@ -128,6 +128,34 @@ def test_verify_all_output_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[name]
 
 
+# sha256 over `series <kind> --manifold <name>` (closed, default order) for
+# every kind in SERIES_KINDS order: the exit code, stdout and stderr of each.
+SERIES_SHA256 = {
+    "abelian":
+        "0895da0a45be5913aea6d2c0ed8db5f57131ebc40fb8eaa6fbbcc6aecb160f95",
+    "elliptic":
+        "6b7436ac74982e96aaee160b0e1bc70811a6fd5d7fbf9aa7bd260c4fd5922bf8",
+    "genus2":
+        "46e4626928fb0668c114f33c6b29aa23ccb9561cc69c54edca4a9aadfd4ab65d",
+    "k3": "6edd5627bc65263ca447daaab04ca94d8dd817cef14fb7449043a61efe41df26",
+    "p1": "a616145886406433477f26c2d6133db23842940aadcb35e5878b0be934192cda",
+    "p1xp1":
+        "3fda7c506114dcbd73c93c459f605431f2d712064895cdd639429e849e00d20d",
+    "p2": "675d82816fce28d9f35f225dd04b6ff0204f31b5a6990c2c555c211df8ed32b7",
+    "point":
+        "e0f0797e3c34d3069d46eeb6144771cde4c32d84e7cedc8472bf2949258a0182",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_SHA256))
+def test_series_output_bytes_are_pinned(capsys, name):
+    digest = hashlib.sha256()
+    for kind in orbifold.SERIES_KINDS:
+        code, out, err = run(capsys, "series", kind, "--manifold", name)
+        digest.update(("%d\n%s%s" % (code, out, err)).encode())
+    assert digest.hexdigest() == SERIES_SHA256[name]
+
+
 def test_output_deterministic(capsys):
     args = ("verify-all", "--manifold", "p1", "--order", "4")
     code1, out1, _ = run(capsys, *args)
@@ -171,6 +199,21 @@ def test_load_rejects_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "series", "euler_orb", "--manifold", str(path))
     assert code == 2
+
+
+# Files the JSON reader itself fails on, each with its own exception type.
+@pytest.mark.parametrize("content", [
+    b'{"name": "\xff\xfe", "dim_c": 0, "hodge": [[1]]}',  # not UTF-8
+    b"[" * 100_000,  # nested past the parser's recursion limit
+    b'{"dim_c": 0, "hodge": [[' + b"1" * 4301 + b"]]}",  # int too long
+], ids=["invalid-utf8", "deep-nesting", "huge-int"])
+def test_unreadable_json_exits_2_without_traceback(tmp_path, capsys, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    for argv in (["series", "euler_orb"], ["verify-all"], ["fock-verify"]):
+        code, out, err = run(capsys, *argv, "--manifold", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_load_rejects_inconsistent_betti(tmp_path):

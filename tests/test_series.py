@@ -14,6 +14,8 @@ from symprod.series import (
     first_mismatch,
     monomial_key,
     plethystic_exp,
+    render_head,
+    render_key,
     specialize,
     substitute,
     twist,
@@ -65,6 +67,18 @@ def test_from_terms_rejects_float_coefficients():
     assert str(one) == "1"
     assert [type(c) for c in one.terms.values()] == [int]
     assert [type(c) for c in (s * True).terms.values()] == [int]
+
+
+def test_entry_rejects_the_other_counting_variable():
+    # a q-series holds no power of p and a p-series none of q, at any
+    # exponent and even beyond the order; constant takes no exponents
+    for var, other in (("q", "p"), ("p", "q")):
+        for e in (1, -1, H, 9):
+            with pytest.raises(SeriesUsageError):
+                Series.from_terms(var, 2, [(1, {}), (1, {var: 1, other: e})])
+            with pytest.raises(SeriesUsageError):
+                Series.term(var, None, 1, {other: e})
+        assert Series.term(var, 2, 1, {other: 0}) == Series.constant(var, 2)
 
 
 # ---------------------------------------------------------------- add / mul
@@ -466,6 +480,91 @@ def test_first_mismatch_reports_lowest_term():
     b = S([(1, {}), (3, {"q": 1}), (1, {"q": 2})], 2)
     key, ca, cb = first_mismatch(a, b)
     assert (ca, cb) == (2, 3)
+
+
+# The canonical order and factor text of the rendering, spelled out as an
+# explicit sort key (counting exponent, then t, x, y) and a per-variable
+# factor rule; the library instead sorts the keys as they are.
+REF_ORDER = ("t", "x", "y", "p", "q")
+
+
+def ref_sort_key(var):
+    others = [VARS.index(v) for v in REF_ORDER if v != var]
+    return lambda key: (key[VARS.index(var)],) + tuple(key[i] for i in others)
+
+
+def ref_term(var, key, c):
+    factors = []
+    for v in REF_ORDER:
+        d = key[VARS.index(v)]
+        if v == var or d == 0:
+            continue
+        if d == 2:
+            factors.append(v)
+        elif d > 0 and d % 2 == 0:
+            factors.append("%s^%d" % (v, d // 2))
+        else:
+            factors.append("%s^(%s)" % (v, Fraction(d, 2)))
+    d = key[VARS.index(var)]
+    if d:
+        factors.append(var if d == 2 else "%s^%d" % (var, d // 2))
+    a = abs(c)
+    if not factors:
+        return str(a)
+    return "*".join(factors) if a == 1 else "%s*%s" % (a, "*".join(factors))
+
+
+def ref_render(s, limit=None):
+    keys = sorted(s.terms, key=ref_sort_key(s.var))
+    text = ""
+    for key in keys[:limit]:
+        c = s.terms[key]
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += ref_term(s.var, key, c)
+    if limit is not None and len(keys) > limit:
+        return "%s … (%d more terms)" % (text or "0", len(keys) - limit)
+    return text or "0"
+
+
+def ref_first_mismatch(a, b):
+    for key in sorted(a.terms.keys() | b.terms.keys(), key=ref_sort_key(a.var)):
+        if a.terms.get(key, 0) != b.terms.get(key, 0):
+            return key, a.terms.get(key, 0), b.terms.get(key, 0)
+    return None
+
+
+# Terms with Laurent and half-integer t, x, y exponents and Fraction
+# coefficients; few exponent values, so that keys often tie in a prefix.
+render_terms = st.lists(st.tuples(
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    st.fixed_dictionaries({"n": st.integers(0, 3)}, optional={
+        v: st.integers(-3, 3).map(lambda d: Fraction(d, 2)) for v in "txy"})),
+    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("q", "p")), render_terms, render_terms,
+       st.integers(0, 9))
+def test_rendering_matches_the_explicit_canonical_order(var, t1, t2, limit):
+    def series(terms):  # "n" is the exponent of the counting variable
+        return Series.from_terms(var, 3, [
+            (c, {(var if v == "n" else v): e for v, e in exps.items()})
+            for c, exps in terms])
+    a, b = series(t1), series(t1 + t2)
+    assert str(a) == ref_render(a)
+    assert render_head(a, limit) == ref_render(a, limit)
+    assert first_mismatch(a, b) == ref_first_mismatch(a, b)
+    # peeling a one term at a time walks first_mismatch through its order
+    rest, zero = a, Series.zero(var, 3)
+    while rest.terms:
+        key = first_mismatch(rest, zero)[0]
+        assert key == ref_first_mismatch(rest, zero)[0]
+        rest = Series(var, 3, {k: c for k, c in rest.terms.items() if k != key})
+    for key in a.terms:
+        assert render_key(key) == ref_term(var, key, 1)
 
 
 def test_geometric_tail():
