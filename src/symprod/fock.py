@@ -8,27 +8,33 @@ is a canonically sorted multiset of (level, generator) factors in which odd
 generators never repeat at the same level.
 
 Operators come in families, one per level l >= 1 (a lower level raises
-ValueError): creators(n) applies every generator's level-n creation
-operator to a state at once (with the Koszul sign of sorting the new
-factor into place), and annihilators(m) contracts each level-m factor of a
-state against its pairing partners only (m times the graded contraction,
-central charge 1).  Every output state is audited against an index of the
-basis, enumerated once, holding each state's charge and degree; a family
-applied to a state outside that index, or creating beyond it, raises
-ValueError.  The defining super-commutation relation of the generator-a
-entry of annihilators(m) and the generator-b entry of creators(n),
+ValueError): creators(n) gives every generator's level-n creation operator
+on a state at once (with the Koszul sign of sorting the new factor into
+place), and annihilators(m) contracts each level-m factor of a state
+against its pairing partners only (m times the graded contraction, central
+charge 1).  index(c) enumerates the basis once and numbers its states.
+rows(step) builds a family's row of a state: its images as a flat tuple
+(generator, image number, coefficient, ...), audited once as it is built
+against the index, which holds each state's charge and degree; a state
+outside the index, or a creation beyond it, raises ValueError.  The
+defining super-commutation relation of the generator-a entry of
+annihilators(m) and the generator-b entry of creators(n),
 
     [annihilators(m)_a, creators(n)_b] = m * eta(a, b) * delta_{m,n} * Id
 
 is machine-checkable on any truncated basis, away from states where the
-truncation could leak.  check_relations takes one domain state s at a
-time and accumulates A_a B_b s - eps_ab B_b A_a s (eps_ab the Koszul sign
-of a and b) for the (a, b) that either term touches; a pair violates the
-relation when that is not c_ab s, c_ab the expected scalar, so an
-untouched pair (value 0) is a violation exactly when c_ab != 0.  The
-mixed, create/create and annihilate/annihilate relations are three calls.
-Only even d is supported: for odd d the parity of a level-l factor would
-depend on l and the algebra is not defined here.
+truncation could leak.  check_relations builds each family's rows once,
+keeping those of the states below the top charge (a top-charge row is only
+an intermediate image of the mixed bracket, built again when reached), and
+works on state numbers.  It takes one domain state s at a time and
+accumulates A_a B_b s - eps_ab B_b A_a s (eps_ab the Koszul sign of a and
+b), minus the expected multiple c_ab s, in one dict keyed by (a, b) and the
+image; a pair violates the relation when any of its terms is left nonzero,
+so an untouched pair is a violation exactly when c_ab != 0.  The mixed,
+create/create and annihilate/annihilate relations are three calls.  The
+compositional (Hopf) check reads the creation rows back as states and sorts
+factor words on its own.  Only even d is supported: for odd d the parity
+of a level-l factor would depend on l and the algebra is not defined here.
 """
 
 from bisect import bisect_left, bisect_right
@@ -193,7 +199,8 @@ class FockSpace:
         self.eta = default_pairing(X) if X.pairing is None \
             else pairing_from_blocks(X, X.pairing)
         self.odd = [g.parity for g in self.gens]
-        self._cap, self._states, self._table = -1, [], {}
+        self._cap, self.states, self.ids = -1, [], {}
+        self.charge, self.degree = [], []
 
     # -- states ------------------------------------------------------------
 
@@ -225,100 +232,68 @@ class FockSpace:
 
     def basis(self, max_charge):
         """All canonical states of charge <= max_charge, deterministically
-        ordered by (charge, factors)."""
-        letters = [(l, g.id, g.parity)
+        ordered by (charge, factors).  States share one (level, generator)
+        tuple per factor."""
+        letters = [((l, g.id), l, g.parity)
                    for l in range(1, max_charge + 1) for g in self.gens]
-        out = []
+        by_charge = [[] for _ in range(max_charge + 1)]
 
-        def rec(idx, budget, cur):
-            out.append(tuple(cur))
+        # depth first with the letters in factor order lists each charge's
+        # states in factor order; an odd letter is taken at most once
+        def rec(idx, charge, cur):
+            by_charge[charge].append(tuple(cur))
             for i in range(idx, len(letters)):
-                l, g, parity = letters[i]
-                if l > budget:
-                    continue
-                cap = 1 if parity else budget // l
-                for taken in range(1, cap + 1):
-                    cur.append((l, g))
-                    rec(i + 1, budget - taken * l, cur)
-                del cur[-cap:]
+                f, l, parity = letters[i]
+                if charge + l > max_charge:
+                    break
+                cur.append(f)
+                rec(i + parity, charge + l, cur)
+                cur.pop()
 
-        rec(0, max_charge, [])
-        out.sort(key=lambda s: (self.state_charge(s), s))
-        return out
+        rec(0, 0, [])
+        return [s for states in by_charge for s in states]
 
     def index(self, max_charge):
         """The basis up to max_charge: a prefix of one charge-sorted
-        enumeration, redone only for a higher charge, together with the
-        table {state: (charge, degree)} the operator families audit by."""
-        table = self._table
+        enumeration, redone only for a higher charge.  The enumeration
+        numbers the states: states lists them by number, ids maps each back
+        to its number, and charge and degree list each number's charge and
+        degree, which the rows are audited by."""
         if max_charge > self._cap:
-            self._cap, self._states = max_charge, self.basis(max_charge)
-            self._table = table = {
-                s: (self.state_charge(s), self.state_degree(s))
-                for s in self._states}
-        return self._states[:bisect_right(self._states, max_charge,
-                                          key=lambda s: table[s][0])]
+            self._cap, self.states = max_charge, self.basis(max_charge)
+            self.ids = {s: i for i, s in enumerate(self.states)}
+            self.charge = [self.state_charge(s) for s in self.states]
+            self.degree = [self.state_degree(s) for s in self.states]
+        return self.states[:bisect_right(self.charge, max_charge)]
 
     # -- operators -----------------------------------------------------------
 
-    def _audited(self, charge, label, family):
-        """Wrap a family s -> {g: {t: coeff}}, s an indexed basis state, so
-        that every output t must be one too, with (charge, degree) that of s
-        plus the declared step (charge, degree_shifted(g) + charge * d).  A
-        state beyond the index, given or to be created, is the caller's
-        fault (ValueError); a wrong step is the family's (AssertionError)."""
-        steps = [g.degree_shifted + charge * self.d for g in self.gens]
-
-        def apply(s):
-            table, cap = self._table, self._cap
-            got = table.get(s)
-            if got is None:
-                raise ValueError("%r is not a state of the basis indexed to "
-                                 "charge %d" % (s, cap))
-            c0, d0 = got
-            if c0 + charge > cap:
-                raise ValueError("%s of %r leaves the basis indexed to "
-                                 "charge %d" % (label, s, cap))
-            out = family(s)
-            for g, images in out.items():
-                want = (c0 + charge, d0 + steps[g])
-                for t in images:
-                    got = table.get(t)
-                    if got != want:
-                        what = ("step: %r is not an indexed basis state" % (t,)
-                                if got is None else "charge step"
-                                if got[0] != want[0] else "degree step")
-                        raise AssertionError(
-                            "%s violated its declared %s" % (label, what))
-            return out
-        return apply
-
     def creators(self, n):
         """Every generator's level-n creation operator at once, as a map
-        s -> {g: {s with the level-n copy of g sorted in: Koszul sign}}; an
-        odd g already at level n in s has no entry."""
+        from a state s to the (g, s with the level-n copy of g sorted in,
+        Koszul sign) over the generators g; an odd g already at level n in s
+        has none."""
         if n < 1:
             raise ValueError("level must be >= 1")
         odd, factors = self.odd, [(n, g.id) for g in self.gens]
 
         def family(s):
-            out = {}
             for g, f in enumerate(factors):
                 pos = bisect_left(s, f)
                 if odd[g] and pos < len(s) and s[pos] == f:
                     continue
                 sign = -1 if odd[g] and sum(
                     odd[h] for _, h in s[:pos]) % 2 else 1
-                out[g] = {s[:pos] + (f,) + s[pos:]: sign}
-            return out
-        return self._audited(n, "create(%d)" % n, family)
+                yield g, s[:pos] + (f,) + s[pos:], sign
+        return family
 
     def annihilators(self, m):
         """Every generator's level-m annihilation operator at once, as a
-        map s -> {g: {t: coeff}} over the g with a nonzero image: a level-m
-        factor h of s meets only the g with eta(g, h) != 0.  The g operator
-        moves degrees by degree_shifted(g) - m*d, the degree of the level-m
-        copy of g, so its commutator with a creation has degree zero."""
+        map from a state s to the (g, t, coeff) with a nonzero coeff, one
+        per (g, t): a level-m factor h of s meets only the g with
+        eta(g, h) != 0.  The g operator moves degrees by degree_shifted(g)
+        - m*d, the degree of the level-m copy of g, so its commutator with a
+        creation has degree zero."""
         if m < 1:
             raise ValueError("level must be >= 1")
         odd, partners = self.odd, {}
@@ -326,19 +301,62 @@ class FockSpace:
             partners.setdefault(h, []).append((g, m * v))
 
         def family(s):
-            out = {}
-            odd_before = 0
-            for idx, (l, h) in enumerate(s):
-                if l == m and h in partners:
+            odd_before, prev = 0, None
+            for idx, f in enumerate(s):
+                l, h = f
+                if l == m and h in partners and f != prev:
                     rest = s[:idx] + s[idx + 1:]
+                    # a repeated factor is even: each copy gives rest
+                    k = s.count(f)
                     for g, v in partners[h]:
-                        images = out.setdefault(g, {})
-                        # a repeated factor is even, so its terms never cancel
-                        images[rest] = images.get(rest, 0) + (
+                        yield g, rest, k * (
                             -v if odd[g] and odd_before % 2 else v)
                 odd_before += odd[h]
-            return out
-        return self._audited(-m, "annihilate(%d)" % m, family)
+                prev = f
+        return family
+
+    def rows(self, step):
+        """The row builder of one family, the level-step creators (step > 0)
+        or the level -step annihilators (step < 0): it maps an indexed state
+        s to its row, the flat tuple (g, number of t, coeff, ...) over the
+        family's (g, t, coeff) at s.  Each row is audited once, as it is
+        built: t must be an indexed state whose (charge, degree) is that of
+        s plus the declared step (step, degree_shifted(g) + step * d).  A
+        state s beyond the index, given or to be created on, is the
+        caller's fault (ValueError); a wrong step is the family's
+        (AssertionError)."""
+        family = self.creators(step) if step > 0 \
+            else self.annihilators(-step)
+        label = ("create(%d)" if step > 0 else "annihilate(%d)") % abs(step)
+        steps = [g.degree_shifted + step * self.d for g in self.gens]
+
+        def row(s):
+            ids, charge, degree, cap = \
+                self.ids, self.charge, self.degree, self._cap
+            sid = ids.get(s)
+            if sid is None:
+                raise ValueError("%r is not a state of the basis indexed to "
+                                 "charge %d" % (s, cap))
+            c = charge[sid] + step
+            if c > cap:
+                raise ValueError("%s of %r leaves the basis indexed to "
+                                 "charge %d" % (label, s, cap))
+            d0, out = degree[sid], []
+            for g, t, coeff in family(s):
+                tid = ids.get(t)
+                if tid is None:
+                    what = "step: %r is not an indexed basis state" % (t,)
+                elif charge[tid] != c:
+                    what = "charge step"
+                elif degree[tid] != d0 + steps[g]:
+                    what = "degree step"
+                else:
+                    out += (g, tid, coeff)
+                    continue
+                raise AssertionError("%s violated its declared %s"
+                                     % (label, what))
+            return tuple(out)
+        return row
 
     # -- Hopf structure -------------------------------------------------------
 
@@ -349,38 +367,42 @@ class FockSpace:
 
     def character(self, max_charge):
         """sum over indexed basis states of q^charge t^degree, exactly."""
-        states = self.index(max_charge)
-        table = self._table
+        n = len(self.index(max_charge))
         return Series.from_terms("q", max_charge, (
-            (1, {"q": table[s][0], "t": table[s][1]}) for s in states))
+            (1, {"q": c, "t": d})
+            for c, d in zip(self.charge[:n], self.degree[:n])))
 
 
-def _violations(A, B, domain, odd, scalar):
-    """Count the (i, j, s), s in domain, where A_i B_j s - eps_ij B_j A_i s
-    is not scalar[i, j] * s (0 when absent) for families A and B, eps_ij
-    the Koszul sign of generators i and j.  Only the pairs either term
-    touches are accumulated; an untouched pair is 0, so it counts exactly
-    when its scalar is nonzero."""
+def _violations(A, B, domain, odd, states, scalar):
+    """Count the (i, j, s), s in domain (a range of state numbers), where
+    A_i B_j s - eps_ij B_j A_i s is not scalar[i*G + j] * s (0 when absent)
+    for families A and B, G generators and eps_ij the Koszul sign of
+    generators i and j.  A family is (stored rows, row builder): the rows
+    of the lowest-numbered states, and the builder for a higher image.
+    One dict per s holds the terms, keyed by the int (i*G + j)*N + u for N
+    states and image u, minus the expected scalars; a pair violates the
+    relation exactly when one of its terms is left nonzero."""
+    (rows_a, build_a), (rows_b, _) = A, B
+    N, na = len(states), len(rows_a)
+    GN = len(odd) * N
     bad = 0
     for s in domain:
-        lhs = {}
-        for j, images in B(s).items():
-            for t, c in images.items():
-                for i, out in A(t).items():
-                    acc = lhs.setdefault((i, j), {})
-                    for u, w in out.items():
-                        acc[u] = acc.get(u, 0) + c * w
-        for i, images in A(s).items():
-            for t, c in images.items():
-                for j, out in B(t).items():
-                    acc = lhs.setdefault((i, j), {})
-                    e = -c if odd[i] and odd[j] else c
-                    for u, w in out.items():
-                        acc[u] = acc.get(u, 0) - e * w
-        for ij, acc in lhs.items():
-            if acc.pop(s, 0) != scalar.get(ij, 0) or any(acc.values()):
-                bad += 1
-        bad += sum(ij not in lhs for ij in scalar)
+        acc = {p * N + s: -v for p, v in scalar.items()}
+        it = iter(rows_b[s])
+        for j, t, c in zip(it, it, it):
+            jN = j * N
+            inner = iter(rows_a[t] if t < na else build_a(states[t]))
+            for i, u, w in zip(inner, inner, inner):
+                k = i * GN + jN + u
+                acc[k] = acc.get(k, 0) + c * w
+        it = iter(rows_a[s])
+        for i, t, c in zip(it, it, it):
+            iGN, flip = i * GN, -c if odd[i] else c
+            inner = iter(rows_b[t])
+            for j, u, w in zip(inner, inner, inner):
+                k = iGN + j * N + u
+                acc[k] = acc.get(k, 0) - (flip if odd[j] else c) * w
+        bad += len({k // N for k, v in acc.items() if v})
     return bad
 
 
@@ -397,29 +419,43 @@ def check_relations(X, max_charge):
     """
     space = FockSpace(X)
     C = max_charge
-    space.index(C)  # before the families, which audit against it
-    odd = space.odd
-    cre = {n: space.creators(n) for n in range(1, C + 1)}
-    ann = {m: space.annihilators(m) for m in range(1, C)}
+    states = space.index(C)  # before the rows, which are audited by it
+    odd, G = space.odd, len(space.odd)
+
+    def upto(c):
+        return bisect_right(space.charge, c)
+
+    def family(step):
+        # rows stored below the top charge; a top-charge row is only an
+        # intermediate image of the mixed bracket, built when reached
+        build = space.rows(step)
+        return [build(s) for s in states[:upto(C - max(step, 1))]], build
+
+    cre = {n: family(n) for n in range(1, C + 1)}
+    ann = {m: family(-m) for m in range(1, C)}
     mixed = cc = aa = 0
     for m in range(1, C):
         for n in range(1, C - m + 1):
-            domain = space.index(C - max(m, n))
+            domain = range(upto(C - max(m, n)))
             # [annihilate_m(a), create_n(b)] = m eta(a,b) delta_{m,n} Id
-            scalar = {ij: m * v for ij, v in space.eta.items()
+            scalar = {i * G + j: m * v for (i, j), v in space.eta.items()
                       if m == n and v}
-            mixed += _violations(ann[m], cre[n], domain, odd, scalar)
+            mixed += _violations(ann[m], cre[n], domain, odd, states, scalar)
             # create/create needs full headroom for the intermediate state
-            cc += _violations(cre[m], cre[n], space.index(C - m - n), odd, {})
+            cc += _violations(cre[m], cre[n], range(upto(C - m - n)), odd,
+                              states, {})
             # annihilate/annihilate vanishes (no upward leak at all)
-            aa += _violations(ann[m], ann[n], domain, odd, {})
+            aa += _violations(ann[m], ann[n], domain, odd, states, {})
 
+    # the compositional form sorts factor words on its own, so it reads the
+    # rows back as states
     hopf = 0
     for m in range(1, C + 1):
-        for s in space.index(C - m):
-            images = cre[m](s)
+        for s, row in zip(states, cre[m][0]):
+            it = iter(row)
+            images = {g: {states[t]: c} for g, t, c in zip(it, it, it)}
             hopf += sum(images.get(i, {}) != space.hopf_product(((m, i),), s)
-                        for i in range(len(odd)))
+                        for i in range(G))
 
     def verdict(name, bad):
         return CheckResult(name, "fail" if bad else "pass",

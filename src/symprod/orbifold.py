@@ -58,6 +58,7 @@ from .graded import GradedDims
 from .series import (
     Codec,
     Series,
+    coeff_str,
     first_mismatch,
     mismatch_counts,
     mul_add,
@@ -453,7 +454,8 @@ def _compare(name, a, b, var):
     if mism is not None:
         key, ca, cb = mism
         lines.append(
-            "first mismatch at %s: %s vs %s" % (render_key(key), ca, cb)
+            "first mismatch at %s: %s vs %s"
+            % (render_key(key), coeff_str(ca), coeff_str(cb))
         )
         lines.append("differing coefficients per power of %s: %s"
                      % (var, mismatch_counts(a, b)))

@@ -258,6 +258,26 @@ def _render(terms, keys):
     return "".join(parts) or "0"
 
 
+def coeff_str(c):
+    """str(c) for an int or Fraction coefficient of any size.  str() refuses
+    an int past sys.get_int_max_str_digits() digits (4,300 by default), a
+    guard for parsing untrusted text that printing an exact result does not
+    need; such an int is written out half by half."""
+    try:
+        return str(c)
+    except ValueError:
+        pass
+    if isinstance(c, Fraction):
+        num = coeff_str(c.numerator)
+        return num if c.denominator == 1 else \
+            num + "/" + coeff_str(c.denominator)
+    if c < 0:
+        return "-" + coeff_str(-c)
+    half = c.bit_length() * 3 // 20  # about half its decimal digits
+    hi, lo = divmod(c, 10 ** half)
+    return coeff_str(hi) + coeff_str(lo).zfill(half)
+
+
 def _render_term(key, c):
     factors = []
     for v, i in _FACTORS:
@@ -272,11 +292,11 @@ def _render_term(key, c):
             factors.append("%s^(%s)" % (v, half_str(d)))
     a = abs(c)
     if not factors:
-        return str(a)
+        return coeff_str(a)
     mono = "*".join(factors)
     if a == 1:
         return mono
-    return "%s*%s" % (a, mono)
+    return "%s*%s" % (coeff_str(a), mono)
 
 
 # -- packed monomials --------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -19,6 +20,16 @@ def catalog():
         name: load_manifold(catalog_dir() / (name + ".json"))
         for name in CATALOG_NAMES
     }
+
+
+def traced_peak(build):
+    """The tracemalloc peak, in bytes, of running build()."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sym_power_oracle(v, n):

@@ -125,14 +125,14 @@ def test_criterion_6_hilbert_scheme_coincidence(catalog):
 
 def test_criterion_7_heisenberg_algebra(catalog):
     t0 = time.time()
-    for name, charge in (("p2", 4), ("k3", 3)):
+    for name, charge in (("p2", 4), ("k3", 3), ("k3", 4)):
         results = fock.check_relations(catalog[name], charge)
         for r in results:
             assert r.status == "pass", "%s: %s %s" % (name, r.name, r.lines)
     elapsed = time.time() - t0
     assert elapsed < 30.0, "criterion 7 too slow: %.2fs" % elapsed
-    print("ACCEPTANCE 7 (Heisenberg relations, P2 charge 4 / K3 charge 3): "
-          "PASS (%.2fs)" % elapsed)
+    print("ACCEPTANCE 7 (Heisenberg relations, P2 charge 4 / K3 charges 3 "
+          "and 4): PASS (%.2fs)" % elapsed)
 
 
 def test_criterion_8_combinatorial_oracles(catalog):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -214,6 +215,60 @@ def test_unreadable_json_exits_2_without_traceback(tmp_path, capsys, content):
         code, out, err = run(capsys, *argv, "--manifold", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def long_str(n):
+    """str(n) with the interpreter's int-to-str digit limit lifted for the
+    call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+NINES = 10 ** 4000 - 1  # a literal the reader takes: 4,000 digits
+
+
+def test_coefficients_past_the_str_digit_limit_print_in_full(tmp_path,
+                                                             capsys):
+    # the point with Euler number NINES: prod (1 - q^k)^-NINES has q^2
+    # coefficient NINES (NINES + 3) / 2, of 8,000 digits
+    path = write(tmp_path, {"dim_c": 0, "hodge": [[NINES]]})
+    code, out, err = run(capsys, "series", "euler_orb", "--manifold",
+                         str(path), "--order", "2")
+    assert (code, err) == (0, "")
+    assert out == "1 + %s*q + %s*q^2\n" % (
+        long_str(NINES), long_str(NINES * (NINES + 3) // 2))
+    code, out, err = run(capsys, "verify-all", "--manifold", str(path),
+                         "--order", "2")
+    assert (code, err) == (0, "") and out.endswith(" 0 failed\n")
+    # a mismatch report prints such coefficients too
+    big = orbifold.Series.from_terms("q", 1, [(NINES * NINES, {"q": 1})])
+    small = orbifold.Series.from_terms("q", 1, [(NINES, {"q": 1})])
+    assert orbifold._compare("c", big, small, "q").lines[0] == \
+        "first mismatch at q: %s vs %s" % (long_str(NINES * NINES),
+                                           long_str(NINES))
+    # the reader still refuses a literal past the limit, before any output
+    path.write_text('{"dim_c": 0, "hodge": [[%s]]}' % ("9" * 4301))
+    code, out, err = run(capsys, "series", "euler_orb", "--manifold",
+                         str(path), "--order", "2")
+    assert (code, out) == (2, "") and "Traceback" not in err
+
+
+def test_fock_verify_takes_a_pairing_past_the_str_digit_limit(tmp_path,
+                                                              capsys):
+    # pairing entries of 4,000 digits, one a fraction: the relations hold
+    # for any nondegenerate pairing, and the scalars m * eta pass the limit
+    path = write(tmp_path, {"name": "p2big", "dim_c": 2, "hodge": P2_ROWS,
+                            "pairing": [
+                                {"degree": 2, "matrix": [[NINES]]},
+                                {"degree": 0, "matrix": [["1/%d" % NINES]]}]})
+    code, out, err = run(capsys, "fock-verify", "--manifold", str(path),
+                         "--max-charge", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("5 checks, 0 failed\n")
 
 
 def test_load_rejects_inconsistent_betti(tmp_path):

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG_NAMES, tensor
+from conftest import CATALOG_NAMES, tensor, traced_peak
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
 from symprod.graded import GradedDims
@@ -232,16 +231,6 @@ def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
     monkeypatch.setattr(ob, "_sector_sum", cycle_type_sector_sum)
     for (kind, n), series in got.items():
         assert ob.brute_series(kind, X, n) == series, (kind, n)
-
-
-def traced_peak(build):
-    """The tracemalloc peak, in bytes, of running build()."""
-    tracemalloc.start()
-    try:
-        build()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_brute_peak_memory_stays_within_one_top_power(catalog):
