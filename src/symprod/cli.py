@@ -195,10 +195,12 @@ def cmd_series(args):
         print(built[args.mode])
         return 0
     b, c = built["brute"], built["closed"]
-    # print's separator supplies the second space, so a long series text is
+    # equal series print the same text, so it is rendered once; print's
+    # separator supplies the second space, so a long series text is
     # written as it is, not copied into a longer line first
-    print("brute: ", b)
-    print("closed:", c)
+    text_b = str(b)
+    print("brute: ", text_b)
+    print("closed:", text_b if b == c else c)
     result = orbifold._compare("%s order %d" % (kind, order), b, c,
                                orbifold.KINDS[kind].var)
     if result.status == "pass":

@@ -59,6 +59,16 @@ class GradedDims:
         return GradedDims({(p + dp, q + dq): b
                            for (p, q), b in self.dims.items()})
 
+    def mod4(self, both=True):
+        """The second degrees, and the first ones when both, reduced mod 4
+        (doubled): each Sym^N is that of self with those degrees mod 4,
+        which fix every parity and the signs of the genera."""
+        out = {}
+        for (p, q), b in self.dims.items():
+            k = (p % 4 if both else p, q % 4)
+            out[k] = out.get(k, 0) + b
+        return GradedDims(out)
+
     def collapse(self):
         """Collapse to the total grading: (p, q) -> (p + q, 0)."""
         out = {}

@@ -13,9 +13,14 @@ The brute side is one sector sum, _sector_sum.  Each kind names a
 level(l, count): block(l, N) for N = 0..count, the invariants of Sym^N(H*X)
 regraded for N l-cycles, from one symmetric-power DP.  The sum over cycle
 types of prod_l block(l, N_l) is the truncated product over cycle lengths l
-of sum_N block(l, N) q^(lN).  Every block is a {code: coeff} map of one
-series.Codec, packed as the DP yields its Sym^N (an int v is {0: v}), and
-the product runs on series.mul_add.
+of sum_N block(l, N) q^(lN).  Every block is packed by one layout,
+layouts.sector_layout, as the DP yields its Sym^N: a cycle of length l
+carries one class of X and l - 1 regradings, so the layout sees those
+units and the largest coefficient the sector count allows.  Where its
+slots are dense enough, each block and each c_n is one int of a
+layouts.Kronecker layout, and c_n += c_(n - lN) * block(l, N) is int
+arithmetic; elsewhere they are {code: coeff} maps of a layouts.Codec and
+the product runs on layouts.mul_add.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -55,13 +60,12 @@ from fractions import Fraction
 from functools import cache
 
 from .graded import GradedDims
+from .layouts import sector_layout
 from .series import (
-    Codec,
     Series,
     coeff_str,
     first_mismatch,
     mismatch_counts,
-    mul_add,
     plethystic_exp,
     render_head,
     render_key,
@@ -215,61 +219,69 @@ def genus(table, which):
 # -- series kinds --------------------------------------------------------------
 
 
-def _sector_sum(order, cycles, level, codec):
+_ONE = (0, 0, 0, 0, 0)  # the key of the monomial 1
+
+
+def _sector_sum(order, cycles, level, layout):
     """sum_n c_n q^n, c_n the q^n coefficient of prod_{l <= cycles}
     sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
-    as {code: coeff} maps of codec, which no exponent of a c_n outgrows.
+    of layout (a layouts.Codec or layouts.Kronecker), which no c_n outgrows:
+    packed at l = 1, as the right factors of layout.mul_add above.
 
     c starts as a copy of level(1, order), the untwisted sectors (a level
     may share its list and maps), and takes in one further cycle length per
     pass, from the top down, so each c[n - lN] it reads still holds the
-    product over the shorter lengths while mul_add accumulates into c[n] in
-    place.  Each level is computed once."""
-    c = [dict(block) for block in level(1, order)]
+    product over the shorter lengths while c[n] accumulates.  Each level
+    is computed once."""
+    c = [layout.copy(block) for block in level(1, order)]
+    mul_add = layout.mul_add
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
-                mul_add(c[n], c[n - l * N], blocks[N])
-    return codec.series("q", order, c)
-
-
-def _codec(T, order, shift=0):
-    """Codec of a sector sum over T regraded by at most shift per moved
-    cycle: block(l, N) has no exponent above N (r + (l - 1) shift) <=
-    lN max(r, shift), r the largest of T, so c_n none above n max(r, shift),
-    and q^n adds 2n."""
-    return Codec(order * max([2, shift] + [abs(d) for k in T.dims for d in k]))
+                c[n] = mul_add(c[n], c[n - l * N], blocks[N])
+    return Series("q", order, layout.read(c, 0))
 
 
 def _poly_sum(T, order, cycles, x, dp, dq=0):
     """_sector_sum of the Sym^N T shifted by (dp, dq) per moved cycle, one
     DP per cycle length, each power packed as its poly(x) when yielded."""
-    codec = _codec(T, order, max(dp, dq))
-    return _sector_sum(order, cycles, lambda l, top: [*map(
-        lambda dims: codec.packed(dims.poly(x)),
-        T.shift(dp * (l - 1), dq * (l - 1)).sym_powers(top))][::-1], codec)
+    [shift] = GradedDims({(dp, dq): 1}).poly(x).terms
+    layout = sector_layout(order, cycles, T.poly(x).terms, shift,
+                           sum(T.dims.values()))
+    return _sector_sum(order, cycles, lambda l, top: [
+        (layout.packed if l == 1 else layout.factor)(dims.poly(x).terms, l * N)
+        for N, dims in zip(range(top, -1, -1), T.shift(
+            dp * (l - 1), dq * (l - 1)).sym_powers(top))][::-1], layout)
 
 
-def _genus_sum(T, order, cycles, codec, inv, weight=lambda l, nl: {0: 1}):
-    """_sector_sum of blocks weight(l, N) * inv(Sym^N T), both {code: coeff}
-    maps of codec, weight 1 at l = 1; one DP serves every l, and map frees
-    each Sym^N before the DP resumes."""
+def _genus_sum(T, order, cycles, keys, inv, sign=1, weight=_ONE):
+    """_sector_sum of blocks (sign weight)^((l - 1) N) inv(Sym^N T), inv a
+    {key: coeff} map whose keys are sums of N of keys and weight a key; one
+    DP serves every l, and map frees each Sym^N before the DP resumes."""
+    layout = sector_layout(order, cycles, keys, weight,
+                           sum(T.dims.values()))
     invs = [*map(inv, T.sym_powers(order))][::-1]
-    return _sector_sum(order, cycles, lambda l, top: invs[:top + 1] if l == 1
-                       else [mul_add({}, weight(l, N), invs[N])
-                             for N in range(top + 1)], codec)
+
+    def block(l, N):
+        m = (l - 1) * N
+        return layout.factor({tuple(a + m * e for a, e in zip(key, weight)):
+                              sign ** m * c for key, c in invs[N].items()},
+                             l * N)
+
+    top = [layout.packed(terms, N) for N, terms in enumerate(invs)]
+    return _sector_sum(order, cycles, lambda l, count: top[:count + 1]
+                       if l == 1 else [block(l, N) for N in range(count + 1)],
+                       layout)
 
 
 def _chiy_orb_brute(X, T, order, cycles):
     """Sector genera taken on the untwisted quotient (plain symmetric powers,
     integer bidegrees), each l-cycle weighted by the exact monomial
     y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    codec = _codec(T, order, X.dim_c)
-    weight = lambda l, nl: codec.packed(Series.term(
-        "q", None, 1, {"y": Fraction(X.dim_c * (l - 1) * nl, 2)}))
-    return _genus_sum(T, order, cycles, codec,
-                      lambda dims: codec.packed(chi_minus_y(dims)), weight)
+    return _genus_sum(T.mod4(False), order, cycles, chi_minus_y(T).terms,
+                      lambda dims: chi_minus_y(dims).terms,
+                      weight=(0, 0, 0, 0, X.dim_c))
 
 
 def _levels(poly, order, shift, cycles):
@@ -328,8 +340,8 @@ KINDS = {
     **_family("euler", KindSpec(
         "q", (), False, None, "hodge",
         lambda X, T, order, cycles: _genus_sum(
-            X.betti, order, cycles, _codec(X.betti, order),
-            lambda dims: {0: dims.euler()}),
+            X.betti.mod4(), order, cycles, (),
+            lambda dims: {_ONE: dims.euler()}),
         lambda X, T, order, cycles: _levels(
             Series.constant("q", None, X.euler()), order, {}, cycles))),
     **_family("poincare", KindSpec(
@@ -359,9 +371,8 @@ KINDS = {
     **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
         lambda X, T, order, cycles: _genus_sum(
-            T, order, cycles, _codec(T, order),
-            lambda dims: {0: genus(dims, "signature")},
-            lambda l, nl: {0: (-1) ** (X.dim_c // 2 * (l - 1) * nl)}),
+            T.mod4(), order, cycles, (), lambda dims: {
+                _ONE: genus(dims, "signature")}, (-1) ** (X.dim_c // 2)),
         _sign_f),
         needs=(_HAS_HODGE,)),
 }

@@ -27,10 +27,11 @@ order (counting exponent, then t, x, y) is then the order of the keys.
 One routine, substitute, replaces a variable by a monomial; specialize is
 substitute by constants, one variable after another.
 
-The hot product loops, in plethystic_exp and the brute sector sum, run
-on a Codec: it packs each key into one int, so monomials multiply by adding
-ints, and mul_add accumulates acc += a * b over sparse {code: coeff} maps.
-Every Series still holds 5-tuple keys.
+The hot product loops, in plethystic_exp and the brute sector sum, run on
+a layout of symprod.layouts: one int per power of the counting variable,
+with a slot per monomial (Kronecker substitution), where choose_layout
+finds the slots dense enough; otherwise, and for Fraction coefficients,
+sparse maps of packed monomials.  Every Series still holds 5-tuple keys.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -39,6 +40,8 @@ it combines with finite orders as "no constraint".
 
 from collections import Counter
 from fractions import Fraction
+
+from .layouts import choose_layout, euler_transform
 
 VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
@@ -299,60 +302,6 @@ def _render_term(key, c):
     return "%s*%s" % (coeff_str(a), mono)
 
 
-# -- packed monomials --------------------------------------------------------
-
-
-class Codec:
-    """Keys packed into ints: the five doubled exponents are the balanced
-    (signed) digits of one int in base 2^width, y the least significant, so
-    Laurent and half-integer exponents stay exact and the code of a product
-    of monomials is the sum of their codes.  Exact while no exponent of a
-    code the caller forms exceeds bound in absolute value; width adds a sign
-    bit and a carry bit."""
-
-    def __init__(self, bound):
-        w = self.width = bound.bit_length() + 2
-        self.mask, self.half = (1 << w) - 1, 1 << w - 1
-        self.shifts = range(4 * w, -1, -w)
-        # half the base in every digit makes the digits of a code nonnegative
-        self.bias = self.pack([self.half] * 5)
-
-    def pack(self, key):
-        code = 0
-        for e in key:
-            code = (code << self.width) + e
-        return code
-
-    def unpack(self, code):
-        v, mask, half, key = code + self.bias, self.mask, self.half, []
-        for s in self.shifts:
-            key.append((v >> s & mask) - half)
-        return tuple(key)
-
-    def packed(self, s):
-        """The {code: coeff} map of the Series s."""
-        return {self.pack(key): c for key, c in s.terms.items()}
-
-    def series(self, var, order, coeffs):
-        """The Series sum_n coeffs[n] var^n of {code: coeff} maps that hold
-        no power of var, each term unpacked once."""
-        step = self.pack(monomial_key({var: 1}))
-        return Series(var, order, {self.unpack(code + n * step): c
-                                   for n, cn in enumerate(coeffs)
-                                   for code, c in cn.items()})
-
-
-def mul_add(acc, a, b):
-    """acc += a * b on {code: coeff} maps of one Codec, in place; returns
-    acc.  Cancelled terms stay as zeros for the caller to drop."""
-    get = acc.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    return acc
-
-
 # -- expansion primitives ----------------------------------------------------
 
 
@@ -364,35 +313,44 @@ def plethystic_exp(f):
     positive power of the counting variable.  Writing f = sum_d f_d q^d and
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
-    on Laurent polynomials in t, x, y, held as {code: coeff} maps of one
-    Codec and unpacked once per term of the result.  When f is integral
-    the division by n is exact and stays in int; otherwise it is
-    Fraction(c, n), never the float c / n.
+    on Laurent polynomials in t, x, y in the layout choose_layout picks:
+    one int per F_n when f is integral and the layout is dense enough, so
+    n*F_n divides by n as a whole, else {code: coeff} maps of a Codec.
+    Either is read once per term of the result.  When f is integral the
+    division by n is exact and stays in int; otherwise it is Fraction(c, n),
+    never the float c / n.
     """
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")
     order, ti = f.order, _VI[f.var]
+    if any(key[ti] == 0 for key in f.terms):
+        raise SeriesUsageError("plethystic_exp needs every term to carry "
+                               "the counting variable")
     integral = f.is_integral()
-    # a monomial of D_k is at most k times one of f, a monomial of F_n a
-    # product of D_k with the k summing to n, and the result adds 2n at ti
-    codec = Codec(order * max([2] + [abs(e) for key in f.terms for e in key]))
+    # (degree, key without the counting variable, coeff) per term of f
+    terms = [(key[ti] // 2, key[:ti] + (0,) + key[ti + 1:],
+              c.numerator if integral else c) for key, c in f.terms.items()]
+    bound = None
+    if integral:  # no digit of n F_n outgrows n [q^n] PE[|f| at 1]
+        a = [0] * (order + 1)
+        for d, _, c in terms:
+            a[d] += abs(c)
+        bound = max(n * g for n, g in enumerate(euler_transform(a, order)))
+    lay = choose_layout([(d, key) for d, key, _ in terms], order, bound)
     D = [Counter() for _ in range(order + 1)]
-    for key, c in f.terms.items():
-        d = key[ti] // 2
-        if d == 0:
-            raise SeriesUsageError("plethystic_exp needs every term to carry "
-                                   "the counting variable")
-        base = codec.pack(key[:ti] + (0,) + key[ti + 1:])
+    for d, key, c in terms:
         for j in range(1, order // d + 1):
-            D[d * j][j * base] += d * c
-    F = [{0: 1}]
+            D[d * j][tuple(j * e for e in key)] += d * c
+    D = [lay.factor(Dk, k) for k, Dk in enumerate(D)]
+    F = [lay.packed({(0,) * 5: 1}, 0)]
     for n in range(1, order + 1):
-        acc = {}
-        for k in range(1, n + 1):
-            mul_add(acc, D[k], F[n - k])
-        F.append({code: c // n if integral else Fraction(c, n)
+        acc = lay.product(F[n - 1], D[1])
+        for k in range(2, n + 1):
+            acc = lay.mul_add(acc, F[n - k], D[k])
+        F.append(acc // n if type(acc) is int else
+                 {code: c // n if integral else Fraction(c, n)
                   for code, c in acc.items() if c})
-    return codec.series(f.var, order, F)
+    return Series(f.var, order, lay.read(F, ti))
 
 
 def twist(s):

@@ -231,6 +231,28 @@ def long_str(n):
 NINES = 10 ** 4000 - 1  # a literal the reader takes: 4,000 digits
 
 
+def test_series_both_renders_an_equal_series_once(capsys, monkeypatch):
+    renders = []
+    render = orbifold.Series.__str__
+    monkeypatch.setattr(orbifold.Series, "__str__",
+                        lambda s: renders.append(s) or render(s))
+    argv = ("series", "euler_orb", "--manifold", "p1", "--order", "3",
+            "--mode", "both")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(renders) == 1
+    assert out.splitlines()[:2] == ["brute:  1 + 2*q + 5*q^2 + 10*q^3",
+                                    "closed: 1 + 2*q + 5*q^2 + 10*q^3"]
+    # a mismatch renders each side
+    renders.clear()
+    closed = orbifold.closed_series
+    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and len(renders) == 2
+    assert out.splitlines()[:3] == ["brute:  1 + 2*q + 5*q^2 + 10*q^3",
+                                    "closed: 2 + 2*q + 5*q^2 + 10*q^3",
+                                    "verdict: mismatch"]
+
+
 def test_coefficients_past_the_str_digit_limit_print_in_full(tmp_path,
                                                              capsys):
     # the point with Euler number NINES: prod (1 - q^k)^-NINES has q^2

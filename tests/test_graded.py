@@ -232,3 +232,25 @@ def test_collapse_to_total_degree():
     # the Poincare polynomial of the collapse is the Hodge one at x = y = t
     at_t = substitute(substitute(K3.poly("x"), "x", {"t": 1}), "y", {"t": 1})
     assert at_t == K3.collapse().poly("t")
+
+
+def reduced(v, both):
+    """The dimensions of v by degrees mod 4 (doubled), the first degree
+    kept when not both."""
+    out = {}
+    for (p, q), b in v.dims.items():
+        k = (p % 4 if both else p, q % 4)
+        out[k] = out.get(k, 0) + b
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graded(), small_bigraded()),
+       st.integers(min_value=0, max_value=5), st.booleans())
+@example(K3, 4, True)
+def test_sym_power_commutes_with_degrees_mod_4(v, n, both):
+    # Sym^N of the reduced table is Sym^N of the table, reduced: its
+    # parities, Euler numbers and signatures are those of Sym^N
+    top = v.mod4(both).sym_power(n)
+    assert reduced(top, both) == reduced(v.sym_power(n), both)
+    assert top.euler() == v.sym_power(n).euler()
