@@ -8,7 +8,8 @@ from a bound on every coefficient formed (None: some are Fractions).
 Kronecker makes it one int with a slot per monomial, Codec a sparse map of
 packed monomials; the Kronecker layout is taken when it spends at most
 BITS_PER_TERM bits per expected term.  Both offer packed, factor, mul_add,
-product, copy and read.
+product, copy and read, and frame and shift_add, on which symmetric_powers
+builds every Sym^N of a sector block in the layout's own values.
 """
 
 from math import gcd
@@ -68,10 +69,12 @@ class Codec:
         return {self.unpack(code + n * step): c
                 for n, cn in enumerate(coeffs) for code, c in cn.items()}
 
-    factor = packed
+    frame = lambda self, keys, d: (0, [*map(self.pack, keys)])  # codes add
+    factor = staticmethod(lambda value, base=0: value)
     mul_add = staticmethod(mul_add)
     product = staticmethod(lambda a, b: mul_add({}, a, b))
     copy = staticmethod(dict)
+    shift_add = staticmethod(lambda acc, a, s, c: mul_add(acc, a, {s: c}))
 
 
 class Kronecker:
@@ -102,7 +105,7 @@ class Kronecker:
                               for n in range(order + 1)])
                 stride *= order * num // den + 1
         self.sizes = [1 + sum(s) for s in zip(*spans, [0] * (order + 1))]
-        self.units, self._support = units, None
+        self.units = units
         self.nbytes = (bound.bit_length() + 8) // 8
         self.width = 8 * self.nbytes
         self._zero = (1 << self.width - 1).to_bytes(self.nbytes, "little")
@@ -113,46 +116,54 @@ class Kronecker:
 
     def support(self):
         """Per degree, the slots products of units reach, one bit each."""
-        if self._support is None:
-            shifts = [(d, self.slot(key, d)) for d, key in self.units]
-            reach = [1]
-            for n in range(1, len(self.sizes)):
-                r = 0
-                for d, s in shifts:
-                    if d <= n:
-                        r |= reach[n - d] << s
-                reach.append(r)
-            self._support = reach
-        return self._support
+        shifts = [(d, self.slot(key, d)) for d, key in self.units]
+        reach = [1]
+        for n in range(1, len(self.sizes)):
+            r = 0
+            for d, s in shifts:
+                if d <= n:
+                    r |= reach[n - d] << s
+            reach.append(r)
+        return reach
 
-    def _int(self, digits, size):
-        """The int of (slot, digit) pairs below size, written as bytes."""
+    def _digits(self, value):
+        """(slot, digit) of each nonzero digit of value, lowest first and
+        lazily, read from one to_bytes at the slots whose top bit flag sets."""
+        nb, w = self.nbytes, self.width
+        size = abs(value).bit_length() // w + 2
+        bias = int.from_bytes(self._zero * size, "little")  # the top bits
+        raw = value + bias
+        x = raw ^ bias  # the digits of value, offset to be nonnegative
+        # ones below the top bit carry into it unless the low bits are zero
+        flag = ((x & ~bias) + bias - (bias >> w - 1) | x) & bias
+        raw, half = raw.to_bytes(size * nb, "little"), 1 << w - 1
+        return ((i, int.from_bytes(raw[i * nb:(i + 1) * nb], "little") - half)
+                for i, f in enumerate(flag.to_bytes(size * nb, "little")
+                                      [nb - 1::nb]) if f)
+
+    def packed(self, terms, n):
+        """The int of a {key: int coeff} map of degree n, written as bytes."""
         nb, half, zero = self.nbytes, 1 << self.width - 1, self._zero
+        digits = [(self.slot(key, n), c) for key, c in terms.items()]
+        size = 1 + max((i for i, _ in digits), default=0)
         raw = bytearray(zero * size)
         for i, c in digits:
             raw[i * nb:(i + 1) * nb] = (c + half).to_bytes(nb, "little")
         return int.from_bytes(raw, "little") - int.from_bytes(
             zero * size, "little")
 
-    def packed(self, terms, n):
-        """The int of a {key: int coeff} map of degree n."""
-        digits = [(self.slot(key, n), c) for key, c in terms.items()]
-        return self._int(digits, 1 + max((i for i, _ in digits), default=0))
-
-    def factor(self, terms, n):
-        """A {key: int coeff} map of degree n as the factor b of mul_add:
+    def factor(self, value, base=0):
+        """value, base bits below its place, as the factor b of mul_add:
         the shift of its lowest slot and (shift, coeff) pairs above it, one
-        per term, or one of the whole packed int where that is dense."""
-        w = self.width
-        digits = sorted((self.slot(key, n), c)
-                        for key, c in terms.items() if c)
+        per term, or one of the whole int where its slots hold fewer than
+        FACTOR_BITS bits per term."""
+        digits, w = [*self._digits(value)], self.width
         if not digits:
             return 0, ()
         low, top = digits[0][0], digits[-1][0]
         if (top - low) * w < FACTOR_BITS * len(digits):
-            return w * low, ((0, self._int([(i - low, c) for i, c in digits],
-                                           top - low + 1)),)
-        return w * low, [(w * (i - low), c) for i, c in digits]
+            return base + w * low, ((0, value >> w * low),)
+        return base + w * low, [(w * (i - low), c) for i, c in digits]
 
     @staticmethod
     def mul_add(acc, a, b):
@@ -165,30 +176,29 @@ class Kronecker:
     product = staticmethod(lambda a, b: Kronecker.mul_add(0, a, b))
     copy = staticmethod(lambda a: a)
 
+    def frame(self, keys, d):
+        """(origin, shifts) in bits: the lowest slot of keys, each above."""
+        slots = [self.slot(key, d) for key in keys]
+        low = min(slots, default=0)
+        return self.width * low, [self.width * (s - low) for s in slots]
+
+    shift_add = staticmethod(lambda acc, a, s, c: acc + (c * a << s))
+
     def read(self, coeffs, ti):
-        """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti:
-        each int is decoded once through to_bytes, half the base added to
-        every digit, at the slots of its support() only."""
-        nb, zero, half, out = self.nbytes, self._zero, 1 << self.width - 1, {}
+        """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti,
+        each int decoded once."""
+        out = {}
         for n, value in enumerate(coeffs):
-            size = self.sizes[n]
-            raw = (value + int.from_bytes(zero * size, "little")).to_bytes(
-                size * nb, "little")
             base = [0] * 5
             base[ti] = 2 * n
             for v, _, slope, _ in self.vars:
                 base[v] = n * slope
-            bits = bin(self.support()[n])[:1:-1]  # slot i is bits[i]
-            i = bits.find("1")
-            while i >= 0:
-                digit = raw[i * nb:(i + 1) * nb]
-                if digit != zero:
-                    key, rest = base[:], i
-                    for v, step, _, stride in reversed(self.vars):
-                        j, rest = divmod(rest, stride)
-                        key[v] += j * step
-                    out[tuple(key)] = int.from_bytes(digit, "little") - half
-                i = bits.find("1", i + 1)
+            for i, c in self._digits(value):
+                key, rest = base[:], i
+                for v, step, _, stride in reversed(self.vars):
+                    j, rest = divmod(rest, stride)
+                    key[v] += j * step
+                out[tuple(key)] = c
         return out
 
 
@@ -240,3 +250,25 @@ def sector_layout(order, cycles, keys, shift, b):
         [(l, tuple(e + (l - 1) * s for e, s in zip(key, shift)))
          for l in range(1, cycles + 1) for key in keys or [(0,) * 5]],
         order, euler_transform(a, order)[order])
+
+
+def symmetric_powers(layout, blocks, d, top):
+    """Sym^0, ..., Sym^top of a super space with classes of degree d, in
+    layout: Sym^N has degree d N, packed at d = 1, a factor of mul_add
+    above.  blocks lists (key, e, a): e classes at key counted a = +-1
+    times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod (1 - a
+    key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at j key."""
+    origin, shifts = layout.frame([key for key, _, _ in blocks], d)
+    zero = layout.packed({}, 0)
+    powers = [layout.packed({(0,) * 5: 1}, 0)] + [zero] * top
+    for s, (_, e, a) in zip(shifts, blocks):
+        for N in range(top, 0, -1):  # powers[N - j] still lacks the block
+            acc, ways = layout.copy(powers[N]), 1
+            for j in range(1, N + 1):
+                ways = ways * a * (e + j - 1) // j
+                if not ways:
+                    break
+                acc = layout.shift_add(acc, powers[N - j], j * s, ways)
+            powers[N] = acc
+    return [layout.factor(v, N * origin) if d > 1 else layout.shift_add(
+        layout.copy(zero), v, N * origin, 1) for N, v in enumerate(powers)]

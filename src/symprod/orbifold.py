@@ -11,16 +11,19 @@ be checked coefficient by coefficient.
 
 The brute side is one sector sum, _sector_sum.  Each kind names a
 level(l, count): block(l, N) for N = 0..count, the invariants of Sym^N(H*X)
-regraded for N l-cycles, from one symmetric-power DP.  The sum over cycle
+regraded for N l-cycles, from one layouts.symmetric_powers DP over the
+class images of the kind (x^p y^q or t^p, with the regraded parity, for
+hodge and poincare; (-1)^(p+q), (-1)^q and (-1)^(p+q) y^p, multiplicative
+over a basis of Sym^N, for euler, sign and chiy).  The sum over cycle
 types of prod_l block(l, N_l) is the truncated product over cycle lengths l
-of sum_N block(l, N) q^(lN).  Every block is packed by one layout,
-layouts.sector_layout, as the DP yields its Sym^N: a cycle of length l
-carries one class of X and l - 1 regradings, so the layout sees those
-units and the largest coefficient the sector count allows.  Where its
-slots are dense enough, each block and each c_n is one int of a
-layouts.Kronecker layout, and c_n += c_(n - lN) * block(l, N) is int
-arithmetic; elsewhere they are {code: coeff} maps of a layouts.Codec and
-the product runs on layouts.mul_add.
+of sum_N block(l, N) q^(lN).  The DP runs on the values of one layout,
+layouts.sector_layout: a cycle of length l carries one class of X and
+l - 1 regradings, so the layout sees those units and the largest
+coefficient the sector count allows.  Where its slots are dense enough,
+each block and each c_n is one int of a layouts.Kronecker layout, and
+c_n += c_(n - lN) * block(l, N) is int arithmetic; elsewhere they are
+{code: coeff} maps of a layouts.Codec and the product runs on
+layouts.mul_add.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -60,7 +63,7 @@ from fractions import Fraction
 from functools import cache
 
 from .graded import GradedDims
-from .layouts import sector_layout
+from .layouts import sector_layout, symmetric_powers
 from .series import (
     Series,
     coeff_str,
@@ -243,45 +246,32 @@ def _sector_sum(order, cycles, level, layout):
     return Series("q", order, layout.read(c, 0))
 
 
-def _poly_sum(T, order, cycles, x, dp, dq=0):
-    """_sector_sum of the Sym^N T shifted by (dp, dq) per moved cycle, one
-    DP per cycle length, each power packed as its poly(x) when yielded."""
-    [shift] = GradedDims({(dp, dq): 1}).poly(x).terms
-    layout = sector_layout(order, cycles, T.poly(x).terms, shift,
-                           sum(T.dims.values()))
-    return _sector_sum(order, cycles, lambda l, top: [
-        (layout.packed if l == 1 else layout.factor)(dims.poly(x).terms, l * N)
-        for N, dims in zip(range(top, -1, -1), T.shift(
-            dp * (l - 1), dq * (l - 1)).sym_powers(top))][::-1], layout)
-
-
-def _genus_sum(T, order, cycles, keys, inv, sign=1, weight=_ONE):
-    """_sector_sum of blocks (sign weight)^((l - 1) N) inv(Sym^N T), inv a
-    {key: coeff} map whose keys are sums of N of keys and weight a key; one
-    DP serves every l, and map frees each Sym^N before the DP resumes."""
-    layout = sector_layout(order, cycles, keys, weight,
-                           sum(T.dims.values()))
-    invs = [*map(inv, T.sym_powers(order))][::-1]
-
-    def block(l, N):
-        m = (l - 1) * N
-        return layout.factor({tuple(a + m * e for a, e in zip(key, weight)):
-                              sign ** m * c for key, c in invs[N].items()},
-                             l * N)
-
-    top = [layout.packed(terms, N) for N, terms in enumerate(invs)]
-    return _sector_sum(order, cycles, lambda l, count: top[:count + 1]
-                       if l == 1 else [block(l, N) for N in range(count + 1)],
-                       layout)
+def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1):
+    """_sector_sum of block(l, N), the image of Sym^N T regraded for N
+    l-cycles, one layouts.symmetric_powers DP per l.  image(p, q, s) is
+    (key, a) where a class at (p, q) of super sign s = (-1)^((p + q)/2) has
+    image a s key: its b classes join the block (key, s b, a).  A moved
+    cycle moves each key by shift and multiplies a by sign; flip = -1 where
+    it regrades by an odd degree, which turns each parity, so e and a."""
+    blocks = Counter()
+    for (p, q), b in T.dims.items():
+        s = -1 if (p + q) % 4 else 1
+        blocks[image(p, q, s)] += s * b
+    blocks = [(key, e, a) for (key, a), e in blocks.items() if e]
+    layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
+                           shift, sum(T.dims.values()))
+    return _sector_sum(order, cycles, lambda l, top: symmetric_powers(
+        layout, [(tuple(k + (l - 1) * v for k, v in zip(key, shift)),
+                  e * flip ** (l - 1), a * (flip * sign) ** (l - 1))
+                 for key, e, a in blocks], l, top), layout)
 
 
 def _chiy_orb_brute(X, T, order, cycles):
     """Sector genera taken on the untwisted quotient (plain symmetric powers,
     integer bidegrees), each l-cycle weighted by the exact monomial
     y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    return _genus_sum(T.mod4(False), order, cycles, chi_minus_y(T).terms,
-                      lambda dims: chi_minus_y(dims).terms,
-                      weight=(0, 0, 0, 0, X.dim_c))
+    return _sym_sum(T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p), 1),
+                    (0, 0, 0, 0, X.dim_c))
 
 
 def _levels(poly, order, shift, cycles):
@@ -339,21 +329,22 @@ def _family(name, spec, **overrides):
 KINDS = {
     **_family("euler", KindSpec(
         "q", (), False, None, "hodge",
-        lambda X, T, order, cycles: _genus_sum(
-            X.betti.mod4(), order, cycles, (),
-            lambda dims: {_ONE: dims.euler()}),
+        lambda X, T, order, cycles: _sym_sum(
+            X.betti, order, cycles, lambda p, q, s: (_ONE, 1)),
         lambda X, T, order, cycles: _levels(
             Series.constant("q", None, X.euler()), order, {}, cycles))),
     **_family("poincare", KindSpec(
         "q", (), True, None, "hodge",
-        lambda X, T, order, cycles: _poly_sum(
-            X.betti, order, cycles, "t", 2 * X.m),
+        lambda X, T, order, cycles: _sym_sum(
+            X.betti, order, cycles, lambda p, q, s: ((0, 0, p, 0, 0), s),
+            (0, 0, 2 * X.m, 0, 0), (-1) ** X.m),
         lambda X, T, order, cycles: _levels(
             X.betti.poly("t"), order, {"t": X.m}, cycles))),
     **_family("hodge", KindSpec(
         "q", (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order, cycles: _poly_sum(
-            T, order, cycles, "x", X.dim_c, X.dim_c),
+        lambda X, T, order, cycles: _sym_sum(
+            T, order, cycles, lambda p, q, s: ((0, 0, 0, p, q), s),
+            (0, 0, 0, X.dim_c, X.dim_c), (-1) ** X.dim_c),
         lambda X, T, order, cycles: _levels(T.poly("x"), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
     **_family("chiy", KindSpec(
@@ -370,9 +361,9 @@ KINDS = {
         needs=(_HAS_HODGE,)),
     **_family("sign", KindSpec(
         "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
-        lambda X, T, order, cycles: _genus_sum(
-            T.mod4(), order, cycles, (), lambda dims: {
-                _ONE: genus(dims, "signature")}, (-1) ** (X.dim_c // 2)),
+        lambda X, T, order, cycles: _sym_sum(
+            T, order, cycles, lambda p, q, s: (_ONE, -1 if p % 4 else 1),
+            sign=(-1) ** (X.dim_c // 2)),
         _sign_f),
         needs=(_HAS_HODGE,)),
 }

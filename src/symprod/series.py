@@ -341,7 +341,7 @@ def plethystic_exp(f):
     for d, key, c in terms:
         for j in range(1, order // d + 1):
             D[d * j][tuple(j * e for e in key)] += d * c
-    D = [lay.factor(Dk, k) for k, Dk in enumerate(D)]
+    D = [lay.factor(lay.packed(Dk, k)) for k, Dk in enumerate(D)]
     F = [lay.packed({(0,) * 5: 1}, 0)]
     for n in range(1, order + 1):
         acc = lay.product(F[n - 1], D[1])

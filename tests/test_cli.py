@@ -3,12 +3,13 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symprod import cli, orbifold
+from symprod import cli, fock, orbifold
 
 
 def run(capsys, *argv):
@@ -291,6 +292,25 @@ def test_fock_verify_takes_a_pairing_past_the_str_digit_limit(tmp_path,
                          "--max-charge", "3")
     assert (code, err) == (0, "")
     assert out.endswith("5 checks, 0 failed\n")
+
+
+def test_fock_verify_refuses_a_huge_basis_up_front(tmp_path, capsys):
+    # one generator per class of a 4,000-digit Betti number: the basis
+    # count from closed poincare_orb refuses it before any is listed
+    path = write(tmp_path, {"dim_c": 0, "hodge": [[NINES]]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fock-verify", "--manifold", str(path),
+                         "--max-charge", "2")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: %s has over 1000000 Fock states up to charge 2\n" \
+        % path.stem
+    # the cap admits k3 at charge 5 and refuses it at charge 6
+    k3 = cli.load_manifold(cli.catalog_dir() / "k3.json")
+    count = [sum(orbifold.closed_series("poincare_orb", k3, c).terms.values())
+             for c in (5, 6)]
+    assert count == [205_455, 1_279_175]
+    assert count[0] <= fock.MAX_STATES < count[1]
 
 
 def test_load_rejects_inconsistent_betti(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import dsum, sym_power_oracle, tensor
 from symprod.graded import GradedDims
+from symprod.layouts import Codec, Kronecker, symmetric_powers
 from symprod.series import Series, plethystic_exp, substitute, twist
 
 # degrees below are doubled: GradedDims({(0, 0): 1, (4, 0): 1}) is one class
@@ -139,25 +140,40 @@ def small_bigraded(draw):
                                   max_size=3)))
 
 
+def layouts_of(v, n):
+    """A Codec and a Kronecker layout that hold every Sym^N of v, N <= n,
+    at its (p, q) in x and y."""
+    keys = [(0, 0, 0, p, q) for p, q in v.dims] or [(0,) * 5]
+    bound = max([1] + [c for N in range(n + 1)
+                       for c in sym_power_oracle(v, N).dims.values()])
+    codec = Codec(max(n, 1) * max([2] + [e for k in v.dims for e in k]))
+    return codec, Kronecker([(1, k) for k in keys], n, bound)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(small_graded(), small_bigraded()),
        st.integers(min_value=0, max_value=4))
 @example(GradedDims({}), 3)
 @example(G({1: 2, 3: 1}), 4)
 @example(K3, 0)
-def test_sym_powers_yield_every_power_from_the_top(v, n):
-    assert list(v.sym_powers(n))[::-1] == [sym_power_oracle(v, N)
-                                           for N in range(n + 1)]
-    assert v.sym_power(n) == next(v.sym_powers(n))
+def test_symmetric_powers_match_the_oracle_at_every_power(v, n):
+    # the DP of every power at once, on both layouts, and sym_power
+    blocks = [((0, 0, 0, p, q), -b if (p + q) % 4 else b,
+               -1 if (p + q) % 4 else 1) for (p, q), b in v.dims.items()]
+    for layout in layouts_of(v, n):
+        powers = symmetric_powers(layout, blocks, 1, n)
+        for N, power in enumerate(powers):
+            got = layout.read([layout.packed({}, 0)] * N + [power], 0)
+            assert GradedDims({k[3:]: c for k, c in got.items()}) \
+                == sym_power_oracle(v, N), (layout, N)
+    assert v.sym_power(n) == sym_power_oracle(v, n)
 
 
-def test_sym_powers_raise_when_first_advanced():
-    negative = G({0: 1}).sym_powers(-1)
+def test_sym_power_rejects_a_negative_power():
     with pytest.raises(ValueError, match="nonnegative"):
-        next(negative)
-    half = GradedDims({(1, 0): 1}).sym_powers(2)
+        G({0: 1}).sym_power(-1)
     with pytest.raises(ValueError, match="half-integer"):
-        next(half)
+        GradedDims({(1, 0): 1}).sym_power(2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,25 +248,3 @@ def test_collapse_to_total_degree():
     # the Poincare polynomial of the collapse is the Hodge one at x = y = t
     at_t = substitute(substitute(K3.poly("x"), "x", {"t": 1}), "y", {"t": 1})
     assert at_t == K3.collapse().poly("t")
-
-
-def reduced(v, both):
-    """The dimensions of v by degrees mod 4 (doubled), the first degree
-    kept when not both."""
-    out = {}
-    for (p, q), b in v.dims.items():
-        k = (p % 4 if both else p, q % 4)
-        out[k] = out.get(k, 0) + b
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(small_graded(), small_bigraded()),
-       st.integers(min_value=0, max_value=5), st.booleans())
-@example(K3, 4, True)
-def test_sym_power_commutes_with_degrees_mod_4(v, n, both):
-    # Sym^N of the reduced table is Sym^N of the table, reduced: its
-    # parities, Euler numbers and signatures are those of Sym^N
-    top = v.mod4(both).sym_power(n)
-    assert reduced(top, both) == reduced(v.sym_power(n), both)
-    assert top.euler() == v.sym_power(n).euler()

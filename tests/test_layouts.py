@@ -93,7 +93,8 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     lay, saved = Kronecker(units, da + db, bound), layouts.FACTOR_BITS
     layouts.FACTOR_BITS = factor_bits  # one int, or a shift-add per term
     try:
-        value = lay.mul_add(0, lay.packed(a, da), lay.factor(b, db))
+        value = lay.mul_add(0, lay.packed(a, da),
+                            lay.factor(lay.packed(b, db)))
     finally:
         layouts.FACTOR_BITS = saved
     got = lay.read([0] * (da + db) + [value], 0)

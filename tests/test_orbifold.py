@@ -4,10 +4,10 @@ from math import comb
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG_NAMES, tensor, traced_peak
+from conftest import CATALOG_NAMES, sym_power_oracle, tensor, traced_peak
 from symprod import layouts, series
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
@@ -189,24 +189,26 @@ def q_power(c, order, n):
     return c * Series.term("q", order, 1, {"q": n})
 
 
+def block_series(layout, block, n, order=None):
+    """A block of degree n, packed or a factor of mul_add, as a q-series:
+    a Kronecker factor (a shift and (shift, coeff) pairs above it) is first
+    summed to one int."""
+    if isinstance(layout, Kronecker):
+        if type(block) is not int:
+            block = sum(c << s for s, c in block[1]) << block[0]
+        return Series("q", order, layout.read([0] * n + [block], 0))
+    return Series("q", order, layout.read([{}] * n + [block], 0))
+
+
 def cycle_type_sector_sum(order, cycles, level, layout):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) q^(l N_l) per cycle type of S_n with no cycle
     longer than cycles, summed.  Each block(l, N) is the top of its own
-    level(l, N), so the kinds whose levels run a DP per call take each
-    Sym^N from its own DP, not from the one DP per level of _sector_sum; it
-    is read into a Series at its power of q, so the products multiply
-    5-tuple keys, not codes or packed ints."""
-    if isinstance(layout, Kronecker):
-        # a block of a longer cycle comes as a factor: a shift and
-        # (shift, coeff) pairs above it
-        read = lambda b: b if type(b) is int else \
-            sum(c << s for s, c in b[1]) << b[0]
-        empty = 0
-    else:
-        read, empty = dict, {}
-    block = cache(lambda l, nl: Series("q", order, layout.read(
-        [empty] * (l * nl) + [read(level(l, nl)[nl])], 0)))
+    level(l, N), so each Sym^N comes from its own DP, not from the one DP
+    per level of _sector_sum; it is read into a Series at its power of q,
+    so the products multiply 5-tuple keys, not codes or packed ints."""
+    block = cache(lambda l, nl: block_series(layout, level(l, nl)[nl],
+                                             l * nl, order))
 
     def sectors(n):
         terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
@@ -282,6 +284,62 @@ def test_k3_hodge_orb_takes_the_dense_path_on_both_sides(catalog, monkeypatch,
     assert b == c
 
 
+@st.composite
+def sparse_hodge_manifolds(draw):
+    """Hodge tables of dim_C 1, 2 or 3 with at most four nonzero entries,
+    each 1 or 2: odd classes where p + q is odd, and half-integer sector
+    shifts at odd dim_C, on a basis the oracle can enumerate."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    cell = st.integers(0, d)
+    entries = draw(st.dictionaries(st.tuples(cell, cell), st.integers(1, 2),
+                                   max_size=4))
+    return ManifoldData.from_hodge("sparse", d, [
+        [entries.get((p, q), 0) for q in range(d + 1)] for p in range(d + 1)])
+
+
+def oracle_block(kind, X, l, N):
+    """block(l, N) of a kind from the basis of Sym^N (sym_power_oracle) of
+    the table regraded for N l-cycles, at q^(l N): the regraded Hodge or
+    Poincare polynomial, or the genus image times its sector weight."""
+    d, m = X.dim_c, l - 1
+    at = Series.term("q", None, 1, {"q": l * N})
+    if kind == "hodge_orb":
+        return sym_power_oracle(X.hodge.shift(m * d, m * d), N).poly("x") * at
+    if kind == "poincare_orb":
+        return sym_power_oracle(X.betti.shift(2 * m * X.m), N).poly("t") * at
+    S = sym_power_oracle(X.hodge, N)
+    if kind == "euler_orb":
+        return S.euler() * at
+    if kind == "sign_orb":
+        return ob.genus(S, "signature") * (-1) ** (d // 2 * m * N) * at
+    return ob.chi_minus_y(S) * Series.term(
+        "q", None, 1, {"q": l * N, "y": Fraction(d * m * N, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_hodge_manifolds(),
+       st.sampled_from(("hodge_orb", "poincare_orb", "euler_orb",
+                        "chiy_orb", "sign_orb")),
+       st.sampled_from((Kronecker, Codec)))
+def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind, path):
+    # every block(l, N) that a kind's levels hand to _sector_sum, on either
+    # layout, against the basis enumeration of its regraded Sym^N
+    assume(ob.applicability(kind, X) is None)
+    order, seen = 4, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layouts, "BITS_PER_TERM",
+                   float("inf") if path is Kronecker else -1)
+        mp.setattr(ob, "_sector_sum", lambda order, cycles, level, layout:
+                   seen.append((level, layout)) or Series.zero("q", order))
+        ob.brute_series(kind, X, order)
+    [(level, layout)] = seen
+    assert type(layout) is path
+    for l in range(1, order + 1):
+        for N, block in enumerate(level(l, order // l)):
+            assert block_series(layout, block, l * N) == \
+                oracle_block(kind, X, l, N), (l, N)
+
+
 @pytest.mark.parametrize("build, bound", ((ob.brute_series, 728_000),
                                           (ob.closed_series, 800_000)))
 def test_dense_hodge_orb_peak_memory(catalog, build, bound):
@@ -294,20 +352,20 @@ def test_dense_hodge_orb_peak_memory(catalog, build, bound):
 
 
 def test_brute_peak_memory_stays_within_one_top_power(catalog):
-    # the invariant kinds reduce each Sym^N as it is yielded, so at most one
-    # finished power is alive beside the DP's partial slots
+    # the genus kinds run their DP on the class images: sign_orb on k3 at
+    # order 18 holds a few one-slot ints per power (8,715 bytes on Python
+    # 3.11).  The bound is 1.25 times the tracemalloc peak of
+    # k3.hodge.sym_power(18) on the dict DP this replaced (267,788 to
+    # 357,108 bytes), at the low end; sign_orb read 15,383 bytes there
     k3 = catalog["k3"]
-    alone = traced_peak(lambda: k3.hodge.sym_power(18))
     assert traced_peak(lambda: ob.brute_series("sign_orb", k3, 18)) \
-        <= 1.25 * alone
+        <= 334_735
 
 
 def test_brute_levels_pack_each_power_as_it_is_yielded(catalog, monkeypatch):
-    # hodge_orb packs each Sym^N of a level as its DP yields it, so one
-    # unpacked power at a time is alive beside the packed ones (2.1 times
-    # one top power at order 16; packing a built level reads 3.4).  The
-    # levels are built and dropped without the product, whose result
-    # would outweigh them.
+    # hodge_orb builds each level by one DP on the layout's packed ints,
+    # with no unpacked power alive.  The levels are built and dropped
+    # without the product, whose result would outweigh them.
     k3 = catalog["k3"]
 
     def levels_only(order, cycles, level, codec):
@@ -315,10 +373,12 @@ def test_brute_levels_pack_each_power_as_it_is_yielded(catalog, monkeypatch):
             level(l, order // l)
 
     monkeypatch.setattr(ob, "_sector_sum", levels_only)
-    top = lambda: k3.hodge.sym_power(16)
     levels = lambda: ob.brute_series("hodge_orb", k3, 16)
-    top(), levels()  # first calls also allocate the interpreter's caches
-    assert traced_peak(levels) <= 2.75 * traced_peak(top)
+    levels()  # the first call also allocates the interpreter's caches
+    # 2.75 times the 143,704-byte tracemalloc peak of k3.hodge.sym_power(16)
+    # on the dict DP this replaced (Python 3.11); the levels read 244,770
+    # bytes there and 136,403 now
+    assert traced_peak(levels) <= 395_186
 
 
 def test_symprod_dims_p1_is_projective_space(catalog):
