@@ -6,7 +6,8 @@ sits at its bidegrees (p, q); a Betti table puts degree d at (d, 0).  A
 class is even or odd according to its total degree (p + q)/2 mod 2, and
 graded symmetric powers are the super ones: even generators multiply
 symmetrically, odd generators anticommute (so they square to zero);
-sym_power takes them from layouts.symmetric_powers, as the sector sums do.
+sym_power takes them from layouts.symmetric_powers on the ints of
+layouts.sector_layout, as the sector sums do.
 
 The constructor only drops zero entries.  Input tables are validated once,
 where they enter (ManifoldData), so the internal products build maps without
@@ -14,7 +15,7 @@ re-checking them.  A half-integer total degree has no parity: sym_power
 and euler, which need parities, reject it once per block.
 """
 
-from .layouts import Codec, symmetric_powers
+from .layouts import sector_layout, symmetric_powers
 from .series import Series, _VI
 
 
@@ -70,13 +71,16 @@ class GradedDims:
 
     def sym_power(self, n):
         """The n-th super symmetric power, by layouts.symmetric_powers on
-        packed monomials.  ValueError on n < 0 or a half-integer degree."""
+        the ints of the sector layout of Sym^n.  ValueError on n < 0 or a
+        half-integer degree."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        codec = Codec(n * max([2] + [abs(e) for k in self.dims for e in k]))
-        top = symmetric_powers(codec, self._blocks(), 1, n)[n]
-        return GradedDims({codec.unpack(code)[3:]: c
-                           for code, c in top.items()})
+        blocks = self._blocks()
+        layout = sector_layout(n, 1, [key for key, _, _ in blocks], (0,) * 5,
+                               sum(self.dims.values()))
+        top = symmetric_powers(layout, blocks, 1, n)[n]
+        return GradedDims({key[3:]: c for key, c in
+                           layout.read([0] * n + [top], 0).items()})
 
     def poly(self, x):
         """sum dim x^p y^q as an exact Series: the Poincare polynomial of a

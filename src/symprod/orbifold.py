@@ -19,11 +19,9 @@ types of prod_l block(l, N_l) is the truncated product over cycle lengths l
 of sum_N block(l, N) q^(lN).  The DP runs on the values of one layout,
 layouts.sector_layout: a cycle of length l carries one class of X and
 l - 1 regradings, so the layout sees those units and the largest
-coefficient the sector count allows.  Where its slots are dense enough,
-each block and each c_n is one int of a layouts.Kronecker layout, and
-c_n += c_(n - lN) * block(l, N) is int arithmetic; elsewhere they are
-{code: coeff} maps of a layouts.Codec and the product runs on
-layouts.mul_add.
+coefficient the sector count allows.  Each block and each c_n is one int
+of that layouts.Kronecker layout, and c_n += c_(n - lN) * block(l, N) is
+int arithmetic.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -228,15 +226,15 @@ _ONE = (0, 0, 0, 0, 0)  # the key of the monomial 1
 def _sector_sum(order, cycles, level, layout):
     """sum_n c_n q^n, c_n the q^n coefficient of prod_{l <= cycles}
     sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
-    of layout (a layouts.Codec or layouts.Kronecker), which no c_n outgrows:
-    packed at l = 1, as the right factors of layout.mul_add above.
+    of layout (a layouts.Kronecker), which no c_n outgrows: ints at l = 1,
+    the right factors of layout.mul_add above.
 
-    c starts as a copy of level(1, order), the untwisted sectors (a level
-    may share its list and maps), and takes in one further cycle length per
+    c starts as a copy of the list level(1, order), the untwisted sectors
+    (a level may share its list), and takes in one further cycle length per
     pass, from the top down, so each c[n - lN] it reads still holds the
     product over the shorter lengths while c[n] accumulates.  Each level
     is computed once."""
-    c = [layout.copy(block) for block in level(1, order)]
+    c = list(level(1, order))
     mul_add = layout.mul_add
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)

@@ -28,10 +28,9 @@ One routine, substitute, replaces a variable by a monomial; specialize is
 substitute by constants, one variable after another.
 
 The hot product loops, in plethystic_exp and the brute sector sum, run on
-a layout of symprod.layouts: one int per power of the counting variable,
-with a slot per monomial (Kronecker substitution), where choose_layout
-finds the slots dense enough; otherwise, and for Fraction coefficients,
-sparse maps of packed monomials.  Every Series still holds 5-tuple keys.
+the layout of symprod.layouts: one int per power of the counting variable,
+with a slot per monomial (Kronecker substitution), so plethystic_exp takes
+integer coefficients only.  Every Series still holds 5-tuple keys.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -41,7 +40,7 @@ it combines with finite orders as "no constraint".
 from collections import Counter
 from fractions import Fraction
 
-from .layouts import choose_layout, euler_transform
+from .layouts import Kronecker, euler_transform
 
 VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
@@ -313,12 +312,11 @@ def plethystic_exp(f):
     positive power of the counting variable.  Writing f = sum_d f_d q^d and
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
-    on Laurent polynomials in t, x, y in the layout choose_layout picks:
-    one int per F_n when f is integral and the layout is dense enough, so
-    n*F_n divides by n as a whole, else {code: coeff} maps of a Codec.
-    Either is read once per term of the result.  When f is integral the
-    division by n is exact and stays in int; otherwise it is Fraction(c, n),
-    never the float c / n.
+    on Laurent polynomials in t, x, y, each F_n one int of a
+    layouts.Kronecker layout: the recurrence is int arithmetic, n*F_n
+    divides by n as one int, and each F_n is read once per term.  f must
+    have integer coefficients (SeriesUsageError otherwise), so the
+    division by n is exact.
     """
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")
@@ -326,30 +324,28 @@ def plethystic_exp(f):
     if any(key[ti] == 0 for key in f.terms):
         raise SeriesUsageError("plethystic_exp needs every term to carry "
                                "the counting variable")
-    integral = f.is_integral()
+    if not f.is_integral():
+        raise SeriesUsageError("plethystic_exp needs integer coefficients")
     # (degree, key without the counting variable, coeff) per term of f
-    terms = [(key[ti] // 2, key[:ti] + (0,) + key[ti + 1:],
-              c.numerator if integral else c) for key, c in f.terms.items()]
-    bound = None
-    if integral:  # no digit of n F_n outgrows n [q^n] PE[|f| at 1]
-        a = [0] * (order + 1)
-        for d, _, c in terms:
-            a[d] += abs(c)
-        bound = max(n * g for n, g in enumerate(euler_transform(a, order)))
-    lay = choose_layout([(d, key) for d, key, _ in terms], order, bound)
+    terms = [(key[ti] // 2, key[:ti] + (0,) + key[ti + 1:], c.numerator)
+             for key, c in f.terms.items()]
+    a = [0] * (order + 1)
+    for d, _, c in terms:
+        a[d] += abs(c)
+    # no digit of n F_n outgrows n [q^n] PE[|f| at 1]
+    bound = max(n * g for n, g in enumerate(euler_transform(a, order)))
+    lay = Kronecker([(d, key) for d, key, _ in terms], order, bound)
     D = [Counter() for _ in range(order + 1)]
     for d, key, c in terms:
         for j in range(1, order // d + 1):
             D[d * j][tuple(j * e for e in key)] += d * c
     D = [lay.factor(lay.packed(Dk, k)) for k, Dk in enumerate(D)]
-    F = [lay.packed({(0,) * 5: 1}, 0)]
+    F = [1]  # the packed 1
     for n in range(1, order + 1):
-        acc = lay.product(F[n - 1], D[1])
-        for k in range(2, n + 1):
+        acc = 0
+        for k in range(1, n + 1):
             acc = lay.mul_add(acc, F[n - k], D[k])
-        F.append(acc // n if type(acc) is int else
-                 {code: c // n if integral else Fraction(c, n)
-                  for code, c in acc.items() if c})
+        F.append(acc // n)
     return Series(f.var, order, lay.read(F, ti))
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import dsum, sym_power_oracle, tensor
 from symprod.graded import GradedDims
-from symprod.layouts import Codec, Kronecker, symmetric_powers
+from symprod.layouts import Kronecker, symmetric_powers
 from symprod.series import Series, plethystic_exp, substitute, twist
 
 # degrees below are doubled: GradedDims({(0, 0): 1, (4, 0): 1}) is one class
@@ -140,14 +140,13 @@ def small_bigraded(draw):
                                   max_size=3)))
 
 
-def layouts_of(v, n):
-    """A Codec and a Kronecker layout that hold every Sym^N of v, N <= n,
-    at its (p, q) in x and y."""
+def layout_of(v, n):
+    """A Kronecker layout that holds every Sym^N of v, N <= n, at its
+    (p, q) in x and y."""
     keys = [(0, 0, 0, p, q) for p, q in v.dims] or [(0,) * 5]
     bound = max([1] + [c for N in range(n + 1)
                        for c in sym_power_oracle(v, N).dims.values()])
-    codec = Codec(max(n, 1) * max([2] + [e for k in v.dims for e in k]))
-    return codec, Kronecker([(1, k) for k in keys], n, bound)
+    return Kronecker([(1, k) for k in keys], n, bound)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,15 +156,14 @@ def layouts_of(v, n):
 @example(G({1: 2, 3: 1}), 4)
 @example(K3, 0)
 def test_symmetric_powers_match_the_oracle_at_every_power(v, n):
-    # the DP of every power at once, on both layouts, and sym_power
+    # the DP of every power at once, and sym_power
     blocks = [((0, 0, 0, p, q), -b if (p + q) % 4 else b,
                -1 if (p + q) % 4 else 1) for (p, q), b in v.dims.items()]
-    for layout in layouts_of(v, n):
-        powers = symmetric_powers(layout, blocks, 1, n)
-        for N, power in enumerate(powers):
-            got = layout.read([layout.packed({}, 0)] * N + [power], 0)
-            assert GradedDims({k[3:]: c for k, c in got.items()}) \
-                == sym_power_oracle(v, N), (layout, N)
+    layout = layout_of(v, n)
+    for N, power in enumerate(symmetric_powers(layout, blocks, 1, n)):
+        got = layout.read([0] * N + [power], 0)
+        assert GradedDims({k[3:]: c for k, c in got.items()}) \
+            == sym_power_oracle(v, N), N
     assert v.sym_power(n) == sym_power_oracle(v, n)
 
 

@@ -1,34 +1,13 @@
-from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pe_oracle
 from symprod import layouts
-from symprod.layouts import Codec, Kronecker, mul_add
-from symprod.series import VARS, Series, plethystic_exp
-
-
-@contextmanager
-def path(bits_per_term):
-    """Force the dense (inf) or the sparse (-1) path of choose_layout."""
-    saved = layouts.BITS_PER_TERM
-    layouts.BITS_PER_TERM = bits_per_term
-    try:
-        yield
-    finally:
-        layouts.BITS_PER_TERM = saved
-
-
-def dense_pe(f):
-    with path(float("inf")):
-        return plethystic_exp(f)
-
-
-def sparse_pe(f):
-    with path(-1):
-        return plethystic_exp(f)
+from symprod.layouts import Kronecker
+from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
 
 # Doubled exponents: odd ones are half-integers, negative ones Laurent.
@@ -59,10 +38,8 @@ def integral_f(draw):
 @settings(max_examples=150, deadline=None)
 @given(integral_f())
 @example(Series("p", 3, {(0, 2, -3, 0, 1): -2**70, (0, 4, 1, 0, -3): 5}))
-def test_dense_plethystic_exp_matches_the_sparse_path_and_the_oracle(f):
-    dense = dense_pe(f)
-    assert dense == pe_oracle(f)
-    assert dense == sparse_pe(f)
+def test_plethystic_exp_matches_the_oracle(f):
+    assert plethystic_exp(f) == pe_oracle(f)
 
 
 @st.composite
@@ -99,10 +76,6 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
         layouts.FACTOR_BITS = saved
     got = lay.read([0] * (da + db) + [value], 0)
     assert Series("q", None, got) == expected
-    codec = Codec(8 * (da + db))
-    sparse = mul_add({}, codec.packed(a), codec.packed(b))
-    assert Series("q", None, codec.read(
-        [{}] * (da + db) + [sparse], 0)) == expected
 
 
 def test_a_digit_at_the_width_bound_is_exact():
@@ -115,23 +88,18 @@ def test_a_digit_at_the_width_bound_is_exact():
     assert lay.read([0, lay.packed({x: -c}, 1)], 0) == {(2, 0, 0, 2, 0): -c}
     # PE[c x q] = 1 + c x q at order 1: n F_n reaches the bound exactly
     f = Series("q", 1, {(2, 0, 0, 2, 0): c})
-    assert dense_pe(f) == Series("q", 1, {(0,) * 5: 1, (2, 0, 0, 2, 0): c})
+    assert plethystic_exp(f) == Series("q", 1, {(0,) * 5: 1,
+                                                (2, 0, 0, 2, 0): c})
     f = Series("q", 2, {(2, 0, 0, 2, 0): c - 1, (4, 0, 0, 1, 0): -c})
-    assert dense_pe(f) == pe_oracle(f)
+    assert plethystic_exp(f) == pe_oracle(f)
 
 
-def test_fraction_coefficients_take_the_sparse_path():
+def test_plethystic_exp_refuses_fraction_coefficients():
+    # the Kronecker layout holds ints: a Fraction is refused before any
+    # layout is built, and so is one Fraction among int terms
     f = Series("q", 3, {(2, 0, 0, 2, 0): Fraction(1, 2)})
-    with path(float("inf")):
-        assert plethystic_exp(f) == pe_oracle(f)
-    assert isinstance(layouts.choose_layout([(1, (0,) * 5)], 3, None), Codec)
-
-
-def test_a_layout_too_sparse_for_its_units_is_refused():
-    # units 2^21 apart in x and in y (no common step): a square of 2^46
-    # slots for a few dozen monomials is refused before any of it is built
-    units = [(1, (0, 0, 0, 1, 0)), (1, (0, 0, 0, 2**21, 0)),
-             (1, (0, 0, 0, 0, 1)), (1, (0, 0, 0, 0, 2**21))]
-    lay, bits = layouts.layout_measure(units, 4, 10)
-    assert bits > layouts.BITS_PER_TERM
-    assert isinstance(layouts.choose_layout(units, 4, 10), Codec)
+    with pytest.raises(SeriesUsageError, match="integer coefficients"):
+        plethystic_exp(f)
+    f = Series("q", 3, {(2, 0, 0, 0, 0): 1, (4, 0, 0, 2, 0): Fraction(-1, 3)})
+    with pytest.raises(SeriesUsageError, match="integer coefficients"):
+        plethystic_exp(f)

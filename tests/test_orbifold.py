@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_NAMES, sym_power_oracle, tensor, traced_peak
-from symprod import layouts, series
+from symprod import series
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
 from symprod.graded import GradedDims
 from symprod.orbifold import ManifoldData
-from symprod.layouts import Codec, Kronecker
+from symprod.layouts import Kronecker
 from symprod.series import (Series, plethystic_exp, specialize, substitute,
                             twist)
 
@@ -190,14 +190,12 @@ def q_power(c, order, n):
 
 
 def block_series(layout, block, n, order=None):
-    """A block of degree n, packed or a factor of mul_add, as a q-series:
-    a Kronecker factor (a shift and (shift, coeff) pairs above it) is first
-    summed to one int."""
-    if isinstance(layout, Kronecker):
-        if type(block) is not int:
-            block = sum(c << s for s, c in block[1]) << block[0]
-        return Series("q", order, layout.read([0] * n + [block], 0))
-    return Series("q", order, layout.read([{}] * n + [block], 0))
+    """A block of degree n, an int or a factor of mul_add, as a q-series:
+    a factor (a shift and (shift, coeff) pairs above it) is first summed to
+    one int."""
+    if type(block) is not int:
+        block = sum(c << s for s, c in block[1]) << block[0]
+    return Series("q", order, layout.read([0] * n + [block], 0))
 
 
 def cycle_type_sector_sum(order, cycles, level, layout):
@@ -220,13 +218,16 @@ def cycle_type_sector_sum(order, cycles, level, layout):
 
 
 def test_sector_sum_counts_partitions():
-    ones = lambda l, count: [{0: 1}] * (count + 1)
-    got = ob._sector_sum(8, 8, ones, Codec(16))
+    # every block is the int 1 on a one-slot layout (a factor at l >= 2),
+    # and each level shares one list
+    lay = Kronecker([(1, (0,) * 5)], 8, 22)
+    ones = lambda l, count: [1 if l == 1 else lay.factor(1)] * (count + 1)
+    got = ob._sector_sum(8, 8, ones, lay)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     # partitions into parts of length at most 1 and at most 2
-    got = ob._sector_sum(8, 1, ones, Codec(16))
+    got = ob._sector_sum(8, 1, ones, lay)
     assert scalar_coeffs(got, 8) == [1] * 9
-    got = ob._sector_sum(8, 2, ones, Codec(16))
+    got = ob._sector_sum(8, 2, ones, lay)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
@@ -239,7 +240,7 @@ def layouts_chosen(monkeypatch):
     """The layout of every brute sector sum and plethystic_exp from now on,
     in a list."""
     seen = []
-    for module, name in ((ob, "sector_layout"), (series, "choose_layout")):
+    for module, name in ((ob, "sector_layout"), (series, "Kronecker")):
         def record(*args, pick=getattr(module, name)):
             seen.append(pick(*args))
             return seen[-1]
@@ -247,31 +248,16 @@ def layouts_chosen(monkeypatch):
     return seen
 
 
-def check_sector_sums(X, monkeypatch):
-    """Every applicable brute series of X up to order 8 against the
-    cycle-type oracle; the types of the layouts they took."""
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("hopf",))
+def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
+    # every applicable brute series up to order 8 against the cycle-type
+    # oracle
+    X = catalog[name] if name in catalog else HOPF
     kinds = [k for k in ob.SERIES_KINDS if ob.applicability(k, X) is None]
-    seen = layouts_chosen(monkeypatch)
     got = {(k, n): ob.brute_series(k, X, n) for k in kinds for n in range(9)}
     monkeypatch.setattr(ob, "_sector_sum", cycle_type_sector_sum)
     for (kind, n), s in got.items():
         assert ob.brute_series(kind, X, n) == s, (kind, n)
-    return {type(layout) for layout in seen}
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES + ("hopf",))
-def test_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch, name):
-    X = catalog[name] if name in catalog else HOPF
-    # the rule sends every catalog sector sum down the Kronecker layout
-    assert check_sector_sums(X, monkeypatch) == {Kronecker}
-
-
-@pytest.mark.parametrize("name", ("k3", "hopf"))
-def test_sparse_sector_sum_matches_the_cycle_type_sum(catalog, monkeypatch,
-                                                      name):
-    monkeypatch.setattr(layouts, "BITS_PER_TERM", -1)
-    X = catalog[name] if name in catalog else HOPF
-    assert check_sector_sums(X, monkeypatch) == {Codec}
 
 
 @pytest.mark.parametrize("order", (12, 16))
@@ -319,21 +305,17 @@ def oracle_block(kind, X, l, N):
 @settings(max_examples=60, deadline=None)
 @given(sparse_hodge_manifolds(),
        st.sampled_from(("hodge_orb", "poincare_orb", "euler_orb",
-                        "chiy_orb", "sign_orb")),
-       st.sampled_from((Kronecker, Codec)))
-def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind, path):
-    # every block(l, N) that a kind's levels hand to _sector_sum, on either
-    # layout, against the basis enumeration of its regraded Sym^N
+                        "chiy_orb", "sign_orb")))
+def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
+    # every block(l, N) that a kind's levels hand to _sector_sum against
+    # the basis enumeration of its regraded Sym^N
     assume(ob.applicability(kind, X) is None)
     order, seen = 4, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(layouts, "BITS_PER_TERM",
-                   float("inf") if path is Kronecker else -1)
         mp.setattr(ob, "_sector_sum", lambda order, cycles, level, layout:
                    seen.append((level, layout)) or Series.zero("q", order))
         ob.brute_series(kind, X, order)
     [(level, layout)] = seen
-    assert type(layout) is path
     for l in range(1, order + 1):
         for N, block in enumerate(level(l, order // l)):
             assert block_series(layout, block, l * N) == \
@@ -344,8 +326,8 @@ def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind, path):
                                           (ob.closed_series, 800_000)))
 def test_dense_hodge_orb_peak_memory(catalog, build, bound):
     # on the Kronecker layout; Python 3.11 read 633,307 bytes (brute) and
-    # 696,244 (closed), the bounds are 1.15 times that, and the sparse path
-    # read 785,920 and 836,716
+    # 696,244 (closed) when the bounds were set at 1.15 times that, and
+    # reads 595,199 and 696,244 now
     k3 = catalog["k3"]
     build("hodge_orb", k3, 16)  # first calls also fill interpreter caches
     assert traced_peak(lambda: build("hodge_orb", k3, 16)) <= bound
@@ -353,10 +335,11 @@ def test_dense_hodge_orb_peak_memory(catalog, build, bound):
 
 def test_brute_peak_memory_stays_within_one_top_power(catalog):
     # the genus kinds run their DP on the class images: sign_orb on k3 at
-    # order 18 holds a few one-slot ints per power (8,715 bytes on Python
+    # order 18 holds a few one-slot ints per power (4,516 bytes on Python
     # 3.11).  The bound is 1.25 times the tracemalloc peak of
-    # k3.hodge.sym_power(18) on the dict DP this replaced (267,788 to
-    # 357,108 bytes), at the low end; sign_orb read 15,383 bytes there
+    # k3.hodge.sym_power(18) on the dict DP of the first layouts (267,788
+    # to 357,108 bytes), at the low end; sign_orb read 15,383 bytes there.
+    # sym_power(18) itself now reads 141,526 bytes
     k3 = catalog["k3"]
     assert traced_peak(lambda: ob.brute_series("sign_orb", k3, 18)) \
         <= 334_735
@@ -376,9 +359,19 @@ def test_brute_levels_pack_each_power_as_it_is_yielded(catalog, monkeypatch):
     levels = lambda: ob.brute_series("hodge_orb", k3, 16)
     levels()  # the first call also allocates the interpreter's caches
     # 2.75 times the 143,704-byte tracemalloc peak of k3.hodge.sym_power(16)
-    # on the dict DP this replaced (Python 3.11); the levels read 244,770
-    # bytes there and 136,403 now
+    # on the dict DP of the first layouts (Python 3.11); the levels read
+    # 244,770 bytes there and 122,039 now, and sym_power(16) 101,438
     assert traced_peak(levels) <= 395_186
+
+
+def test_sym_power_peak_memory(catalog):
+    # Sym^18 of the k3 Hodge table, one DP on the ints of its sector
+    # layout, reads 141,526 bytes on Python 3.11.  The bound leaves 1.75
+    # times that, well under the 845,084 bytes of a DP that keeps every
+    # lower power as a {code: coeff} map and copies the map it grows
+    k3 = catalog["k3"]
+    k3.hodge.sym_power(18)  # the first call also fills interpreter caches
+    assert traced_peak(lambda: k3.hodge.sym_power(18)) <= 250_000
 
 
 def test_symprod_dims_p1_is_projective_space(catalog):
@@ -559,6 +552,40 @@ def test_brute_equals_closed_on_random_tables(X, order):
         if ob.applicability(kind, X) is None:
             assert ob.brute_series(kind, X, order) == \
                 ob.closed_series(kind, X, order), kind
+
+
+entry = st.integers(min_value=0, max_value=40)
+
+
+@st.composite
+def integer_manifolds(draw):
+    """Random Betti tables, or Hodge tables of dim_C 0 to 4 (odd ones and
+    asymmetric ones included), with or without an explicit B-table."""
+    if draw(st.booleans()):
+        dim_real = 2 * draw(st.integers(0, 4))
+        return ManifoldData.from_betti("betti", dim_real, draw(st.lists(
+            entry, min_size=dim_real + 1, max_size=dim_real + 1)))
+    d = draw(st.integers(0, 4))
+    row = st.lists(entry, min_size=d + 1, max_size=d + 1)
+    table = st.lists(row, min_size=d + 1, max_size=d + 1)
+    return ManifoldData.from_hodge("hodge", d, draw(table),
+                                   hodge_b_rows=draw(st.none() | table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_manifolds(), st.integers(min_value=0, max_value=3))
+def test_single_particle_series_are_integral_on_integer_tables(X, order):
+    # plethystic_exp refuses a Fraction coefficient, so every closed form
+    # needs an integral f.  The one candidate, (chi -+ sgn)/2 of _sign_f,
+    # is an integer: chi - sgn and chi + sgn are twice a sum of Hodge
+    # numbers.  So closed_series never raises SeriesUsageError, and the
+    # CLI keeps its exit codes
+    for kind, spec in ob.KINDS.items():
+        if ob.applicability(kind, X) is None:
+            f = spec.single(X, getattr(X, spec.table), order,
+                            spec.cycles or order)
+            assert f.is_integral(), kind
+            assert ob.closed_series(kind, X, order).is_integral(), kind
 
 
 def test_kind_rejection(catalog):

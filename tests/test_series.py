@@ -162,9 +162,10 @@ def test_binom_alpha_zero():
 
 
 def test_binom_half_exponent():
-    # (1-q^2)^(-1/2) = 1 + q^2/2 + 3q^4/8 + ...
-    got = PE([(H, {"q": 2})], 4)
-    assert got == S([(1, {}), (H, {"q": 2}), (Fraction(3, 8), {"q": 4})], 4)
+    # (1-q^2)^(-1/2) = 1 + q^2/2 + 3q^4/8 + ... has Fraction coefficients,
+    # which the int layout of plethystic_exp does not hold: it refuses f
+    with pytest.raises(SeriesUsageError, match="integer coefficients"):
+        PE([(H, {"q": 2})], 4)
 
 
 def test_binom_integer_alpha_matches_repeated_mul():
@@ -250,10 +251,14 @@ def test_pe_partition_numbers_at_high_order():
 
 
 def test_pe_fraction_coefficients():
-    # the signature kinds' exponents: PE[q/2 + q^2/2] = (1-q)^(-1/2)(1-q^2)^(-1/2)
-    got = PE([(H, {"q": 1}), (H, {"q": 2})], 4)
-    assert not got.is_integral()
-    assert got * got == PE([(1, {"q": 1}), (1, {"q": 2})], 4)
+    # PE[q/2 + q^2/2] = (1-q)^(-1/2)(1-q^2)^(-1/2) is refused; the
+    # signature kinds' exponents (chi -+ sgn)/2 are integers on every table
+    with pytest.raises(SeriesUsageError, match="integer coefficients"):
+        PE([(H, {"q": 1}), (H, {"q": 2})], 4)
+    # a Fraction of denominator 1, as + and * may leave one, is an integer
+    got = plethystic_exp(Series("q", 3, {(2, 0, 0, 0, 0): Fraction(4, 2)}))
+    assert got == PE([(2, {"q": 1})], 3)
+    assert all(type(c) is int for c in got.terms.values())
 
 
 # Doubled exponents of every size: odd (half-integer) and negative (Laurent)
@@ -264,16 +269,22 @@ doubled = st.one_of(st.integers(-5, 5), st.integers(-2**20, 2**20))
 @st.composite
 def pe_input(draw):
     """f over q or p, up to order 6, every term carrying the counting
-    variable; the other four exponents are any doubled exponents."""
+    variable, with int coefficients.  Each other variable has a step and
+    an offset, doubled exponents of any size, and a term of degree d puts
+    it at step (d offset + k), k in -2..2: exponents of every size, sign
+    and parity that spread over a few steps per degree, since the
+    Kronecker layout of plethystic_exp spans their box."""
     var = draw(st.sampled_from(("q", "p")))
     order = draw(st.integers(0, 6))
     ti = VARS.index(var)
+    frame = [(draw(doubled) or 1, draw(doubled)) for _ in VARS]
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
-        key = [draw(doubled) for _ in VARS]
-        key[ti] = 2 * draw(st.integers(1, max(order, 1)))
-        terms[tuple(key)] = draw(st.one_of(
-            st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)))
+        d = draw(st.integers(1, max(order, 1)))
+        key = [step * (d * offset + draw(st.integers(-2, 2)))
+               for step, offset in frame]
+        key[ti] = 2 * d
+        terms[tuple(key)] = draw(st.integers(-3, 3))
     return Series(var, order, terms)
 
 
@@ -282,7 +293,7 @@ def pe_input(draw):
 @example(Series("q", 0))
 @example(Series("p", 4))
 @example(Series("q", 5, {(2, 0, -2**19 - 1, 3, -7): 1,
-                         (4, 2**18, 0, -1, 0): Fraction(-1, 3)}))
+                         (4, 2**18, 0, -1, 0): -3}))
 def test_packed_plethystic_exp_matches_the_tuple_key_recurrence(f):
     assert plethystic_exp(f) == pe_oracle(f)
 
@@ -652,8 +663,13 @@ def test_results_hold_exact_coefficients(a, b, c):
     assert_exact(c * a, ia and is_integer(c))
     assert_exact(twist(a), ia)
     f = Series("q", 3, {k: v for k, v in a.terms.items() if k[0]})
-    assert_exact(plethystic_exp(f), ia)
-    assert_exact(twist(plethystic_exp(twist(f))), ia)
+    if f.is_integral():
+        assert_exact(plethystic_exp(f), True)
+        assert_exact(twist(plethystic_exp(twist(f))), True)
+    else:  # plethystic_exp takes integer coefficients only
+        for g in (f, twist(f)):
+            with pytest.raises(SeriesUsageError, match="integer coeff"):
+                plethystic_exp(g)
 
 
 @settings(max_examples=80, deadline=None)
