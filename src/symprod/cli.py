@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import orbifold
 from .orbifold import InputError, ManifoldData
+from .series import SeriesUsageError
 
 
 def catalog_dir():
@@ -224,9 +225,9 @@ def cmd_fock_verify(args):
 
 def cmd_verify_all(args):
     X = _load(args.manifold)
+    results = orbifold.verify_all(X, args.order)  # may refuse: print after
     print("# verify-all %s order=%s"
           % (X.name, args.order if args.order is not None else "default"))
-    results = orbifold.verify_all(X, args.order)
     return 1 if _emit_results(results) else 0
 
 
@@ -290,7 +291,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, SeriesUsageError) as exc:
+        # SeriesUsageError: a product layout past layouts.MAX_LAYOUT_BITS
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except AssertionError as exc:

@@ -72,7 +72,8 @@ class GradedDims:
     def sym_power(self, n):
         """The n-th super symmetric power, by layouts.symmetric_powers on
         the ints of the sector layout of Sym^n.  ValueError on n < 0 or a
-        half-integer degree."""
+        half-integer degree, and SeriesUsageError (a ValueError) on a layout
+        past layouts.MAX_LAYOUT_BITS."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         blocks = self._blocks()

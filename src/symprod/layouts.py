@@ -8,7 +8,8 @@ monomial formed at degree n is a product with degrees summing to n, and
 from a bound on every coefficient formed.  Products are int arithmetic:
 mul_add multiplies by a factor in the form factor picks from the value,
 and symmetric_powers builds every Sym^N of a sector block by shifts and
-adds of ints in the frame of its keys.
+adds of ints in the frame of its keys.  A layout past MAX_LAYOUT_BITS of
+ints in all is refused with SeriesUsageError before any int is built.
 """
 
 from math import gcd
@@ -16,6 +17,15 @@ from math import gcd
 # A factor pays as one int below FACTOR_BITS bits per term, chosen by
 # tools/dense_threshold.py on the heavy catalog and seeded shapes.
 FACTOR_BITS = 256
+# 16 MiB of ints per layout, about 70 times the largest that the catalog,
+# the benchmark or the tests build; hodge_orb on k3 fits to order 79.
+MAX_LAYOUT_BITS = 1 << 27
+
+
+class SeriesUsageError(ValueError):
+    """An operation was called outside its contract (mismatched counting
+    variable, constant monomial where expansion would not terminate, a
+    layout past MAX_LAYOUT_BITS, ...)."""
 
 
 class Kronecker:
@@ -27,11 +37,13 @@ class Kronecker:
     product of units is a nonnegative int, at most n reach_v per variable,
     and a sum of slots.  Strides leave room up to order, so no variable
     carries into the next.  No digit formed may exceed bound in absolute
-    value; width adds a sign bit and rounds up to whole bytes."""
+    value; width adds a sign bit and rounds up to whole bytes.  The int
+    of degree n spans 1 + sum_v floor(n reach_v) stride_v slots."""
 
     def __init__(self, units, order, bound):
-        # (index, step, slope, stride) of each variable a unit carries, y first
-        self.vars, stride = [], 1
+        # (index, step, slope, stride) of each variable a unit carries, y
+        # first; slots counts those of the ints of degrees 0 to order
+        self.vars, stride, slots = [], 1, order + 1
         for v in range(4, -1, -1):
             if any(key[v] for _, key in units):
                 step = gcd(*(key[v] for _, key in units))
@@ -41,9 +53,16 @@ class Kronecker:
                     if (key[v] - d * slope) // step * den > num * d:
                         num, den = (key[v] - d * slope) // step, d
                 self.vars.append((v, step, slope, stride))
+                slots += stride * sum(n * num // den for n in range(order + 1))
                 stride *= order * num // den + 1
         self.nbytes = (bound.bit_length() + 8) // 8
         self.width = 8 * self.nbytes
+        bits = self.width * slots
+        if bits > MAX_LAYOUT_BITS:
+            raise SeriesUsageError(
+                "the product layout needs %d MiB of ints, past its limit of "
+                "%d MiB: the exponents spread too far for order %d"
+                % (-(-bits // 2**23), MAX_LAYOUT_BITS // 2**23, order))
         self._zero = (1 << self.width - 1).to_bytes(self.nbytes, "little")
 
     def slot(self, key, n):

@@ -30,7 +30,8 @@ substitute by constants, one variable after another.
 The hot product loops, in plethystic_exp and the brute sector sum, run on
 the layout of symprod.layouts: one int per power of the counting variable,
 with a slot per monomial (Kronecker substitution), so plethystic_exp takes
-integer coefficients only.  Every Series still holds 5-tuple keys.
+integer coefficients only, and refuses exponents spread too far for its
+order.  Every Series still holds 5-tuple keys.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -40,7 +41,7 @@ it combines with finite orders as "no constraint".
 from collections import Counter
 from fractions import Fraction
 
-from .layouts import Kronecker, euler_transform
+from .layouts import Kronecker, SeriesUsageError, euler_transform
 
 VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
@@ -48,11 +49,6 @@ COUNTING_VARS = ("q", "p")
 _VI = {v: i for i, v in enumerate(VARS)}
 # the factors of a rendered term in order, the counting variable last
 _FACTORS = tuple((v, _VI[v]) for v in ("t", "x", "y", "p", "q"))
-
-
-class SeriesUsageError(ValueError):
-    """An operation was called outside its contract (mismatched counting
-    variable, constant monomial where expansion would not terminate, ...)."""
 
 
 class SeriesDomainError(ArithmeticError):
@@ -315,8 +311,8 @@ def plethystic_exp(f):
     on Laurent polynomials in t, x, y, each F_n one int of a
     layouts.Kronecker layout: the recurrence is int arithmetic, n*F_n
     divides by n as one int, and each F_n is read once per term.  f must
-    have integer coefficients (SeriesUsageError otherwise), so the
-    division by n is exact.
+    have integer coefficients, so the division by n is exact, and exponents
+    whose layout fits layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
     """
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")

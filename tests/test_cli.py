@@ -412,6 +412,23 @@ def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
     assert "error: " in err and "Traceback" not in err
 
 
+def test_a_table_too_spread_for_its_layout_exits_2(tmp_path, capsys):
+    # dim_C 1000 with classes at (0, 0), (1, 999) and (1000, 1000): each
+    # power of q spans the box of its x and y exponents, thousands of slots
+    # a side at the default order 8, and is refused before it is built
+    rows = [[0] * 1001 for _ in range(1001)]
+    rows[0][0] = rows[1][999] = rows[1000][1000] = 1
+    path = write(tmp_path, {"name": "wide", "dim_c": 1000, "hodge": rows})
+    for argv in (["series", "hodge_orb"],
+                 ["series", "hodge_orb", "--mode", "brute"],
+                 ["verify-all"]):
+        code, out, err = run(capsys, *argv, "--manifold", str(path))
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: the product layout needs ")
+        assert "spread too far for order 8" in err
+        assert out == ""
+
+
 def test_pairing_block_at_negative_degree_is_the_transpose(tmp_path, capsys):
     # p2's degree -2 block is the transpose of its 1x1 degree 2 block
     outs = []

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import pe_oracle
 from symprod import layouts
-from symprod.layouts import Kronecker
+from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
 from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
 
@@ -103,3 +104,30 @@ def test_plethystic_exp_refuses_fraction_coefficients():
     f = Series("q", 3, {(2, 0, 0, 0, 0): 1, (4, 0, 0, 2, 0): Fraction(-1, 3)})
     with pytest.raises(SeriesUsageError, match="integer coefficients"):
         plethystic_exp(f)
+
+
+def test_a_layout_too_sparse_for_its_units_is_refused():
+    # units 2^21 apart in x and in y (no common step): a square of 2^46
+    # slots for a few dozen monomials is refused before any of it is built
+    units = [(1, (0, 0, 0, 1, 0)), (1, (0, 0, 0, 2**21, 0)),
+             (1, (0, 0, 0, 0, 1)), (1, (0, 0, 0, 0, 2**21))]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesUsageError, match="spread too far"):
+            Kronecker(units, 4, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    f = Series("q", 4, {(2, *key[1:]): 1 for _, key in units})
+    with pytest.raises(SeriesUsageError, match="spread too far for order 4"):
+        plethystic_exp(f)
+
+
+def test_the_layout_limit_counts_every_slot_up_to_the_order():
+    # one-byte slots, units x and x^e at order 1: 1 + e slots in all
+    def layout(e):
+        return Kronecker([(1, (0, 0, 0, 1, 0)), (1, (0, 0, 0, e, 0))], 1, 1)
+    assert layout(MAX_LAYOUT_BITS // 8 - 1).width == 8
+    with pytest.raises(SeriesUsageError, match="17 MiB"):
+        layout(MAX_LAYOUT_BITS // 8)
