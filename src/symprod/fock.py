@@ -38,7 +38,7 @@ of a level-l factor would depend on l and the algebra is not defined here.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .orbifold import CheckResult, InputError, _compare, closed_series
@@ -369,9 +369,9 @@ class FockSpace:
     def character(self, max_charge):
         """sum over indexed basis states of q^charge t^degree, exactly."""
         n = len(self.index(max_charge))
+        count = Counter(zip(self.charge[:n], self.degree[:n]))
         return Series.from_terms("q", max_charge, (
-            (1, {"q": c, "t": d})
-            for c, d in zip(self.charge[:n], self.degree[:n])))
+            (b, {"q": c, "t": d}) for (c, d), b in count.items()))
 
 
 def _violations(A, B, domain, odd, states, scalar):

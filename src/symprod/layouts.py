@@ -5,11 +5,17 @@ variable, a Laurent polynomial in the other variables with int
 coefficients, as one int of a Kronecker layout, with a slot per monomial.
 A layout is built from the units, (degree, key) pairs of which every
 monomial formed at degree n is a product with degrees summing to n, and
-from a bound on every coefficient formed.  Products are int arithmetic:
-mul_add multiplies by a factor in the form factor picks from the value,
-and symmetric_powers builds every Sym^N of a sector block by shifts and
-adds of ints in the frame of its keys.  A layout past MAX_LAYOUT_BITS of
-ints in all is refused with SeriesUsageError before any int is built.
+from a bound on every coefficient formed.  The slots lie on the lattice
+that the units' exponents span, not in the box around them: where every
+x and y exponent pair shares one parity (K3- and CY3-type sectors) an int
+takes half the box, and where all lie on a line (a diagonal Hodge table)
+one slot per point of it.  Products are int arithmetic: mul_add
+multiplies by a factor in the form factor picks from the value, and
+symmetric_powers builds every Sym^N of a sector block by shifts and adds
+of ints in the frame of its keys.  A layout past MAX_LAYOUT_BITS of ints
+in all -- exponents far apart on a lattice of small index, such as all of
+Z^2, or in three or more variables -- is refused with SeriesUsageError
+before any int is built.
 """
 
 from math import gcd
@@ -17,8 +23,8 @@ from math import gcd
 # A factor pays as one int below FACTOR_BITS bits per term, chosen by
 # tools/dense_threshold.py on the heavy catalog and seeded shapes.
 FACTOR_BITS = 256
-# 16 MiB of ints per layout, about 70 times the largest that the catalog,
-# the benchmark or the tests build; hodge_orb on k3 fits to order 79.
+# 16 MiB of ints per layout, about 200 times the largest that the catalog
+# or the benchmark builds; hodge_orb on k3 fits to order 97.
 MAX_LAYOUT_BITS = 1 << 27
 
 
@@ -31,30 +37,60 @@ class SeriesUsageError(ValueError):
 class Kronecker:
     """Kronecker substitution: a polynomial of degree n is one int whose
     balanced base-2^width digits (slots) are its coefficients.  Monomial
-    key sits at slot sum_v (key[v] - n slope_v) / step_v * stride_v, step_v
-    the gcd of the units' exponents of v and slope_v the largest multiple
-    of step_v at most their least exponent per degree: every slot of a
-    product of units is a nonnegative int, at most n reach_v per variable,
-    and a sum of slots.  Strides leave room up to order, so no variable
-    carries into the next.  No digit formed may exceed bound in absolute
-    value; width adds a sign bit and rounds up to whole bytes.  The int
-    of degree n spans 1 + sum_v floor(n reach_v) stride_v slots."""
+    key of degree n has the coordinate (key[v] - n slope_v) / step_v in each
+    variable v, slope_v the largest multiple of the gcd of the units'
+    exponents of v at most their least exponent per degree and step_v the
+    gcd of what the units hold above that slope: every coordinate of a
+    product of units is a nonnegative int, at most n reach_v, and a sum of
+    the units' coordinates.  The mixed-radix map phi puts each coordinate
+    at a stride past the extent up to order of those below it, so no
+    variable carries into the next, and key sits at slot phi / g, g the gcd
+    of phi over the units: the slots lie on the lattice the units span.
+    With two variables the second stride is rounded up until g is the
+    index of that lattice (2 where all exponent pairs share one parity);
+    on a line, as on a diagonal Hodge table, slot i is its i-th point.  No
+    digit formed may exceed bound in absolute value; width adds a sign bit
+    and rounds up to whole bytes.  The int of degree n spans at most
+    1 + floor(sum_v floor(n reach_v) stride_v / g) slots."""
 
     def __init__(self, units, order, bound):
-        # (index, step, slope, stride) of each variable a unit carries, y
-        # first; slots counts those of the ints of degrees 0 to order
-        self.vars, stride, slots = [], 1, order + 1
+        # (index, slope) of each variable a unit holds, y first; (index,
+        # step, slope) of those that vary, with reach and the coordinates
+        # of every unit
+        self.slopes, self.vars, reach, coords = [], [], [], []
+        degrees = [d for d, _ in units]
+        columns = [*zip(*(key for _, key in units))] or [()] * 5
         for v in range(4, -1, -1):
-            if any(key[v] for _, key in units):
-                step = gcd(*(key[v] for _, key in units))
-                slope = step * min(key[v] // (d * step) for d, key in units)
-                num, den = 0, 1  # reach_v = num / den
-                for d, key in units:
-                    if (key[v] - d * slope) // step * den > num * d:
-                        num, den = (key[v] - d * slope) // step, d
-                self.vars.append((v, step, slope, stride))
-                slots += stride * sum(n * num // den for n in range(order + 1))
-                stride *= order * num // den + 1
+            col = columns[v]
+            if any(col):
+                step = gcd(*col)
+                slope = step * min(e // (d * step)
+                                   for d, e in zip(degrees, col))
+                self.slopes.append((v, slope))
+                col = [e - d * slope for d, e in zip(degrees, col)]
+                step = gcd(*col)
+                if step:
+                    self.vars.append((v, step, slope))
+                    coords.append([e // step for e in col])
+                    num, den = 0, 1  # reach_v = num / den
+                    for d, e in zip(degrees, coords[-1]):
+                        if e * den > num * d:
+                            num, den = e, d
+                    reach.append((num, den))
+        strides = [1]
+        for num, den in reach[:-1]:
+            strides.append(strides[-1] * (order * num // den + 1))
+        if len(coords) == 2:
+            c, index = _lattice(zip(*coords))
+            if index:  # puts (-stride, 1) on {(a, b): a = c b mod index}
+                strides[1] += (-c - strides[1]) % index
+        # the coordinates of one variable have gcd 1 already
+        self.g = gcd(*(sum(e * s for e, s in zip(w, strides))
+                       for w in zip(*coords))) if len(coords) > 1 else 1
+        self.vars = [var + (s,) for var, s in zip(self.vars, strides)]
+        # the slots of the ints of degrees 0 to order, at most order + 1 over
+        slots = order + 1 + sum(s * sum(n * num // den for n in range(
+            order + 1)) for (num, den), s in zip(reach, strides)) // self.g
         self.nbytes = (bound.bit_length() + 8) // 8
         self.width = 8 * self.nbytes
         bits = self.width * slots
@@ -67,19 +103,25 @@ class Kronecker:
 
     def slot(self, key, n):
         return sum((key[v] - n * slope) // step * stride
-                   for v, step, slope, stride in self.vars)
+                   for v, step, slope, stride in self.vars) // self.g
 
-    def _digits(self, value):
-        """(slot, digit) of each nonzero digit of value, lowest first and
-        lazily, read from one to_bytes at the slots whose top bit flag sets."""
-        nb, w = self.nbytes, self.width
+    def _flagged(self, value):
+        """(raw, flag, size): value plus 2^(width - 1) in each of its size
+        slots, so each slot of raw is its digit offset to be nonnegative,
+        and the top bit of every slot where value has a nonzero digit."""
+        w = self.width
         size = abs(value).bit_length() // w + 2
         bias = int.from_bytes(self._zero * size, "little")  # the top bits
         raw = value + bias
         x = raw ^ bias  # the digits of value, offset to be nonnegative
         # ones below the top bit carry into it unless the low bits are zero
-        flag = ((x & ~bias) + bias - (bias >> w - 1) | x) & bias
-        raw, half = raw.to_bytes(size * nb, "little"), 1 << w - 1
+        return raw, ((x & ~bias) + bias - (bias >> w - 1) | x) & bias, size
+
+    def _digits(self, raw, flag, size):
+        """(slot, digit) of each nonzero digit of a _flagged value, lowest
+        first and lazily, read from one to_bytes at the slots flag marks."""
+        nb, half = self.nbytes, 1 << self.width - 1
+        raw = raw.to_bytes(size * nb, "little")
         return ((i, int.from_bytes(raw[i * nb:(i + 1) * nb], "little") - half)
                 for i, f in enumerate(flag.to_bytes(size * nb, "little")
                                       [nb - 1::nb]) if f)
@@ -99,14 +141,18 @@ class Kronecker:
         """value, base bits below its place, as the factor b of mul_add:
         the shift of its lowest slot and (shift, coeff) pairs above it, one
         per term, or one of the whole int where its slots hold fewer than
-        FACTOR_BITS bits per term."""
-        digits, w = [*self._digits(value)], self.width
-        if not digits:
+        FACTOR_BITS bits per term.  The flag of its nonzero slots alone
+        picks the form; only the per-term form decodes digits."""
+        raw, flag, size = self._flagged(value)
+        if not flag:
             return 0, ()
-        low, top = digits[0][0], digits[-1][0]
-        if (top - low) * w < FACTOR_BITS * len(digits):
+        w = self.width
+        low = (flag & -flag).bit_length() // w - 1
+        top = flag.bit_length() // w - 1
+        if (top - low) * w < FACTOR_BITS * flag.bit_count():
             return base + w * low, ((0, value >> w * low),)
-        return base + w * low, [(w * (i - low), c) for i, c in digits]
+        return base + w * low, [(w * (i - low), c)
+                                for i, c in self._digits(raw, flag, size)]
 
     @staticmethod
     def mul_add(acc, a, b):
@@ -123,21 +169,34 @@ class Kronecker:
         return self.width * low, [self.width * (s - low) for s in slots]
 
     def read(self, coeffs, ti):
-        """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti,
-        each int decoded once."""
-        out = {}
+        """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti:
+        each int is decoded once and then dropped from the list coeffs."""
+        out, g = {}, self.g
         for n, value in enumerate(coeffs):
+            coeffs[n] = None
             base = [0] * 5
             base[ti] = 2 * n
-            for v, _, slope, _ in self.vars:
+            for v, slope in self.slopes:
                 base[v] = n * slope
-            for i, c in self._digits(value):
-                key, rest = base[:], i
+            for i, c in self._digits(*self._flagged(value)):
+                key, rest = base[:], i * g
                 for v, step, _, stride in reversed(self.vars):
                     j, rest = divmod(rest, stride)
                     key[v] += j * step
                 out[tuple(key)] = c
         return out
+
+
+def _lattice(vectors):
+    """(c, index): the lattice that the int vectors (a, b) span, their b
+    coprime, is {(a, b): a = c b mod index}, a line where index is 0."""
+    c, m, index = 0, 0, 0  # the span of (c, m) and (index, 0)
+    for a, b in vectors:
+        while b:  # Euclid on the b of (c, m) and (a, b)
+            k = m // b
+            c, m, a, b = a, b, c - k * a, m - k * b
+        index = gcd(index, a)
+    return c, index
 
 
 def euler_transform(a, order):

@@ -18,7 +18,9 @@ and constant go through), a scalar factor of *, and substitute's coeff take
 only int and Fraction coefficients (a bool enters as the int it equals), and
 from_terms checks the counting exponents.  Series(var, order, terms) is the
 internal constructor for terms already valid, such as the results of +, *,
-plethystic_exp, twist and substitute: it only drops zeros and truncates.
+plethystic_exp, twist and substitute: it only drops zeros and truncates,
+and keeps the dict it is handed when nothing is dropped, so a result of
+plethystic_exp or a sector sum is never held twice.
 
 A q-series holds no power of p, and a p-series none of q: from_terms
 refuses such a term, and no other operation makes one.  The canonical term
@@ -115,11 +117,14 @@ class Series:
         if order is not None and (not isinstance(order, int) or order < 0):
             raise SeriesUsageError("order must be a nonnegative integer or None")
         cap = None if order is None else 2 * order
-        clean = {key: c for key, c in (terms or {}).items()
-                 if c and (cap is None or key[ti] <= cap)}
+        terms = {} if terms is None else terms  # handed over, not copied
+        if not all(c and (cap is None or key[ti] <= cap)
+                   for key, c in terms.items()):
+            terms = {key: c for key, c in terms.items()
+                     if c and (cap is None or key[ti] <= cap)}
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series values are immutable")

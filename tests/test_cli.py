@@ -412,13 +412,20 @@ def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
     assert "error: " in err and "Traceback" not in err
 
 
-def test_a_table_too_spread_for_its_layout_exits_2(tmp_path, capsys):
-    # dim_C 1000 with classes at (0, 0), (1, 999) and (1000, 1000): each
-    # power of q spans the box of its x and y exponents, thousands of slots
-    # a side at the default order 8, and is refused before it is built
+def dim_1000_table(tmp_path, *classes):
+    """A dim_C 1000 table with one class at each (p, q) of classes."""
     rows = [[0] * 1001 for _ in range(1001)]
-    rows[0][0] = rows[1][999] = rows[1000][1000] = 1
-    path = write(tmp_path, {"name": "wide", "dim_c": 1000, "hodge": rows})
+    for p, q in classes:
+        rows[p][q] = 1
+    return write(tmp_path, {"name": "wide", "dim_c": 1000, "hodge": rows})
+
+
+def test_a_table_too_spread_for_its_layout_exits_2(tmp_path, capsys):
+    # dim_C 1000 with classes at (0, 0), (1, 0), (0, 1) and (1000, 1000):
+    # the units span all of Z^2, so each power of q fills the box of its x
+    # and y exponents, thousands of slots a side at the default order 8,
+    # and is refused before it is built
+    path = dim_1000_table(tmp_path, (0, 0), (1, 0), (0, 1), (1000, 1000))
     for argv in (["series", "hodge_orb"],
                  ["series", "hodge_orb", "--mode", "brute"],
                  ["verify-all"]):
@@ -427,6 +434,21 @@ def test_a_table_too_spread_for_its_layout_exits_2(tmp_path, capsys):
         assert err.startswith("error: the product layout needs ")
         assert "spread too far for order 8" in err
         assert out == ""
+
+
+def test_a_table_spread_on_a_sparse_lattice_computes(tmp_path, capsys):
+    # dim_C 1000 with classes at (0, 0), (1, 999) and (1000, 1000): the box
+    # of the exponents was refused (550 MiB of ints), but the units span a
+    # lattice of index 499,000, whose slots take a few thousand per int
+    path = dim_1000_table(tmp_path, (0, 0), (1, 999), (1000, 1000))
+    code, out, err = run(capsys, "series", "hodge_orb", "--mode", "both",
+                         "--manifold", str(path))
+    assert code == 0 and err == ""
+    assert out.endswith("verdict: equal\n")
+    assert "x^1000*y^1000*q" in out
+    code, out, err = run(capsys, "verify-all", "--manifold", str(path))
+    assert code == 0 and err == ""
+    assert out.endswith("19 checks, 0 failed\n")
 
 
 def test_pairing_block_at_negative_degree_is_the_transpose(tmp_path, capsys):

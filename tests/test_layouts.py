@@ -1,13 +1,16 @@
 import tracemalloc
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pe_oracle
 from symprod import layouts
+from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
+from symprod.orbifold import ManifoldData
 from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
 
@@ -43,14 +46,64 @@ def test_plethystic_exp_matches_the_oracle(f):
     assert plethystic_exp(f) == pe_oracle(f)
 
 
+# (first, second) vectors of a basis of each kind of lattice in the x and y
+# exponents: every pair of one parity, a = r b mod D, a line, all of Z^2
+LATTICES = {
+    "parity": st.just(((1, 1), (2, 0))),
+    "index": st.tuples(st.integers(2, 7), st.integers(0, 6)).map(
+        lambda dr: ((dr[1] % dr[0], 1), (dr[0], 0))),
+    "line": st.tuples(st.integers(0, 3), st.integers(1, 3)).map(
+        lambda v: (v, (0, 0))),
+    "full": st.just(((1, 0), (0, 1))),
+}
+
+
+@st.composite
+def lattice_units(draw):
+    """(units, kind): units (degree, key), the first of degree 1, whose
+    doubled x and y exponents lie on a lattice of the kind (odd ones are
+    half-integers) moved by a slope per degree (negative ones Laurent);
+    kind "three" draws t too, on all of Z^3."""
+    kind = draw(st.sampled_from(sorted(LATTICES) + ["three"]))
+    ij = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    if kind == "three":
+        point = st.tuples(exponent, exponent, exponent)
+    else:
+        basis = draw(LATTICES[kind])
+        point = ij.map(lambda c: tuple(c[0] * u + c[1] * v
+                                       for u, v in zip(*basis)))
+    slope = draw(point)
+    units = []
+    for d in [1] + draw(st.lists(st.integers(1, 3), max_size=4)):
+        e = draw(point)
+        units.append((d, (0, 0) + (0,) * (3 - len(e)) + tuple(
+            a + d * s for a, s in zip(e, slope))))
+    return units, kind
+
+
+def product_map(draw, units, n):
+    """A {key: coeff} map of degree n whose keys are products of units."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key, d = (0,) * 5, 0
+        for du, k in draw(st.lists(st.sampled_from(units), max_size=3)):
+            if d + du <= n:
+                key, d = tuple(map(add, key, k)), d + du
+        pad = units[0][1]  # of degree 1
+        terms[tuple(a + (n - d) * b for a, b in zip(key, pad))] = \
+            draw(coefficient)
+    return terms
+
+
 @st.composite
 def factor_pair(draw):
-    """Two {key: coeff} maps of degrees da and db in x and y."""
+    """(units, kind) of lattice_units and two {key: coeff} maps, of degrees
+    da and db, whose keys are products of the units."""
+    units, kind = draw(lattice_units())
     def side():
         d = draw(st.integers(1, 3))
-        keys = st.tuples(exponent, exponent).map(lambda e: (0, 0, 0) + e)
-        return d, draw(st.dictionaries(keys, coefficient, max_size=6))
-    return side(), side()
+        return d, product_map(draw, units, d)
+    return (units, kind), side(), side()
 
 
 def as_series(terms, n):
@@ -59,16 +112,21 @@ def as_series(terms, n):
                               for key, c in terms.items()})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(factor_pair(), st.sampled_from((0, 256, 1 << 40)))
 def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
-    (da, a), (db, b) = pair
+    # on every kind of lattice: each map round-trips through its slots,
+    # and the product of the ints is the product of the tuple keys
+    (units, kind), (da, a), (db, b) = pair
+    event(kind)
     expected = as_series(a, da) * as_series(b, db)
-    units = [(da, key) for key in a] + [(db, key) for key in b]
     # no digit of a, of b or of the product outgrows this
     sa, sb = sum(map(abs, a.values())), sum(map(abs, b.values()))
     bound = max(sa * sb, sa, sb)
     lay, saved = Kronecker(units, da + db, bound), layouts.FACTOR_BITS
+    for terms, n in ((a, da), (b, db)):
+        assert lay.read([0] * n + [lay.packed(terms, n)], 0) == \
+            as_series(terms, n).terms
     layouts.FACTOR_BITS = factor_bits  # one int, or a shift-add per term
     try:
         value = lay.mul_add(0, lay.packed(a, da),
@@ -125,9 +183,56 @@ def test_a_layout_too_sparse_for_its_units_is_refused():
 
 
 def test_the_layout_limit_counts_every_slot_up_to_the_order():
-    # one-byte slots, units x and x^e at order 1: 1 + e slots in all
+    # one-byte slots, units 1, x and x^e at order 1 (they span all of Z):
+    # 2 + e slots in all
     def layout(e):
-        return Kronecker([(1, (0, 0, 0, 1, 0)), (1, (0, 0, 0, e, 0))], 1, 1)
-    assert layout(MAX_LAYOUT_BITS // 8 - 1).width == 8
+        return Kronecker([(1, (0,) * 5), (1, (0, 0, 0, 1, 0)),
+                          (1, (0, 0, 0, e, 0))], 1, 1)
+    assert layout(MAX_LAYOUT_BITS // 8 - 2).width == 8
     with pytest.raises(SeriesUsageError, match="17 MiB"):
-        layout(MAX_LAYOUT_BITS // 8)
+        layout(MAX_LAYOUT_BITS // 8 - 1)
+
+
+@pytest.mark.parametrize("keys, order, stride, g", (
+    # 1, xy and x^2 (every pair of one parity): the stride of x rounds up
+    # from 4 to 5, so x and y of one parity sit at an even a + 5 b
+    ([(0, 0), (1, 1), (2, 0)], 3, 5, 2),
+    # 1, xy and y^3 (y = x mod 3): 7 rounds up to 8, and y + 8 x = 0 mod 3
+    ([(0, 0), (1, 1), (0, 3)], 2, 8, 3),
+    # 1, xy and x^2 y^2 (a line): g = 7 + 1, and (xy)^i sits at slot i
+    ([(0, 0), (1, 1), (2, 2)], 3, 7, 8)))
+def test_two_variables_divide_by_the_lattice_index(keys, order, stride, g):
+    lay = Kronecker([(1, (0, 0, 0, 2 * a, 2 * b)) for a, b in keys],
+                    order, 1)
+    assert [var[3] for var in lay.vars] == [1, stride]
+    assert lay.g == g
+
+
+def diagonal(n):
+    """The Hodge table of P^n: one class at each (p, p)."""
+    return ManifoldData.from_hodge("P%d" % n, n, [
+        [int(p == q) for q in range(n + 1)] for p in range(n + 1)])
+
+
+QUINTIC = ManifoldData.from_hodge("quintic", 3, [
+    [1, 0, 0, 1], [0, 1, 101, 0], [0, 101, 1, 0], [1, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("name, order, slots", (
+    ("k3", 16, 545), ("quintic", 16, 4705), ("P30", 12, 12 * 30 + 1)))
+def test_the_top_int_spans_the_lattice_not_the_box(catalog, monkeypatch,
+                                                   name, order, slots):
+    # every k3 and quintic exponent pair shares one parity, so the top int
+    # takes half the box of 33^2 and 97^2 slots; P^30 lies on the diagonal,
+    # one slot per point of it
+    X = {"quintic": QUINTIC, "P30": diagonal(30)}.get(name) or catalog[name]
+    seen = []
+    monkeypatch.setattr(ob, "sector_layout",
+                        lambda *args, build=ob.sector_layout:
+                        seen.append(build(*args)) or seen[-1])
+    brute = ob.brute_series("hodge_orb", X, order)
+    [layout] = seen
+    top = {key: c for key, c in brute.terms.items() if key[0] == 2 * order}
+    assert max(layout.slot(key, order) for key in top) + 1 == slots
+    assert layout.packed(top, order).bit_length() <= slots * layout.width
+    assert brute == ob.closed_series("hodge_orb", X, order)

@@ -289,9 +289,9 @@ def pe_input(draw):
 @example(Series("q", 5, {(2, 0, -2**19 - 1, 3, -7): 1,
                          (4, 2**18, 0, -1, 0): -3}))
 def test_packed_plethystic_exp_matches_the_tuple_key_recurrence(f):
-    # the Kronecker layout spans the box of the exponents: one spread far
-    # apart in two variables past layouts.MAX_LAYOUT_BITS is refused up
-    # front, and every other f is expanded exactly
+    # a Kronecker layout whose slots, on the lattice the units span, pass
+    # layouts.MAX_LAYOUT_BITS (exponents far apart on a lattice of small
+    # index) is refused up front, and every other f is expanded exactly
     try:
         got = plethystic_exp(f)
     except SeriesUsageError as exc:

@@ -6,8 +6,9 @@ name the fastest in total.
 Run it from the root of a source checkout; it reads the program from src/.
 FACTOR_BITS is the density at which a factor of Kronecker.mul_add is
 multiplied as one int rather than added term by term.  For each heavy call
-shape -- a (kind, manifold, order) on the catalog surfaces and the seeded
-benchmark CY3 of seed 1 (cy3_1) -- it builds the brute series
+shape -- a (kind, manifold, order) on the catalog surfaces, the seeded
+benchmark CY3 of seed 1 (cy3_1) and the diagonal Hodge table of P^30 (p30),
+whose slots lie on a line -- it builds the brute series
 (orbifold._sector_sum) and the closed one (series.plethystic_exp) once per
 value, R times with the values alternating in order, and keeps the best
 time of each.  --only keeps the shapes whose 'kind manifold order' contains
@@ -32,16 +33,19 @@ import workloads  # noqa: E402
 HEAVY = [("hodge_orb", "k3", 16), ("hodge_orb", "abelian", 14),
          ("hodge_orb", "k3", 24), ("hodge_orb", "abelian", 24),
          ("hodge_orb", "cy3_1", 10), ("poincare_orb", "cy3_1", 16),
-         ("chiy_orb", "cy3_1", 16)]
+         ("chiy_orb", "cy3_1", 16), ("hodge_orb", "p30", 12)]
 FACTOR_TRIES = (0, 64, 256, 1024, 1 << 40)
 _label = lambda bits: "always" if bits == 1 << 40 else str(bits)
 
 
 def manifolds(directory):
-    """{name: ManifoldData}: the catalog surfaces and the seed-1 CY3."""
+    """{name: ManifoldData}: the catalog surfaces, the seed-1 CY3 and
+    P^30."""
     out = {name: load_manifold(catalog_dir() / (name + ".json"))
            for name in ("k3", "abelian")}
     out["cy3_1"] = load_manifold(workloads.write_inputs(1, directory)["cy3"])
+    out["p30"] = orbifold.ManifoldData.from_hodge("p30", 30, [
+        [int(p == q) for q in range(31)] for p in range(31)])
     return out
 
 
