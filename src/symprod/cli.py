@@ -202,8 +202,7 @@ def cmd_series(args):
     text_b = str(b)
     print("brute: ", text_b)
     print("closed:", text_b if b == c else c)
-    result = orbifold._compare("%s order %d" % (kind, order), b, c,
-                               orbifold.KINDS[kind].var)
+    result = orbifold._compare("%s order %d" % (kind, order), b, c)
     if result.status == "pass":
         print("verdict: equal")
         return 0

@@ -474,5 +474,5 @@ def check_relations(X, max_charge):
         verdict("annihilate/annihilate super-commutators vanish", aa),
         verdict("compositional (Hopf) creation matches direct creation", hopf),
         _compare("Fock character = regraded sector series",
-                 space.character(C), closed, "q"),
+                 space.character(C), closed),
     ]

@@ -15,6 +15,8 @@ re-checking them.  A half-integer total degree has no parity: sym_power
 and euler, which need parities, reject it once per block.
 """
 
+from collections import Counter
+
 from .layouts import sector_layout, symmetric_powers
 from .series import Series, _VI
 
@@ -35,18 +37,21 @@ class GradedDims:
                           for (p, q), b in sorted(self.dims.items()))
         return "GradedDims({%s})" % items
 
-    def _blocks(self):
-        """(x^p y^q, b, 1) per b even classes, (x^p y^q, -b, -1) per b odd
-        ones: the blocks of layouts.symmetric_powers."""
-        blocks = []
+    def blocks(self, image=lambda p, q, s: ((0, 0, 0, p, q), s)):
+        """The blocks (key, e, a) of layouts.symmetric_powers: a class at
+        (p, q) of super sign s = (-1)^((p + q)/2) has image(p, q, s) =
+        (key, a), and the b classes at (p, q) add s b to the e of the block
+        (key, a), so images that agree share one block; by default x^p y^q,
+        counted s times.  ValueError on a half-integer total degree."""
+        merged = Counter()
         for (p, q), b in sorted(self.dims.items()):
             if (p + q) % 2:
                 raise ValueError(
                     "bidegree (%g, %g) has a half-integer total degree, "
                     "which has no parity" % (p / 2, q / 2))
             s = -1 if (p + q) % 4 else 1
-            blocks.append(((0, 0, 0, p, q), s * b, s))
-        return blocks
+            merged[image(p, q, s)] += s * b
+        return [(key, e, a) for (key, a), e in merged.items() if e]
 
     def within(self, top_p, top_q):
         """Whether all bidegrees are integers in [0, top_p] x [0, top_q]."""
@@ -55,7 +60,7 @@ class GradedDims:
 
     def euler(self):
         """Alternating sum of dimensions, signed by total degree."""
-        return sum(e for _, e, _ in self._blocks())
+        return sum(e for _, e, _ in self.blocks())
 
     def shift(self, dp, dq=0):
         """Translate all bidegrees by (dp/2, dq/2) (doubled shifts)."""
@@ -76,7 +81,7 @@ class GradedDims:
         past layouts.MAX_LAYOUT_BITS."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        blocks = self._blocks()
+        blocks = self.blocks()
         layout = sector_layout(n, 1, [key for key, _, _ in blocks], (0,) * 5,
                                sum(self.dims.values()))
         top = symmetric_powers(layout, blocks, 1, n)[n]

@@ -9,19 +9,23 @@ the fixed locus.  Both the brute-force assembly and the closed generating
 functions are computed here in exact arithmetic, so any claimed identity can
 be checked coefficient by coefficient.
 
-The brute side is one sector sum, _sector_sum.  Each kind names a
-level(l, count): block(l, N) for N = 0..count, the invariants of Sym^N(H*X)
-regraded for N l-cycles, from one layouts.symmetric_powers DP over the
-class images of the kind (x^p y^q or t^p, with the regraded parity, for
-hodge and poincare; (-1)^(p+q), (-1)^q and (-1)^(p+q) y^p, multiplicative
-over a basis of Sym^N, for euler, sign and chiy).  The sum over cycle
-types of prod_l block(l, N_l) is the truncated product over cycle lengths l
-of sum_N block(l, N) q^(lN).  The DP runs on the values of one layout,
-layouts.sector_layout: a cycle of length l carries one class of X and
-l - 1 regradings, so the layout sees those units and the largest
-coefficient the sector count allows.  Each block and each c_n is one int
-of that layouts.Kronecker layout, and c_n += c_(n - lN) * block(l, N) is
-int arithmetic.
+The brute side of every kind is one sector sum, _sym_sum over
+_sector_sum.  Each kind names a level(l, count): block(l, N) for
+N = 0..count, the invariants of Sym^N(H*X) regraded for N l-cycles, from
+one layouts.symmetric_powers DP over the class images of the kind (x^p y^q
+or t^p, with the regraded parity, for hodge and poincare; (-1)^(p+q),
+(-1)^q, (-1)^(p+q) y^p, its y = 0 value (-1)^q [p = 0] and
+(-1)^(p+q) y^(p-k), multiplicative over a basis of Sym^N, for euler, sign,
+chiy, arith and dmvv, with the sector weight y^k of a moved cycle at
+y = -1 for sign and y = 0 for arith).  The sum over cycle types of
+prod_l block(l, N_l) is the truncated product over cycle lengths l of
+sum_N block(l, N) q^(lN), summed in p for dmvv, where q -> p y^(-k)
+leaves one y^(-k) per cycle and no sector weight.  The DP runs on the
+values of one layout, layouts.sector_layout: a cycle of length l carries
+one class of X and l - 1 regradings, so the layout sees those units and
+the largest coefficient the sector count allows.  Each block and each c_n
+is one int of that layouts.Kronecker layout, and c_n += c_(n - lN) *
+block(l, N) is int arithmetic.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -63,6 +67,7 @@ from functools import cache
 from .graded import GradedDims
 from .layouts import sector_layout, symmetric_powers
 from .series import (
+    VARS,
     Series,
     coeff_str,
     first_mismatch,
@@ -70,7 +75,6 @@ from .series import (
     plethystic_exp,
     render_head,
     render_key,
-    specialize,
     substitute,
     twist,
 )
@@ -223,8 +227,8 @@ def genus(table, which):
 _ONE = (0, 0, 0, 0, 0)  # the key of the monomial 1
 
 
-def _sector_sum(order, cycles, level, layout):
-    """sum_n c_n q^n, c_n the q^n coefficient of prod_{l <= cycles}
+def _sector_sum(order, cycles, level, layout, var="q"):
+    """sum_n c_n var^n, c_n the q^n coefficient of prod_{l <= cycles}
     sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
     of layout (a layouts.Kronecker), which no c_n outgrows: ints at l = 1,
     the right factors of layout.mul_add above.
@@ -241,35 +245,23 @@ def _sector_sum(order, cycles, level, layout):
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
                 c[n] = mul_add(c[n], c[n - l * N], blocks[N])
-    return Series("q", order, layout.read(c, 0))
+    return Series(var, order, layout.read(c, VARS.index(var)))
 
 
-def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1):
-    """_sector_sum of block(l, N), the image of Sym^N T regraded for N
-    l-cycles, one layouts.symmetric_powers DP per l.  image(p, q, s) is
-    (key, a) where a class at (p, q) of super sign s = (-1)^((p + q)/2) has
-    image a s key: its b classes join the block (key, s b, a).  A moved
-    cycle moves each key by shift and multiplies a by sign; flip = -1 where
-    it regrades by an odd degree, which turns each parity, so e and a."""
-    blocks = Counter()
-    for (p, q), b in T.dims.items():
-        s = -1 if (p + q) % 4 else 1
-        blocks[image(p, q, s)] += s * b
-    blocks = [(key, e, a) for (key, a), e in blocks.items() if e]
+def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
+    """_sector_sum in var of block(l, N), the image of Sym^N T regraded for
+    N l-cycles, one layouts.symmetric_powers DP per l over the blocks
+    T.blocks(image) (a class at (p, q) of super sign s has image a s key,
+    for (key, a) = image(p, q, s)).  A moved cycle moves each key by shift
+    and multiplies a by sign; flip = -1 where it regrades by an odd degree,
+    which turns each parity, so e and a."""
+    blocks = T.blocks(image)
     layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
                            shift, sum(T.dims.values()))
     return _sector_sum(order, cycles, lambda l, top: symmetric_powers(
         layout, [(tuple(k + (l - 1) * v for k, v in zip(key, shift)),
                   e * flip ** (l - 1), a * (flip * sign) ** (l - 1))
-                 for key, e, a in blocks], l, top), layout)
-
-
-def _chiy_orb_brute(X, T, order, cycles):
-    """Sector genera taken on the untwisted quotient (plain symmetric powers,
-    integer bidegrees), each l-cycle weighted by the exact monomial
-    y^(k(l-1)), k = dim_C/2, half-integer exponents included."""
-    return _sym_sum(T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p), 1),
-                    (0, 0, 0, 0, X.dim_c))
+                 for key, e, a in blocks], l, top), layout, var)
 
 
 def _levels(poly, order, shift, cycles):
@@ -304,16 +296,17 @@ _EVEN_DIM_C = (lambda X: X.dim_c is not None and X.dim_c % 2 == 0,
 _POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
                    "orbifold arithmetic-genus formula needs dim_C >= 1")
 
-# One spec per kind.  var: the counting variable; needs: requirements;
-# twisted: the closed form is the super PE twist(PE[twist(f)]), signed by
-# total degree; surface_order: default-order cap on surfaces for the (x, y)-
-# weighted kinds, whose expansion dominates cost; table: the ManifoldData
-# attribute handed to both builders as T; cycles: the longest cycle a
-# sector may have, 1 for Sym^n(X) and None (any) for (X^n, S_n).
-# brute(X, T, order, cycles) sums sectors; single(X, T, order, cycles) is
-# the single-particle series f of the closed form.
+# One spec per kind.  needs: requirements; twisted: the closed form is the
+# super PE twist(PE[twist(f)]), signed by total degree; surface_order:
+# default-order cap on surfaces for the (x, y)-weighted kinds, whose
+# expansion dominates cost; table: the ManifoldData attribute handed to
+# both builders as T; cycles: the longest cycle a sector may have, 1 for
+# Sym^n(X) and None (any) for (X^n, S_n).  brute(X, T, order, cycles) sums
+# sectors; single(X, T, order, cycles) is the single-particle series f of
+# the closed form.  Both return series in one counting variable, p for
+# dmvv_q0* and q for the rest.
 KindSpec = namedtuple(
-    "KindSpec", "var needs twisted surface_order table brute single cycles",
+    "KindSpec", "needs twisted surface_order table brute single cycles",
     defaults=(None,))
 
 
@@ -326,39 +319,44 @@ def _family(name, spec, **overrides):
 
 KINDS = {
     **_family("euler", KindSpec(
-        "q", (), False, None, "hodge",
+        (), False, None, "hodge",
         lambda X, T, order, cycles: _sym_sum(
             X.betti, order, cycles, lambda p, q, s: (_ONE, 1)),
         lambda X, T, order, cycles: _levels(
             Series.constant("q", None, X.euler()), order, {}, cycles))),
     **_family("poincare", KindSpec(
-        "q", (), True, None, "hodge",
+        (), True, None, "hodge",
         lambda X, T, order, cycles: _sym_sum(
             X.betti, order, cycles, lambda p, q, s: ((0, 0, p, 0, 0), s),
             (0, 0, 2 * X.m, 0, 0), (-1) ** X.m),
         lambda X, T, order, cycles: _levels(
             X.betti.poly("t"), order, {"t": X.m}, cycles))),
     **_family("hodge", KindSpec(
-        "q", (_HAS_HODGE,), True, 6, "hodge",
+        (_HAS_HODGE,), True, 6, "hodge",
         lambda X, T, order, cycles: _sym_sum(
             T, order, cycles, lambda p, q, s: ((0, 0, 0, p, q), s),
             (0, 0, 0, X.dim_c, X.dim_c), (-1) ** X.dim_c),
         lambda X, T, order, cycles: _levels(T.poly("x"), order, {
             "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
     **_family("chiy", KindSpec(
-        "q", (_HAS_HODGE,), False, None, "hodge", _chiy_orb_brute,
+        (_HAS_HODGE,), False, None, "hodge",
+        lambda X, T, order, cycles: _sym_sum(
+            T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p), 1),
+            (0, 0, 0, 0, X.dim_c)),
         lambda X, T, order, cycles: _levels(
             chi_minus_y(T), order, {"y": Fraction(X.dim_c, 2)}, cycles))),
-    # At y = 0 a twisted sector's weight y^(k(l-1)N) vanishes, so f is a q.
+    # At y = 0 a class's image y^p is [p = 0] and a moved cycle's weight
+    # y^k is 0^(dim_C): a twisted sector vanishes, so f is a q.
     **_family("arith", KindSpec(
-        "q", (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
-        lambda X, T, order, cycles: specialize(
-            _chiy_orb_brute(X, T, order, cycles), {"y": 0}),
+        (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
+        lambda X, T, order, cycles: _sym_sum(
+            T, order, cycles, lambda p, q, s: (_ONE, int(p == 0)),
+            sign=0 ** X.dim_c),
         lambda X, T, order, cycles: Series.term(
             "q", order, genus(X.hodge, "arithmetic"), {"q": 1})),
         needs=(_HAS_HODGE,)),
     **_family("sign", KindSpec(
-        "q", (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
+        (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
         lambda X, T, order, cycles: _sym_sum(
             T, order, cycles, lambda p, q, s: (_ONE, -1 if p % 4 else 1),
             sign=(-1) ** (X.dim_c // 2)),
@@ -376,11 +374,13 @@ KINDS["gottsche_poincare"] = KINDS["poincare_orb"]._replace(
 KINDS["gottsche_hodge"] = KINDS["hodge_orb"]._replace(
     needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
         T.poly("x"), order, {"x": 1, "y": 1}, cycles))
+# q -> p y^(-k) turns an l-cycle's weight y^(k(l-1)) into the y^(-k) that
+# its class image carries, so no moved cycle shifts a key.
 KINDS["dmvv_q0"] = KindSpec(
-    "p", (_HAS_HODGE,), False, 6, "hodge",
-    lambda X, T, order, cycles: substitute(
-        _chiy_orb_brute(X, T, order, cycles), "q",
-        {"y": Fraction(-X.dim_c, 2), "p": 1}),
+    (_HAS_HODGE,), False, 6, "hodge",
+    lambda X, T, order, cycles: _sym_sum(
+        T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p - X.dim_c), 1),
+        var="p"),
     lambda X, T, order, cycles: _levels(chi_minus_y(T, "p") * Series.term(
         "p", None, 1, {"y": Fraction(-X.dim_c, 2)}), order, {}, cycles))
 KINDS["dmvv_q0_B"] = KINDS["dmvv_q0"]._replace(needs=_B_NEEDS, table="hodge_b")
@@ -444,9 +444,10 @@ class CheckResult:
 DUMP_TERMS = 20
 
 
-def _compare(name, a, b, var):
+def _compare(name, a, b):
     """Pass, or fail with the first mismatch, the number of differing
-    coefficients per power of var, and both sides cut to DUMP_TERMS terms."""
+    coefficients per power of the counting variable, and both sides cut to
+    DUMP_TERMS terms."""
     if a == b:
         return CheckResult(name, "pass")
     mism = first_mismatch(a, b)
@@ -458,7 +459,7 @@ def _compare(name, a, b, var):
             % (render_key(key), coeff_str(ca), coeff_str(cb))
         )
         lines.append("differing coefficients per power of %s: %s"
-                     % (var, mismatch_counts(a, b)))
+                     % (a.var, mismatch_counts(a, b)))
     lines.append("lhs: %s" % render_head(a, DUMP_TERMS))
     lines.append("rhs: %s" % render_head(b, DUMP_TERMS))
     return CheckResult(name, "fail", lines)
@@ -478,7 +479,7 @@ def verify(kind, X, order, built=None):
     built = built or _series_of(X)
     b = built(brute_series, kind, order)
     c = built(closed_series, kind, order)
-    return _compare("%s order %d" % (kind, order), b, c, KINDS[kind].var)
+    return _compare("%s order %d" % (kind, order), b, c)
 
 
 # Identities between kinds, one (name, route, lhs, subs, rhs, extra) row
@@ -529,8 +530,7 @@ def cross_checks(X, order=None, built=None):
         lhs = built(route, lhs_kind, n)
         for v, exps, coeff in subs:
             lhs = substitute(lhs, v, exps, coeff)
-        out.append(_compare(name, lhs, built(route, rhs_kind, n),
-                            KINDS[lhs_kind].var))
+        out.append(_compare(name, lhs, built(route, rhs_kind, n)))
 
     if X.calabi_yau and X.hodge_b is not None:
         # Serre duality for the polyvector genus of a Calabi-Yau d-fold:
@@ -541,7 +541,7 @@ def cross_checks(X, order=None, built=None):
         lhs = chi_minus_y(X.hodge_b, "q")
         flip = substitute(chi_minus_y(X.hodge, "q"), "y", {"y": -1})
         rhs = flip * Series.term("q", None, (-1) ** d, {"y": d})
-        out.append(_compare("cross B-genus Serre duality", lhs, rhs, "q"))
+        out.append(_compare("cross B-genus Serre duality", lhs, rhs))
 
     return out
 

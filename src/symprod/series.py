@@ -26,7 +26,8 @@ A q-series holds no power of p, and a p-series none of q: from_terms
 refuses such a term, and no other operation makes one.  The canonical term
 order (counting exponent, then t, x, y) is then the order of the keys.
 
-One routine, substitute, replaces a variable by a monomial; specialize is
+One routine, substitute, replaces a variable by a monomial, both in t, x
+and y, so a series keeps its counting variable and order; specialize is
 substitute by constants, one variable after another.
 
 The hot product loops, in plethystic_exp and the brute sector sum, run on
@@ -369,44 +370,21 @@ def twist(s):
 def substitute(s, v, exps, coeff=1):
     """Replace the variable v by the monomial coeff * prod(w^e), exponent-linearly.
 
-    Substituting for the counting variable re-targets the truncation: the
-    replacement must involve exactly one counting variable, with positive
-    integer exponent (e.g. q -> y^(-1/2) p moves a q-series to a p-series).
-    Substituting for any other variable must not touch the counting ones.
-    coeff may be zero, which kills the positive powers of v; a negative
-    power of zero, or coeff at a strict half-integer exponent other than 1
-    and 0, raises SeriesDomainError.
+    v and the w are among t, x and y: a counting variable is neither
+    replaced nor brought in (SeriesUsageError), so the result keeps the
+    counting variable and the order of s.  coeff may be zero, which kills
+    the positive powers of v; a negative power of zero, or coeff at a
+    strict half-integer exponent other than 1 and 0, raises
+    SeriesDomainError.
     """
     coeff = _exact(coeff)
     if v not in _VI:
         raise SeriesUsageError("unknown variable %r" % (v,))
     rkey = monomial_key(exps)
+    if v in COUNTING_VARS or any(rkey[_VI[u]] for u in COUNTING_VARS):
+        raise SeriesUsageError(
+            "substitute neither replaces nor introduces a counting variable")
     vi = _VI[v]
-
-    if v == s.var:
-        counting = [
-            (u, rkey[_VI[u]]) for u in COUNTING_VARS if rkey[_VI[u]] != 0
-        ]
-        if len(counting) != 1:
-            raise SeriesUsageError(
-                "replacing the counting variable needs exactly one counting "
-                "variable in the image"
-            )
-        new_var, du = counting[0]
-        if du <= 0 or du % 2:
-            raise SeriesUsageError(
-                "new counting exponent must be a positive integer"
-            )
-        new_order = None if s.order is None else s.order * (du // 2)
-    else:
-        for u in COUNTING_VARS:
-            if rkey[_VI[u]] != 0:
-                raise SeriesUsageError(
-                    "replacement for a plain variable may not involve the "
-                    "counting variables"
-                )
-        new_var, new_order = s.var, s.order
-
     terms = {}
     for key, c in s.terms.items():
         d = key[vi]
@@ -416,8 +394,7 @@ def substitute(s, v, exps, coeff=1):
                 continue
             nk = list(key)
             nk[vi] = 0
-            for u in VARS:
-                ru = rkey[_VI[u]]
+            for u, ru in enumerate(rkey):
                 if ru == 0:
                     continue
                 prod = d * ru
@@ -426,14 +403,10 @@ def substitute(s, v, exps, coeff=1):
                         "substitution exponent %s * %s leaves (1/2)Z"
                         % (half_str(d), half_str(ru))
                     )
-                nk[_VI[u]] += prod // 2
+                nk[u] += prod // 2
             key = tuple(nk)
-        if key[_VI[new_var]] < 0:
-            raise SeriesUsageError(
-                "substitution produced a negative counting exponent"
-            )
         terms[key] = terms.get(key, 0) + c
-    return Series(new_var, new_order, terms)
+    return Series(s.var, s.order, terms)
 
 
 def _rational_power(base, d):

@@ -270,7 +270,7 @@ def test_coefficients_past_the_str_digit_limit_print_in_full(tmp_path,
     # a mismatch report prints such coefficients too
     big = orbifold.Series.from_terms("q", 1, [(NINES * NINES, {"q": 1})])
     small = orbifold.Series.from_terms("q", 1, [(NINES, {"q": 1})])
-    assert orbifold._compare("c", big, small, "q").lines[0] == \
+    assert orbifold._compare("c", big, small).lines[0] == \
         "first mismatch at q: %s vs %s" % (long_str(NINES * NINES),
                                            long_str(NINES))
     # the reader still refuses a literal past the limit, before any output

@@ -157,10 +157,8 @@ def layout_of(v, n):
 @example(K3, 0)
 def test_symmetric_powers_match_the_oracle_at_every_power(v, n):
     # the DP of every power at once, and sym_power
-    blocks = [((0, 0, 0, p, q), -b if (p + q) % 4 else b,
-               -1 if (p + q) % 4 else 1) for (p, q), b in v.dims.items()]
     layout = layout_of(v, n)
-    for N, power in enumerate(symmetric_powers(layout, blocks, 1, n)):
+    for N, power in enumerate(symmetric_powers(layout, v.blocks(), 1, n)):
         got = layout.read([0] * N + [power], 0)
         assert GradedDims({k[3:]: c for k, c in got.items()}) \
             == sym_power_oracle(v, N), N

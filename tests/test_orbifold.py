@@ -189,24 +189,25 @@ def q_power(c, order, n):
     return c * Series.term("q", order, 1, {"q": n})
 
 
-def block_series(layout, block, n, order=None):
-    """A block of degree n, an int or a factor of mul_add, as a q-series:
-    a factor (a shift and (shift, coeff) pairs above it) is first summed to
-    one int."""
+def block_series(layout, block, n, order=None, var="q"):
+    """A block of degree n, an int or a factor of mul_add, as a series in
+    var: a factor (a shift and (shift, coeff) pairs above it) is first
+    summed to one int."""
     if type(block) is not int:
         block = sum(c << s for s, c in block[1]) << block[0]
-    return Series("q", order, layout.read([0] * n + [block], 0))
+    return Series(var, order, layout.read([0] * n + [block],
+                                          series.VARS.index(var)))
 
 
-def cycle_type_sector_sum(order, cycles, level, layout):
+def cycle_type_sector_sum(order, cycles, level, layout, var="q"):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) q^(l N_l) per cycle type of S_n with no cycle
     longer than cycles, summed.  Each block(l, N) is the top of its own
     level(l, N), so each Sym^N comes from its own DP, not from the one DP
-    per level of _sector_sum; it is read into a Series at its power of q,
-    so the products multiply 5-tuple keys, not codes or packed ints."""
+    per level of _sector_sum; it is read into a Series at its power of
+    var, so the products multiply 5-tuple keys, not codes or packed ints."""
     block = cache(lambda l, nl: block_series(layout, level(l, nl)[nl],
-                                             l * nl, order))
+                                             l * nl, order, var))
 
     def sectors(n):
         terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
@@ -286,7 +287,9 @@ def sparse_hodge_manifolds(draw):
 def oracle_block(kind, X, l, N):
     """block(l, N) of a kind from the basis of Sym^N (sym_power_oracle) of
     the table regraded for N l-cycles, at q^(l N): the regraded Hodge or
-    Poincare polynomial, or the genus image times its sector weight."""
+    Poincare polynomial, or the genus image times its sector weight; the
+    dmvv_q0 block sits at p^(l N), its sector weight y^(k m N) cancelled
+    by the y^(-k l N) of q -> p y^(-k) to one y^(-k) per cycle."""
     d, m = X.dim_c, l - 1
     at = Series.term("q", None, 1, {"q": l * N})
     if kind == "hodge_orb":
@@ -298,6 +301,11 @@ def oracle_block(kind, X, l, N):
         return S.euler() * at
     if kind == "sign_orb":
         return ob.genus(S, "signature") * (-1) ** (d // 2 * m * N) * at
+    if kind == "arith_orb":  # y^(k m N) at y = 0
+        return ob.genus(S, "arithmetic") * int(d * m * N == 0) * at
+    if kind == "dmvv_q0":
+        return ob.chi_minus_y(S, "p") * Series.term(
+            "p", None, 1, {"p": l * N, "y": Fraction(-d * N, 2)})
     return ob.chi_minus_y(S) * Series.term(
         "q", None, 1, {"q": l * N, "y": Fraction(d * m * N, 2)})
 
@@ -305,20 +313,21 @@ def oracle_block(kind, X, l, N):
 @settings(max_examples=60, deadline=None)
 @given(sparse_hodge_manifolds(),
        st.sampled_from(("hodge_orb", "poincare_orb", "euler_orb",
-                        "chiy_orb", "sign_orb")))
+                        "chiy_orb", "arith_orb", "sign_orb", "dmvv_q0")))
 def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
     # every block(l, N) that a kind's levels hand to _sector_sum against
     # the basis enumeration of its regraded Sym^N
     assume(ob.applicability(kind, X) is None)
     order, seen = 4, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ob, "_sector_sum", lambda order, cycles, level, layout:
-                   seen.append((level, layout)) or Series.zero("q", order))
+        mp.setattr(ob, "_sector_sum",
+                   lambda order, cycles, level, layout, var="q":
+                   seen.append((level, layout, var)) or Series.zero(var, order))
         ob.brute_series(kind, X, order)
-    [(level, layout)] = seen
+    [(level, layout, var)] = seen
     for l in range(1, order + 1):
         for N, block in enumerate(level(l, order // l)):
-            assert block_series(layout, block, l * N) == \
+            assert block_series(layout, block, l * N, var=var) == \
                 oracle_block(kind, X, l, N), (l, N)
 
 
@@ -351,7 +360,7 @@ def test_brute_levels_pack_each_power_as_it_is_yielded(catalog, monkeypatch):
     # without the product, whose result would outweigh them.
     k3 = catalog["k3"]
 
-    def levels_only(order, cycles, level, codec):
+    def levels_only(order, cycles, level, layout, var="q"):
         for l in range(1, cycles + 1):
             level(l, order // l)
 
@@ -497,7 +506,7 @@ def test_verify_skip(catalog):
 def test_verify_mismatch_carries_both_series():
     a = Series.term("q", 2, 1, {}) + Series.term("q", 2, 2, {"q": 1})
     b = Series.term("q", 2, 1, {}) + Series.term("q", 2, 3, {"q": 1})
-    r = ob._compare("fabricated", a, b, "q")
+    r = ob._compare("fabricated", a, b)
     assert r.status == "fail"
     assert any("first mismatch" in line for line in r.lines)
     assert any("lhs:" in line for line in r.lines)
@@ -508,7 +517,7 @@ def test_mismatch_report_is_bounded():
     pairs = [(1, {"t": j, "q": i}) for i in range(3) for j in range(31)]
     a = Series.from_terms("q", 2, pairs)
     b = Series.from_terms("q", 2, [(2, exps) for _, exps in pairs])
-    r = ob._compare("fabricated", a, b, "q")
+    r = ob._compare("fabricated", a, b)
     more = " \u2026 (%d more terms)" % (93 - ob.DUMP_TERMS)
     assert r.lines[:2] == [
         "first mismatch at 1: 1 vs 2",
@@ -666,11 +675,58 @@ def test_hodge_orb_collapses_to_poincare_orb(catalog):
         assert collapsed == ob.brute_series("poincare_orb", X, 4)
 
 
+def check_dmvv_rekeys_chiy(X, order):
+    """dmvv_q0 brute, summed in p, is chiy_orb brute re-keyed by
+    q -> p y^(-k), k = dim_C/2: q^n y^r goes to p^n y^(r - kn).  Both
+    tables, where the kinds apply."""
+    for suffix in ("", "_B"):
+        if ob.applicability("dmvv_q0" + suffix, X) is None:
+            chiy = ob.brute_series("chiy_orb" + suffix, X, order)
+            moved = Series("p", order, {
+                (0, n, t, x, y - X.dim_c * n // 2): c
+                for (n, _, t, x, y), c in chiy.terms.items()})
+            assert ob.brute_series("dmvv_q0" + suffix, X, order) == moved, \
+                (suffix, order)
+
+
+def check_arith_is_chiy_at_zero(X, order):
+    """arith brute is chiy brute at y = 0, for both families."""
+    for family in ("_sym", "_orb"):
+        if ob.applicability("arith" + family, X) is None:
+            chiy = ob.brute_series("chiy" + family, X, order)
+            assert ob.brute_series("arith" + family, X, order) == \
+                specialize(chiy, {"y": 0}), (family, order)
+
+
 def test_dmvv_brute_is_substituted_chiy(catalog):
-    k3 = catalog["k3"]
-    chiy = ob.brute_series("chiy_orb", k3, 4)
-    moved = substitute(chiy, "q", {"y": Fraction(-2, 2), "p": 1})
-    assert moved == ob.brute_series("dmvv_q0", k3, 4)
+    for name in CATALOG_NAMES:  # every catalog input has a Hodge table
+        check_dmvv_rekeys_chiy(catalog[name], 6)
+
+
+def test_arith_brute_is_chiy_brute_at_y_zero(catalog):
+    for name in CATALOG_NAMES:
+        check_arith_is_chiy_at_zero(catalog[name], 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hodge_manifolds(), st.integers(min_value=0, max_value=5))
+def test_dmvv_and_arith_brute_are_chiy_brute_on_random_tables(X, order):
+    check_dmvv_rekeys_chiy(X, order)
+    check_arith_is_chiy_at_zero(X, order)
+
+
+def test_brute_route_substitutes_nothing(catalog, monkeypatch):
+    # every brute kind is one sector sum: no specialization or substitution
+    # of another kind's series on the way
+    def refuse(*args):
+        raise AssertionError("the brute route substituted")
+
+    monkeypatch.setattr(series, "substitute", refuse)
+    monkeypatch.setattr(ob, "substitute", refuse)
+    X = catalog["k3"]
+    for kind in ob.SERIES_KINDS:
+        if ob.applicability(kind, X) is None:
+            ob.brute_series(kind, X, 4)
 
 
 # ----------------------------------------------------------- Sym^n(X) kinds

@@ -325,27 +325,22 @@ def test_substitute_to_one():
     assert substitute(s, "x", {}) == S([(1, {}), (1, {"q": 1})], 3)
 
 
-def test_substitute_counting_variable_moves_truncation():
-    # q -> y^(-1/2) p turns a q-series into a p-series with y-Laurent tails
-    s = S([(1, {}), (1, {"y": 1, "q": 1}), (2, {"q": 2})], 2)
-    got = substitute(s, "q", {"y": -H, "p": 1})
-    assert got.var == "p"
-    assert got == S(
-        [(1, {}), (1, {"y": H, "p": 1}), (2, {"y": -1, "p": 2})], 2, var="p"
-    )
-
-
-def test_substitute_counting_variable_scaling():
-    s = S([(1, {}), (1, {"q": 1})], 2)
-    got = substitute(s, "q", {"q": 2})
-    assert got.order == 4
-    assert got == S([(1, {}), (1, {"q": 2})], 4)
-
-
 def test_substitute_rejects_vanishing_counting_var():
-    s = S([(1, {"q": 1})], 2)
-    with pytest.raises(SeriesUsageError):
-        substitute(s, "q", {"t": 1})
+    # substitute neither replaces a counting variable (q or p, the
+    # series' own or the other) nor brings one in, so it never moves a
+    # series to another counting variable or order
+    s = S([(1, {"y": 1, "q": 1})], 2)
+    for v, exps in (("q", {"t": 1}), ("q", {"y": -H, "p": 1}),
+                    ("q", {"q": 2}), ("p", {"t": 1}), ("p", {}),
+                    ("t", {"q": 1}), ("y", {"p": 1, "y": 1})):
+        with pytest.raises(SeriesUsageError, match="counting variable"):
+            substitute(s, v, exps)
+    p_series = S([(1, {"y": -H, "p": 1})], 2, var="p")
+    for v, exps in (("p", {"p": 1}), ("q", {"t": 1}), ("x", {"q": 1})):
+        with pytest.raises(SeriesUsageError, match="counting variable"):
+            substitute(p_series, v, exps)
+    with pytest.raises(SeriesUsageError, match="counting variable"):
+        specialize(s, {"p": 1})
 
 
 def test_substitute_zero_coefficient():
