@@ -4,7 +4,7 @@ from math import comb
 from operator import add, mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_NAMES, sym_power_oracle, tensor, traced_peak
@@ -314,6 +314,10 @@ def oracle_block(kind, X, l, N):
 @given(sparse_hodge_manifolds(),
        st.sampled_from(("hodge_orb", "poincare_orb", "euler_orb",
                         "chiy_orb", "arith_orb", "sign_orb", "dmvv_q0")))
+# a curve with arithmetic genus 1, so twisted arith blocks must vanish, and
+# a curve with odd classes and half-integer y^(-k) in p
+@example(ManifoldData.from_hodge("p1", 1, [[1, 0], [0, 1]]), "arith_orb")
+@example(ManifoldData.from_hodge("curve", 1, [[1, 2], [2, 1]]), "dmvv_q0")
 def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
     # every block(l, N) that a kind's levels hand to _sector_sum against
     # the basis enumeration of its regraded Sym^N
@@ -321,8 +325,8 @@ def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
     order, seen = 4, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ob, "_sector_sum",
-                   lambda order, cycles, level, layout, var="q":
-                   seen.append((level, layout, var)) or Series.zero(var, order))
+                   lambda order, cycles, level, layout, var="q": seen.append(
+                       (level, layout, var)) or Series.zero(var, order))
         ob.brute_series(kind, X, order)
     [(level, layout, var)] = seen
     for l in range(1, order + 1):
