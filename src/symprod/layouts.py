@@ -12,12 +12,15 @@ takes half the box, and where all lie on a line (a diagonal Hodge table)
 one slot per point of it.  Products are int arithmetic: mul_add
 multiplies by a factor in the form factor picks from the value, and
 symmetric_powers builds every Sym^N of a sector block by shifts and adds
-of ints in the frame of its keys.  A layout past MAX_LAYOUT_BITS of ints
-in all -- exponents far apart on a lattice of small index, such as all of
-Z^2, or in three or more variables -- is refused with SeriesUsageError
-before any int is built.
+of ints in the frame of its keys.  read decodes an int in bulk: the
+nonzero slots are found in C, with no Python step per empty slot, and the
+keys of a degree are built one coordinate column at a time, with no divmod
+per term.  A layout past MAX_LAYOUT_BITS of ints in all -- exponents far
+apart on a lattice of small index, such as all of Z^2, or in three or more
+variables -- is refused with SeriesUsageError before any int is built.
 """
 
+from itertools import compress, count, repeat
 from math import gcd
 
 # A factor pays as one int below FACTOR_BITS bits per term, chosen by
@@ -118,13 +121,15 @@ class Kronecker:
         return raw, ((x & ~bias) + bias - (bias >> w - 1) | x) & bias, size
 
     def _digits(self, raw, flag, size):
-        """(slot, digit) of each nonzero digit of a _flagged value, lowest
-        first and lazily, read from one to_bytes at the slots flag marks."""
+        """(slots, digits): the nonzero slots of a _flagged value, lowest
+        first, and their digits.  compress finds the slots whose top byte
+        flag marks, in C, and each digit is a slice of one to_bytes."""
         nb, half = self.nbytes, 1 << self.width - 1
-        raw = raw.to_bytes(size * nb, "little")
-        return ((i, int.from_bytes(raw[i * nb:(i + 1) * nb], "little") - half)
-                for i, f in enumerate(flag.to_bytes(size * nb, "little")
-                                      [nb - 1::nb]) if f)
+        slots = list(compress(count(), flag.to_bytes(size * nb, "little")
+                              [nb - 1::nb]))
+        raw, from_bytes = raw.to_bytes(size * nb, "little"), int.from_bytes
+        return slots, [from_bytes(raw[i * nb:i * nb + nb], "little") - half
+                       for i in slots]
 
     def packed(self, terms, n):
         """The int of a {key: int coeff} map of degree n, written as bytes."""
@@ -151,8 +156,9 @@ class Kronecker:
         top = flag.bit_length() // w - 1
         if (top - low) * w < FACTOR_BITS * flag.bit_count():
             return base + w * low, ((0, value >> w * low),)
+        slots, digits = self._digits(raw, flag, size)
         return base + w * low, [(w * (i - low), c)
-                                for i, c in self._digits(raw, flag, size)]
+                                for i, c in zip(slots, digits)]
 
     @staticmethod
     def mul_add(acc, a, b):
@@ -170,20 +176,28 @@ class Kronecker:
 
     def read(self, coeffs, ti):
         """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti:
-        each int is decoded once and then dropped from the list coeffs."""
+        each int is decoded once and then dropped from the list coeffs.  The
+        keys of a degree are built column by column: each varying variable
+        from whole-list // and % of the slots' phi by the strides, outermost
+        first, and each other coordinate repeated."""
         out, g = {}, self.g
+        outer = self.vars[::-1]
         for n, value in enumerate(coeffs):
             coeffs[n] = None
-            base = [0] * 5
-            base[ti] = 2 * n
+            if not value:
+                continue
+            slots, digits = self._digits(*self._flagged(value))
+            cols = [repeat(0)] * 5
+            cols[ti] = repeat(2 * n)
             for v, slope in self.slopes:
-                base[v] = n * slope
-            for i, c in self._digits(*self._flagged(value)):
-                key, rest = base[:], i * g
-                for v, step, _, stride in reversed(self.vars):
-                    j, rest = divmod(rest, stride)
-                    key[v] += j * step
-                out[tuple(key)] = c
+                cols[v] = repeat(n * slope)
+            rest = [i * g for i in slots] if g > 1 else slots
+            for v, step, slope, stride in outer:
+                base = n * slope
+                cols[v] = [base + r // stride * step for r in rest]
+                if stride > 1:  # the innermost stride is 1
+                    rest = [r % stride for r in rest]
+            out.update(zip(zip(*cols), digits))
         return out
 
 

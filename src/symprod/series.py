@@ -249,17 +249,53 @@ class Series:
         return "Series(%r, order=%r: %s)" % (self.var, self.order, str(self))
 
 
+class _FactorTexts(dict):
+    """The text of one variable's factor in a term at each doubled exponent,
+    "*" first and made on first use: "*x", "*x^2", "*x^(-1/2)", and "" at
+    exponent 0."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var):
+        self.var = var
+
+    def __missing__(self, d):
+        v = self.var
+        if d == 0:
+            text = ""
+        elif d == 2:
+            text = "*" + v
+        elif d > 0 and d % 2 == 0:
+            text = "*%s^%d" % (v, d // 2)
+        else:
+            text = "*%s^(%s)" % (v, half_str(d))
+        self[d] = text
+        return text
+
+
 def _render(terms, keys):
-    """The terms at keys, in that order, as text; "0" when there are none."""
+    """The terms at keys, in that order, as text; "0" when there are none.
+    Each factor text is made once per variable and doubled exponent, in a
+    dict per variable that lives for this call only; a term's monomial is
+    one join of five of them."""
+    (it, t), (ix, x), (iy, y), (ip, p), (iq, q) = [
+        (i, _FactorTexts(v)) for v, i in _FACTORS]
     parts = []
     for key in keys:
         c = terms[key]
-        body = _render_term(key, c)
-        if not parts:
-            parts.append("-" + body if c < 0 else body)
+        mono = "".join((t[key[it]], x[key[ix]], y[key[iy]], p[key[ip]],
+                        q[key[iq]]))
+        if c < 0:
+            c, sign = -c, " - "
         else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts) or "0"
+            sign = " + "
+        parts.append(sign + (coeff_str(c) + mono if c != 1 else
+                             mono[1:] or "1"))
+    if not parts:
+        return "0"
+    first = parts[0]  # no sign before a positive first term, "-" before
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
 
 
 def coeff_str(c):
@@ -280,27 +316,6 @@ def coeff_str(c):
     half = c.bit_length() * 3 // 20  # about half its decimal digits
     hi, lo = divmod(c, 10 ** half)
     return coeff_str(hi) + coeff_str(lo).zfill(half)
-
-
-def _render_term(key, c):
-    factors = []
-    for v, i in _FACTORS:
-        d = key[i]
-        if d == 0:
-            continue
-        if d == 2:
-            factors.append(v)
-        elif d % 2 == 0 and d > 0:
-            factors.append("%s^%d" % (v, d // 2))
-        else:
-            factors.append("%s^(%s)" % (v, half_str(d)))
-    a = abs(c)
-    if not factors:
-        return coeff_str(a)
-    mono = "*".join(factors)
-    if a == 1:
-        return mono
-    return "%s*%s" % (coeff_str(a), mono)
 
 
 # -- expansion primitives ----------------------------------------------------
@@ -473,4 +488,4 @@ def render_head(s, limit):
 
 def render_key(key):
     """Canonical text for a bare monomial (used in mismatch reports)."""
-    return _render_term(key, 1)
+    return _render({key: 1}, (key,))

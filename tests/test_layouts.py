@@ -81,7 +81,7 @@ def lattice_units(draw):
     return units, kind
 
 
-def product_map(draw, units, n):
+def product_map(draw, units, n, coeff=coefficient):
     """A {key: coeff} map of degree n whose keys are products of units."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
@@ -91,7 +91,7 @@ def product_map(draw, units, n):
                 key, d = tuple(map(add, key, k)), d + du
         pad = units[0][1]  # of degree 1
         terms[tuple(a + (n - d) * b for a, b in zip(key, pad))] = \
-            draw(coefficient)
+            draw(coeff)
     return terms
 
 
@@ -135,6 +135,91 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
         layouts.FACTOR_BITS = saved
     got = lay.read([0] * (da + db) + [value], 0)
     assert Series("q", None, got) == expected
+
+
+def divmod_read(lay, coeffs, ti):
+    """read by one balanced digit and one divmod per variable per term: each
+    digit is the value's remainder mod 2^width, taken in (-half, half], and
+    each slot's phi is split by the strides, outermost first."""
+    out, w, g = {}, lay.width, lay.g
+    for n, value in enumerate(coeffs):
+        base = [0] * 5
+        base[ti] = 2 * n
+        for v, slope in lay.slopes:
+            base[v] = n * slope
+        i = 0
+        while value:
+            c = value & (1 << w) - 1
+            if c >= 1 << w - 1:
+                c -= 1 << w
+            if c:
+                key, rest = base[:], i * g
+                for v, step, _, stride in reversed(lay.vars):
+                    j, rest = divmod(rest, stride)
+                    key[v] += j * step
+                out[tuple(key)] = c
+            value, i = (value - c) >> w, i + 1
+    return out
+
+
+@st.composite
+def read_case(draw):
+    """(kind, layout, {n: terms}): units of a lattice_units kind, of a
+    three-variable box, or all at their slope (no varying variable), a
+    bound of 1, 2, 5, 8 or 9 bytes, and a {key: coeff} map of each degree
+    up to the order, empty at any of them, with digits up to +-bound."""
+    kind = draw(st.sampled_from(("lattice", "box", "slopes")))
+    if kind == "lattice":
+        units, kind = draw(lattice_units())
+    elif kind == "box":  # 1, t^a, x^b and y^c
+        step = st.integers(1, 3).flatmap(lambda a: st.sampled_from((a, -a)))
+        units = [(1, (0,) * 5)] + [
+            (1, tuple(draw(step) if i == v else 0 for i in range(5)))
+            for v in (2, 3, 4)]
+    else:
+        slope = (0, 0) + draw(st.tuples(exponent, exponent, exponent))
+        units = [(d, tuple(d * e for e in slope))
+                 for d in [1] + draw(st.lists(st.integers(1, 3),
+                                              max_size=3))]
+    nbytes = draw(st.sampled_from((1, 2, 5, 8, 9)))
+    bound = draw(st.integers(2 ** (8 * nbytes - 8) if nbytes > 1 else 1,
+                             2 ** (8 * nbytes - 1) - 1))
+    order = draw(st.integers(0, 4))
+    lay = Kronecker(units, order, bound)
+    assert lay.nbytes == nbytes
+    digit = st.one_of(st.sampled_from((bound, -bound, 0)),
+                      st.integers(-bound, bound))
+    return kind, lay, {n: product_map(draw, units, n, digit)
+                       for n in range(order + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_case(), st.sampled_from((0, 1)))
+@example(("slopes", Kronecker([(1, (0, 0, 0, 3, -1)), (2, (0, 0, 0, 6, -2))],
+                              2, 127),
+          {0: {(0,) * 5: 0}, 1: {(0, 0, 0, 3, -1): -127},
+           2: {(0, 0, 0, 6, -2): 127}}), 1)
+@example(("box", Kronecker([(1, (0,) * 5), (1, (0, 0, 1, 0, 0)),
+                            (1, (0, 0, 0, -2, 0)), (1, (0, 0, 0, 0, 3))],
+                           2, 2**71 - 1),
+          {0: {(0,) * 5: 2**71 - 1}, 1: {},
+           2: {(0, 0, 1, -2, 0): 1 - 2**71, (0, 0, 0, 0, 6): 5}}), 0)
+def test_read_matches_the_divmod_decoder(case, ti):
+    # every degree's int, zero ones included, decodes to its map with the
+    # counting exponent at ti, as the per-term divmod decoder reads it, and
+    # read drops each int from coeffs
+    kind, lay, maps = case
+    event(kind)
+    if kind == "slopes":
+        assert lay.vars == []
+    coeffs = [lay.packed(terms, n) for n, terms in maps.items()]
+    expected = divmod_read(lay, coeffs, ti)
+    got = lay.read(coeffs, ti)
+    assert got == expected
+    assert got == {key[:ti] + (2 * n,) + key[ti + 1:]: c
+                   for n, terms in maps.items()
+                   for key, c in terms.items() if c}
+    assert coeffs == [None] * len(maps)
 
 
 def test_a_digit_at_the_width_bound_is_exact():

@@ -557,6 +557,17 @@ render_terms = st.lists(st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(("q", "p")), render_terms, render_terms,
        st.integers(0, 9))
+# one doubled exponent on two or three variables of a term: a factor text
+# keyed by the exponent alone would print x^(3/2)*x^(3/2)
+@example("q", [(1, {"n": 1, "x": Fraction(3, 2), "y": Fraction(3, 2)}),
+               (-2, {"n": 2, "t": Fraction(-1, 2), "x": Fraction(-1, 2),
+                     "y": Fraction(-1, 2)})], [], 9)
+# +-1 and |c| > 1 on one monomial shape, and on the constant, whose
+# render_key is "1"
+@example("p", [(1, {"n": 1, "x": 1}), (-1, {"n": 2, "x": 1}),
+               (3, {"n": 3, "x": 1}), (Fraction(-5, 2), {"n": 0, "x": 1}),
+               (7, {"n": 0})], [(-1, {"n": 1, "x": 1})], 2)
+@example("q", [(-1, {"n": 0})], [(1, {"n": 0})], 0)
 def test_rendering_matches_the_explicit_canonical_order(var, t1, t2, limit):
     def series(terms):  # "n" is the exponent of the counting variable
         return Series.from_terms(var, 3, [
