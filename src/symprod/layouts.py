@@ -182,6 +182,7 @@ class Kronecker:
         first, and each other coordinate repeated."""
         out, g = {}, self.g
         outer = self.vars[::-1]
+        last = len(outer) - 1
         for n, value in enumerate(coeffs):
             coeffs[n] = None
             if not value:
@@ -192,10 +193,12 @@ class Kronecker:
             for v, slope in self.slopes:
                 cols[v] = repeat(n * slope)
             rest = [i * g for i in slots] if g > 1 else slots
-            for v, step, slope, stride in outer:
+            for k, (v, step, slope, stride) in enumerate(outer):
                 base = n * slope
                 cols[v] = [base + r // stride * step for r in rest]
-                if stride > 1:  # the innermost stride is 1
+                # an outer stride may be 1 too, where the variables below
+                # it reach 0 up to order; the innermost leaves no remainder
+                if k < last:
                     rest = [r % stride for r in rest]
             out.update(zip(zip(*cols), digits))
         return out

@@ -204,6 +204,8 @@ def read_case(draw):
                            2, 2**71 - 1),
           {0: {(0,) * 5: 2**71 - 1}, 1: {},
            2: {(0, 0, 1, -2, 0): 1 - 2**71, (0, 0, 0, 0, 6): 5}}), 0)
+@example(("lattice", Kronecker([(1, (0,) * 5), (3, (0, 0, 0, -1, 1))], 1, 1),
+          {0: {(0,) * 5: 1}, 1: {(0,) * 5: -1}}), 0)  # an outer stride of 1
 def test_read_matches_the_divmod_decoder(case, ti):
     # every degree's int, zero ones included, decodes to its map with the
     # counting exponent at ti, as the per-term divmod decoder reads it, and
