@@ -25,21 +25,25 @@ annihilators(m) and the generator-b entry of creators(n),
 is machine-checkable on any truncated basis, away from states where the
 truncation could leak.  check_relations builds each family's rows once,
 keeping those of the states below the top charge (a top-charge row is only
-an intermediate image of the mixed bracket, built again when reached), and
-works on state numbers.  It takes one domain state s at a time and
-accumulates A_a B_b s - eps_ab B_b A_a s (eps_ab the Koszul sign of a and
-b), minus the expected multiple c_ab s, in one dict keyed by (a, b) and the
-image; a pair violates the relation when any of its terms is left nonzero,
-so an untouched pair is a violation exactly when c_ab != 0.  The mixed,
-create/create and annihilate/annihilate relations are three calls.  The
-compositional (Hopf) check reads the creation rows back as states and sorts
-factor words on its own.  Only even d is supported: for odd d the parity
-of a level-l factor would depend on l and the algebra is not defined here.
+an intermediate image of the mixed bracket, built at its first visit in a
+bracket call and dropped after its last), and works on state numbers.  It
+takes one domain state s at a time and accumulates A_a B_b s - eps_ab B_b
+A_a s (eps_ab the Koszul sign of a and b), minus the expected multiple
+c_ab s, in one dict keyed by (a, b) and the image; a pair violates the
+relation when any of its terms is left nonzero, so an untouched pair is a
+violation exactly when c_ab != 0.  The mixed, create/create and
+annihilate/annihilate relations are three calls.  The compositional (Hopf)
+check reads the creation rows back as states and compares each with the
+canonical word of the created factor followed by the state, which
+canonical_state sorts on its own.  Only even d is supported: for odd d the
+parity of a level-l factor would depend on l and the algebra is not defined
+here.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from .orbifold import CheckResult, InputError, _compare, closed_series
 from .series import Series
@@ -231,28 +235,37 @@ class FockSpace:
                 return None
         return tuple(word), sign
 
+    def _enumerate(self, max_charge):
+        """(states, charge, degree): the basis to max_charge and each
+        state's charge and degree, listed as the states are."""
+        letters = [((l, g.id), l, g.degree_shifted + l * self.d, g.parity)
+                   for l in range(1, max_charge + 1) for g in self.gens]
+        by_charge = [[] for _ in range(max_charge + 1)]
+        degrees = [[] for _ in range(max_charge + 1)]
+
+        # depth first with the letters in factor order lists each charge's
+        # states in factor order; an odd letter is taken at most once
+        def rec(idx, charge, degree, cur):
+            by_charge[charge].append(tuple(cur))
+            degrees[charge].append(degree)
+            for i in range(idx, len(letters)):
+                f, l, step, parity = letters[i]
+                if charge + l > max_charge:
+                    break
+                cur.append(f)
+                rec(i + parity, charge + l, degree + step, cur)
+                cur.pop()
+
+        rec(0, 0, 0, [])
+        return ([s for states in by_charge for s in states],
+                [c for c, states in enumerate(by_charge) for _ in states],
+                [d for ds in degrees for d in ds])
+
     def basis(self, max_charge):
         """All canonical states of charge <= max_charge, deterministically
         ordered by (charge, factors).  States share one (level, generator)
         tuple per factor."""
-        letters = [((l, g.id), l, g.parity)
-                   for l in range(1, max_charge + 1) for g in self.gens]
-        by_charge = [[] for _ in range(max_charge + 1)]
-
-        # depth first with the letters in factor order lists each charge's
-        # states in factor order; an odd letter is taken at most once
-        def rec(idx, charge, cur):
-            by_charge[charge].append(tuple(cur))
-            for i in range(idx, len(letters)):
-                f, l, parity = letters[i]
-                if charge + l > max_charge:
-                    break
-                cur.append(f)
-                rec(i + parity, charge + l, cur)
-                cur.pop()
-
-        rec(0, 0, [])
-        return [s for states in by_charge for s in states]
+        return self._enumerate(max_charge)[0]
 
     def index(self, max_charge):
         """The basis up to max_charge: a prefix of one charge-sorted
@@ -261,11 +274,12 @@ class FockSpace:
         to its number, and charge and degree list each number's charge and
         degree, which the rows are audited by."""
         if max_charge > self._cap:
-            self._cap, self.states = max_charge, self.basis(max_charge)
+            self._cap = max_charge
+            self.states, self.charge, self.degree = \
+                self._enumerate(max_charge)
             self.ids = {s: i for i, s in enumerate(self.states)}
-            self.charge = [self.state_charge(s) for s in self.states]
-            self.degree = [self.state_degree(s) for s in self.states]
-        return self.states[:bisect_right(self.charge, max_charge)]
+        n = bisect_right(self.charge, max_charge)
+        return self.states if n == len(self.states) else self.states[:n]
 
     # -- operators -----------------------------------------------------------
 
@@ -279,12 +293,16 @@ class FockSpace:
         odd, factors = self.odd, [(n, g.id) for g in self.gens]
 
         def family(s):
+            # flips[k]: the parity of the odd factors in s[:k]
+            flips, p = [0], 0
+            for _, h in s:
+                p ^= odd[h]
+                flips.append(p)
             for g, f in enumerate(factors):
                 pos = bisect_left(s, f)
                 if odd[g] and pos < len(s) and s[pos] == f:
                     continue
-                sign = -1 if odd[g] and sum(
-                    odd[h] for _, h in s[:pos]) % 2 else 1
+                sign = -1 if odd[g] and flips[pos] else 1
                 yield g, s[:pos] + (f,) + s[pos:], sign
         return family
 
@@ -369,7 +387,7 @@ class FockSpace:
     def character(self, max_charge):
         """sum over indexed basis states of q^charge t^degree, exactly."""
         n = len(self.index(max_charge))
-        count = Counter(zip(self.charge[:n], self.degree[:n]))
+        count = Counter(islice(zip(self.charge, self.degree), n))
         return Series.from_terms("q", max_charge, (
             (b, {"q": c, "t": d}) for (c, d), b in count.items()))
 
@@ -380,19 +398,37 @@ def _violations(A, B, domain, odd, states, scalar):
     for families A and B, G generators and eps_ij the Koszul sign of
     generators i and j.  A family is (stored rows, row builder): the rows
     of the lowest-numbered states, and the builder for a higher image.
-    One dict per s holds the terms, keyed by the int (i*G + j)*N + u for N
-    states and image u, minus the expected scalars; a pair violates the
-    relation exactly when one of its terms is left nonzero."""
+    A higher image's row is built at its first visit from the domain and
+    dropped at its last, so it is built once per call and an image visited
+    once is never kept.  One dict per s holds the terms, keyed by the int
+    (i*G + j)*N + u for N states and image u, minus the expected scalars; a
+    pair violates the relation exactly when one of its terms is left
+    nonzero."""
     (rows_a, build_a), (rows_b, _) = A, B
     N, na = len(states), len(rows_a)
     GN = len(odd) * N
+    # visits left to each image past the stored rows, and its live row
+    left, live = [0] * (N - na), [None] * (N - na)
+    for s in domain:
+        for t in rows_b[s][1::3]:
+            if t >= na:
+                left[t - na] += 1
     bad = 0
     for s in domain:
         acc = {p * N + s: -v for p, v in scalar.items()}
         it = iter(rows_b[s])
         for j, t, c in zip(it, it, it):
             jN = j * N
-            inner = iter(rows_a[t] if t < na else build_a(states[t]))
+            if t < na:
+                row = rows_a[t]
+            else:
+                x = t - na
+                row = live[x]
+                if row is None:
+                    row = build_a(states[t])
+                left[x] -= 1
+                live[x] = row if left[x] else None
+            inner = iter(row)
             for i, u, w in zip(inner, inner, inner):
                 k = i * GN + jN + u
                 acc[k] = acc.get(k, 0) + c * w
@@ -434,7 +470,8 @@ def check_relations(X, max_charge):
 
     def family(step):
         # rows stored below the top charge; a top-charge row is only an
-        # intermediate image of the mixed bracket, built when reached
+        # intermediate image of the mixed bracket, built once per bracket
+        # call and dropped after its last visit
         build = space.rows(step)
         return [build(s) for s in states[:upto(C - max(step, 1))]], build
 
@@ -455,13 +492,16 @@ def check_relations(X, max_charge):
             aa += _violations(ann[m], ann[n], domain, odd, states, {})
 
     # the compositional form sorts factor words on its own, so it reads the
-    # rows back as states
-    hopf = 0
+    # rows back as states: generator i's (image, coeff) entry, the last one
+    # when a row repeats i, against the canonical word of (m, i) then s
+    hopf, canonical = 0, space.canonical_state
     for m in range(1, C + 1):
         for s, row in zip(states, cre[m][0]):
+            entry = [None] * G
             it = iter(row)
-            images = {g: {states[t]: c} for g, t, c in zip(it, it, it)}
-            hopf += sum(images.get(i, {}) != space.hopf_product(((m, i),), s)
+            for g, t, c in zip(it, it, it):
+                entry[g] = states[t], c
+            hopf += sum(entry[i] != canonical(((m, i),) + s)
                         for i in range(G))
 
     def verdict(name, bad):

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -402,11 +403,50 @@ def test_check_relations_odd_cohomology():
 def test_relation_check_peak_memory_stays_under_the_parent(catalog):
     # 205,730 bytes is the tracemalloc peak of this check on Python 3.11
     # when each application rehashed tuple states and the brackets went
-    # through a dict per generator pair; numbered states, rows stored below
-    # the top charge and one int-keyed dict per state read 121,150
+    # through a dict per generator pair; numbered states, stored rows and a
+    # top-charge row kept only between its first and last visit in one
+    # bracket call read 110,910
     k3 = catalog["k3"]
     fock.check_relations(k3, 2)  # the closed series' caches stay out
     assert traced_peak(lambda: fock.check_relations(k3, 2)) < 205_730
+
+
+def test_relation_check_peak_memory_at_charge_3(catalog):
+    # 1,248,000 bytes is 1.1 times the tracemalloc peak on Python 3.11 with
+    # each top-charge row kept from its first to its last visit in one
+    # bracket call; keeping every built row read 1,425,790 bytes, and
+    # rebuilding each row at every visit 986,546.  The free lists are
+    # emptied first: rows taken from tuples freed by earlier tests would
+    # not be traced, and the peak would depend on what ran before.
+    k3 = catalog["k3"]
+    fock.check_relations(k3, 3)
+    gc.collect()
+    assert traced_peak(lambda: fock.check_relations(k3, 3)) < 1_248_000
+
+
+@pytest.mark.parametrize("name, charge, total", [("k3", 3, 3752),
+                                                 ("p2", 5, 273)])
+def test_each_top_charge_row_is_built_once_per_bracket(
+        catalog, monkeypatch, name, charge, total):
+    # each bracket call's builds past its stored rows, one list per call;
+    # total is the number of distinct (call, image) pairs.  Rebuilding at
+    # every visit made 8,352 builds at k3 charge 3 and 348 at p2 charge 5.
+    calls, violations = [], fock._violations
+
+    def counted(A, B, *rest):
+        rows, build = A
+        built = []
+        calls.append(built)
+
+        def row(s):
+            built.append(s)
+            return build(s)
+        return violations((rows, row), B, *rest)
+
+    monkeypatch.setattr(fock, "_violations", counted)
+    fock.check_relations(catalog[name], charge)
+    assert all(len(set(built)) == len(built) for built in calls)
+    assert sum(map(len, calls)) == total
 
 
 def fock_verify(capsys, *argv):
