@@ -218,22 +218,19 @@ class FockSpace:
         return sum(self.gens[g].degree_shifted + l * self.d for l, g in state)
 
     def canonical_state(self, factors):
-        """Sort a factor word into canonical order, tracking the Koszul
-        sign; None when an odd generator repeats at one level."""
-        word = list(factors)
-        sign = 1
-        for i in range(1, len(word)):
-            j = i
-            while j > 0 and word[j] < word[j - 1]:
-                if self.gens[word[j][1]].parity and \
-                        self.gens[word[j - 1][1]].parity:
-                    sign = -sign
-                word[j], word[j - 1] = word[j - 1], word[j]
-                j -= 1
-        for a, b in zip(word, word[1:]):
-            if a == b and self.gens[a[1]].parity:
+        """Sort a factor word into canonical order, with the Koszul sign of
+        the odd factors' inversions; None when an odd generator repeats at
+        one level."""
+        odd, sign = self.odd, 1
+        odds = [f for f in factors if odd[f[1]]]
+        if odds:
+            if len(set(odds)) < len(odds):
                 return None
-        return tuple(word), sign
+            for i, a in enumerate(odds):
+                for b in odds[i + 1:]:
+                    if a > b:
+                        sign = -sign
+        return tuple(sorted(factors)), sign
 
     def _enumerate(self, max_charge):
         """(states, charge, degree): the basis to max_charge and each

@@ -22,6 +22,13 @@ variables -- is refused with SeriesUsageError before any int is built.
 
 from itertools import compress, count, repeat
 from math import gcd
+from sys import byteorder
+
+# memoryview formats of the signed ints of 1, 2, 4 and 8 bytes, read in
+# the host's byte order, and the sign byte of each top byte of a digit
+_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}
+_LITTLE_ENDIAN = byteorder == "little"
+_SIGN_BYTE = bytes(255 if b > 127 else 0 for b in range(256))
 
 # A factor pays as one int below FACTOR_BITS bits per term, chosen by
 # tools/dense_threshold.py on the heavy catalog and seeded shapes.
@@ -109,27 +116,43 @@ class Kronecker:
                    for v, step, slope, stride in self.vars) // self.g
 
     def _flagged(self, value):
-        """(raw, flag, size): value plus 2^(width - 1) in each of its size
-        slots, so each slot of raw is its digit offset to be nonnegative,
-        and the top bit of every slot where value has a nonzero digit."""
+        """(x, flag, size): the digits of value in its size slots, each in
+        width-bit two's complement, and the top bit of every slot where
+        value has a nonzero digit."""
         w = self.width
         size = abs(value).bit_length() // w + 2
         bias = int.from_bytes(self._zero * size, "little")  # the top bits
-        raw = value + bias
-        x = raw ^ bias  # the digits of value, offset to be nonnegative
+        # each slot of value + bias is its digit offset to be nonnegative,
+        # and flipping the top bit back gives the digit in two's complement
+        x = (value + bias) ^ bias
         # ones below the top bit carry into it unless the low bits are zero
-        return raw, ((x & ~bias) + bias - (bias >> w - 1) | x) & bias, size
+        return x, ((x & ~bias) + bias - (bias >> w - 1) | x) & bias, size
 
-    def _digits(self, raw, flag, size):
+    def _digits(self, x, flag, size):
         """(slots, digits): the nonzero slots of a _flagged value, lowest
-        first, and their digits.  compress finds the slots whose top byte
-        flag marks, in C, and each digit is a slice of one to_bytes."""
-        nb, half = self.nbytes, 1 << self.width - 1
-        slots = list(compress(count(), flag.to_bytes(size * nb, "little")
-                              [nb - 1::nb]))
-        raw, from_bytes = raw.to_bytes(size * nb, "little"), int.from_bytes
-        return slots, [from_bytes(raw[i * nb:i * nb + nb], "little") - half
-                       for i in slots]
+        first, and their digits.  Slots of 1, 2, 4 or 8 bytes are read all
+        at once by a memoryview cast of one to_bytes, slots of 3, 5, 6 or 7
+        after widening each to 8 bytes with its sign byte, and compress and
+        filter pick the nonzero ones, all in C; slots past 8 bytes, and
+        every slot on a big-endian host, are sliced where flag marks them."""
+        nb = self.nbytes
+        data = x.to_bytes(size * nb, "little")
+        if nb > 8 or not _LITTLE_ENDIAN:
+            slots = list(compress(count(), flag.to_bytes(size * nb, "little")
+                                  [nb - 1::nb]))
+            from_bytes = int.from_bytes
+            return slots, [from_bytes(data[i * nb:i * nb + nb], "little",
+                                      signed=True) for i in slots]
+        if nb not in _CASTS:
+            wide = bytearray(8 * size)
+            for j in range(nb):
+                wide[j::8] = data[j::nb]
+            sign = data[nb - 1::nb].translate(_SIGN_BYTE)
+            for j in range(nb, 8):
+                wide[j::8] = sign
+            data, nb = wide, 8
+        digits = memoryview(data).cast(_CASTS[nb])
+        return list(compress(count(), digits)), list(filter(None, digits))
 
     def packed(self, terms, n):
         """The int of a {key: int coeff} map of degree n, written as bytes."""
@@ -148,7 +171,7 @@ class Kronecker:
         per term, or one of the whole int where its slots hold fewer than
         FACTOR_BITS bits per term.  The flag of its nonzero slots alone
         picks the form; only the per-term form decodes digits."""
-        raw, flag, size = self._flagged(value)
+        x, flag, size = self._flagged(value)
         if not flag:
             return 0, ()
         w = self.width
@@ -156,7 +179,7 @@ class Kronecker:
         top = flag.bit_length() // w - 1
         if (top - low) * w < FACTOR_BITS * flag.bit_count():
             return base + w * low, ((0, value >> w * low),)
-        slots, digits = self._digits(raw, flag, size)
+        slots, digits = self._digits(x, flag, size)
         return base + w * low, [(w * (i - low), c)
                                 for i, c in zip(slots, digits)]
 

@@ -29,7 +29,8 @@ block(l, N) is int arithmetic.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
-kinds marked + take super signs, twist(PE[twist(f)]).  P, E, C: Poincare,
+kinds marked + take super signs, twist(PE[twist(f)]), expanded in one
+recurrence by plethystic_exp(f, super_signs=True).  P, E, C: Poincare,
 Hodge, chi_(-y) polynomials of X; e, s, a: its Euler number, signature,
 arithmetic genus; k = dim_C/2, m = dim_R/2; L(g; w) = sum_{l<=c} g w^(l-1)
 q^l, one copy per cycle length l up to the cycle bound c, regraded by w per
@@ -57,12 +58,13 @@ dmvv_q0/dmvv_q0_B    L(y^(-k) C; 1) in the variable p: normalized chi_(-y)
 
 verify_all also checks identities between kinds, one row of CROSS_CHECKS
 each: a lhs kind under substitutions equals a rhs kind (chiy_orb(y=1) =
-euler_orb).
+euler_orb).  Within one run it builds each distinct series once: a build
+is keyed by what it reads, so kinds that share a builder and a table's
+contents share their series.
 """
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cache
 
 from .graded import GradedDims
 from .layouts import sector_layout, symmetric_powers
@@ -76,7 +78,6 @@ from .series import (
     render_head,
     render_key,
     substitute,
-    twist,
 )
 
 
@@ -297,14 +298,17 @@ _POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
                    "orbifold arithmetic-genus formula needs dim_C >= 1")
 
 # One spec per kind.  needs: requirements; twisted: the closed form is the
-# super PE twist(PE[twist(f)]), signed by total degree; surface_order:
-# default-order cap on surfaces for the (x, y)-weighted kinds, whose
-# expansion dominates cost; table: the ManifoldData attribute handed to
-# both builders as T; cycles: the longest cycle a sector may have, 1 for
-# Sym^n(X) and None (any) for (X^n, S_n).  brute(X, T, order, cycles) sums
-# sectors; single(X, T, order, cycles) is the single-particle series f of
-# the closed form.  Both return series in one counting variable, p for
-# dmvv_q0* and q for the rest.
+# super PE twist(PE[twist(f)]), signed by total degree and expanded by
+# plethystic_exp(f, super_signs=True); surface_order: default-order cap on
+# surfaces for the (x, y)-weighted kinds, whose expansion dominates cost;
+# table: the ManifoldData attribute handed to both builders as T; cycles:
+# the longest cycle a sector may have, 1 for Sym^n(X) and None (any) for
+# (X^n, S_n).  brute(X, T, order, cycles) sums sectors; single(X, T, order,
+# cycles) is the single-particle series f of the closed form.  Both return
+# series in one counting variable, p for dmvv_q0* and q for the rest.  A
+# build reads nothing else of its spec, so within one run kinds that share
+# a builder, twisted, cycles and their table's contents share a build
+# (_build_key).
 KindSpec = namedtuple(
     "KindSpec", "needs twisted surface_order table brute single cycles",
     defaults=(None,))
@@ -418,9 +422,7 @@ def closed_series(kind, X, order):
     _require(kind, X)
     spec = KINDS[kind]
     f = spec.single(X, getattr(X, spec.table), order, spec.cycles or order)
-    if spec.twisted:
-        return twist(plethystic_exp(twist(f)))
-    return plethystic_exp(f)
+    return plethystic_exp(f, super_signs=spec.twisted)
 
 
 # -- verification ---------------------------------------------------------------
@@ -465,10 +467,37 @@ def _compare(name, a, b):
     return CheckResult(name, "fail", lines)
 
 
+def _build_key(X, build, kind, order):
+    """What build(kind, X, order) reads besides X, for build in
+    {brute_series, closed_series}: the route, its builder in the spec, the
+    spec's twisted and cycles, the order and the contents of its table."""
+    spec = KINDS[kind]
+    T = getattr(X, spec.table)
+    return (build, spec.brute if build is brute_series else spec.single,
+            spec.twisted, spec.cycles, order,
+            None if T is None else frozenset(T.dims.items()))
+
+
 def _series_of(X):
     """(build, kind, order) -> build(kind, X, order) for build in
-    {brute_series, closed_series}, each series built once per run."""
-    return cache(lambda build, kind, order: build(kind, X, order))
+    {brute_series, closed_series}, each distinct series built once per run.
+
+    The memo is keyed by _build_key, what a build reads, and not by the
+    kind: gottsche_hodge reuses the brute hodge_orb, and where the B-table
+    equals the Hodge table, as on a Calabi-Yau surface, hodge_orb_B reuses
+    hodge_orb.  The route is part of the key, so a brute request never gets
+    a closed series.  An inapplicable kind raises InputError even where its
+    key matches a series already built."""
+    memo = {}
+
+    def built(build, kind, order):
+        _require(kind, X)
+        key = _build_key(X, build, kind, order)
+        series = memo.get(key)
+        if series is None:
+            series = memo[key] = build(kind, X, order)
+        return series
+    return built
 
 
 def verify(kind, X, order, built=None):

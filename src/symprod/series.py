@@ -321,7 +321,7 @@ def coeff_str(c):
 # -- expansion primitives ----------------------------------------------------
 
 
-def plethystic_exp(f):
+def plethystic_exp(f, super_signs=False):
     """The plethystic exponential PE[f] = exp(sum_{k>=1} psi_k(f) / k).
 
     psi_k raises every variable to its k-th power, so each term c*M of f
@@ -334,7 +334,15 @@ def plethystic_exp(f):
     divides by n as one int, and each F_n is read once per term.  f must
     have integer coefficients, so the division by n is exact, and exponents
     whose layout fits layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
+
+    super_signs=True gives the super plethystic exponential
+    twist(PE[twist(f)]) in the same recurrence: a term c*M of odd total
+    t, x, y degree contributes (1 + M)^c, so its even powers psi_j, j even,
+    enter D with the sign flipped.  A half-integer total degree has no
+    parity and raises SeriesDomainError.
     """
+    if super_signs and any((key[2] + key[3] + key[4]) % 2 for key in f.terms):
+        raise SeriesDomainError("a half-integer total degree has no parity")
     if f.order is None:
         raise SeriesUsageError("plethystic_exp needs a finite truncation order")
     order, ti = f.order, _VI[f.var]
@@ -354,8 +362,11 @@ def plethystic_exp(f):
     lay = Kronecker([(d, key) for d, key, _ in terms], order, bound)
     D = [Counter() for _ in range(order + 1)]
     for d, key, c in terms:
+        # an odd term's even powers take the opposite sign under super_signs
+        odd = super_signs and (key[2] + key[3] + key[4]) % 4
         for j in range(1, order // d + 1):
-            D[d * j][tuple(j * e for e in key)] += d * c
+            D[d * j][tuple(j * e for e in key)] += \
+                -d * c if odd and j % 2 == 0 else d * c
     D = [lay.factor(lay.packed(Dk, k)) for k, Dk in enumerate(D)]
     F = [1]  # the packed 1
     for n in range(1, order + 1):
@@ -369,9 +380,10 @@ def plethystic_exp(f):
 def twist(s):
     """Multiply every term by (-1)^(total t, x, y degree); an involution.
 
-    twist(plethystic_exp(twist(f))) is the super plethystic exponential: a
-    term c*M of f with odd total degree contributes (1 + M)^c in place of
-    (1 - M)^(-c), as an odd class does in a super symmetric power.
+    twist(plethystic_exp(twist(f))) is the super plethystic exponential,
+    plethystic_exp(f, super_signs=True): a term c*M of f with odd total
+    degree contributes (1 + M)^c in place of (1 - M)^(-c), as an odd class
+    does in a super symmetric power.
     """
     terms = {}
     for key, c in s.terms.items():

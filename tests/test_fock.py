@@ -1,4 +1,3 @@
-import gc
 import json
 import re
 
@@ -405,7 +404,8 @@ def test_relation_check_peak_memory_stays_under_the_parent(catalog):
     # when each application rehashed tuple states and the brackets went
     # through a dict per generator pair; numbered states, stored rows and a
     # top-charge row kept only between its first and last visit in one
-    # bracket call read 110,910
+    # bracket call read 155,222 (110,910 before traced_peak emptied the
+    # free lists)
     k3 = catalog["k3"]
     fock.check_relations(k3, 2)  # the closed series' caches stay out
     assert traced_peak(lambda: fock.check_relations(k3, 2)) < 205_730
@@ -415,12 +415,10 @@ def test_relation_check_peak_memory_at_charge_3(catalog):
     # 1,248,000 bytes is 1.1 times the tracemalloc peak on Python 3.11 with
     # each top-charge row kept from its first to its last visit in one
     # bracket call; keeping every built row read 1,425,790 bytes, and
-    # rebuilding each row at every visit 986,546.  The free lists are
-    # emptied first: rows taken from tuples freed by earlier tests would
-    # not be traced, and the peak would depend on what ran before.
+    # rebuilding each row at every visit 986,546, all read by traced_peak
+    # after it empties the free lists.
     k3 = catalog["k3"]
     fock.check_relations(k3, 3)
-    gc.collect()
     assert traced_peak(lambda: fock.check_relations(k3, 3)) < 1_248_000
 
 

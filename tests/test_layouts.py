@@ -166,7 +166,7 @@ def divmod_read(lay, coeffs, ti):
 def read_case(draw):
     """(kind, layout, {n: terms}): units of a lattice_units kind, of a
     three-variable box, or all at their slope (no varying variable), a
-    bound of 1, 2, 5, 8 or 9 bytes, and a {key: coeff} map of each degree
+    bound of 1 to 6, 8, 9 or 11 bytes, and a {key: coeff} map of each degree
     up to the order, empty at any of them, with digits up to +-bound."""
     kind = draw(st.sampled_from(("lattice", "box", "slopes")))
     if kind == "lattice":
@@ -181,7 +181,7 @@ def read_case(draw):
         units = [(d, tuple(d * e for e in slope))
                  for d in [1] + draw(st.lists(st.integers(1, 3),
                                               max_size=3))]
-    nbytes = draw(st.sampled_from((1, 2, 5, 8, 9)))
+    nbytes = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 11)))
     bound = draw(st.integers(2 ** (8 * nbytes - 8) if nbytes > 1 else 1,
                              2 ** (8 * nbytes - 1) - 1))
     order = draw(st.integers(0, 4))
@@ -193,8 +193,26 @@ def read_case(draw):
                        for n in range(order + 1)}
 
 
+def width_case(nbytes):
+    """A read_case with slots of nbytes bytes: digits of both signs at the
+    bound and at 1, an empty degree, and an empty slot between two full
+    ones."""
+    bound = 2 ** (8 * nbytes - 1) - 1
+    lay = Kronecker([(1, (0,) * 5), (1, (0, 0, 0, 2, 0))], 3, bound)
+    assert lay.nbytes == nbytes
+    return "box", lay, {
+        0: {(0,) * 5: -1}, 1: {(0, 0, 0, 2, 0): bound}, 2: {},
+        3: {(0,) * 5: -bound, (0, 0, 0, 4, 0): 1, (0, 0, 0, 6, 0): -1}}
+
+
 @settings(max_examples=200, deadline=None)
 @given(read_case(), st.sampled_from((0, 1)))
+@example(width_case(1), 0)  # slots read by one memoryview cast
+@example(width_case(3), 1)  # widened to 8 bytes with the sign byte
+@example(width_case(5), 0)
+@example(width_case(8), 1)
+@example(width_case(9), 0)  # past 8 bytes: one slice per digit
+@example(width_case(11), 1)
 @example(("slopes", Kronecker([(1, (0, 0, 0, 3, -1)), (2, (0, 0, 0, 6, -2))],
                               2, 127),
           {0: {(0,) * 5: 0}, 1: {(0, 0, 0, 3, -1): -127},

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb
@@ -645,6 +646,97 @@ def test_verify_all_on_betti_only_input(dim_real, betti, crosses):
     got = [(r.name, r.status) for r in ob.verify_all(X)]
     assert got == [("%s order 8" % kind, "pass" if i < 4 else "skip")
                    for i, kind in enumerate(PUBLISHED_KINDS)] + crosses
+
+
+# ------------------------------------------------------- the run's build memo
+
+# The CY3 that perfbench/workloads.py draws for seed 1, and a surface whose
+# explicit B-table differs from its Hodge table.
+SEED1_CY3 = ManifoldData.from_hodge(
+    "cy3", 3, [[1, 0, 0, 1], [0, 4, 113, 0], [0, 113, 4, 0], [1, 0, 0, 1]],
+    calabi_yau=True)
+SURFACE_WITH_B = ManifoldData.from_hodge(
+    "surface_b", 2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]],
+    hodge_b_rows=[[1, 0, 0], [0, 3, 1], [2, 0, 1]])
+
+
+def counted_builds(monkeypatch):
+    """The (route, kind, order) of every brute_series and closed_series
+    call from here on."""
+    builds = []
+    for name in ("brute_series", "closed_series"):
+        def counted(kind, X, order, route=getattr(ob, name), name=name):
+            builds.append((name, kind, order))
+            return route(kind, X, order)
+        monkeypatch.setattr(ob, name, counted)
+    return builds
+
+
+def test_verify_all_builds_each_distinct_series_once(catalog, monkeypatch):
+    # keyed by kind name the memo made 40 builds on k3 and 256 across the
+    # catalog: gottsche_* repeat the brute hodge_orb and poincare_orb, and
+    # on Calabi-Yau input whose B-table equals the Hodge table every _B
+    # kind repeats its plain kind
+    builds = counted_builds(monkeypatch)
+    ob.verify_all(catalog["k3"])
+    assert len(builds) == 28
+    for name in CATALOG_NAMES:
+        if name != "k3":
+            ob.verify_all(catalog[name])
+    assert len(builds) == 208
+
+
+def used_series(monkeypatch):
+    """The (route, kind, order, series) of every memo request from here
+    on, hits included."""
+    used, series_of = [], ob._series_of
+
+    def recording(X):
+        built = series_of(X)
+
+        def request(build, kind, order):
+            series = built(build, kind, order)
+            used.append((build, kind, order, series))
+            return series
+        return request
+    monkeypatch.setattr(ob, "_series_of", recording)
+    return used
+
+
+@pytest.mark.parametrize("X", [SEED1_CY3, SURFACE_WITH_B],
+                         ids=lambda X: X.name)
+def test_B_series_are_built_on_the_B_table(X, monkeypatch):
+    # the memo key holds the table's contents: where the B-table differs
+    # from the Hodge table, no _B kind gets a series of its plain kind
+    assert X.hodge_b.dims != X.hodge.dims
+    used = used_series(monkeypatch)
+    assert all(r.status != "fail" for r in ob.verify_all(X))
+    checked = Counter()
+    for build, kind, order, series in used:
+        if kind.endswith("_B"):
+            assert series == build(kind, X, order), (build.__name__, kind)
+            checked[build.__name__] += 1
+    assert checked == {"brute_series": 5, "closed_series": 5}
+
+
+def test_no_cross_check_compares_a_build_with_itself(catalog):
+    for X in [*catalog.values(), SEED1_CY3, SURFACE_WITH_B]:
+        for name, route, lhs, _, rhs, _ in ob.CROSS_CHECKS:
+            n = ob.default_order(lhs, X)
+            assert ob._build_key(X, route, lhs, n) != \
+                ob._build_key(X, route, rhs, n), (X.name, name)
+
+
+def test_a_matching_key_still_checks_applicability(catalog):
+    # on a curve the brute gottsche_hodge reads what the brute hodge_orb
+    # reads, but a Hilbert-scheme series needs a surface
+    X = catalog["elliptic"]
+    built = ob._series_of(X)
+    assert ob._build_key(X, ob.brute_series, "gottsche_hodge", 3) == \
+        ob._build_key(X, ob.brute_series, "hodge_orb", 3)
+    built(ob.brute_series, "hodge_orb", 3)
+    with pytest.raises(ob.InputError, match="need a surface"):
+        built(ob.brute_series, "gottsche_hodge", 3)
 
 
 # ------------------------------------------------- convention cross-instances

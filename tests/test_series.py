@@ -175,6 +175,7 @@ def test_binom_integer_alpha_matches_repeated_mul():
     for e in range(4):
         f = S([(e, {"t": 1, "q": 1})], 5)
         assert twist(plethystic_exp(twist(f))) == power
+        assert plethystic_exp(f, super_signs=True) == power
         power = power * base
 
 
@@ -299,6 +300,29 @@ def test_packed_plethystic_exp_matches_the_tuple_key_recurrence(f):
         event("refused")
         return
     assert got == pe_oracle(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pe_input())
+@example(Series("q", 4, {(2, 0, 2, 0, 0): 3, (4, 0, 0, 1, 1): -2,
+                         (2, 0, 0, 3, 1): 1}))
+def test_super_signs_match_the_twisted_plethystic_exp(f):
+    # the super PE in one recurrence is twist(PE[twist(f)]) wherever every
+    # total t, x, y degree is an integer; a half-integer one has no parity
+    if any((k[2] + k[3] + k[4]) % 2 for k in f.terms):
+        with pytest.raises(SeriesDomainError, match="no parity"):
+            plethystic_exp(f, super_signs=True)
+        f = Series(f.var, f.order, {
+            k[:4] + (k[4] + (k[2] + k[3] + k[4]) % 2,): c
+            for k, c in f.terms.items()})
+    try:
+        expected = twist(plethystic_exp(twist(f)))
+    except SeriesUsageError as exc:
+        assert "spread too far" in str(exc)
+        with pytest.raises(SeriesUsageError, match="spread too far"):
+            plethystic_exp(f, super_signs=True)
+        return
+    assert plethystic_exp(f, super_signs=True) == expected
 
 
 def test_twist_is_an_involution_and_signs_odd_degree():
@@ -675,6 +699,7 @@ def test_results_hold_exact_coefficients(a, b, c):
     if f.is_integral():
         assert_exact(plethystic_exp(f), True)
         assert_exact(twist(plethystic_exp(twist(f))), True)
+        assert_exact(plethystic_exp(f, super_signs=True), True)
     else:  # plethystic_exp takes integer coefficients only
         for g in (f, twist(f)):
             with pytest.raises(SeriesUsageError, match="integer coeff"):
