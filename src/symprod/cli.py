@@ -113,6 +113,9 @@ def load_manifold(path):
         _check_types(raw)
         if not isinstance(name, str) or "".join(name.splitlines()) != name:
             raise ValueError("name must be a string without line breaks")
+        if "dim_real" in raw and "dim_c" in raw \
+                and raw["dim_real"] != 2 * raw["dim_c"]:
+            raise ValueError("dim_real inconsistent with dim_c")
         if "hodge" in raw:
             X = ManifoldData.from_hodge(
                 name,
@@ -128,8 +131,6 @@ def load_manifold(path):
                 if stated != X.betti.dims:
                     raise ValueError("stated Betti numbers disagree with "
                                      "the Hodge table")
-            if "dim_real" in raw and raw["dim_real"] != 2 * raw["dim_c"]:
-                raise ValueError("dim_real inconsistent with dim_c")
         elif "betti" in raw:
             if raw.get("calabi_yau") or "hodgeB" in raw:
                 raise ValueError("B-data needs a Hodge table")
@@ -297,6 +298,10 @@ def main(argv=None):
     except AssertionError as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return 1
+    except UnicodeEncodeError as exc:
+        # a manifold name that stdout's encoding cannot write
+        sys.stderr.write("error: cannot write the output: %s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ ValueError): creators(n) gives every generator's level-n creation operator
 on a state at once (with the Koszul sign of sorting the new factor into
 place), and annihilators(m) contracts each level-m factor of a state
 against its pairing partners only (m times the graded contraction, central
-charge 1).  index(c) enumerates the basis once and numbers its states.
-rows(step) builds a family's row of a state: its images as a flat tuple
-(generator, image number, coefficient, ...), audited once as it is built
-against the index, which holds each state's charge and degree; a state
-outside the index, or a creation beyond it, raises ValueError.  The
-defining super-commutation relation of the generator-a entry of
+charge 1).  FockSpace(X, c) enumerates the basis to charge c once and
+numbers its states.  rows(step) builds a family's row of a state: its
+images as a flat tuple (generator, image number, coefficient, ...), audited
+once as it is built against each numbered state's charge and degree; a
+state outside the basis, or a creation past charge c, raises ValueError.
+The defining super-commutation relation of the generator-a entry of
 annihilators(m) and the generator-b entry of creators(n),
 
     [annihilators(m)_a, creators(n)_b] = m * eta(a, b) * delta_{m,n} * Id
@@ -43,7 +43,6 @@ here.
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import islice
 
 from .orbifold import CheckResult, InputError, _compare, closed_series
 from .series import Series
@@ -191,21 +190,48 @@ def pairing_from_blocks(X, blocks):
 
 
 class FockSpace:
-    """Fock model over a manifold with even d = dim_real / 2."""
+    """Fock model over a manifold with even d = dim_real / 2, truncated to
+    the states of charge <= max_charge.  The enumeration numbers them once:
+    states lists them by number, deterministically ordered by (charge,
+    factors), ids maps each back to its number, and charge and degree list
+    each number's charge and degree, which the rows are audited by."""
 
-    def __init__(self, X):
+    def __init__(self, X, max_charge):
         if X.dim_real % 4:
             raise InputError(
                 "Fock construction needs dim_real divisible by 4; %s has "
                 "dim_real %d" % (X.name, X.dim_real)
             )
-        self.d = X.dim_real // 2
+        self.d = d = X.dim_real // 2
         self.gens = build_generators(X)[0]
         self.eta = default_pairing(X) if X.pairing is None \
             else pairing_from_blocks(X, X.pairing)
         self.odd = [g.parity for g in self.gens]
-        self._cap, self.states, self.ids = -1, [], {}
-        self.charge, self.degree = [], []
+        self.max_charge = max_charge
+        letters = [((l, g.id), l, g.degree_shifted + l * d, g.parity)
+                   for l in range(1, max_charge + 1) for g in self.gens]
+        by_charge = [[] for _ in range(max_charge + 1)]
+        degrees = [[] for _ in range(max_charge + 1)]
+
+        # depth first with the letters in factor order lists each charge's
+        # states in factor order; an odd letter is taken at most once
+        def rec(idx, charge, degree, cur):
+            by_charge[charge].append(tuple(cur))
+            degrees[charge].append(degree)
+            for i in range(idx, len(letters)):
+                f, l, step, parity = letters[i]
+                if charge + l > max_charge:
+                    break
+                cur.append(f)
+                rec(i + parity, charge + l, degree + step, cur)
+                cur.pop()
+
+        rec(0, 0, 0, [])
+        self.states = [s for states in by_charge for s in states]
+        self.charge = [c for c, states in enumerate(by_charge)
+                       for _ in states]
+        self.degree = [deg for ds in degrees for deg in ds]
+        self.ids = {s: i for i, s in enumerate(self.states)}
 
     # -- states ------------------------------------------------------------
 
@@ -231,52 +257,6 @@ class FockSpace:
                     if a > b:
                         sign = -sign
         return tuple(sorted(factors)), sign
-
-    def _enumerate(self, max_charge):
-        """(states, charge, degree): the basis to max_charge and each
-        state's charge and degree, listed as the states are."""
-        letters = [((l, g.id), l, g.degree_shifted + l * self.d, g.parity)
-                   for l in range(1, max_charge + 1) for g in self.gens]
-        by_charge = [[] for _ in range(max_charge + 1)]
-        degrees = [[] for _ in range(max_charge + 1)]
-
-        # depth first with the letters in factor order lists each charge's
-        # states in factor order; an odd letter is taken at most once
-        def rec(idx, charge, degree, cur):
-            by_charge[charge].append(tuple(cur))
-            degrees[charge].append(degree)
-            for i in range(idx, len(letters)):
-                f, l, step, parity = letters[i]
-                if charge + l > max_charge:
-                    break
-                cur.append(f)
-                rec(i + parity, charge + l, degree + step, cur)
-                cur.pop()
-
-        rec(0, 0, 0, [])
-        return ([s for states in by_charge for s in states],
-                [c for c, states in enumerate(by_charge) for _ in states],
-                [d for ds in degrees for d in ds])
-
-    def basis(self, max_charge):
-        """All canonical states of charge <= max_charge, deterministically
-        ordered by (charge, factors).  States share one (level, generator)
-        tuple per factor."""
-        return self._enumerate(max_charge)[0]
-
-    def index(self, max_charge):
-        """The basis up to max_charge: a prefix of one charge-sorted
-        enumeration, redone only for a higher charge.  The enumeration
-        numbers the states: states lists them by number, ids maps each back
-        to its number, and charge and degree list each number's charge and
-        degree, which the rows are audited by."""
-        if max_charge > self._cap:
-            self._cap = max_charge
-            self.states, self.charge, self.degree = \
-                self._enumerate(max_charge)
-            self.ids = {s: i for i, s in enumerate(self.states)}
-        n = bisect_right(self.charge, max_charge)
-        return self.states if n == len(self.states) else self.states[:n]
 
     # -- operators -----------------------------------------------------------
 
@@ -333,30 +313,30 @@ class FockSpace:
 
     def rows(self, step):
         """The row builder of one family, the level-step creators (step > 0)
-        or the level -step annihilators (step < 0): it maps an indexed state
-        s to its row, the flat tuple (g, number of t, coeff, ...) over the
+        or the level -step annihilators (step < 0): it maps a basis state s
+        to its row, the flat tuple (g, number of t, coeff, ...) over the
         family's (g, t, coeff) at s.  Each row is audited once, as it is
-        built: t must be an indexed state whose (charge, degree) is that of
-        s plus the declared step (step, degree_shifted(g) + step * d).  A
-        state s beyond the index, given or to be created on, is the
-        caller's fault (ValueError); a wrong step is the family's
-        (AssertionError)."""
+        built: t must be a basis state whose (charge, degree) is that of s
+        plus the declared step (step, degree_shifted(g) + step * d).  A
+        state s outside the basis, given or to be created on past
+        max_charge, is the caller's fault (ValueError); a wrong step is the
+        family's (AssertionError)."""
         family = self.creators(step) if step > 0 \
             else self.annihilators(-step)
         label = ("create(%d)" if step > 0 else "annihilate(%d)") % abs(step)
         steps = [g.degree_shifted + step * self.d for g in self.gens]
+        ids, charge, degree, top = \
+            self.ids, self.charge, self.degree, self.max_charge
 
         def row(s):
-            ids, charge, degree, cap = \
-                self.ids, self.charge, self.degree, self._cap
             sid = ids.get(s)
             if sid is None:
-                raise ValueError("%r is not a state of the basis indexed to "
-                                 "charge %d" % (s, cap))
+                raise ValueError("%r is not a state of the basis to charge "
+                                 "%d" % (s, top))
             c = charge[sid] + step
-            if c > cap:
-                raise ValueError("%s of %r leaves the basis indexed to "
-                                 "charge %d" % (label, s, cap))
+            if c > top:
+                raise ValueError("%s of %r leaves the basis to charge %d"
+                                 % (label, s, top))
             d0, out = degree[sid], []
             for g, t, coeff in family(s):
                 tid = ids.get(t)
@@ -374,18 +354,10 @@ class FockSpace:
             return tuple(out)
         return row
 
-    # -- Hopf structure -------------------------------------------------------
-
-    def hopf_product(self, s1, s2):
-        """Product of two basis states in the symmetric algebra."""
-        res = self.canonical_state(list(s1) + list(s2))
-        return {} if res is None else {res[0]: res[1]}
-
-    def character(self, max_charge):
-        """sum over indexed basis states of q^charge t^degree, exactly."""
-        n = len(self.index(max_charge))
-        count = Counter(islice(zip(self.charge, self.degree), n))
-        return Series.from_terms("q", max_charge, (
+    def character(self):
+        """sum over basis states of q^charge t^degree, exactly."""
+        count = Counter(zip(self.charge, self.degree))
+        return Series.from_terms("q", self.max_charge, (
             (b, {"q": c, "t": d}) for (c, d), b in count.items()))
 
 
@@ -458,9 +430,8 @@ def check_relations(X, max_charge):
     if X.dim_real % 4 == 0 and sum(closed.terms.values()) > MAX_STATES:
         raise InputError("%s has over %d Fock states up to charge %d"
                          % (X.name, MAX_STATES, C))
-    space = FockSpace(X)
-    states = space.index(C)  # before the rows, which are audited by it
-    odd, G = space.odd, len(space.odd)
+    space = FockSpace(X, C)
+    states, odd, G = space.states, space.odd, len(space.odd)
 
     def upto(c):
         return bisect_right(space.charge, c)
@@ -511,5 +482,5 @@ def check_relations(X, max_charge):
         verdict("annihilate/annihilate super-commutators vanish", aa),
         verdict("compositional (Hopf) creation matches direct creation", hopf),
         _compare("Fock character = regraded sector series",
-                 space.character(C), closed),
+                 space.character(), closed),
     ]

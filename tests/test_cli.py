@@ -367,6 +367,8 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_c": 1, "hodge": [[1, -1], [0, 1]]},
     {"dim_c": 1, "hodge": [[1, 0], [0, 1]], "hodgeB": [[1, 0], [-1, 1]]},
     {"dim_real": 2, "betti": [1, -2, 1]},
+    # dim_c is checked against dim_real on Betti input too
+    {"dim_real": 2, "betti": [1, 0, 1], "dim_c": 5},
 ])
 def test_load_rejects_malformed_input(tmp_path, capsys, payload):
     path = write(tmp_path, payload)
@@ -471,6 +473,36 @@ def test_load_betti_only(tmp_path):
                          "betti": [1, 0, 0, 0, 1]})
     )
     assert X.hodge is None and X.euler() == 2
+
+
+def test_load_betti_with_a_consistent_dim_c(tmp_path):
+    X = cli.load_manifold(
+        write(tmp_path, {"dim_real": 4, "dim_c": 2, "betti": [1, 0, 1, 0, 1]})
+    )
+    assert (X.dim_real, X.euler()) == (4, 3)
+
+
+@pytest.mark.parametrize("argv", [["verify-all"],
+                                  ["fock-verify", "--max-charge", "1"]])
+def test_a_name_stdout_cannot_encode_exits_2(tmp_path, capsys, monkeypatch,
+                                             argv):
+    path = write(tmp_path, {"name": "K3\u2013x", "dim_c": 2,
+                            "hodge": K3_ROWS})
+    outputs = {}
+    for encoding in ("ascii", "utf-8"):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main([*argv, "--manifold", str(path)])
+        stdout.flush()
+        outputs[encoding] = code, stdout.buffer.getvalue(), \
+            capsys.readouterr().err
+    code, out, err = outputs["ascii"]
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: cannot write the output: 'ascii' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = outputs["utf-8"]
+    assert (code, err) == (0, "")
+    assert out.startswith(("# %s K3\u2013x " % argv[0]).encode("utf-8"))
 
 
 def test_load_hodge_b_explicit(tmp_path):

@@ -11,51 +11,80 @@ from symprod.fock import FockSpace, default_pairing
 from symprod.orbifold import InputError, ManifoldData
 
 
+ODD4 = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
+
+
 @pytest.fixture(scope="module")
 def p2(catalog):
-    return FockSpace(catalog["p2"])
+    # charge 6: the highest any test below reads or creates to
+    return FockSpace(catalog["p2"], 6)
 
 
 @pytest.fixture(scope="module")
 def k3(catalog):
-    return FockSpace(catalog["k3"])
+    return FockSpace(catalog["k3"], 0)
+
+
+def product(space, s1, s2):
+    """The product of two basis states in the symmetric algebra, as a
+    vector {state: sign}: the canonical form of the joined word."""
+    res = space.canonical_state(s1 + s2)
+    return {} if res is None else {res[0]: res[1]}
 
 
 # ------------------------------------------------------------------- basis
 
 
-def test_vacuum_only_at_charge_zero(p2):
-    assert p2.basis(0) == [()]
+def test_vacuum_only_at_charge_zero(catalog):
+    assert FockSpace(catalog["p2"], 0).states == [()]
 
 
-def test_p2_state_count_charge_two(p2):
+def test_p2_state_count_charge_two(catalog):
     # vacuum; 3 level-1 singles; 6 level-1 pairs; 3 level-2 singles
-    states = p2.basis(2)
-    assert len(states) == 13
+    space = FockSpace(catalog["p2"], 2)
+    assert len(space.states) == 13
     by_charge = {}
-    for s in states:
-        by_charge.setdefault(p2.state_charge(s), []).append(s)
+    for s in space.states:
+        by_charge.setdefault(space.state_charge(s), []).append(s)
     assert [len(by_charge.get(c, ())) for c in range(3)] == [1, 3, 9]
 
 
-def test_charge_dimensions_match_sector_series(p2, catalog):
+def test_charge_dimensions_match_sector_series(catalog):
     series = orbifold.brute_series("poincare_orb", catalog["p2"], 3)
-    states = p2.basis(3)
+    space = FockSpace(catalog["p2"], 3)
     for n in range(4):
-        count = sum(1 for s in states if p2.state_charge(s) == n)
+        count = sum(1 for s in space.states if space.state_charge(s) == n)
         coeff = series.counting_coefficient(n)
         assert count == sum(coeff.values())
 
 
-def test_character_identity(p2, catalog):
-    assert p2.character(3) == orbifold.closed_series(
+def test_character_identity(catalog):
+    assert FockSpace(catalog["p2"], 3).character() == orbifold.closed_series(
         "poincare_orb", catalog["p2"], 3
     )
 
 
+@pytest.mark.parametrize("name", ["p2", "odd4"])
+def test_each_basis_is_the_low_charge_prefix_of_a_higher_one(catalog, name):
+    # the enumeration to charge c lists exactly the charge <= c states of
+    # the one to any higher charge, first and in the same order, and carries
+    # each state's number, charge and degree as the word gives them
+    X = catalog["p2"] if name == "p2" else ODD4
+    spaces = [FockSpace(X, c) for c in range(5)]
+    for space in spaces:
+        assert space.ids == {s: i for i, s in enumerate(space.states)}
+        assert space.charge == list(map(space.state_charge, space.states))
+        assert space.degree == list(map(space.state_degree, space.states))
+    for c, low in enumerate(spaces):
+        for high in spaces[c + 1:]:
+            assert low.states == high.states[:len(low.states)] == [
+                s for s in high.states if high.state_charge(s) <= c]
+    assert len(spaces[-1].states) > len(spaces[-2].states)
+
+
 def test_odd_d_rejected(catalog):
     with pytest.raises(ValueError):
-        FockSpace(catalog["p1"])
+        FockSpace(catalog["p1"], 0)
 
 
 # ------------------------------------------------------------------ pairing
@@ -161,7 +190,7 @@ def test_custom_pairing_blocks():
         {"degree": 2, "matrix": [["2"]]},
         {"degree": 0, "matrix": [[1]]},
     ])
-    space = FockSpace(X)
+    space = FockSpace(X, 0)
     assert space.eta.get((0, 2), 0) == 2
     assert space.eta.get((2, 0), 0) == 2
     # relations hold for any nondegenerate graded-symmetric pairing
@@ -175,12 +204,12 @@ def test_custom_pairing_rejects_degenerate():
         {"degree": 0, "matrix": [[1]]},
     ])
     with pytest.raises(ValueError):
-        FockSpace(X)
+        FockSpace(X, 0)
 
 
 def test_custom_pairing_rejects_missing_block():
     with pytest.raises(ValueError):
-        FockSpace(p2_with_pairing([{"degree": 0, "matrix": [[1]]}]))
+        FockSpace(p2_with_pairing([{"degree": 0, "matrix": [[1]]}]), 0)
 
 
 # ---------------------------------------------------------------- operators
@@ -211,7 +240,6 @@ def apply(space, row, g, vec):
 
 
 def test_annihilate_vacuum(p2):
-    p2.index(0)  # the rows are audited against the indexed basis
     for m in (1, 2):
         for g in range(3):
             assert images(p2, p2.rows(-m), ()).get(g, {}) == {}
@@ -219,7 +247,6 @@ def test_annihilate_vacuum(p2):
 
 def test_create_then_annihilate_scalar(p2):
     # annihilate(m, a) create(m, b) |0> = m eta(a, b) |0>
-    p2.index(3)
     for m in (1, 2, 3):
         cre, ann = p2.rows(m), p2.rows(-m)
         for a in range(3):
@@ -231,20 +258,17 @@ def test_create_then_annihilate_scalar(p2):
 
 
 def test_odd_create_squares_to_zero(catalog):
-    # build a 4k-dimensional space with odd cohomology to exercise signs
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    space = FockSpace(X)
+    # a 4k-dimensional space with odd cohomology exercises the signs
+    space = FockSpace(ODD4, 2)
     odd = next(g.id for g in space.gens if g.parity)
-    space.index(2)
     cre = space.rows(1)
     once = images(space, cre, ()).get(odd, {})
     assert once == {((1, odd),): 1}
     assert apply(space, cre, odd, once) == {}
 
 
-def test_koszul_sign_on_reordering(catalog):
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    space = FockSpace(X)
+def test_koszul_sign_on_reordering():
+    space = FockSpace(ODD4, 0)
     o1, o2 = [g.id for g in space.gens if g.parity][:2]
     s12, sign12 = space.canonical_state([(1, o1), (1, o2)])
     s21, sign21 = space.canonical_state([(1, o2), (1, o1)])
@@ -252,10 +276,9 @@ def test_koszul_sign_on_reordering(catalog):
     assert sign12 == -sign21
 
 
-def test_canonicalization_is_stable(p2, catalog):
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    space = FockSpace(X)
-    for s in space.basis(3):
+def test_canonicalization_is_stable():
+    space = FockSpace(ODD4, 3)
+    for s in space.states:
         state, sign = space.canonical_state(s)
         assert state == s and sign == 1
 
@@ -268,7 +291,6 @@ def steps(space, s, images):
 
 def test_declared_steps_audited(p2):
     # create moves charge by +m and degree by degree_shifted + m*d
-    p2.index(2)
     shift = p2.gens[0].degree_shifted
     created = images(p2, p2.rows(2), ()).get(0, {})
     assert steps(p2, (), created) == {(2, shift + 2 * p2.d)}
@@ -279,20 +301,17 @@ def test_declared_steps_audited(p2):
 
 
 def test_family_beyond_the_index_raises_value_error(catalog):
-    # a state outside the indexed basis, or a creation leaving it, is the
+    # a state outside the numbered basis, or a creation leaving it, is the
     # caller's fault, not a broken operator
-    space = FockSpace(catalog["p2"])
-    with pytest.raises(ValueError, match="indexed to charge -1"):
-        space.rows(1)(())
-    space.index(1)
+    space = FockSpace(catalog["p2"], 1)
     with pytest.raises(ValueError, match=r"create\(1\) of .* leaves the "
-                                         r"basis indexed to charge 1"):
+                                         r"basis to charge 1"):
         space.rows(1)(((1, 0),))
-    with pytest.raises(ValueError, match="not a state of the basis indexed "
-                                         "to charge 1"):
+    with pytest.raises(ValueError, match="not a state of the basis to "
+                                         "charge 1"):
         space.rows(-1)(((2, 0),))
-    # within the index the same calls succeed
-    space.index(2)
+    # on a basis to a higher charge the same calls succeed
+    space = FockSpace(catalog["p2"], 2)
     assert images(space, space.rows(1), ((1, 0),))[0] == {((1, 0), (1, 0)): 1}
 
 
@@ -305,9 +324,8 @@ def test_level_zero_rejected(p2):
 def test_distinct_levels_commute(p2):
     # [create(1, a), create(2, b)] = 0 exactly, not only modulo truncation
     a, b = 0, 1
-    p2.index(5)
     c1, c2 = p2.rows(1), p2.rows(2)
-    for s in p2.basis(2):
+    for s in (s for s in p2.states if p2.state_charge(s) <= 2):
         lhs = apply(p2, c1, a, apply(p2, c2, b, {s: 1}))
         rhs = apply(p2, c2, b, apply(p2, c1, a, {s: 1}))
         assert lhs == rhs
@@ -318,33 +336,30 @@ def test_distinct_levels_commute(p2):
 
 def test_hopf_product_unit(p2):
     s = ((1, 0), (2, 1))
-    assert p2.hopf_product((), s) == {s: 1}
-    assert p2.hopf_product(s, ()) == {s: 1}
+    assert product(p2, (), s) == {s: 1}
+    assert product(p2, s, ()) == {s: 1}
 
 
-def test_hopf_product_super_commutative(catalog):
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    space = FockSpace(X)
-    states = space.basis(2)
-    for s1 in states:
-        for s2 in states:
-            p12 = space.hopf_product(s1, s2)
-            p21 = space.hopf_product(s2, s1)
+def test_hopf_product_super_commutative():
+    space = FockSpace(ODD4, 2)
+    for s1 in space.states:
+        for s2 in space.states:
+            p12 = product(space, s1, s2)
+            p21 = product(space, s2, s1)
             par1 = sum(space.gens[g].parity for _, g in s1)
             par2 = sum(space.gens[g].parity for _, g in s2)
             sign = -1 if par1 % 2 and par2 % 2 else 1
             assert p12 == {k: sign * v for k, v in p21.items()}
 
 
-def test_hopf_product_associative(catalog):
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    space = FockSpace(X)
-    states = space.basis(1)
+def test_hopf_product_associative():
+    space = FockSpace(ODD4, 1)
+    states = space.states
 
     def mul(vec, s2):
         out = {}
         for s1, c in vec.items():
-            for k, v in space.hopf_product(s1, s2).items():
+            for k, v in product(space, s1, s2).items():
                 t = out.get(k, 0) + c * v
                 if t:
                     out[k] = t
@@ -355,10 +370,10 @@ def test_hopf_product_associative(catalog):
     for a in states:
         for b in states:
             for c in states:
-                left = mul(space.hopf_product(a, b), c)
+                left = mul(product(space, a, b), c)
                 right = {}
-                for k, v in space.hopf_product(b, c).items():
-                    for k2, v2 in space.hopf_product(a, k).items():
+                for k, v in product(space, b, c).items():
+                    for k2, v2 in product(space, a, k).items():
                         t = right.get(k2, 0) + v * v2
                         if t:
                             right[k2] = t
@@ -373,7 +388,7 @@ def test_hopf_product_associative(catalog):
 def test_level2_commutator_on_wide_domain(p2):
     # [annihilate(2, a), create(2, b)] = 2 eta(a, b) Id on every state of
     # charge <= 4, checked on a basis truncated high enough not to leak
-    states = [s for s in p2.index(6) if p2.state_charge(s) <= 4]
+    states = [s for s in p2.states if p2.state_charge(s) <= 4]
     ann, cre = p2.rows(-2), p2.rows(2)
     for a in range(3):
         for b in range(3):
@@ -394,8 +409,7 @@ def test_check_relations_small_spaces(catalog):
 
 
 def test_check_relations_odd_cohomology():
-    X = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
-    results = fock.check_relations(X, 3)
+    results = fock.check_relations(ODD4, 3)
     assert all(r.status == "pass" for r in results)
 
 
@@ -519,8 +533,8 @@ def test_check_relations_catches_a_dropped_sign(tmp_path, capsys, monkeypatch,
 def literal_counts(X, C):
     """Violation counts of the four operator checks by a literal loop over
     every (i, j, s), one generator's entry of each family at a time."""
-    space = FockSpace(X)
-    states = space.index(C)  # the rows are audited against this index
+    space = FockSpace(X, C)
+    states = space.states
     gens = range(len(space.gens))
     cre = {n: space.rows(n) for n in range(1, C + 1)}
     ann = {m: space.rows(-m) for m in range(1, C)}
@@ -552,7 +566,7 @@ def literal_counts(X, C):
             cc += bracket(cre[m], cre[n], upto(C - m - n), lambda i, j: 0)
             aa += bracket(ann[m], ann[n], domain, lambda i, j: 0)
     hopf = sum(images(space, cre[m], s).get(i, {})
-               != space.hopf_product(((m, i),), s)
+               != product(space, ((m, i),), s)
                for m in range(1, C + 1) for i in gens for s in upto(C - m))
     return [mixed, cc, aa, hopf]
 
