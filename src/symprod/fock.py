@@ -318,7 +318,7 @@ class FockSpace:
         family's (g, t, coeff) at s.  Each row is audited once, as it is
         built: t must be a basis state whose (charge, degree) is that of s
         plus the declared step (step, degree_shifted(g) + step * d).  A
-        state s outside the basis, given or to be created on past
+        state s outside the basis, or one whose images would pass
         max_charge, is the caller's fault (ValueError); a wrong step is the
         family's (AssertionError)."""
         family = self.creators(step) if step > 0 \
