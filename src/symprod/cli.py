@@ -1,7 +1,8 @@
 """Command-line front end: manifold loading, series printing, verification.
 
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 input or usage
-error.  Output is byte-deterministic for identical inputs and flags.
+error, or a stdout that cannot be written (an encoding it cannot hold, or a
+closed pipe).  Output is byte-deterministic for identical inputs and flags.
 
 Manifold files are JSON objects:
 
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import orbifold
@@ -248,7 +250,10 @@ def _nonnegative_int(text):
     return value
 
 
+@cache
 def build_parser():
+    """The parser, built at the first call and shared by every later one:
+    parse_args keeps no state on it, and nothing builds it at import."""
     parser = argparse.ArgumentParser(
         prog="symprod",
         description="Exact generating-function checks for symmetric products",
@@ -283,14 +288,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already uses exit code 2 for usage errors
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (InputError, SeriesUsageError) as exc:
         # SeriesUsageError: a product layout past layouts.MAX_LAYOUT_BITS
         sys.stderr.write("error: %s\n" % exc)
@@ -298,9 +304,14 @@ def main(argv=None):
     except AssertionError as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return 1
-    except UnicodeEncodeError as exc:
-        # a manifold name that stdout's encoding cannot write
+    except (UnicodeEncodeError, BrokenPipeError) as exc:
+        # a manifold name that stdout's encoding cannot write, or a stdout
+        # closed early, whose buffered rest then goes to devnull at exit
         sys.stderr.write("error: cannot write the output: %s\n" % exc)
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

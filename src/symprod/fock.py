@@ -31,10 +31,11 @@ takes one domain state s at a time and accumulates A_a B_b s - eps_ab B_b
 A_a s (eps_ab the Koszul sign of a and b), minus the expected multiple
 c_ab s, in one dict keyed by (a, b) and the image; a pair violates the
 relation when any of its terms is left nonzero, so an untouched pair is a
-violation exactly when c_ab != 0.  The mixed, create/create and
-annihilate/annihilate relations are three calls.  The compositional (Hopf)
-check reads the creation rows back as states and compares each with the
-canonical word of the created factor followed by the state, which
+violation exactly when c_ab != 0.  The mixed relation is one call per
+(m, n); create/create and annihilate/annihilate are one per m <= n, as
+their (n, m) residuals are the (m, n) ones mirrored.  The compositional
+(Hopf) check reads the creation rows back as states and compares each with
+the canonical word of the created factor followed by the state, which
 canonical_state sorts on its own.  Only even d is supported: for odd d the
 parity of a level-l factor would depend on l and the algebra is not defined
 here.
@@ -43,6 +44,7 @@ here.
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from operator import ne
 
 from .orbifold import CheckResult, InputError, _compare, closed_series
 from .series import Series
@@ -207,6 +209,7 @@ class FockSpace:
         self.eta = default_pairing(X) if X.pairing is None \
             else pairing_from_blocks(X, X.pairing)
         self.odd = [g.parity for g in self.gens]
+        self.has_odd = any(self.odd)
         self.max_charge = max_charge
         letters = [((l, g.id), l, g.degree_shifted + l * d, g.parity)
                    for l in range(1, max_charge + 1) for g in self.gens]
@@ -247,6 +250,8 @@ class FockSpace:
         """Sort a factor word into canonical order, with the Koszul sign of
         the odd factors' inversions; None when an odd generator repeats at
         one level."""
+        if not self.has_odd:
+            return tuple(sorted(factors)), 1
         odd, sign = self.odd, 1
         odds = [f for f in factors if odd[f[1]]]
         if odds:
@@ -361,7 +366,7 @@ class FockSpace:
             (b, {"q": c, "t": d}) for (c, d), b in count.items()))
 
 
-def _violations(A, B, domain, odd, states, scalar):
+def _violations(A, B, domain, odd, states, scalar, same=False):
     """Count the (i, j, s), s in domain (a range of state numbers), where
     A_i B_j s - eps_ij B_j A_i s is not scalar[i*G + j] * s (0 when absent)
     for families A and B, G generators and eps_ij the Koszul sign of
@@ -372,20 +377,24 @@ def _violations(A, B, domain, odd, states, scalar):
     once is never kept.  One dict per s holds the terms, keyed by the int
     (i*G + j)*N + u for N states and image u, minus the expected scalars; a
     pair violates the relation exactly when one of its terms is left
-    nonzero."""
+    nonzero.  same says that A is B with no scalar: the residual of (j, i)
+    is then -eps_ij times that of (i, j), read from the same rows, so one
+    pass over the products A_j A_i s adds only the terms of the pairs
+    i <= j, and a violating pair i < j counts twice."""
     (rows_a, build_a), (rows_b, _) = A, B
-    N, na = len(states), len(rows_a)
-    GN = len(odd) * N
-    # visits left to each image past the stored rows, and its live row
+    N, na, G = len(states), len(rows_a), len(odd)
+    GN = G * N
+    # visits left to each image past the stored rows, and its live row;
+    # with same, the first loop below visits none
     left, live = [0] * (N - na), [None] * (N - na)
-    for s in domain:
+    for s in () if same else domain:
         for t in rows_b[s][1::3]:
             if t >= na:
                 left[t - na] += 1
     bad = 0
     for s in domain:
         acc = {p * N + s: -v for p, v in scalar.items()}
-        it = iter(rows_b[s])
+        it = iter(() if same else rows_b[s])
         for j, t, c in zip(it, it, it):
             jN = j * N
             if t < na:
@@ -405,10 +414,26 @@ def _violations(A, B, domain, odd, states, scalar):
         for i, t, c in zip(it, it, it):
             iGN, flip = i * GN, -c if odd[i] else c
             inner = iter(rows_b[t])
+            if not same:
+                for j, u, w in zip(inner, inner, inner):
+                    k = iGN + j * N + u
+                    acc[k] = acc.get(k, 0) - (flip if odd[j] else c) * w
+                continue
+            iN = i * N
             for j, u, w in zip(inner, inner, inner):
-                k = iGN + j * N + u
-                acc[k] = acc.get(k, 0) - (flip if odd[j] else c) * w
-        bad += len({k // N for k, v in acc.items() if v})
+                if j > i:
+                    k = iGN + j * N + u
+                    acc[k] = acc.get(k, 0) - (flip if odd[j] else c) * w
+                elif j < i:  # A_j A_i s, the first term of the pair (j, i)
+                    k = j * GN + iN + u
+                    acc[k] = acc.get(k, 0) + c * w
+                elif odd[i]:  # A_i A_i s + A_i A_i s; 0 for an even i
+                    k = iGN + iN + u
+                    acc[k] = acc.get(k, 0) + 2 * c * w
+        if any(acc.values()):
+            pairs = {k // N for k, v in acc.items() if v}
+            bad += len(pairs) + (sum(p // G != p % G for p in pairs)
+                                 if same else 0)
     return bad
 
 
@@ -453,24 +478,30 @@ def check_relations(X, max_charge):
             scalar = {i * G + j: m * v for (i, j), v in space.eta.items()
                       if m == n and v}
             mixed += _violations(ann[m], cre[n], domain, odd, states, scalar)
+            if m > n:
+                continue
+            # the (n, m) bracket of (b, a) is -eps_ab times the (m, n) one
+            # of (a, b) on the same domain, so a count at m < n is twice
+            twice = 1 + (m < n)
             # create/create needs full headroom for the intermediate state
-            cc += _violations(cre[m], cre[n], range(upto(C - m - n)), odd,
-                              states, {})
+            cc += twice * _violations(cre[m], cre[n], range(upto(C - m - n)),
+                                      odd, states, {}, m == n)
             # annihilate/annihilate vanishes (no upward leak at all)
-            aa += _violations(ann[m], ann[n], domain, odd, states, {})
+            aa += twice * _violations(ann[m], ann[n], domain, odd, states, {},
+                                      m == n)
 
     # the compositional form sorts factor words on its own, so it reads the
     # rows back as states: generator i's (image, coeff) entry, the last one
     # when a row repeats i, against the canonical word of (m, i) then s
     hopf, canonical = 0, space.canonical_state
     for m in range(1, C + 1):
+        heads = [((m, i),) for i in range(G)]
         for s, row in zip(states, cre[m][0]):
             entry = [None] * G
             it = iter(row)
             for g, t, c in zip(it, it, it):
                 entry[g] = states[t], c
-            hopf += sum(entry[i] != canonical(((m, i),) + s)
-                        for i in range(G))
+            hopf += sum(map(ne, entry, map(canonical, [h + s for h in heads])))
 
     def verdict(name, bad):
         return CheckResult(name, "fail" if bad else "pass",

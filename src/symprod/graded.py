@@ -11,8 +11,8 @@ layouts.sector_layout, as the sector sums do.
 
 The constructor only drops zero entries.  Input tables are validated once,
 where they enter (ManifoldData), so the internal products build maps without
-re-checking them.  A half-integer total degree has no parity: sym_power
-and euler, which need parities, reject it once per block.
+re-checking them.  A half-integer total degree has no parity: blocks,
+which sym_power reads, rejects it.
 """
 
 from collections import Counter
@@ -57,15 +57,6 @@ class GradedDims:
         """Whether all bidegrees are integers in [0, top_p] x [0, top_q]."""
         return all(p % 2 == q % 2 == 0 and 0 <= p <= 2 * top_p
                    and 0 <= q <= 2 * top_q for p, q in self.dims)
-
-    def euler(self):
-        """Alternating sum of dimensions, signed by total degree."""
-        return sum(e for _, e, _ in self.blocks())
-
-    def shift(self, dp, dq=0):
-        """Translate all bidegrees by (dp/2, dq/2) (doubled shifts)."""
-        return GradedDims({(p + dp, q + dq): b
-                           for (p, q), b in self.dims.items()})
 
     def collapse(self):
         """Collapse to the total grading: (p, q) -> (p + q, 0)."""

@@ -159,7 +159,10 @@ class ManifoldData:
         return self.dim_real // 2
 
     def euler(self):
-        return self.betti.euler()
+        """Alternating sum of the Betti numbers, read off the table here
+        and not from the super signs of GradedDims.blocks, which only the
+        brute sector sums read."""
+        return sum(-b if d % 4 else b for (d, _), b in self.betti.dims.items())
 
     def has_duality(self):
         n2 = 2 * self.dim_real

@@ -18,7 +18,7 @@ and constant go through), a scalar factor of *, and substitute's coeff take
 only int and Fraction coefficients (a bool enters as the int it equals), and
 from_terms checks the counting exponents.  Series(var, order, terms) is the
 internal constructor for terms already valid, such as the results of +, *,
-plethystic_exp, twist and substitute: it only drops zeros and truncates,
+plethystic_exp and substitute: it only drops zeros and truncates,
 and keeps the dict it is handed when nothing is dropped, so a result of
 plethystic_exp or a sector sum is never held twice.
 
@@ -131,10 +131,6 @@ class Series:
         raise AttributeError("Series values are immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, var, order=None):
-        return cls(var, order, {})
 
     @classmethod
     def constant(cls, var, order=None, value=1):
@@ -336,7 +332,8 @@ def plethystic_exp(f, super_signs=False):
     whose layout fits layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
 
     super_signs=True gives the super plethystic exponential
-    twist(PE[twist(f)]) in the same recurrence: a term c*M of odd total
+    twist(PE[twist(f)]), where twist signs each term by (-1)^(total t, x,
+    y degree), in the same recurrence: a term c*M of odd total
     t, x, y degree contributes (1 + M)^c, so its even powers psi_j, j even,
     enter D with the sign flipped.  A half-integer total degree has no
     parity and raises SeriesDomainError.
@@ -375,23 +372,6 @@ def plethystic_exp(f, super_signs=False):
             acc = lay.mul_add(acc, F[n - k], D[k])
         F.append(acc // n)
     return Series(f.var, order, lay.read(F, ti))
-
-
-def twist(s):
-    """Multiply every term by (-1)^(total t, x, y degree); an involution.
-
-    twist(plethystic_exp(twist(f))) is the super plethystic exponential,
-    plethystic_exp(f, super_signs=True): a term c*M of f with odd total
-    degree contributes (1 + M)^c in place of (1 - M)^(-c), as an odd class
-    does in a super symmetric power.
-    """
-    terms = {}
-    for key, c in s.terms.items():
-        d = key[2] + key[3] + key[4]  # doubled total t, x, y degree
-        if d % 2:
-            raise SeriesDomainError("a half-integer total degree has no parity")
-        terms[key] = -c if d % 4 else c
-    return Series(s.var, s.order, terms)
 
 
 def substitute(s, v, exps, coeff=1):

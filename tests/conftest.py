@@ -8,7 +8,7 @@ import pytest
 
 from symprod.cli import catalog_dir, load_manifold
 from symprod.graded import GradedDims
-from symprod.series import Series
+from symprod.series import Series, SeriesDomainError
 
 CATALOG_NAMES = (
     "point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1",
@@ -52,6 +52,38 @@ def sym_power_oracle(v, n):
                 basis = oc + ec
                 out[sum(p for p, _ in basis), sum(q for _, q in basis)] += 1
     return GradedDims(out)
+
+
+def zero(var, order=None):
+    """The zero series."""
+    return Series(var, order, {})
+
+
+def twist(s):
+    """Multiply every term by (-1)^(total t, x, y degree); an involution.
+
+    twist(plethystic_exp(twist(f))) is the super plethystic exponential,
+    the oracle of plethystic_exp(f, super_signs=True): a term c*M of f with
+    odd total degree contributes (1 + M)^c in place of (1 - M)^(-c), as an
+    odd class does in a super symmetric power.
+    """
+    terms = {}
+    for key, c in s.terms.items():
+        d = key[2] + key[3] + key[4]  # doubled total t, x, y degree
+        if d % 2:
+            raise SeriesDomainError("a half-integer total degree has no parity")
+        terms[key] = -c if d % 4 else c
+    return Series(s.var, s.order, terms)
+
+
+def shift(v, dp, dq=0):
+    """v with all bidegrees translated by (dp/2, dq/2) (doubled shifts)."""
+    return GradedDims({(p + dp, q + dq): b for (p, q), b in v.dims.items()})
+
+
+def euler_number(v):
+    """Alternating sum of the dimensions of v, signed by total degree."""
+    return sum(-b if (p + q) % 4 else b for (p, q), b in v.dims.items())
 
 
 def dsum(a, b):

@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -596,3 +599,70 @@ def test_any_manifold_json_exits_cleanly(tmp_path, payload):
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
+
+
+# ------------------------------------------------- one parser per process
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_fresh(*argv, **kw):
+    """python -m symprod.cli in a fresh process, importing this symprod."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("SYMPROD_CATALOG", None)
+    return subprocess.run([sys.executable, "-m", "symprod.cli", *argv],
+                          capture_output=True, env=env, timeout=120, **kw)
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import symprod.cli as c; "
+            "print(c.build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out == b"0\n"
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # a usage error first, so the shared parser has exited once before it
+    # parses the commands that follow it
+    monkeypatch.delenv("SYMPROD_CATALOG", raising=False)
+    commands = [
+        ["series", "--order", "-1"],
+        ["series", "euler_orb", "--manifold", "p1", "--order", "3",
+         "--mode", "both"],
+        ["series", "hodge_orb", "--manifold", "k3", "--order", "4"],
+        ["verify-all", "--manifold", "p1", "--order", "4"],
+        ["fock-verify", "--manifold", "p2", "--max-charge", "3"],
+        ["verify-all", "--manifold", "elliptic", "--order", "3"],
+    ]
+    for argv in commands:
+        code = cli.main(argv)
+        got = code, capsys.readouterr()
+        fresh = run_fresh(*argv)
+        assert got == (fresh.returncode, (fresh.stdout.decode(),
+                                          fresh.stderr.decode())), argv
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv, head", [
+    # 471,396 bytes of output: the reader takes 10 and closes the pipe
+    (["series", "hodge_orb", "--manifold", "k3", "--order", "30"],
+     b"1 + q + y^"),
+    # the reader closes at once, so even output that fits the buffer
+    # meets the closed pipe, at main's flush rather than the exit's
+    (["catalog", "list"], b""),
+])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv, head):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symprod.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write the output: ")
+    assert "Broken pipe" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -461,6 +461,33 @@ def test_each_top_charge_row_is_built_once_per_bracket(
     assert sum(map(len, calls)) == total
 
 
+@pytest.mark.parametrize("name, charge", [("k3", 3), ("p2", 5)])
+def test_mirrored_brackets_run_once(catalog, monkeypatch, name, charge):
+    # create/create and annihilate/annihilate run only at m <= n, told at
+    # m = n that A is B; the mixed bracket runs at every (m, n)
+    steps, calls, violations = {}, [], fock._violations
+    rows = FockSpace.rows
+
+    def labelled(space, step):
+        build = rows(space, step)
+        steps[build] = step
+        return build
+
+    def counted(A, B, *rest):
+        calls.append((steps[A[1]], steps[B[1]], rest[4:]))
+        return violations(A, B, *rest)
+
+    monkeypatch.setattr(FockSpace, "rows", labelled)
+    monkeypatch.setattr(fock, "_violations", counted)
+    fock.check_relations(catalog[name], charge)
+    levels = [(m, n) for m in range(1, charge)
+              for n in range(1, charge - m + 1)]
+    assert sorted(calls) == sorted(
+        [(-m, n, ()) for m, n in levels]
+        + [(s * m, s * n, (m == n,)) for m, n in levels if m <= n
+           for s in (1, -1)])
+
+
 def fock_verify(capsys, *argv):
     code = cli.main(["fock-verify", *argv])
     return code, capsys.readouterr().out
