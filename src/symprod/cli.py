@@ -15,6 +15,11 @@ Manifold files are JSON objects:
       "pairing": [{"degree": 0, "matrix": [[...]]}, ...]   # optional
     }
 
+Each input rule has one home: _check_types takes the JSON types and the
+table shapes, ManifoldData every rule between fields (dimensions that
+agree, B-data only with a Hodge table), and fock.pairing_from_blocks the
+pairing's blocks, their entries and invertibility.
+
 The --manifold argument takes a path, or the name of one of the bundled
 catalog manifolds (point, p1, elliptic, genus2, p2, k3, abelian, p1xp1).
 Set SYMPROD_CATALOG to override the catalog directory.
@@ -28,7 +33,7 @@ from functools import cache
 from pathlib import Path
 
 from . import orbifold
-from .orbifold import InputError, ManifoldData
+from .orbifold import InputError, ManifoldData, _table_from_rows
 from .series import SeriesUsageError
 
 
@@ -62,9 +67,8 @@ def _is_int(v):
 
 def _check_types(raw):
     """Reject input the JSON types allow but the model does not: bools or
-    floats where counts belong, ragged Hodge tables, a calabi_yau flag that
-    is not a bool, pairing blocks other than an int degree and a list of
-    matrix rows."""
+    floats where counts belong, Hodge tables that are not square with
+    dim_c + 1 rows, a calabi_yau flag that is not a bool."""
     for key in ("dim_c", "dim_real"):
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 0):
             raise ValueError("%s must be a nonnegative integer" % key)
@@ -72,24 +76,15 @@ def _check_types(raw):
     if not (isinstance(betti, list) and all(map(_is_int, betti))):
         raise ValueError("betti must be a list of integers")
     for key in ("hodge", "hodgeB"):
-        if "hodge" not in raw or key not in raw:
-            continue
-        rows, size = raw[key], raw["dim_c"] + 1
-        if not (isinstance(rows, list) and len(rows) == size and all(
-                isinstance(row, list) and len(row) == size
-                and all(map(_is_int, row)) for row in rows)):
-            raise ValueError("%s must be a %dx%d table of integers (dim_c + 1 "
-                             "rows and columns)" % (key, size, size))
+        rows = raw.get(key)
+        if key in raw and not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == len(rows)
+                and all(map(_is_int, row)) for row in rows)
+                and len(rows) == raw.get("dim_c", len(rows) - 1) + 1):
+            raise ValueError("%s must be a square table of integers with "
+                             "dim_c + 1 rows and columns" % key)
     if not isinstance(raw.get("calabi_yau", False), bool):
         raise ValueError("calabi_yau must be true or false")
-    pairing = raw.get("pairing")
-    if pairing is not None and not (isinstance(pairing, list) and all(
-            isinstance(b, dict) and set(b) == {"degree", "matrix"}
-            and _is_int(b["degree"]) and isinstance(b["matrix"], list)
-            and all(isinstance(row, list) for row in b["matrix"])
-            for b in pairing)):
-        raise ValueError("pairing must be a list of blocks with exactly the "
-                         "keys degree (an integer) and matrix (a list of rows)")
 
 
 def load_manifold(path):
@@ -110,38 +105,18 @@ def load_manifold(path):
     if unknown:
         raise InputError("%s: unknown fields %s" % (path, sorted(unknown)))
     try:
-        if "hodge" in raw and "dim_c" not in raw:
-            raise ValueError("a Hodge table needs dim_c")
         _check_types(raw)
         if not isinstance(name, str) or "".join(name.splitlines()) != name:
             raise ValueError("name must be a string without line breaks")
-        if "dim_real" in raw and "dim_c" in raw \
-                and raw["dim_real"] != 2 * raw["dim_c"]:
-            raise ValueError("dim_real inconsistent with dim_c")
-        if "hodge" in raw:
-            X = ManifoldData.from_hodge(
-                name,
-                raw["dim_c"],
-                raw["hodge"],
-                calabi_yau=raw.get("calabi_yau", False),
-                hodge_b_rows=raw.get("hodgeB"),
-                pairing=raw.get("pairing"),
-            )
-            if "betti" in raw:
-                stated = {(2 * d, 0): b
-                          for d, b in enumerate(raw["betti"]) if b}
-                if stated != X.betti.dims:
-                    raise ValueError("stated Betti numbers disagree with "
-                                     "the Hodge table")
-        elif "betti" in raw:
-            if raw.get("calabi_yau") or "hodgeB" in raw:
-                raise ValueError("B-data needs a Hodge table")
-            if "dim_real" not in raw:
-                raise ValueError("a Betti vector needs dim_real")
-            X = ManifoldData.from_betti(name, raw["dim_real"], raw["betti"])
-            X.pairing = raw.get("pairing")
-        else:
-            raise ValueError("need one of 'betti' or 'hodge'")
+        # a Betti vector is the one-column table of its entries
+        tables = {key: _table_from_rows(
+            [[b] for b in rows] if key == "betti" else rows)
+            for key, rows in raw.items() if key in ("betti", "hodge", "hodgeB")}
+        X = ManifoldData(name, raw.get("dim_real"), tables.get("betti"),
+                         dim_c=raw.get("dim_c"), hodge=tables.get("hodge"),
+                         hodge_b=tables.get("hodgeB"),
+                         calabi_yau=raw.get("calabi_yau", False),
+                         pairing=raw.get("pairing"))
         if X.pairing is not None:
             from . import fock
             # shapes, entries and invertibility, for every command alike

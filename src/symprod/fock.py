@@ -41,6 +41,7 @@ parity of a level-l factor would depend on l and the algebra is not defined
 here.
 """
 
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -56,9 +57,11 @@ Generator = namedtuple("Generator", "id degree_shifted parity")
 
 
 def _parse_entry(x):
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is int:  # not a bool
         return x
-    if isinstance(x, str):
+    # a sign, digits and an optional /digits: Fraction alone would also
+    # take "0.5", "1e3" and surrounding blanks
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -150,7 +153,15 @@ def pairing_from_blocks(X, blocks):
     """User-supplied pairing: a list of {degree: j, matrix: rows} with rows
     indexing the shifted-degree -j basis and columns the degree +j basis (a
     single square block when j = 0).  Each block must be invertible and the
-    middle block graded-symmetric."""
+    middle block graded-symmetric.  ValueError on anything else, from
+    blocks of the wrong JSON shape to a degenerate block."""
+    if not (isinstance(blocks, list) and all(
+            isinstance(b, dict) and set(b) == {"degree", "matrix"}
+            and type(b["degree"]) is int and isinstance(b["matrix"], list)
+            and all(isinstance(row, list) for row in b["matrix"])
+            for b in blocks)):
+        raise ValueError("pairing must be a list of blocks with exactly the "
+                         "keys degree (an integer) and matrix (a list of rows)")
     gens, by_degree = build_generators(X)
     d = X.dim_real // 2
     eta = {}
@@ -237,14 +248,6 @@ class FockSpace:
         self.ids = {s: i for i, s in enumerate(self.states)}
 
     # -- states ------------------------------------------------------------
-
-    def state_charge(self, state):
-        return sum(l for l, _ in state)
-
-    def state_degree(self, state):
-        """Total degree with the level-l copy of a generator weighted by
-        degree_shifted + l*d (so the vacuum sits in degree zero)."""
-        return sum(self.gens[g].degree_shifted + l * self.d for l, g in state)
 
     def canonical_state(self, factors):
         """Sort a factor word into canonical order, with the Koszul sign of

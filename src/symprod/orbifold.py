@@ -92,12 +92,14 @@ class ManifoldData:
     degree d at (d, 0), and Hodge tables are supported on integer
     bidegrees.  `hodge_b` holds the dimensions of the polyvector-field
     Dolbeault groups H^q(X, Lambda^p TX), indexed like a Hodge table at
-    (p, q).  Every table is validated here, once: entries nonnegative, at
-    integer degrees in range.
+    (p, q).  Every rule between the fields is checked here, once, and
+    every table: entries nonnegative, at integer degrees in range.  With a
+    Hodge table, dim_real and betti default to 2 dim_c and its Betti
+    numbers; without one, dim_c is checked against dim_real and dropped.
     """
 
-    def __init__(self, name, dim_real, betti, dim_c=None, hodge=None,
-                 hodge_b=None, calabi_yau=False, pairing=None):
+    def __init__(self, name, dim_real=None, betti=None, dim_c=None,
+                 hodge=None, hodge_b=None, calabi_yau=False, pairing=None):
         self.name = name
         self.dim_real = dim_real
         self.betti = betti
@@ -111,20 +113,30 @@ class ManifoldData:
     @classmethod
     def from_betti(cls, name, dim_real, betti_list):
         """Real manifold from its Betti vector [b_0, b_1, ...]."""
-        dims = {(2 * d, 0): b for d, b in enumerate(betti_list) if b}
-        return cls(name, dim_real, GradedDims(dims))
+        return cls(name, dim_real, _table_from_rows([b] for b in betti_list))
 
     @classmethod
     def from_hodge(cls, name, dim_c, rows, calabi_yau=False, hodge_b_rows=None,
                    pairing=None):
         """Complex manifold from its Hodge table rows[p][q] = h^{p,q}."""
-        hodge = _table_from_rows(rows)
         hodge_b = _table_from_rows(hodge_b_rows) if hodge_b_rows else None
-        betti = hodge.collapse()
-        return cls(name, 2 * dim_c, betti, dim_c=dim_c, hodge=hodge,
+        return cls(name, dim_c=dim_c, hodge=_table_from_rows(rows),
                    hodge_b=hodge_b, calabi_yau=calabi_yau, pairing=pairing)
 
     def _validate(self):
+        if self.hodge is not None:
+            if self.dim_c is None:
+                raise ValueError("a Hodge table needs dim_c")
+            if self.dim_real is None:
+                self.dim_real = 2 * self.dim_c
+            if self.betti is None:
+                self.betti = self.hodge.collapse()
+        elif self.betti is None:
+            raise ValueError("need one of 'betti' or 'hodge'")
+        elif self.dim_real is None:
+            raise ValueError("a Betti vector needs dim_real")
+        if self.dim_c is not None and 2 * self.dim_c != self.dim_real:
+            raise ValueError("dim_real inconsistent with dim_c")
         if any(b < 0 for table in (self.betti, self.hodge, self.hodge_b)
                if table is not None for b in table.dims.values()):
             raise ValueError("dimensions must be nonnegative")
@@ -133,14 +145,13 @@ class ManifoldData:
         if not self.betti.within(self.dim_real, 0):
             raise ValueError("Betti degree out of range")
         if self.hodge is not None:
-            if self.dim_c is None or 2 * self.dim_c != self.dim_real:
-                raise ValueError("complex dimension inconsistent with dim_real")
             if not self.hodge.within(self.dim_c, self.dim_c):
                 raise ValueError("Hodge bidegrees must be integers in range")
             if self.hodge.collapse() != self.betti:
                 raise ValueError("Betti numbers disagree with the Hodge table")
-        elif self.dim_c is not None:
-            raise ValueError("dim_c given without a Hodge table")
+        else:
+            # default_order reads dim_c == 2 as a surface with Hodge data
+            self.dim_c = None
         if self.calabi_yau:
             if self.hodge is None:
                 raise ValueError("a Calabi-Yau input needs a Hodge table")
@@ -148,7 +159,7 @@ class ManifoldData:
                 self.hodge_b = derive_B_table(self)
         if self.hodge_b is not None:
             if self.hodge is None:
-                raise ValueError("hodge_b given without a Hodge table")
+                raise ValueError("a B-table needs a Hodge table")
             if not self.hodge_b.within(self.dim_c, self.dim_c):
                 raise ValueError("B-table bidegrees must be integers in range")
 

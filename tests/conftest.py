@@ -37,6 +37,18 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
+def state_charge(state):
+    """The charge of a Fock state: the sum of its factors' levels."""
+    return sum(l for l, _ in state)
+
+
+def state_degree(space, state):
+    """The total degree of a Fock state, read off its word: the level-l
+    copy of a generator weighs degree_shifted + l*d (so the vacuum sits in
+    degree zero)."""
+    return sum(space.gens[g].degree_shifted + l * space.d for l, g in state)
+
+
 def sym_power_oracle(v, n):
     """Sym^n of v by explicit basis enumeration (exponential; n small):
     multisets over the even generators, subsets over the odd ones."""

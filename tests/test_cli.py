@@ -392,6 +392,10 @@ BAD_PAIRINGS = [
     [{"degree": 2, "matrix": [[1, 0]]}, MIDDLE],
     [{"degree": 2, "matrix": [[0]]}, MIDDLE],
 ]
+# Fraction reads these entries, but an entry is an integer or an "a/b"
+# string; listed apart, so the cases above keep their test ids
+BAD_ENTRIES = [[{"degree": 2, "matrix": [[x]]}, MIDDLE]
+               for x in ("0.5", "1e3", " 1/2 ")]
 
 
 # The pairing is checked on load, so the commands that never build a Fock
@@ -404,6 +408,10 @@ BAD_PAIRINGS = [
 ] + [
     (pairing, argv) for argv in (["verify-all"], ["series", "hodge_orb"])
     for pairing in BAD_PAIRINGS
+] + [
+    (pairing, argv)
+    for argv in (None, ["verify-all"], ["series", "hodge_orb"])
+    for pairing in BAD_ENTRIES
 ])
 def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
                                                   argv):
@@ -478,11 +486,17 @@ def test_load_betti_only(tmp_path):
     assert X.hodge is None and X.euler() == 2
 
 
-def test_load_betti_with_a_consistent_dim_c(tmp_path):
-    X = cli.load_manifold(
-        write(tmp_path, {"dim_real": 4, "dim_c": 2, "betti": [1, 0, 1, 0, 1]})
-    )
-    assert (X.dim_real, X.euler()) == (4, 3)
+def test_load_betti_with_a_consistent_dim_c(tmp_path, capsys):
+    # a consistent dim_c is checked and dropped: without a Hodge table the
+    # input is a real manifold, so no surface default order applies
+    betti = {"dim_real": 4, "betti": [1, 0, 1, 0, 1]}
+    X = cli.load_manifold(write(tmp_path, {**betti, "dim_c": 2}))
+    assert (X.dim_real, X.euler(), X.dim_c) == (4, 3, None)
+    for argv in (["verify-all"], ["series", "euler_orb"],
+                 ["fock-verify", "--max-charge", "2"]):
+        outs = [run(capsys, *argv, "--manifold", str(write(tmp_path, payload)))
+                for payload in (betti, {**betti, "dim_c": 2})]
+        assert outs[0] == outs[1] and outs[0][0] == 0, argv
 
 
 @pytest.mark.parametrize("argv", [["verify-all"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import state_charge, state_degree, traced_peak
 from symprod import cli, fock, orbifold
 from symprod.fock import FockSpace, default_pairing
 from symprod.orbifold import InputError, ManifoldData
@@ -45,7 +45,7 @@ def test_p2_state_count_charge_two(catalog):
     assert len(space.states) == 13
     by_charge = {}
     for s in space.states:
-        by_charge.setdefault(space.state_charge(s), []).append(s)
+        by_charge.setdefault(state_charge(s), []).append(s)
     assert [len(by_charge.get(c, ())) for c in range(3)] == [1, 3, 9]
 
 
@@ -53,7 +53,7 @@ def test_charge_dimensions_match_sector_series(catalog):
     series = orbifold.brute_series("poincare_orb", catalog["p2"], 3)
     space = FockSpace(catalog["p2"], 3)
     for n in range(4):
-        count = sum(1 for s in space.states if space.state_charge(s) == n)
+        count = sum(1 for s in space.states if state_charge(s) == n)
         coeff = series.counting_coefficient(n)
         assert count == sum(coeff.values())
 
@@ -73,12 +73,12 @@ def test_each_basis_is_the_low_charge_prefix_of_a_higher_one(catalog, name):
     spaces = [FockSpace(X, c) for c in range(5)]
     for space in spaces:
         assert space.ids == {s: i for i, s in enumerate(space.states)}
-        assert space.charge == list(map(space.state_charge, space.states))
-        assert space.degree == list(map(space.state_degree, space.states))
+        assert space.charge == list(map(state_charge, space.states))
+        assert space.degree == [state_degree(space, s) for s in space.states]
     for c, low in enumerate(spaces):
         for high in spaces[c + 1:]:
             assert low.states == high.states[:len(low.states)] == [
-                s for s in high.states if high.state_charge(s) <= c]
+                s for s in high.states if state_charge(s) <= c]
     assert len(spaces[-1].states) > len(spaces[-2].states)
 
 
@@ -212,6 +212,23 @@ def test_custom_pairing_rejects_missing_block():
         FockSpace(p2_with_pairing([{"degree": 0, "matrix": [[1]]}]), 0)
 
 
+@pytest.mark.parametrize("blocks", [
+    5, {"degree": 0, "matrix": [[1]]}, [5], [{"degree": 0}],
+    [{"degree": "a", "matrix": [[1]]}], [{"degree": True, "matrix": [[1]]}],
+    [{"degree": 0, "matrix": 5}], [{"degree": 0, "matrix": [1]}],
+    [{"degree": 0, "matrix": [[1]], "note": "x"}],
+    [{"degree": 2, "matrix": [["0.5"]]}, {"degree": 0, "matrix": [[1]]}],
+])
+def test_a_malformed_pairing_is_a_value_error_on_the_library_path(blocks):
+    # the library gets the CLI's pairing rules: pairing_from_blocks checks
+    # the blocks' JSON shape before it reads them, so no TypeError escapes
+    X = p2_with_pairing(blocks)
+    for build in (lambda: fock.pairing_from_blocks(X, blocks),
+                  lambda: FockSpace(X, 1)):
+        with pytest.raises(ValueError, match="pairing"):
+            build()
+
+
 # ---------------------------------------------------------------- operators
 
 
@@ -285,8 +302,8 @@ def test_canonicalization_is_stable():
 
 def steps(space, s, images):
     """(charge, degree) of each image state minus that of s."""
-    return {(space.state_charge(t) - space.state_charge(s),
-             space.state_degree(t) - space.state_degree(s)) for t in images}
+    return {(state_charge(t) - state_charge(s),
+             state_degree(space, t) - state_degree(space, s)) for t in images}
 
 
 def test_declared_steps_audited(p2):
@@ -325,7 +342,7 @@ def test_distinct_levels_commute(p2):
     # [create(1, a), create(2, b)] = 0 exactly, not only modulo truncation
     a, b = 0, 1
     c1, c2 = p2.rows(1), p2.rows(2)
-    for s in (s for s in p2.states if p2.state_charge(s) <= 2):
+    for s in (s for s in p2.states if state_charge(s) <= 2):
         lhs = apply(p2, c1, a, apply(p2, c2, b, {s: 1}))
         rhs = apply(p2, c2, b, apply(p2, c1, a, {s: 1}))
         assert lhs == rhs
@@ -388,7 +405,7 @@ def test_hopf_product_associative():
 def test_level2_commutator_on_wide_domain(p2):
     # [annihilate(2, a), create(2, b)] = 2 eta(a, b) Id on every state of
     # charge <= 4, checked on a basis truncated high enough not to leak
-    states = [s for s in p2.states if p2.state_charge(s) <= 4]
+    states = [s for s in p2.states if state_charge(s) <= 4]
     ann, cre = p2.rows(-2), p2.rows(2)
     for a in range(3):
         for b in range(3):
@@ -567,7 +584,7 @@ def literal_counts(X, C):
     ann = {m: space.rows(-m) for m in range(1, C)}
 
     def upto(c):
-        return [s for s in states if space.state_charge(s) <= c]
+        return [s for s in states if state_charge(s) <= c]
 
     def bracket(A, B, domain, scalar):
         bad = 0

@@ -258,6 +258,19 @@ def test_a_digit_at_the_width_bound_is_exact():
     assert plethystic_exp(f) == pe_oracle(f)
 
 
+@given(st.lists(st.integers(0, 40), max_size=8))
+def test_euler_transform_is_the_colored_partition_count(colors):
+    # the coefficient bound of every sector layout: [q^n] of the product of
+    # (1 - q^d)^(-a[d]), here one geometric series 1/(1 - q^d) at a time
+    a, order = [0] + colors, len(colors)
+    counts = [1] + [0] * order
+    for d in range(1, order + 1):
+        for _ in range(a[d]):
+            for n in range(d, order + 1):
+                counts[n] += counts[n - d]
+    assert layouts.euler_transform(a, order) == counts
+
+
 def test_plethystic_exp_refuses_fraction_coefficients():
     # the Kronecker layout holds ints: a Fraction is refused before any
     # layout is built, and so is one Fraction among int terms

@@ -1,8 +1,11 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
+from inspect import CO_NEWLOCALS
 from math import comb
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (CATALOG_NAMES, dsum, euler_number, shift,
                       sym_power_oracle, tensor, traced_peak, twist, zero)
+import symprod
 from symprod import series
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
@@ -84,12 +88,37 @@ BETTI_S2 = GradedDims({(0, 0): 1, (4, 0): 1})
                           hodge=GradedDims({(0, 0): 1, (2, 2): 1}),
                           hodge_b=GradedDims({(6, 0): 1})),
      "B-table bidegrees"),
+    (lambda: ManifoldData("none"), "need one of 'betti' or 'hodge'"),
+    (lambda: ManifoldData("s2", betti=BETTI_S2, dim_c=1),
+     "a Betti vector needs dim_real"),
+    (lambda: ManifoldData("pt", 0, hodge=GradedDims({(0, 0): 1})),
+     "a Hodge table needs dim_c"),
+    (lambda: ManifoldData("s2", 2, BETTI_S2, dim_c=5),
+     "dim_real inconsistent with dim_c"),
+    (lambda: ManifoldData("pt", 2, dim_c=0, hodge=GradedDims({(0, 0): 1})),
+     "dim_real inconsistent with dim_c"),
+    (lambda: ManifoldData("s2", 2, BETTI_S2, calabi_yau=True),
+     "a Calabi-Yau input needs a Hodge table"),
+    (lambda: ManifoldData("s2", 2, BETTI_S2, hodge_b=BETTI_S2),
+     "a B-table needs a Hodge table"),
 ], ids=["negative betti", "negative hodge", "negative hodgeB", "betti high",
-        "betti half-integer", "betti off (d, 0)", "hodge high", "hodgeB high"])
+        "betti half-integer", "betti off (d, 0)", "hodge high", "hodgeB high",
+        "no table", "betti without dim_real", "hodge without dim_c",
+        "betti with another dim_c", "hodge with another dim_real",
+        "calabi_yau without hodge", "hodgeB without hodge"])
 def test_validate_rejects_bad_tables(build, message):
     # the tables themselves check nothing; ManifoldData is the boundary
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_dim_c_on_real_input_is_checked_and_dropped():
+    # the manifold reader's rule, on the library path too: without a Hodge
+    # table a consistent dim_c is dropped, so no surface default order
+    # applies to a real manifold
+    X = ManifoldData("s4", 4, BETTI_S2, dim_c=2)
+    assert X.dim_c is None
+    assert ob.default_order("hodge_orb", X) == 8
 
 
 def test_real_manifold_without_hodge():
@@ -958,3 +987,95 @@ def test_sym_kind_is_its_orb_kind_cut_to_one_cycles(family):
               if getattr(sym, f) != getattr(orb, f)}
     assert differ == ({"cycles", "needs"} if family in ("arith", "sign")
                       else {"cycles"})
+
+
+# ------------------------------------------------- what the two routes share
+
+# Every named symprod function that brute_series and closed_series both
+# reach, on the kinds and manifolds of the audit below, with the test that
+# checks it without the other route.  A fault in a shared function could
+# move both routes alike and pass every kind check, so a function that
+# becomes shared fails the audit until it is listed here with its oracle.
+SHARED_WITH_ORACLE = {
+    "layouts.Kronecker.__init__":
+        "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
+    "layouts.Kronecker.slot":
+        "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
+    "layouts.Kronecker.factor":
+        "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
+    "layouts.Kronecker.mul_add":
+        "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
+    "layouts.Kronecker._flagged":
+        "test_layouts.test_read_matches_the_divmod_decoder",
+    "layouts.Kronecker._digits":
+        "test_layouts.test_read_matches_the_divmod_decoder",
+    "layouts.Kronecker.read":
+        "test_layouts.test_read_matches_the_divmod_decoder",
+    "layouts._lattice":
+        "test_layouts.test_two_variables_divide_by_the_lattice_index",
+    "layouts.euler_transform":
+        "test_layouts.test_euler_transform_is_the_colored_partition_count",
+    "orbifold.applicability":
+        "test_orbifold.test_a_matching_key_still_checks_applicability",
+    "orbifold._require":
+        "test_orbifold.test_a_matching_key_still_checks_applicability",
+    "orbifold.ManifoldData.m":
+        "test_acceptance.test_criterion_2_regraded_poincare",
+    "series.Series.__init__":
+        "test_series.test_from_terms_sums_duplicates_and_drops_cancellations",
+    "series._counting_index":
+        "test_series.test_entry_rejects_the_other_counting_variable",
+}
+
+
+def symprod_qualnames():
+    """{(file, first line, name): "module.qualname"} for every function of
+    symprod, from the code objects compiled from its sources; the same
+    names on every Python, where co_qualname is new in 3.11."""
+    names = {}
+
+    def walk(code, prefix):
+        for c in code.co_consts:
+            if hasattr(c, "co_consts"):
+                name = prefix + c.co_name
+                names[c.co_filename, c.co_firstlineno, c.co_name] = name
+                walk(c, name + (".<locals>." if c.co_flags & CO_NEWLOCALS
+                                else "."))
+
+    for path in Path(symprod.__file__).parent.glob("*.py"):
+        walk(compile(path.read_text(), str(path), "exec"), path.stem + ".")
+    return names
+
+
+def reached(names, build, *args):
+    """The named symprod functions that build(*args) calls; lambdas and
+    comprehensions count as their enclosing function."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and not code.co_name.startswith("<"):
+            seen.add(names.get(
+                (code.co_filename, code.co_firstlineno, code.co_name)))
+
+    sys.setprofile(hook)
+    try:
+        build(*args)
+    finally:
+        sys.setprofile(None)
+    return seen - {None}
+
+
+def test_the_routes_share_only_functions_with_an_oracle(catalog):
+    names, shared = symprod_qualnames(), set()
+    for X in (catalog["k3"], catalog["elliptic"], catalog["p2"],
+              ManifoldData.from_betti("odd", 4, [1, 2, 0, 2, 1])):
+        for kind in ob.SERIES_KINDS:
+            if ob.applicability(kind, X) is None:
+                shared |= reached(names, ob.brute_series, kind, X, 6) \
+                    & reached(names, ob.closed_series, kind, X, 6)
+    assert shared == set(SHARED_WITH_ORACLE)
+    tests = Path(__file__).parent
+    for oracle in SHARED_WITH_ORACLE.values():
+        module, test = oracle.split(".")
+        assert "\ndef %s(" % test in (tests / (module + ".py")).read_text()
