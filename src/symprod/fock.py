@@ -1,11 +1,14 @@
 """Truncated Fock space of the Heisenberg superalgebra attached to H*(X).
 
 The underlying superspace is H*(X) regraded to be symmetric about zero
-(degree_shifted = degree - d for a 2d-dimensional X), so the intersection
-pairing has degree 0.  The Fock space is the free super symmetric algebra
-on countably many copies of that space, one per level l >= 1; a basis state
-is a canonically sorted multiset of (level, generator) factors in which odd
-generators never repeat at the same level.
+(shifted degree = degree - d for a 2d-dimensional X), so the intersection
+pairing has degree 0.  Its classes are numbered consecutively in degree
+order straight from the Betti table (classes(X) gives each shifted degree's
+first id and count), and a pairing is a sparse {(i, j): value} over those
+ids, built from the counts alone.  The Fock space is the free super
+symmetric algebra on countably many copies of that space, one per level
+l >= 1; a basis state is a canonically sorted multiset of (level, class)
+factors in which odd classes never repeat at the same level.
 
 Operators come in families, one per level l >= 1 (a lower level raises
 ValueError): creators(n) gives every generator's level-n creation operator
@@ -43,7 +46,7 @@ here.
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from operator import ne
 
@@ -52,8 +55,6 @@ from .series import Series
 
 
 MAX_STATES = 1_000_000  # k3: 205,455 states to charge 5, 1,279,175 to 6
-# One basis element of H*(X) in the symmetric regrading.
-Generator = namedtuple("Generator", "id degree_shifted parity")
 
 
 def _parse_entry(x):
@@ -72,10 +73,6 @@ def _parse_entry(x):
 
 def _invertible(matrix):
     n = len(matrix)
-    if n == 0:
-        return True
-    if any(len(row) != n for row in matrix):
-        return False
     m = [list(row) for row in matrix]
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
@@ -91,70 +88,56 @@ def _invertible(matrix):
     return True
 
 
-def build_generators(X):
-    """Basis of H*(X) in the symmetric regrading, ordered by degree.
-
-    Returns (generators, by_degree) with by_degree mapping each shifted
-    degree to the generator ids sitting there.
-    """
-    d = X.dim_real // 2
-    gens = []
-    by_degree = {}
+def classes(X):
+    """The classes of H*(X), numbered consecutively in degree order, as
+    {shifted degree: (first id, count)} over the nonzero Betti numbers."""
+    d, first, out = X.dim_real // 2, 0, {}
     for (dd, _), b in sorted(X.betti.dims.items()):
-        deg = dd // 2
-        for _ in range(b):
-            g = Generator(len(gens), deg - d, deg % 2)
-            gens.append(g)
-            by_degree.setdefault(g.degree_shifted, []).append(g.id)
-    return gens, by_degree
-
-
-def _fill_symmetric(eta, gens, i, j, value):
-    """Store eta(i, j) = value and its graded-symmetric mirror."""
-    eta[(i, j)] = value
-    pp = gens[i].parity * gens[j].parity
-    eta[(j, i)] = -value if pp else value
+        if b:
+            out[dd // 2 - d] = first, b
+            first += b
+    return out
 
 
 def default_pairing(X):
-    """Identity blocks between opposite shifted degrees; standard
-    symplectic middle block (1 at (2k, 2k+1), -1 at (2k+1, 2k)) when the
-    middle parity is odd, identity when it is even.
+    """Identity blocks between opposite shifted degrees, mirrored with the
+    Koszul sign; standard symplectic middle block (1 at (2k, 2k+1), -1 at
+    (2k+1, 2k)) when the middle parity is odd, identity when it is even.
 
     Needs Poincare duality (matching dimensions in opposite degrees); an
     odd middle block of odd dimension admits no nondegenerate antisymmetric
-    form and is rejected.  The blocks go through pairing_from_blocks, which
-    builds every pairing; returns {(i, j): value} over generator ids.
+    form and is rejected.  Returns {(i, j): value} over class ids.
     """
-    if not X.has_duality():
+    cls, d = classes(X), X.dim_real // 2
+    if any(n != cls.get(-j, (0, 0))[1] for j, (_, n) in cls.items()):
         raise InputError("default pairing needs Poincare duality on %s" % X.name)
-    _, by_degree = build_generators(X)
-    symplectic = X.dim_real // 2 % 2
-    blocks = []
-    for j in sorted(by_degree):
+    eta = {}
+    for j, (a, n) in cls.items():
         if j > 0:
-            continue
-        n = len(by_degree[j])
-        if j == 0 and symplectic:
+            break
+        if j == 0 and d % 2:
             if n % 2:
                 raise InputError(
                     "odd middle block of odd dimension has no "
                     "nondegenerate antisymmetric pairing"
                 )
-            mat = [[(r % 2 == 0 and c == r + 1) - (r % 2 == 1 and c == r - 1)
-                    for c in range(n)] for r in range(n)]
-        else:
-            mat = [[int(r == c) for c in range(n)] for r in range(n)]
-        blocks.append({"degree": -j, "matrix": mat})
-    return pairing_from_blocks(X, blocks)
+            for i in range(a, a + n, 2):
+                eta[i, i + 1], eta[i + 1, i] = 1, -1
+            continue
+        # an even middle degree (b == a) pairs each class with itself
+        b, sign = cls[-j][0], -1 if (d + j) % 2 else 1
+        for i in range(n):
+            eta[a + i, b + i], eta[b + i, a + i] = 1, sign
+    return eta
 
 
 def pairing_from_blocks(X, blocks):
     """User-supplied pairing: a list of {degree: j, matrix: rows} with rows
-    indexing the shifted-degree -j basis and columns the degree +j basis (a
-    single square block when j = 0).  Each block must be invertible and the
-    middle block graded-symmetric.  ValueError on anything else, from
-    blocks of the wrong JSON shape to a degenerate block."""
+    indexing the shifted-degree -j classes and columns the degree +j ones
+    (a single square block when j = 0).  Each block must be invertible and
+    the middle block graded-symmetric; a block off the middle is mirrored
+    with the Koszul sign.  ValueError on anything else, from blocks of the
+    wrong JSON shape to a degenerate block."""
     if not (isinstance(blocks, list) and all(
             isinstance(b, dict) and set(b) == {"degree", "matrix"}
             and type(b["degree"]) is int and isinstance(b["matrix"], list)
@@ -162,8 +145,7 @@ def pairing_from_blocks(X, blocks):
             for b in blocks)):
         raise ValueError("pairing must be a list of blocks with exactly the "
                          "keys degree (an integer) and matrix (a list of rows)")
-    gens, by_degree = build_generators(X)
-    d = X.dim_real // 2
+    cls, d = classes(X), X.dim_real // 2
     eta = {}
     seen = set()
     for block in blocks:
@@ -171,40 +153,33 @@ def pairing_from_blocks(X, blocks):
         if abs(j) in seen:
             raise ValueError("pairing block for degree %d given twice" % abs(j))
         mat = [[_parse_entry(x) for x in row] for row in block["matrix"]]
-        neg = by_degree.get(-j, [])
-        pos = by_degree.get(j, [])
-        if len(mat) != len(neg) or any(len(r) != len(pos) for r in mat):
+        (a, n), (b, k) = cls.get(-j, (0, 0)), cls.get(j, (0, 0))
+        if len(mat) != n or any(len(r) != k for r in mat):
             raise ValueError("pairing block %d has the wrong shape" % j)
-        if not _invertible(mat):
+        # opposite degrees of different counts pair degenerately
+        if n != k or not _invertible(mat):
             raise ValueError("pairing block %d is degenerate" % j)
-        if j == 0:
-            odd = d % 2 == 1
-            for r in range(len(neg)):
-                for c in range(len(pos)):
-                    mirror = -mat[c][r] if odd else mat[c][r]
-                    if mat[r][c] != mirror:
-                        raise ValueError(
-                            "middle pairing block is not graded-symmetric"
-                        )
-            for r, a in enumerate(neg):
-                for c, b in enumerate(pos):
-                    if mat[r][c]:
-                        eta[(a, b)] = mat[r][c]
-        else:
-            for r, a in enumerate(neg):
-                for c, b in enumerate(pos):
-                    if mat[r][c]:
-                        _fill_symmetric(eta, gens, a, b, mat[r][c])
+        sign = -1 if (d + j) % 2 else 1
+        for r, row in enumerate(mat):
+            for c, v in enumerate(row):
+                if j == 0 and v != sign * mat[c][r]:
+                    raise ValueError(
+                        "middle pairing block is not graded-symmetric")
+                if v:
+                    eta[a + r, b + c] = v
+                    if j:
+                        eta[b + c, a + r] = sign * v
         seen.add(abs(j))
-    for j in by_degree:
-        if abs(j) not in seen and by_degree[j]:
+    for j in cls:
+        if abs(j) not in seen:
             raise ValueError("pairing block for degree %d missing" % abs(j))
     return eta
 
 
 class FockSpace:
     """Fock model over a manifold with even d = dim_real / 2, truncated to
-    the states of charge <= max_charge.  The enumeration numbers them once:
+    the states of charge <= max_charge.  shifted and odd list each class's
+    shifted degree and parity.  The enumeration numbers the states once:
     states lists them by number, deterministically ordered by (charge,
     factors), ids maps each back to its number, and charge and degree list
     each number's charge and degree, which the rows are audited by."""
@@ -216,14 +191,17 @@ class FockSpace:
                 "dim_real %d" % (X.name, X.dim_real)
             )
         self.d = d = X.dim_real // 2
-        self.gens = build_generators(X)[0]
         self.eta = default_pairing(X) if X.pairing is None \
             else pairing_from_blocks(X, X.pairing)
-        self.odd = [g.parity for g in self.gens]
+        self.shifted = [j for j, (_, n) in classes(X).items()
+                        for _ in range(n)]
+        # d is even: a class is odd exactly when its shifted degree is
+        self.odd = [j % 2 for j in self.shifted]
         self.has_odd = any(self.odd)
         self.max_charge = max_charge
-        letters = [((l, g.id), l, g.degree_shifted + l * d, g.parity)
-                   for l in range(1, max_charge + 1) for g in self.gens]
+        letters = [((l, g), l, j + l * d, j % 2)
+                   for l in range(1, max_charge + 1)
+                   for g, j in enumerate(self.shifted)]
         by_charge = [[] for _ in range(max_charge + 1)]
         degrees = [[] for _ in range(max_charge + 1)]
 
@@ -275,7 +253,7 @@ class FockSpace:
         has none."""
         if n < 1:
             raise ValueError("level must be >= 1")
-        odd, factors = self.odd, [(n, g.id) for g in self.gens]
+        odd, factors = self.odd, [(n, g) for g in range(len(self.odd))]
 
         def family(s):
             # flips[k]: the parity of the odd factors in s[:k]
@@ -295,7 +273,7 @@ class FockSpace:
         """Every generator's level-m annihilation operator at once, as a
         map from a state s to the (g, t, coeff) with a nonzero coeff, one
         per (g, t): a level-m factor h of s meets only the g with
-        eta(g, h) != 0.  The g operator moves degrees by degree_shifted(g)
+        eta(g, h) != 0.  The g operator moves degrees by shifted[g]
         - m*d, the degree of the level-m copy of g, so its commutator with a
         creation has degree zero."""
         if m < 1:
@@ -325,14 +303,14 @@ class FockSpace:
         to its row, the flat tuple (g, number of t, coeff, ...) over the
         family's (g, t, coeff) at s.  Each row is audited once, as it is
         built: t must be a basis state whose (charge, degree) is that of s
-        plus the declared step (step, degree_shifted(g) + step * d).  A
+        plus the declared step (step, shifted[g] + step * d).  A
         state s outside the basis, or one whose images would pass
         max_charge, is the caller's fault (ValueError); a wrong step is the
         family's (AssertionError)."""
         family = self.creators(step) if step > 0 \
             else self.annihilators(-step)
         label = ("create(%d)" if step > 0 else "annihilate(%d)") % abs(step)
-        steps = [g.degree_shifted + step * self.d for g in self.gens]
+        steps = [j + step * self.d for j in self.shifted]
         ids, charge, degree, top = \
             self.ids, self.charge, self.degree, self.max_charge
 
@@ -454,7 +432,7 @@ def check_relations(X, max_charge):
     """
     C = max_charge
     closed = closed_series("poincare_orb", X, C)
-    # FockSpace refuses odd d itself, before listing any generator
+    # FockSpace refuses odd d itself, before numbering any class
     if X.dim_real % 4 == 0 and sum(closed.terms.values()) > MAX_STATES:
         raise InputError("%s has over %d Fock states up to charge %d"
                          % (X.name, MAX_STATES, C))

@@ -175,14 +175,6 @@ class ManifoldData:
         brute sector sums read."""
         return sum(-b if d % 4 else b for (d, _), b in self.betti.dims.items())
 
-    def has_duality(self):
-        n2 = 2 * self.dim_real
-        return all(
-            self.betti.dims.get((d, 0), 0)
-            == self.betti.dims.get((n2 - d, 0), 0)
-            for d in range(0, n2 + 2, 2)
-        )
-
     def __repr__(self):
         return "ManifoldData(%r)" % self.name
 

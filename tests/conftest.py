@@ -44,9 +44,9 @@ def state_charge(state):
 
 def state_degree(space, state):
     """The total degree of a Fock state, read off its word: the level-l
-    copy of a generator weighs degree_shifted + l*d (so the vacuum sits in
+    copy of a class weighs its shifted degree + l*d (so the vacuum sits in
     degree zero)."""
-    return sum(space.gens[g].degree_shifted + l * space.d for l, g in state)
+    return sum(space.shifted[g] + l * space.d for l, g in state)
 
 
 def sym_power_oracle(v, n):

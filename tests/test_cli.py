@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from symprod import cli, fock, orbifold
 
 
@@ -425,6 +426,53 @@ def test_rejected_input_exits_2_before_any_output(tmp_path, capsys, pairing,
     assert "error: " in err and "Traceback" not in err
 
 
+# Blocks between opposite degrees of different counts: no class in degree 1
+# and one in degree 3.  A 0x1 block has no rows, so no rank test finds it
+# degenerate; the counts do.
+UNEVEN = {"name": "uneven", "dim_real": 4, "betti": [1, 0, 2, 1, 1]}
+UNEVEN_PAIRINGS = [
+    [TOP, {"degree": j, "matrix": matrix},
+     {"degree": 0, "matrix": [[1, 0], [0, 1]]}]
+    for j, matrix in ((1, []), (-1, [[]]))
+]
+
+
+@pytest.mark.parametrize("pairing", UNEVEN_PAIRINGS)
+@pytest.mark.parametrize("argv", [["fock-verify", "--max-charge", "3"],
+                                  ["verify-all"], ["series", "euler_orb"]])
+def test_a_block_between_uneven_degrees_is_degenerate(tmp_path, capsys,
+                                                      pairing, argv):
+    path = write(tmp_path, {**UNEVEN, "pairing": pairing})
+    code, out, err = run(capsys, *argv, "--manifold", str(path))
+    j = pairing[1]["degree"]
+    assert (code, out) == (2, "")
+    assert err == "error: %s: pairing block %d is degenerate\n" % (path, j)
+
+
+def test_a_pairing_is_checked_against_the_counts_alone(tmp_path):
+    # a million classes in one degree: the wrong shape of the pairing block
+    # is found from the count, and no per-class object is built
+    path = write(tmp_path, {"dim_c": 0, "hodge": [[10 ** 6]],
+                            "pairing": [MIDDLE]})
+
+    def load():
+        with pytest.raises(cli.InputError, match="block 0 has the wrong "
+                                                 "shape"):
+            cli.load_manifold(path)
+    assert traced_peak(load) < 8_000_000
+
+
+def test_a_pairing_on_a_4000_digit_betti_number_exits_2(tmp_path):
+    # the count of the middle classes is compared, never enumerated
+    path = write(tmp_path, {"dim_real": 4, "betti": [1, 0, NINES, 0, 1],
+                            "pairing": [TOP, MIDDLE]})
+    proc = run_fresh("series", "euler_orb", "--manifold", str(path),
+                     timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        "error: %s: pairing block 0 has the wrong shape\n" % path).encode()
+
+
 def dim_1000_table(tmp_path, *classes):
     """A dim_C 1000 table with one class at each (p, q) of classes."""
     rows = [[0] * 1001 for _ in range(1001)]
@@ -620,12 +668,12 @@ def test_any_manifold_json_exits_cleanly(tmp_path, payload):
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_fresh(*argv, **kw):
+def run_fresh(*argv, timeout=120, **kw):
     """python -m symprod.cli in a fresh process, importing this symprod."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("SYMPROD_CATALOG", None)
     return subprocess.run([sys.executable, "-m", "symprod.cli", *argv],
-                          capture_output=True, env=env, timeout=120, **kw)
+                          capture_output=True, env=env, timeout=timeout, **kw)
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -99,7 +99,7 @@ def test_default_pairing_p2(p2):
 
 
 def test_default_pairing_k3_middle_identity(k3):
-    mids = [g.id for g in k3.gens if g.degree_shifted == 0]
+    mids = [g for g, j in enumerate(k3.shifted) if j == 0]
     assert len(mids) == 22
     for i in mids:
         assert k3.eta.get((i, i), 0) == 1
@@ -138,21 +138,22 @@ def _poincare_betti(dim_real):
 def test_default_pairing_structure(dim_betti, k):
     dim_real, betti = dim_betti
     X = ManifoldData.from_betti("rand", dim_real, betti)
-    gens, by_degree = fock.build_generators(X)
-    mid = by_degree.get(0, [])
     d = dim_real // 2
+    # the classes of degree i are numbered from b_0 + ... + b_(i-1) on
+    ids = [range(sum(betti[:i]), sum(betti[:i + 1]))
+           for i in range(dim_real + 1)]
+    mid = ids[d]
     if d % 2 and len(mid) % 2:
         with pytest.raises(InputError, match="odd middle block"):
             default_pairing(X)
     else:
         expect = {}
-        # opposite shifted degrees pair by the identity, mirrored with the
-        # Koszul sign (the two degrees have one parity)
-        for j, ids in by_degree.items():
-            if j < 0:
-                for a, b in zip(ids, by_degree[-j]):
-                    expect[(a, b)] = 1
-                    expect[(b, a)] = -1 if gens[a].parity else 1
+        # degrees i < d and 2d - i pair by the identity, mirrored with the
+        # Koszul sign (the two degrees have one parity, that of i)
+        for i in range(d):
+            for a, b in zip(ids[i], ids[dim_real - i]):
+                expect[(a, b)] = 1
+                expect[(b, a)] = -1 if i % 2 else 1
         if d % 2:  # the standard symplectic form
             for a, b in zip(mid[0::2], mid[1::2]):
                 expect[(a, b)], expect[(b, a)] = 1, -1
@@ -174,10 +175,30 @@ def test_pairing_graded_symmetry(catalog):
     for name in ("p2", "k3", "genus2", "elliptic"):
         X = catalog[name]
         eta = default_pairing(X)
-        gens, _ = fock.build_generators(X)
+        # the parity of each class, numbered in degree order
+        odd = [i % 2 for i in range(X.dim_real + 1)
+               for _ in range(X.betti.dims.get((2 * i, 0), 0))]
+        assert len(odd) == sum(X.betti.dims.values())
         for (i, j), v in eta.items():
-            sign = -1 if gens[i].parity and gens[j].parity else 1
+            sign = -1 if odd[i] and odd[j] else 1
             assert eta.get((j, i)) == sign * v
+
+
+@pytest.mark.parametrize("degree, odd_entries", [
+    (1, {(1, 3): 1, (3, 1): -1, (1, 4): 2, (4, 1): -2,
+         (2, 4): 1, (4, 2): -1}),
+    (-1, {(3, 1): 1, (1, 3): -1, (3, 2): 2, (2, 3): -2,
+          (4, 2): 1, (2, 4): -1}),
+])
+def test_user_blocks_are_mirrored_with_the_koszul_sign(degree, odd_entries):
+    # odd4 numbers its classes 0 (degree 0), 1, 2 (degree 1), 3, 4 (degree
+    # 3) and 5 (degree 4).  The rows of a degree-j block index the classes
+    # of shifted degree -j; the mirror of an entry between two odd classes
+    # changes sign, one between even classes does not
+    blocks = [{"degree": 2, "matrix": [[3]]},
+              {"degree": degree, "matrix": [[1, 2], [0, 1]]}]
+    assert fock.pairing_from_blocks(ODD4, blocks) == {
+        (0, 5): 3, (5, 0): 3, **odd_entries}
 
 
 def p2_with_pairing(blocks):
@@ -229,6 +250,17 @@ def test_a_malformed_pairing_is_a_value_error_on_the_library_path(blocks):
             build()
 
 
+def test_a_wide_middle_degree_costs_no_dense_block():
+    # 2,000 middle classes at charge 1: the default pairing pairs each with
+    # itself, so the space's peak is linear in the classes.  With a dense
+    # 2000x2000 identity block it read 93 MB on Python 3.11, with the
+    # pairing built from the counts about 0.9 MB
+    X = ManifoldData.from_betti("wide", 4, [1, 0, 2000, 0, 1])
+    assert traced_peak(lambda: FockSpace(X, 1)) < 8_000_000
+    space = FockSpace(X, 1)
+    assert len(space.states) == 2003 and len(space.eta) == 2002
+
+
 # ---------------------------------------------------------------- operators
 
 
@@ -277,7 +309,7 @@ def test_create_then_annihilate_scalar(p2):
 def test_odd_create_squares_to_zero(catalog):
     # a 4k-dimensional space with odd cohomology exercises the signs
     space = FockSpace(ODD4, 2)
-    odd = next(g.id for g in space.gens if g.parity)
+    odd = space.odd.index(1)
     cre = space.rows(1)
     once = images(space, cre, ()).get(odd, {})
     assert once == {((1, odd),): 1}
@@ -286,7 +318,7 @@ def test_odd_create_squares_to_zero(catalog):
 
 def test_koszul_sign_on_reordering():
     space = FockSpace(ODD4, 0)
-    o1, o2 = [g.id for g in space.gens if g.parity][:2]
+    o1, o2 = [g for g, p in enumerate(space.odd) if p][:2]
     s12, sign12 = space.canonical_state([(1, o1), (1, o2)])
     s21, sign21 = space.canonical_state([(1, o2), (1, o1)])
     assert s12 == s21
@@ -307,8 +339,8 @@ def steps(space, s, images):
 
 
 def test_declared_steps_audited(p2):
-    # create moves charge by +m and degree by degree_shifted + m*d
-    shift = p2.gens[0].degree_shifted
+    # create moves charge by +m and degree by the shifted degree + m*d
+    shift = p2.shifted[0]
     created = images(p2, p2.rows(2), ()).get(0, {})
     assert steps(p2, (), created) == {(2, shift + 2 * p2.d)}
     state = ((2, 2),)
@@ -363,8 +395,8 @@ def test_hopf_product_super_commutative():
         for s2 in space.states:
             p12 = product(space, s1, s2)
             p21 = product(space, s2, s1)
-            par1 = sum(space.gens[g].parity for _, g in s1)
-            par2 = sum(space.gens[g].parity for _, g in s2)
+            par1 = sum(space.odd[g] for _, g in s1)
+            par2 = sum(space.odd[g] for _, g in s2)
             sign = -1 if par1 % 2 and par2 % 2 else 1
             assert p12 == {k: sign * v for k, v in p21.items()}
 
@@ -579,7 +611,7 @@ def literal_counts(X, C):
     every (i, j, s), one generator's entry of each family at a time."""
     space = FockSpace(X, C)
     states = space.states
-    gens = range(len(space.gens))
+    gens = range(len(space.odd))
     cre = {n: space.rows(n) for n in range(1, C + 1)}
     ann = {m: space.rows(-m) for m in range(1, C)}
 
@@ -590,8 +622,7 @@ def literal_counts(X, C):
         bad = 0
         for i in gens:
             for j in gens:
-                eps = -1 if space.gens[i].parity and space.gens[j].parity \
-                    else 1
+                eps = -1 if space.odd[i] and space.odd[j] else 1
                 for s in domain:
                     lhs = apply(space, A, i, apply(space, B, j, {s: 1}))
                     for t, c in apply(space, B, j,
@@ -624,17 +655,18 @@ def _betti_with_odd_classes(dim_real):
     ).filter(lambda b: any(b[1::2]) and sum(b) <= 6)
 
 
-def _pairing_blocks(X):
-    """User pairing blocks for X, as pairing_from_blocks reads them: one
-    random invertible block per pair of opposite degrees, the middle one
-    symmetric (X has even d), entries integers or 'a/b' strings.  A block
-    of size two is seldom diagonal, so a class meets several partners."""
-    _, by_degree = fock.build_generators(X)
+def _pairing_blocks(betti):
+    """User pairing blocks for a Poincare-symmetric Betti list, as
+    pairing_from_blocks reads them: one random invertible block per pair of
+    opposite degrees, the middle one symmetric (even d), entries integers or
+    'a/b' strings.  A block of size two is seldom diagonal, so a class meets
+    several partners."""
+    d = len(betti) // 2
     entry = st.one_of(st.integers(-2, 2), st.tuples(
         st.integers(-3, 3), st.integers(2, 3)).map(lambda ab: "%d/%d" % ab))
     blocks = []
-    for j in sorted(j for j in by_degree if j >= 0):
-        n = len(by_degree[j])
+    for j in (j for j in range(d + 1) if betti[d + j]):
+        n = betti[d + j]
         if j:
             rows = st.lists(st.lists(entry, min_size=n, max_size=n),
                             min_size=n, max_size=n)
@@ -657,7 +689,7 @@ def test_check_relations_counts_match_a_per_pair_loop(dim_betti, charge,
     dim_real, betti = dim_betti
     X = ManifoldData.from_betti("rand", dim_real, betti)
     if data.draw(st.booleans(), label="user pairing"):
-        X.pairing = data.draw(_pairing_blocks(X), label="pairing")
+        X.pairing = data.draw(_pairing_blocks(betti), label="pairing")
     # clean, either sign dropped, and annihilators that return nothing (so
     # the pairs with a nonzero expected scalar are untouched)
     for fault in (0, 1, -1, "mute"):
@@ -734,7 +766,7 @@ def test_family_audit_failure_exits_1(capsys, monkeypatch, corrupt, message):
             if corrupt == "charge":
                 return [(g, s, 1) for g, _, _ in family(s)]
             if corrupt == "degree":
-                G = len(space.gens)
+                G = len(space.odd)
                 return [((g + 1) % G, t, c) for g, t, c in family(s)]
             return [(g, t[::-1], c) for g, t, c in family(s)]
         return wrong
