@@ -173,14 +173,15 @@ def cmd_series(args):
     if args.mode != "both":
         print(built[args.mode])
         return 0
-    b, c = built["brute"], built["closed"]
-    # equal series print the same text, so it is rendered once; print's
-    # separator supplies the second space, so a long series text is
+    b, c = built.pop("brute"), built.pop("closed")
+    result = orbifold._compare("%s order %d" % (kind, order), b, c)
+    if result.status == "pass":
+        c = None  # equal series print the same text: b's, rendered once
+    # print's separator supplies the second space, so a long series text is
     # written as it is, not copied into a longer line first
     text_b = str(b)
     print("brute: ", text_b)
-    print("closed:", text_b if b == c else c)
-    result = orbifold._compare("%s order %d" % (kind, order), b, c)
+    print("closed:", text_b if c is None else c)
     if result.status == "pass":
         print("verdict: equal")
         return 0

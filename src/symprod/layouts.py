@@ -15,13 +15,16 @@ symmetric_powers builds every Sym^N of a sector block by shifts and adds
 of ints in the frame of its keys.  read decodes an int in bulk: the
 nonzero slots are found in C, with no Python step per empty slot, and the
 keys of a degree are built one coordinate column at a time, with no divmod
-per term.  A layout past MAX_LAYOUT_BITS of ints in all -- exponents far
-apart on a lattice of small index, such as all of Z^2, or in three or more
-variables -- is refused with SeriesUsageError before any int is built.
+per term.  slot is linear on the units, slot(j key, j d) = j slot(key, d),
+so plethystic_exp builds each D_k on slots and slot_factor makes its factor.
+A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
+lattice of small index, such as all of Z^2, or in three or more variables
+-- is refused with SeriesUsageError before any int is built.
 """
 
 from itertools import compress, count, repeat
 from math import gcd
+from operator import mul
 from sys import byteorder
 
 # memoryview formats of the signed ints of 1, 2, 4 and 8 bytes, read in
@@ -30,8 +33,8 @@ _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 _LITTLE_ENDIAN = byteorder == "little"
 _SIGN_BYTE = bytes(255 if b > 127 else 0 for b in range(256))
 
-# A factor pays as one int below FACTOR_BITS bits per term, chosen by
-# tools/dense_threshold.py on the heavy catalog and seeded shapes.
+# A factor pays as one int below FACTOR_BITS bits per term (_one_int), chosen
+# by tools/dense_threshold.py on the heavy catalog and seeded shapes.
 FACTOR_BITS = 256
 # 16 MiB of ints per layout, about 200 times the largest that the catalog
 # or the benchmark builds; hodge_orb on k3 fits to order 97.
@@ -154,16 +157,28 @@ class Kronecker:
         digits = memoryview(data).cast(_CASTS[nb])
         return list(compress(count(), digits)), list(filter(None, digits))
 
-    def packed(self, terms, n):
-        """The int of a {key: int coeff} map of degree n, written as bytes."""
-        nb, half, zero = self.nbytes, 1 << self.width - 1, self._zero
-        digits = [(self.slot(key, n), c) for key, c in terms.items()]
-        size = 1 + max((i for i, _ in digits), default=0)
-        raw = bytearray(zero * size)
-        for i, c in digits:
-            raw[i * nb:(i + 1) * nb] = (c + half).to_bytes(nb, "little")
-        return int.from_bytes(raw, "little") - int.from_bytes(
-            zero * size, "little")
+    def packed(self, slots, low=0):
+        """The int of a {slot: int coeff} map, slots moved down by low."""
+        nb, half = self.nbytes, 1 << self.width - 1
+        zero = self._zero * (1 + max(slots, default=low) - low)
+        raw = bytearray(zero)
+        for i, c in slots.items():
+            i = (i - low) * nb
+            raw[i:i + nb] = (c + half).to_bytes(nb, "little")
+        return int.from_bytes(raw, "little") - int.from_bytes(zero, "little")
+
+    def _one_int(self, low, top, terms):  # terms in slots low to top
+        return (top - low) * self.width < FACTOR_BITS * terms
+
+    def slot_factor(self, slots):
+        """factor(packed(slots)), made from the {slot: coeff} map itself."""
+        slots = {i: c for i, c in slots.items() if c}
+        if not slots:
+            return 0, ()
+        w, low = self.width, min(slots)
+        if self._one_int(low, max(slots), len(slots)):
+            return w * low, ((0, self.packed(slots, low)),)
+        return w * low, [(w * (i - low), c) for i, c in sorted(slots.items())]
 
     def factor(self, value, base=0):
         """value, base bits below its place, as the factor b of mul_add:
@@ -177,7 +192,7 @@ class Kronecker:
         w = self.width
         low = (flag & -flag).bit_length() // w - 1
         top = flag.bit_length() // w - 1
-        if (top - low) * w < FACTOR_BITS * flag.bit_count():
+        if self._one_int(low, top, flag.bit_count()):
             return base + w * low, ((0, value >> w * low),)
         slots, digits = self._digits(x, flag, size)
         return base + w * low, [(w * (i - low), c)
@@ -241,12 +256,15 @@ def _lattice(vectors):
 
 def euler_transform(a, order):
     """[q^n] PE[sum_d a[d] q^d] for n <= order, by the Euler transform
-    n g_n = sum_k D_k g_(n-k), D_k = sum_(d | k) d a[d]."""
-    D = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0)
-         for k in range(order + 1)]
+    n g_n = sum_k D_k g_(n-k), D_k = sum_(d | k) d a[d] by a sieve."""
+    D = [0] * (order + 1)
+    for d in range(1, order + 1):
+        da = d * a[d]
+        for k in range(d, order + 1, d):
+            D[k] += da
     g = [1]
     for n in range(1, order + 1):
-        g.append(sum(D[k] * g[n - k] for k in range(1, n + 1)) // n)
+        g.append(sum(map(mul, D[1:n + 1], reversed(g))) // n)
     return g
 
 

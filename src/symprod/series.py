@@ -166,17 +166,6 @@ class Series:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def counting_coefficient(self, n):
-        """The coefficient of (counting var)^n, as {key-without-counting: c}."""
-        ti = _VI[self.var]
-        out = {}
-        for key, c in self.terms.items():
-            if key[ti] == 2 * n:
-                k = list(key)
-                k[ti] = 0
-                out[tuple(k)] = c
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_var(self, other):
@@ -325,11 +314,13 @@ def plethystic_exp(f, super_signs=False):
     positive power of the counting variable.  Writing f = sum_d f_d q^d and
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
-    on Laurent polynomials in t, x, y, each F_n one int of a
-    layouts.Kronecker layout: the recurrence is int arithmetic, n*F_n
-    divides by n as one int, and each F_n is read once per term.  f must
-    have integer coefficients, so the division by n is exact, and exponents
-    whose layout fits layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
+    on Laurent polynomials in t, x, y.  Each F_n is one int of a
+    layouts.Kronecker layout with the terms of f as units, and each D_k a
+    {slot: coeff} map, psi_j of a term at j times its slot: the recurrence
+    is int arithmetic, n*F_n divides by n as one int, and each F_n is read
+    once per term.  f must have integer coefficients, so the division by n
+    is exact, and exponents whose layout fits layouts.MAX_LAYOUT_BITS
+    (SeriesUsageError otherwise).
 
     super_signs=True gives the super plethystic exponential
     twist(PE[twist(f)]), where twist signs each term by (-1)^(total t, x,
@@ -357,14 +348,14 @@ def plethystic_exp(f, super_signs=False):
     # no digit of n F_n outgrows n [q^n] PE[|f| at 1]
     bound = max(n * g for n, g in enumerate(euler_transform(a, order)))
     lay = Kronecker([(d, key) for d, key, _ in terms], order, bound)
-    D = [Counter() for _ in range(order + 1)]
+    D = [{} for _ in range(order + 1)]  # {slot: coeff} of each D_k
     for d, key, c in terms:
         # an odd term's even powers take the opposite sign under super_signs
         odd = super_signs and (key[2] + key[3] + key[4]) % 4
-        for j in range(1, order // d + 1):
-            D[d * j][tuple(j * e for e in key)] += \
-                -d * c if odd and j % 2 == 0 else d * c
-    D = [lay.factor(lay.packed(Dk, k)) for k, Dk in enumerate(D)]
+        s, dc = lay.slot(key, d), d * c
+        for j, Dk in enumerate(D[d::d], 1):  # psi_j at j times the slot
+            Dk[j * s] = Dk.get(j * s, 0) + (-dc if odd and j % 2 == 0 else dc)
+    D = [lay.slot_factor(Dk) for Dk in D]
     F = [1]  # the packed 1
     for n in range(1, order + 1):
         acc = 0

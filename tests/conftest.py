@@ -8,7 +8,7 @@ import pytest
 
 from symprod.cli import catalog_dir, load_manifold
 from symprod.graded import GradedDims
-from symprod.series import Series, SeriesDomainError
+from symprod.series import VARS, Series, SeriesDomainError
 
 CATALOG_NAMES = (
     "point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1",
@@ -64,6 +64,14 @@ def sym_power_oracle(v, n):
                 basis = oc + ec
                 out[sum(p for p, _ in basis), sum(q for _, q in basis)] += 1
     return GradedDims(out)
+
+
+def counting_coefficient(s, n):
+    """The coefficient of the counting variable^n in the series s, as
+    {key with the counting exponent 0: coeff}."""
+    ti = VARS.index(s.var)
+    return {key[:ti] + (0,) + key[ti + 1:]: c
+            for key, c in s.terms.items() if key[ti] == 2 * n}
 
 
 def zero(var, order=None):
@@ -137,3 +145,9 @@ def pe_oracle(f):
         for m, c in F[n].items():
             terms[m[:ti] + (2 * n,) + m[ti + 1:]] = c
     return Series(f.var, order, terms)
+
+
+def packed(layout, terms, n):
+    """The int of a {key: int coeff} map of degree n in layout, packed from
+    the slot of each key."""
+    return layout.packed({layout.slot(key, n): c for key, c in terms.items()})

@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import permutations
 from math import factorial
 
-from conftest import sym_power_oracle
+from conftest import counting_coefficient, sym_power_oracle
 from symprod import fock
 from symprod import orbifold as ob
 from symprod.cycletypes import cycle_types
@@ -39,7 +39,7 @@ def test_criterion_1_euler_identities(catalog):
         for kind in ("euler_sym", "euler_orb"):
             check_equal(kind, catalog[name], 10)
     spot = ob.brute_series("euler_orb", catalog["p1"], 4)
-    coeffs = [spot.counting_coefficient(n).get((0,) * 5, 0) for n in range(5)]
+    coeffs = [counting_coefficient(spot, n).get((0,) * 5, 0) for n in range(5)]
     assert coeffs == [1, 2, 5, 10, 20]
     elapsed = time.time() - t0
     assert elapsed < 5.0, "criterion 1 too slow: %.2fs" % elapsed
@@ -51,7 +51,7 @@ def test_criterion_2_regraded_poincare(catalog):
     for name in ALL:
         check_equal("poincare_orb", catalog[name], 8)
     spot = ob.brute_series("poincare_orb", catalog["p1"], 2)
-    coeff = spot.counting_coefficient(2)
+    coeff = counting_coefficient(spot, 2)
     assert sorted(k[2] for k in coeff) == [0, 2, 4, 6, 8]  # t^0..t^4
     assert all(c == 1 for c in coeff.values())
     print("ACCEPTANCE 2 (regraded Poincare series, order 8): PASS")

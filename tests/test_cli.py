@@ -258,6 +258,21 @@ def test_series_both_renders_an_equal_series_once(capsys, monkeypatch):
                                     "verdict: mismatch"]
 
 
+def test_series_both_compares_once(capsys, monkeypatch):
+    # the verdict and the closed line's text come from one comparison
+    compares = []
+    eq = orbifold.Series.__eq__
+    monkeypatch.setattr(orbifold.Series, "__eq__",
+                        lambda a, b: compares.append(b) or eq(a, b))
+    argv = ("series", "euler_orb", "--manifold", "p1", "--order", "3",
+            "--mode", "both")
+    assert run(capsys, *argv)[0] == 0 and len(compares) == 1
+    closed = orbifold.closed_series
+    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    compares.clear()
+    assert run(capsys, *argv)[0] == 1 and len(compares) == 1
+
+
 def test_coefficients_past_the_str_digit_limit_print_in_full(tmp_path,
                                                              capsys):
     # the point with Euler number NINES: prod (1 - q^k)^-NINES has q^2
@@ -315,6 +330,21 @@ def test_fock_verify_refuses_a_huge_basis_up_front(tmp_path, capsys):
              for c in (5, 6)]
     assert count == [205_455, 1_279_175]
     assert count[0] <= fock.MAX_STATES < count[1]
+
+
+@pytest.mark.parametrize("name, error", (
+    # the point's basis passes MAX_STATES by charge 49: the count stops
+    # there, with no closed series expanded to the requested charge
+    ("point", "point has over 1000000 Fock states up to charge 100000"),
+    # odd d is refused before the closed series too
+    ("p1", "Fock construction needs dim_real divisible by 4; p1 has "
+           "dim_real 2")))
+def test_fock_verify_refuses_a_deep_charge_up_front(capsys, name, error):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fock-verify", "--manifold", name,
+                         "--max-charge", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %s\n" % error)
 
 
 def test_load_rejects_inconsistent_betti(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import state_charge, state_degree, traced_peak
+from conftest import (counting_coefficient, state_charge, state_degree,
+                      traced_peak)
 from symprod import cli, fock, orbifold
 from symprod.fock import FockSpace, default_pairing
 from symprod.orbifold import InputError, ManifoldData
@@ -54,8 +55,23 @@ def test_charge_dimensions_match_sector_series(catalog):
     space = FockSpace(catalog["p2"], 3)
     for n in range(4):
         count = sum(1 for s in space.states if state_charge(s) == n)
-        coeff = series.counting_coefficient(n)
+        coeff = counting_coefficient(series, n)
         assert count == sum(coeff.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+       st.integers(0, 4), st.sampled_from((0, 6, 40, 10**9)))
+def test_basis_size_counts_the_enumerated_basis(half, charge, cap):
+    # Betti [b0, b1, b2, b1, b0], all zero too, odd classes at degrees 1 and
+    # 3: the count of the states up to charge c, at the first c where it
+    # passes cap, else at the requested charge
+    b0, b1, b2 = half
+    X = ManifoldData.from_betti("x", 4, [b0, b1, b2, b1, b0])
+    charges = [state_charge(s) for s in FockSpace(X, charge).states]
+    running = [sum(c <= n for c in charges) for n in range(charge + 1)]
+    assert fock.basis_size(X, charge, cap) == \
+        next((count for count in running if count > cap), running[-1])
 
 
 def test_character_identity(catalog):

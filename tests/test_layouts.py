@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pe_oracle
+from conftest import packed, pe_oracle
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
@@ -116,7 +116,8 @@ def as_series(terms, n):
 @given(factor_pair(), st.sampled_from((0, 256, 1 << 40)))
 def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     # on every kind of lattice: each map round-trips through its slots,
-    # and the product of the ints is the product of the tuple keys
+    # and the product of the ints is the product of the tuple keys, by
+    # the factor of b's int and by the one built from b's slot map
     (units, kind), (da, a), (db, b) = pair
     event(kind)
     expected = as_series(a, da) * as_series(b, db)
@@ -125,16 +126,31 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     bound = max(sa * sb, sa, sb)
     lay, saved = Kronecker(units, da + db, bound), layouts.FACTOR_BITS
     for terms, n in ((a, da), (b, db)):
-        assert lay.read([0] * n + [lay.packed(terms, n)], 0) == \
+        assert lay.read([0] * n + [packed(lay, terms, n)], 0) == \
             as_series(terms, n).terms
     layouts.FACTOR_BITS = factor_bits  # one int, or a shift-add per term
     try:
-        value = lay.mul_add(0, lay.packed(a, da),
-                            lay.factor(lay.packed(b, db)))
+        factors = (lay.factor(packed(lay, b, db)), lay.slot_factor(
+            {lay.slot(key, db): c for key, c in b.items()}))
     finally:
         layouts.FACTOR_BITS = saved
-    got = lay.read([0] * (da + db) + [value], 0)
-    assert Series("q", None, got) == expected
+    for factor in factors:
+        value = lay.mul_add(0, packed(lay, a, da), factor)
+        got = lay.read([0] * (da + db) + [value], 0)
+        assert Series("q", None, got) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_units(), st.integers(1, 6))
+def test_slot_is_linear_on_the_units(case, order):
+    # plethystic_exp puts psi_j of a unit at j times the unit's slot
+    units, kind = case
+    event(kind)
+    lay = Kronecker(units, order, 1)
+    for d, key in units:
+        for j in range(1, order // d + 1):
+            assert lay.slot(tuple(j * e for e in key), j * d) == \
+                j * lay.slot(key, d)
 
 
 def divmod_read(lay, coeffs, ti):
@@ -232,7 +248,7 @@ def test_read_matches_the_divmod_decoder(case, ti):
     event(kind)
     if kind == "slopes":
         assert lay.vars == []
-    coeffs = [lay.packed(terms, n) for n, terms in maps.items()]
+    coeffs = [packed(lay, terms, n) for n, terms in maps.items()]
     expected = divmod_read(lay, coeffs, ti)
     got = lay.read(coeffs, ti)
     assert got == expected
@@ -242,14 +258,30 @@ def test_read_matches_the_divmod_decoder(case, ti):
     assert coeffs == [None] * len(maps)
 
 
+@settings(max_examples=200, deadline=None)
+@given(read_case(), st.sampled_from((0, 256, 2**60)))
+def test_a_slot_map_gives_the_factor_of_its_packed_int(case, factor_bits):
+    # zero coefficients, empty maps and every slot width: the factor built
+    # from a map is the one factor decodes from its int, in either form
+    kind, lay, maps = case
+    event(kind)
+    saved, layouts.FACTOR_BITS = layouts.FACTOR_BITS, factor_bits
+    try:
+        for n, terms in maps.items():
+            slots = {lay.slot(key, n): c for key, c in terms.items()}
+            assert lay.slot_factor(slots) == lay.factor(lay.packed(slots))
+    finally:
+        layouts.FACTOR_BITS = saved
+
+
 def test_a_digit_at_the_width_bound_is_exact():
     # a bound of 2^63 has 64 bits: the slots take a sign bit more, so 72
     c = 2**63
     x = (0, 0, 0, 2, 0)
     lay = Kronecker([(1, x)], 1, c)
     assert lay.width == 72
-    assert lay.read([0, lay.packed({x: c}, 1)], 0) == {(2, 0, 0, 2, 0): c}
-    assert lay.read([0, lay.packed({x: -c}, 1)], 0) == {(2, 0, 0, 2, 0): -c}
+    assert lay.read([0, packed(lay, {x: c}, 1)], 0) == {(2, 0, 0, 2, 0): c}
+    assert lay.read([0, packed(lay, {x: -c}, 1)], 0) == {(2, 0, 0, 2, 0): -c}
     # PE[c x q] = 1 + c x q at order 1: n F_n reaches the bound exactly
     f = Series("q", 1, {(2, 0, 0, 2, 0): c})
     assert plethystic_exp(f) == Series("q", 1, {(0,) * 5: 1,
@@ -352,5 +384,5 @@ def test_the_top_int_spans_the_lattice_not_the_box(catalog, monkeypatch,
     [layout] = seen
     top = {key: c for key, c in brute.terms.items() if key[0] == 2 * order}
     assert max(layout.slot(key, order) for key in top) + 1 == slots
-    assert layout.packed(top, order).bit_length() <= slots * layout.width
+    assert packed(layout, top, order).bit_length() <= slots * layout.width
     assert brute == ob.closed_series("hodge_orb", X, order)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CATALOG_NAMES, dsum, euler_number, shift,
-                      sym_power_oracle, tensor, traced_peak, twist, zero)
+from conftest import (CATALOG_NAMES, counting_coefficient, dsum,
+                      euler_number, shift, sym_power_oracle, tensor,
+                      traced_peak, twist, zero)
 import symprod
 from symprod import series
 from symprod import orbifold as ob
@@ -25,13 +26,13 @@ from symprod.series import Series, plethystic_exp, specialize, substitute
 
 def series_coeffs(s, order):
     """[coefficient of q^n] as plain dicts keyed by the residual monomial."""
-    return [s.counting_coefficient(n) for n in range(order + 1)]
+    return [counting_coefficient(s, n) for n in range(order + 1)]
 
 
 def scalar_coeffs(s, order):
     out = []
     for n in range(order + 1):
-        c = s.counting_coefficient(n)
+        c = counting_coefficient(s, n)
         assert all(k == (0,) * 5 for k in c), "nonscalar coefficient"
         out.append(c.get((0,) * 5, Fraction(0)))
     return out
@@ -181,13 +182,13 @@ def test_chi_minus_y_multiplicative():
 
 def sector_coeff(kind, X, n):
     """The q^n coefficient of a brute series: the sum over cycle types."""
-    return ob.brute_series(kind, X, n).counting_coefficient(n)
+    return counting_coefficient(ob.brute_series(kind, X, n), n)
 
 
 def dims_coeff(dims, x):
     """A dims table as a q^0 coefficient keyed like sector_coeff: its
     Poincare polynomial with x = "t", its Hodge polynomial with x = "x"."""
-    return dims.poly(x).counting_coefficient(0)
+    return counting_coefficient(dims.poly(x), 0)
 
 
 def test_sector_dims_p1(catalog):
@@ -487,7 +488,7 @@ def test_euler_sym_binomial_growth(catalog):
 
 def test_poincare_orb_p1_q2_coefficient(catalog):
     got = ob.brute_series("poincare_orb", catalog["p1"], 2)
-    coeff = got.counting_coefficient(2)
+    coeff = counting_coefficient(got, 2)
     t_exps = sorted(k[2] // 2 for k in coeff)
     assert t_exps == [0, 1, 2, 3, 4]
     assert all(c == 1 for c in coeff.values())
@@ -521,7 +522,7 @@ def test_constant_terms_are_one(catalog):
             if ob.applicability(kind, X):
                 continue
             for build in (ob.brute_series, ob.closed_series):
-                assert build(kind, X, 3).counting_coefficient(0) \
+                assert counting_coefficient(build(kind, X, 3), 0) \
                     == {(0, 0, 0, 0, 0): 1}
 
 
@@ -553,7 +554,7 @@ def test_dmvv_laurent_support_bounded_below(catalog):
         s = ob.brute_series("dmvv_q0", X, 5)
         k2 = X.dim_c
         for n in range(6):
-            for key in s.counting_coefficient(n):
+            for key in counting_coefficient(s, n):
                 assert key[4] >= -k2 * n  # doubled y-exponent
 
 
@@ -1001,7 +1002,7 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker.slot":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker.factor":
+    "layouts.Kronecker._one_int":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker.mul_add":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
