@@ -15,10 +15,10 @@ Manifold files are JSON objects:
       "pairing": [{"degree": 0, "matrix": [[...]]}, ...]   # optional
     }
 
-Each input rule has one home: _check_types takes the JSON types and the
-table shapes, ManifoldData every rule between fields (dimensions that
-agree, B-data only with a Hodge table), and fock.pairing_from_blocks the
-pairing's blocks, their entries and invertibility.
+Each input rule has one home: ManifoldData takes the fields as the file
+holds them and checks every rule on them (types, table shapes, dimensions
+that agree, B-data only with a Hodge table), and fock.pairing_from_blocks
+the pairing's blocks, their entries and invertibility.
 
 The --manifold argument takes a path, or the name of one of the bundled
 catalog manifolds (point, p1, elliptic, genus2, p2, k3, abelian, p1xp1).
@@ -33,7 +33,7 @@ from functools import cache
 from pathlib import Path
 
 from . import orbifold
-from .orbifold import InputError, ManifoldData, _table_from_rows
+from .orbifold import InputError, ManifoldData
 from .series import SeriesUsageError
 
 
@@ -61,34 +61,8 @@ def _resolve_manifold_path(name_or_path):
     )
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_types(raw):
-    """Reject input the JSON types allow but the model does not: bools or
-    floats where counts belong, Hodge tables that are not square with
-    dim_c + 1 rows, a calabi_yau flag that is not a bool."""
-    for key in ("dim_c", "dim_real"):
-        if key in raw and not (_is_int(raw[key]) and raw[key] >= 0):
-            raise ValueError("%s must be a nonnegative integer" % key)
-    betti = raw.get("betti", [])
-    if not (isinstance(betti, list) and all(map(_is_int, betti))):
-        raise ValueError("betti must be a list of integers")
-    for key in ("hodge", "hodgeB"):
-        rows = raw.get(key)
-        if key in raw and not (isinstance(rows, list) and all(
-                isinstance(row, list) and len(row) == len(rows)
-                and all(map(_is_int, row)) for row in rows)
-                and len(rows) == raw.get("dim_c", len(rows) - 1) + 1):
-            raise ValueError("%s must be a square table of integers with "
-                             "dim_c + 1 rows and columns" % key)
-    if not isinstance(raw.get("calabi_yau", False), bool):
-        raise ValueError("calabi_yau must be true or false")
-
-
 def load_manifold(path):
-    """Parse and validate a manifold JSON file into ManifoldData."""
+    """Parse a manifold JSON file into ManifoldData, which checks it."""
     path = Path(path)
     # ValueError covers bad JSON, bad UTF-8 and an over-long integer literal,
     # RecursionError JSON nested too deeply to parse
@@ -98,25 +72,18 @@ def load_manifold(path):
         raise InputError("cannot read %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise InputError("%s: manifold file must be a JSON object" % path)
-    name = raw.get("name", path.stem)
     known = {"name", "dim_c", "dim_real", "betti", "hodge", "hodgeB",
              "calabi_yau", "pairing"}
     unknown = set(raw) - known
     if unknown:
         raise InputError("%s: unknown fields %s" % (path, sorted(unknown)))
+    # ManifoldData reads None as an absent field; only a pairing may be null
+    if None in (v for key, v in raw.items() if key != "pairing"):
+        raise InputError("%s: only the pairing may be null" % path)
+    raw.setdefault("name", path.stem)
+    raw["hodge_b"] = raw.pop("hodgeB", None)
     try:
-        _check_types(raw)
-        if not isinstance(name, str) or "".join(name.splitlines()) != name:
-            raise ValueError("name must be a string without line breaks")
-        # a Betti vector is the one-column table of its entries
-        tables = {key: _table_from_rows(
-            [[b] for b in rows] if key == "betti" else rows)
-            for key, rows in raw.items() if key in ("betti", "hodge", "hodgeB")}
-        X = ManifoldData(name, raw.get("dim_real"), tables.get("betti"),
-                         dim_c=raw.get("dim_c"), hodge=tables.get("hodge"),
-                         hodge_b=tables.get("hodgeB"),
-                         calabi_yau=raw.get("calabi_yau", False),
-                         pairing=raw.get("pairing"))
+        X = ManifoldData(**raw)
         if X.pairing is not None:
             from . import fock
             # shapes, entries and invertibility, for every command alike

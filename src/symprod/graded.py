@@ -9,16 +9,21 @@ symmetrically, odd generators anticommute (so they square to zero);
 sym_power takes them from layouts.symmetric_powers on the ints of
 layouts.sector_layout, as the sector sums do.
 
-The constructor only drops zero entries.  Input tables are validated once,
-where they enter (ManifoldData), so the internal products build maps without
-re-checking them.  A half-integer total degree has no parity: blocks,
-which sym_power reads, rejects it.
+An input table enters once, through from_rows, which checks its rows; the
+constructor only drops zero entries, so the internal products build maps
+without re-checking them.  A half-integer total degree has no parity:
+blocks, which sym_power reads, rejects it.
 """
 
 from collections import Counter
 
 from .layouts import sector_layout, symmetric_powers
 from .series import Series, _VI
+
+
+def is_count(v):
+    """Whether v is a nonnegative int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 class GradedDims:
@@ -28,6 +33,20 @@ class GradedDims:
 
     def __init__(self, dims):
         self.dims = {k: b for k, b in dims.items() if b}
+
+    @classmethod
+    def from_rows(cls, what, rows, size=None):
+        """The input table with rows[p][q] at doubled (p, q), checked: size
+        rows of size nonnegative ints (not bools), or with size None one
+        row of any length, as [betti] is, whose collapse() puts b_d at
+        (d, 0).  ValueError, naming the table `what`, on anything else."""
+        if not (isinstance(rows, list) and len(rows) == (size or 1) and all(
+                isinstance(row, list) and size in (None, len(row))
+                and all(map(is_count, row)) for row in rows)):
+            raise ValueError("%s must be %s of nonnegative integers" % (
+                what, "a %d x %d table" % (size, size) if size else "a list"))
+        return cls({(2 * p, 2 * q): h for p, row in enumerate(rows)
+                    for q, h in enumerate(row)})
 
     def __eq__(self, other):
         return isinstance(other, GradedDims) and self.dims == other.dims
@@ -52,11 +71,6 @@ class GradedDims:
             s = -1 if (p + q) % 4 else 1
             merged[image(p, q, s)] += s * b
         return [(key, e, a) for (key, a), e in merged.items() if e]
-
-    def within(self, top_p, top_q):
-        """Whether all bidegrees are integers in [0, top_p] x [0, top_q]."""
-        return all(p % 2 == q % 2 == 0 and 0 <= p <= 2 * top_p
-                   and 0 <= q <= 2 * top_q for p, q in self.dims)
 
     def collapse(self):
         """Collapse to the total grading: (p, q) -> (p + q, 0)."""

@@ -66,7 +66,7 @@ contents share their series.
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .graded import GradedDims
+from .graded import GradedDims, is_count
 from .layouts import sector_layout, symmetric_powers
 from .series import (
     VARS,
@@ -86,14 +86,14 @@ class InputError(ValueError):
 
 
 class ManifoldData:
-    """Input description of a closed manifold X.
-
-    Degrees are stored doubled like everywhere else; the Betti table puts
-    degree d at (d, 0), and Hodge tables are supported on integer
-    bidegrees.  `hodge_b` holds the dimensions of the polyvector-field
-    Dolbeault groups H^q(X, Lambda^p TX), indexed like a Hodge table at
-    (p, q).  Every rule between the fields is checked here, once, and
-    every table: entries nonnegative, at integer degrees in range.  With a
+    """Input description of a closed manifold X, from the fields of a
+    manifold file: ints dim_real and dim_c, a Betti list, Hodge rows h[p][q]
+    and the B-table's, square with dim_c + 1 ints, and a bool.  Every
+    rule on them is checked here, for files and library callers alike (the
+    pairing's in fock.pairing_from_blocks), and the tables are stored as
+    GradedDims, degrees doubled: the Betti table puts degree d at (d, 0).
+    `hodge_b` holds the dimensions of the polyvector-field Dolbeault groups
+    H^q(X, Lambda^p TX), indexed like a Hodge table at (p, q).  With a
     Hodge table, dim_real and betti default to 2 dim_c and its Betti
     numbers; without one, dim_c is checked against dim_real and dropped.
     """
@@ -110,23 +110,23 @@ class ManifoldData:
         self.pairing = pairing
         self._validate()
 
-    @classmethod
-    def from_betti(cls, name, dim_real, betti_list):
-        """Real manifold from its Betti vector [b_0, b_1, ...]."""
-        return cls(name, dim_real, _table_from_rows([b] for b in betti_list))
-
-    @classmethod
-    def from_hodge(cls, name, dim_c, rows, calabi_yau=False, hodge_b_rows=None,
-                   pairing=None):
-        """Complex manifold from its Hodge table rows[p][q] = h^{p,q}."""
-        hodge_b = _table_from_rows(hodge_b_rows) if hodge_b_rows else None
-        return cls(name, dim_c=dim_c, hodge=_table_from_rows(rows),
-                   hodge_b=hodge_b, calabi_yau=calabi_yau, pairing=pairing)
-
     def _validate(self):
+        name = self.name
+        if not isinstance(name, str) or "".join(name.splitlines()) != name:
+            raise ValueError("name must be a string without line breaks")
+        for key, d in (("dim_c", self.dim_c), ("dim_real", self.dim_real)):
+            if d is not None and not is_count(d):
+                raise ValueError("%s must be a nonnegative integer" % key)
+        if not isinstance(self.calabi_yau, bool):
+            raise ValueError("calabi_yau must be true or false")
+        if self.betti is not None:
+            # the one row [b_0, b_1, ...] sits at (0, d): collapse moves it
+            self.betti = GradedDims.from_rows("betti", [self.betti]).collapse()
         if self.hodge is not None:
             if self.dim_c is None:
                 raise ValueError("a Hodge table needs dim_c")
+            self.hodge = GradedDims.from_rows("hodge", self.hodge,
+                                              self.dim_c + 1)
             if self.dim_real is None:
                 self.dim_real = 2 * self.dim_c
             if self.betti is None:
@@ -137,31 +137,25 @@ class ManifoldData:
             raise ValueError("a Betti vector needs dim_real")
         if self.dim_c is not None and 2 * self.dim_c != self.dim_real:
             raise ValueError("dim_real inconsistent with dim_c")
-        if any(b < 0 for table in (self.betti, self.hodge, self.hodge_b)
-               if table is not None for b in table.dims.values()):
-            raise ValueError("dimensions must be nonnegative")
-        if self.dim_real < 0 or self.dim_real % 2:
+        if self.dim_real % 2:
             raise ValueError("dim_real must be a nonnegative even integer")
-        if not self.betti.within(self.dim_real, 0):
+        if any(d > 2 * self.dim_real for d, _ in self.betti.dims):
             raise ValueError("Betti degree out of range")
         if self.hodge is not None:
-            if not self.hodge.within(self.dim_c, self.dim_c):
-                raise ValueError("Hodge bidegrees must be integers in range")
             if self.hodge.collapse() != self.betti:
                 raise ValueError("Betti numbers disagree with the Hodge table")
         else:
             # default_order reads dim_c == 2 as a surface with Hodge data
             self.dim_c = None
-        if self.calabi_yau:
-            if self.hodge is None:
-                raise ValueError("a Calabi-Yau input needs a Hodge table")
-            if self.hodge_b is None:
-                self.hodge_b = derive_B_table(self)
+        if self.calabi_yau and self.hodge is None:
+            raise ValueError("a Calabi-Yau input needs a Hodge table")
         if self.hodge_b is not None:
             if self.hodge is None:
                 raise ValueError("a B-table needs a Hodge table")
-            if not self.hodge_b.within(self.dim_c, self.dim_c):
-                raise ValueError("B-table bidegrees must be integers in range")
+            self.hodge_b = GradedDims.from_rows("hodgeB", self.hodge_b,
+                                                self.dim_c + 1)
+        elif self.calabi_yau:
+            self.hodge_b = derive_B_table(self)
 
     # -- numeric invariants --------------------------------------------------
 
@@ -177,15 +171,6 @@ class ManifoldData:
 
     def __repr__(self):
         return "ManifoldData(%r)" % self.name
-
-
-def _table_from_rows(rows):
-    dims = {}
-    for p, row in enumerate(rows):
-        for q, h in enumerate(row):
-            if h:
-                dims[(2 * p, 2 * q)] = h
-    return GradedDims(dims)
 
 
 def derive_B_table(X):

@@ -367,6 +367,7 @@ def test_load_rejects_missing_tables(tmp_path):
 
 
 K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
+P2_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("payload", [
@@ -403,6 +404,14 @@ K3_ROWS = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     {"dim_real": 2, "betti": [1, -2, 1]},
     # dim_c is checked against dim_real on Betti input too
     {"dim_real": 2, "betti": [1, 0, 1], "dim_c": 5},
+    # a null is refused next to valid fields: only the library reads None
+    # as an absent field
+    {"dim_c": 2, "hodge": K3_ROWS, "betti": None},
+    {"dim_real": 2, "betti": [1, 0, 1], "hodge": None},
+    {"dim_real": 2, "betti": [1, 0, 1], "dim_c": None},
+    {"dim_c": 2, "hodge": K3_ROWS, "dim_real": None},
+    {"dim_c": 2, "hodge": K3_ROWS, "hodgeB": None},
+    {"dim_c": 2, "hodge": K3_ROWS, "calabi_yau": None},
 ])
 def test_load_rejects_malformed_input(tmp_path, capsys, payload):
     path = write(tmp_path, payload)
@@ -413,7 +422,13 @@ def test_load_rejects_malformed_input(tmp_path, capsys, payload):
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
-P2_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_load_reads_a_null_pairing_as_none(tmp_path, capsys):
+    path = write(tmp_path, {"dim_c": 2, "hodge": P2_ROWS, "pairing": None})
+    assert cli.load_manifold(path).pairing is None
+    code, out, _ = run(capsys, "verify-all", "--manifold", str(path))
+    assert code == 0 and out.endswith("23 checks, 0 failed\n")
+
+
 TOP, MIDDLE = {"degree": 2, "matrix": [[1]]}, {"degree": 0, "matrix": [[1]]}
 BAD_PAIRINGS = [
     [{"degree": 2, "matrix": [["1/0"]]}, MIDDLE],
@@ -656,7 +671,7 @@ def test_duality_violation_surfaces_on_fock(tmp_path, capsys):
 _ints = st.integers(-2, 5)
 _counts = st.integers(0, 3)
 _values = st.one_of(
-    _ints, st.booleans(), st.floats(), st.text(max_size=3),
+    st.none(), _ints, st.booleans(), st.floats(), st.text(max_size=3),
     st.lists(st.one_of(_ints, st.lists(_ints, max_size=4)), max_size=4),
     st.lists(st.fixed_dictionaries({"degree": _ints, "matrix": st.lists(
         st.lists(_ints, max_size=2), max_size=2)}), max_size=2),
@@ -691,6 +706,28 @@ def test_any_manifold_json_exits_cleanly(tmp_path, payload):
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
+
+
+# The library applies the file's rules: on each fuzzed payload without a
+# pairing (which load_manifold checks apart) or a null (which the library
+# reads as an absent field), ManifoldData raises ValueError exactly where
+# load_manifold raises InputError, and builds the same tables otherwise.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_manifolds.filter(
+    lambda payload: "pairing" not in payload and None not in payload.values()))
+def test_the_library_path_applies_the_file_rules(tmp_path, payload):
+    path = write(tmp_path, payload)
+    fields = {"name": path.stem, **payload}
+    fields["hodge_b"] = fields.pop("hodgeB", None)
+    try:
+        X = cli.load_manifold(path)
+    except cli.InputError:
+        with pytest.raises(ValueError):
+            orbifold.ManifoldData(**fields)
+        return
+    Y = orbifold.ManifoldData(**fields)
+    assert (Y.betti, Y.hodge, Y.hodge_b) == (X.betti, X.hodge, X.hodge_b)
 
 
 # ------------------------------------------------- one parser per process

@@ -12,7 +12,7 @@ from symprod.fock import FockSpace, default_pairing
 from symprod.orbifold import InputError, ManifoldData
 
 
-ODD4 = ManifoldData.from_betti("odd4", 4, [1, 2, 0, 2, 1])
+ODD4 = ManifoldData("odd4", dim_real=4, betti=[1, 2, 0, 2, 1])
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_basis_size_counts_the_enumerated_basis(half, charge, cap):
     # 3: the count of the states up to charge c, at the first c where it
     # passes cap, else at the requested charge
     b0, b1, b2 = half
-    X = ManifoldData.from_betti("x", 4, [b0, b1, b2, b1, b0])
+    X = ManifoldData("x", dim_real=4, betti=[b0, b1, b2, b1, b0])
     charges = [state_charge(s) for s in FockSpace(X, charge).states]
     running = [sum(c <= n for c in charges) for n in range(charge + 1)]
     assert fock.basis_size(X, charge, cap) == \
@@ -129,13 +129,13 @@ def test_default_pairing_odd_middle_is_symplectic(catalog):
 
 
 def test_default_pairing_rejects_odd_middle_of_odd_dimension():
-    X = ManifoldData.from_betti("bad", 2, [1, 3, 1])
+    X = ManifoldData("bad", dim_real=2, betti=[1, 3, 1])
     with pytest.raises(ValueError):
         default_pairing(X)
 
 
 def test_default_pairing_rejects_broken_duality():
-    X = ManifoldData.from_betti("bad", 4, [1, 0, 2, 1, 1])
+    X = ManifoldData("bad", dim_real=4, betti=[1, 0, 2, 1, 1])
     with pytest.raises(ValueError):
         default_pairing(X)
 
@@ -153,7 +153,7 @@ def _poincare_betti(dim_real):
     st.integers(0, 8))
 def test_default_pairing_structure(dim_betti, k):
     dim_real, betti = dim_betti
-    X = ManifoldData.from_betti("rand", dim_real, betti)
+    X = ManifoldData("rand", dim_real=dim_real, betti=betti)
     d = dim_real // 2
     # the classes of degree i are numbered from b_0 + ... + b_(i-1) on
     ids = [range(sum(betti[:i]), sum(betti[:i + 1]))
@@ -184,7 +184,8 @@ def test_default_pairing_structure(dim_betti, k):
     if 2 * k != dim_real:
         broken = betti[:k] + [betti[k] + 1] + betti[k + 1:]
         with pytest.raises(InputError, match="Poincare duality"):
-            default_pairing(ManifoldData.from_betti("bad", dim_real, broken))
+            default_pairing(ManifoldData("bad", dim_real=dim_real,
+                                         betti=broken))
 
 
 def test_pairing_graded_symmetry(catalog):
@@ -218,8 +219,8 @@ def test_user_blocks_are_mirrored_with_the_koszul_sign(degree, odd_entries):
 
 
 def p2_with_pairing(blocks):
-    return ManifoldData.from_hodge("p2", 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                                   pairing=blocks)
+    return ManifoldData("p2", dim_c=2, hodge=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        pairing=blocks)
 
 
 def test_custom_pairing_blocks():
@@ -271,7 +272,7 @@ def test_a_wide_middle_degree_costs_no_dense_block():
     # itself, so the space's peak is linear in the classes.  With a dense
     # 2000x2000 identity block it read 93 MB on Python 3.11, with the
     # pairing built from the counts about 0.9 MB
-    X = ManifoldData.from_betti("wide", 4, [1, 0, 2000, 0, 1])
+    X = ManifoldData("wide", dim_real=4, betti=[1, 0, 2000, 0, 1])
     assert traced_peak(lambda: FockSpace(X, 1)) < 8_000_000
     space = FockSpace(X, 1)
     assert len(space.states) == 2003 and len(space.eta) == 2002
@@ -703,7 +704,7 @@ def _pairing_blocks(betti):
 def test_check_relations_counts_match_a_per_pair_loop(dim_betti, charge,
                                                       data):
     dim_real, betti = dim_betti
-    X = ManifoldData.from_betti("rand", dim_real, betti)
+    X = ManifoldData("rand", dim_real=dim_real, betti=betti)
     if data.draw(st.booleans(), label="user pairing"):
         X.pairing = data.draw(_pairing_blocks(betti), label="pairing")
     # clean, either sign dropped, and annihilators that return nothing (so
@@ -748,7 +749,7 @@ def test_first_partner_only_annihilators_break_the_mixed_bracket(
         monkeypatch):
     # a non-diagonal middle block with an 'a/b' entry gives each middle
     # class two partners; the relations hold until one of them is dropped
-    X = ManifoldData.from_betti("two", 4, [1, 0, 2, 0, 1])
+    X = ManifoldData("two", dim_real=4, betti=[1, 0, 2, 0, 1])
     X.pairing = [{"degree": 2, "matrix": [[1]]},
                  {"degree": 0, "matrix": [[1, 1], [1, "1/2"]]}]
     assert literal_counts(X, 3) == [0, 0, 0, 0]

@@ -360,11 +360,11 @@ def test_two_variables_divide_by_the_lattice_index(keys, order, stride, g):
 
 def diagonal(n):
     """The Hodge table of P^n: one class at each (p, p)."""
-    return ManifoldData.from_hodge("P%d" % n, n, [
+    return ManifoldData("P%d" % n, dim_c=n, hodge=[
         [int(p == q) for q in range(n + 1)] for p in range(n + 1)])
 
 
-QUINTIC = ManifoldData.from_hodge("quintic", 3, [
+QUINTIC = ManifoldData("quintic", dim_c=3, hodge=[
     [1, 0, 0, 1], [0, 1, 101, 0], [0, 101, 1, 0], [1, 0, 0, 1]])
 
 

@@ -60,55 +60,59 @@ def test_from_hodge_derives_betti(catalog):
 
 
 def test_betti_hodge_consistency_enforced():
-    hodge = GradedDims({(0, 0): 1, (2, 2): 1})
     with pytest.raises(ValueError):
-        ManifoldData("bad", 2, GradedDims({(0, 0): 2}), dim_c=1, hodge=hodge)
+        ManifoldData("bad", 2, [2], dim_c=1, hodge=[[1, 0], [0, 1]])
 
 
-BETTI_S2 = GradedDims({(0, 0): 1, (4, 0): 1})
+BETTI_S2 = [1, 0, 1]
+P1_ROWS = [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ManifoldData("neg", 2, GradedDims(
-        {(0, 0): 1, (2, 0): -2, (4, 0): 1})), "nonnegative"),
-    (lambda: ManifoldData.from_hodge("neg", 1, [[1, -1], [0, 1]]),
+    (lambda: ManifoldData("neg", 2, [1, -2, 1]), "nonnegative"),
+    (lambda: ManifoldData("neg", dim_c=1, hodge=[[1, -1], [0, 1]]),
      "nonnegative"),
-    (lambda: ManifoldData.from_hodge("neg", 1, [[1, 0], [0, 1]],
-                                     hodge_b_rows=[[1, 0], [-1, 1]]),
+    (lambda: ManifoldData("neg", dim_c=1, hodge=P1_ROWS,
+                          hodge_b=[[1, 0], [-1, 1]]),
      "nonnegative"),
-    (lambda: ManifoldData("high", 2, GradedDims({(0, 0): 1, (6, 0): 1})),
-     "Betti degree out of range"),
-    (lambda: ManifoldData("half", 2, GradedDims({(1, 0): 1})),
-     "Betti degree out of range"),
-    (lambda: ManifoldData("q", 2, GradedDims({(0, 2): 1})),
+    (lambda: ManifoldData("high", 2, [1, 0, 0, 1]),
      "Betti degree out of range"),
     (lambda: ManifoldData("high", 2, BETTI_S2, dim_c=1,
-                          hodge=GradedDims({(0, 0): 1, (4, 0): 1})),
-     "Hodge bidegrees"),
-    (lambda: ManifoldData("high", 2, BETTI_S2, dim_c=1,
-                          hodge=GradedDims({(0, 0): 1, (2, 2): 1}),
-                          hodge_b=GradedDims({(6, 0): 1})),
-     "B-table bidegrees"),
+                          hodge=[[1, 0, 1], [0, 0, 0], [0, 0, 0]]),
+     "hodge must be a 2 x 2 table"),
+    (lambda: ManifoldData("high", 2, BETTI_S2, dim_c=1, hodge=P1_ROWS,
+                          hodge_b=[[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+     "hodgeB must be a 2 x 2 table"),
     (lambda: ManifoldData("none"), "need one of 'betti' or 'hodge'"),
     (lambda: ManifoldData("s2", betti=BETTI_S2, dim_c=1),
      "a Betti vector needs dim_real"),
-    (lambda: ManifoldData("pt", 0, hodge=GradedDims({(0, 0): 1})),
+    (lambda: ManifoldData("pt", 0, hodge=[[1]]),
      "a Hodge table needs dim_c"),
     (lambda: ManifoldData("s2", 2, BETTI_S2, dim_c=5),
      "dim_real inconsistent with dim_c"),
-    (lambda: ManifoldData("pt", 2, dim_c=0, hodge=GradedDims({(0, 0): 1})),
+    (lambda: ManifoldData("pt", 2, dim_c=0, hodge=[[1]]),
      "dim_real inconsistent with dim_c"),
     (lambda: ManifoldData("s2", 2, BETTI_S2, calabi_yau=True),
      "a Calabi-Yau input needs a Hodge table"),
-    (lambda: ManifoldData("s2", 2, BETTI_S2, hodge_b=BETTI_S2),
+    (lambda: ManifoldData("s2", 2, BETTI_S2, hodge_b=P1_ROWS),
      "a B-table needs a Hodge table"),
+    (lambda: ManifoldData("x", dim_c=1, hodge=[[1.5, 0], [0, 1]]),
+     "hodge must be a 2 x 2 table of nonnegative integers"),
+    (lambda: ManifoldData("y", 2, [True, 0, 1]),
+     "betti must be a list of nonnegative integers"),
+    (lambda: ManifoldData("y", 2.0, BETTI_S2),
+     "dim_real must be a nonnegative integer"),
+    (lambda: ManifoldData("x", dim_c=True, hodge=P1_ROWS),
+     "dim_c must be a nonnegative integer"),
 ], ids=["negative betti", "negative hodge", "negative hodgeB", "betti high",
-        "betti half-integer", "betti off (d, 0)", "hodge high", "hodgeB high",
-        "no table", "betti without dim_real", "hodge without dim_c",
-        "betti with another dim_c", "hodge with another dim_real",
-        "calabi_yau without hodge", "hodgeB without hodge"])
+        "hodge high", "hodgeB high", "no table", "betti without dim_real",
+        "hodge without dim_c", "betti with another dim_c",
+        "hodge with another dim_real", "calabi_yau without hodge",
+        "hodgeB without hodge", "float entry", "bool entry",
+        "float dim_real", "bool dim_c"])
 def test_validate_rejects_bad_tables(build, message):
-    # the tables themselves check nothing; ManifoldData is the boundary
+    # the rows enter through GradedDims.from_rows; ManifoldData is the
+    # boundary for files and library callers alike
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -123,7 +127,7 @@ def test_dim_c_on_real_input_is_checked_and_dropped():
 
 
 def test_real_manifold_without_hodge():
-    X = ManifoldData.from_betti("s4", 4, [1, 0, 0, 0, 1])
+    X = ManifoldData("s4", dim_real=4, betti=[1, 0, 0, 0, 1])
     assert X.euler() == 2
     assert ob.applicability("hodge_sym", X) is not None
     assert ob.applicability("euler_orb", X) is None
@@ -143,7 +147,7 @@ def test_derive_b_table_point(catalog):
 
 def test_derive_b_table_asymmetric():
     # a made-up CY-like table where the row swap is visible
-    X = ManifoldData.from_hodge("toy", 1, [[1, 2], [2, 1]])
+    X = ManifoldData("toy", dim_c=1, hodge=[[1, 2], [2, 1]])
     got = ob.derive_B_table(X)
     assert got == GradedDims({(2, 0): 1, (2, 2): 2, (0, 0): 2, (0, 2): 1})
 
@@ -265,7 +269,7 @@ def test_sector_sum_counts_partitions():
 
 # Hodge tables need not be symmetric: the Hopf surface S^1 x S^3 is not
 # Kahler, and has h^{0,1} = 1 but h^{1,0} = 0.
-HOPF = ManifoldData.from_hodge("hopf", 2, [[1, 1, 0], [0, 0, 1], [0, 0, 1]])
+HOPF = ManifoldData("hopf", dim_c=2, hodge=[[1, 1, 0], [0, 0, 1], [0, 0, 1]])
 
 
 def layouts_chosen(monkeypatch):
@@ -311,7 +315,7 @@ def sparse_hodge_manifolds(draw):
     cell = st.integers(0, d)
     entries = draw(st.dictionaries(st.tuples(cell, cell), st.integers(1, 2),
                                    max_size=4))
-    return ManifoldData.from_hodge("sparse", d, [
+    return ManifoldData("sparse", dim_c=d, hodge=[
         [entries.get((p, q), 0) for q in range(d + 1)] for p in range(d + 1)])
 
 
@@ -347,8 +351,8 @@ def oracle_block(kind, X, l, N):
                         "chiy_orb", "arith_orb", "sign_orb", "dmvv_q0")))
 # a curve with arithmetic genus 1, so twisted arith blocks must vanish, and
 # a curve with odd classes and half-integer y^(-k) in p
-@example(ManifoldData.from_hodge("p1", 1, [[1, 0], [0, 1]]), "arith_orb")
-@example(ManifoldData.from_hodge("curve", 1, [[1, 2], [2, 1]]), "dmvv_q0")
+@example(ManifoldData("p1", dim_c=1, hodge=[[1, 0], [0, 1]]), "arith_orb")
+@example(ManifoldData("curve", dim_c=1, hodge=[[1, 2], [2, 1]]), "dmvv_q0")
 def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
     # every block(l, N) that a kind's levels hand to _sector_sum against
     # the basis enumeration of its regraded Sym^N
@@ -607,8 +611,8 @@ def hodge_manifolds(draw):
     d = draw(st.sampled_from((1, 2, 3)))
     row = st.lists(small, min_size=d + 1, max_size=d + 1)
     table = st.lists(row, min_size=d + 1, max_size=d + 1)
-    return ManifoldData.from_hodge("hodge", d, draw(table),
-                                   hodge_b_rows=draw(st.none() | table))
+    return ManifoldData("hodge", dim_c=d, hodge=draw(table),
+                        hodge_b=draw(st.none() | table))
 
 
 @st.composite
@@ -618,7 +622,7 @@ def small_manifolds(draw):
         dim_real = draw(st.sampled_from((0, 2, 4, 6)))
         betti = draw(st.lists(small, min_size=dim_real + 1,
                               max_size=dim_real + 1))
-        return ManifoldData.from_betti("betti", dim_real, betti)
+        return ManifoldData("betti", dim_real=dim_real, betti=betti)
     return draw(hodge_manifolds())
 
 
@@ -640,13 +644,13 @@ def integer_manifolds(draw):
     asymmetric ones included), with or without an explicit B-table."""
     if draw(st.booleans()):
         dim_real = 2 * draw(st.integers(0, 4))
-        return ManifoldData.from_betti("betti", dim_real, draw(st.lists(
+        return ManifoldData("betti", dim_real=dim_real, betti=draw(st.lists(
             entry, min_size=dim_real + 1, max_size=dim_real + 1)))
     d = draw(st.integers(0, 4))
     row = st.lists(entry, min_size=d + 1, max_size=d + 1)
     table = st.lists(row, min_size=d + 1, max_size=d + 1)
-    return ManifoldData.from_hodge("hodge", d, draw(table),
-                                   hodge_b_rows=draw(st.none() | table))
+    return ManifoldData("hodge", dim_c=d, hodge=draw(table),
+                        hodge_b=draw(st.none() | table))
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,7 +698,7 @@ PUBLISHED_KINDS = (
     (2, [1, 2, 1], []),
 ])
 def test_verify_all_on_betti_only_input(dim_real, betti, crosses):
-    X = ManifoldData.from_betti("X", dim_real, betti)
+    X = ManifoldData("X", dim_real=dim_real, betti=betti)
     got = [(r.name, r.status) for r in ob.verify_all(X)]
     assert got == [("%s order 8" % kind, "pass" if i < 4 else "skip")
                    for i, kind in enumerate(PUBLISHED_KINDS)] + crosses
@@ -704,12 +708,13 @@ def test_verify_all_on_betti_only_input(dim_real, betti, crosses):
 
 # The CY3 that perfbench/workloads.py draws for seed 1, and a surface whose
 # explicit B-table differs from its Hodge table.
-SEED1_CY3 = ManifoldData.from_hodge(
-    "cy3", 3, [[1, 0, 0, 1], [0, 4, 113, 0], [0, 113, 4, 0], [1, 0, 0, 1]],
+SEED1_CY3 = ManifoldData(
+    "cy3", dim_c=3,
+    hodge=[[1, 0, 0, 1], [0, 4, 113, 0], [0, 113, 4, 0], [1, 0, 0, 1]],
     calabi_yau=True)
-SURFACE_WITH_B = ManifoldData.from_hodge(
-    "surface_b", 2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]],
-    hodge_b_rows=[[1, 0, 0], [0, 3, 1], [2, 0, 1]])
+SURFACE_WITH_B = ManifoldData(
+    "surface_b", dim_c=2, hodge=[[1, 0, 1], [0, 20, 0], [1, 0, 1]],
+    hodge_b=[[1, 0, 0], [0, 3, 1], [2, 0, 1]])
 
 
 def counted_builds(monkeypatch):
@@ -931,7 +936,7 @@ def _fold(classes, top):
 
 def test_the_fold_is_the_basis_enumeration(catalog):
     for X in [catalog[name] for name in CATALOG_NAMES] + [
-            ManifoldData.from_betti("odd", 4, [1, 2, 0, 2, 1])]:
+            ManifoldData("odd", dim_real=4, betti=[1, 2, 0, 2, 1])]:
         for V in (X.betti, X.hodge, X.hodge_b):
             if V is not None:
                 assert sym_powers_by_fold(V, 4) == tuple(
@@ -1070,7 +1075,7 @@ def reached(names, build, *args):
 def test_the_routes_share_only_functions_with_an_oracle(catalog):
     names, shared = symprod_qualnames(), set()
     for X in (catalog["k3"], catalog["elliptic"], catalog["p2"],
-              ManifoldData.from_betti("odd", 4, [1, 2, 0, 2, 1])):
+              ManifoldData("odd", dim_real=4, betti=[1, 2, 0, 2, 1])):
         for kind in ob.SERIES_KINDS:
             if ob.applicability(kind, X) is None:
                 shared |= reached(names, ob.brute_series, kind, X, 6) \

@@ -44,7 +44,7 @@ def manifolds(directory):
     out = {name: load_manifold(catalog_dir() / (name + ".json"))
            for name in ("k3", "abelian")}
     out["cy3_1"] = load_manifold(workloads.write_inputs(1, directory)["cy3"])
-    out["p30"] = orbifold.ManifoldData.from_hodge("p30", 30, [
+    out["p30"] = orbifold.ManifoldData("p30", dim_c=30, hodge=[
         [int(p == q) for q in range(31)] for p in range(31)])
     return out
 
