@@ -10,7 +10,8 @@ space with machine-checked commutation relations.
 """
 
 from .graded import GradedDims
-from .orbifold import ManifoldData, SERIES_KINDS, brute_series, closed_series
+from .manifold import ManifoldData
+from .orbifold import SERIES_KINDS, brute_series, closed_series
 from .series import Series
 
 __all__ = [

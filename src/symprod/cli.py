@@ -15,10 +15,8 @@ Manifold files are JSON objects:
       "pairing": [{"degree": 0, "matrix": [[...]]}, ...]   # optional
     }
 
-Each input rule has one home: ManifoldData takes the fields as the file
-holds them and checks every rule on them (types, table shapes, dimensions
-that agree, B-data only with a Hodge table), and fock.pairing_from_blocks
-the pairing's blocks, their entries and invertibility.
+Every rule on the fields, the pairing's too, lives in manifold.ManifoldData;
+load_manifold only reads the JSON object and refuses unknown fields and nulls.
 
 The --manifold argument takes a path, or the name of one of the bundled
 catalog manifolds (point, p1, elliptic, genus2, p2, k3, abelian, p1xp1).
@@ -33,7 +31,7 @@ from functools import cache
 from pathlib import Path
 
 from . import orbifold
-from .orbifold import InputError, ManifoldData
+from .manifold import InputError, ManifoldData
 from .series import SeriesUsageError
 
 
@@ -83,12 +81,7 @@ def load_manifold(path):
     raw.setdefault("name", path.stem)
     raw["hodge_b"] = raw.pop("hodgeB", None)
     try:
-        X = ManifoldData(**raw)
-        if X.pairing is not None:
-            from . import fock
-            # shapes, entries and invertibility, for every command alike
-            fock.pairing_from_blocks(X, X.pairing)
-        return X
+        return ManifoldData(**raw)
     except ValueError as exc:
         raise InputError("%s: %s" % (path, exc))
 
@@ -159,8 +152,8 @@ def cmd_series(args):
 
 
 def cmd_fock_verify(args):
-    # imported here, not at the top: only fock-verify and a manifold with a
-    # pairing need the Fock module, so the other commands skip loading it
+    # imported here, not at the top: only fock-verify needs the Fock module,
+    # so the other commands skip loading it
     from . import fock
     X = _load(args.manifold)
     results = fock.check_relations(X, args.max_charge)

@@ -1,11 +1,8 @@
 """Truncated Fock space of the Heisenberg superalgebra attached to H*(X).
 
-The underlying superspace is H*(X) regraded to be symmetric about zero
-(shifted degree = degree - d for a 2d-dimensional X), so the intersection
-pairing has degree 0.  Its classes are numbered consecutively in degree
-order straight from the Betti table (classes(X) gives each shifted degree's
-first id and count), and a pairing is a sparse {(i, j): value} over those
-ids, built from the counts alone.  The Fock space is the free super
+The underlying superspace is H*(X), its classes numbered and regraded to
+be symmetric about zero by manifold.classes, with the pairing X.pairing or
+else manifold.default_pairing.  The Fock space is the free super
 symmetric algebra on countably many copies of that space, one per level
 l >= 1; a basis state is a canonically sorted multiset of (level, class)
 factors in which odd classes never repeat at the same level.
@@ -44,13 +41,12 @@ parity of a level-l factor would depend on l and the algebra is not defined
 here.
 """
 
-import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from fractions import Fraction
 from operator import mul, ne
 
-from .orbifold import CheckResult, InputError, _compare, closed_series
+from .manifold import InputError, classes, default_pairing
+from .orbifold import CheckResult, _compare, closed_series
 from .series import Series
 
 
@@ -81,125 +77,6 @@ def basis_size(X, max_charge, cap):
     return total
 
 
-def _parse_entry(x):
-    if type(x) is int:  # not a bool
-        return x
-    # a sign, digits and an optional /digits: Fraction alone would also
-    # take "0.5", "1e3" and surrounding blanks
-    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError("pairing entries must be integers or 'a/b' strings, "
-                     "not %r" % (x,))
-
-
-def _invertible(matrix):
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return True
-
-
-def classes(X):
-    """The classes of H*(X), numbered consecutively in degree order, as
-    {shifted degree: (first id, count)} over the nonzero Betti numbers."""
-    d, first, out = X.dim_real // 2, 0, {}
-    for (dd, _), b in sorted(X.betti.dims.items()):
-        if b:
-            out[dd // 2 - d] = first, b
-            first += b
-    return out
-
-
-def default_pairing(X):
-    """Identity blocks between opposite shifted degrees, mirrored with the
-    Koszul sign; standard symplectic middle block (1 at (2k, 2k+1), -1 at
-    (2k+1, 2k)) when the middle parity is odd, identity when it is even.
-
-    Needs Poincare duality (matching dimensions in opposite degrees); an
-    odd middle block of odd dimension admits no nondegenerate antisymmetric
-    form and is rejected.  Returns {(i, j): value} over class ids.
-    """
-    cls, d = classes(X), X.dim_real // 2
-    if any(n != cls.get(-j, (0, 0))[1] for j, (_, n) in cls.items()):
-        raise InputError("default pairing needs Poincare duality on %s" % X.name)
-    eta = {}
-    for j, (a, n) in cls.items():
-        if j > 0:
-            break
-        if j == 0 and d % 2:
-            if n % 2:
-                raise InputError(
-                    "odd middle block of odd dimension has no "
-                    "nondegenerate antisymmetric pairing"
-                )
-            for i in range(a, a + n, 2):
-                eta[i, i + 1], eta[i + 1, i] = 1, -1
-            continue
-        # an even middle degree (b == a) pairs each class with itself
-        b, sign = cls[-j][0], -1 if (d + j) % 2 else 1
-        for i in range(n):
-            eta[a + i, b + i], eta[b + i, a + i] = 1, sign
-    return eta
-
-
-def pairing_from_blocks(X, blocks):
-    """User-supplied pairing: a list of {degree: j, matrix: rows} with rows
-    indexing the shifted-degree -j classes and columns the degree +j ones
-    (a single square block when j = 0).  Each block must be invertible and
-    the middle block graded-symmetric; a block off the middle is mirrored
-    with the Koszul sign.  ValueError on anything else, from blocks of the
-    wrong JSON shape to a degenerate block."""
-    if not (isinstance(blocks, list) and all(
-            isinstance(b, dict) and set(b) == {"degree", "matrix"}
-            and type(b["degree"]) is int and isinstance(b["matrix"], list)
-            and all(isinstance(row, list) for row in b["matrix"])
-            for b in blocks)):
-        raise ValueError("pairing must be a list of blocks with exactly the "
-                         "keys degree (an integer) and matrix (a list of rows)")
-    cls, d = classes(X), X.dim_real // 2
-    eta = {}
-    seen = set()
-    for block in blocks:
-        j = block["degree"]
-        if abs(j) in seen:
-            raise ValueError("pairing block for degree %d given twice" % abs(j))
-        mat = [[_parse_entry(x) for x in row] for row in block["matrix"]]
-        (a, n), (b, k) = cls.get(-j, (0, 0)), cls.get(j, (0, 0))
-        if len(mat) != n or any(len(r) != k for r in mat):
-            raise ValueError("pairing block %d has the wrong shape" % j)
-        # opposite degrees of different counts pair degenerately
-        if n != k or not _invertible(mat):
-            raise ValueError("pairing block %d is degenerate" % j)
-        sign = -1 if (d + j) % 2 else 1
-        for r, row in enumerate(mat):
-            for c, v in enumerate(row):
-                if j == 0 and v != sign * mat[c][r]:
-                    raise ValueError(
-                        "middle pairing block is not graded-symmetric")
-                if v:
-                    eta[a + r, b + c] = v
-                    if j:
-                        eta[b + c, a + r] = sign * v
-        seen.add(abs(j))
-    for j in cls:
-        if abs(j) not in seen:
-            raise ValueError("pairing block for degree %d missing" % abs(j))
-    return eta
-
-
 class FockSpace:
     """Fock model over a manifold with even d = dim_real / 2, truncated to
     the states of charge <= max_charge.  shifted and odd list each class's
@@ -215,8 +92,7 @@ class FockSpace:
                 "dim_real %d" % (X.name, X.dim_real)
             )
         self.d = d = X.dim_real // 2
-        self.eta = default_pairing(X) if X.pairing is None \
-            else pairing_from_blocks(X, X.pairing)
+        self.eta = default_pairing(X) if X.pairing is None else X.pairing
         self.shifted = [j for j, (_, n) in classes(X).items()
                         for _ in range(n)]
         # d is even: a class is odd exactly when its shifted degree is

@@ -1,13 +1,14 @@
 """Sector-by-sector invariants of symmetric products, and the closed
 product/exponential formulas they are provably equal to.
 
-For a manifold X, the n-th symmetric product sector decomposition runs over
-cycle types of S_n: a permutation with N_l l-cycles fixes a product of
-copies of X, one per cycle, and its centralizer quotient is the product of
-the Sym^(N_l)(X).  Twisted sectors are regraded by half the codimension of
-the fixed locus.  Both the brute-force assembly and the closed generating
-functions are computed here in exact arithmetic, so any claimed identity can
-be checked coefficient by coefficient.
+For a manifold X, a manifold.ManifoldData checked where it was built, the
+n-th symmetric product sector decomposition runs over cycle types of S_n: a
+permutation with N_l l-cycles fixes a product of copies of X, one per
+cycle, and its centralizer quotient is the product of the Sym^(N_l)(X).
+Twisted sectors are regraded by half the codimension of the fixed locus.
+Both the brute-force assembly and the closed generating functions are
+computed here in exact arithmetic, so any claimed identity can be checked
+coefficient by coefficient.
 
 The brute side of every kind is one sector sum, _sym_sum over
 _sector_sum.  Each kind names a level(l, count): block(l, N) for
@@ -66,8 +67,8 @@ contents share their series.
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .graded import GradedDims, is_count
 from .layouts import sector_layout, symmetric_powers
+from .manifold import InputError
 from .series import (
     VARS,
     Series,
@@ -79,108 +80,6 @@ from .series import (
     render_key,
     substitute,
 )
-
-
-class InputError(ValueError):
-    """Input at fault: a bad file or schema, or an inapplicable kind."""
-
-
-class ManifoldData:
-    """Input description of a closed manifold X, from the fields of a
-    manifold file: ints dim_real and dim_c, a Betti list, Hodge rows h[p][q]
-    and the B-table's, square with dim_c + 1 ints, and a bool.  Every
-    rule on them is checked here, for files and library callers alike (the
-    pairing's in fock.pairing_from_blocks), and the tables are stored as
-    GradedDims, degrees doubled: the Betti table puts degree d at (d, 0).
-    `hodge_b` holds the dimensions of the polyvector-field Dolbeault groups
-    H^q(X, Lambda^p TX), indexed like a Hodge table at (p, q).  With a
-    Hodge table, dim_real and betti default to 2 dim_c and its Betti
-    numbers; without one, dim_c is checked against dim_real and dropped.
-    """
-
-    def __init__(self, name, dim_real=None, betti=None, dim_c=None,
-                 hodge=None, hodge_b=None, calabi_yau=False, pairing=None):
-        self.name = name
-        self.dim_real = dim_real
-        self.betti = betti
-        self.dim_c = dim_c
-        self.hodge = hodge
-        self.hodge_b = hodge_b
-        self.calabi_yau = calabi_yau
-        self.pairing = pairing
-        self._validate()
-
-    def _validate(self):
-        name = self.name
-        if not isinstance(name, str) or "".join(name.splitlines()) != name:
-            raise ValueError("name must be a string without line breaks")
-        for key, d in (("dim_c", self.dim_c), ("dim_real", self.dim_real)):
-            if d is not None and not is_count(d):
-                raise ValueError("%s must be a nonnegative integer" % key)
-        if not isinstance(self.calabi_yau, bool):
-            raise ValueError("calabi_yau must be true or false")
-        if self.betti is not None:
-            # the one row [b_0, b_1, ...] sits at (0, d): collapse moves it
-            self.betti = GradedDims.from_rows("betti", [self.betti]).collapse()
-        if self.hodge is not None:
-            if self.dim_c is None:
-                raise ValueError("a Hodge table needs dim_c")
-            self.hodge = GradedDims.from_rows("hodge", self.hodge,
-                                              self.dim_c + 1)
-            if self.dim_real is None:
-                self.dim_real = 2 * self.dim_c
-            if self.betti is None:
-                self.betti = self.hodge.collapse()
-        elif self.betti is None:
-            raise ValueError("need one of 'betti' or 'hodge'")
-        elif self.dim_real is None:
-            raise ValueError("a Betti vector needs dim_real")
-        if self.dim_c is not None and 2 * self.dim_c != self.dim_real:
-            raise ValueError("dim_real inconsistent with dim_c")
-        if self.dim_real % 2:
-            raise ValueError("dim_real must be a nonnegative even integer")
-        if any(d > 2 * self.dim_real for d, _ in self.betti.dims):
-            raise ValueError("Betti degree out of range")
-        if self.hodge is not None:
-            if self.hodge.collapse() != self.betti:
-                raise ValueError("Betti numbers disagree with the Hodge table")
-        else:
-            # default_order reads dim_c == 2 as a surface with Hodge data
-            self.dim_c = None
-        if self.calabi_yau and self.hodge is None:
-            raise ValueError("a Calabi-Yau input needs a Hodge table")
-        if self.hodge_b is not None:
-            if self.hodge is None:
-                raise ValueError("a B-table needs a Hodge table")
-            self.hodge_b = GradedDims.from_rows("hodgeB", self.hodge_b,
-                                                self.dim_c + 1)
-        elif self.calabi_yau:
-            self.hodge_b = derive_B_table(self)
-
-    # -- numeric invariants --------------------------------------------------
-
-    @property
-    def m(self):
-        return self.dim_real // 2
-
-    def euler(self):
-        """Alternating sum of the Betti numbers, read off the table here
-        and not from the super signs of GradedDims.blocks, which only the
-        brute sector sums read."""
-        return sum(-b if d % 4 else b for (d, _), b in self.betti.dims.items())
-
-    def __repr__(self):
-        return "ManifoldData(%r)" % self.name
-
-
-def derive_B_table(X):
-    """B-table of a Calabi-Yau manifold: h^{-p,q} = h^{d-p,q}, d = dim_C."""
-    if X.hodge is None or X.dim_c is None:
-        raise ValueError("derive_B_table needs a complex manifold")
-    d2 = 2 * X.dim_c
-    return GradedDims(
-        {(d2 - p, q): h for (p, q), h in X.hodge.dims.items()}
-    )
 
 
 # -- genera -------------------------------------------------------------------

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from symprod import cli, fock, orbifold
+from symprod import cli, fock, manifold, orbifold
 
 
 def run(capsys, *argv):
@@ -571,6 +573,27 @@ def test_pairing_block_at_negative_degree_is_the_transpose(tmp_path, capsys):
     assert outs[0].endswith("5 checks, 0 failed\n")
 
 
+def test_fock_verify_parses_a_pairing_once(tmp_path, capsys, monkeypatch):
+    # ManifoldData parses the pairing as the file loads, and the Fock space
+    # reads the parsed map; every symprod module's name for the parser is
+    # counted, so a second parse anywhere shows
+    parse, calls = manifold.pairing_from_blocks, []
+
+    def counted(X, blocks):
+        calls.append(blocks)
+        return parse(X, blocks)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "symprod" and \
+                getattr(module, "pairing_from_blocks", None) is parse:
+            monkeypatch.setattr(module, "pairing_from_blocks", counted)
+    path = write(tmp_path, {"name": "p2x", "dim_c": 2, "hodge": P2_ROWS,
+                            "pairing": [TOP, MIDDLE]})
+    code, out, _ = run(capsys, "fock-verify", "--manifold", str(path),
+                       "--max-charge", "2")
+    assert code == 0 and out.endswith("5 checks, 0 failed\n")
+    assert calls == [[TOP, MIDDLE]]
+
+
 def test_load_betti_only(tmp_path):
     X = cli.load_manifold(
         write(tmp_path, {"name": "sphere4", "dim_real": 4,
@@ -665,16 +688,149 @@ def test_duality_violation_surfaces_on_fock(tmp_path, capsys):
     assert "duality" in err
 
 
-# A plausible manifold with up to two fields replaced by any JSON value: the
-# CLI exits 0, 1 or 2 and never raises, and an input error (exit 2) writes
-# nothing to stdout.
+# The README's "Manifold files" rule map, restated without symprod: which
+# payloads a manifold file must be refused for.
+
+
+def _is_count(v):
+    return type(v) is int and v >= 0
+
+
+def _is_table(rows, size):
+    return isinstance(rows, list) and len(rows) == size and all(
+        isinstance(row, list) and len(row) == size and all(map(_is_count, row))
+        for row in rows)
+
+
+def _class_counts(payload):
+    """{shifted degree: number of classes} over the degrees with classes,
+    shifted by half the real dimension, when the fields of payload pass
+    every rule; None when one of them breaks a rule."""
+    p = {"name": "m", "calabi_yau": False, **payload}
+    name, betti = p["name"], p.get("betti")
+    if None in (v for key, v in p.items() if key != "pairing"):
+        return None  # only the pairing may be null
+    if not isinstance(name, str) or name.splitlines() not in ([], [name]):
+        return None
+    if not all(_is_count(p[key]) for key in ("dim_c", "dim_real") if key in p):
+        return None
+    if type(p["calabi_yau"]) is not bool:
+        return None
+    if betti is not None:
+        if not (isinstance(betti, list) and all(map(_is_count, betti))):
+            return None
+        betti = Counter(dict(enumerate(betti)))
+    if "hodge" in p:
+        if "dim_c" not in p or not _is_table(p["hodge"], p["dim_c"] + 1):
+            return None
+        if "hodgeB" in p and not _is_table(p["hodgeB"], p["dim_c"] + 1):
+            return None
+        dim_real, total = p.get("dim_real", 2 * p["dim_c"]), Counter()
+        for a, row in enumerate(p["hodge"]):
+            for b, h in enumerate(row):
+                total[a + b] += h
+        if betti is not None and +betti != +total:
+            return None  # the Betti numbers are the Hodge table's
+        betti = total
+    elif betti is None or "dim_real" not in p or "hodgeB" in p \
+            or p["calabi_yau"]:
+        return None  # real input: no B-data, and a Betti list needs dim_real
+    else:
+        dim_real = p["dim_real"]
+    if dim_real % 2 or "dim_c" in p and 2 * p["dim_c"] != dim_real:
+        return None
+    if any(b for d, b in betti.items() if d > dim_real):
+        return None
+    return {d - dim_real // 2: b for d, b in betti.items() if b}
+
+
+def _entry(x):
+    """A pairing entry as a Fraction: a JSON integer, or an optional sign,
+    ASCII digits and an optional '/' with digits, the denominator nonzero;
+    None for anything else."""
+    if type(x) is int:
+        return Fraction(x)
+    if not isinstance(x, str):
+        return None
+    num, slash, den = x.partition("/")
+    parts = (num[1:] if num[:1] in ("+", "-") else num,) + (
+        (den,) if slash else ())
+    if not all(t.isascii() and t.isdigit() for t in parts) or \
+            slash and not int(den):
+        return None
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def _det(rows):
+    """The determinant by expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** c * x * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c, x in enumerate(rows[0]))
+
+
+def _pairing_is_refused(blocks, counts, half_dim):
+    if not (isinstance(blocks, list) and all(
+            isinstance(b, dict) and sorted(b) == ["degree", "matrix"]
+            and type(b["degree"]) is int and isinstance(b["matrix"], list)
+            and all(isinstance(row, list) for row in b["matrix"])
+            for b in blocks)):
+        return True
+    degrees = [abs(b["degree"]) for b in blocks]
+    if len(set(degrees)) < len(degrees) or {abs(j) for j in counts} - set(
+            degrees):
+        return True  # one block per |degree|, every degree with classes
+    for block in blocks:
+        j, rows = block["degree"], block["matrix"]
+        mat = [[_entry(x) for x in row] for row in rows]
+        n, k = counts.get(-j, 0), counts.get(j, 0)
+        if any(x is None for row in mat for x in row) or len(mat) != n \
+                or any(len(row) != k for row in mat) or n != k \
+                or not _det(mat):
+            return True
+        sign = -1 if half_dim % 2 else 1  # the middle block's symmetry
+        if j == 0 and any(mat[r][c] != sign * mat[c][r]
+                          for r in range(n) for c in range(n)):
+            return True
+    return False
+
+
+def must_refuse(payload):
+    """Whether a manifold file holding the JSON object payload breaks a
+    rule of the README's rule map."""
+    counts = _class_counts(payload)
+    if counts is None:
+        return True
+    if payload.get("pairing") is None:
+        return False
+    half_dim = payload.get("dim_real", 2 * payload.get("dim_c", 0)) // 2
+    return _pairing_is_refused(payload["pairing"], counts, half_dim)
+
+
+def test_the_reference_decision_reads_the_rule_map():
+    p2 = {"dim_c": 2, "hodge": P2_ROWS}
+    good = [TOP, {"degree": 0, "matrix": [["1/2"]]}]
+    assert not must_refuse(p2) and not must_refuse({**p2, "pairing": good})
+    for pairing in BAD_PAIRINGS + BAD_ENTRIES + [5, [MIDDLE]]:
+        assert must_refuse({**p2, "pairing": pairing}), pairing
+    for payload in [{**UNEVEN, "pairing": pairing}
+                    for pairing in UNEVEN_PAIRINGS] + [
+            {"dim_real": 2, "betti": [1, 0, 1], "hodge": None},
+            {"dim_c": 2, "hodge": K3_ROWS, "name": "a\u2028b"}]:
+        assert must_refuse(payload), payload
+
+
+# A plausible manifold with up to two fields replaced by any JSON value, and
+# now and then a pairing of the shapes its Betti numbers ask for.
 _ints = st.integers(-2, 5)
 _counts = st.integers(0, 3)
+_entries = st.one_of(_ints, st.sampled_from(
+    ["1/2", "-3", "+0/5", "0.5", "1/0", " 1", "1e3", "\u0663"]))
 _values = st.one_of(
     st.none(), _ints, st.booleans(), st.floats(), st.text(max_size=3),
     st.lists(st.one_of(_ints, st.lists(_ints, max_size=4)), max_size=4),
     st.lists(st.fixed_dictionaries({"degree": _ints, "matrix": st.lists(
-        st.lists(_ints, max_size=2), max_size=2)}), max_size=2),
+        st.lists(_entries, max_size=2), max_size=2)}), max_size=2),
 )
 _betti_manifolds = st.fixed_dictionaries({
     "dim_real": st.integers(0, 4).map(lambda m: 2 * m),
@@ -683,39 +839,61 @@ _hodge_manifolds = st.integers(0, 2).flatmap(lambda d: st.fixed_dictionaries(
     {"dim_c": st.just(d), "hodge": st.lists(st.lists(
         _counts, min_size=d + 1, max_size=d + 1), min_size=d + 1,
         max_size=d + 1)}, optional={"calabi_yau": st.booleans()}))
+
+
+def _shaped_pairing(payload):
+    """payload, or payload with one block per |degree| of the shape its
+    class counts ask for and small entries, so that some pairings pass."""
+    counts, entry = _class_counts(payload) or {}, _ints | st.just("-1/2")
+    blocks = [st.lists(st.lists(entry, min_size=counts.get(j, 0),
+                                max_size=counts.get(j, 0)),
+                       min_size=counts.get(-j, 0), max_size=counts.get(-j, 0))
+              .map(lambda m, j=j: {"degree": j, "matrix": m})
+              for j in sorted({abs(j) for j in counts})]
+    return st.just(payload) | st.tuples(*blocks).map(
+        lambda b: {**payload, "pairing": list(b)})
+
+
 _manifolds = st.builds(
     lambda base, wild: {**base, **wild},
     st.one_of(_betti_manifolds, _hodge_manifolds),
     st.dictionaries(st.sampled_from((
         "name", "dim_c", "dim_real", "betti", "hodge", "hodgeB", "calabi_yau",
-        "pairing")), _values, max_size=2))
+        "pairing")), _values, max_size=2)).flatmap(_shaped_pairing)
 
 
+# Every command refuses a payload, with one "error: <path>: " line and no
+# output, exactly where the rule map does; verify-all runs everywhere else.
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_manifolds)
 def test_any_manifold_json_exits_cleanly(tmp_path, payload):
     path = write(tmp_path, payload)
+    refused = must_refuse(payload)
     for argv in (["verify-all", "--order", "2"],
                  ["fock-verify", "--max-charge", "1"],
                  ["series", "sign_orb", "--order", "3"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--manifold", str(path)])
-        assert code in (0, 1, 2)
+        err = err.getvalue()
+        assert err.startswith("error: %s: " % path) == refused, (argv, err)
+        if refused:
+            assert code == 2, argv
+        elif argv[0] == "verify-all":
+            assert code in (0, 1), err
         if code == 2:
             assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # The library applies the file's rules: on each fuzzed payload without a
-# pairing (which load_manifold checks apart) or a null (which the library
-# reads as an absent field), ManifoldData raises ValueError exactly where
-# load_manifold raises InputError, and builds the same tables otherwise.
+# null (which the library reads as an absent field), ManifoldData raises
+# ValueError exactly where load_manifold raises InputError, and builds the
+# same tables and pairing otherwise.
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_manifolds.filter(
-    lambda payload: "pairing" not in payload and None not in payload.values()))
+@given(_manifolds.filter(lambda payload: None not in payload.values()))
 def test_the_library_path_applies_the_file_rules(tmp_path, payload):
     path = write(tmp_path, payload)
     fields = {"name": path.stem, **payload}
@@ -724,10 +902,11 @@ def test_the_library_path_applies_the_file_rules(tmp_path, payload):
         X = cli.load_manifold(path)
     except cli.InputError:
         with pytest.raises(ValueError):
-            orbifold.ManifoldData(**fields)
+            manifold.ManifoldData(**fields)
         return
-    Y = orbifold.ManifoldData(**fields)
-    assert (Y.betti, Y.hodge, Y.hodge_b) == (X.betti, X.hodge, X.hodge_b)
+    Y = manifold.ManifoldData(**fields)
+    assert (Y.betti, Y.hodge, Y.hodge_b, Y.pairing) == \
+        (X.betti, X.hodge, X.hodge_b, X.pairing)
 
 
 # ------------------------------------------------- one parser per process
@@ -743,13 +922,35 @@ def run_fresh(*argv, timeout=120, **kw):
                           capture_output=True, env=env, timeout=timeout, **kw)
 
 
+def run_code(code, *argv):
+    """python -c code in a fresh process, importing this symprod."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=env, timeout=60, check=True)
+
+
 def test_importing_the_cli_builds_no_parser():
     code = ("import symprod.cli as c; "
             "print(c.build_parser.cache_info().currsize)")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         env=env, timeout=60, check=True).stdout
-    assert out == b"0\n"
+    assert run_code(code).stdout == b"0\n"
+
+
+def test_loading_a_pairing_leaves_fock_unloaded(tmp_path):
+    # the pairing is parsed where the manifold is built, so a command that
+    # builds no Fock space never imports the Fock module
+    path = write(tmp_path, {"name": "p2x", "dim_c": 2, "hodge": P2_ROWS,
+                            "pairing": [TOP, {"degree": 0,
+                                              "matrix": [["-1/2"]]}]})
+    code = ("import sys; from fractions import Fraction; "
+            "from symprod import cli; "
+            "X = cli.load_manifold(sys.argv[1]); "
+            "print(X.pairing == {(0, 2): 1, (2, 0): 1, "
+            "(1, 1): Fraction(-1, 2)}, 'symprod.fock' in sys.modules); "
+            "code = cli.main(['verify-all', '--manifold', sys.argv[1]]); "
+            "print(code, 'symprod.fock' in sys.modules)")
+    out = run_code(code, str(path)).stdout.decode().splitlines()
+    assert (out[0], out[-1]) == ("True False", "0 False")
+    assert out[-2] == "23 checks, 0 failed"
 
 
 def test_one_process_prints_what_fresh_processes_print(capsys, monkeypatch):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (counting_coefficient, state_charge, state_degree,
                       traced_peak)
-from symprod import cli, fock, orbifold
-from symprod.fock import FockSpace, default_pairing
-from symprod.orbifold import InputError, ManifoldData
+from symprod import cli, fock, manifold, orbifold
+from symprod.fock import FockSpace
+from symprod.manifold import InputError, ManifoldData, default_pairing
 
 
 ODD4 = ManifoldData("odd4", dim_real=4, betti=[1, 2, 0, 2, 1])
@@ -214,7 +214,7 @@ def test_user_blocks_are_mirrored_with_the_koszul_sign(degree, odd_entries):
     # changes sign, one between even classes does not
     blocks = [{"degree": 2, "matrix": [[3]]},
               {"degree": degree, "matrix": [[1, 2], [0, 1]]}]
-    assert fock.pairing_from_blocks(ODD4, blocks) == {
+    assert manifold.pairing_from_blocks(ODD4, blocks) == {
         (0, 5): 3, (5, 0): 3, **odd_entries}
 
 
@@ -237,17 +237,16 @@ def test_custom_pairing_blocks():
 
 
 def test_custom_pairing_rejects_degenerate():
-    X = p2_with_pairing([
-        {"degree": 2, "matrix": [[0]]},
-        {"degree": 0, "matrix": [[1]]},
-    ])
-    with pytest.raises(ValueError):
-        FockSpace(X, 0)
+    with pytest.raises(ValueError, match="block 2 is degenerate"):
+        p2_with_pairing([
+            {"degree": 2, "matrix": [[0]]},
+            {"degree": 0, "matrix": [[1]]},
+        ])
 
 
 def test_custom_pairing_rejects_missing_block():
-    with pytest.raises(ValueError):
-        FockSpace(p2_with_pairing([{"degree": 0, "matrix": [[1]]}]), 0)
+    with pytest.raises(ValueError, match="degree 2 missing"):
+        p2_with_pairing([{"degree": 0, "matrix": [[1]]}])
 
 
 @pytest.mark.parametrize("blocks", [
@@ -258,13 +257,11 @@ def test_custom_pairing_rejects_missing_block():
     [{"degree": 2, "matrix": [["0.5"]]}, {"degree": 0, "matrix": [[1]]}],
 ])
 def test_a_malformed_pairing_is_a_value_error_on_the_library_path(blocks):
-    # the library gets the CLI's pairing rules: pairing_from_blocks checks
-    # the blocks' JSON shape before it reads them, so no TypeError escapes
-    X = p2_with_pairing(blocks)
-    for build in (lambda: fock.pairing_from_blocks(X, blocks),
-                  lambda: FockSpace(X, 1)):
-        with pytest.raises(ValueError, match="pairing"):
-            build()
+    # the library gets the CLI's pairing rules: the constructor parses the
+    # pairing, checking the blocks' JSON shape before it reads them, so no
+    # TypeError escapes and no malformed manifold reaches a Fock space
+    with pytest.raises(ValueError, match="pairing"):
+        p2_with_pairing(blocks)
 
 
 def test_a_wide_middle_degree_costs_no_dense_block():
@@ -691,8 +688,8 @@ def _pairing_blocks(betti):
             rows = st.lists(entry, min_size=n * n, max_size=n * n).map(
                 lambda e, n=n: [[e[min(r, c) * n + max(r, c)]
                                  for c in range(n)] for r in range(n)])
-        blocks.append(rows.filter(lambda m: fock._invertible(
-            [[fock._parse_entry(x) for x in row] for row in m])).map(
+        blocks.append(rows.filter(lambda m: manifold._invertible(
+            [[manifold._parse_entry(x) for x in row] for row in m])).map(
             lambda m, j=j: {"degree": j, "matrix": m}))
     return st.tuples(*blocks).map(list)
 
@@ -704,9 +701,8 @@ def _pairing_blocks(betti):
 def test_check_relations_counts_match_a_per_pair_loop(dim_betti, charge,
                                                       data):
     dim_real, betti = dim_betti
-    X = ManifoldData("rand", dim_real=dim_real, betti=betti)
-    if data.draw(st.booleans(), label="user pairing"):
-        X.pairing = data.draw(_pairing_blocks(betti), label="pairing")
+    pairing = data.draw(st.none() | _pairing_blocks(betti), label="pairing")
+    X = ManifoldData("rand", dim_real=dim_real, betti=betti, pairing=pairing)
     # clean, either sign dropped, and annihilators that return nothing (so
     # the pairs with a nonzero expected scalar are untouched)
     for fault in (0, 1, -1, "mute"):
@@ -749,9 +745,9 @@ def test_first_partner_only_annihilators_break_the_mixed_bracket(
         monkeypatch):
     # a non-diagonal middle block with an 'a/b' entry gives each middle
     # class two partners; the relations hold until one of them is dropped
-    X = ManifoldData("two", dim_real=4, betti=[1, 0, 2, 0, 1])
-    X.pairing = [{"degree": 2, "matrix": [[1]]},
-                 {"degree": 0, "matrix": [[1, 1], [1, "1/2"]]}]
+    X = ManifoldData("two", dim_real=4, betti=[1, 0, 2, 0, 1], pairing=[
+        {"degree": 2, "matrix": [[1]]},
+        {"degree": 0, "matrix": [[1, 1], [1, "1/2"]]}])
     assert literal_counts(X, 3) == [0, 0, 0, 0]
     first_partner_only(monkeypatch)
     results = fock.check_relations(X, 3)

@@ -10,7 +10,7 @@ from conftest import packed, pe_oracle
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
-from symprod.orbifold import ManifoldData
+from symprod.manifold import ManifoldData
 from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
 

@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from symprod import layouts, orbifold  # noqa: E402
+from symprod import ManifoldData, layouts, orbifold  # noqa: E402
 from symprod.cli import catalog_dir, load_manifold  # noqa: E402
 import workloads  # noqa: E402
 
@@ -44,7 +44,7 @@ def manifolds(directory):
     out = {name: load_manifold(catalog_dir() / (name + ".json"))
            for name in ("k3", "abelian")}
     out["cy3_1"] = load_manifold(workloads.write_inputs(1, directory)["cy3"])
-    out["p30"] = orbifold.ManifoldData("p30", dim_c=30, hodge=[
+    out["p30"] = ManifoldData("p30", dim_c=30, hodge=[
         [int(p == q) for q in range(31)] for p in range(31)])
     return out
 
