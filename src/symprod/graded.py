@@ -6,18 +6,17 @@ sits at its bidegrees (p, q); a Betti table puts degree d at (d, 0).  A
 class is even or odd according to its total degree (p + q)/2 mod 2, and
 graded symmetric powers are the super ones: even generators multiply
 symmetrically, odd generators anticommute (so they square to zero);
-sym_power takes them from layouts.symmetric_powers on the ints of
-layouts.sector_layout, as the sector sums do.
+blocks lists a table's classes for layouts.symmetric_powers, on which the
+brute sector sums build them.
 
 An input table enters once, through from_rows, which checks its rows; the
 constructor only drops zero entries, so the internal products build maps
 without re-checking them.  A half-integer total degree has no parity:
-blocks, which sym_power reads, rejects it.
+blocks rejects it.
 """
 
 from collections import Counter
 
-from .layouts import sector_layout, symmetric_powers
 from .series import Series, _VI
 
 
@@ -78,20 +77,6 @@ class GradedDims:
         for (p, q), b in self.dims.items():
             out[p + q, 0] = out.get((p + q, 0), 0) + b
         return GradedDims(out)
-
-    def sym_power(self, n):
-        """The n-th super symmetric power, by layouts.symmetric_powers on
-        the ints of the sector layout of Sym^n.  ValueError on n < 0 or a
-        half-integer degree, and SeriesUsageError (a ValueError) on a layout
-        past layouts.MAX_LAYOUT_BITS."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        blocks = self.blocks()
-        layout = sector_layout(n, 1, [key for key, _, _ in blocks], (0,) * 5,
-                               sum(self.dims.values()))
-        top = symmetric_powers(layout, blocks, 1, n)[n]
-        return GradedDims({key[3:]: c for key, c in
-                           layout.read([0] * n + [top], 0).items()})
 
     def poly(self, x):
         """sum dim x^p y^q as an exact Series: the Poincare polynomial of a

@@ -12,11 +12,14 @@ takes half the box, and where all lie on a line (a diagonal Hodge table)
 one slot per point of it.  Products are int arithmetic: mul_add
 multiplies by a factor in the form factor picks from the value, and
 symmetric_powers builds every Sym^N of a sector block by shifts and adds
-of ints in the frame of its keys.  read decodes an int in bulk: the
-nonzero slots are found in C, with no Python step per empty slot, and the
-keys of a degree are built one coordinate column at a time, with no divmod
-per term.  slot is linear on the units, slot(j key, j d) = j slot(key, d),
-so plethystic_exp builds each D_k on slots and slot_factor makes its factor.
+of ints in the frame of its keys.  decode turns each int into the lists
+of its nonzero slots and their digits, found in C with no Python step per
+empty slot, and drops the int; columns builds the keys of one degree a
+coordinate column at a time, with no divmod per term.  Two layouts whose
+vars, slopes and g agree (maps_like) map every slot to the same key, so
+their decoded lists compare as they are.  slot is linear on the units,
+slot(j key, j d) = j slot(key, d), so plethystic_exp builds each D_k on
+slots and slot_factor makes its factor.
 A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
 lattice of small index, such as all of Z^2, or in three or more variables
 -- is refused with SeriesUsageError before any int is built.
@@ -212,34 +215,42 @@ class Kronecker:
         low = min(slots, default=0)
         return self.width * low, [self.width * (s - low) for s in slots]
 
-    def read(self, coeffs, ti):
-        """{key: coeff} of sum_n coeffs[n] v^n, v the variable at index ti:
-        each int is decoded once and then dropped from the list coeffs.  The
-        keys of a degree are built column by column: each varying variable
-        from whole-list // and % of the slots' phi by the strides, outermost
-        first, and each other coordinate repeated."""
-        out, g = {}, self.g
-        outer = self.vars[::-1]
-        last = len(outer) - 1
-        for n, value in enumerate(coeffs):
-            coeffs[n] = None
-            if not value:
-                continue
-            slots, digits = self._digits(*self._flagged(value))
-            cols = [repeat(0)] * 5
-            cols[ti] = repeat(2 * n)
-            for v, slope in self.slopes:
-                cols[v] = repeat(n * slope)
-            rest = [i * g for i in slots] if g > 1 else slots
-            for k, (v, step, slope, stride) in enumerate(outer):
-                base = n * slope
-                cols[v] = [base + r // stride * step for r in rest]
-                # an outer stride may be 1 too, where the variables below
-                # it reach 0 up to order; the innermost leaves no remainder
-                if k < last:
-                    rest = [r % stride for r in rest]
-            out.update(zip(zip(*cols), digits))
+    def decode(self, ints):
+        """[(n, slots, digits)] of each nonzero ints[n]: its nonzero slots,
+        lowest first, and their digits.  Each int is dropped from the list
+        ints once it is decoded."""
+        out = []
+        for n, value in enumerate(ints):
+            ints[n] = None
+            if value:
+                out.append((n, *self._digits(*self._flagged(value))))
         return out
+
+    def maps_like(self, other):
+        """Whether other puts every key of every degree at the same slot:
+        vars, slopes and g set the map, and the slot width does not."""
+        return (self.vars, self.slopes, self.g) == \
+            (other.vars, other.slopes, other.g)
+
+    def columns(self, slots, n, ti):
+        """The five key columns of the slots of degree n, the counting
+        exponent at index ti: each varying variable from whole-list // and
+        % of the slots' phi by the strides, outermost first, and each other
+        coordinate repeated."""
+        cols = [repeat(0)] * 5
+        cols[ti] = repeat(2 * n)
+        for v, slope in self.slopes:
+            cols[v] = repeat(n * slope)
+        rest = [i * self.g for i in slots] if self.g > 1 else slots
+        outer = self.vars[::-1]
+        for k, (v, step, slope, stride) in enumerate(outer, 1 - len(outer)):
+            base = n * slope
+            cols[v] = [base + r // stride * step for r in rest]
+            # an outer stride may be 1 too, where the variables below it
+            # reach 0 up to order; the innermost leaves no remainder
+            if k:
+                rest = [r % stride for r in rest]
+        return cols
 
 
 def _lattice(vectors):

@@ -32,7 +32,8 @@ class ManifoldData:
     dim_real and betti default to 2 dim_c and its Betti numbers; without
     one, dim_c is checked against dim_real and dropped.  A given pairing is
     stored parsed, as pairing_from_blocks returns it; None leaves the
-    default to the Fock space.
+    default to the Fock space.  Once built, every field is read-only, so
+    no value reaches the Fock space or the builders unchecked.
     """
 
     def __init__(self, name, dim_real=None, betti=None, dim_c=None,
@@ -46,6 +47,13 @@ class ManifoldData:
         self.calabi_yau = calabi_yau
         self.pairing = pairing
         self._validate()
+        self._built = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_built", False):
+            raise AttributeError("ManifoldData values are read-only once "
+                                 "built")
+        object.__setattr__(self, name, value)
 
     def _validate(self):
         name = self.name

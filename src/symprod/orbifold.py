@@ -70,7 +70,6 @@ from fractions import Fraction
 from .layouts import sector_layout, symmetric_powers
 from .manifold import InputError
 from .series import (
-    VARS,
     Series,
     coeff_str,
     first_mismatch,
@@ -136,7 +135,7 @@ def _sector_sum(order, cycles, level, layout, var="q"):
         for n in range(order, l - 1, -1):
             for N in range(1, n // l + 1):
                 c[n] = mul_add(c[n], c[n - l * N], blocks[N])
-    return Series(var, order, layout.read(c, VARS.index(var)))
+    return Series.from_layout(var, order, layout, c)
 
 
 def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):

@@ -17,24 +17,27 @@ Terms are validated once, where they enter: Series.from_terms (which term
 and constant go through), a scalar factor of *, and substitute's coeff take
 only int and Fraction coefficients (a bool enters as the int it equals), and
 from_terms checks the counting exponents.  Series(var, order, terms) is the
-internal constructor for terms already valid, such as the results of +, *,
-plethystic_exp and substitute: it only drops zeros and truncates,
-and keeps the dict it is handed when nothing is dropped, so a result of
-plethystic_exp or a sector sum is never held twice.
+internal constructor for terms already valid, such as the results of +, *
+and substitute: it only drops zeros and truncates, and keeps the dict it
+is handed when nothing is dropped.
 
 A q-series holds no power of p, and a p-series none of q: from_terms
 refuses such a term, and no other operation makes one.  The canonical term
 order (counting exponent, then t, x, y) is then the order of the keys.
 
 One routine, substitute, replaces a variable by a monomial, both in t, x
-and y, so a series keeps its counting variable and order; specialize is
-substitute by constants, one variable after another.
+and y, so a series keeps its counting variable and order.
 
 The hot product loops, in plethystic_exp and the brute sector sum, run on
 the layout of symprod.layouts: one int per power of the counting variable,
 with a slot per monomial (Kronecker substitution), so plethystic_exp takes
 integer coefficients only, and refuses exponents spread too far for its
-order.  Every Series still holds 5-tuple keys.
+order.  Their results stay packed: Series.from_layout keeps the layout and
+the nonzero slots and digits of each power, and builds the {key: coeff}
+dict only when .terms is first read, dropping the slots then.  Two packed
+series whose layouts map slots to keys alike compare by those lists, str()
+renders each power from its key columns, and is_integral needs no pass;
+every other operation reads .terms.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -50,8 +53,6 @@ VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
 
 _VI = {v: i for i, v in enumerate(VARS)}
-# the factors of a rendered term in order, the counting variable last
-_FACTORS = tuple((v, _VI[v]) for v in ("t", "x", "y", "p", "q"))
 
 
 class SeriesDomainError(ArithmeticError):
@@ -111,7 +112,7 @@ def half_str(d):
 class Series:
     """A truncated sparse series; see the module docstring for the model."""
 
-    __slots__ = ("var", "order", "terms")
+    __slots__ = ("var", "order", "_terms", "_packed")
 
     def __init__(self, var, order, terms=None):
         ti = _counting_index(var)
@@ -125,12 +126,44 @@ class Series:
                      if c and (cap is None or key[ti] <= cap)}
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series values are immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_layout(cls, var, order, layout, ints):
+        """sum_n ints[n] var^n, each int a polynomial of degree n in layout
+        (a layouts.Kronecker) and none past order, held as layout.decode
+        gives it until .terms is first read; the ints are dropped from the
+        list as they are decoded."""
+        s = cls(var, order)
+        object.__setattr__(s, "_terms", None)
+        object.__setattr__(s, "_packed", (layout, layout.decode(ints)))
+        return s
+
+    def _chunks(self):
+        """(key columns, digits) of each power of a packed series, lowest
+        first: within a power, slots ascend in key order."""
+        layout, powers = self._packed
+        ti = _VI[self.var]
+        return ((layout.columns(slots, n, ti), digits)
+                for n, slots, digits in powers)
+
+    @property
+    def terms(self):
+        """{key: coeff}; a packed series builds it from each power's key
+        columns at the first read, and drops its slots and digits then."""
+        if self._terms is None:
+            terms = {}
+            for cols, digits in self._chunks():
+                terms.update(zip(zip(*cols), digits))
+            object.__setattr__(self, "_terms", terms)
+            object.__setattr__(self, "_packed", None)
+        return self._terms
 
     @classmethod
     def constant(cls, var, order=None, value=1):
@@ -164,7 +197,8 @@ class Series:
     # -- basic queries -----------------------------------------------------
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self._packed is not None or \
+            all(c.denominator == 1 for c in self.terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -217,18 +251,18 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        if self.var != other.var or self.order != other.order:
+            return False
+        a, b = self._packed, other._packed
+        if a and b and a[0].maps_like(b[0]):
+            return a[1] == b[1]
+        return self.terms == other.terms
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        # sort the keys alone: a list of (key, c) pairs would add one more
-        # small object per term to the peak memory of printing a series
-        return _render(self.terms, sorted(self.terms))
+        return _render(self._chunks() if self._packed else
+                       _sorted_chunk(self.terms))
 
     def __repr__(self):
         return "Series(%r, order=%r: %s)" % (self.var, self.order, str(self))
@@ -258,24 +292,37 @@ class _FactorTexts(dict):
         return text
 
 
-def _render(terms, keys):
-    """The terms at keys, in that order, as text; "0" when there are none.
-    Each factor text is made once per variable and doubled exponent, in a
-    dict per variable that lives for this call only; a term's monomial is
-    one join of five of them."""
-    (it, t), (ix, x), (iy, y), (ip, p), (iq, q) = [
-        (i, _FactorTexts(v)) for v, i in _FACTORS]
+def _sorted_chunk(terms, limit=None):
+    """The first limit terms in canonical order as the one chunk of
+    _render: sorting the keys alone, as (key, c) pairs would add one more
+    small object per term to the peak memory of printing a series."""
+    keys = sorted(terms)
+    if limit is not None:
+        del keys[limit:]
+    return [(zip(*keys), map(terms.__getitem__, keys))] if keys else []
+
+
+def _render(chunks):
+    """The terms of (key columns, coeffs) chunks, in that order, as text;
+    "0" when there are none.  The columns of a chunk hold the exponents of
+    q, p, t, x and y in that order.  Each factor text is made once per
+    variable and doubled exponent, in a dict per variable that lives for
+    this call only, and a term's monomial is one join of five of them, in
+    C: only the sign and the coefficient take a Python step per term."""
+    q, p, t, x, y = map(_FactorTexts, VARS)
     parts = []
-    for key in keys:
-        c = terms[key]
-        mono = "".join((t[key[it]], x[key[ix]], y[key[iy]], p[key[ip]],
-                        q[key[iq]]))
-        if c < 0:
-            c, sign = -c, " - "
-        else:
-            sign = " + "
-        parts.append(sign + (coeff_str(c) + mono if c != 1 else
-                             mono[1:] or "1"))
+    for (cq, cp, ct, cx, cy), coeffs in chunks:
+        monos = map("".join, zip(
+            map(t.__getitem__, ct), map(x.__getitem__, cx),
+            map(y.__getitem__, cy), map(p.__getitem__, cp),
+            map(q.__getitem__, cq)))
+        for mono, c in zip(monos, coeffs):
+            if c < 0:
+                c, sign = -c, " - "
+            else:
+                sign = " + "
+            parts.append(sign + (coeff_str(c) + mono if c != 1 else
+                                 mono[1:] or "1"))
     if not parts:
         return "0"
     first = parts[0]  # no sign before a positive first term, "-" before
@@ -317,10 +364,10 @@ def plethystic_exp(f, super_signs=False):
     on Laurent polynomials in t, x, y.  Each F_n is one int of a
     layouts.Kronecker layout with the terms of f as units, and each D_k a
     {slot: coeff} map, psi_j of a term at j times its slot: the recurrence
-    is int arithmetic, n*F_n divides by n as one int, and each F_n is read
-    once per term.  f must have integer coefficients, so the division by n
-    is exact, and exponents whose layout fits layouts.MAX_LAYOUT_BITS
-    (SeriesUsageError otherwise).
+    is int arithmetic, n*F_n divides by n as one int, and the result holds
+    the F_n packed (Series.from_layout).  f must have integer coefficients,
+    so the division by n is exact, and exponents whose layout fits
+    layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
 
     super_signs=True gives the super plethystic exponential
     twist(PE[twist(f)]), where twist signs each term by (-1)^(total t, x,
@@ -362,7 +409,7 @@ def plethystic_exp(f, super_signs=False):
         for k in range(1, n + 1):
             acc = lay.mul_add(acc, F[n - k], D[k])
         F.append(acc // n)
-    return Series(f.var, order, lay.read(F, ti))
+    return Series.from_layout(f.var, order, lay, F)
 
 
 def substitute(s, v, exps, coeff=1):
@@ -425,26 +472,14 @@ def _rational_power(base, d):
     )
 
 
-def specialize(s, assignments):
-    """Assign exact rational values to non-counting variables, one after
-    another: each is substitute(s, v, {}, value).
-
-    A strict half-integer exponent only takes the values 1 and 0: a sign
-    has no square root in Q, and hitting this is always a misuse of a
-    half-graded series.
-    """
-    for v, value in assignments.items():
-        s = substitute(s, v, {}, value)
-    return s
-
-
 def first_mismatch(a, b):
     """First differing coefficient of two series over the same counting
     variable, in canonical term order; None when they agree termwise."""
     a._check_same_var(b)
-    for key in sorted(a.terms.keys() | b.terms.keys()):
-        ca = a.terms.get(key, 0)
-        cb = b.terms.get(key, 0)
+    ta, tb = a.terms, b.terms
+    for key in sorted(ta.keys() | tb.keys()):
+        ca = ta.get(key, 0)
+        cb = tb.get(key, 0)
         if ca != cb:
             return key, ca, cb
     return None
@@ -454,8 +489,9 @@ def mismatch_counts(a, b):
     """The number of differing coefficients of a and b at each power of the
     counting variable, as text: "q^0: 2, q^3: 1"."""
     ti = _VI[a.var]
-    counts = Counter(k[ti] // 2 for k in a.terms.keys() | b.terms.keys()
-                     if a.terms.get(k) != b.terms.get(k))
+    ta, tb = a.terms, b.terms
+    counts = Counter(k[ti] // 2 for k in ta.keys() | tb.keys()
+                     if ta.get(k) != tb.get(k))
     return ", ".join("%s^%d: %d" % (a.var, n, count)
                      for n, count in sorted(counts.items()))
 
@@ -463,12 +499,11 @@ def mismatch_counts(a, b):
 def render_head(s, limit):
     """str(s) cut after its first limit terms in canonical order, followed
     by the number of terms left out."""
-    keys = sorted(s.terms)
-    head = _render(s.terms, keys[:limit])
-    more = len(keys) - limit
+    head = _render(_sorted_chunk(s.terms, limit))
+    more = len(s.terms) - limit
     return "%s … (%d more terms)" % (head, more) if more > 0 else head
 
 
 def render_key(key):
     """Canonical text for a bare monomial (used in mismatch reports)."""
-    return _render({key: 1}, (key,))
+    return _render(_sorted_chunk({key: 1}))

@@ -6,9 +6,10 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from symprod import graded
 from symprod.cli import catalog_dir, load_manifold
-from symprod.graded import GradedDims
-from symprod.series import VARS, Series, SeriesDomainError
+from symprod.layouts import sector_layout, symmetric_powers
+from symprod.series import VARS, Series, SeriesDomainError, substitute
 
 CATALOG_NAMES = (
     "point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1",
@@ -47,6 +48,63 @@ def state_degree(space, state):
     copy of a class weighs its shifted degree + l*d (so the vacuum sits in
     degree zero)."""
     return sum(space.shifted[g] + l * space.d for l, g in state)
+
+
+def read(layout, ints, ti=0):
+    """{key: coeff} of sum_n ints[n] v^n, v the counting variable at index
+    ti, read back through a packed Series; the ints are dropped from the
+    list as they are decoded."""
+    return Series.from_layout(VARS[ti], None, layout, ints).terms
+
+
+def sym_power(v, n):
+    """The n-th super symmetric power of the GradedDims v, by
+    layouts.symmetric_powers on the ints of the sector layout of Sym^n, as
+    the brute sector sums build it.  ValueError on n < 0 or a half-integer
+    degree, and SeriesUsageError (a ValueError) on a layout past
+    layouts.MAX_LAYOUT_BITS."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    blocks = v.blocks()
+    layout = sector_layout(n, 1, [key for key, _, _ in blocks], (0,) * 5,
+                           sum(v.dims.values()))
+    top = symmetric_powers(layout, blocks, 1, n)[n]
+    return GradedDims({key[3:]: c for key, c in
+                       read(layout, [0] * n + [top]).items()})
+
+
+class GradedDims(graded.GradedDims):
+    """symprod's GradedDims with sym_power(n), which only the tests read."""
+
+    __slots__ = ()
+    sym_power = sym_power
+
+
+def specialize(s, assignments):
+    """Assign exact rational values to non-counting variables, one after
+    another: each is substitute(s, v, {}, value).  A strict half-integer
+    exponent only takes the values 1 and 0."""
+    for v, value in assignments.items():
+        s = substitute(s, v, {}, value)
+    return s
+
+
+def _partitions_desc(n, cap):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions_desc(n - first, first):
+            yield (first,) + rest
+
+
+def cycle_types(n):
+    """All cycle types of S_n, each once, as {l: N_l} maps (N_l l-cycles)
+    with l descending, the partitions in descending-lex order: the
+    class-by-class picture that orbifold._sector_sum is checked against."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return [dict(Counter(parts)) for parts in _partitions_desc(n, n)]
 
 
 def sym_power_oracle(v, n):
@@ -151,3 +209,50 @@ def packed(layout, terms, n):
     """The int of a {key: int coeff} map of degree n in layout, packed from
     the slot of each key."""
     return layout.packed({layout.slot(key, n): c for key, c in terms.items()})
+
+
+# The canonical order and factor text of the rendering, spelled out as an
+# explicit sort key (counting exponent, then t, x, y) and a per-variable
+# factor rule; the library instead sorts the keys as they are.
+REF_ORDER = ("t", "x", "y", "p", "q")
+
+
+def ref_sort_key(var):
+    others = [VARS.index(v) for v in REF_ORDER if v != var]
+    return lambda key: (key[VARS.index(var)],) + tuple(key[i] for i in others)
+
+
+def ref_term(var, key, c):
+    factors = []
+    for v in REF_ORDER:
+        d = key[VARS.index(v)]
+        if v == var or d == 0:
+            continue
+        if d == 2:
+            factors.append(v)
+        elif d > 0 and d % 2 == 0:
+            factors.append("%s^%d" % (v, d // 2))
+        else:
+            factors.append("%s^(%s)" % (v, Fraction(d, 2)))
+    d = key[VARS.index(var)]
+    if d:
+        factors.append(var if d == 2 else "%s^%d" % (var, d // 2))
+    a = abs(c)
+    if not factors:
+        return str(a)
+    return "*".join(factors) if a == 1 else "%s*%s" % (a, "*".join(factors))
+
+
+def ref_render(s, limit=None):
+    keys = sorted(s.terms, key=ref_sort_key(s.var))
+    text = ""
+    for key in keys[:limit]:
+        c = s.terms[key]
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += ref_term(s.var, key, c)
+    if limit is not None and len(keys) > limit:
+        return "%s … (%d more terms)" % (text or "0", len(keys) - limit)
+    return text or "0"

@@ -10,12 +10,11 @@ from collections import Counter
 from itertools import permutations
 from math import factorial
 
-from conftest import counting_coefficient, sym_power_oracle
+from conftest import (GradedDims, counting_coefficient, cycle_types,
+                      specialize, sym_power_oracle)
 from symprod import fock
 from symprod import orbifold as ob
-from symprod.cycletypes import cycle_types
-from symprod.graded import GradedDims
-from symprod.series import Series, specialize, substitute
+from symprod.series import Series, substitute
 
 ALL = ("point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1")
 CY = ("elliptic", "k3", "abelian")

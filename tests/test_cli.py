@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from symprod import cli, fock, manifold, orbifold
+from symprod import cli, fock, layouts, manifold, orbifold
 
 
 def run(capsys, *argv):
@@ -258,6 +258,42 @@ def test_series_both_renders_an_equal_series_once(capsys, monkeypatch):
     assert out.splitlines()[:3] == ["brute:  1 + 2*q + 5*q^2 + 10*q^3",
                                     "closed: 2 + 2*q + 5*q^2 + 10*q^3",
                                     "verdict: mismatch"]
+
+
+def test_series_both_builds_no_key_of_an_equal_closed_series(capsys,
+                                                             monkeypatch):
+    # brute and closed hodge_orb on k3 share a slot-to-key map, so they
+    # compare packed, and the one text printed is the brute series': the
+    # column step runs once per power of q of the brute series, and never
+    # on the closed one's layout
+    calls = []
+    columns = layouts.Kronecker.columns
+    monkeypatch.setattr(layouts.Kronecker, "columns", lambda lay, *a: (
+        calls.append(lay) or columns(lay, *a)))
+    built = []
+    closed = orbifold.closed_series
+    monkeypatch.setattr(orbifold, "closed_series",
+                        lambda *a: built.append(closed(*a)) or built[-1])
+    code, out, _ = run(capsys, "series", "hodge_orb", "--manifold", "k3",
+                       "--order", "12", "--mode", "both")
+    assert code == 0 and out.endswith("\nverdict: equal\n")
+    assert len(calls) == 13 and len(set(map(id, calls))) == 1
+    assert built[0]._packed[0] is not calls[0]
+
+
+def test_series_both_prints_a_mismatch_as_before(capsys, monkeypatch):
+    # a packed brute series against a dict-backed closed one: both sides,
+    # the verdict and the first-mismatch line, byte for byte
+    closed = orbifold.closed_series
+    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    code, out, _ = run(capsys, "series", "hodge_orb", "--manifold", "p1",
+                       "--order", "2", "--mode", "both")
+    terms = ("q + x*y*q + q^2 + x^(1/2)*y^(1/2)*q^2 + x*y*q^2 + "
+             "x^(3/2)*y^(3/2)*q^2 + x^2*y^2*q^2")
+    assert (code, out) == (1, "brute:  1 + %s\nclosed: 2 + %s\n"
+                              "verdict: mismatch\n"
+                              "  first mismatch at 1: 1 vs 2\n"
+                              % (terms, terms))
 
 
 def test_series_both_compares_once(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 from collections import Counter
 from itertools import permutations
 
-from symprod.cycletypes import cycle_types
+from conftest import cycle_types
 
 
 def perm_cycle_type(perm):

@@ -465,6 +465,22 @@ def test_level2_commutator_on_wide_domain(p2):
                 assert lhs == ({s: expect} if expect else {})
 
 
+def test_a_built_manifold_is_read_only():
+    # blocks assigned to X.pairing after construction would skip the
+    # parse, and check_relations died on the raw list with AttributeError;
+    # now the assignment itself raises, and X keeps its checked fields
+    X = ManifoldData("p2", dim_c=2, hodge=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(AttributeError, match="read-only"):
+        X.pairing = [{"degree": 2, "matrix": [[1]]},
+                     {"degree": 0, "matrix": [[1]]}]
+    assert X.pairing is None
+    for field in ("name", "dim_real", "betti", "dim_c", "hodge", "hodge_b",
+                  "calabi_yau", "m"):
+        with pytest.raises(AttributeError):
+            setattr(X, field, getattr(X, field))
+    assert all(r.status == "pass" for r in fock.check_relations(X, 2))
+
+
 def test_check_relations_small_spaces(catalog):
     for name, charge in (("point", 4), ("p2", 3)):
         results = fock.check_relations(catalog[name], charge)

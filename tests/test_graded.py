@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dsum, shift, sym_power_oracle, tensor, twist, zero
-from symprod.graded import GradedDims
+from conftest import (GradedDims, dsum, read, shift, sym_power_oracle,
+                      tensor, twist, zero)
 from symprod.layouts import Kronecker, symmetric_powers
 from symprod.series import Series, plethystic_exp, substitute
 
@@ -159,7 +159,7 @@ def test_symmetric_powers_match_the_oracle_at_every_power(v, n):
     # the DP of every power at once, and sym_power
     layout = layout_of(v, n)
     for N, power in enumerate(symmetric_powers(layout, v.blocks(), 1, n)):
-        got = layout.read([0] * N + [power], 0)
+        got = read(layout, [0] * N + [power])
         assert GradedDims({k[3:]: c for k, c in got.items()}) \
             == sym_power_oracle(v, N), N
     assert v.sym_power(n) == sym_power_oracle(v, n)

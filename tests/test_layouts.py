@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import packed, pe_oracle
+from conftest import packed, pe_oracle, read, ref_render
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
@@ -126,7 +126,7 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     bound = max(sa * sb, sa, sb)
     lay, saved = Kronecker(units, da + db, bound), layouts.FACTOR_BITS
     for terms, n in ((a, da), (b, db)):
-        assert lay.read([0] * n + [packed(lay, terms, n)], 0) == \
+        assert read(lay, [0] * n + [packed(lay, terms, n)]) == \
             as_series(terms, n).terms
     layouts.FACTOR_BITS = factor_bits  # one int, or a shift-add per term
     try:
@@ -136,7 +136,7 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
         layouts.FACTOR_BITS = saved
     for factor in factors:
         value = lay.mul_add(0, packed(lay, a, da), factor)
-        got = lay.read([0] * (da + db) + [value], 0)
+        got = read(lay, [0] * (da + db) + [value])
         assert Series("q", None, got) == expected
 
 
@@ -154,7 +154,7 @@ def test_slot_is_linear_on_the_units(case, order):
 
 
 def divmod_read(lay, coeffs, ti):
-    """read by one balanced digit and one divmod per variable per term: each
+    """The {key: coeff} map of the ints coeffs, by one balanced digit and one divmod per variable per term: each
     digit is the value's remainder mod 2^width, taken in (-half, half], and
     each slot's phi is split by the strides, outermost first."""
     out, w, g = {}, lay.width, lay.g
@@ -242,20 +242,119 @@ def width_case(nbytes):
           {0: {(0,) * 5: 1}, 1: {(0,) * 5: -1}}), 0)  # an outer stride of 1
 def test_read_matches_the_divmod_decoder(case, ti):
     # every degree's int, zero ones included, decodes to its map with the
-    # counting exponent at ti, as the per-term divmod decoder reads it, and
-    # read drops each int from coeffs
+    # counting exponent at ti, as the per-term divmod decoder reads it: a
+    # packed series renders it from its key columns, in slot order, as the
+    # reference renderer does from sorted keys, and builds its terms from
+    # them.  Decoding drops each int from coeffs
     kind, lay, maps = case
     event(kind)
     if kind == "slopes":
         assert lay.vars == []
     coeffs = [packed(lay, terms, n) for n, terms in maps.items()]
     expected = divmod_read(lay, coeffs, ti)
-    got = lay.read(coeffs, ti)
-    assert got == expected
-    assert got == {key[:ti] + (2 * n,) + key[ti + 1:]: c
-                   for n, terms in maps.items()
-                   for key, c in terms.items() if c}
+    var, order = VARS[ti], len(maps) - 1
+    s = Series.from_layout(var, order, lay, coeffs)
     assert coeffs == [None] * len(maps)
+    assert s.is_integral()
+    assert str(s) == ref_render(Series(var, order, expected))
+    assert s.terms == expected
+    assert s.terms == {key[:ti] + (2 * n,) + key[ti + 1:]: c
+                       for n, terms in maps.items()
+                       for key, c in terms.items() if c}
+    assert str(s) == ref_render(s)  # now from the dict of its terms
+
+
+def ints(lay, maps):
+    """The ints of a {n: {key: coeff}} map of each degree in lay."""
+    return [packed(lay, terms, n) for n, terms in maps.items()]
+
+
+@st.composite
+def packed_pair(draw):
+    """Two sides (var, order, layout, maps) over one set of lattice_units:
+    the second on the first's layout, on one of another width (the same
+    slot map), or at a higher order or with one more unit (a map that may
+    differ); with the first's maps, one coefficient redrawn, or one term
+    moved a degree up; in the same or the other counting variable, at the
+    same or a higher order."""
+    units, kind = draw(lattice_units())
+    order = draw(st.integers(0, 3))
+    maps = {n: product_map(draw, units, n) for n in range(order + 1)}
+    bound = max([1] + [abs(c) for terms in maps.values()
+                       for c in terms.values()])
+    lay = Kronecker(units, order, bound)
+    how = draw(st.sampled_from(("same", "width", "order", "unit")))
+    other = {"same": lambda: lay,
+             "width": lambda: Kronecker(units, order, bound << 16),
+             "order": lambda: Kronecker(units, order + 1, bound),
+             "unit": lambda: Kronecker(
+                 units + [draw(lattice_units())[0][0]], order, bound)}[how]()
+    moved = {n: dict(terms) for n, terms in maps.items()}
+    full = [n for n, terms in moved.items() if terms]
+    change = draw(st.sampled_from(("none", "coeff", "degree")))
+    if change != "none" and full:
+        n = draw(st.sampled_from(full))
+        key = draw(st.sampled_from(sorted(moved[n])))
+        c = moved[n].pop(key)
+        if change == "coeff":
+            moved[n][key] = draw(st.integers(-bound, bound))
+        elif n < order:  # a product of units at degree n + 1 too
+            key = tuple(map(add, key, units[0][1]))
+            moved[n + 1][key] = moved[n + 1].get(key, 0) + c
+            if abs(moved[n + 1][key]) > bound:
+                moved[n + 1][key] = c
+    var = draw(st.sampled_from(("q", "p")))
+    var2 = draw(st.sampled_from((var, var, "q" if var == "p" else "p")))
+    order2 = draw(st.sampled_from((order, order, order + 1)))
+    event("%s %s, %s" % (kind, how, change))
+    return (var, order, lay, maps), (var2, order2, other, moved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pair())
+def test_packed_equality_is_dict_equality(pair):
+    # == on two packed series, by their slots and digits where the layouts
+    # map slots to keys alike, is == on the maps the divmod decoder reads
+    sides = [Series.from_layout(var, order, lay, ints(lay, maps))
+             for var, order, lay, maps in pair]
+    dicts = [Series(var, order, divmod_read(lay, ints(lay, maps),
+                                            VARS.index(var)))
+             for var, order, lay, maps in pair]
+    event("same map" if pair[0][2].maps_like(pair[1][2]) else "other map")
+    expected = dicts[0] == dicts[1]
+    event("equal" if expected else "unequal")
+    assert (sides[0] == sides[1]) is expected
+    assert (sides[1] == sides[0]) is expected
+    assert [s.terms for s in sides] == [s.terms for s in dicts]
+
+
+def test_packed_series_compare_by_degree_and_the_whole_slot_map():
+    # two layouts with the same vars and slopes but g = 1 and g = 2: slot
+    # 1 of degree 1 is x^(-1) y^(-1/2) q in one and x^(-1) q in the other
+    a = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
+                   (1, (0, 0, 0, -1, -2))], 2, 1)
+    b = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -1, -1)),
+                   (1, (0, 0, 0, 0, -2))], 2, 1)
+    assert (a.vars, a.slopes, a.g) == (b.vars, b.slopes, 1) and b.g == 2
+    wide = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
+                      (1, (0, 0, 0, -1, -2))], 2, 2**40)
+    assert a.maps_like(wide) and not a.maps_like(b) and a.width < wide.width
+
+    def one(lay, n):  # the digit 1 at slot 1 of degree n
+        return Series.from_layout("q", 2, lay, [0] * n + [1 << lay.width])
+
+    assert str(one(a, 1)) == "x^(-1)*y^(-1/2)*q"
+    assert str(one(b, 1)) == "x^(-1)*q"
+    assert str(one(a, 2)) == "x^(-2)*y^(-3/2)*q^2"
+    pairs = ((one(a, 1), one(b, 1), False), (one(a, 1), one(a, 2), False),
+             (one(a, 1), one(wide, 1), True), (one(a, 2), one(a, 2), True))
+    for s, t, equal in pairs:
+        assert (s == t) is equal and (t == s) is equal
+    # the equal pairs compared packed: neither built its terms
+    assert all(s._terms is None and t._terms is None
+               for s, t, equal in pairs if equal)
+    assert [(s.terms == t.terms) for s, t, _ in pairs] == \
+        [equal for _, _, equal in pairs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,8 +379,8 @@ def test_a_digit_at_the_width_bound_is_exact():
     x = (0, 0, 0, 2, 0)
     lay = Kronecker([(1, x)], 1, c)
     assert lay.width == 72
-    assert lay.read([0, packed(lay, {x: c}, 1)], 0) == {(2, 0, 0, 2, 0): c}
-    assert lay.read([0, packed(lay, {x: -c}, 1)], 0) == {(2, 0, 0, 2, 0): -c}
+    assert read(lay, [0, packed(lay, {x: c}, 1)]) == {(2, 0, 0, 2, 0): c}
+    assert read(lay, [0, packed(lay, {x: -c}, 1)]) == {(2, 0, 0, 2, 0): -c}
     # PE[c x q] = 1 + c x q at order 1: n F_n reaches the bound exactly
     f = Series("q", 1, {(2, 0, 0, 2, 0): c})
     assert plethystic_exp(f) == Series("q", 1, {(0,) * 5: 1,

@@ -11,17 +11,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CATALOG_NAMES, counting_coefficient, dsum,
-                      euler_number, shift, sym_power_oracle, tensor,
-                      traced_peak, twist, zero)
+from conftest import (CATALOG_NAMES, counting_coefficient, cycle_types,
+                      dsum, euler_number, shift, specialize, sym_power,
+                      sym_power_oracle, tensor, traced_peak, twist, zero)
 import symprod
 from symprod import series
 from symprod import orbifold as ob
-from symprod.cycletypes import cycle_types
 from symprod.graded import GradedDims
 from symprod.layouts import Kronecker
 from symprod.manifold import InputError, ManifoldData, derive_B_table
-from symprod.series import Series, plethystic_exp, specialize, substitute
+from symprod.series import Series, plethystic_exp, substitute
 
 
 def series_coeffs(s, order):
@@ -216,7 +215,7 @@ def test_sector_hodge_elliptic_total(catalog):
     # two odd classes square to zero) plus the 4-dimensional twisted copy
     got = sector_coeff("hodge_orb", catalog["elliptic"], 2)
     assert all(c > 0 for c in got.values()) and sum(got.values()) == 12
-    assert sum(catalog["elliptic"].hodge.sym_power(2).dims.values()) == 8
+    assert sum(sym_power(catalog["elliptic"].hodge, 2).dims.values()) == 8
 
 
 def q_power(c, order, n):
@@ -230,8 +229,7 @@ def block_series(layout, block, n, order=None, var="q"):
     summed to one int."""
     if type(block) is not int:
         block = sum(c << s for s, c in block[1]) << block[0]
-    return Series(var, order, layout.read([0] * n + [block],
-                                          series.VARS.index(var)))
+    return Series.from_layout(var, order, layout, [0] * n + [block])
 
 
 def cycle_type_sector_sum(order, cycles, level, layout, var="q"):
@@ -375,8 +373,8 @@ def test_level_blocks_are_the_symmetric_powers_of_the_basis(X, kind):
 def test_dense_hodge_orb_peak_memory(catalog, build, bound):
     # on the Kronecker layout; Python 3.11 read 633,307 bytes (brute) and
     # 696,244 (closed) when the bounds were set at 1.15 times that.  In a
-    # fresh process it reads 367,839 and 549,140 now, with read's column
-    # lists (343,253 and 548,476 on the per-term decoder before them)
+    # fresh process it reads 203,095 and 232,623 now, with the result held
+    # packed, and read 544,907 and 587,055 with its dict built at once
     k3 = catalog["k3"]
     build("hodge_orb", k3, 16)  # first calls also fill interpreter caches
     assert traced_peak(lambda: build("hodge_orb", k3, 16)) <= bound
@@ -386,7 +384,8 @@ def test_printing_peak_memory(catalog):
     # the text of a series is each hodge_deep job's memory peak; the factor
     # texts made once per call must not raise it.  The bound is 1.25 times
     # the 350,457 bytes that str() of brute k3 hodge_orb at order 16 read
-    # on Python 3.11 with a factor text per term; it reads 358,204 now
+    # on Python 3.11 with a factor text per term; it read 358,204 from
+    # the sorted keys of a dict and reads 344,420 from the key columns
     b = ob.brute_series("hodge_orb", catalog["k3"], 16)
     str(b)  # the first call also fills interpreter caches
     assert traced_peak(lambda: str(b)) <= 438_071
@@ -429,18 +428,18 @@ def test_sym_power_peak_memory(catalog):
     # times that, well under the 845,084 bytes of a DP that keeps every
     # lower power as a {code: coeff} map and copies the map it grows
     k3 = catalog["k3"]
-    k3.hodge.sym_power(18)  # the first call also fills interpreter caches
-    assert traced_peak(lambda: k3.hodge.sym_power(18)) <= 250_000
+    sym_power(k3.hodge, 18)  # the first call also fills interpreter caches
+    assert traced_peak(lambda: sym_power(k3.hodge, 18)) <= 250_000
 
 
 def test_symprod_dims_p1_is_projective_space(catalog):
-    got = catalog["p1"].betti.sym_power(3)
+    got = sym_power(catalog["p1"].betti, 3)
     assert got == GradedDims({(0, 0): 1, (4, 0): 1, (8, 0): 1, (12, 0): 1})
 
 
 def test_symprod_dims_genus2_total(catalog):
     # Sym^2 of a genus-2 curve has Betti numbers 1, 4, 7, 4, 1
-    got = catalog["genus2"].betti.sym_power(2)
+    got = sym_power(catalog["genus2"].betti, 2)
     assert got == GradedDims(
         {(0, 0): 1, (2, 0): 4, (4, 0): 7, (6, 0): 4, (8, 0): 1})
     assert sum(got.dims.values()) == 17
@@ -1015,7 +1014,7 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_read_matches_the_divmod_decoder",
     "layouts.Kronecker._digits":
         "test_layouts.test_read_matches_the_divmod_decoder",
-    "layouts.Kronecker.read":
+    "layouts.Kronecker.decode":
         "test_layouts.test_read_matches_the_divmod_decoder",
     "layouts._lattice":
         "test_layouts.test_two_variables_divide_by_the_lattice_index",
@@ -1027,6 +1026,8 @@ SHARED_WITH_ORACLE = {
         "test_orbifold.test_a_matching_key_still_checks_applicability",
     "manifold.ManifoldData.m":
         "test_acceptance.test_criterion_2_regraded_poincare",
+    "series.Series.from_layout":
+        "test_layouts.test_read_matches_the_divmod_decoder",
     "series.Series.__init__":
         "test_series.test_from_terms_sums_duplicates_and_drops_cancellations",
     "series._counting_index":

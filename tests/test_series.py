@@ -5,7 +5,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pe_oracle, twist, zero
+from conftest import (pe_oracle, ref_render, ref_sort_key, ref_term,
+                      specialize, twist, zero)
 from symprod.series import (
     VARS,
     Series,
@@ -16,7 +17,6 @@ from symprod.series import (
     plethystic_exp,
     render_head,
     render_key,
-    specialize,
     substitute,
 )
 
@@ -512,53 +512,6 @@ def test_first_mismatch_reports_lowest_term():
     b = S([(1, {}), (3, {"q": 1}), (1, {"q": 2})], 2)
     key, ca, cb = first_mismatch(a, b)
     assert (ca, cb) == (2, 3)
-
-
-# The canonical order and factor text of the rendering, spelled out as an
-# explicit sort key (counting exponent, then t, x, y) and a per-variable
-# factor rule; the library instead sorts the keys as they are.
-REF_ORDER = ("t", "x", "y", "p", "q")
-
-
-def ref_sort_key(var):
-    others = [VARS.index(v) for v in REF_ORDER if v != var]
-    return lambda key: (key[VARS.index(var)],) + tuple(key[i] for i in others)
-
-
-def ref_term(var, key, c):
-    factors = []
-    for v in REF_ORDER:
-        d = key[VARS.index(v)]
-        if v == var or d == 0:
-            continue
-        if d == 2:
-            factors.append(v)
-        elif d > 0 and d % 2 == 0:
-            factors.append("%s^%d" % (v, d // 2))
-        else:
-            factors.append("%s^(%s)" % (v, Fraction(d, 2)))
-    d = key[VARS.index(var)]
-    if d:
-        factors.append(var if d == 2 else "%s^%d" % (var, d // 2))
-    a = abs(c)
-    if not factors:
-        return str(a)
-    return "*".join(factors) if a == 1 else "%s*%s" % (a, "*".join(factors))
-
-
-def ref_render(s, limit=None):
-    keys = sorted(s.terms, key=ref_sort_key(s.var))
-    text = ""
-    for key in keys[:limit]:
-        c = s.terms[key]
-        if text:
-            text += " - " if c < 0 else " + "
-        elif c < 0:
-            text = "-"
-        text += ref_term(s.var, key, c)
-    if limit is not None and len(keys) > limit:
-        return "%s … (%d more terms)" % (text or "0", len(keys) - limit)
-    return text or "0"
 
 
 def ref_first_mismatch(a, b):
