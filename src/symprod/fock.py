@@ -1,49 +1,33 @@
 """Truncated Fock space of the Heisenberg superalgebra attached to H*(X).
 
-The underlying superspace is H*(X), its classes numbered and regraded to
-be symmetric about zero by manifold.classes, with the pairing X.pairing or
-else manifold.default_pairing.  The Fock space is the free super
-symmetric algebra on countably many copies of that space, one per level
-l >= 1; a basis state is a canonically sorted multiset of (level, class)
-factors in which odd classes never repeat at the same level.
+The underlying superspace is H*(X): G classes, numbered and regraded to be
+symmetric about zero by manifold.classes and paired by X.pairing or else
+manifold.default_pairing.  The Fock space is the free super symmetric
+algebra on one copy of it per level l >= 1.  The factor (l, g) is the int
+letter (l - 1) * G + g, which keeps factor order, and a basis state is a
+sorted tuple of letters in which no odd letter repeats.
 
-Operators come in families, one per level l >= 1 (a lower level raises
-ValueError): creators(n) gives every generator's level-n creation operator
-on a state at once (with the Koszul sign of sorting the new factor into
-place), and annihilators(m) contracts each level-m factor of a state
-against its pairing partners only (m times the graded contraction, central
-charge 1).  FockSpace(X, c) enumerates the basis to charge c once and
-numbers its states.  rows(step) builds a family's row of a state: its
-images as a flat tuple (generator, image number, coefficient, ...), audited
-once as it is built against each numbered state's charge and degree; a
-state outside the basis, or a creation past charge c, raises ValueError.
-The defining super-commutation relation of the generator-a entry of
-annihilators(m) and the generator-b entry of creators(n),
+creators(n) and annihilators(m) give a family of operators, one per
+generator and level >= 1, at once: a state's images as a list of
+(generator, word, coefficient).  Creation sorts the new letter in with the
+Koszul sign; annihilation contracts a level-m letter against its pairing
+partners (m times the graded contraction, central charge 1).  rows(step)
+numbers a family's images and audits their charge and degree in the same
+pass.  check_relations machine-checks
 
     [annihilators(m)_a, creators(n)_b] = m * eta(a, b) * delta_{m,n} * Id
 
-is machine-checkable on any truncated basis, away from states where the
-truncation could leak.  check_relations builds each family's rows once,
-keeping those of the states below the top charge (a top-charge row is only
-an intermediate image of the mixed bracket, built at its first visit in a
-bracket call and dropped after its last), and works on state numbers.  It
-takes one domain state s at a time and accumulates A_a B_b s - eps_ab B_b
-A_a s (eps_ab the Koszul sign of a and b), minus the expected multiple
-c_ab s, in one dict keyed by (a, b) and the image; a pair violates the
-relation when any of its terms is left nonzero, so an untouched pair is a
-violation exactly when c_ab != 0.  The mixed relation is one call per
-(m, n); create/create and annihilate/annihilate are one per m <= n, as
-their (n, m) residuals are the (m, n) ones mirrored.  The compositional
-(Hopf) check reads the creation rows back as states and compares each with
-the canonical word of the created factor followed by the state, which
-canonical_state sorts on its own.  Only even d is supported: for odd d the
-parity of a level-l factor would depend on l and the algebra is not defined
-here.
+and that the create/create and annihilate/annihilate brackets vanish, on
+the states too low in charge for the truncation to leak, working on state
+numbers.  Its compositional (Hopf) check sorts each created word on its
+own: inline where no class is odd, else by canonical_state.  Only even d is
+supported: for odd d the parity of a level-l factor would depend on l.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import mul, ne
+from itertools import compress, count, repeat
+from operator import add, mul, ne
 
 from .manifold import InputError, classes, default_pairing
 from .orbifold import CheckResult, _compare, closed_series
@@ -80,10 +64,10 @@ def basis_size(X, max_charge, cap):
 class FockSpace:
     """Fock model over a manifold with even d = dim_real / 2, truncated to
     the states of charge <= max_charge.  shifted and odd list each class's
-    shifted degree and parity.  The enumeration numbers the states once:
-    states lists them by number, deterministically ordered by (charge,
-    factors), ids maps each back to its number, and charge and degree list
-    each number's charge and degree, which the rows are audited by."""
+    shifted degree and parity, parity each letter's; word(s) reads a state
+    back as (level, class) factors.  states lists the basis by number, in
+    (charge, letters) order, ids maps each state back to its number, and
+    charge and degree list each number's charge and degree."""
 
     def __init__(self, X, max_charge):
         if X.dim_real % 4:
@@ -97,116 +81,113 @@ class FockSpace:
                         for _ in range(n)]
         # d is even: a class is odd exactly when its shifted degree is
         self.odd = [j % 2 for j in self.shifted]
-        self.has_odd = any(self.odd)
         self.max_charge = max_charge
-        letters = [((l, g), l, j + l * d, j % 2)
-                   for l in range(1, max_charge + 1)
-                   for g, j in enumerate(self.shifted)]
+        self.parity = parity = self.odd * max_charge
+        # each letter's level and degree, in letter order
+        letters = [(l, j + l * d) for l in range(1, max_charge + 1)
+                   for j in self.shifted]
         by_charge = [[] for _ in range(max_charge + 1)]
-        degrees = [[] for _ in range(max_charge + 1)]
+        degrees = [[] for _ in by_charge]
 
-        # depth first with the letters in factor order lists each charge's
-        # states in factor order; an odd letter is taken at most once
-        def rec(idx, charge, degree, cur):
-            by_charge[charge].append(tuple(cur))
+        # depth first in letter order lists each charge's states in letter
+        # order; an odd letter is taken at most once
+        def rec(first, charge, degree, s):
+            by_charge[charge].append(s)
             degrees[charge].append(degree)
-            for i in range(idx, len(letters)):
-                f, l, step, parity = letters[i]
+            for f in range(first, len(letters)):
+                l, step = letters[f]
                 if charge + l > max_charge:
                     break
-                cur.append(f)
-                rec(i + parity, charge + l, degree + step, cur)
-                cur.pop()
+                rec(f + parity[f], charge + l, degree + step, s + (f,))
 
-        rec(0, 0, 0, [])
-        self.states = [s for states in by_charge for s in states]
+        rec(0, 0, 0, ())
+        self.states, self.degree = sum(by_charge, []), sum(degrees, [])
         self.charge = [c for c, states in enumerate(by_charge)
                        for _ in states]
-        self.degree = [deg for ds in degrees for deg in ds]
-        self.ids = {s: i for i, s in enumerate(self.states)}
+        self.ids = dict(zip(self.states, count()))
 
     # -- states ------------------------------------------------------------
 
-    def canonical_state(self, factors):
-        """Sort a factor word into canonical order, with the Koszul sign of
-        the odd factors' inversions; None when an odd generator repeats at
-        one level."""
-        if not self.has_odd:
-            return tuple(sorted(factors)), 1
-        odd, sign = self.odd, 1
-        odds = [f for f in factors if odd[f[1]]]
-        if odds:
+    def word(self, s):
+        """The letters of s as (level, class) factors."""
+        G = len(self.odd)
+        return tuple(divmod(f + G, G) for f in s)  # f + G = l * G + g
+
+    def canonical_state(self, letters):
+        """Sort a word of the space's letters into canonical order, with the
+        Koszul sign of the odd letters' inversions; None when an odd letter
+        repeats."""
+        odds, sign = [*compress(letters, map(self.parity.__getitem__,
+                                             letters))], 1
+        if len(odds) > 1:
             if len(set(odds)) < len(odds):
                 return None
             for i, a in enumerate(odds):
                 for b in odds[i + 1:]:
                     if a > b:
                         sign = -sign
-        return tuple(sorted(factors)), sign
+        return tuple(sorted(letters)), sign
 
     # -- operators -----------------------------------------------------------
 
     def creators(self, n):
         """Every generator's level-n creation operator at once, as a map
-        from a state s to the (g, s with the level-n copy of g sorted in,
-        Koszul sign) over the generators g; an odd g already at level n in s
-        has none."""
+        from a state s to the list of (g, s with the letter of (n, g)
+        inserted, Koszul sign): one bisect and one insert per generator g,
+        and none for an odd g already at level n in s."""
         if n < 1:
             raise ValueError("level must be >= 1")
-        odd, factors = self.odd, [(n, g) for g in range(len(self.odd))]
+        parity, G = self.parity, len(self.odd)
+        # (generator, letter, the letter as a word, parity)
+        letters = [(f % G, f, (f,), parity[f])
+                   for f in range((n - 1) * G, n * G)]
 
         def family(s):
-            # flips[k]: the parity of the odd factors in s[:k]
-            flips, p = [0], 0
-            for _, h in s:
-                p ^= odd[h]
-                flips.append(p)
-            for g, f in enumerate(factors):
-                pos = bisect_left(s, f)
-                if odd[g] and pos < len(s) and s[pos] == f:
-                    continue
-                sign = -1 if odd[g] and flips[pos] else 1
-                yield g, s[:pos] + (f,) + s[pos:], sign
+            out = []
+            for g, f, h, o in letters:
+                p = bisect_left(s, f)
+                if not (o and f in s):
+                    out.append((g, s[:p] + h + s[p:], -1 if o and sum(
+                        map(parity.__getitem__, s[:p])) % 2 else 1))
+            return out
         return family
 
     def annihilators(self, m):
         """Every generator's level-m annihilation operator at once, as a
-        map from a state s to the (g, t, coeff) with a nonzero coeff, one
-        per (g, t): a level-m factor h of s meets only the g with
-        eta(g, h) != 0.  The g operator moves degrees by shifted[g]
-        - m*d, the degree of the level-m copy of g, so its commutator with a
-        creation has degree zero."""
+        map from a state s to the list of (g, t, coeff) with coeff != 0,
+        one per (g, t): a level-m letter of class h meets only the g with
+        eta(g, h) != 0.  The g operator moves degrees by shifted[g] - m*d,
+        so its commutator with a creation has degree zero."""
         if m < 1:
             raise ValueError("level must be >= 1")
-        odd, partners = self.odd, {}
+        odd, parity, partners = self.odd, self.parity, {}
         for (g, h), v in self.eta.items():
-            partners.setdefault(h, []).append((g, m * v))
+            partners.setdefault((m - 1) * len(odd) + h, []).append((g, m * v))
 
         def family(s):
-            odd_before, prev = 0, None
-            for idx, f in enumerate(s):
-                l, h = f
-                if l == m and h in partners and f != prev:
-                    rest = s[:idx] + s[idx + 1:]
-                    # a repeated factor is even: each copy gives rest
-                    k = s.count(f)
-                    for g, v in partners[h]:
-                        yield g, rest, k * (
-                            -v if odd[g] and odd_before % 2 else v)
-                odd_before += odd[h]
-                prev = f
+            # flip: the parity of the odd letters before the current one
+            out, flip = [], 0
+            for i, f in enumerate(s):
+                # the first copy of a level-m letter; a repeated letter is
+                # even, and each copy gives rest
+                if f in partners and s.index(f) == i:
+                    rest = s[:i] + s[i + 1:]
+                    for g, v in partners[f]:
+                        out.append((g, rest, s.count(f) * (
+                            -v if flip and odd[g] else v)))
+                flip ^= parity[f]
+            return out
         return family
 
     def rows(self, step):
-        """The row builder of one family, the level-step creators (step > 0)
-        or the level -step annihilators (step < 0): it maps a basis state s
-        to its row, the flat tuple (g, number of t, coeff, ...) over the
-        family's (g, t, coeff) at s.  Each row is audited once, as it is
-        built: t must be a basis state whose (charge, degree) is that of s
-        plus the declared step (step, shifted[g] + step * d).  A
-        state s outside the basis, or one whose images would pass
-        max_charge, is the caller's fault (ValueError); a wrong step is the
-        family's (AssertionError)."""
+        """The row builder of one family, creators(step) for step > 0 or
+        annihilators(-step): it maps a basis state s to the flat tuple
+        (g, number of t, coeff, ...) over the family's (g, t, coeff) at s.
+        One pass numbers and audits them: t must be a basis state whose
+        (charge, degree) is that of s plus (step, shifted[g] + step * d),
+        else the family is at fault (AssertionError).  An s outside the
+        basis, or a creation past max_charge, is the caller's fault
+        (ValueError)."""
         family = self.creators(step) if step > 0 \
             else self.annihilators(-step)
         label = ("create(%d)" if step > 0 else "annihilate(%d)") % abs(step)
@@ -218,16 +199,17 @@ class FockSpace:
             sid = ids.get(s)
             if sid is None:
                 raise ValueError("%r is not a state of the basis to charge "
-                                 "%d" % (s, top))
+                                 "%d" % (self.word(s), top))
             c = charge[sid] + step
             if c > top:
                 raise ValueError("%s of %r leaves the basis to charge %d"
-                                 % (label, s, top))
+                                 % (label, self.word(s), top))
             d0, out = degree[sid], []
             for g, t, coeff in family(s):
                 tid = ids.get(t)
                 if tid is None:
-                    what = "step: %r is not an indexed basis state" % (t,)
+                    what = "step: %r is not an indexed basis state" % (
+                        self.word(t),)
                 elif charge[tid] != c:
                     what = "charge step"
                 elif degree[tid] != d0 + steps[g]:
@@ -242,9 +224,9 @@ class FockSpace:
 
     def character(self):
         """sum over basis states of q^charge t^degree, exactly."""
-        count = Counter(zip(self.charge, self.degree))
+        counts = Counter(zip(self.charge, self.degree))
         return Series.from_terms("q", self.max_charge, (
-            (b, {"q": c, "t": d}) for (c, d), b in count.items()))
+            (b, {"q": c, "t": d}) for (c, d), b in counts.items()))
 
 
 def _violations(A, B, domain, odd, states, scalar, same=False):
@@ -372,18 +354,22 @@ def check_relations(X, max_charge):
             aa += twice * _violations(ann[m], ann[n], domain, odd, states, {},
                                       m == n)
 
-    # the compositional form sorts factor words on its own, so it reads the
-    # rows back as states: generator i's (image, coeff) entry, the last one
-    # when a row repeats i, against the canonical word of (m, i) then s
+    # the compositional form sorts each word on its own, apart from the
+    # bisect of the creation rows: generator i's (image, coeff) entry, read
+    # back as a state (the last one when a row repeats i), against the word
+    # of (m, i)'s letter then s, sorted inline with sign 1 where no class is
+    # odd and by canonical_state where one is
     hopf, canonical = 0, space.canonical_state
     for m in range(1, C + 1):
-        heads = [((m, i),) for i in range(G)]
+        heads = [(f,) for f in range((m - 1) * G, m * G)]
         for s, row in zip(states, cre[m][0]):
             entry = [None] * G
-            it = iter(row)
-            for g, t, c in zip(it, it, it):
+            for g, t, c in zip(*[iter(row)] * 3):
                 entry[g] = states[t], c
-            hopf += sum(map(ne, entry, map(canonical, [h + s for h in heads])))
+            words = map(add, heads, repeat(s))
+            hopf += sum(map(ne, entry,
+                            map(canonical, words) if any(odd) else
+                            zip(map(tuple, map(sorted, words)), repeat(1))))
 
     def verdict(name, bad):
         return CheckResult(name, "fail" if bad else "pass",

@@ -38,16 +38,22 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-def state_charge(state):
+def letters(space, factors):
+    """The state of space with the given (level, class) factors: the int
+    letter of (l, g) is (l - 1) * G + g for G classes."""
+    return tuple((l - 1) * len(space.odd) + g for l, g in factors)
+
+
+def state_charge(space, state):
     """The charge of a Fock state: the sum of its factors' levels."""
-    return sum(l for l, _ in state)
+    return sum(l for l, _ in space.word(state))
 
 
 def state_degree(space, state):
-    """The total degree of a Fock state, read off its word: the level-l
-    copy of a class weighs its shifted degree + l*d (so the vacuum sits in
-    degree zero)."""
-    return sum(space.shifted[g] + l * space.d for l, g in state)
+    """The total degree of a Fock state, read off its (level, class) word:
+    the level-l copy of a class weighs its shifted degree + l*d (so the
+    vacuum sits in degree zero)."""
+    return sum(space.shifted[g] + l * space.d for l, g in space.word(state))
 
 
 def read(layout, ints, ti=0):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (counting_coefficient, state_charge, state_degree,
-                      traced_peak)
+from conftest import (counting_coefficient, letters, state_charge,
+                      state_degree, traced_peak)
 from symprod import cli, fock, manifold, orbifold
 from symprod.fock import FockSpace
 from symprod.manifold import InputError, ManifoldData, default_pairing
@@ -46,15 +46,28 @@ def test_p2_state_count_charge_two(catalog):
     assert len(space.states) == 13
     by_charge = {}
     for s in space.states:
-        by_charge.setdefault(state_charge(s), []).append(s)
+        by_charge.setdefault(state_charge(space, s), []).append(s)
     assert [len(by_charge.get(c, ())) for c in range(3)] == [1, 3, 9]
+
+
+def test_p2_basis_to_charge_two_reads_as_factor_words(catalog):
+    # the letter (l - 1) * G + g keeps the order of the factor (l, g), so
+    # the basis decodes to the (level, class) words that the enumeration
+    # over factors listed, in the same order
+    space = FockSpace(catalog["p2"], 2)
+    assert [space.word(s) for s in space.states] == [
+        (), ((1, 0),), ((1, 1),), ((1, 2),), ((1, 0), (1, 0)),
+        ((1, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 1)),
+        ((1, 1), (1, 2)), ((1, 2), (1, 2)), ((2, 0),), ((2, 1),), ((2, 2),)]
+    assert space.states[5] == (0, 1) and space.states[11] == (4,)
+    assert all(letters(space, space.word(s)) == s for s in space.states)
 
 
 def test_charge_dimensions_match_sector_series(catalog):
     series = orbifold.brute_series("poincare_orb", catalog["p2"], 3)
     space = FockSpace(catalog["p2"], 3)
     for n in range(4):
-        count = sum(1 for s in space.states if state_charge(s) == n)
+        count = sum(1 for s in space.states if state_charge(space, s) == n)
         coeff = counting_coefficient(series, n)
         assert count == sum(coeff.values())
 
@@ -68,7 +81,8 @@ def test_basis_size_counts_the_enumerated_basis(half, charge, cap):
     # passes cap, else at the requested charge
     b0, b1, b2 = half
     X = ManifoldData("x", dim_real=4, betti=[b0, b1, b2, b1, b0])
-    charges = [state_charge(s) for s in FockSpace(X, charge).states]
+    space = FockSpace(X, charge)
+    charges = [state_charge(space, s) for s in space.states]
     running = [sum(c <= n for c in charges) for n in range(charge + 1)]
     assert fock.basis_size(X, charge, cap) == \
         next((count for count in running if count > cap), running[-1])
@@ -89,12 +103,13 @@ def test_each_basis_is_the_low_charge_prefix_of_a_higher_one(catalog, name):
     spaces = [FockSpace(X, c) for c in range(5)]
     for space in spaces:
         assert space.ids == {s: i for i, s in enumerate(space.states)}
-        assert space.charge == list(map(state_charge, space.states))
+        assert space.charge == [state_charge(space, s)
+                                for s in space.states]
         assert space.degree == [state_degree(space, s) for s in space.states]
     for c, low in enumerate(spaces):
         for high in spaces[c + 1:]:
             assert low.states == high.states[:len(low.states)] == [
-                s for s in high.states if state_charge(s) <= c]
+                s for s in high.states if state_charge(high, s) <= c]
     assert len(spaces[-1].states) > len(spaces[-2].states)
 
 
@@ -326,15 +341,17 @@ def test_odd_create_squares_to_zero(catalog):
     odd = space.odd.index(1)
     cre = space.rows(1)
     once = images(space, cre, ()).get(odd, {})
-    assert once == {((1, odd),): 1}
+    assert once == {letters(space, [(1, odd)]): 1}
     assert apply(space, cre, odd, once) == {}
 
 
 def test_koszul_sign_on_reordering():
-    space = FockSpace(ODD4, 0)
+    # canonical_state sorts words of the space's letters: level 1 needs a
+    # space to charge 1 at least
+    space = FockSpace(ODD4, 1)
     o1, o2 = [g for g, p in enumerate(space.odd) if p][:2]
-    s12, sign12 = space.canonical_state([(1, o1), (1, o2)])
-    s21, sign21 = space.canonical_state([(1, o2), (1, o1)])
+    s12, sign12 = space.canonical_state(letters(space, [(1, o1), (1, o2)]))
+    s21, sign21 = space.canonical_state(letters(space, [(1, o2), (1, o1)]))
     assert s12 == s21
     assert sign12 == -sign21
 
@@ -348,7 +365,7 @@ def test_canonicalization_is_stable():
 
 def steps(space, s, images):
     """(charge, degree) of each image state minus that of s."""
-    return {(state_charge(t) - state_charge(s),
+    return {(state_charge(space, t) - state_charge(space, s),
              state_degree(space, t) - state_degree(space, s)) for t in images}
 
 
@@ -357,7 +374,7 @@ def test_declared_steps_audited(p2):
     shift = p2.shifted[0]
     created = images(p2, p2.rows(2), ()).get(0, {})
     assert steps(p2, (), created) == {(2, shift + 2 * p2.d)}
-    state = ((2, 2),)
+    state = letters(p2, [(2, 2)])
     out = images(p2, p2.rows(-2), state).get(0, {})
     assert steps(p2, state, out) == {(-2, shift - 2 * p2.d)}
     assert out == {(): 2 * p2.eta.get((0, 2), 0)}
@@ -369,13 +386,14 @@ def test_family_beyond_the_index_raises_value_error(catalog):
     space = FockSpace(catalog["p2"], 1)
     with pytest.raises(ValueError, match=r"create\(1\) of .* leaves the "
                                          r"basis to charge 1"):
-        space.rows(1)(((1, 0),))
+        space.rows(1)(letters(space, [(1, 0)]))
     with pytest.raises(ValueError, match="not a state of the basis to "
                                          "charge 1"):
-        space.rows(-1)(((2, 0),))
+        space.rows(-1)(letters(space, [(2, 0)]))
     # on a basis to a higher charge the same calls succeed
     space = FockSpace(catalog["p2"], 2)
-    assert images(space, space.rows(1), ((1, 0),))[0] == {((1, 0), (1, 0)): 1}
+    assert images(space, space.rows(1), letters(space, [(1, 0)]))[0] == {
+        letters(space, [(1, 0), (1, 0)]): 1}
 
 
 def test_level_zero_rejected(p2):
@@ -388,7 +406,7 @@ def test_distinct_levels_commute(p2):
     # [create(1, a), create(2, b)] = 0 exactly, not only modulo truncation
     a, b = 0, 1
     c1, c2 = p2.rows(1), p2.rows(2)
-    for s in (s for s in p2.states if state_charge(s) <= 2):
+    for s in (s for s in p2.states if state_charge(p2, s) <= 2):
         lhs = apply(p2, c1, a, apply(p2, c2, b, {s: 1}))
         rhs = apply(p2, c2, b, apply(p2, c1, a, {s: 1}))
         assert lhs == rhs
@@ -398,7 +416,7 @@ def test_distinct_levels_commute(p2):
 
 
 def test_hopf_product_unit(p2):
-    s = ((1, 0), (2, 1))
+    s = letters(p2, [(1, 0), (2, 1)])
     assert product(p2, (), s) == {s: 1}
     assert product(p2, s, ()) == {s: 1}
 
@@ -409,8 +427,8 @@ def test_hopf_product_super_commutative():
         for s2 in space.states:
             p12 = product(space, s1, s2)
             p21 = product(space, s2, s1)
-            par1 = sum(space.odd[g] for _, g in s1)
-            par2 = sum(space.odd[g] for _, g in s2)
+            par1 = sum(space.parity[f] for f in s1)
+            par2 = sum(space.parity[f] for f in s2)
             sign = -1 if par1 % 2 and par2 % 2 else 1
             assert p12 == {k: sign * v for k, v in p21.items()}
 
@@ -451,7 +469,7 @@ def test_hopf_product_associative():
 def test_level2_commutator_on_wide_domain(p2):
     # [annihilate(2, a), create(2, b)] = 2 eta(a, b) Id on every state of
     # charge <= 4, checked on a basis truncated high enough not to leak
-    states = [s for s in p2.states if state_charge(s) <= 4]
+    states = [s for s in p2.states if state_charge(p2, s) <= 4]
     ann, cre = p2.rows(-2), p2.rows(2)
     for a in range(3):
         for b in range(3):
@@ -505,14 +523,19 @@ def test_relation_check_peak_memory_stays_under_the_parent(catalog):
 
 
 def test_relation_check_peak_memory_at_charge_3(catalog):
-    # 1,248,000 bytes is 1.1 times the tracemalloc peak on Python 3.11 with
-    # each top-charge row kept from its first to its last visit in one
-    # bracket call; keeping every built row read 1,425,790 bytes, and
-    # rebuilding each row at every visit 986,546, all read by traced_peak
-    # after it empties the free lists.
+    # traced_peak empties the free lists first.  States as tuples of int
+    # letters read 1,127,305 / 1,127,149 / 1,126,837 / 1,126,869 bytes on
+    # Python 3.10 / 3.11 / 3.12 / 3.13, tuples of (level, class) pairs
+    # 1,128,665 / 1,128,509 / 1,128,205 / 1,128,237: a row is the same flat
+    # tuple either way, and the states, their index and the stored rows
+    # hold most of the peak.  1,180,000 leaves 4.6% over the highest; a
+    # second dict over the 3,549 states (about 150 KB) passes it, as would
+    # parent and child maps of the enumeration tree (about 376 KB).
+    # Keeping every built row read 1,425,790 bytes and rebuilding each row
+    # at every visit 986,546 (3.11, pairs).
     k3 = catalog["k3"]
     fock.check_relations(k3, 3)
-    assert traced_peak(lambda: fock.check_relations(k3, 3)) < 1_248_000
+    assert traced_peak(lambda: fock.check_relations(k3, 3)) < 1_180_000
 
 
 @pytest.mark.parametrize("name, charge, total", [("k3", 3, 3752),
@@ -646,7 +669,7 @@ def literal_counts(X, C):
     ann = {m: space.rows(-m) for m in range(1, C)}
 
     def upto(c):
-        return [s for s in states if state_charge(s) <= c]
+        return [s for s in states if state_charge(space, s) <= c]
 
     def bracket(A, B, domain, scalar):
         bad = 0
@@ -671,7 +694,7 @@ def literal_counts(X, C):
             cc += bracket(cre[m], cre[n], upto(C - m - n), lambda i, j: 0)
             aa += bracket(ann[m], ann[n], domain, lambda i, j: 0)
     hopf = sum(images(space, cre[m], s).get(i, {})
-               != product(space, ((m, i),), s)
+               != product(space, letters(space, [(m, i)]), s)
                for m in range(1, C + 1) for i in gens for s in upto(C - m))
     return [mixed, cc, aa, hopf]
 
@@ -784,7 +807,7 @@ def test_first_partner_only_annihilators_break_the_mixed_bracket(
 def test_family_audit_failure_exits_1(capsys, monkeypatch, corrupt, message):
     # the creation families emit the input state itself (charge step 0),
     # file each image under the next generator (another degree step), or
-    # reverse each image's factors (no basis state); the row builder, which
+    # reverse each image's letters (no basis state); the row builder, which
     # audits what they return, must refuse each
     build = FockSpace.creators
 

@@ -1086,3 +1086,82 @@ def test_the_routes_share_only_functions_with_an_oracle(catalog):
     for oracle in SHARED_WITH_ORACLE.values():
         module, test = oracle.split(".")
         assert "\ndef %s(" % test in (tests / (module + ".py")).read_text()
+
+
+# ------------------------------------------------------- duality invariants
+#
+# Complex conjugation and Serre duality make the Hodge numbers of a compact
+# X symmetric under (p, q) -> (q, p) and (p, q) -> (D - p, D - q), D =
+# dim_C, and Poincare duality makes its Betti numbers palindromic.  The age
+# shift keeps both on every q^n coefficient of the orbifold series, since
+# age(g) = age(g^-1), and so does the untwisted sector alone.  Keys hold
+# twice each exponent, and key[0] is 2n.
+
+DUALITIES = {
+    # kind: the images of a key (2n, ., t, x, y) under the invariant maps
+    "hodge": lambda k, D: [(*k[:3], k[4], k[3]),
+                           (*k[:3], k[0] * D - k[3], k[0] * D - k[4])],
+    "chiy": lambda k, D: [(*k[:4], k[0] * D - k[4])],
+    "poincare": lambda k, D: [(k[0], k[1], 2 * k[0] * D - k[2], *k[3:])],
+}
+
+
+def assert_dual(kind, X, order):
+    """Both routes of kind on X are fixed by the invariant maps of its
+    family (the kind name before its first _), with D = dim_C, or
+    dim_real / 2 where X has no Hodge table."""
+    D = X.dim_c if X.dim_c is not None else X.dim_real // 2
+    images = DUALITIES[kind.split("_")[0]]
+    for route in (ob.brute_series, ob.closed_series):
+        terms = route(kind, X, order).terms
+        for image in zip(*(images(k, D) for k in terms)):
+            assert dict(zip(image, terms.values())) == terms, (
+                kind, route.__name__, X.name)
+
+
+@st.composite
+def dual_hodge_manifolds(draw):
+    """Random Hodge tables of dim_C 1 to 3 symmetrized under both maps,
+    Calabi-Yau (a B-table by Serre duality) now and then."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.lists(st.lists(st.integers(0, 1), min_size=d + 1,
+                               max_size=d + 1), min_size=d + 1,
+                      max_size=d + 1))
+    return ManifoldData("dual", dim_c=d, calabi_yau=draw(st.booleans()),
+                        hodge=[[h[p][q] + h[q][p] + h[d - p][d - q]
+                                + h[d - q][d - p] for q in range(d + 1)]
+                               for p in range(d + 1)])
+
+
+@st.composite
+def palindromic_betti_manifolds(draw):
+    """Random Betti lists palindromic about dim_real, odd classes
+    included."""
+    dim_real = draw(st.sampled_from((2, 4, 6)))
+    low = draw(st.lists(st.integers(0, 2), min_size=dim_real // 2 + 1,
+                        max_size=dim_real // 2 + 1))
+    return ManifoldData("betti", dim_real=dim_real, betti=low + low[-2::-1])
+
+
+HODGE_DUAL_KINDS = ("hodge_orb", "hodge_sym", "chiy_orb", "chiy_sym",
+                    "poincare_orb")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_series_keep_their_dualities(catalog, name):
+    X = catalog[name]
+    for kind in HODGE_DUAL_KINDS + ("chiy_orb_B",) * X.calabi_yau:
+        assert_dual(kind, X, 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dual_hodge_manifolds(), st.integers(0, 3))
+def test_random_symmetric_tables_keep_their_dualities(X, order):
+    for kind in HODGE_DUAL_KINDS + ("chiy_orb_B",) * X.calabi_yau:
+        assert_dual(kind, X, order)
+
+
+@settings(max_examples=12, deadline=None)
+@given(palindromic_betti_manifolds(), st.integers(0, 4))
+def test_random_palindromic_betti_keep_poincare_duality(X, order):
+    assert_dual("poincare_orb", X, order)
