@@ -12,14 +12,17 @@ takes half the box, and where all lie on a line (a diagonal Hodge table)
 one slot per point of it.  Products are int arithmetic: mul_add
 multiplies by a factor in the form factor picks from the value, and
 symmetric_powers builds every Sym^N of a sector block by shifts and adds
-of ints in the frame of its keys.  decode turns each int into the lists
-of its nonzero slots and their digits, found in C with no Python step per
-empty slot, and drops the int; columns builds the keys of one degree a
-coordinate column at a time, with no divmod per term.  Two layouts whose
-vars, slopes and g agree (maps_like) map every slot to the same key, so
-their decoded lists compare as they are.  slot is linear on the units,
-slot(j key, j d) = j slot(key, d), so plethystic_exp builds each D_k on
-slots and slot_factor makes its factor.
+of ints in the frame of its keys.  sector_layout builds a sector sum's
+layout from the units of three cycle lengths, which fix those of every
+length.  decode turns each int into the lists of its nonzero slots and
+their digits, found in C with no Python step per empty slot, and drops
+the int; columns builds the keys of one degree a coordinate column at a
+time, with no divmod per term.  Two layouts whose vars, slopes and g
+agree (maps_like) map every slot to the same key, so their ints compare
+as they are at one width, and their decoded lists at any.  slot is
+linear on the units, slot(j key, j d) = j slot(key, d), so plethystic_exp
+builds each D_k on slots and slot_factor makes its factor, and a brute
+level-l block is its family's first block moved by slots of the shift.
 A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
 lattice of small index, such as all of Z^2, or in three or more variables
 -- is refused with SeriesUsageError before any int is built.
@@ -183,12 +186,12 @@ class Kronecker:
             return w * low, ((0, self.packed(slots, low)),)
         return w * low, [(w * (i - low), c) for i, c in sorted(slots.items())]
 
-    def factor(self, value, base=0):
-        """value, base bits below its place, as the factor b of mul_add:
-        the shift of its lowest slot and (shift, coeff) pairs above it, one
-        per term, or one of the whole int where its slots hold fewer than
-        FACTOR_BITS bits per term.  The flag of its nonzero slots alone
-        picks the form; only the per-term form decodes digits."""
+    def factor(self, value):
+        """value as the factor b of mul_add: the shift of its lowest slot
+        and (shift, coeff) pairs above it, one per term, or one of the
+        whole int where its slots hold fewer than FACTOR_BITS bits per
+        term.  The flag of its nonzero slots alone picks the form; only the
+        per-term form decodes digits."""
         x, flag, size = self._flagged(value)
         if not flag:
             return 0, ()
@@ -196,10 +199,9 @@ class Kronecker:
         low = (flag & -flag).bit_length() // w - 1
         top = flag.bit_length() // w - 1
         if self._one_int(low, top, flag.bit_count()):
-            return base + w * low, ((0, value >> w * low),)
+            return w * low, ((0, value >> w * low),)
         slots, digits = self._digits(x, flag, size)
-        return base + w * low, [(w * (i - low), c)
-                                for i, c in zip(slots, digits)]
+        return w * low, [(w * (i - low), c) for i, c in zip(slots, digits)]
 
     @staticmethod
     def mul_add(acc, a, b):
@@ -283,21 +285,26 @@ def sector_layout(order, cycles, keys, shift, b):
     """The layout of a sector sum over a space of dimension b with classes
     at keys, regraded by shift per moved cycle: an l-cycle is a unit of
     degree l, a key plus (l - 1) shift, and a sector of order n adds at
-    most its dimension to [q^order] prod_{l <= cycles} (1 - q^l)^(-b)."""
+    most its dimension to [q^order] prod_{l <= cycles} (1 - q^l)^(-b).
+    Each unit is affine in l, so each exponent over its degree is monotone
+    in l and every gcd, slope, reach, lattice and g of the layout is fixed
+    by the units of lengths 1, 2 and cycles: only those are built, and the
+    layout is the one of every length."""
     a = [0] + [b if l <= cycles else 0 for l in range(1, order + 1)]
     return Kronecker(
         [(l, tuple(e + (l - 1) * s for e, s in zip(key, shift)))
-         for l in range(1, cycles + 1) for key in keys or [(0,) * 5]],
+         for l in {l for l in (1, 2, cycles) if 0 < l <= cycles}
+         for key in keys or [(0,) * 5]],
         order, euler_transform(a, order)[order])
 
 
 def symmetric_powers(layout, blocks, d, top):
-    """Sym^0, ..., Sym^top of a super space with classes of degree d, in
-    layout: Sym^N has degree d N, packed at d = 1, a factor of mul_add
-    above.  blocks lists (key, e, a): e classes at key counted a = +-1
-    times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod (1 - a
-    key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at j key,
-    one shift and add of ints in the frame of the keys."""
+    """Sym^0, ..., Sym^top of a super space with classes of degree d, as
+    ints of layout: Sym^N has degree d N, and layout.factor makes it a
+    factor of mul_add.  blocks lists (key, e, a): e classes at key counted
+    a = +-1 times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod
+    (1 - a key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at
+    j key, one shift and add of ints in the frame of the keys."""
     origin, shifts = layout.frame([key for key, _, _ in blocks], d)
     powers = [1] + [0] * top  # the packed 1 and zeros
     for s, (_, e, a) in zip(shifts, blocks):
@@ -309,5 +316,4 @@ def symmetric_powers(layout, blocks, d, top):
                     break
                 acc += ways * powers[N - j] << j * s
             powers[N] = acc
-    return [layout.factor(v, N * origin) if d > 1 else v << N * origin
-            for N, v in enumerate(powers)]
+    return [v << N * origin for N, v in enumerate(powers)]

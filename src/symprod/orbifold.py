@@ -13,7 +13,7 @@ coefficient by coefficient.
 The brute side of every kind is one sector sum, _sym_sum over
 _sector_sum.  Each kind names a level(l, count): block(l, N) for
 N = 0..count, the invariants of Sym^N(H*X) regraded for N l-cycles, from
-one layouts.symmetric_powers DP over the class images of the kind (x^p y^q
+a layouts.symmetric_powers DP over the class images of the kind (x^p y^q
 or t^p, with the regraded parity, for hodge and poincare; (-1)^(p+q),
 (-1)^q, (-1)^(p+q) y^p, its y = 0 value (-1)^q [p = 0] and
 (-1)^(p+q) y^(p-k), multiplicative over a basis of Sym^N, for euler, sign,
@@ -26,7 +26,10 @@ values of one layout, layouts.sector_layout: a cycle of length l carries
 one class of X and l - 1 regradings, so the layout sees those units and
 the largest coefficient the sector count allows.  Each block and each c_n
 is one int of that layouts.Kronecker layout, and c_n += c_(n - lN) *
-block(l, N) is int arithmetic.
+block(l, N) is int arithmetic.  A level-l class is affine in l, and its
+signs depend on l only through the parity of l - 1: each sign family of
+levels runs one DP and one factor per N, and every other level of the
+family takes those factors moved N (l - base) slots of the shift.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -140,18 +143,42 @@ def _sector_sum(order, cycles, level, layout, var="q"):
 
 def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
     """_sector_sum in var of block(l, N), the image of Sym^N T regraded for
-    N l-cycles, one layouts.symmetric_powers DP per l over the blocks
-    T.blocks(image) (a class at (p, q) of super sign s has image a s key,
-    for (key, a) = image(p, q, s)).  A moved cycle moves each key by shift
-    and multiplies a by sign; flip = -1 where it regrades by an odd degree,
-    which turns each parity, so e and a."""
+    N l-cycles, over the blocks T.blocks(image) (a class at (p, q) of super
+    sign s has image a s key, for (key, a) = image(p, q, s)).  A moved
+    cycle moves each key by shift and multiplies a by sign; flip = -1 where
+    it regrades by an odd degree, which turns each parity, so e and a.  So
+    block(l, N) is one of the families keyed by (flip^(l-1), (flip
+    sign)^(l-1)), at most three, moved N (l - base) slots of the shift
+    from block(base, N), base the first length of its family: one
+    layouts.symmetric_powers DP per family and one layout.factor per
+    family and N serve every level, each handed the factor with only its
+    shift changed."""
     blocks = T.blocks(image)
     layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
                            shift, sum(T.dims.values()))
-    return _sector_sum(order, cycles, lambda l, top: symmetric_powers(
-        layout, [(tuple(k + (l - 1) * v for k, v in zip(key, shift)),
-                  e * flip ** (l - 1), a * (flip * sign) ** (l - 1))
-                 for key, e, a in blocks], l, top), layout, var)
+    # bits per N and per cycle length: the slots are linear on the units
+    step = layout.width * layout.slot(shift, 1) if cycles > 1 else 0
+    families = {}  # signs -> (base, Sym^N ints, their factors)
+
+    def level(l, top):
+        signs = flip ** (l - 1), (flip * sign) ** (l - 1)
+        family = families.get(signs)
+        # _sector_sum asks for l ascending and top descending; any other
+        # order builds the family again where it cannot serve
+        if family is None or family[0] > l or len(family[1]) <= top:
+            family = families[signs] = l, symmetric_powers(layout, [
+                (tuple(k + (l - 1) * v for k, v in zip(key, shift)),
+                 e * signs[0], a * signs[1]) for key, e, a in blocks],
+                l, top), []
+        base, ints, factors = family
+        if l == 1:
+            return ints[:top + 1]
+        factors += map(layout.factor, ints[len(factors):top + 1])
+        # an empty factor has no slot to move
+        return [(low + N * (l - base) * step, pairs) if pairs else (0, ())
+                for N, (low, pairs) in enumerate(factors[:top + 1])]
+
+    return _sector_sum(order, cycles, level, layout, var)
 
 
 def _levels(poly, order, shift, cycles):

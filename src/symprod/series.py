@@ -33,11 +33,14 @@ the layout of symprod.layouts: one int per power of the counting variable,
 with a slot per monomial (Kronecker substitution), so plethystic_exp takes
 integer coefficients only, and refuses exponents spread too far for its
 order.  Their results stay packed: Series.from_layout keeps the layout and
-the nonzero slots and digits of each power, and builds the {key: coeff}
-dict only when .terms is first read, dropping the slots then.  Two packed
-series whose layouts map slots to keys alike compare by those lists, str()
-renders each power from its key columns, and is_integral needs no pass;
-every other operation reads .terms.
+the int of each power, decodes them into the nonzero slots and digits of
+each power when str() or a comparison by digits first needs those, and
+builds the {key: coeff} dict only when .terms is first read, dropping the
+ints or slots then.  Two packed series whose layouts map slots to keys
+alike compare by their ints at one slot width, trailing zero powers
+aside, and by their slots and digits at two; str() renders each power
+from its key columns, and is_integral needs no pass; every other
+operation reads .terms.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -137,26 +140,34 @@ class Series:
     @classmethod
     def from_layout(cls, var, order, layout, ints):
         """sum_n ints[n] var^n, each int a polynomial of degree n in layout
-        (a layouts.Kronecker) and none past order, held as layout.decode
-        gives it until .terms is first read; the ints are dropped from the
-        list as they are decoded."""
+        (a layouts.Kronecker) and none past order, held as the list ints
+        until .terms, str() or a comparison by digits first needs its
+        slots: layout.decode then drops the ints from the list."""
         s = cls(var, order)
         object.__setattr__(s, "_terms", None)
-        object.__setattr__(s, "_packed", (layout, layout.decode(ints)))
+        object.__setattr__(s, "_packed", (layout, ints, None))
         return s
+
+    def _powers(self):
+        """The (n, slots, digits) of each nonzero power of a packed series,
+        decoded from its ints at the first call."""
+        layout, ints, powers = self._packed
+        if powers is None:
+            powers = layout.decode(ints)
+            object.__setattr__(self, "_packed", (layout, None, powers))
+        return powers
 
     def _chunks(self):
         """(key columns, digits) of each power of a packed series, lowest
         first: within a power, slots ascend in key order."""
-        layout, powers = self._packed
-        ti = _VI[self.var]
+        layout, ti = self._packed[0], _VI[self.var]
         return ((layout.columns(slots, n, ti), digits)
-                for n, slots, digits in powers)
+                for n, slots, digits in self._powers())
 
     @property
     def terms(self):
         """{key: coeff}; a packed series builds it from each power's key
-        columns at the first read, and drops its slots and digits then."""
+        columns at the first read, and drops its ints or slots then."""
         if self._terms is None:
             terms = {}
             for cols, digits in self._chunks():
@@ -254,9 +265,14 @@ class Series:
         if self.var != other.var or self.order != other.order:
             return False
         a, b = self._packed, other._packed
-        if a and b and a[0].maps_like(b[0]):
-            return a[1] == b[1]
-        return self.terms == other.terms
+        if not (a and b and a[0].maps_like(b[0])):
+            return self.terms == other.terms
+        x, y = a[1], b[1]
+        if x is not None and y is not None and a[0].width == b[0].width:
+            # one int per power at one slot map: equal ints, equal digits
+            return x[:len(y)] == y[:len(x)] and not any(x[len(y):]) \
+                and not any(y[len(x):])
+        return self._powers() == other._powers()
 
     # -- rendering ---------------------------------------------------------
 

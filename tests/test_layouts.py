@@ -3,13 +3,13 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import packed, pe_oracle, read, ref_render
 from symprod import layouts
 from symprod import orbifold as ob
-from symprod.layouts import MAX_LAYOUT_BITS, Kronecker
+from symprod.layouts import MAX_LAYOUT_BITS, Kronecker, sector_layout
 from symprod.manifold import ManifoldData
 from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
@@ -245,7 +245,8 @@ def test_read_matches_the_divmod_decoder(case, ti):
     # counting exponent at ti, as the per-term divmod decoder reads it: a
     # packed series renders it from its key columns, in slot order, as the
     # reference renderer does from sorted keys, and builds its terms from
-    # them.  Decoding drops each int from coeffs
+    # them.  The series holds coeffs until its first read, and decoding
+    # then drops each int from the list
     kind, lay, maps = case
     event(kind)
     if kind == "slopes":
@@ -254,9 +255,10 @@ def test_read_matches_the_divmod_decoder(case, ti):
     expected = divmod_read(lay, coeffs, ti)
     var, order = VARS[ti], len(maps) - 1
     s = Series.from_layout(var, order, lay, coeffs)
-    assert coeffs == [None] * len(maps)
+    assert coeffs == [packed(lay, terms, n) for n, terms in maps.items()]
     assert s.is_integral()
     assert str(s) == ref_render(Series(var, order, expected))
+    assert coeffs == [None] * len(maps)
     assert s.terms == expected
     assert s.terms == {key[:ti] + (2 * n,) + key[ti + 1:]: c
                        for n, terms in maps.items()
@@ -275,8 +277,9 @@ def packed_pair(draw):
     the second on the first's layout, on one of another width (the same
     slot map), or at a higher order or with one more unit (a map that may
     differ); with the first's maps, one coefficient redrawn, or one term
-    moved a degree up; in the same or the other counting variable, at the
-    same or a higher order."""
+    moved a degree up, or with empty powers past the last (both orders
+    None, so the two int lists differ only by trailing zeros); in the same
+    or the other counting variable, at the same or a higher order."""
     units, kind = draw(lattice_units())
     order = draw(st.integers(0, 3))
     maps = {n: product_map(draw, units, n) for n in range(order + 1)}
@@ -291,8 +294,11 @@ def packed_pair(draw):
                  units + [draw(lattice_units())[0][0]], order, bound)}[how]()
     moved = {n: dict(terms) for n, terms in maps.items()}
     full = [n for n, terms in moved.items() if terms]
-    change = draw(st.sampled_from(("none", "coeff", "degree")))
-    if change != "none" and full:
+    change = draw(st.sampled_from(("none", "coeff", "degree", "trailing")))
+    if change == "trailing":
+        for n in range(order + 1, order + 1 + draw(st.integers(1, 3))):
+            moved[n] = {}
+    elif change != "none" and full:
         n = draw(st.sampled_from(full))
         key = draw(st.sampled_from(sorted(moved[n])))
         c = moved[n].pop(key)
@@ -306,6 +312,8 @@ def packed_pair(draw):
     var = draw(st.sampled_from(("q", "p")))
     var2 = draw(st.sampled_from((var, var, "q" if var == "p" else "p")))
     order2 = draw(st.sampled_from((order, order, order + 1)))
+    if change == "trailing":
+        order = order2 = None
     event("%s %s, %s" % (kind, how, change))
     return (var, order, lay, maps), (var2, order2, other, moved)
 
@@ -326,6 +334,28 @@ def test_packed_equality_is_dict_equality(pair):
     assert (sides[0] == sides[1]) is expected
     assert (sides[1] == sides[0]) is expected
     assert [s.terms for s in sides] == [s.terms for s in dicts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_pair())
+def test_packed_series_of_one_map_and_width_compare_without_decoding(pair):
+    # where the layouts map slots to keys alike at one width, each power's
+    # int is the polynomial itself: == compares the int lists, and trailing
+    # zero powers do not count
+    (var, order, lay, maps), (var2, order2, other, moved) = pair
+    assume(var == var2 and order == order2 and lay.maps_like(other)
+           and lay.width == other.width)
+    event("trailing" if len(maps) != len(moved) else "same length")
+    a, b = (Series.from_layout(var, order, lay, ints(lay, maps)),
+            Series.from_layout(var, order, other, ints(other, moved)))
+    expected = Series(var, order, divmod_read(lay, ints(lay, maps),
+                                              VARS.index(var))) == \
+        Series(var, order, divmod_read(other, ints(other, moved),
+                                       VARS.index(var)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Kronecker, "decode", None)
+        assert (a == b) is expected and (b == a) is expected
+    assert a._terms is None and b._terms is None
 
 
 def test_packed_series_compare_by_degree_and_the_whole_slot_map():
@@ -455,6 +485,51 @@ def test_two_variables_divide_by_the_lattice_index(keys, order, stride, g):
                     order, 1)
     assert [var[3] for var in lay.vars] == [1, stride]
     assert lay.g == g
+
+
+@st.composite
+def sector_case(draw):
+    """(order, cycles, keys, shift, b) of a sector layout: keys and a shift
+    in one to three of t, x and y, now and then far apart, so that some
+    layouts are refused, order 0 to 14 and cycles 0 to order."""
+    free = draw(st.lists(st.sampled_from((2, 3, 4)), min_size=1,
+                         max_size=3, unique=True))
+    e = st.one_of(st.integers(-6, 6), st.integers(-3 * 10**4, 3 * 10**4))
+
+    def key():
+        return tuple(draw(e) if i in free else 0 for i in range(5))
+
+    order = draw(st.integers(0, 14))
+    keys = {key() for _ in range(draw(st.integers(0, 4)))}
+    return (order, draw(st.integers(0, order)), keys, key(),
+            draw(st.integers(1, 30)))
+
+
+def layout_or_refusal(build):
+    try:
+        lay = build()
+    except SeriesUsageError as refusal:
+        return str(refusal)
+    return lay.vars, lay.slopes, lay.g, lay.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(sector_case())
+@example((6, 0, {(0, 0, 0, 2, 1)}, (0, 0, 0, 1, 1), 3))  # no cycle at all
+@example((6, 1, {(0, 0, 0, 2, 1)}, (0, 0, 0, 1, 1), 3))  # no moved cycle
+@example((6, 2, {(0, 0, 0, 2, -1), (0, 0, 0, 0, 1)}, (0, 0, 0, 3, 3), 3))
+def test_a_sector_layout_is_the_layout_of_every_cycle_length(case):
+    # sector_layout builds the units of cycle lengths 1, 2 and cycles
+    # only; the layout, or its refusal, is the one of every length
+    order, cycles, keys, shift, b = case
+    event("refused" if isinstance(layout_or_refusal(
+        lambda: sector_layout(*case)), str) else "built")
+    a = [0] + [b if l <= cycles else 0 for l in range(1, order + 1)]
+    every = [(l, tuple(e + (l - 1) * s for e, s in zip(key, shift)))
+             for l in range(1, cycles + 1) for key in keys or [(0,) * 5]]
+    assert layout_or_refusal(lambda: sector_layout(*case)) == \
+        layout_or_refusal(lambda: Kronecker(
+            every, order, layouts.euler_transform(a, order)[order]))
 
 
 def diagonal(n):

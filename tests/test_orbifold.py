@@ -236,9 +236,10 @@ def cycle_type_sector_sum(order, cycles, level, layout, var="q"):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) q^(l N_l) per cycle type of S_n with no cycle
     longer than cycles, summed.  Each block(l, N) is the top of its own
-    level(l, N), so each Sym^N comes from its own DP, not from the one DP
-    per level of _sector_sum; it is read into a Series at its power of
-    var, so the products multiply 5-tuple keys, not codes or packed ints."""
+    level(l, N) call, which builds its sign family's DP again wherever
+    the family built so far stops below N; it is read into a Series at
+    its power of var, so the products multiply 5-tuple keys, not codes or
+    packed ints."""
     block = cache(lambda l, nl: block_series(layout, level(l, nl)[nl],
                                              l * nl, order, var))
 
@@ -1010,12 +1011,6 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker.mul_add":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker._flagged":
-        "test_layouts.test_read_matches_the_divmod_decoder",
-    "layouts.Kronecker._digits":
-        "test_layouts.test_read_matches_the_divmod_decoder",
-    "layouts.Kronecker.decode":
-        "test_layouts.test_read_matches_the_divmod_decoder",
     "layouts._lattice":
         "test_layouts.test_two_variables_divide_by_the_lattice_index",
     "layouts.euler_transform":
