@@ -247,13 +247,15 @@ def _violations(A, B, domain, odd, states, scalar, same=False):
     (rows_a, build_a), (rows_b, _) = A, B
     N, na, G = len(states), len(rows_a), len(odd)
     GN = G * N
-    # visits left to each image past the stored rows, and its live row;
-    # with same, the first loop below visits none
-    left, live = [0] * (N - na), [None] * (N - na)
+    # visits left to each image past the stored rows, and its live row,
+    # made at the first such image; with same, the first loop visits none
+    left = None
     for s in () if same else domain:
         for t in rows_b[s][1::3]:
             if t >= na:
+                left = left or [0] * (N - na)
                 left[t - na] += 1
+    live = left and [None] * (N - na)
     bad = 0
     for s in domain:
         acc = {p * N + s: -v for p, v in scalar.items()}

@@ -22,7 +22,8 @@ agree (maps_like) map every slot to the same key, so their ints compare
 as they are at one width, and their decoded lists at any.  slot is
 linear on the units, slot(j key, j d) = j slot(key, d), so plethystic_exp
 builds each D_k on slots and slot_factor makes its factor, and a brute
-level-l block is its family's first block moved by slots of the shift.
+level-l block is its family's block at its first, shortest, length (the
+sector sum asks for l ascending) moved by slots of the shift.
 A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
 lattice of small index, such as all of Z^2, or in three or more variables
 -- is refused with SeriesUsageError before any int is built.
@@ -211,12 +212,6 @@ class Kronecker:
             part += a * c << s
         return acc + (part << b[0])
 
-    def frame(self, keys, d):
-        """(origin, shifts) in bits: the lowest slot of keys, each above."""
-        slots = [self.slot(key, d) for key in keys]
-        low = min(slots, default=0)
-        return self.width * low, [self.width * (s - low) for s in slots]
-
     def decode(self, ints):
         """[(n, slots, digits)] of each nonzero ints[n]: its nonzero slots,
         lowest first, and their digits.  Each int is dropped from the list
@@ -305,9 +300,11 @@ def symmetric_powers(layout, blocks, d, top):
     a = +-1 times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod
     (1 - a key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at
     j key, one shift and add of ints in the frame of the keys."""
-    origin, shifts = layout.frame([key for key, _, _ in blocks], d)
+    w, slots = layout.width, [layout.slot(key, d) for key, _, _ in blocks]
+    low = min(slots, default=0)  # the frame's origin, moved back last
     powers = [1] + [0] * top  # the packed 1 and zeros
-    for s, (_, e, a) in zip(shifts, blocks):
+    for i, (_, e, a) in zip(slots, blocks):
+        s = w * (i - low)
         for N in range(top, 0, -1):  # powers[N - j] still lacks the block
             acc, ways = powers[N], 1
             for j in range(1, N + 1):
@@ -316,4 +313,4 @@ def symmetric_powers(layout, blocks, d, top):
                     break
                 acc += ways * powers[N - j] << j * s
             powers[N] = acc
-    return [v << N * origin for N, v in enumerate(powers)]
+    return [v << N * w * low for N, v in enumerate(powers)]

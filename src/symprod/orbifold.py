@@ -27,9 +27,10 @@ one class of X and l - 1 regradings, so the layout sees those units and
 the largest coefficient the sector count allows.  Each block and each c_n
 is one int of that layouts.Kronecker layout, and c_n += c_(n - lN) *
 block(l, N) is int arithmetic.  A level-l class is affine in l, and its
-signs depend on l only through the parity of l - 1: each sign family of
-levels runs one DP and one factor per N, and every other level of the
-family takes those factors moved N (l - base) slots of the shift.
+signs depend on l only through the parity of l - 1.  _sector_sum asks for
+each level once, l ascending, so each sign family of levels runs one DP
+and one factor per N at its first length, base, and every later level of
+the family takes those factors moved N (l - base) slots of the shift.
 
 Every closed form is a plethystic exponential PE[f] of a single-particle
 series f (Macdonald for Sym^n(X), the DMVV product for the sector sums);
@@ -69,14 +70,15 @@ contents share their series.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import groupby
 
 from .layouts import sector_layout, symmetric_powers
 from .manifold import InputError
 from .series import (
+    VARS,
     Series,
     coeff_str,
-    first_mismatch,
-    mismatch_counts,
+    mismatches,
     plethystic_exp,
     render_head,
     render_key,
@@ -126,12 +128,12 @@ def _sector_sum(order, cycles, level, layout, var="q"):
     of layout (a layouts.Kronecker), which no c_n outgrows: ints at l = 1,
     the right factors of layout.mul_add above.
 
-    c starts as a copy of the list level(1, order), the untwisted sectors
-    (a level may share its list), and takes in one further cycle length per
-    pass, from the top down, so each c[n - lN] it reads still holds the
-    product over the shorter lengths while c[n] accumulates.  Each level
-    is computed once."""
-    c = list(level(1, order))
+    Each level is asked for once, as level(l, order // l), l ascending
+    from 1.  c is the fresh list level(1, order), the untwisted sectors,
+    and takes in one further cycle length per pass, from the top down, so
+    each c[n - lN] it reads still holds the product over the shorter
+    lengths while c[n] accumulates."""
+    c = level(1, order)
     mul_add = layout.mul_add
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)
@@ -149,10 +151,10 @@ def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
     it regrades by an odd degree, which turns each parity, so e and a.  So
     block(l, N) is one of the families keyed by (flip^(l-1), (flip
     sign)^(l-1)), at most three, moved N (l - base) slots of the shift
-    from block(base, N), base the first length of its family: one
-    layouts.symmetric_powers DP per family and one layout.factor per
-    family and N serve every level, each handed the factor with only its
-    shift changed."""
+    from block(base, N), base the first length of its family, which
+    _sector_sum asks for first: one layouts.symmetric_powers DP per family,
+    to the most powers its levels need, and one layout.factor per family
+    and N serve every level."""
     blocks = T.blocks(image)
     layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
                            shift, sum(T.dims.values()))
@@ -162,17 +164,14 @@ def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
 
     def level(l, top):
         signs = flip ** (l - 1), (flip * sign) ** (l - 1)
-        family = families.get(signs)
-        # _sector_sum asks for l ascending and top descending; any other
-        # order builds the family again where it cannot serve
-        if family is None or family[0] > l or len(family[1]) <= top:
-            family = families[signs] = l, symmetric_powers(layout, [
+        if signs not in families:
+            families[signs] = l, symmetric_powers(layout, [
                 (tuple(k + (l - 1) * v for k, v in zip(key, shift)),
                  e * signs[0], a * signs[1]) for key, e, a in blocks],
                 l, top), []
-        base, ints, factors = family
+        base, ints, factors = families[signs]
         if l == 1:
-            return ints[:top + 1]
+            return ints[:]  # a fresh list, which _sector_sum sums into
         factors += map(layout.factor, ints[len(factors):top + 1])
         # an empty factor has no slot to move
         return [(low + N * (l - base) * step, pairs) if pairs else (0, ())
@@ -368,16 +367,16 @@ def _compare(name, a, b):
     DUMP_TERMS terms."""
     if a == b:
         return CheckResult(name, "pass")
-    mism = first_mismatch(a, b)
-    lines = []
-    if mism is not None:
-        key, ca, cb = mism
-        lines.append(
-            "first mismatch at %s: %s vs %s"
-            % (render_key(key), coeff_str(ca), coeff_str(cb))
-        )
-        lines.append("differing coefficients per power of %s: %s"
-                     % (a.var, mismatch_counts(a, b)))
+    lines, diffs = [], mismatches(a, b)
+    if diffs:
+        key, ca, cb = diffs[0]
+        ti = VARS.index(a.var)  # diffs ascend in this exponent
+        counts = ("%s^%d: %d" % (a.var, e // 2, len(list(run)))
+                  for e, run in groupby(k[ti] for k, _, _ in diffs))
+        lines = ["first mismatch at %s: %s vs %s"
+                 % (render_key(key), coeff_str(ca), coeff_str(cb)),
+                 "differing coefficients per power of %s: %s"
+                 % (a.var, ", ".join(counts))]
     lines.append("lhs: %s" % render_head(a, DUMP_TERMS))
     lines.append("rhs: %s" % render_head(b, DUMP_TERMS))
     return CheckResult(name, "fail", lines)

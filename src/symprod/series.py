@@ -14,12 +14,12 @@ sound because each fixed power of the counting variable has finitely many
 companions.
 
 Terms are validated once, where they enter: Series.from_terms (which term
-and constant go through), a scalar factor of *, and substitute's coeff take
-only int and Fraction coefficients (a bool enters as the int it equals), and
-from_terms checks the counting exponents.  Series(var, order, terms) is the
-internal constructor for terms already valid, such as the results of +, *
-and substitute: it only drops zeros and truncates, and keeps the dict it
-is handed when nothing is dropped.
+and constant go through) and substitute's coeff take only int and Fraction
+coefficients (a bool enters as the int it equals), and from_terms checks
+the counting exponents.  Series(var, order, terms) is the internal
+constructor for terms already valid, such as the results of * (the one
+operator, a product of two series) and substitute: it only drops zeros
+and truncates, and keeps the dict it is handed when nothing is dropped.
 
 A q-series holds no power of p, and a p-series none of q: from_terms
 refuses such a term, and no other operation makes one.  The canonical term
@@ -47,7 +47,6 @@ All values are immutable after construction and every operation is pure.
 it combines with finite orders as "no constraint".
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from .layouts import Kronecker, SeriesUsageError, euler_transform
@@ -215,36 +214,15 @@ class Series:
 
     def _check_same_var(self, other):
         if self.var != other.var:
-            raise SeriesUsageError(
-                "mismatched counting variables %r and %r" % (self.var, other.var)
-            )
-
-    @staticmethod
-    def _min_order(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            other = Series.constant(self.var, None, other)
-        self._check_same_var(other)
-        order = self._min_order(self.order, other.order)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return Series(self.var, order, terms)
-
-    __radd__ = __add__
+            raise SeriesUsageError("mismatched counting variables %r and %r"
+                                   % (self.var, other.var))
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            c = _exact(other)
-            return Series(self.var, self.order, {k: c * v for k, v in self.terms.items()})
+            return NotImplemented
         self._check_same_var(other)
-        order = self._min_order(self.order, other.order)
+        order = min((n for n in (self.order, other.order) if n is not None),
+                    default=None)
         cap = None if order is None else 2 * order
         ti = _VI[self.var]
         terms = {}
@@ -256,8 +234,6 @@ class Series:
                 key = _mul_key(k1, k2)
                 terms[key] = terms.get(key, 0) + c1 * c2
         return Series(self.var, order, terms)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -488,28 +464,14 @@ def _rational_power(base, d):
     )
 
 
-def first_mismatch(a, b):
-    """First differing coefficient of two series over the same counting
-    variable, in canonical term order; None when they agree termwise."""
+def mismatches(a, b):
+    """(key, coeff of a, coeff of b) of each coefficient where two series
+    over the same counting variable differ, in canonical term order."""
     a._check_same_var(b)
     ta, tb = a.terms, b.terms
-    for key in sorted(ta.keys() | tb.keys()):
-        ca = ta.get(key, 0)
-        cb = tb.get(key, 0)
-        if ca != cb:
-            return key, ca, cb
-    return None
-
-
-def mismatch_counts(a, b):
-    """The number of differing coefficients of a and b at each power of the
-    counting variable, as text: "q^0: 2, q^3: 1"."""
-    ti = _VI[a.var]
-    ta, tb = a.terms, b.terms
-    counts = Counter(k[ti] // 2 for k in ta.keys() | tb.keys()
-                     if ta.get(k) != tb.get(k))
-    return ", ".join("%s^%d: %d" % (a.var, n, count)
-                     for n, count in sorted(counts.items()))
+    return [(key, ta.get(key, 0), tb.get(key, 0))
+            for key in sorted(ta.keys() | tb.keys())
+            if ta.get(key, 0) != tb.get(key, 0)]
 
 
 def render_head(s, limit):

@@ -9,7 +9,8 @@ import pytest
 from symprod import graded
 from symprod.cli import catalog_dir, load_manifold
 from symprod.layouts import sector_layout, symmetric_powers
-from symprod.series import VARS, Series, SeriesDomainError, substitute
+from symprod.series import (VARS, Series, SeriesDomainError,
+                            SeriesUsageError, substitute)
 
 CATALOG_NAMES = (
     "point", "p1", "elliptic", "genus2", "p2", "k3", "abelian", "p1xp1",
@@ -141,6 +142,25 @@ def counting_coefficient(s, n):
 def zero(var, order=None):
     """The zero series."""
     return Series(var, order, {})
+
+
+def add(a, b):
+    """a + b, at the lower of their orders.  The engine adds series only
+    inside its packed kernels, so a sum of Series values is built here."""
+    if a.var != b.var:
+        raise SeriesUsageError("mismatched counting variables %r and %r"
+                               % (a.var, b.var))
+    terms = dict(a.terms)
+    for key, c in b.terms.items():
+        terms[key] = terms.get(key, 0) + c
+    order = min((n for n in (a.order, b.order) if n is not None),
+                default=None)
+    return Series(a.var, order, terms)
+
+
+def scale(c, s):
+    """c s for an exact rational c, entering through from_terms."""
+    return Series.constant(s.var, None, c) * s
 
 
 def twist(s):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import add, traced_peak
 from symprod import cli, fock, layouts, manifold, orbifold
 
 
@@ -22,6 +22,11 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def plus_one(s):
+    """s + 1, a closed series made to mismatch."""
+    return add(s, orbifold.Series.constant(s.var, None, 1))
 
 
 def test_catalog_list(capsys):
@@ -252,7 +257,8 @@ def test_series_both_renders_an_equal_series_once(capsys, monkeypatch):
     # a mismatch renders each side
     renders.clear()
     closed = orbifold.closed_series
-    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    monkeypatch.setattr(orbifold, "closed_series",
+                        lambda *a: plus_one(closed(*a)))
     code, out, _ = run(capsys, *argv)
     assert code == 1 and len(renders) == 2
     assert out.splitlines()[:3] == ["brute:  1 + 2*q + 5*q^2 + 10*q^3",
@@ -285,7 +291,8 @@ def test_series_both_prints_a_mismatch_as_before(capsys, monkeypatch):
     # a packed brute series against a dict-backed closed one: both sides,
     # the verdict and the first-mismatch line, byte for byte
     closed = orbifold.closed_series
-    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    monkeypatch.setattr(orbifold, "closed_series",
+                        lambda *a: plus_one(closed(*a)))
     code, out, _ = run(capsys, "series", "hodge_orb", "--manifold", "p1",
                        "--order", "2", "--mode", "both")
     terms = ("q + x*y*q + q^2 + x^(1/2)*y^(1/2)*q^2 + x*y*q^2 + "
@@ -306,7 +313,8 @@ def test_series_both_compares_once(capsys, monkeypatch):
             "--mode", "both")
     assert run(capsys, *argv)[0] == 0 and len(compares) == 1
     closed = orbifold.closed_series
-    monkeypatch.setattr(orbifold, "closed_series", lambda *a: closed(*a) + 1)
+    monkeypatch.setattr(orbifold, "closed_series",
+                        lambda *a: plus_one(closed(*a)))
     compares.clear()
     assert run(capsys, *argv)[0] == 1 and len(compares) == 1
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (GradedDims, dsum, read, shift, sym_power_oracle,
+from conftest import (GradedDims, add, dsum, read, shift, sym_power_oracle,
                       tensor, twist, zero)
 from symprod.layouts import Kronecker, symmetric_powers
 from symprod.series import Series, plethystic_exp, substitute
@@ -190,9 +190,8 @@ def test_sym_power_generating_law(v):
     order = 4
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + v.sym_power(n).poly("t") * Series.term(
-            "q", order, 1, {"q": n}
-        )
+        lhs = add(lhs, v.sym_power(n).poly("t") * Series.term(
+            "q", order, 1, {"q": n}))
     f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 
@@ -205,9 +204,8 @@ def test_shifted_generating_law():
     order = 4
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + shifted.sym_power(n).poly("x") * Series.term(
-            "q", order, 1, {"q": n}
-        )
+        lhs = add(lhs, shifted.sym_power(n).poly("x") * Series.term(
+            "q", order, 1, {"q": n}))
     f = shifted.poly("x") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 
@@ -232,9 +230,8 @@ def test_partition_series_from_single_even_class():
     order = 5
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = lhs + v.sym_power(n).poly("t") * Series.term(
-            "q", order, 1, {"q": n}
-        )
+        lhs = add(lhs, v.sym_power(n).poly("t") * Series.term(
+            "q", order, 1, {"q": n}))
     f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
     assert lhs == twist(plethystic_exp(twist(f)))
 

@@ -1,21 +1,24 @@
+import contextlib
+import io
 import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from inspect import CO_NEWLOCALS
 from math import comb
-from operator import add, mul
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CATALOG_NAMES, counting_coefficient, cycle_types,
-                      dsum, euler_number, shift, specialize, sym_power,
-                      sym_power_oracle, tensor, traced_peak, twist, zero)
+from conftest import (CATALOG_NAMES, add, counting_coefficient, cycle_types,
+                      dsum, euler_number, scale, shift, specialize,
+                      sym_power, sym_power_oracle, tensor, traced_peak, twist,
+                      zero)
 import symprod
-from symprod import series
+from symprod import cli, series
 from symprod import orbifold as ob
 from symprod.graded import GradedDims
 from symprod.layouts import Kronecker
@@ -219,8 +222,9 @@ def test_sector_hodge_elliptic_total(catalog):
 
 
 def q_power(c, order, n):
-    """c q^n, truncated at order."""
-    return c * Series.term("q", order, 1, {"q": n})
+    """c q^n, truncated at order; c a series or an exact rational."""
+    at = Series.term("q", order, 1, {"q": n})
+    return c * at if isinstance(c, Series) else scale(c, at)
 
 
 def block_series(layout, block, n, order=None, var="q"):
@@ -235,13 +239,14 @@ def block_series(layout, block, n, order=None, var="q"):
 def cycle_type_sector_sum(order, cycles, level, layout, var="q"):
     """The sector picture term by term: for each n, a fresh product
     prod_l block(l, N_l) q^(l N_l) per cycle type of S_n with no cycle
-    longer than cycles, summed.  Each block(l, N) is the top of its own
-    level(l, N) call, which builds its sign family's DP again wherever
-    the family built so far stops below N; it is read into a Series at
-    its power of var, so the products multiply 5-tuple keys, not codes or
-    packed ints."""
-    block = cache(lambda l, nl: block_series(layout, level(l, nl)[nl],
-                                             l * nl, order, var))
+    longer than cycles, summed.  The levels are asked for as _sector_sum
+    asks, level(l, order // l) once per l, l ascending from 1; each block
+    is read into a Series at its power of var, so the products multiply
+    5-tuple keys, not codes or packed ints."""
+    levels = [None, level(1, order)] + [level(l, order // l)
+                                        for l in range(2, cycles + 1)]
+    block = cache(lambda l, nl: block_series(layout, levels[l][nl], l * nl,
+                                             order, var))
 
     def sectors(n):
         terms = [reduce(mul, (block(l, nl) for l, nl in ct.items()),
@@ -318,30 +323,88 @@ def sparse_hodge_manifolds(draw):
         [entries.get((p, q), 0) for q in range(d + 1)] for p in range(d + 1)])
 
 
+@cache
+def _basis_power(classes, N):
+    return sym_power_oracle(GradedDims(dict(classes)), N)
+
+
+def basis_power(V, N):
+    """sym_power_oracle(V, N), enumerated once per table and N."""
+    return _basis_power(frozenset(V.dims.items()), N)
+
+
 def oracle_block(kind, X, l, N):
     """block(l, N) of a kind from the basis of Sym^N (sym_power_oracle) of
-    the table regraded for N l-cycles, at q^(l N): the regraded Hodge or
-    Poincare polynomial, or the genus image times its sector weight; the
-    dmvv_q0 block sits at p^(l N), its sector weight y^(k m N) cancelled
-    by the y^(-k l N) of q -> p y^(-k) to one y^(-k) per cycle."""
+    its table regraded for N l-cycles, at q^(l N): the regraded Hodge or
+    Poincare polynomial, or the genus image times its sector weight; a
+    gottsche kind's blocks are those of its _orb kind with k = 1, and a _B
+    kind's are taken from the B-table.  The dmvv_q0 block sits at
+    p^(l N), its sector weight y^(k m N) cancelled by the y^(-k l N) of
+    q -> p y^(-k) to one y^(-k) per cycle."""
+    family = kind.removeprefix("gottsche_").split("_")[0]
+    T = X.hodge_b if kind.endswith("_B") else X.hodge
     d, m = X.dim_c, l - 1
     at = Series.term("q", None, 1, {"q": l * N})
-    if kind == "hodge_orb":
-        return sym_power_oracle(shift(X.hodge, m * d, m * d), N).poly("x") * at
-    if kind == "poincare_orb":
-        return sym_power_oracle(shift(X.betti, 2 * m * X.m), N).poly("t") * at
-    S = sym_power_oracle(X.hodge, N)
-    if kind == "euler_orb":
-        return euler_number(S) * at
-    if kind == "sign_orb":
-        return ob.genus(S, "signature") * (-1) ** (d // 2 * m * N) * at
-    if kind == "arith_orb":  # y^(k m N) at y = 0
-        return ob.genus(S, "arithmetic") * int(d * m * N == 0) * at
-    if kind == "dmvv_q0":
+    if family == "hodge":
+        return basis_power(shift(T, m * d, m * d), N).poly("x") * at
+    if family == "poincare":
+        return basis_power(shift(X.betti, 2 * m * X.m), N).poly("t") * at
+    if family == "euler":
+        return scale(euler_number(basis_power(X.betti, N)), at)
+    S = basis_power(T, N)
+    if family == "sign":
+        return scale(ob.genus(S, "signature") * (-1) ** (d // 2 * m * N), at)
+    if family == "arith":  # y^(k m N) at y = 0
+        return scale(ob.genus(S, "arithmetic") * int(d * m * N == 0), at)
+    if family == "dmvv":
         return ob.chi_minus_y(S, "p") * Series.term(
             "p", None, 1, {"p": l * N, "y": Fraction(-d * N, 2)})
     return ob.chi_minus_y(S) * Series.term(
         "q", None, 1, {"q": l * N, "y": Fraction(d * m * N, 2)})
+
+
+def basis_sector_sum(kind, X, order):
+    """The brute series of a kind with no level called: for each n, the
+    sum over the cycle types of S_n, 1-cycles alone for a _sym kind, of
+    prod_l oracle_block(kind, X, l, N_l)."""
+    var = "p" if kind.startswith("dmvv") else "q"
+    cycles = 1 if "_sym" in kind else order
+    total = zero(var, order)
+    for n in range(order + 1):
+        for ct in cycle_types(n):
+            if all(l <= cycles for l in ct):
+                total = add(total, reduce(mul, (
+                    oracle_block(kind, X, l, N) for l, N in ct.items()),
+                    Series.constant(var)))
+    return total
+
+
+def check_basis_sector_sums(X, order):
+    """Every applicable kind's brute series at orders 0 to order against
+    basis_sector_sum, truncated."""
+    for kind in ob.SERIES_KINDS:
+        if ob.applicability(kind, X) is None:
+            expected = basis_sector_sum(kind, X, order)
+            for n in range(order + 1):
+                assert ob.brute_series(kind, X, n) == Series(
+                    expected.var, n, dict(expected.terms)), (kind, n)
+
+
+# The orders where every enumerated Sym^N basis stays small: k3 to order 4
+# enumerates C(27, 4) = 17,550 states of Sym^4.
+BASIS_ORDERS = {"k3": 4, "abelian": 4}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("hopf",))
+def test_brute_series_are_basis_blocks_summed_over_cycle_types(catalog, name):
+    check_basis_sector_sums(catalog[name] if name in catalog else HOPF,
+                            BASIS_ORDERS.get(name, 6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_hodge_manifolds())
+def test_brute_series_are_basis_blocks_summed_on_sparse_tables(X):
+    check_basis_sector_sums(X, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,8 +639,8 @@ def test_verify_skip(catalog):
 
 
 def test_verify_mismatch_carries_both_series():
-    a = Series.term("q", 2, 1, {}) + Series.term("q", 2, 2, {"q": 1})
-    b = Series.term("q", 2, 1, {}) + Series.term("q", 2, 3, {"q": 1})
+    a = add(Series.term("q", 2, 1, {}), Series.term("q", 2, 2, {"q": 1}))
+    b = add(Series.term("q", 2, 1, {}), Series.term("q", 2, 3, {"q": 1}))
     r = ob._compare("fabricated", a, b)
     assert r.status == "fail"
     assert any("first mismatch" in line for line in r.lines)
@@ -952,7 +1015,7 @@ def sym_oracle(kind, X, order):
                          enumerate(sym_powers_by_fold(V, order))))
     f = q_power(inv(V), order, 1)
     if kind == "sign_sym":
-        f = f + q_power(Fraction(X.euler() - inv(V), 2), order, 2)
+        f = add(f, q_power(Fraction(X.euler() - inv(V), 2), order, 2))
     if kind in TWISTED_SYM:
         return brute, twist(plethystic_exp(twist(f)))
     return brute, plethystic_exp(f)
@@ -1040,7 +1103,8 @@ def symprod_qualnames():
         for c in code.co_consts:
             if hasattr(c, "co_consts"):
                 name = prefix + c.co_name
-                names[c.co_filename, c.co_firstlineno, c.co_name] = name
+                if c.co_flags & CO_NEWLOCALS:  # a function, not a class body
+                    names[c.co_filename, c.co_firstlineno, c.co_name] = name
                 walk(c, name + (".<locals>." if c.co_flags & CO_NEWLOCALS
                                 else "."))
 
@@ -1081,6 +1145,58 @@ def test_the_routes_share_only_functions_with_an_oracle(catalog):
     for oracle in SHARED_WITH_ORACLE.values():
         module, test = oracle.split(".")
         assert "\ndef %s(" % test in (tests / (module + ".py")).read_text()
+
+
+# Every named symprod function that the jobs of the production-reach audit
+# below leave unreached, and why it stays: aim 2 keeps no API that only its
+# own unit test calls.
+UNREACHED_IN_PRODUCTION = {
+    "fock.FockSpace.word": "reached only by a failing check: its messages "
+                           "print states as (level, class) words",
+    "series.mismatches": "reached only by a failing check: the mismatch "
+                         "report",
+    "series.render_head": "reached only by a failing check: the mismatch "
+                          "report",
+    "series.render_key": "reached only by a failing check: the mismatch "
+                         "report",
+    "series._sorted_chunk": "reached only by a failing check: the report "
+                            "renders both sides from their term dicts",
+    "orbifold._family": "runs at import, building KINDS",
+    "graded.GradedDims.__repr__": "a __repr__",
+    "manifold.ManifoldData.__repr__": "a __repr__",
+    "orbifold.CheckResult.__repr__": "a __repr__",
+    "series.Series.__repr__": "a __repr__",
+    "series.Series.__setattr__": "a read-only guard",
+}
+
+
+def test_production_reaches_every_function_it_keeps(tmp_path):
+    # the commands on the catalog, Fock input with odd classes and a
+    # pairing file, and a curve's half-integer exponents printed
+    odd = tmp_path / "odd.json"
+    odd.write_text('{"dim_real": 4, "betti": [1, 2, 0, 2, 1]}')
+    p2x = tmp_path / "p2x.json"
+    p2x.write_text('{"dim_c": 2, "hodge": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+                   ' "pairing": [{"degree": 2, "matrix": [[1]]},'
+                   ' {"degree": 0, "matrix": [["1/2"]]}]}')
+    jobs = [["verify-all", "--manifold", name] for name in CATALOG_NAMES] + [
+        ["fock-verify", "--manifold", "p2", "--max-charge", "3"],
+        ["fock-verify", "--manifold", str(odd), "--max-charge", "2"],
+        ["verify-all", "--manifold", str(p2x)],
+        ["series", "hodge_orb", "--manifold", "k3", "--order", "6",
+         "--mode", "both"],
+        ["series", "hodge_orb", "--manifold", "p1", "--order", "2"],
+        ["catalog", "list"]]
+
+    def run_jobs():
+        cli.build_parser.cache_clear()  # built once per process
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [cli.main(argv) for argv in jobs] == [0] * len(jobs)
+
+    names = symprod_qualnames()
+    named = {name for name in names.values()
+             if not name.rpartition(".")[2].startswith("<")}
+    assert named - reached(names, run_jobs) == set(UNREACHED_IN_PRODUCTION)
 
 
 # ------------------------------------------------------- duality invariants
