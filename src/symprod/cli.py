@@ -124,11 +124,13 @@ def cmd_series(args):
     order = args.order
     if order is None:
         order = orbifold.default_order(kind, X)
-    built = {}
+    # every mode builds on the kind check's one slot map, so a layout is
+    # refused alike in each, and the two routes compare as ints
+    slot_map, built = orbifold.kind_slot_map(kind, X, order), {}
     for mode, build in (("brute", orbifold.brute_series),
                         ("closed", orbifold.closed_series)):
         if args.mode in (mode, "both"):
-            built[mode] = build(kind, X, order)
+            built[mode] = build(kind, X, order, slot_map)
             _assert_integral(built[mode], "%s %s" % (mode, kind))
     if args.mode != "both":
         print(built[args.mode])

@@ -20,7 +20,7 @@ pass.  check_relations machine-checks
 and that the create/create and annihilate/annihilate brackets vanish, on
 the states too low in charge for the truncation to leak, working on state
 numbers.  Its compositional (Hopf) check sorts each created word on its
-own: inline where no class is odd, else by canonical_state.  Only even d is
+own: inline where its state holds no odd letter, else by canonical_state.  Only even d is
 supported: for odd d the parity of a level-l factor would depend on l.
 """
 
@@ -359,18 +359,19 @@ def check_relations(X, max_charge):
     # the compositional form sorts each word on its own, apart from the
     # bisect of the creation rows: generator i's (image, coeff) entry, read
     # back as a state (the last one when a row repeats i), against the word
-    # of (m, i)'s letter then s, sorted inline with sign 1 where no class is
-    # odd and by canonical_state where one is
-    hopf, canonical = 0, space.canonical_state
+    # of (m, i)'s letter then s, sorted inline with sign 1 where s holds no
+    # odd letter, so that the word holds at most one, and by
+    # canonical_state where it holds one
+    hopf, canonical, parity = 0, space.canonical_state, space.parity
     for m in range(1, C + 1):
         heads = [(f,) for f in range((m - 1) * G, m * G)]
         for s, row in zip(states, cre[m][0]):
-            entry = [None] * G
-            for g, t, c in zip(*[iter(row)] * 3):
-                entry[g] = states[t], c
+            entry = dict(zip(row[::3], zip(map(states.__getitem__,
+                                               row[1::3]), row[2::3])))
             words = map(add, heads, repeat(s))
-            hopf += sum(map(ne, entry,
-                            map(canonical, words) if any(odd) else
+            hopf += sum(map(ne, map(entry.get, range(G)),
+                            map(canonical, words)
+                            if any(map(parity.__getitem__, s)) else
                             zip(map(tuple, map(sorted, words)), repeat(1))))
 
     def verdict(name, bad):

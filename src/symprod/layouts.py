@@ -3,32 +3,37 @@
 plethystic_exp and the brute sector sum hold each power of the counting
 variable, a Laurent polynomial in the other variables with int
 coefficients, as one int of a Kronecker layout, with a slot per monomial.
-A layout is built from the units, (degree, key) pairs of which every
-monomial formed at degree n is a product with degrees summing to n, and
+A layout is a slot map and a slot width.  The slot map (SlotMap) is built
+from the units, (degree, key) pairs of which every monomial formed at
+degree n is a product with degrees summing to n, and the order; the width
 from a bound on every coefficient formed.  The slots lie on the lattice
 that the units' exponents span, not in the box around them: where every
 x and y exponent pair shares one parity (K3- and CY3-type sectors) an int
 takes half the box, and where all lie on a line (a diagonal Hodge table)
-one slot per point of it.  Products are int arithmetic: mul_add
-multiplies by a factor in the form factor picks from the value, and
-symmetric_powers builds every Sym^N of a sector block by shifts and adds
-of ints in the frame of its keys.  sector_layout builds a sector sum's
-layout from the units of three cycle lengths, which fix those of every
-length.  decode turns each int into the lists of its nonzero slots and
-their digits, found in C with no Python step per empty slot, and drops
-the int; columns builds the keys of one degree a coordinate column at a
-time, with no divmod per term.  Two layouts whose vars, slopes and g
-agree (maps_like) map every slot to the same key, so their ints compare
-as they are at one width, and their decoded lists at any.  slot is
-linear on the units, slot(j key, j d) = j slot(key, d), so plethystic_exp
-builds each D_k on slots and slot_factor makes its factor, and a brute
-level-l block is its family's block at its first, shortest, length (the
-sector sum asks for l ascending) moved by slots of the shift.
+one slot per point of it.  A slot map built from more units than a
+product forms holds that product too, so the two routes of a kind check
+share the slot map of the union of their units and keep each its own
+width.  Products are int arithmetic: dot sums products by factors in
+the form factor picks from each value, and symmetric_powers builds every
+Sym^N of a sector block by shifts and adds of ints in the frame of its
+keys.  sector_units lists a sector sum's units at three cycle lengths,
+which fix the slot map of every length.  decode turns each int into the
+lists of its nonzero slots and their digits, found in C with no Python
+step per empty slot, and drops the int; columns builds the keys of one
+degree a coordinate column at a time, with no divmod per term.  Two
+layouts on equal slot maps put every key at the same slot, so their ints
+compare as they are at one width, and after spread widens the narrower
+side's slots at two.  slot is linear on the units, slot(j key, j d) =
+j slot(key, d), so plethystic_exp builds each D_k on slots and
+slot_factor makes its factor, and a brute level-l block is its family's
+block at its first, shortest, length (the sector sum asks for l
+ascending) moved by slots of the shift.
 A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
 lattice of small index, such as all of Z^2, or in three or more variables
 -- is refused with SeriesUsageError before any int is built.
 """
 
+from functools import lru_cache
 from itertools import compress, count, repeat
 from math import gcd
 from operator import mul
@@ -54,26 +59,25 @@ class SeriesUsageError(ValueError):
     layout past MAX_LAYOUT_BITS, ...)."""
 
 
-class Kronecker:
-    """Kronecker substitution: a polynomial of degree n is one int whose
-    balanced base-2^width digits (slots) are its coefficients.  Monomial
-    key of degree n has the coordinate (key[v] - n slope_v) / step_v in each
-    variable v, slope_v the largest multiple of the gcd of the units'
-    exponents of v at most their least exponent per degree and step_v the
-    gcd of what the units hold above that slope: every coordinate of a
-    product of units is a nonnegative int, at most n reach_v, and a sum of
-    the units' coordinates.  The mixed-radix map phi puts each coordinate
-    at a stride past the extent up to order of those below it, so no
-    variable carries into the next, and key sits at slot phi / g, g the gcd
-    of phi over the units: the slots lie on the lattice the units span.
-    With two variables the second stride is rounded up until g is the
-    index of that lattice (2 where all exponent pairs share one parity);
-    on a line, as on a diagonal Hodge table, slot i is its i-th point.  No
-    digit formed may exceed bound in absolute value; width adds a sign bit
-    and rounds up to whole bytes.  The int of degree n spans at most
-    1 + floor(sum_v floor(n reach_v) stride_v / g) slots."""
+class SlotMap:
+    """Where a layout puts each monomial: a key of degree n has the
+    coordinate (key[v] - n slope_v) / step_v in each variable v, slope_v
+    the largest multiple of the gcd of the units' exponents of v at most
+    their least exponent per degree and step_v the gcd of what the units
+    hold above that slope: every coordinate of a product of units is a
+    nonnegative int, at most n reach_v, and a sum of the units'
+    coordinates.  The mixed-radix map phi puts each coordinate at a stride
+    past the extent up to order of those below it, so no variable carries
+    into the next, and key sits at slot phi / g, g the gcd of phi over the
+    units: the slots lie on the lattice the units span.  With two
+    variables the second stride is rounded up until g is the index of that
+    lattice (2 where all exponent pairs share one parity); on a line, as
+    on a diagonal Hodge table, slot i is its i-th point.  vars, slopes and
+    g set the map, and two maps that agree on them are equal.  The int of
+    degree n spans at most 1 + floor(sum_v floor(n reach_v) stride_v / g)
+    slots, and slots counts those of degrees 0 to order."""
 
-    def __init__(self, units, order, bound):
+    def __init__(self, units, order):
         # (index, slope) of each variable a unit holds, y first; (index,
         # step, slope) of those that vary, with reach and the coordinates
         # of every unit
@@ -109,21 +113,66 @@ class Kronecker:
                        for w in zip(*coords))) if len(coords) > 1 else 1
         self.vars = [var + (s,) for var, s in zip(self.vars, strides)]
         # the slots of the ints of degrees 0 to order, at most order + 1 over
-        slots = order + 1 + sum(s * sum(n * num // den for n in range(
+        self.order = order
+        self.slots = order + 1 + sum(s * sum(n * num // den for n in range(
             order + 1)) for (num, den), s in zip(reach, strides)) // self.g
-        self.nbytes = (bound.bit_length() + 8) // 8
-        self.width = 8 * self.nbytes
-        bits = self.width * slots
-        if bits > MAX_LAYOUT_BITS:
-            raise SeriesUsageError(
-                "the product layout needs %d MiB of ints, past its limit of "
-                "%d MiB: the exponents spread too far for order %d"
-                % (-(-bits // 2**23), MAX_LAYOUT_BITS // 2**23, order))
-        self._zero = (1 << self.width - 1).to_bytes(self.nbytes, "little")
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, SlotMap) and \
+            (self.vars, self.slopes, self.g) == \
+            (other.vars, other.slopes, other.g)
+
+    __hash__ = None
 
     def slot(self, key, n):
         return sum((key[v] - n * slope) // step * stride
                    for v, step, slope, stride in self.vars) // self.g
+
+    def columns(self, slots, n, ti):
+        """The five key columns of the slots of degree n, the counting
+        exponent at index ti: each varying variable from whole-list // and
+        % of the slots' phi by the strides, outermost first, and each other
+        coordinate repeated."""
+        cols = [repeat(0)] * 5
+        cols[ti] = repeat(2 * n)
+        for v, slope in self.slopes:
+            cols[v] = repeat(n * slope)
+        rest = [i * self.g for i in slots] if self.g > 1 else slots
+        outer = self.vars[::-1]
+        for k, (v, step, slope, stride) in enumerate(outer, 1 - len(outer)):
+            base = n * slope
+            cols[v] = [base + r // stride * step for r in rest]
+            # an outer stride may be 1 too, where the variables below it
+            # reach 0 up to order; the innermost leaves no remainder
+            if k:
+                rest = [r % stride for r in rest]
+        return cols
+
+
+class Kronecker:
+    """Kronecker substitution: a polynomial of degree n is one int whose
+    balanced base-2^width digits (slots) are its coefficients, at the
+    slots of map, a SlotMap.  No digit formed may exceed bound in absolute
+    value; width adds a sign bit and rounds up to whole bytes."""
+
+    def __init__(self, slot_map, bound):
+        self.map = slot_map
+        # slot and columns are the map's, and read these
+        self.vars, self.slopes, self.g = \
+            slot_map.vars, slot_map.slopes, slot_map.g
+        self.nbytes = (bound.bit_length() + 8) // 8
+        self.width = 8 * self.nbytes
+        bits = self.width * slot_map.slots
+        if bits > MAX_LAYOUT_BITS:
+            raise SeriesUsageError(
+                "the product layout needs %d MiB of ints, past its limit of "
+                "%d MiB: the exponents spread too far for order %d"
+                % (-(-bits // 2**23), MAX_LAYOUT_BITS // 2**23,
+                   slot_map.order))
+        self._zero = (1 << self.width - 1).to_bytes(self.nbytes, "little")
+
+    slot = SlotMap.slot
+    columns = SlotMap.columns
 
     def _flagged(self, value):
         """(x, flag, size): the digits of value in its size slots, each in
@@ -188,7 +237,7 @@ class Kronecker:
         return w * low, [(w * (i - low), c) for i, c in sorted(slots.items())]
 
     def factor(self, value):
-        """value as the factor b of mul_add: the shift of its lowest slot
+        """value as a factor b of dot: the shift of its lowest slot
         and (shift, coeff) pairs above it, one per term, or one of the
         whole int where its slots hold fewer than FACTOR_BITS bits per
         term.  The flag of its nonzero slots alone picks the form; only the
@@ -205,12 +254,16 @@ class Kronecker:
         return w * low, [(w * (i - low), c) for i, c in zip(slots, digits)]
 
     @staticmethod
-    def mul_add(acc, a, b):
-        """acc + a * b for an int a and a factor b."""
-        part = 0
-        for s, c in b[1]:
-            part += a * c << s
-        return acc + (part << b[0])
+    def dot(ints, factors):
+        """sum a * b over the pairs of ints a and factors b, as many as the
+        shorter of the two holds."""
+        total = 0
+        for a, (low, pairs) in zip(ints, factors):
+            part = 0
+            for s, c in pairs:
+                part += a * c << s
+            total += part << low
+        return total
 
     def decode(self, ints):
         """[(n, slots, digits)] of each nonzero ints[n]: its nonzero slots,
@@ -223,31 +276,23 @@ class Kronecker:
                 out.append((n, *self._digits(*self._flagged(value))))
         return out
 
-    def maps_like(self, other):
-        """Whether other puts every key of every degree at the same slot:
-        vars, slopes and g set the map, and the slot width does not."""
-        return (self.vars, self.slopes, self.g) == \
-            (other.vars, other.slopes, other.g)
-
-    def columns(self, slots, n, ti):
-        """The five key columns of the slots of degree n, the counting
-        exponent at index ti: each varying variable from whole-list // and
-        % of the slots' phi by the strides, outermost first, and each other
-        coordinate repeated."""
-        cols = [repeat(0)] * 5
-        cols[ti] = repeat(2 * n)
-        for v, slope in self.slopes:
-            cols[v] = repeat(n * slope)
-        rest = [i * self.g for i in slots] if self.g > 1 else slots
-        outer = self.vars[::-1]
-        for k, (v, step, slope, stride) in enumerate(outer, 1 - len(outer)):
-            base = n * slope
-            cols[v] = [base + r // stride * step for r in rest]
-            # an outer stride may be 1 too, where the variables below it
-            # reach 0 up to order; the innermost leaves no remainder
-            if k:
-                rest = [r % stride for r in rest]
-        return cols
+    def spread(self, value, nbytes):
+        """value, an int of this layout, as the int of a layout on the same
+        slot map with slots of nbytes bytes, at least nbytes: offset by
+        half a slot, each digit fills its slot alone, nonnegative, so
+        slices of bytes move every slot into the wider frame at once, and
+        the offset comes off at the new width."""
+        nb = self.nbytes
+        size = abs(value).bit_length() // self.width + 2
+        zero = self._zero * size
+        data = (value + int.from_bytes(zero, "little")).to_bytes(
+            size * nb, "little")
+        wide = bytearray(size * nbytes)
+        for j in range(nb):
+            wide[j::nbytes] = data[j::nb]
+        half = (1 << self.width - 1).to_bytes(nbytes, "little") * size
+        return int.from_bytes(wide, "little") - \
+            int.from_bytes(half, "little")
 
 
 def _lattice(vectors):
@@ -276,27 +321,44 @@ def euler_transform(a, order):
     return g
 
 
-def sector_layout(order, cycles, keys, shift, b):
+def sector_units(cycles, keys, shift):
+    """The units of a sector sum's slot map over classes at keys,
+    regraded by shift per moved cycle: an l-cycle is a unit of degree l, a
+    key plus (l - 1) shift.  Each unit is affine in l, so each exponent
+    over its degree is monotone in l and every gcd, slope, reach, lattice
+    and g of the map is fixed by the units of lengths 1, 2 and cycles:
+    only those are listed, and their map is the one of every length."""
+    units = []
+    for l in {l for l in (1, 2, cycles) if 0 < l <= cycles}:
+        m0, m1, m2, m3, m4 = ((l - 1) * s for s in shift)
+        units += [(l, (k0 + m0, k1 + m1, k2 + m2, k3 + m3, k4 + m4))
+                  for k0, k1, k2, k3, k4 in keys or [(0,) * 5]]
+    return units
+
+
+def sector_layout(order, cycles, keys, shift, b, slot_map=None):
     """The layout of a sector sum over a space of dimension b with classes
-    at keys, regraded by shift per moved cycle: an l-cycle is a unit of
-    degree l, a key plus (l - 1) shift, and a sector of order n adds at
+    at keys, regraded by shift per moved cycle: a sector of order n adds at
     most its dimension to [q^order] prod_{l <= cycles} (1 - q^l)^(-b).
-    Each unit is affine in l, so each exponent over its degree is monotone
-    in l and every gcd, slope, reach, lattice and g of the layout is fixed
-    by the units of lengths 1, 2 and cycles: only those are built, and the
-    layout is the one of every length."""
+    slot_map, a SlotMap of order whose units include sector_units(cycles,
+    keys, shift), replaces the map of those units alone."""
+    return Kronecker(slot_map or SlotMap(sector_units(cycles, keys, shift),
+                                         order),
+                     _sector_bound(order, cycles, b))
+
+
+@lru_cache(maxsize=64)
+def _sector_bound(order, cycles, b):
+    """[q^order] prod_{l <= cycles} (1 - q^l)^(-b), the same for every
+    kind of a table at one order and cycle bound."""
     a = [0] + [b if l <= cycles else 0 for l in range(1, order + 1)]
-    return Kronecker(
-        [(l, tuple(e + (l - 1) * s for e, s in zip(key, shift)))
-         for l in {l for l in (1, 2, cycles) if 0 < l <= cycles}
-         for key in keys or [(0,) * 5]],
-        order, euler_transform(a, order)[order])
+    return euler_transform(a, order)[order]
 
 
 def symmetric_powers(layout, blocks, d, top):
     """Sym^0, ..., Sym^top of a super space with classes of degree d, as
     ints of layout: Sym^N has degree d N, and layout.factor makes it a
-    factor of mul_add.  blocks lists (key, e, a): e classes at key counted
+    factor of dot.  blocks lists (key, e, a): e classes at key counted
     a = +-1 times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod
     (1 - a key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at
     j key, one shift and add of ints in the frame of the keys."""

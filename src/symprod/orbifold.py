@@ -70,16 +70,19 @@ contents share their series.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 
-from .layouts import sector_layout, symmetric_powers
+from .layouts import SlotMap, sector_layout, sector_units, symmetric_powers
 from .manifold import InputError
 from .series import (
     VARS,
     Series,
     coeff_str,
     mismatches,
+    monomial_key,
     plethystic_exp,
+    plethystic_units,
     render_head,
     render_key,
     substitute,
@@ -89,15 +92,16 @@ from .series import (
 # -- genera -------------------------------------------------------------------
 
 
-def chi_minus_y(table, var="q"):
-    """chi_(-y) of a bigraded space: sum (-1)^(p+q) h^{p,q} y^p.
+def chi_minus_y(table, var="q", lift=0):
+    """chi_(-y) of a bigraded space: sum (-1)^(p+q) h^{p,q} y^p, times
+    y^(lift/2).
 
     Well defined for any admissible bigrading (p + q is an integer even when
     p and q are halves), and multiplicative under tensor product.
     """
     terms = Counter()
     for (dp, dq), h in table.dims.items():  # y is the last of series.VARS
-        terms[0, 0, 0, 0, dp] += -h if ((dp + dq) // 2) % 2 else h
+        terms[0, 0, 0, 0, dp + lift] += -h if ((dp + dq) // 2) % 2 else h
     return Series(var, None, terms)
 
 
@@ -126,7 +130,7 @@ def _sector_sum(order, cycles, level, layout, var="q"):
     """sum_n c_n var^n, c_n the q^n coefficient of prod_{l <= cycles}
     sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
     of layout (a layouts.Kronecker), which no c_n outgrows: ints at l = 1,
-    the right factors of layout.mul_add above.
+    the factors of layout.dot above.
 
     Each level is asked for once, as level(l, order // l), l ascending
     from 1.  c is the fresh list level(1, order), the untwisted sectors,
@@ -134,30 +138,38 @@ def _sector_sum(order, cycles, level, layout, var="q"):
     each c[n - lN] it reads still holds the product over the shorter
     lengths while c[n] accumulates."""
     c = level(1, order)
-    mul_add = layout.mul_add
+    dot = layout.dot
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)
         for n in range(order, l - 1, -1):
-            for N in range(1, n // l + 1):
-                c[n] = mul_add(c[n], c[n - l * N], blocks[N])
+            # c[n - l N] block(l, N) for N = 1 to n // l
+            c[n] += dot(c[n - l::-l], blocks[1:])
     return Series.from_layout(var, order, layout, c)
 
 
-def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
-    """_sector_sum in var of block(l, N), the image of Sym^N T regraded for
-    N l-cycles, over the blocks T.blocks(image) (a class at (p, q) of super
-    sign s has image a s key, for (key, a) = image(p, q, s)).  A moved
-    cycle moves each key by shift and multiplies a by sign; flip = -1 where
-    it regrades by an odd degree, which turns each parity, so e and a.  So
-    block(l, N) is one of the families keyed by (flip^(l-1), (flip
-    sign)^(l-1)), at most three, moved N (l - base) slots of the shift
-    from block(base, N), base the first length of its family, which
-    _sector_sum asks for first: one layouts.symmetric_powers DP per family,
-    to the most powers its levels need, and one layout.factor per family
-    and N serve every level."""
+# The sector sum of a brute kind: block(l, N) is the image of Sym^N T
+# regraded for N l-cycles, over the blocks T.blocks(image) (a class at
+# (p, q) of super sign s has image a s key, for (key, a) = image(p, q, s)).
+# A moved cycle moves each key by shift and multiplies a by sign; flip = -1
+# where it regrades by an odd degree, which turns each parity, so e and a.
+# var is the counting variable.
+Sectors = namedtuple("Sectors", "T image shift flip sign var",
+                     defaults=(_ONE, 1, 1, "q"))
+
+
+def _sym_sum(sectors, order, cycles, slot_map=None):
+    """_sector_sum in sectors.var of the Sectors' block(l, N), on slot_map
+    when it is given (a SlotMap whose units include the sector units), or
+    else on the slot map of the sector units.  block(l, N) is one of the
+    families keyed by (flip^(l-1), (flip sign)^(l-1)), at most three,
+    moved N (l - base) slots of the shift from block(base, N), base the
+    first length of its family, which _sector_sum asks for first: one
+    layouts.symmetric_powers DP per family, to the most powers its levels
+    need, and one layout.factor per family and N serve every level."""
+    T, image, shift, flip, sign, var = sectors
     blocks = T.blocks(image)
     layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
-                           shift, sum(T.dims.values()))
+                           shift, sum(T.dims.values()), slot_map)
     # bits per N and per cycle length: the slots are linear on the units
     step = layout.width * layout.slot(shift, 1) if cycles > 1 else 0
     families = {}  # signs -> (base, Sym^N ints, their factors)
@@ -183,10 +195,25 @@ def _sym_sum(T, order, cycles, image, shift=_ONE, flip=1, sign=1, var="q"):
 def _levels(poly, order, shift, cycles):
     """sum_{l <= cycles} poly * prod_v v^((l-1) shift[v]) * (counting var)^l:
     one copy of the single-particle polynomial per cycle length l, regraded
-    by the shift of each of its l - 1 moved cycles."""
-    return poly * Series.from_terms(poly.var, order, (
-        (1, {poly.var: l, **{v: (l - 1) * e for v, e in shift.items()}})
-        for l in range(1, cycles + 1)))
+    by the shift of each of its l - 1 moved cycles, as one term map."""
+    ti, step = VARS.index(poly.var), monomial_key(shift)
+    terms, items = {}, poly.terms.items()
+    for l in range(1, cycles + 1):
+        move = [(l - 1) * e for e in step]
+        move[ti] += 2 * l
+        m0, m1, m2, m3, m4 = move
+        for key, c in items:  # distinct keys: a level moves them all alike
+            terms[key[0] + m0, key[1] + m1, key[2] + m2, key[3] + m3,
+                  key[4] + m4] = c
+    return Series(poly.var, order, terms)
+
+
+# The single-particle series L(g; w) = sum_(l <= c) g w^(l-1) q^l of a
+# closed form, in the counting variable of the polynomial g (poly): one copy
+# of g per cycle length l up to c, the kind's cycle bound unless cycles
+# sets it, regraded by the monomial w ({variable: exponent}, shift) per
+# moved cycle.
+Levels = namedtuple("Levels", "poly shift cycles", defaults=(None,))
 
 
 def _sign_f(X, T, order, cycles):
@@ -194,11 +221,14 @@ def _sign_f(X, T, order, cycles):
     logarithm of prod_m (1-q^(2m))^(-chi/2) ((1+q^m)/(1-q^m))^(eps_m sgn/2);
     eps_m = -1 on even m when k = dim_C/2 is odd, else 1."""
     chi, sgn, k = X.euler(), genus(X.hodge, "signature"), X.dim_c // 2
-    pairs = []
+    terms = Counter()  # at the doubled exponents of q
     for m in range(1, cycles + 1):
         e = -sgn if (k % 2 and m % 2 == 0) else sgn
-        pairs += [(e, {"q": m}), (Fraction(chi - e, 2), {"q": 2 * m})]
-    return Series.from_terms("q", order, pairs)
+        # chi - sgn = -2 sum_(p odd) (-1)^q h^(p,q) and chi + sgn = 2
+        # sum_(p even) (-1)^q h^(p,q) are even, so (chi - e) / 2 is an int
+        terms[2 * m, 0, 0, 0, 0] += e
+        terms[4 * m, 0, 0, 0, 0] += (chi - e) // 2
+    return Series("q", order, terms)
 
 
 # Requirements: (holds(X), reason when it does not), checked in order.
@@ -218,12 +248,12 @@ _POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
 # surfaces for the (x, y)-weighted kinds, whose expansion dominates cost;
 # table: the ManifoldData attribute handed to both builders as T; cycles:
 # the longest cycle a sector may have, 1 for Sym^n(X) and None (any) for
-# (X^n, S_n).  brute(X, T, order, cycles) sums sectors; single(X, T, order,
-# cycles) is the single-particle series f of the closed form.  Both return
-# series in one counting variable, p for dmvv_q0* and q for the rest.  A
-# build reads nothing else of its spec, so within one run kinds that share
-# a builder, twisted, cycles and their table's contents share a build
-# (_build_key).
+# (X^n, S_n).  brute(X, T) is the Sectors of the brute sector sum;
+# single(X, T, order, cycles) is the single-particle series f of the closed
+# form, as its Levels where it has that shape, else as a series (_single).
+# Both are in one counting variable, p for dmvv_q0* and q for the rest.  A build reads nothing else of its spec, and its slot map moves no
+# coefficient, so within one run kinds that share a builder, twisted,
+# cycles and their table's contents share a build (_build_key).
 KindSpec = namedtuple(
     "KindSpec", "needs twisted surface_order table brute single cycles",
     defaults=(None,))
@@ -239,45 +269,43 @@ def _family(name, spec, **overrides):
 KINDS = {
     **_family("euler", KindSpec(
         (), False, None, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            X.betti, order, cycles, lambda p, q, s: (_ONE, 1)),
-        lambda X, T, order, cycles: _levels(
-            Series.constant("q", None, X.euler()), order, {}, cycles))),
+        lambda X, T: Sectors(X.betti, lambda p, q, s: (_ONE, 1)),
+        lambda X, T, order, cycles: Levels(
+            Series.constant("q", None, X.euler()), {}))),
     **_family("poincare", KindSpec(
         (), True, None, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            X.betti, order, cycles, lambda p, q, s: ((0, 0, p, 0, 0), s),
+        lambda X, T: Sectors(
+            X.betti, lambda p, q, s: ((0, 0, p, 0, 0), s),
             (0, 0, 2 * X.m, 0, 0), (-1) ** X.m),
-        lambda X, T, order, cycles: _levels(
-            X.betti.poly("t"), order, {"t": X.m}, cycles))),
+        lambda X, T, order, cycles: Levels(
+            X.betti.poly("t"), {"t": X.m}))),
     **_family("hodge", KindSpec(
         (_HAS_HODGE,), True, 6, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            T, order, cycles, lambda p, q, s: ((0, 0, 0, p, q), s),
+        lambda X, T: Sectors(
+            T, lambda p, q, s: ((0, 0, 0, p, q), s),
             (0, 0, 0, X.dim_c, X.dim_c), (-1) ** X.dim_c),
-        lambda X, T, order, cycles: _levels(T.poly("x"), order, {
-            "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}, cycles))),
+        lambda X, T, order, cycles: Levels(T.poly("x"), {
+            "x": Fraction(X.dim_c, 2), "y": Fraction(X.dim_c, 2)}))),
     **_family("chiy", KindSpec(
         (_HAS_HODGE,), False, None, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p), 1),
-            (0, 0, 0, 0, X.dim_c)),
-        lambda X, T, order, cycles: _levels(
-            chi_minus_y(T), order, {"y": Fraction(X.dim_c, 2)}, cycles))),
+        lambda X, T: Sectors(
+            T, lambda p, q, s: ((0, 0, 0, 0, p), 1), (0, 0, 0, 0, X.dim_c)),
+        lambda X, T, order, cycles: Levels(
+            chi_minus_y(T), {"y": Fraction(X.dim_c, 2)}))),
     # At y = 0 a class's image y^p is [p = 0] and a moved cycle's weight
-    # y^k is 0^(dim_C): a twisted sector vanishes, so f is a q.
+    # y^k is 0^(dim_C): a twisted sector vanishes, so f is a q, the level
+    # l = 1 alone.
     **_family("arith", KindSpec(
         (_HAS_HODGE, _POSITIVE_DIM_C), False, None, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            T, order, cycles, lambda p, q, s: (_ONE, int(p == 0)),
-            sign=0 ** X.dim_c),
-        lambda X, T, order, cycles: Series.term(
-            "q", order, genus(X.hodge, "arithmetic"), {"q": 1})),
+        lambda X, T: Sectors(
+            T, lambda p, q, s: (_ONE, int(p == 0)), sign=0 ** X.dim_c),
+        lambda X, T, order, cycles: Levels(Series.constant(
+            "q", None, genus(X.hodge, "arithmetic")), {}, 1)),
         needs=(_HAS_HODGE,)),
     **_family("sign", KindSpec(
         (_HAS_HODGE, _EVEN_DIM_C), False, None, "hodge",
-        lambda X, T, order, cycles: _sym_sum(
-            T, order, cycles, lambda p, q, s: (_ONE, -1 if p % 4 else 1),
+        lambda X, T: Sectors(
+            T, lambda p, q, s: (_ONE, -1 if p % 4 else 1),
             sign=(-1) ** (X.dim_c // 2)),
         _sign_f),
         needs=(_HAS_HODGE,)),
@@ -288,20 +316,18 @@ for _kind in ("hodge_sym", "chiy_sym", "hodge_orb", "chiy_orb"):
     KINDS[_kind + "_B"] = KINDS[_kind]._replace(needs=_B_NEEDS, table="hodge_b")
 _SURFACE_NEEDS = (_HAS_HODGE, _IS_SURFACE)
 KINDS["gottsche_poincare"] = KINDS["poincare_orb"]._replace(
-    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
-        X.betti.poly("t"), order, {"t": 2}, cycles))
+    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: Levels(
+        X.betti.poly("t"), {"t": 2}))
 KINDS["gottsche_hodge"] = KINDS["hodge_orb"]._replace(
-    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: _levels(
-        T.poly("x"), order, {"x": 1, "y": 1}, cycles))
+    needs=_SURFACE_NEEDS, single=lambda X, T, order, cycles: Levels(
+        T.poly("x"), {"x": 1, "y": 1}))
 # q -> p y^(-k) turns an l-cycle's weight y^(k(l-1)) into the y^(-k) that
 # its class image carries, so no moved cycle shifts a key.
 KINDS["dmvv_q0"] = KindSpec(
     (_HAS_HODGE,), False, 6, "hodge",
-    lambda X, T, order, cycles: _sym_sum(
-        T, order, cycles, lambda p, q, s: ((0, 0, 0, 0, p - X.dim_c), 1),
-        var="p"),
-    lambda X, T, order, cycles: _levels(chi_minus_y(T, "p") * Series.term(
-        "p", None, 1, {"y": Fraction(-X.dim_c, 2)}), order, {}, cycles))
+    lambda X, T: Sectors(
+        T, lambda p, q, s: ((0, 0, 0, 0, p - X.dim_c), 1), var="p"),
+    lambda X, T, order, cycles: Levels(chi_minus_y(T, "p", -X.dim_c), {}))
 KINDS["dmvv_q0_B"] = KINDS["dmvv_q0"]._replace(needs=_B_NEEDS, table="hodge_b")
 
 SERIES_KINDS = tuple(KINDS)
@@ -324,20 +350,69 @@ def _require(kind, X):
                          % (kind, X.name, reason))
 
 
-def brute_series(kind, X, order):
-    """Assemble the series named by kind from explicit sector data."""
+def brute_series(kind, X, order, slot_map=None):
+    """Assemble the series named by kind from explicit sector data, on
+    slot_map (kind_slot_map) when it is given, else on the slot map of the
+    sector sum's own units."""
     _require(kind, X)
     spec = KINDS[kind]
-    return spec.brute(X, getattr(X, spec.table), order, spec.cycles or order)
+    return _sym_sum(spec.brute(X, getattr(X, spec.table)), order,
+                    spec.cycles or order, slot_map)
 
 
-def closed_series(kind, X, order):
+def closed_series(kind, X, order, slot_map=None):
     """Expand the closed form of kind: the plethystic exponential of its
-    single-particle series, super-signed for the twisted kinds."""
+    single-particle series, super-signed for the twisted kinds, on
+    slot_map (kind_slot_map) when it is given, else on the slot map of the
+    series' own terms."""
     _require(kind, X)
     spec = KINDS[kind]
-    f = spec.single(X, getattr(X, spec.table), order, spec.cycles or order)
-    return plethystic_exp(f, super_signs=spec.twisted)
+    f = _single(spec, X, order)
+    return plethystic_exp(f, super_signs=spec.twisted, slot_map=slot_map)
+
+
+def _single(spec, X, order):
+    """The single-particle series f of a spec's closed form at order: its
+    Levels expanded by _levels, or the series its single gives."""
+    cycles = spec.cycles or order
+    f = spec.single(X, getattr(X, spec.table), order, cycles)
+    if isinstance(f, Levels):
+        f = _levels(f.poly, order, f.shift, f.cycles or cycles)
+    return f
+
+
+def kind_slot_map(kind, X, order):
+    """The slot map of a kind check: the layouts.SlotMap of the union of
+    the units of both routes, the brute sector sum's and the closed form's
+    single-particle terms.  A map of more units than a route forms holds
+    every product it forms, so each route stays exact on it at its own
+    slot width, and the two results compare as ints.  It reads the table,
+    the order and the unit keys of the two routes, never a coefficient of
+    either result.  The single-particle terms of Levels are affine in l
+    as the sector units are, so their units at lengths 1, 2 and the cycle
+    bound stand for all (layouts.sector_units), and where they regrade as
+    the sectors do, at keys of the sectors and no longer cycles, as in
+    every kind but sign_*, the sector units stand for them too."""
+    _require(kind, X)
+    spec = KINDS[kind]
+    T, cycles = getattr(X, spec.table), spec.cycles or order
+    sectors = spec.brute(X, T)
+    keys = {key for key, _, _ in sectors.T.blocks(sectors.image)}
+    units = sector_units(cycles, keys, sectors.shift)
+    f = spec.single(X, T, order, cycles)
+    if not isinstance(f, Levels):
+        units += plethystic_units(f)
+    elif f.poly.terms.keys() - keys or (f.cycles or cycles) > cycles or \
+            monomial_key(f.shift) != sectors.shift:
+        units += sector_units(f.cycles or cycles, f.poly.terms,
+                              monomial_key(f.shift))
+    return _slot_map(frozenset(units), order)
+
+
+# Many kind checks share their units, across kinds and manifolds: kinds
+# whose images are all the monomial 1, say.  A slot map is read-only, so
+# one map serves every check of the same units and order.
+_slot_map = lru_cache(maxsize=256)(SlotMap)
 
 
 # -- verification ---------------------------------------------------------------
@@ -394,8 +469,9 @@ def _build_key(X, build, kind, order):
 
 
 def _series_of(X):
-    """(build, kind, order) -> build(kind, X, order) for build in
-    {brute_series, closed_series}, each distinct series built once per run.
+    """(build, kind, order) -> build(kind, X, order, its kind_slot_map) for
+    build in {brute_series, closed_series}, each distinct series built once
+    per run, and each slot map once for the two routes of a kind.
 
     The memo is keyed by _build_key, what a build reads, and not by the
     kind: gottsche_hodge reuses the brute hodge_orb, and where the B-table
@@ -403,14 +479,20 @@ def _series_of(X):
     hodge_orb.  The route is part of the key, so a brute request never gets
     a closed series.  An inapplicable kind raises InputError even where its
     key matches a series already built."""
-    memo = {}
+    memo, maps = {}, {}
 
     def built(build, kind, order):
         _require(kind, X)
         key = _build_key(X, build, kind, order)
         series = memo.get(key)
         if series is None:
-            series = memo[key] = build(kind, X, order)
+            # what kind_slot_map reads: both builders, cycles, the order
+            # and the table's contents
+            spec = KINDS[kind]
+            at = (spec.brute, spec.single) + key[3:]
+            if at not in maps:
+                maps[at] = kind_slot_map(kind, X, order)
+            series = memo[key] = build(kind, X, order, maps[at])
         return series
     return built
 

@@ -36,11 +36,12 @@ order.  Their results stay packed: Series.from_layout keeps the layout and
 the int of each power, decodes them into the nonzero slots and digits of
 each power when str() or a comparison by digits first needs those, and
 builds the {key: coeff} dict only when .terms is first read, dropping the
-ints or slots then.  Two packed series whose layouts map slots to keys
-alike compare by their ints at one slot width, trailing zero powers
-aside, and by their slots and digits at two; str() renders each power
-from its key columns, and is_integral needs no pass; every other
-operation reads .terms.
+ints or slots then.  Two packed series whose layouts share a slot map
+compare by their ints, trailing zero powers aside, the narrower side's
+spread to the wider slot width where the widths differ; str() renders
+each power from its key columns, and is_integral needs no pass; every
+other operation, and == on series of two slot maps or with a side already
+decoded, reads .terms.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -48,8 +49,9 @@ it combines with finite orders as "no constraint".
 """
 
 from fractions import Fraction
+from operator import itemgetter
 
-from .layouts import Kronecker, SeriesUsageError, euler_transform
+from .layouts import Kronecker, SeriesUsageError, SlotMap, euler_transform
 
 VARS = ("q", "p", "t", "x", "y")
 COUNTING_VARS = ("q", "p")
@@ -122,8 +124,9 @@ class Series:
             raise SeriesUsageError("order must be a nonnegative integer or None")
         cap = None if order is None else 2 * order
         terms = {} if terms is None else terms  # handed over, not copied
-        if not all(c and (cap is None or key[ti] <= cap)
-                   for key, c in terms.items()):
+        # one pass in C over the coefficients, and one over the exponents
+        if not all(terms.values()) or cap is not None and \
+                max(map(itemgetter(ti), terms), default=0) > cap:
             terms = {key: c for key, c in terms.items()
                      if c and (cap is None or key[ti] <= cap)}
         object.__setattr__(self, "var", var)
@@ -140,8 +143,8 @@ class Series:
     def from_layout(cls, var, order, layout, ints):
         """sum_n ints[n] var^n, each int a polynomial of degree n in layout
         (a layouts.Kronecker) and none past order, held as the list ints
-        until .terms, str() or a comparison by digits first needs its
-        slots: layout.decode then drops the ints from the list."""
+        until .terms or str() first needs its slots: layout.decode then
+        drops the ints from the list."""
         s = cls(var, order)
         object.__setattr__(s, "_terms", None)
         object.__setattr__(s, "_packed", (layout, ints, None))
@@ -241,14 +244,18 @@ class Series:
         if self.var != other.var or self.order != other.order:
             return False
         a, b = self._packed, other._packed
-        if not (a and b and a[0].maps_like(b[0])):
+        if not (a and b and a[1] is not None and b[1] is not None
+                and a[0].map == b[0].map):
             return self.terms == other.terms
-        x, y = a[1], b[1]
-        if x is not None and y is not None and a[0].width == b[0].width:
-            # one int per power at one slot map: equal ints, equal digits
-            return x[:len(y)] == y[:len(x)] and not any(x[len(y):]) \
-                and not any(y[len(x):])
-        return self._powers() == other._powers()
+        # one int per power on one slot map: equal ints, equal series,
+        # once the narrower side's slots are spread to the wider width
+        (la, x), (lb, y) = a[:2], b[:2]
+        if la.width < lb.width:
+            x = [la.spread(v, lb.nbytes) for v in x]
+        elif lb.width < la.width:
+            y = [lb.spread(v, la.nbytes) for v in y]
+        return x[:len(y)] == y[:len(x)] and not any(x[len(y):]) \
+            and not any(y[len(x):])
 
     # -- rendering ---------------------------------------------------------
 
@@ -345,7 +352,15 @@ def coeff_str(c):
 # -- expansion primitives ----------------------------------------------------
 
 
-def plethystic_exp(f, super_signs=False):
+def plethystic_units(f):
+    """The (degree, key) unit of each term of f, with the degree of its
+    counting exponent and the key without it: the units of the layout of
+    plethystic_exp(f)."""
+    ti = _VI[f.var]
+    return [(key[ti] // 2, key[:ti] + (0,) + key[ti + 1:]) for key in f.terms]
+
+
+def plethystic_exp(f, super_signs=False, slot_map=None):
     """The plethystic exponential PE[f] = exp(sum_{k>=1} psi_k(f) / k).
 
     psi_k raises every variable to its k-th power, so each term c*M of f
@@ -354,7 +369,9 @@ def plethystic_exp(f, super_signs=False):
     PE[f] = sum_n F_n q^n, the coefficients follow the Euler-transform
     recurrence n*F_n = sum_{k<=n} D_k*F_(n-k), D_k = sum_{d|k} d*psi_(k/d)(f_d),
     on Laurent polynomials in t, x, y.  Each F_n is one int of a
-    layouts.Kronecker layout with the terms of f as units, and each D_k a
+    layouts.Kronecker layout, on slot_map, a layouts.SlotMap of f.order
+    whose units include plethystic_units(f), or else on the slot map of
+    those units alone, and each D_k a
     {slot: coeff} map, psi_j of a term at j times its slot: the recurrence
     is int arithmetic, n*F_n divides by n as one int, and the result holds
     the F_n packed (Series.from_layout).  f must have integer coefficients,
@@ -378,15 +395,16 @@ def plethystic_exp(f, super_signs=False):
                                "the counting variable")
     if not f.is_integral():
         raise SeriesUsageError("plethystic_exp needs integer coefficients")
+    units = plethystic_units(f)
     # (degree, key without the counting variable, coeff) per term of f
-    terms = [(key[ti] // 2, key[:ti] + (0,) + key[ti + 1:], c.numerator)
-             for key, c in f.terms.items()]
+    terms = [(d, key, c.numerator)
+             for (d, key), c in zip(units, f.terms.values())]
     a = [0] * (order + 1)
     for d, _, c in terms:
         a[d] += abs(c)
     # no digit of n F_n outgrows n [q^n] PE[|f| at 1]
     bound = max(n * g for n, g in enumerate(euler_transform(a, order)))
-    lay = Kronecker([(d, key) for d, key, _ in terms], order, bound)
+    lay = Kronecker(slot_map or SlotMap(units, order), bound)
     D = [{} for _ in range(order + 1)]  # {slot: coeff} of each D_k
     for d, key, c in terms:
         # an odd term's even powers take the opposite sign under super_signs
@@ -397,10 +415,8 @@ def plethystic_exp(f, super_signs=False):
     D = [lay.slot_factor(Dk) for Dk in D]
     F = [1]  # the packed 1
     for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            acc = lay.mul_add(acc, F[n - k], D[k])
-        F.append(acc // n)
+        # sum_k F_(n-k) D_k, k = 1 to n
+        F.append(lay.dot(reversed(F), D[1:]) // n)
     return Series.from_layout(f.var, order, lay, F)
 
 
@@ -422,28 +438,43 @@ def substitute(s, v, exps, coeff=1):
         raise SeriesUsageError(
             "substitute neither replaces nor introduces a counting variable")
     vi = _VI[v]
+    # per doubled exponent d of v, on first use: coeff^(d/2), and the step
+    # that puts d * rkey / 2 in place of v^(d/2); a zero power kills its
+    # terms, whose exponents are not checked
+    steps = {}
     terms = {}
+    get = terms.get
     for key, c in s.terms.items():
         d = key[vi]
         if d:
-            c = c * _rational_power(coeff, d)
-            if not c:
+            hit = steps.get(d)
+            if hit is None:
+                power = _rational_power(coeff, d)
+                hit = steps[d] = power, power and _move(d, vi, rkey)
+            power, step = hit
+            if not power:
                 continue
-            nk = list(key)
-            nk[vi] = 0
-            for u, ru in enumerate(rkey):
-                if ru == 0:
-                    continue
-                prod = d * ru
-                if prod % 2:
-                    raise SeriesDomainError(
-                        "substitution exponent %s * %s leaves (1/2)Z"
-                        % (half_str(d), half_str(ru))
-                    )
-                nk[u] += prod // 2
-            key = tuple(nk)
-        terms[key] = terms.get(key, 0) + c
+            c *= power
+            key = (key[0] + step[0], key[1] + step[1], key[2] + step[2],
+                   key[3] + step[3], key[4] + step[4])
+        terms[key] = get(key, 0) + c
     return Series(s.var, s.order, terms)
+
+
+def _move(d, vi, rkey):
+    """The key step that replaces v^(d/2), v at index vi, by the monomial
+    of doubled key rkey: -d at vi and d * rkey / 2 elsewhere."""
+    move = []
+    for ru in rkey:
+        prod = d * ru
+        if prod % 2:
+            raise SeriesDomainError(
+                "substitution exponent %s * %s leaves (1/2)Z"
+                % (half_str(d), half_str(ru))
+            )
+        move.append(prod // 2)
+    move[vi] -= d
+    return move
 
 
 def _rational_power(base, d):

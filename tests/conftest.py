@@ -8,7 +8,7 @@ import pytest
 
 from symprod import graded
 from symprod.cli import catalog_dir, load_manifold
-from symprod.layouts import sector_layout, symmetric_powers
+from symprod.layouts import Kronecker, SlotMap, sector_layout, symmetric_powers
 from symprod.series import (VARS, Series, SeriesDomainError,
                             SeriesUsageError, substitute)
 
@@ -55,6 +55,12 @@ def state_degree(space, state):
     the level-l copy of a class weighs its shifted degree + l*d (so the
     vacuum sits in degree zero)."""
     return sum(space.shifted[g] + l * space.d for l, g in space.word(state))
+
+
+def kronecker(units, order, bound):
+    """The layout of the slot map of units up to order, at the slot width
+    of bound."""
+    return Kronecker(SlotMap(units, order), bound)
 
 
 def read(layout, ints, ti=0):

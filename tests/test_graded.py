@@ -2,9 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (GradedDims, add, dsum, read, shift, sym_power_oracle,
-                      tensor, twist, zero)
-from symprod.layouts import Kronecker, symmetric_powers
+from conftest import (GradedDims, add, dsum, kronecker, read, shift,
+                      sym_power_oracle, tensor, twist, zero)
+from symprod.layouts import symmetric_powers
 from symprod.series import Series, plethystic_exp, substitute
 
 # degrees below are doubled: GradedDims({(0, 0): 1, (4, 0): 1}) is one class
@@ -146,7 +146,7 @@ def layout_of(v, n):
     keys = [(0, 0, 0, p, q) for p, q in v.dims] or [(0,) * 5]
     bound = max([1] + [c for N in range(n + 1)
                        for c in sym_power_oracle(v, N).dims.values()])
-    return Kronecker([(1, k) for k in keys], n, bound)
+    return kronecker([(1, k) for k in keys], n, bound)
 
 
 @settings(max_examples=40, deadline=None)

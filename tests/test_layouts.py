@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import packed, pe_oracle, read, ref_render
+from conftest import kronecker, packed, pe_oracle, read, ref_render
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker, sector_layout
@@ -116,15 +116,15 @@ def as_series(terms, n):
 @given(factor_pair(), st.sampled_from((0, 256, 1 << 40)))
 def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     # on every kind of lattice: each map round-trips through its slots,
-    # and the product of the ints is the product of the tuple keys, by
-    # the factor of b's int and by the one built from b's slot map
+    # and the product of the ints by dot is the product of the tuple keys,
+    # by the factor of b's int and by the one built from b's slot map
     (units, kind), (da, a), (db, b) = pair
     event(kind)
     expected = as_series(a, da) * as_series(b, db)
     # no digit of a, of b or of the product outgrows this
     sa, sb = sum(map(abs, a.values())), sum(map(abs, b.values()))
     bound = max(sa * sb, sa, sb)
-    lay, saved = Kronecker(units, da + db, bound), layouts.FACTOR_BITS
+    lay, saved = kronecker(units, da + db, bound), layouts.FACTOR_BITS
     for terms, n in ((a, da), (b, db)):
         assert read(lay, [0] * n + [packed(lay, terms, n)]) == \
             as_series(terms, n).terms
@@ -135,9 +135,31 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     finally:
         layouts.FACTOR_BITS = saved
     for factor in factors:
-        value = lay.mul_add(0, packed(lay, a, da), factor)
+        value = lay.dot([packed(lay, a, da)], [factor])
         got = read(lay, [0] * (da + db) + [value])
         assert Series("q", None, got) == expected
+    # dot sums its products: a b + b a, with a's factor as b's is
+    assert lay.dot([packed(lay, a, da), packed(lay, b, db)],
+                   [factors[0], lay.factor(packed(lay, a, da))]) == 2 * value
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pair(), lattice_units())
+def test_a_slot_map_of_more_units_holds_every_product(pair, extra):
+    # the two routes of a kind check share the slot map of the union of
+    # their units: on a map of the units and more, each map round-trips
+    # through its slots and the product of the ints is the product of the
+    # tuple keys, as on the units' own map
+    (units, kind), (da, a), (db, b) = pair
+    event(kind + " and " + extra[1])
+    sa, sb = sum(map(abs, a.values())), sum(map(abs, b.values()))
+    lay = kronecker(units + extra[0], da + db, max(sa * sb, sa, sb))
+    for terms, n in ((a, da), (b, db)):
+        assert read(lay, [0] * n + [packed(lay, terms, n)]) == \
+            as_series(terms, n).terms
+    value = lay.dot([packed(lay, a, da)], [lay.factor(packed(lay, b, db))])
+    assert Series("q", None, read(lay, [0] * (da + db) + [value])) == \
+        as_series(a, da) * as_series(b, db)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,7 +168,7 @@ def test_slot_is_linear_on_the_units(case, order):
     # plethystic_exp puts psi_j of a unit at j times the unit's slot
     units, kind = case
     event(kind)
-    lay = Kronecker(units, order, 1)
+    lay = kronecker(units, order, 1)
     for d, key in units:
         for j in range(1, order // d + 1):
             assert lay.slot(tuple(j * e for e in key), j * d) == \
@@ -201,7 +223,7 @@ def read_case(draw):
     bound = draw(st.integers(2 ** (8 * nbytes - 8) if nbytes > 1 else 1,
                              2 ** (8 * nbytes - 1) - 1))
     order = draw(st.integers(0, 4))
-    lay = Kronecker(units, order, bound)
+    lay = kronecker(units, order, bound)
     assert lay.nbytes == nbytes
     digit = st.one_of(st.sampled_from((bound, -bound, 0)),
                       st.integers(-bound, bound))
@@ -214,7 +236,7 @@ def width_case(nbytes):
     bound and at 1, an empty degree, and an empty slot between two full
     ones."""
     bound = 2 ** (8 * nbytes - 1) - 1
-    lay = Kronecker([(1, (0,) * 5), (1, (0, 0, 0, 2, 0))], 3, bound)
+    lay = kronecker([(1, (0,) * 5), (1, (0, 0, 0, 2, 0))], 3, bound)
     assert lay.nbytes == nbytes
     return "box", lay, {
         0: {(0,) * 5: -1}, 1: {(0, 0, 0, 2, 0): bound}, 2: {},
@@ -229,16 +251,16 @@ def width_case(nbytes):
 @example(width_case(8), 1)
 @example(width_case(9), 0)  # past 8 bytes: one slice per digit
 @example(width_case(11), 1)
-@example(("slopes", Kronecker([(1, (0, 0, 0, 3, -1)), (2, (0, 0, 0, 6, -2))],
+@example(("slopes", kronecker([(1, (0, 0, 0, 3, -1)), (2, (0, 0, 0, 6, -2))],
                               2, 127),
           {0: {(0,) * 5: 0}, 1: {(0, 0, 0, 3, -1): -127},
            2: {(0, 0, 0, 6, -2): 127}}), 1)
-@example(("box", Kronecker([(1, (0,) * 5), (1, (0, 0, 1, 0, 0)),
+@example(("box", kronecker([(1, (0,) * 5), (1, (0, 0, 1, 0, 0)),
                             (1, (0, 0, 0, -2, 0)), (1, (0, 0, 0, 0, 3))],
                            2, 2**71 - 1),
           {0: {(0,) * 5: 2**71 - 1}, 1: {},
            2: {(0, 0, 1, -2, 0): 1 - 2**71, (0, 0, 0, 0, 6): 5}}), 0)
-@example(("lattice", Kronecker([(1, (0,) * 5), (3, (0, 0, 0, -1, 1))], 1, 1),
+@example(("lattice", kronecker([(1, (0,) * 5), (3, (0, 0, 0, -1, 1))], 1, 1),
           {0: {(0,) * 5: 1}, 1: {(0,) * 5: -1}}), 0)  # an outer stride of 1
 def test_read_matches_the_divmod_decoder(case, ti):
     # every degree's int, zero ones included, decodes to its map with the
@@ -285,12 +307,12 @@ def packed_pair(draw):
     maps = {n: product_map(draw, units, n) for n in range(order + 1)}
     bound = max([1] + [abs(c) for terms in maps.values()
                        for c in terms.values()])
-    lay = Kronecker(units, order, bound)
+    lay = kronecker(units, order, bound)
     how = draw(st.sampled_from(("same", "width", "order", "unit")))
     other = {"same": lambda: lay,
-             "width": lambda: Kronecker(units, order, bound << 16),
-             "order": lambda: Kronecker(units, order + 1, bound),
-             "unit": lambda: Kronecker(
+             "width": lambda: kronecker(units, order, bound << 16),
+             "order": lambda: kronecker(units, order + 1, bound),
+             "unit": lambda: kronecker(
                  units + [draw(lattice_units())[0][0]], order, bound)}[how]()
     moved = {n: dict(terms) for n, terms in maps.items()}
     full = [n for n, terms in moved.items() if terms]
@@ -328,7 +350,7 @@ def test_packed_equality_is_dict_equality(pair):
     dicts = [Series(var, order, divmod_read(lay, ints(lay, maps),
                                             VARS.index(var)))
              for var, order, lay, maps in pair]
-    event("same map" if pair[0][2].maps_like(pair[1][2]) else "other map")
+    event("same map" if pair[0][2].map == pair[1][2].map else "other map")
     expected = dicts[0] == dicts[1]
     event("equal" if expected else "unequal")
     assert (sides[0] == sides[1]) is expected
@@ -343,7 +365,7 @@ def test_packed_series_of_one_map_and_width_compare_without_decoding(pair):
     # int is the polynomial itself: == compares the int lists, and trailing
     # zero powers do not count
     (var, order, lay, maps), (var2, order2, other, moved) = pair
-    assume(var == var2 and order == order2 and lay.maps_like(other)
+    assume(var == var2 and order == order2 and lay.map == other.map
            and lay.width == other.width)
     event("trailing" if len(maps) != len(moved) else "same length")
     a, b = (Series.from_layout(var, order, lay, ints(lay, maps)),
@@ -358,17 +380,56 @@ def test_packed_series_of_one_map_and_width_compare_without_decoding(pair):
     assert a._terms is None and b._terms is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(packed_pair())
+def test_packed_series_of_one_map_compare_without_decoding_at_any_width(
+        pair):
+    # on one slot map the narrower side's ints are spread to the wider
+    # width, whole ints and bytes, so == decodes neither side at two
+    # widths either
+    (var, order, lay, maps), (var2, order2, other, moved) = pair
+    assume(var == var2 and order == order2 and lay.map == other.map)
+    event("one width" if lay.width == other.width else "two widths")
+    a, b = (Series.from_layout(var, order, lay, ints(lay, maps)),
+            Series.from_layout(var, order, other, ints(other, moved)))
+    expected = Series(var, order, divmod_read(lay, ints(lay, maps),
+                                              VARS.index(var))) == \
+        Series(var, order, divmod_read(other, ints(other, moved),
+                                       VARS.index(var)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Kronecker, "decode", None)
+        assert (a == b) is expected and (b == a) is expected
+    assert a._terms is None and b._terms is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_case(), st.integers(1, 12))
+@example(width_case(1), 10)  # a digit at the bound, 8 bits to 88
+@example(width_case(11), 1)
+def test_spread_puts_each_digit_at_its_slot_of_a_wider_width(case, more):
+    # the int of each degree spread to more bytes a slot is the sum of its
+    # digits at the wider slots, built by shifts of each coefficient
+    kind, lay, maps = case
+    event(kind)
+    wide = Kronecker(lay.map, 1 << 8 * (lay.nbytes + more) - 9)
+    assert wide.map is lay.map and wide.nbytes == lay.nbytes + more
+    for n, terms in maps.items():
+        expected = sum(c << wide.width * lay.slot(key, n)
+                       for key, c in terms.items())
+        assert lay.spread(packed(lay, terms, n), wide.nbytes) == expected
+
+
 def test_packed_series_compare_by_degree_and_the_whole_slot_map():
     # two layouts with the same vars and slopes but g = 1 and g = 2: slot
     # 1 of degree 1 is x^(-1) y^(-1/2) q in one and x^(-1) q in the other
-    a = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
+    a = kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
                    (1, (0, 0, 0, -1, -2))], 2, 1)
-    b = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -1, -1)),
+    b = kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -1, -1)),
                    (1, (0, 0, 0, 0, -2))], 2, 1)
     assert (a.vars, a.slopes, a.g) == (b.vars, b.slopes, 1) and b.g == 2
-    wide = Kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
+    wide = kronecker([(1, (0, 0, 0, -2, -2)), (1, (0, 0, 0, -2, -1)),
                       (1, (0, 0, 0, -1, -2))], 2, 2**40)
-    assert a.maps_like(wide) and not a.maps_like(b) and a.width < wide.width
+    assert a.map == wide.map and a.map != b.map and a.width < wide.width
 
     def one(lay, n):  # the digit 1 at slot 1 of degree n
         return Series.from_layout("q", 2, lay, [0] * n + [1 << lay.width])
@@ -407,7 +468,7 @@ def test_a_digit_at_the_width_bound_is_exact():
     # a bound of 2^63 has 64 bits: the slots take a sign bit more, so 72
     c = 2**63
     x = (0, 0, 0, 2, 0)
-    lay = Kronecker([(1, x)], 1, c)
+    lay = kronecker([(1, x)], 1, c)
     assert lay.width == 72
     assert read(lay, [0, packed(lay, {x: c}, 1)]) == {(2, 0, 0, 2, 0): c}
     assert read(lay, [0, packed(lay, {x: -c}, 1)]) == {(2, 0, 0, 2, 0): -c}
@@ -451,7 +512,7 @@ def test_a_layout_too_sparse_for_its_units_is_refused():
     tracemalloc.start()
     try:
         with pytest.raises(SeriesUsageError, match="spread too far"):
-            Kronecker(units, 4, 10)
+            kronecker(units, 4, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,7 +526,7 @@ def test_the_layout_limit_counts_every_slot_up_to_the_order():
     # one-byte slots, units 1, x and x^e at order 1 (they span all of Z):
     # 2 + e slots in all
     def layout(e):
-        return Kronecker([(1, (0,) * 5), (1, (0, 0, 0, 1, 0)),
+        return kronecker([(1, (0,) * 5), (1, (0, 0, 0, 1, 0)),
                           (1, (0, 0, 0, e, 0))], 1, 1)
     assert layout(MAX_LAYOUT_BITS // 8 - 2).width == 8
     with pytest.raises(SeriesUsageError, match="17 MiB"):
@@ -481,7 +542,7 @@ def test_the_layout_limit_counts_every_slot_up_to_the_order():
     # 1, xy and x^2 y^2 (a line): g = 7 + 1, and (xy)^i sits at slot i
     ([(0, 0), (1, 1), (2, 2)], 3, 7, 8)))
 def test_two_variables_divide_by_the_lattice_index(keys, order, stride, g):
-    lay = Kronecker([(1, (0, 0, 0, 2 * a, 2 * b)) for a, b in keys],
+    lay = kronecker([(1, (0, 0, 0, 2 * a, 2 * b)) for a, b in keys],
                     order, 1)
     assert [var[3] for var in lay.vars] == [1, stride]
     assert lay.g == g
@@ -528,7 +589,7 @@ def test_a_sector_layout_is_the_layout_of_every_cycle_length(case):
     every = [(l, tuple(e + (l - 1) * s for e, s in zip(key, shift)))
              for l in range(1, cycles + 1) for key in keys or [(0,) * 5]]
     assert layout_or_refusal(lambda: sector_layout(*case)) == \
-        layout_or_refusal(lambda: Kronecker(
+        layout_or_refusal(lambda: kronecker(
             every, order, layouts.euler_transform(a, order)[order]))
 
 

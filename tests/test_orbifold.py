@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CATALOG_NAMES, add, counting_coefficient, cycle_types,
-                      dsum, euler_number, scale, shift, specialize,
+                      dsum, euler_number, kronecker, scale, shift, specialize,
                       sym_power, sym_power_oracle, tensor, traced_peak, twist,
                       zero)
 import symprod
@@ -228,7 +228,7 @@ def q_power(c, order, n):
 
 
 def block_series(layout, block, n, order=None, var="q"):
-    """A block of degree n, an int or a factor of mul_add, as a series in
+    """A block of degree n, an int or a factor of dot, as a series in
     var: a factor (a shift and (shift, coeff) pairs above it) is first
     summed to one int."""
     if type(block) is not int:
@@ -260,7 +260,7 @@ def cycle_type_sector_sum(order, cycles, level, layout, var="q"):
 def test_sector_sum_counts_partitions():
     # every block is the int 1 on a one-slot layout (a factor at l >= 2),
     # and each level shares one list
-    lay = Kronecker([(1, (0,) * 5)], 8, 22)
+    lay = kronecker([(1, (0,) * 5)], 8, 22)
     ones = lambda l, count: [1 if l == 1 else lay.factor(1)] * (count + 1)
     got = ob._sector_sum(8, 8, ones, lay)
     assert scalar_coeffs(got, 8) == [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -308,6 +308,32 @@ def test_k3_hodge_orb_takes_the_dense_path_on_both_sides(catalog, monkeypatch,
     c = ob.closed_series("hodge_orb", catalog["k3"], order)
     assert [type(layout) for layout in seen] == [Kronecker, Kronecker]
     assert b == c
+
+
+def check_kind_slot_maps(X, orders):
+    """Each applicable kind's slot map is built with neither route run, and
+    each route reads the same terms on it as on the map of its own units,
+    at the slot width of its own bound."""
+    for kind in ob.SERIES_KINDS:
+        if ob.applicability(kind, X) is not None:
+            continue
+        for order in orders:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ob, "_sector_sum", None)
+                mp.setattr(ob, "plethystic_exp", None)
+                slot_map = ob.kind_slot_map(kind, X, order)
+            for build in (ob.brute_series, ob.closed_series):
+                own = build(kind, X, order)
+                shared = build(kind, X, order, slot_map)
+                assert shared._packed[0].map is slot_map
+                assert shared._packed[0].width == own._packed[0].width
+                assert shared.terms == own.terms, (kind, order)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("hopf",))
+def test_each_route_reads_alike_on_its_kind_slot_map(catalog, name):
+    check_kind_slot_maps(catalog[name] if name in catalog else HOPF,
+                         (0, 1, 3, 6))
 
 
 @st.composite
@@ -726,10 +752,30 @@ def test_single_particle_series_are_integral_on_integer_tables(X, order):
     # CLI keeps its exit codes
     for kind, spec in ob.KINDS.items():
         if ob.applicability(kind, X) is None:
-            f = spec.single(X, getattr(X, spec.table), order,
-                            spec.cycles or order)
-            assert f.is_integral(), kind
+            assert ob._single(spec, X, order).is_integral(), kind
             assert ob.closed_series(kind, X, order).is_integral(), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_manifolds(), st.integers(min_value=0, max_value=4))
+def test_sign_f_halves_an_even_number(X, order):
+    # chi - sgn = -2 sum_(p odd) (-1)^q h^(p,q): chi -+ sgn is even, so the
+    # floor division of _sign_f is the exact (chi -+ sgn) / 2
+    assume(X.hodge is not None)
+    chi, sgn = X.euler(), ob.genus(X.hodge, "signature")
+    assert chi - sgn == -2 * sum(h if q % 4 == 0 else -h
+                                 for (p, q), h in X.hodge.dims.items()
+                                 if p % 4 == 2)
+    f = ob._sign_f(X, X.hodge, order, order)
+    assert all(type(c) is int for c in f.terms.values())
+    # the same series with the halves taken as exact rationals
+    expected = Counter()
+    for m in range(1, order + 1):
+        e = -sgn if X.dim_c // 2 % 2 and m % 2 == 0 else sgn
+        expected[2 * m] += e
+        expected[4 * m] += Fraction(chi - e, 2)
+    assert f.terms == {(d, 0, 0, 0, 0): c for d, c in expected.items()
+                       if c and d <= 2 * order}
 
 
 def test_kind_rejection(catalog):
@@ -785,9 +831,10 @@ def counted_builds(monkeypatch):
     call from here on."""
     builds = []
     for name in ("brute_series", "closed_series"):
-        def counted(kind, X, order, route=getattr(ob, name), name=name):
+        def counted(kind, X, order, *slot_map, route=getattr(ob, name),
+                    name=name):
             builds.append((name, kind, order))
-            return route(kind, X, order)
+            return route(kind, X, order, *slot_map)
         monkeypatch.setattr(ob, name, counted)
     return builds
 
@@ -804,6 +851,28 @@ def test_verify_all_builds_each_distinct_series_once(catalog, monkeypatch):
         if name != "k3":
             ob.verify_all(catalog[name])
     assert len(builds) == 208
+
+
+def test_both_routes_of_a_kind_check_get_one_slot_map(catalog, monkeypatch):
+    # one slot map per kind check, built only where a route builds: on k3,
+    # 28 builds take 16 maps, the gottsche_* closed forms taking theirs
+    # where their brute series is hodge_orb's and poincare_orb's.  Checks
+    # of equal units share one map object
+    maps, passed = [], {}
+    kind_slot_map = ob.kind_slot_map
+    monkeypatch.setattr(ob, "kind_slot_map", lambda *args: maps.append(
+        kind_slot_map(*args)) or maps[-1])
+    for name in ("brute_series", "closed_series"):
+        def record(kind, X, order, slot_map, route=getattr(ob, name),
+                   name=name):
+            passed[name, kind, order] = slot_map
+            return route(kind, X, order, slot_map)
+        monkeypatch.setattr(ob, name, record)
+    assert all(r.status == "pass" for r in ob.verify_all(catalog["k3"]))
+    assert (len(passed), len(maps)) == (28, 16)
+    for (name, kind, order), slot_map in passed.items():
+        if name == "brute_series" and ("closed_series", kind, order) in passed:
+            assert passed["closed_series", kind, order] is slot_map, kind
 
 
 def used_series(monkeypatch):
@@ -1042,6 +1111,12 @@ def test_sym_kinds_are_symmetric_power_sums(catalog, name):
 
 @settings(max_examples=15, deadline=None)
 @given(hodge_manifolds())
+def test_each_route_reads_alike_on_kind_slot_maps_of_random_tables(X):
+    check_kind_slot_maps(X, (4,))
+
+
+@settings(max_examples=15, deadline=None)
+@given(hodge_manifolds())
 def test_sym_kinds_are_symmetric_power_sums_on_random_tables(X):
     check_sym_kinds(X, range(7))
 
@@ -1068,14 +1143,12 @@ def test_sym_kind_is_its_orb_kind_cut_to_one_cycles(family):
 SHARED_WITH_ORACLE = {
     "layouts.Kronecker.__init__":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker.slot":
+    "layouts.SlotMap.slot":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker._one_int":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker.mul_add":
+    "layouts.Kronecker.dot":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts._lattice":
-        "test_layouts.test_two_variables_divide_by_the_lattice_index",
     "layouts.euler_transform":
         "test_layouts.test_euler_transform_is_the_colored_partition_count",
     "orbifold.applicability":
@@ -1090,6 +1163,22 @@ SHARED_WITH_ORACLE = {
         "test_series.test_from_terms_sums_duplicates_and_drops_cancellations",
     "series._counting_index":
         "test_series.test_entry_rejects_the_other_counting_variable",
+}
+
+# What a kind check builds once, before either route, and hands to both:
+# the slot map of their units, with the tests that show it moves no
+# coefficient of either route, whatever units it holds beyond a route's own.
+SLOT_MAP_WITH_ORACLE = {
+    "orbifold.kind_slot_map":
+        "test_orbifold.test_each_route_reads_alike_on_its_kind_slot_map",
+    "layouts.SlotMap.__init__":
+        "test_layouts.test_a_slot_map_of_more_units_holds_every_product",
+    "layouts._lattice":
+        "test_layouts.test_two_variables_divide_by_the_lattice_index",
+    "layouts.sector_units":
+        "test_layouts.test_a_sector_layout_is_the_layout_of_every_cycle_length",
+    "series.plethystic_units":
+        "test_layouts.test_plethystic_exp_matches_the_oracle",
 }
 
 
@@ -1133,16 +1222,24 @@ def reached(names, build, *args):
 
 
 def test_the_routes_share_only_functions_with_an_oracle(catalog):
-    names, shared = symprod_qualnames(), set()
+    # the routes as a kind check runs them, on the kind's slot map, each
+    # map built afresh
+    ob._slot_map.cache_clear()
+    names, shared, mapped = symprod_qualnames(), set(), set()
     for X in (catalog["k3"], catalog["elliptic"], catalog["p2"],
               ManifoldData("odd", dim_real=4, betti=[1, 2, 0, 2, 1])):
         for kind in ob.SERIES_KINDS:
             if ob.applicability(kind, X) is None:
-                shared |= reached(names, ob.brute_series, kind, X, 6) \
-                    & reached(names, ob.closed_series, kind, X, 6)
+                mapped |= reached(names, ob.kind_slot_map, kind, X, 6)
+                slot_map = ob.kind_slot_map(kind, X, 6)
+                shared |= reached(names, ob.brute_series, kind, X, 6,
+                                  slot_map) \
+                    & reached(names, ob.closed_series, kind, X, 6, slot_map)
     assert shared == set(SHARED_WITH_ORACLE)
+    assert set(SLOT_MAP_WITH_ORACLE) <= mapped
     tests = Path(__file__).parent
-    for oracle in SHARED_WITH_ORACLE.values():
+    for oracle in [*SHARED_WITH_ORACLE.values(),
+                   *SLOT_MAP_WITH_ORACLE.values()]:
         module, test = oracle.split(".")
         assert "\ndef %s(" % test in (tests / (module + ".py")).read_text()
 
