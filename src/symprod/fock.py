@@ -20,8 +20,9 @@ pass.  check_relations machine-checks
 and that the create/create and annihilate/annihilate brackets vanish, on
 the states too low in charge for the truncation to leak, working on state
 numbers.  Its compositional (Hopf) check sorts each created word on its
-own: inline where its state holds no odd letter, else by canonical_state.  Only even d is
-supported: for odd d the parity of a level-l factor would depend on l.
+own: inline where its state holds no odd letter, else by canonical_state.
+Only even d is supported: for odd d the parity of a level-l factor would
+depend on l.
 """
 
 from bisect import bisect_left, bisect_right

@@ -152,8 +152,9 @@ class SlotMap:
 class Kronecker:
     """Kronecker substitution: a polynomial of degree n is one int whose
     balanced base-2^width digits (slots) are its coefficients, at the
-    slots of map, a SlotMap.  No digit formed may exceed bound in absolute
-    value; width adds a sign bit and rounds up to whole bytes."""
+    slots of slot_map (map), a SlotMap.  No digit formed may exceed bound
+    in absolute value; width adds a sign bit and rounds up to whole
+    bytes."""
 
     def __init__(self, slot_map, bound):
         self.map = slot_map

@@ -251,7 +251,8 @@ _POSITIVE_DIM_C = (lambda X: X.dim_c is not None and X.dim_c >= 1,
 # (X^n, S_n).  brute(X, T) is the Sectors of the brute sector sum;
 # single(X, T, order, cycles) is the single-particle series f of the closed
 # form, as its Levels where it has that shape, else as a series (_single).
-# Both are in one counting variable, p for dmvv_q0* and q for the rest.  A build reads nothing else of its spec, and its slot map moves no
+# Both are in one counting variable, p for dmvv_q0* and q for the rest.  A
+# build reads nothing else of its spec, and its slot map moves no
 # coefficient, so within one run kinds that share a builder, twisted,
 # cycles and their table's contents share a build (_build_key).
 KindSpec = namedtuple(
@@ -390,9 +391,9 @@ def kind_slot_map(kind, X, order):
     the order and the unit keys of the two routes, never a coefficient of
     either result.  The single-particle terms of Levels are affine in l
     as the sector units are, so their units at lengths 1, 2 and the cycle
-    bound stand for all (layouts.sector_units), and where they regrade as
-    the sectors do, at keys of the sectors and no longer cycles, as in
-    every kind but sign_*, the sector units stand for them too."""
+    bound stand for all (layouts.sector_units).  Where the Levels' keys
+    are keys of the sectors, its shift theirs and its cycle bound no
+    larger, as in every kind but sign_*, the sector units hold them."""
     _require(kind, X)
     spec = KINDS[kind]
     T, cycles = getattr(X, spec.table), spec.cycles or order

@@ -34,7 +34,7 @@ with a slot per monomial (Kronecker substitution), so plethystic_exp takes
 integer coefficients only, and refuses exponents spread too far for its
 order.  Their results stay packed: Series.from_layout keeps the layout and
 the int of each power, decodes them into the nonzero slots and digits of
-each power when str() or a comparison by digits first needs those, and
+each power when str() or .terms first needs those, and
 builds the {key: coeff} dict only when .terms is first read, dropping the
 ints or slots then.  Two packed series whose layouts share a slot map
 compare by their ints, trailing zero powers aside, the narrower side's
@@ -371,11 +371,11 @@ def plethystic_exp(f, super_signs=False, slot_map=None):
     on Laurent polynomials in t, x, y.  Each F_n is one int of a
     layouts.Kronecker layout, on slot_map, a layouts.SlotMap of f.order
     whose units include plethystic_units(f), or else on the slot map of
-    those units alone, and each D_k a
-    {slot: coeff} map, psi_j of a term at j times its slot: the recurrence
-    is int arithmetic, n*F_n divides by n as one int, and the result holds
-    the F_n packed (Series.from_layout).  f must have integer coefficients,
-    so the division by n is exact, and exponents whose layout fits
+    those units alone.  Each D_k is a {slot: coeff} map, psi_j of a term
+    at j times its slot: the recurrence is int arithmetic, n*F_n divides
+    by n as one int, and the result holds the F_n packed
+    (Series.from_layout).  f must have integer coefficients, so the
+    division by n is exact, and exponents whose layout fits
     layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
 
     super_signs=True gives the super plethystic exponential
@@ -450,7 +450,7 @@ def substitute(s, v, exps, coeff=1):
             hit = steps.get(d)
             if hit is None:
                 power = _rational_power(coeff, d)
-                hit = steps[d] = power, power and _move(d, vi, rkey)
+                hit = steps[d] = power, power and _step(d, vi, rkey)
             power, step = hit
             if not power:
                 continue
@@ -461,10 +461,10 @@ def substitute(s, v, exps, coeff=1):
     return Series(s.var, s.order, terms)
 
 
-def _move(d, vi, rkey):
+def _step(d, vi, rkey):
     """The key step that replaces v^(d/2), v at index vi, by the monomial
-    of doubled key rkey: -d at vi and d * rkey / 2 elsewhere."""
-    move = []
+    of doubled key rkey to the power d/2: d * rkey / 2, less d at vi."""
+    step = []
     for ru in rkey:
         prod = d * ru
         if prod % 2:
@@ -472,9 +472,9 @@ def _move(d, vi, rkey):
                 "substitution exponent %s * %s leaves (1/2)Z"
                 % (half_str(d), half_str(ru))
             )
-        move.append(prod // 2)
-    move[vi] -= d
-    return move
+        step.append(prod // 2)
+    step[vi] -= d
+    return step
 
 
 def _rational_power(base, d):
