@@ -118,8 +118,7 @@ class SlotMap:
             order + 1)) for (num, den), s in zip(reach, strides)) // self.g
 
     def __eq__(self, other):
-        return self is other or isinstance(other, SlotMap) and \
-            (self.vars, self.slopes, self.g) == \
+        return self is other or (self.vars, self.slopes, self.g) == \
             (other.vars, other.slopes, other.g)
 
     __hash__ = None
