@@ -118,7 +118,7 @@ class SlotMap:
             order + 1)) for (num, den), s in zip(reach, strides)) // self.g
 
     def __eq__(self, other):
-        return self is other or (self.vars, self.slopes, self.g) == \
+        return (self.vars, self.slopes, self.g) == \
             (other.vars, other.slopes, other.g)
 
     __hash__ = None
@@ -148,31 +148,24 @@ class SlotMap:
         return cols
 
 
-class Kronecker:
+class Kronecker(SlotMap):
     """Kronecker substitution: a polynomial of degree n is one int whose
     balanced base-2^width digits (slots) are its coefficients, at the
-    slots of slot_map (map), a SlotMap.  No digit formed may exceed bound
-    in absolute value; width adds a sign bit and rounds up to whole
-    bytes."""
+    slots of slot_map (map): a layout is its slot map at a width.  No
+    digit formed may exceed bound in absolute value; width adds a sign bit
+    and rounds up to whole bytes."""
 
     def __init__(self, slot_map, bound):
-        self.map = slot_map
-        # slot and columns are the map's, and read these
-        self.vars, self.slopes, self.g = \
-            slot_map.vars, slot_map.slopes, slot_map.g
+        self.__dict__.update(vars(slot_map), map=slot_map)
         self.nbytes = (bound.bit_length() + 8) // 8
         self.width = 8 * self.nbytes
-        bits = self.width * slot_map.slots
+        bits = self.width * self.slots
         if bits > MAX_LAYOUT_BITS:
             raise SeriesUsageError(
                 "the product layout needs %d MiB of ints, past its limit of "
                 "%d MiB: the exponents spread too far for order %d"
-                % (-(-bits // 2**23), MAX_LAYOUT_BITS // 2**23,
-                   slot_map.order))
+                % (-(-bits // 2**23), MAX_LAYOUT_BITS // 2**23, self.order))
         self._zero = (1 << self.width - 1).to_bytes(self.nbytes, "little")
-
-    slot = SlotMap.slot
-    columns = SlotMap.columns
 
     def _flagged(self, value):
         """(x, flag, size): the digits of value in its size slots, each in
@@ -278,21 +271,21 @@ class Kronecker:
 
     def spread(self, value, nbytes):
         """value, an int of this layout, as the int of a layout on the same
-        slot map with slots of nbytes bytes, at least nbytes: offset by
-        half a slot, each digit fills its slot alone, nonnegative, so
-        slices of bytes move every slot into the wider frame at once, and
-        the offset comes off at the new width."""
+        slot map whose slots take nbytes bytes, no fewer than its own:
+        offset by half a slot, each digit fills its slot alone,
+        nonnegative, so slices of bytes move every slot into the wider
+        frame at once, and the offset comes off at the new width."""
         nb = self.nbytes
+        if nb == nbytes:
+            return value
         size = abs(value).bit_length() // self.width + 2
-        zero = self._zero * size
-        data = (value + int.from_bytes(zero, "little")).to_bytes(
-            size * nb, "little")
+        data = (value + int.from_bytes(self._zero * size, "little")
+                ).to_bytes(size * nb, "little")
         wide = bytearray(size * nbytes)
         for j in range(nb):
             wide[j::nbytes] = data[j::nb]
-        half = (1 << self.width - 1).to_bytes(nbytes, "little") * size
-        return int.from_bytes(wide, "little") - \
-            int.from_bytes(half, "little")
+        return int.from_bytes(wide, "little") - int.from_bytes(
+            self._zero.ljust(nbytes, b"\0") * size, "little")
 
 
 def _lattice(vectors):

@@ -196,13 +196,11 @@ def _levels(poly, order, shift, cycles):
     """sum_{l <= cycles} poly * prod_v v^((l-1) shift[v]) * (counting var)^l:
     one copy of the single-particle polynomial per cycle length l, regraded
     by the shift of each of its l - 1 moved cycles, as one term map."""
-    ti, step = VARS.index(poly.var), monomial_key(shift)
-    terms, items = {}, poly.terms.items()
+    ti, step, terms = VARS.index(poly.var), monomial_key(shift), {}
     for l in range(1, cycles + 1):
-        move = [(l - 1) * e for e in step]
-        move[ti] += 2 * l
-        m0, m1, m2, m3, m4 = move
-        for key, c in items:  # distinct keys: a level moves them all alike
+        m0, m1, m2, m3, m4 = (
+            (l - 1) * e + 2 * l * (v == ti) for v, e in enumerate(step))
+        for key, c in poly.terms.items():  # a level moves every key alike
             terms[key[0] + m0, key[1] + m1, key[2] + m2, key[3] + m3,
                   key[4] + m4] = c
     return Series(poly.var, order, terms)
@@ -368,18 +366,11 @@ def closed_series(kind, X, order, slot_map=None):
     series' own terms."""
     _require(kind, X)
     spec = KINDS[kind]
-    f = _single(spec, X, order)
-    return plethystic_exp(f, super_signs=spec.twisted, slot_map=slot_map)
-
-
-def _single(spec, X, order):
-    """The single-particle series f of a spec's closed form at order: its
-    Levels expanded by _levels, or the series its single gives."""
     cycles = spec.cycles or order
     f = spec.single(X, getattr(X, spec.table), order, cycles)
     if isinstance(f, Levels):
         f = _levels(f.poly, order, f.shift, f.cycles or cycles)
-    return f
+    return plethystic_exp(f, super_signs=spec.twisted, slot_map=slot_map)
 
 
 def kind_slot_map(kind, X, order):
@@ -391,20 +382,20 @@ def kind_slot_map(kind, X, order):
     the order and the unit keys of the two routes, never a coefficient of
     either result.  The single-particle terms of Levels are affine in l
     as the sector units are, so their units at lengths 1, 2 and the cycle
-    bound stand for all (layouts.sector_units).  Where the Levels' keys
-    are keys of the sectors, its shift theirs and its cycle bound no
+    bound stand for all (layouts.sector_units), and where the Levels'
+    keys are sector keys, its shift the sectors' and its cycle bound no
     larger, as in every kind but sign_*, the sector units hold them."""
     _require(kind, X)
     spec = KINDS[kind]
     T, cycles = getattr(X, spec.table), spec.cycles or order
-    sectors = spec.brute(X, T)
-    keys = {key for key, _, _ in sectors.T.blocks(sectors.image)}
-    units = sector_units(cycles, keys, sectors.shift)
-    f = spec.single(X, T, order, cycles)
+    (T_b, image, shift, *_), f = spec.brute(X, T), spec.single(X, T, order,
+                                                                cycles)
+    keys = {key for key, _, _ in T_b.blocks(image)}
+    units = sector_units(cycles, keys, shift)
     if not isinstance(f, Levels):
         units += plethystic_units(f)
     elif f.poly.terms.keys() - keys or (f.cycles or cycles) > cycles or \
-            monomial_key(f.shift) != sectors.shift:
+            monomial_key(f.shift) != shift:
         units += sector_units(f.cycles or cycles, f.poly.terms,
                               monomial_key(f.shift))
     return _slot_map(frozenset(units), order)
@@ -487,13 +478,9 @@ def _series_of(X):
         key = _build_key(X, build, kind, order)
         series = memo.get(key)
         if series is None:
-            # what kind_slot_map reads: both builders, cycles, the order
-            # and the table's contents
-            spec = KINDS[kind]
-            at = (spec.brute, spec.single) + key[3:]
-            if at not in maps:
-                maps[at] = kind_slot_map(kind, X, order)
-            series = memo[key] = build(kind, X, order, maps[at])
+            if (kind, order) not in maps:
+                maps[kind, order] = kind_slot_map(kind, X, order)
+            series = memo[key] = build(kind, X, order, maps[kind, order])
         return series
     return built
 

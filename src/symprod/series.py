@@ -247,15 +247,11 @@ class Series:
         if not (a and b and a[1] is not None and b[1] is not None
                 and a[0].map == b[0].map):
             return self.terms == other.terms
-        # one int per power on one slot map: equal ints, equal series,
-        # once the narrower side's slots are spread to the wider width
-        (la, x), (lb, y) = a[:2], b[:2]
-        if la.width < lb.width:
-            x = [la.spread(v, lb.nbytes) for v in x]
-        elif lb.width < la.width:
-            y = [lb.spread(v, la.nbytes) for v in y]
-        return x[:len(y)] == y[:len(x)] and not any(x[len(y):]) \
-            and not any(y[len(x):])
+        # one int per power on one slot map, at the wider slot width
+        nbytes = max(a[0].nbytes, b[0].nbytes)
+        x, y = ([lay.spread(v, nbytes) for v in ints]
+                for lay, ints, _ in (a, b))
+        return x[:len(y)] == y[:len(x)] and not any(x[len(y):] + y[len(x):])
 
     # -- rendering ---------------------------------------------------------
 
@@ -437,44 +433,29 @@ def substitute(s, v, exps, coeff=1):
     if v in COUNTING_VARS or any(rkey[_VI[u]] for u in COUNTING_VARS):
         raise SeriesUsageError(
             "substitute neither replaces nor introduces a counting variable")
-    vi = _VI[v]
-    # per doubled exponent d of v, on first use: coeff^(d/2), and the step
-    # that puts d * rkey / 2 in place of v^(d/2); a zero power kills its
-    # terms, whose exponents are not checked
-    steps = {}
-    terms = {}
-    get = terms.get
+    vi, steps, terms = _VI[v], {}, {}
     for key, c in s.terms.items():
         d = key[vi]
         if d:
-            hit = steps.get(d)
-            if hit is None:
+            if d not in steps:
+                # coeff^(d/2), and the key step that puts rkey^(d/2) in
+                # place of v^(d/2); a zero power kills its terms unchecked
                 power = _rational_power(coeff, d)
-                hit = steps[d] = power, power and _step(d, vi, rkey)
-            power, step = hit
+                odd = power and [ru for ru in rkey if d * ru % 2]
+                if odd:
+                    raise SeriesDomainError(
+                        "substitution exponent %s * %s leaves (1/2)Z"
+                        % (half_str(d), half_str(odd[0])))
+                steps[d] = power, [d * ru // 2 - d * (u == vi)
+                                   for u, ru in enumerate(rkey)]
+            power, step = steps[d]
             if not power:
                 continue
             c *= power
             key = (key[0] + step[0], key[1] + step[1], key[2] + step[2],
                    key[3] + step[3], key[4] + step[4])
-        terms[key] = get(key, 0) + c
+        terms[key] = terms.get(key, 0) + c
     return Series(s.var, s.order, terms)
-
-
-def _step(d, vi, rkey):
-    """The key step that replaces v^(d/2), v at index vi, by the monomial
-    of doubled key rkey to the power d/2: d * rkey / 2, less d at vi."""
-    step = []
-    for ru in rkey:
-        prod = d * ru
-        if prod % 2:
-            raise SeriesDomainError(
-                "substitution exponent %s * %s leaves (1/2)Z"
-                % (half_str(d), half_str(ru))
-            )
-        step.append(prod // 2)
-    step[vi] -= d
-    return step
 
 
 def _rational_power(base, d):
