@@ -18,7 +18,7 @@ from conftest import (CATALOG_NAMES, add, counting_coefficient, cycle_types,
                       sym_power, sym_power_oracle, tensor, traced_peak, twist,
                       zero)
 import symprod
-from symprod import cli, series
+from symprod import cli, layouts, series
 from symprod import orbifold as ob
 from symprod.graded import GradedDims
 from symprod.layouts import Kronecker
@@ -1227,9 +1227,10 @@ def reached(names, build, *args):
 
 
 def test_the_routes_share_only_functions_with_an_oracle(catalog):
-    # the routes as a kind check runs them, on the kind's slot map, each
-    # map built afresh
+    # the routes as a kind check runs them, on the kind's slot map, with
+    # the memos of slot maps and sector bounds emptied
     ob._slot_map.cache_clear()
+    layouts._sector_bound.cache_clear()
     names, shared, mapped = symprod_qualnames(), set(), set()
     for X in (catalog["k3"], catalog["elliptic"], catalog["p2"],
               ManifoldData("odd", dim_real=4, betti=[1, 2, 0, 2, 1])):
