@@ -15,8 +15,6 @@ without re-checking them.  A half-integer total degree has no parity:
 blocks rejects it.
 """
 
-from collections import Counter
-
 from .series import Series, _VI
 
 
@@ -61,14 +59,15 @@ class GradedDims:
         (key, a), and the b classes at (p, q) add s b to the e of the block
         (key, a), so images that agree share one block; by default x^p y^q,
         counted s times.  ValueError on a half-integer total degree."""
-        merged = Counter()
+        merged = {}
         for (p, q), b in sorted(self.dims.items()):
             if (p + q) % 2:
                 raise ValueError(
                     "bidegree (%g, %g) has a half-integer total degree, "
                     "which has no parity" % (p / 2, q / 2))
             s = -1 if (p + q) % 4 else 1
-            merged[image(p, q, s)] += s * b
+            block = image(p, q, s)
+            merged[block] = merged.get(block, 0) + s * b
         return [(key, e, a) for (key, a), e in merged.items() if e]
 
     def collapse(self):

@@ -13,8 +13,8 @@ takes half the box, and where all lie on a line (a diagonal Hodge table)
 one slot per point of it.  A slot map built from more units than a
 product forms holds that product too, so the two routes of a kind check
 share the slot map of the union of their units and keep each its own
-width.  Products are int arithmetic: dot sums products by factors in
-the form factor picks from each value, and symmetric_powers builds every
+width.  Products are int arithmetic: mul_add multiplies by a factor in
+the form factor picks from the value, and symmetric_powers builds every
 Sym^N of a sector block by shifts and adds of ints in the frame of its
 keys.  sector_units lists a sector sum's units at three cycle lengths,
 which fix the slot map of every length.  decode turns each int into the
@@ -230,7 +230,7 @@ class Kronecker(SlotMap):
         return w * low, [(w * (i - low), c) for i, c in sorted(slots.items())]
 
     def factor(self, value):
-        """value as a factor b of dot: the shift of its lowest slot
+        """value as the factor b of mul_add: the shift of its lowest slot
         and (shift, coeff) pairs above it, one per term, or one of the
         whole int where its slots hold fewer than FACTOR_BITS bits per
         term.  The flag of its nonzero slots alone picks the form; only the
@@ -247,16 +247,12 @@ class Kronecker(SlotMap):
         return w * low, [(w * (i - low), c) for i, c in zip(slots, digits)]
 
     @staticmethod
-    def dot(ints, factors):
-        """sum a * b over the pairs of ints a and factors b, as many as the
-        shorter of the two holds."""
-        total = 0
-        for a, (low, pairs) in zip(ints, factors):
-            part = 0
-            for s, c in pairs:
-                part += a * c << s
-            total += part << low
-        return total
+    def mul_add(acc, a, b):
+        """acc + a * b for an int a and a factor b."""
+        part = 0
+        for s, c in b[1]:
+            part += a * c << s
+        return acc + (part << b[0])
 
     def decode(self, ints):
         """[(n, slots, digits)] of each nonzero ints[n]: its nonzero slots,
@@ -271,13 +267,11 @@ class Kronecker(SlotMap):
 
     def spread(self, value, nbytes):
         """value, an int of this layout, as the int of a layout on the same
-        slot map whose slots take nbytes bytes, no fewer than its own:
+        slot map whose slots take nbytes bytes, more than its own:
         offset by half a slot, each digit fills its slot alone,
         nonnegative, so slices of bytes move every slot into the wider
         frame at once, and the offset comes off at the new width."""
         nb = self.nbytes
-        if nb == nbytes:
-            return value
         size = abs(value).bit_length() // self.width + 2
         data = (value + int.from_bytes(self._zero * size, "little")
                 ).to_bytes(size * nb, "little")
@@ -320,13 +314,14 @@ def sector_units(cycles, keys, shift):
     key plus (l - 1) shift.  Each unit is affine in l, so each exponent
     over its degree is monotone in l and every gcd, slope, reach, lattice
     and g of the map is fixed by the units of lengths 1, 2 and cycles:
-    only those are listed, and their map is the one of every length."""
-    units = []
-    for l in {l for l in (1, 2, cycles) if 0 < l <= cycles}:
-        m0, m1, m2, m3, m4 = ((l - 1) * s for s in shift)
-        units += [(l, (k0 + m0, k1 + m1, k2 + m2, k3 + m3, k4 + m4))
-                  for k0, k1, k2, k3, k4 in keys or [(0,) * 5]]
-    return units
+    only those are listed (twice where cycles is 1 or 2), and their map is
+    the one of every length."""
+    s0, s1, s2, s3, s4 = shift
+    return [(l, (k0 + m * s0, k1 + m * s1, k2 + m * s2, k3 + m * s3,
+                 k4 + m * s4))
+            for l, m in ((1, 0), (2, 1), (cycles, cycles - 1))
+            if 0 < l <= cycles
+            for k0, k1, k2, k3, k4 in keys or [(0,) * 5]]
 
 
 def sector_layout(order, cycles, keys, shift, b, slot_map=None):
@@ -351,7 +346,7 @@ def _sector_bound(order, cycles, b):
 def symmetric_powers(layout, blocks, d, top):
     """Sym^0, ..., Sym^top of a super space with classes of degree d, as
     ints of layout: Sym^N has degree d N, and layout.factor makes it a
-    factor of dot.  blocks lists (key, e, a): e classes at key counted
+    factor of mul_add.  blocks lists (key, e, a): e classes at key counted
     a = +-1 times each (-e odd ones if e < 0), so sum_N z^N Sym^N = prod
     (1 - a key z)^-e and a block's j-th power adds C(e + j - 1, j) a^j at
     j key, one shift and add of ints in the frame of the keys."""

@@ -99,9 +99,10 @@ def chi_minus_y(table, var="q", lift=0):
     Well defined for any admissible bigrading (p + q is an integer even when
     p and q are halves), and multiplicative under tensor product.
     """
-    terms = Counter()
+    terms = {}
     for (dp, dq), h in table.dims.items():  # y is the last of series.VARS
-        terms[0, 0, 0, 0, dp + lift] += -h if ((dp + dq) // 2) % 2 else h
+        key = (0, 0, 0, 0, dp + lift)
+        terms[key] = terms.get(key, 0) + (-h if ((dp + dq) // 2) % 2 else h)
     return Series(var, None, terms)
 
 
@@ -130,7 +131,7 @@ def _sector_sum(order, cycles, level, layout, var="q"):
     """sum_n c_n var^n, c_n the q^n coefficient of prod_{l <= cycles}
     sum_N block(l, N) q^(lN); level(l, count) lists the N <= count blocks
     of layout (a layouts.Kronecker), which no c_n outgrows: ints at l = 1,
-    the factors of layout.dot above.
+    the right factors of layout.mul_add above.
 
     Each level is asked for once, as level(l, order // l), l ascending
     from 1.  c is the fresh list level(1, order), the untwisted sectors,
@@ -138,12 +139,12 @@ def _sector_sum(order, cycles, level, layout, var="q"):
     each c[n - lN] it reads still holds the product over the shorter
     lengths while c[n] accumulates."""
     c = level(1, order)
-    dot = layout.dot
+    mul_add = layout.mul_add
     for l in range(2, cycles + 1):
         blocks = level(l, order // l)
         for n in range(order, l - 1, -1):
-            # c[n - l N] block(l, N) for N = 1 to n // l
-            c[n] += dot(c[n - l::-l], blocks[1:])
+            for N in range(1, n // l + 1):
+                c[n] = mul_add(c[n], c[n - l * N], blocks[N])
     return Series.from_layout(var, order, layout, c)
 
 

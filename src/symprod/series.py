@@ -249,7 +249,8 @@ class Series:
             return self.terms == other.terms
         # one int per power on one slot map, at the wider slot width
         nbytes = max(a[0].nbytes, b[0].nbytes)
-        x, y = ([lay.spread(v, nbytes) for v in ints]
+        x, y = (ints if lay.nbytes == nbytes else
+                [lay.spread(v, nbytes) for v in ints]
                 for lay, ints, _ in (a, b))
         return x[:len(y)] == y[:len(x)] and not any(x[len(y):] + y[len(x):])
 
@@ -411,8 +412,10 @@ def plethystic_exp(f, super_signs=False, slot_map=None):
     D = [lay.slot_factor(Dk) for Dk in D]
     F = [1]  # the packed 1
     for n in range(1, order + 1):
-        # sum_k F_(n-k) D_k, k = 1 to n
-        F.append(lay.dot(reversed(F), D[1:]) // n)
+        acc = 0
+        for k in range(1, n + 1):
+            acc = lay.mul_add(acc, F[n - k], D[k])
+        F.append(acc // n)
     return Series.from_layout(f.var, order, lay, F)
 
 

@@ -228,7 +228,7 @@ def q_power(c, order, n):
 
 
 def block_series(layout, block, n, order=None, var="q"):
-    """A block of degree n, an int or a factor of dot, as a series in
+    """A block of degree n, an int or a factor of mul_add, as a series in
     var: a factor (a shift and (shift, coeff) pairs above it) is first
     summed to one int."""
     if type(block) is not int:
@@ -1152,7 +1152,7 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker._one_int":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker.dot":
+    "layouts.Kronecker.mul_add":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.euler_transform":
         "test_layouts.test_euler_transform_is_the_colored_partition_count",

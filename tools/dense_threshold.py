@@ -4,7 +4,7 @@ name the fastest in total.
     python3 tools/dense_threshold.py [--reps R] [--only TEXT]
 
 Run it from the root of a source checkout; it reads the program from src/.
-FACTOR_BITS is the density at which a factor of Kronecker.dot is
+FACTOR_BITS is the density at which a factor of Kronecker.mul_add is
 multiplied as one int rather than added term by term.  For each heavy call
 shape -- a (kind, manifold, order) on the catalog surfaces, the seeded
 benchmark CY3 of seed 1 (cy3_1) and the diagonal Hodge table of P^30 (p30),
