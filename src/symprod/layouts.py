@@ -121,8 +121,6 @@ class SlotMap:
         return (self.vars, self.slopes, self.g) == \
             (other.vars, other.slopes, other.g)
 
-    __hash__ = None
-
     def slot(self, key, n):
         return sum((key[v] - n * slope) // step * stride
                    for v, step, slope, stride in self.vars) // self.g

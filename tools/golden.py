@@ -74,7 +74,8 @@ def jobs(files):
 
 
 def run(argv):
-    """(exit code, stdout sha256, stderr sha256) of one cli.main call."""
+    """The argv, exit code and sha256 of stdout and of stderr of one
+    cli.main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
