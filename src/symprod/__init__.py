@@ -3,8 +3,9 @@
 Computes graded dimensions, Poincare/Hodge polynomials and classical genera
 of symmetric products Sym^n(X) and of their sector-decomposed refinements
 (X^n, S_n), both by brute-force partition sums over super symmetric powers
-and by the closed product/exponential formulas, all in exact rational
-arithmetic so the identities can be checked coefficient by coefficient.
+and by the closed product/exponential formulas, all with exact int
+coefficients and exponents in (1/2)Z, so the identities can be checked
+coefficient by coefficient.
 Also realizes the Heisenberg-superalgebra action on the associated Fock
 space with machine-checked commutation relations.
 """

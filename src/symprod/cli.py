@@ -106,13 +106,6 @@ def _emit_results(results):
     return failed
 
 
-def _assert_integral(s, label):
-    if not s.is_integral():
-        raise AssertionError(
-            "%s has non-integer coefficients: %s" % (label, s)
-        )
-
-
 def cmd_series(args):
     X = _load(args.manifold)
     kind = args.kind
@@ -131,7 +124,6 @@ def cmd_series(args):
                         ("closed", orbifold.closed_series)):
         if args.mode in (mode, "both"):
             built[mode] = build(kind, X, order, slot_map)
-            _assert_integral(built[mode], "%s %s" % (mode, kind))
     if args.mode != "both":
         print(built[args.mode])
         return 0

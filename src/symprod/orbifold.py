@@ -383,22 +383,16 @@ def kind_slot_map(kind, X, order):
     the order and the unit keys of the two routes, never a coefficient of
     either result.  The single-particle terms of Levels are affine in l
     as the sector units are, so their units at lengths 1, 2 and the cycle
-    bound stand for all (layouts.sector_units), and where the Levels'
-    keys are sector keys, its shift the sectors' and its cycle bound no
-    larger, as in every kind but sign_*, the sector units hold them."""
+    bound stand for all (layouts.sector_units)."""
     _require(kind, X)
     spec = KINDS[kind]
     T, cycles = getattr(X, spec.table), spec.cycles or order
     (T_b, image, shift, *_), f = spec.brute(X, T), spec.single(X, T, order,
                                                                 cycles)
     keys = {key for key, _, _ in T_b.blocks(image)}
-    units = sector_units(cycles, keys, shift)
-    if not isinstance(f, Levels):
-        units += plethystic_units(f)
-    elif f.poly.terms.keys() - keys or (f.cycles or cycles) > cycles or \
-            monomial_key(f.shift) != shift:
-        units += sector_units(f.cycles or cycles, f.poly.terms,
-                              monomial_key(f.shift))
+    units = sector_units(cycles, keys, shift) + (
+        sector_units(f.cycles or cycles, f.poly.terms, monomial_key(f.shift))
+        if isinstance(f, Levels) else plethystic_units(f))
     return _slot_map(frozenset(units), order)
 
 
@@ -552,10 +546,13 @@ def cross_checks(X, order=None, built=None):
         # chi^B_(-y) = (-1)^d y^d chi_(-1/y).  Only claimed for Calabi-Yau
         # input; an explicitly supplied B-table on other manifolds obeys
         # the series identities but not this relation.
+        # The rhs is one term map: c y^p of chi_(-y) goes to (-1)^d c
+        # y^(d - p), at doubled exponent 2d - key[4].
         d = X.dim_c
         lhs = chi_minus_y(X.hodge_b, "q")
-        flip = substitute(chi_minus_y(X.hodge, "q"), "y", {"y": -1})
-        rhs = flip * Series.term("q", None, (-1) ** d, {"y": d})
+        rhs = Series("q", None, {
+            (0, 0, 0, 0, 2 * d - key[4]): (-1) ** d * c
+            for key, c in chi_minus_y(X.hodge, "q").terms.items()})
         out.append(_compare("cross B-genus Serre duality", lhs, rhs))
 
     return out

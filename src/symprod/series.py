@@ -1,10 +1,9 @@
 """Exact truncated power series in the variables q, p, t, x, y.
 
-Coefficients are exact rationals, the numbers Python's arithmetic produces:
-an int, or a fractions.Fraction where a value is not an integer, so integer
-series compute in plain int arithmetic.  Exponents live in (1/2)Z and are
-stored *doubled*, so that all bookkeeping is plain integer arithmetic: the
-monomial t^(3/2) q^2 is the key with doubled exponents t -> 3, q -> 4.
+Coefficients are exact ints: every number the generating functions
+produce is an integer.  Exponents live in (1/2)Z and are stored *doubled*,
+so that all bookkeeping is plain integer arithmetic: the monomial
+t^(3/2) q^2 is the key with doubled exponents t -> 3, q -> 4.
 
 Every series designates one counting variable -- always q or p here -- in
 which it is truncated: terms whose counting exponent exceeds the order are
@@ -13,13 +12,14 @@ variables are exact and may carry negative (Laurent) exponents, which is
 sound because each fixed power of the counting variable has finitely many
 companions.
 
-Terms are validated once, where they enter: Series.from_terms (which term
-and constant go through) and substitute's coeff take only int and Fraction
-coefficients (a bool enters as the int it equals), and from_terms checks
-the counting exponents.  Series(var, order, terms) is the internal
-constructor for terms already valid, such as the results of * (the one
-operator, a product of two series) and substitute: it only drops zeros
-and truncates, and keeps the dict it is handed when nothing is dropped.
+Terms are validated once, where they enter: Series.from_terms (which
+constant goes through) and substitute's coeff take only int coefficients
+(a bool enters as the int it equals), and from_terms checks the counting
+exponents.  Series(var, order, terms) is the internal constructor for
+terms already valid, such as the results of substitute: it only drops
+zeros and truncates, and keeps the dict it is handed when nothing is
+dropped.  A Series has no arithmetic operator: products are formed only
+in the packed loops below.
 
 A q-series holds no power of p, and a p-series none of q: from_terms
 refuses such a term, and no other operation makes one.  The canonical term
@@ -30,18 +30,17 @@ and y, so a series keeps its counting variable and order.
 
 The hot product loops, in plethystic_exp and the brute sector sum, run on
 the layout of symprod.layouts: one int per power of the counting variable,
-with a slot per monomial (Kronecker substitution), so plethystic_exp takes
-integer coefficients only, and refuses exponents spread too far for its
-order.  Their results stay packed: Series.from_layout keeps the layout and
-the int of each power, decodes them into the nonzero slots and digits of
-each power when str() or .terms first needs those, and
-builds the {key: coeff} dict only when .terms is first read, dropping the
-ints or slots then.  Two packed series whose layouts share a slot map
-compare by their ints, trailing zero powers aside, the narrower side's
-spread to the wider slot width where the widths differ; str() renders
-each power from its key columns, and is_integral needs no pass; every
-other operation, and == on series of two slot maps or with a side already
-decoded, reads .terms.
+with a slot per monomial (Kronecker substitution), so plethystic_exp
+refuses exponents spread too far for its order.  Their results stay
+packed: Series.from_layout keeps the layout and the int of each power,
+decodes them into the nonzero slots and digits of each power when str()
+or .terms first needs those, and builds the {key: coeff} dict only when
+.terms is first read, dropping the ints or slots then.  Two packed series
+whose layouts share a slot map compare by their ints, trailing zero
+powers aside, the narrower side's spread to the wider slot width where
+the widths differ; str() renders each power from its key columns; every
+other operation, and == on series of two slot maps or with a side
+already decoded, reads .terms.
 
 All values are immutable after construction and every operation is pure.
 `order=None` marks an exact polynomial (nothing has been truncated away);
@@ -60,18 +59,16 @@ _VI = {v: i for i, v in enumerate(VARS)}
 
 
 class SeriesDomainError(ArithmeticError):
-    """A value left the exact-rational domain, e.g. a negative base raised
-    to a strict half-integer exponent."""
+    """A value left the integer domain, e.g. a negative base raised to a
+    strict half-integer exponent, or 2 to a negative one."""
 
 
 def _exact(c):
-    """An entering coefficient as an int, or a Fraction when it is not an
-    integer; a bool enters as the int it equals."""
+    """An entering coefficient as an int; a bool enters as the int it
+    equals."""
     if isinstance(c, int):
         return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise SeriesUsageError("coefficients must be exact rationals, got %r" % (c,))
+    raise SeriesUsageError("coefficients must be ints, got %r" % (c,))
 
 
 def _counting_index(var):
@@ -100,10 +97,6 @@ def monomial_key(exps):
             raise SeriesUsageError("unknown variable %r" % (v,))
         key[_VI[v]] = _dexp(e)
     return tuple(key)
-
-
-def _mul_key(k1, k2):
-    return (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3], k1[4] + k2[4])
 
 
 def half_str(d):
@@ -186,8 +179,8 @@ class Series:
     def from_terms(cls, var, order, pairs):
         """The sum of coeff * prod(v^e) over (coeff, {v: e}) pairs, with
         exponents in (1/2)Z; duplicate monomials add and zeros drop.  Each
-        coeff must be an int or a Fraction, and each counting exponent a
-        nonnegative integer, with no power of the other counting variable."""
+        coeff must be an int, and each counting exponent a nonnegative
+        integer, with no power of the other counting variable."""
         ti = _counting_index(var)
         terms = {}
         for coeff, exps in pairs:
@@ -202,41 +195,7 @@ class Series:
             terms[key] = terms.get(key, 0) + _exact(coeff)
         return cls(var, order, terms)
 
-    @classmethod
-    def term(cls, var, order, coeff, exps):
-        """Single term coeff * prod(v^e) with exponents in (1/2)Z."""
-        return cls.from_terms(var, order, [(coeff, exps)])
-
-    # -- basic queries -----------------------------------------------------
-
-    def is_integral(self):
-        return self._packed is not None or \
-            all(c.denominator == 1 for c in self.terms.values())
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_same_var(self, other):
-        if self.var != other.var:
-            raise SeriesUsageError("mismatched counting variables %r and %r"
-                                   % (self.var, other.var))
-
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_same_var(other)
-        order = min((n for n in (self.order, other.order) if n is not None),
-                    default=None)
-        cap = None if order is None else 2 * order
-        ti = _VI[self.var]
-        terms = {}
-        for k1, c1 in self.terms.items():
-            e1 = k1[ti]
-            for k2, c2 in other.terms.items():
-                if cap is not None and e1 + k2[ti] > cap:
-                    continue
-                key = _mul_key(k1, k2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return Series(self.var, order, terms)
+    # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -327,18 +286,14 @@ def _render(chunks):
 
 
 def coeff_str(c):
-    """str(c) for an int or Fraction coefficient of any size.  str() refuses
-    an int past sys.get_int_max_str_digits() digits (4,300 by default), a
-    guard for parsing untrusted text that printing an exact result does not
+    """str(c) for an int coefficient of any size.  str() refuses an int
+    past sys.get_int_max_str_digits() digits (4,300 by default), a guard
+    for parsing untrusted text that printing an exact result does not
     need; such an int is written out half by half."""
     try:
         return str(c)
     except ValueError:
         pass
-    if isinstance(c, Fraction):
-        num = coeff_str(c.numerator)
-        return num if c.denominator == 1 else \
-            num + "/" + coeff_str(c.denominator)
     if c < 0:
         return "-" + coeff_str(-c)
     half = c.bit_length() * 3 // 20  # about half its decimal digits
@@ -371,8 +326,8 @@ def plethystic_exp(f, super_signs=False, slot_map=None):
     those units alone.  Each D_k is a {slot: coeff} map, psi_j of a term
     at j times its slot: the recurrence is int arithmetic, n*F_n divides
     by n as one int, and the result holds the F_n packed
-    (Series.from_layout).  f must have integer coefficients, so the
-    division by n is exact, and exponents whose layout fits
+    (Series.from_layout).  f's coefficients are ints, so the division by n
+    is exact; its exponents must have a layout that fits
     layouts.MAX_LAYOUT_BITS (SeriesUsageError otherwise).
 
     super_signs=True gives the super plethystic exponential
@@ -390,12 +345,9 @@ def plethystic_exp(f, super_signs=False, slot_map=None):
     if any(key[ti] == 0 for key in f.terms):
         raise SeriesUsageError("plethystic_exp needs every term to carry "
                                "the counting variable")
-    if not f.is_integral():
-        raise SeriesUsageError("plethystic_exp needs integer coefficients")
     units = plethystic_units(f)
     # (degree, key without the counting variable, coeff) per term of f
-    terms = [(d, key, c.numerator)
-             for (d, key), c in zip(units, f.terms.values())]
+    terms = [(d, key, c) for (d, key), c in zip(units, f.terms.values())]
     a = [0] * (order + 1)
     for d, _, c in terms:
         a[d] += abs(c)
@@ -425,9 +377,9 @@ def substitute(s, v, exps, coeff=1):
     v and the w are among t, x and y: a counting variable is neither
     replaced nor brought in (SeriesUsageError), so the result keeps the
     counting variable and the order of s.  coeff may be zero, which kills
-    the positive powers of v; a negative power of zero, or coeff at a
-    strict half-integer exponent other than 1 and 0, raises
-    SeriesDomainError.
+    the positive powers of v; a negative power of zero, coeff at a
+    negative exponent other than 1 and -1, or coeff at a strict
+    half-integer exponent other than 1 and 0, raises SeriesDomainError.
     """
     coeff = _exact(coeff)
     if v not in _VI:
@@ -443,7 +395,7 @@ def substitute(s, v, exps, coeff=1):
             if d not in steps:
                 # coeff^(d/2), and the key step that puts rkey^(d/2) in
                 # place of v^(d/2); a zero power kills its terms unchecked
-                power = _rational_power(coeff, d)
+                power = _int_power(coeff, d)
                 odd = power and [ru for ru in rkey if d * ru % 2]
                 if odd:
                     raise SeriesDomainError(
@@ -461,17 +413,18 @@ def substitute(s, v, exps, coeff=1):
     return Series(s.var, s.order, terms)
 
 
-def _rational_power(base, d):
-    """base^(d/2) exactly; d is a nonzero doubled exponent."""
+def _int_power(base, d):
+    """base^(d/2) as an int; d is a nonzero doubled exponent."""
     if base == 0:
         if d < 0:
             raise SeriesDomainError("zero raised to a negative power")
         return base
     if d % 2 == 0:
-        if d > 0:
-            return base ** (d // 2)
-        # an int base would turn into a float under a negative power
-        return _exact(Fraction(base) ** (d // 2))
+        if d > 0 or base in (1, -1):
+            # (+-1)^(-k) = (+-1)^k, and an int power of an int is an int
+            return base ** abs(d // 2)
+        raise SeriesDomainError("%s raised to the negative power %s is not "
+                                "an integer" % (base, half_str(d)))
     if base == 1:
         return base
     raise SeriesDomainError(
@@ -482,7 +435,9 @@ def _rational_power(base, d):
 def mismatches(a, b):
     """(key, coeff of a, coeff of b) of each coefficient where two series
     over the same counting variable differ, in canonical term order."""
-    a._check_same_var(b)
+    if a.var != b.var:
+        raise SeriesUsageError("mismatched counting variables %r and %r"
+                               % (a.var, b.var))
     ta, tb = a.terms, b.terms
     return [(key, ta.get(key, 0), tb.get(key, 0))
             for key in sorted(ta.keys() | tb.keys())

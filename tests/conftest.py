@@ -94,9 +94,9 @@ class GradedDims(graded.GradedDims):
 
 
 def specialize(s, assignments):
-    """Assign exact rational values to non-counting variables, one after
-    another: each is substitute(s, v, {}, value).  A strict half-integer
-    exponent only takes the values 1 and 0."""
+    """Assign int values to non-counting variables, one after another:
+    each is substitute(s, v, {}, value).  A strict half-integer exponent
+    only takes the values 1 and 0, and a negative one only 1 and -1."""
     for v, value in assignments.items():
         s = substitute(s, v, {}, value)
     return s
@@ -150,23 +150,49 @@ def zero(var, order=None):
     return Series(var, order, {})
 
 
-def add(a, b):
-    """a + b, at the lower of their orders.  The engine adds series only
-    inside its packed kernels, so a sum of Series values is built here."""
+def term(var, order, coeff, exps):
+    """The single term coeff * prod(v^e), exponents in (1/2)Z."""
+    return Series.from_terms(var, order, [(coeff, exps)])
+
+
+def _lower_order(a, b):
+    """The lower of the orders of two series over one counting variable."""
     if a.var != b.var:
         raise SeriesUsageError("mismatched counting variables %r and %r"
                                % (a.var, b.var))
+    return min((n for n in (a.order, b.order) if n is not None),
+               default=None)
+
+
+def add(a, b):
+    """a + b, at the lower of their orders.  The engine adds series only
+    inside its packed kernels, so a sum of Series values is built here."""
+    order = _lower_order(a, b)
     terms = dict(a.terms)
     for key, c in b.terms.items():
         terms[key] = terms.get(key, 0) + c
-    order = min((n for n in (a.order, b.order) if n is not None),
-                default=None)
+    return Series(a.var, order, terms)
+
+
+def mul(a, b):
+    """a b, at the lower of their orders, by the double loop over both
+    term dicts, exponents adding key by key.  The engine multiplies
+    series only inside its packed kernels, so a product of Series values
+    is built here, a route apart from theirs."""
+    order = _lower_order(a, b)
+    cap, ti = None if order is None else 2 * order, VARS.index(a.var)
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            if cap is None or k1[ti] + k2[ti] <= cap:
+                key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+                terms[key] = terms.get(key, 0) + c1 * c2
     return Series(a.var, order, terms)
 
 
 def scale(c, s):
-    """c s for an exact rational c, entering through from_terms."""
-    return Series.constant(s.var, None, c) * s
+    """c s for an int c, entering through from_terms."""
+    return mul(Series.constant(s.var, None, c), s)
 
 
 def twist(s):
@@ -216,7 +242,6 @@ def pe_oracle(f):
     """PE[f] by the Euler-transform recurrence n F_n = sum_k D_k F_(n-k)
     on 5-tuple keys, multiplying monomials exponent by exponent."""
     order, ti = f.order, ("q", "p").index(f.var)
-    integral = f.is_integral()
     D = [Counter() for _ in range(order + 1)]
     for key, c in f.terms.items():
         d = key[ti] // 2
@@ -230,8 +255,7 @@ def pe_oracle(f):
             for m1, c1 in D[k].items():
                 for m2, c2 in F[n - k].items():
                     acc[tuple(a + b for a, b in zip(m1, m2))] += c1 * c2
-        F.append({m: c // n if integral else Fraction(c, n)
-                  for m, c in acc.items() if c})
+        F.append({m: c // n for m, c in acc.items() if c})
         for m, c in F[n].items():
             terms[m[:ti] + (2 * n,) + m[ti + 1:]] = c
     return Series(f.var, order, terms)

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (GradedDims, add, dsum, kronecker, read, shift,
-                      sym_power_oracle, tensor, twist, zero)
+from conftest import (GradedDims, add, dsum, kronecker, mul, read, shift,
+                      sym_power_oracle, tensor, term, twist, zero)
 from symprod.layouts import symmetric_powers
-from symprod.series import Series, plethystic_exp, substitute
+from symprod.series import plethystic_exp, substitute
 
 # degrees below are doubled: GradedDims({(0, 0): 1, (4, 0): 1}) is one class
 # in degree 0 and one in degree 2
@@ -190,9 +190,9 @@ def test_sym_power_generating_law(v):
     order = 4
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = add(lhs, v.sym_power(n).poly("t") * Series.term(
-            "q", order, 1, {"q": n}))
-    f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
+        lhs = add(lhs, mul(v.sym_power(n).poly("t"),
+                           term("q", order, 1, {"q": n})))
+    f = mul(v.poly("t"), term("q", order, 1, {"q": 1}))
     assert lhs == twist(plethystic_exp(twist(f)))
 
 
@@ -204,9 +204,9 @@ def test_shifted_generating_law():
     order = 4
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = add(lhs, shifted.sym_power(n).poly("x") * Series.term(
-            "q", order, 1, {"q": n}))
-    f = shifted.poly("x") * Series.term("q", order, 1, {"q": 1})
+        lhs = add(lhs, mul(shifted.sym_power(n).poly("x"),
+                           term("q", order, 1, {"q": n})))
+    f = mul(shifted.poly("x"), term("q", order, 1, {"q": 1}))
     assert lhs == twist(plethystic_exp(twist(f)))
 
 
@@ -230,9 +230,9 @@ def test_partition_series_from_single_even_class():
     order = 5
     lhs = zero("q", order)
     for n in range(order + 1):
-        lhs = add(lhs, v.sym_power(n).poly("t") * Series.term(
-            "q", order, 1, {"q": n}))
-    f = v.poly("t") * Series.term("q", order, 1, {"q": 1})
+        lhs = add(lhs, mul(v.sym_power(n).poly("t"),
+                           term("q", order, 1, {"q": n})))
+    f = mul(v.poly("t"), term("q", order, 1, {"q": 1}))
     assert lhs == twist(plethystic_exp(twist(f)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kronecker, packed, pe_oracle, read, ref_render
+from conftest import kronecker, mul, packed, pe_oracle, read, ref_render
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import MAX_LAYOUT_BITS, Kronecker, sector_layout
@@ -120,7 +120,7 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     # the factor of b's int and by the one built from b's slot map
     (units, kind), (da, a), (db, b) = pair
     event(kind)
-    expected = as_series(a, da) * as_series(b, db)
+    expected = mul(as_series(a, da), as_series(b, db))
     # no digit of a, of b or of the product outgrows this
     sa, sb = sum(map(abs, a.values())), sum(map(abs, b.values()))
     bound = max(sa * sb, sa, sb)
@@ -159,7 +159,7 @@ def test_a_slot_map_of_more_units_holds_every_product(pair, extra):
             as_series(terms, n).terms
     value = lay.mul_add(0, packed(lay, a, da), lay.factor(packed(lay, b, db)))
     assert Series("q", None, read(lay, [0] * (da + db) + [value])) == \
-        as_series(a, da) * as_series(b, db)
+        mul(as_series(a, da), as_series(b, db))
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,10 +278,10 @@ def test_read_matches_the_divmod_decoder(case, ti):
     var, order = VARS[ti], len(maps) - 1
     s = Series.from_layout(var, order, lay, coeffs)
     assert coeffs == [packed(lay, terms, n) for n, terms in maps.items()]
-    assert s.is_integral()
     assert str(s) == ref_render(Series(var, order, expected))
     assert coeffs == [None] * len(maps)
     assert s.terms == expected
+    assert all(type(c) is int for c in s.terms.values())
     assert s.terms == {key[:ti] + (2 * n,) + key[ti + 1:]: c
                        for n, terms in maps.items()
                        for key, c in terms.items() if c}
@@ -494,14 +494,13 @@ def test_euler_transform_is_the_colored_partition_count(colors):
 
 
 def test_plethystic_exp_refuses_fraction_coefficients():
-    # the Kronecker layout holds ints: a Fraction is refused before any
-    # layout is built, and so is one Fraction among int terms
-    f = Series("q", 3, {(2, 0, 0, 2, 0): Fraction(1, 2)})
-    with pytest.raises(SeriesUsageError, match="integer coefficients"):
-        plethystic_exp(f)
-    f = Series("q", 3, {(2, 0, 0, 0, 0): 1, (4, 0, 0, 2, 0): Fraction(-1, 3)})
-    with pytest.raises(SeriesUsageError, match="integer coefficients"):
-        plethystic_exp(f)
+    # the Kronecker layout holds ints, and a Fraction never reaches it:
+    # from_terms refuses one, alone, among int terms, or of denominator 1
+    for pairs in ([(Fraction(1, 2), {"x": 1, "q": 1})],
+                  [(1, {"q": 1}), (Fraction(-1, 3), {"x": 1, "q": 2})],
+                  [(Fraction(4, 2), {"q": 1})]):
+        with pytest.raises(SeriesUsageError, match="must be ints"):
+            plethystic_exp(Series.from_terms("q", 3, pairs))
 
 
 def test_a_layout_too_sparse_for_its_units_is_refused():
