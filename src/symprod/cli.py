@@ -117,13 +117,13 @@ def cmd_series(args):
     order = args.order
     if order is None:
         order = orbifold.default_order(kind, X)
-    # every mode builds on the kind check's one slot map, so a layout is
-    # refused alike in each, and the two routes compare as ints
-    slot_map, built = orbifold.kind_slot_map(kind, X, order), {}
+    # every mode builds on the one kind check, so a layout is refused
+    # alike in each, and the two routes compare as ints
+    check, built = orbifold.kind_check(kind, X, order), {}
     for mode, build in (("brute", orbifold.brute_series),
                         ("closed", orbifold.closed_series)):
         if args.mode in (mode, "both"):
-            built[mode] = build(kind, X, order, slot_map)
+            built[mode] = build(kind, X, order, check)
     if args.mode != "both":
         print(built[args.mode])
         return 0

@@ -17,17 +17,17 @@ width.  Products are int arithmetic: mul_add multiplies by a factor in
 the form factor picks from the value, and symmetric_powers builds every
 Sym^N of a sector block by shifts and adds of ints in the frame of its
 keys.  sector_units lists a sector sum's units at three cycle lengths,
-which fix the slot map of every length.  decode turns each int into the
-lists of its nonzero slots and their digits, found in C with no Python
-step per empty slot, and drops the int; columns builds the keys of one
-degree a coordinate column at a time, with no divmod per term.  Two
-layouts on equal slot maps put every key at the same slot, so their ints
-compare as they are at one width, and after spread widens the narrower
-side's slots at two.  slot is linear on the units, slot(j key, j d) =
-j slot(key, d), so plethystic_exp builds each D_k on slots and
-slot_factor makes its factor, and a brute level-l block is its family's
-block at its first, shortest, length (the sector sum asks for l
-ascending) moved by slots of the shift.
+which fix the slot map of every length, and sector_bound its bound.
+decode turns each int into the lists of its nonzero slots and their
+digits, found in C with no Python step per empty slot, and drops the int;
+columns builds the keys of one degree a coordinate column at a time, with
+no divmod per term.  Two layouts on equal slot maps put every key at the
+same slot, so their ints compare as they are at one width, and after
+spread widens the narrower side's slots at two.  slot is linear on the
+units, slot(j key, j d) = j slot(key, d), so plethystic_exp builds each
+D_k on slots and slot_factor makes its factor, and a brute level-l block
+is its family's block at its first, shortest, length (the sector sum asks
+for l ascending) moved by slots of the shift.
 A layout past MAX_LAYOUT_BITS of ints in all -- exponents far apart on a
 lattice of small index, such as all of Z^2, or in three or more variables
 -- is refused with SeriesUsageError before any int is built.
@@ -322,21 +322,12 @@ def sector_units(cycles, keys, shift):
             for k0, k1, k2, k3, k4 in keys or [(0,) * 5]]
 
 
-def sector_layout(order, cycles, keys, shift, b, slot_map=None):
-    """The layout of a sector sum over a space of dimension b with classes
-    at keys, regraded by shift per moved cycle: a sector of order n adds at
-    most its dimension to [q^order] prod_{l <= cycles} (1 - q^l)^(-b).
-    slot_map, a SlotMap of order whose units include sector_units(cycles,
-    keys, shift), replaces the map of those units alone."""
-    return Kronecker(slot_map or SlotMap(sector_units(cycles, keys, shift),
-                                         order),
-                     _sector_bound(order, cycles, b))
-
-
 @lru_cache(maxsize=64)
-def _sector_bound(order, cycles, b):
-    """[q^order] prod_{l <= cycles} (1 - q^l)^(-b), the same for every
-    kind of a table at one order and cycle bound."""
+def sector_bound(order, cycles, b):
+    """[q^order] prod_{l <= cycles} (1 - q^l)^(-b), the slot bound of a
+    sector sum over a space of dimension b: a sector of order n adds at
+    most its dimension to it.  The same for every kind of a table at one
+    order and cycle bound."""
     a = [0] + [b if l <= cycles else 0 for l in range(1, order + 1)]
     return euler_transform(a, order)[order]
 

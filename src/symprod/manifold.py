@@ -137,28 +137,23 @@ def classes(X):
 
 def default_pairing(X):
     """Identity blocks between opposite shifted degrees, mirrored with the
-    Koszul sign; standard symplectic middle block (1 at (2k, 2k+1), -1 at
-    (2k+1, 2k)) when the middle parity is odd, identity when it is even.
-
-    Needs Poincare duality (matching dimensions in opposite degrees); an
-    odd middle block of odd dimension admits no nondegenerate antisymmetric
-    form and is rejected.  Returns {(i, j): value} over class ids.
+    Koszul sign, and the identity on the middle degree, whose parity m =
+    dim_real / 2 must be even (FockSpace, its one caller, refuses odd m
+    first); with odd m, or without Poincare duality (matching dimensions
+    in opposite degrees), it raises InputError.  Returns {(i, j): value}
+    over class ids.
     """
     cls = classes(X)
     if any(n != cls.get(-j, (0, 0))[1] for j, (_, n) in cls.items()):
         raise InputError("default pairing needs Poincare duality on %s"
                          % X.name)
+    if X.m % 2:
+        raise InputError("default pairing needs an even middle degree on %s"
+                         % X.name)
     eta = {}
     for j, (a, n) in cls.items():
         if j > 0:
             break
-        if j == 0 and X.m % 2:
-            if n % 2:
-                raise InputError("odd middle block of odd dimension has no "
-                                 "nondegenerate antisymmetric pairing")
-            for i in range(a, a + n, 2):
-                eta[i, i + 1], eta[i + 1, i] = 1, -1
-            continue
         # an even middle degree (b == a) pairs each class with itself
         b, sign = cls[-j][0], -1 if (X.m + j) % 2 else 1
         for i in range(n):

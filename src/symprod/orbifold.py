@@ -22,10 +22,11 @@ y = -1 for sign and y = 0 for arith).  The sum over cycle types of
 prod_l block(l, N_l) is the truncated product over cycle lengths l of
 sum_N block(l, N) q^(lN), summed in p for dmvv, where q -> p y^(-k)
 leaves one y^(-k) per cycle and no sector weight.  The DP runs on the
-values of one layout, layouts.sector_layout: a cycle of length l carries
-one class of X and l - 1 regradings, so the layout sees those units and
-the largest coefficient the sector count allows.  Each block and each c_n
-is one int of that layouts.Kronecker layout, and c_n += c_(n - lN) *
+values of one layout: the slot map of the kind check (kind_check), whose
+units include the sector sum's, a cycle of length l carrying one class
+of X and l - 1 regradings, at the width of the largest coefficient the
+sector count allows (layouts.sector_bound).  Each block and each c_n is
+one int of that layouts.Kronecker layout, and c_n += c_(n - lN) *
 block(l, N) is int arithmetic.  A level-l class is affine in l, and its
 signs depend on l only through the parity of l - 1.  _sector_sum asks for
 each level once, l ascending, so each sign family of levels runs one DP
@@ -73,7 +74,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .layouts import SlotMap, sector_layout, sector_units, symmetric_powers
+from .layouts import (Kronecker, SlotMap, sector_bound, sector_units,
+                      symmetric_powers)
 from .manifold import InputError
 from .series import (
     VARS,
@@ -158,19 +160,18 @@ Sectors = namedtuple("Sectors", "T image shift flip sign var",
                      defaults=(_ONE, 1, 1, "q"))
 
 
-def _sym_sum(sectors, order, cycles, slot_map=None):
-    """_sector_sum in sectors.var of the Sectors' block(l, N), on slot_map
-    when it is given (a SlotMap whose units include the sector units), or
-    else on the slot map of the sector units.  block(l, N) is one of the
-    families keyed by (flip^(l-1), (flip sign)^(l-1)), at most three,
+def _sym_sum(sectors, blocks, order, cycles, slot_map):
+    """_sector_sum in sectors.var of the Sectors' block(l, N), over their
+    blocks T.blocks(image), on slot_map (a SlotMap whose units include the
+    sector units) at the width of the sector bound.  block(l, N) is one of
+    the families keyed by (flip^(l-1), (flip sign)^(l-1)), at most three,
     moved N (l - base) slots of the shift from block(base, N), base the
     first length of its family, which _sector_sum asks for first: one
     layouts.symmetric_powers DP per family, to the most powers its levels
     need, and one layout.factor per family and N serve every level."""
-    T, image, shift, flip, sign, var = sectors
-    blocks = T.blocks(image)
-    layout = sector_layout(order, cycles, {key for key, _, _ in blocks},
-                           shift, sum(T.dims.values()), slot_map)
+    T, _, shift, flip, sign, var = sectors
+    layout = Kronecker(slot_map,
+                       sector_bound(order, cycles, sum(T.dims.values())))
     # bits per N and per cycle length: the slots are linear on the units
     step = layout.width * layout.slot(shift, 1) if cycles > 1 else 0
     families = {}  # signs -> (base, Sym^N ints, their factors)
@@ -350,50 +351,53 @@ def _require(kind, X):
                          % (kind, X.name, reason))
 
 
-def brute_series(kind, X, order, slot_map=None):
-    """Assemble the series named by kind from explicit sector data, on
-    slot_map (kind_slot_map) when it is given, else on the slot map of the
-    sector sum's own units."""
-    _require(kind, X)
-    spec = KINDS[kind]
-    return _sym_sum(spec.brute(X, getattr(X, spec.table)), order,
-                    spec.cycles or order, slot_map)
+# What both routes of a kind check read: the kind's spec, its cycle bound,
+# the Sectors of the brute sum and their blocks, the closed form's expanded
+# single-particle series f, and the slot map of both routes' units.
+KindCheck = namedtuple("KindCheck", "spec cycles sectors blocks f slot_map")
 
 
-def closed_series(kind, X, order, slot_map=None):
-    """Expand the closed form of kind: the plethystic exponential of its
-    single-particle series, super-signed for the twisted kinds, on
-    slot_map (kind_slot_map) when it is given, else on the slot map of the
-    series' own terms."""
-    _require(kind, X)
-    spec = KINDS[kind]
-    cycles = spec.cycles or order
-    f = spec.single(X, getattr(X, spec.table), order, cycles)
-    if isinstance(f, Levels):
-        f = _levels(f.poly, order, f.shift, f.cycles or cycles)
-    return plethystic_exp(f, super_signs=spec.twisted, slot_map=slot_map)
-
-
-def kind_slot_map(kind, X, order):
-    """The slot map of a kind check: the layouts.SlotMap of the union of
-    the units of both routes, the brute sector sum's and the closed form's
-    single-particle terms.  A map of more units than a route forms holds
-    every product it forms, so each route stays exact on it at its own
-    slot width, and the two results compare as ints.  It reads the table,
-    the order and the unit keys of the two routes, never a coefficient of
-    either result.  The single-particle terms of Levels are affine in l
-    as the sector units are, so their units at lengths 1, 2 and the cycle
-    bound stand for all (layouts.sector_units)."""
+def kind_check(kind, X, order):
+    """The KindCheck of kind on X at order.  Its slot map is the
+    layouts.SlotMap of the union of the units of the brute sector sum and
+    of the closed form's single-particle terms: a map of more units than a
+    route forms holds every product it forms, so each route stays exact on
+    it at its own slot width, and the two results compare as ints.  The
+    terms of a Levels f are affine in l as the sector units are, so their
+    units at lengths 1, 2 and the cycle bound stand for all
+    (layouts.sector_units)."""
     _require(kind, X)
     spec = KINDS[kind]
     T, cycles = getattr(X, spec.table), spec.cycles or order
-    (T_b, image, shift, *_), f = spec.brute(X, T), spec.single(X, T, order,
-                                                                cycles)
-    keys = {key for key, _, _ in T_b.blocks(image)}
-    units = sector_units(cycles, keys, shift) + (
-        sector_units(f.cycles or cycles, f.poly.terms, monomial_key(f.shift))
-        if isinstance(f, Levels) else plethystic_units(f))
-    return _slot_map(frozenset(units), order)
+    sectors, f = spec.brute(X, T), spec.single(X, T, order, cycles)
+    blocks = sectors.T.blocks(sectors.image)
+    units = sector_units(cycles, [key for key, _, _ in blocks], sectors.shift)
+    if isinstance(f, Levels):
+        units += sector_units(f.cycles or cycles, f.poly.terms,
+                              monomial_key(f.shift))
+        f = _levels(f.poly, order, f.shift, f.cycles or cycles)
+    else:
+        units += plethystic_units(f)
+    return KindCheck(spec, cycles, sectors, blocks, f,
+                     _slot_map(frozenset(units), order))
+
+
+def brute_series(kind, X, order, check=None):
+    """Assemble the series named by kind from explicit sector data, on the
+    slot map of its kind_check; check, that KindCheck, saves building it."""
+    check = check or kind_check(kind, X, order)
+    return _sym_sum(check.sectors, check.blocks, order, check.cycles,
+                    check.slot_map)
+
+
+def closed_series(kind, X, order, check=None):
+    """Expand the closed form of kind: the plethystic exponential of its
+    single-particle series, super-signed for the twisted kinds, on the
+    slot map of its kind_check; check, that KindCheck, saves building
+    it."""
+    check = check or kind_check(kind, X, order)
+    return plethystic_exp(check.f, super_signs=check.spec.twisted,
+                          slot_map=check.slot_map)
 
 
 # Many kind checks share their units, across kinds and manifolds: kinds
@@ -456,9 +460,9 @@ def _build_key(X, build, kind, order):
 
 
 def _series_of(X):
-    """(build, kind, order) -> build(kind, X, order, its kind_slot_map) for
+    """(build, kind, order) -> build(kind, X, order, its kind_check) for
     build in {brute_series, closed_series}, each distinct series built once
-    per run, and each slot map once for the two routes of a kind.
+    per run, and each kind check once for the two routes of a kind.
 
     The memo is keyed by _build_key, what a build reads, and not by the
     kind: gottsche_hodge reuses the brute hodge_orb, and where the B-table
@@ -466,16 +470,16 @@ def _series_of(X):
     hodge_orb.  The route is part of the key, so a brute request never gets
     a closed series.  An inapplicable kind raises InputError even where its
     key matches a series already built."""
-    memo, maps = {}, {}
+    memo, checks = {}, {}
 
     def built(build, kind, order):
         _require(kind, X)
         key = _build_key(X, build, kind, order)
         series = memo.get(key)
         if series is None:
-            if (kind, order) not in maps:
-                maps[kind, order] = kind_slot_map(kind, X, order)
-            series = memo[key] = build(kind, X, order, maps[kind, order])
+            if (kind, order) not in checks:
+                checks[kind, order] = kind_check(kind, X, order)
+            series = memo[key] = build(kind, X, order, checks[kind, order])
         return series
     return built
 

@@ -8,7 +8,8 @@ import pytest
 
 from symprod import graded
 from symprod.cli import catalog_dir, load_manifold
-from symprod.layouts import Kronecker, SlotMap, sector_layout, symmetric_powers
+from symprod.layouts import (Kronecker, SlotMap, sector_bound, sector_units,
+                             symmetric_powers)
 from symprod.series import (VARS, Series, SeriesDomainError,
                             SeriesUsageError, substitute)
 
@@ -72,15 +73,16 @@ def read(layout, ints, ti=0):
 
 def sym_power(v, n):
     """The n-th super symmetric power of the GradedDims v, by
-    layouts.symmetric_powers on the ints of the sector layout of Sym^n, as
-    the brute sector sums build it.  ValueError on n < 0 or a half-integer
-    degree, and SeriesUsageError (a ValueError) on a layout past
-    layouts.MAX_LAYOUT_BITS."""
+    layouts.symmetric_powers on the ints of the layout of the sector units
+    and bound of Sym^n, as the brute sector sums build it.  ValueError on
+    n < 0 or a half-integer degree, and SeriesUsageError (a ValueError) on
+    a layout past layouts.MAX_LAYOUT_BITS."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     blocks = v.blocks()
-    layout = sector_layout(n, 1, [key for key, _, _ in blocks], (0,) * 5,
-                           sum(v.dims.values()))
+    layout = kronecker(sector_units(1, [key for key, _, _ in blocks],
+                                    (0,) * 5),
+                       n, sector_bound(n, 1, sum(v.dims.values())))
     top = symmetric_powers(layout, blocks, 1, n)[n]
     return GradedDims({key[3:]: c for key, c in
                        read(layout, [0] * n + [top]).items()})

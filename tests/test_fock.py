@@ -136,16 +136,17 @@ def test_default_pairing_k3_middle_identity(k3):
         assert k3.eta.get((i, i), 0) == 1
 
 
-def test_default_pairing_odd_middle_is_symplectic(catalog):
-    eta = default_pairing(catalog["genus2"])
-    # degree-1 generators 1..4 pair antisymmetrically in consecutive pairs
-    assert eta[(1, 2)] == 1 and eta[(2, 1)] == -1
-    assert eta[(3, 4)] == 1 and eta[(4, 3)] == -1
+def test_default_pairing_refuses_an_odd_middle_degree(catalog):
+    # FockSpace refuses odd m first; a library caller gets a refusal, not
+    # a pairing that no Fock space was checked on
+    for name in ("genus2", "elliptic"):
+        with pytest.raises(InputError, match="even middle degree"):
+            default_pairing(catalog[name])
 
 
 def test_default_pairing_rejects_odd_middle_of_odd_dimension():
     X = ManifoldData("bad", dim_real=2, betti=[1, 3, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="even middle degree"):
         default_pairing(X)
 
 
@@ -173,9 +174,8 @@ def test_default_pairing_structure(dim_betti, k):
     # the classes of degree i are numbered from b_0 + ... + b_(i-1) on
     ids = [range(sum(betti[:i]), sum(betti[:i + 1]))
            for i in range(dim_real + 1)]
-    mid = ids[d]
-    if d % 2 and len(mid) % 2:
-        with pytest.raises(InputError, match="odd middle block"):
+    if d % 2:
+        with pytest.raises(InputError, match="even middle degree"):
             default_pairing(X)
     else:
         expect = {}
@@ -185,12 +185,8 @@ def test_default_pairing_structure(dim_betti, k):
             for a, b in zip(ids[i], ids[dim_real - i]):
                 expect[(a, b)] = 1
                 expect[(b, a)] = -1 if i % 2 else 1
-        if d % 2:  # the standard symplectic form
-            for a, b in zip(mid[0::2], mid[1::2]):
-                expect[(a, b)], expect[(b, a)] = 1, -1
-        else:
-            for a in mid:
-                expect[(a, a)] = 1
+        for a in ids[d]:
+            expect[(a, a)] = 1
         eta = default_pairing(X)
         assert eta == expect
         assert all(type(v) is int for v in eta.values())
@@ -204,7 +200,7 @@ def test_default_pairing_structure(dim_betti, k):
 
 
 def test_pairing_graded_symmetry(catalog):
-    for name in ("p2", "k3", "genus2", "elliptic"):
+    for name in ("p2", "k3"):
         X = catalog[name]
         eta = default_pairing(X)
         # the parity of each class, numbered in degree order

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import kronecker, mul, packed, pe_oracle, read, ref_render
 from symprod import layouts
 from symprod import orbifold as ob
-from symprod.layouts import MAX_LAYOUT_BITS, Kronecker, sector_layout
+from symprod.layouts import (MAX_LAYOUT_BITS, Kronecker, sector_bound,
+                             sector_units)
 from symprod.manifold import ManifoldData
 from symprod.series import VARS, Series, SeriesUsageError, plethystic_exp
 
@@ -565,6 +566,13 @@ def sector_case(draw):
             draw(st.integers(1, 30)))
 
 
+def sector_layout(order, cycles, keys, shift, b):
+    """The layout of a sector sum on the slot map of its own units, as
+    orbifold._sym_sum builds it on a map of at least those units."""
+    return kronecker(sector_units(cycles, keys, shift), order,
+                     sector_bound(order, cycles, b))
+
+
 def layout_or_refusal(build):
     try:
         lay = build()
@@ -579,8 +587,9 @@ def layout_or_refusal(build):
 @example((6, 1, {(0, 0, 0, 2, 1)}, (0, 0, 0, 1, 1), 3))  # no moved cycle
 @example((6, 2, {(0, 0, 0, 2, -1), (0, 0, 0, 0, 1)}, (0, 0, 0, 3, 3), 3))
 def test_a_sector_layout_is_the_layout_of_every_cycle_length(case):
-    # sector_layout builds the units of cycle lengths 1, 2 and cycles
-    # only; the layout, or its refusal, is the one of every length
+    # sector_units lists the units of cycle lengths 1, 2 and cycles only;
+    # the layout, or its refusal, is the one of every length, and
+    # sector_bound is the colored partition count of the sectors
     order, cycles, keys, shift, b = case
     event("refused" if isinstance(layout_or_refusal(
         lambda: sector_layout(*case)), str) else "built")
@@ -608,11 +617,10 @@ def test_the_top_int_spans_the_lattice_not_the_box(catalog, monkeypatch,
                                                    name, order, slots):
     # every k3 and quintic exponent pair shares one parity, so the top int
     # takes half the box of 33^2 and 97^2 slots; P^30 lies on the diagonal,
-    # one slot per point of it
+    # one slot per point of it, on the slot map of the kind check
     X = {"quintic": QUINTIC, "P30": diagonal(30)}.get(name) or catalog[name]
     seen = []
-    monkeypatch.setattr(ob, "sector_layout",
-                        lambda *args, build=ob.sector_layout:
+    monkeypatch.setattr(ob, "Kronecker", lambda *args, build=ob.Kronecker:
                         seen.append(build(*args)) or seen[-1])
     brute = ob.brute_series("hodge_orb", X, order)
     [layout] = seen

@@ -22,7 +22,7 @@ import symprod
 from symprod import cli, layouts, series
 from symprod import orbifold as ob
 from symprod.graded import GradedDims
-from symprod.layouts import Kronecker
+from symprod.layouts import Kronecker, SlotMap, sector_units
 from symprod.manifold import InputError, ManifoldData, derive_B_table
 from symprod.series import Series, plethystic_exp, substitute
 
@@ -281,11 +281,11 @@ def layouts_chosen(monkeypatch):
     """The layout of every brute sector sum and plethystic_exp from now on,
     in a list."""
     seen = []
-    for module, name in ((ob, "sector_layout"), (series, "Kronecker")):
-        def record(*args, pick=getattr(module, name)):
+    for module in (ob, series):
+        def record(*args, pick=module.Kronecker):
             seen.append(pick(*args))
             return seen[-1]
-        monkeypatch.setattr(module, name, record)
+        monkeypatch.setattr(module, "Kronecker", record)
     return seen
 
 
@@ -312,9 +312,9 @@ def test_k3_hodge_orb_takes_the_dense_path_on_both_sides(catalog, monkeypatch,
 
 
 def check_kind_slot_maps(X, orders):
-    """Each applicable kind's slot map is built with neither route run, and
-    each route reads the same terms on it as on the map of its own units,
-    at the slot width of its own bound."""
+    """Each applicable kind's check is built with neither route run, and
+    each route reads the same terms on its slot map as on the map of its
+    own units, at the slot width of its own bound."""
     for kind in ob.SERIES_KINDS:
         if ob.applicability(kind, X) is not None:
             continue
@@ -322,13 +322,19 @@ def check_kind_slot_maps(X, orders):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ob, "_sector_sum", None)
                 mp.setattr(ob, "plethystic_exp", None)
-                slot_map = ob.kind_slot_map(kind, X, order)
-            for build in (ob.brute_series, ob.closed_series):
-                own = build(kind, X, order)
-                shared = build(kind, X, order, slot_map)
-                assert shared._packed[0].map is slot_map
-                assert shared._packed[0].width == own._packed[0].width
-                assert shared.terms == own.terms, (kind, order)
+                check = ob.kind_check(kind, X, order)
+            keys = [key for key, _, _ in check.blocks]
+            own = {ob.brute_series: ob._sym_sum(
+                check.sectors, check.blocks, order, check.cycles,
+                SlotMap(sector_units(check.cycles, keys,
+                                     check.sectors.shift), order)),
+                ob.closed_series: plethystic_exp(
+                    check.f, super_signs=check.spec.twisted)}
+            for build, alone in own.items():
+                shared = build(kind, X, order, check)
+                assert shared._packed[0].map is check.slot_map
+                assert shared._packed[0].width == alone._packed[0].width
+                assert shared.terms == alone.terms, (kind, order)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("hopf",))
@@ -860,10 +866,10 @@ def counted_builds(monkeypatch):
     call from here on."""
     builds = []
     for name in ("brute_series", "closed_series"):
-        def counted(kind, X, order, *slot_map, route=getattr(ob, name),
+        def counted(kind, X, order, *check, route=getattr(ob, name),
                     name=name):
             builds.append((name, kind, order))
-            return route(kind, X, order, *slot_map)
+            return route(kind, X, order, *check)
         monkeypatch.setattr(ob, name, counted)
     return builds
 
@@ -883,25 +889,51 @@ def test_verify_all_builds_each_distinct_series_once(catalog, monkeypatch):
 
 
 def test_both_routes_of_a_kind_check_get_one_slot_map(catalog, monkeypatch):
-    # one slot map per kind check, built only where a route builds: on k3,
-    # 28 builds take 16 maps, the gottsche_* closed forms taking theirs
-    # where their brute series is hodge_orb's and poincare_orb's.  Checks
-    # of equal units share one map object
-    maps, passed = [], {}
-    kind_slot_map = ob.kind_slot_map
-    monkeypatch.setattr(ob, "kind_slot_map", lambda *args: maps.append(
-        kind_slot_map(*args)) or maps[-1])
+    # one kind check per kind and order, built only where a route builds:
+    # on k3, 28 builds take 16 checks, the gottsche_* closed forms taking
+    # theirs where their brute series is hodge_orb's and poincare_orb's.
+    # Both routes of a check get it, and with it its one slot map
+    checks, passed = [], {}
+    kind_check = ob.kind_check
+    monkeypatch.setattr(ob, "kind_check", lambda *args: checks.append(
+        kind_check(*args)) or checks[-1])
     for name in ("brute_series", "closed_series"):
-        def record(kind, X, order, slot_map, route=getattr(ob, name),
+        def record(kind, X, order, check, route=getattr(ob, name),
                    name=name):
-            passed[name, kind, order] = slot_map
-            return route(kind, X, order, slot_map)
+            passed[name, kind, order] = check
+            return route(kind, X, order, check)
         monkeypatch.setattr(ob, name, record)
     assert all(r.status == "pass" for r in ob.verify_all(catalog["k3"]))
-    assert (len(passed), len(maps)) == (28, 16)
-    for (name, kind, order), slot_map in passed.items():
+    assert (len(passed), len(checks)) == (28, 16)
+    for (name, kind, order), check in passed.items():
         if name == "brute_series" and ("closed_series", kind, order) in passed:
-            assert passed["closed_series", kind, order] is slot_map, kind
+            assert passed["closed_series", kind, order] is check, kind
+
+
+def test_a_kind_check_runs_each_builder_once(catalog, monkeypatch):
+    # the kind's brute and single-particle builders and the blocks of the
+    # brute sectors run once per kind check, which both routes read, and
+    # never again in a route: verify_all builds 16 checks on k3
+    calls, wrapped = Counter(), {}
+
+    def counting(name, build):
+        def count(*args):
+            calls[name] += 1
+            return build(*args)
+        return count
+
+    for kind, spec in ob.KINDS.items():
+        # one wrapper per builder, so kinds that share one share a build
+        for field in ("brute", "single"):
+            build = getattr(spec, field)
+            if build not in wrapped:
+                wrapped[build] = counting(field, build)
+        monkeypatch.setitem(ob.KINDS, kind, spec._replace(
+            brute=wrapped[spec.brute], single=wrapped[spec.single]))
+    monkeypatch.setattr(GradedDims, "blocks",
+                        counting("blocks", GradedDims.blocks))
+    assert all(r.status == "pass" for r in ob.verify_all(catalog["k3"]))
+    assert calls == {"brute": 16, "single": 16, "blocks": 16}
 
 
 def used_series(monkeypatch):
@@ -1167,7 +1199,8 @@ def test_sym_kind_is_its_orb_kind_cut_to_one_cycles(family):
 # ------------------------------------------------- what the two routes share
 
 # Every named symprod function that brute_series and closed_series both
-# reach, on the kinds and manifolds of the audit below, with the test that
+# reach, each with what its kind check calls for its input alone, on the
+# kinds and manifolds of the audit below, with the test that
 # checks it without the other route.  A fault in a shared function could
 # move both routes alike and pass every kind check, so a function that
 # becomes shared fails the audit until it is listed here with its oracle.
@@ -1182,10 +1215,6 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.euler_transform":
         "test_layouts.test_euler_transform_is_the_colored_partition_count",
-    "orbifold.applicability":
-        "test_orbifold.test_a_matching_key_still_checks_applicability",
-    "orbifold._require":
-        "test_orbifold.test_a_matching_key_still_checks_applicability",
     "manifold.ManifoldData.m":
         "test_acceptance.test_criterion_2_regraded_poincare",
     "series.Series.from_layout":
@@ -1196,12 +1225,17 @@ SHARED_WITH_ORACLE = {
         "test_series.test_entry_rejects_the_other_counting_variable",
 }
 
-# What a kind check builds once, before either route, and hands to both:
-# the slot map of their units, with the tests that show it moves no
-# coefficient of either route, whatever units it holds beyond a route's own.
+# What a kind check runs once, before either route, for both: the
+# applicability gate, and the slot map of their units, with the tests that
+# show it moves no coefficient of either route, whatever units it holds
+# beyond a route's own.
 SLOT_MAP_WITH_ORACLE = {
-    "orbifold.kind_slot_map":
+    "orbifold.kind_check":
         "test_orbifold.test_each_route_reads_alike_on_its_kind_slot_map",
+    "orbifold.applicability":
+        "test_orbifold.test_a_matching_key_still_checks_applicability",
+    "orbifold._require":
+        "test_orbifold.test_a_matching_key_still_checks_applicability",
     "layouts.SlotMap.__init__":
         "test_layouts.test_a_slot_map_of_more_units_holds_every_product",
     "layouts._lattice":
@@ -1233,40 +1267,59 @@ def symprod_qualnames():
     return names
 
 
-def reached(names, build, *args):
+def reached(names, build, *args, roots=None):
     """The named symprod functions that build(*args) calls; lambdas and
-    comprehensions count as their enclosing function."""
-    seen = set()
+    comprehensions count as their enclosing function.  With roots, a
+    {code: side} map, {side: the functions called beneath a root of that
+    side, the innermost one}, and at None those called beneath none."""
+    seen, sides = {}, [None]
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and not code.co_name.startswith("<"):
-            seen.add(names.get(
-                (code.co_filename, code.co_firstlineno, code.co_name)))
+        if event == "call":
+            sides.append((roots or {}).get(code, sides[-1]))
+            if not code.co_name.startswith("<"):
+                seen.setdefault(sides[-1], set()).add(names.get(
+                    (code.co_filename, code.co_firstlineno, code.co_name)))
+        elif event == "return" and len(sides) > 1:
+            sides.pop()
 
     sys.setprofile(hook)
     try:
         build(*args)
     finally:
         sys.setprofile(None)
-    return seen - {None}
+    seen = {side: found - {None} for side, found in seen.items()}
+    return seen if roots else seen.get(None, set())
 
 
 def test_the_routes_share_only_functions_with_an_oracle(catalog):
     # the routes as a kind check runs them, on the kind's slot map, with
-    # the memos of slot maps and sector bounds emptied
+    # the memos of slot maps and sector bounds emptied; each route also
+    # reaches what the check calls for its own input alone, beneath the
+    # kind's brute builder and GradedDims.blocks or beneath its single
+    # builder and _levels
     ob._slot_map.cache_clear()
-    layouts._sector_bound.cache_clear()
+    layouts.sector_bound.cache_clear()
     names, shared, mapped = symprod_qualnames(), set(), set()
     for X in (catalog["k3"], catalog["elliptic"], catalog["p2"],
               ManifoldData("odd", dim_real=4, betti=[1, 2, 0, 2, 1])):
         for kind in ob.SERIES_KINDS:
             if ob.applicability(kind, X) is None:
-                mapped |= reached(names, ob.kind_slot_map, kind, X, 6)
-                slot_map = ob.kind_slot_map(kind, X, 6)
-                shared |= reached(names, ob.brute_series, kind, X, 6,
-                                  slot_map) \
-                    & reached(names, ob.closed_series, kind, X, 6, slot_map)
+                spec = ob.KINDS[kind]
+                roots = {spec.brute.__code__: ob.brute_series,
+                         GradedDims.blocks.__code__: ob.brute_series,
+                         spec.single.__code__: ob.closed_series,
+                         ob._levels.__code__: ob.closed_series}
+                sides = reached(names, ob.kind_check, kind, X, 6,
+                                roots=roots)
+                mapped |= set().union(*sides.values())
+                check = ob.kind_check(kind, X, 6)
+                brute, closed = (
+                    sides.get(route, set())
+                    | reached(names, route, kind, X, 6, check)
+                    for route in (ob.brute_series, ob.closed_series))
+                shared |= brute & closed
     assert shared == set(SHARED_WITH_ORACLE)
     assert set(SLOT_MAP_WITH_ORACLE) <= mapped
     tests = Path(__file__).parent
@@ -1410,17 +1463,8 @@ UNREACHED_STATEMENTS = [
      'Poincare duality on %s"', REFUSED),
     # FockSpace refuses a dim_real that 4 does not divide before it asks
     # for a default pairing, so the middle parity X.m % 2 is always even
-    ("manifold.default_pairing", "if n % 2:", "dead: an odd middle parity "
-     "never reaches default_pairing"),
-    ("manifold.default_pairing", 'raise InputError("odd middle block of odd '
-     'dimension has no "', "dead: an odd middle parity never reaches "
-     "default_pairing"),
-    ("manifold.default_pairing", "for i in range(a, a + n, 2):", "dead: an "
-     "odd middle parity never reaches default_pairing"),
-    ("manifold.default_pairing", "eta[i, i + 1], eta[i + 1, i] = 1, -1",
-     "dead: an odd middle parity never reaches default_pairing"),
-    ("manifold.default_pairing", "continue", "dead: an odd middle parity "
-     "never reaches default_pairing"),
+    ("manifold.default_pairing", 'raise InputError("default pairing needs '
+     'an even middle degree on %s"', GUARD),
     ("manifold.pairing_from_blocks", 'raise ValueError("pairing must be a '
      'list of blocks with exactly the "', REFUSED),
     ("manifold.pairing_from_blocks", 'raise ValueError("pairing block for '
@@ -1588,7 +1632,7 @@ def test_production_reaches_every_function_it_keeps(tmp_path, monkeypatch):
         # built once per process, and memos that a run may find filled
         cli.build_parser.cache_clear()
         ob._slot_map.cache_clear()
-        layouts._sector_bound.cache_clear()
+        layouts.sector_bound.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert [cli.main(argv) for argv in jobs] == [0] * len(jobs)
             monkeypatch.setenv("SYMPROD_CATALOG", catalog)

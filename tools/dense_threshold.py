@@ -8,11 +8,11 @@ FACTOR_BITS is the density at which a factor of Kronecker.mul_add is
 multiplied as one int rather than added term by term.  For each heavy call
 shape -- a (kind, manifold, order) on the catalog surfaces, the seeded
 benchmark CY3 of seed 1 (cy3_1) and the diagonal Hodge table of P^30 (p30),
-whose slots lie on a line -- it builds the brute series
-(orbifold._sector_sum) and the closed one (series.plethystic_exp) once per
-value, R times with the values alternating in order, and keeps the best
-time of each.  --only keeps the shapes whose 'kind manifold order' contains
-TEXT.
+whose slots lie on a line -- it builds the shape's kind check once,
+untimed, and on it the brute series (orbifold._sector_sum) and the closed
+one (series.plethystic_exp) once per value, R times with the values
+alternating in order, and keeps the best time of each.  --only keeps the
+shapes whose 'kind manifold order' contains TEXT.
 """
 
 import argparse
@@ -49,9 +49,9 @@ def manifolds(directory):
     return out
 
 
-def timed(build, kind, X, order):
+def timed(build, kind, X, order, check):
     start = time.perf_counter()
-    build(kind, X, order)
+    build(kind, X, order, check)
     return time.perf_counter() - start
 
 
@@ -70,12 +70,13 @@ def main():
         Xs = manifolds(Path(tmp))
         try:
             for kind, name, order in shapes:
+                check = orbifold.kind_check(kind, Xs[name], order)
                 for build in (orbifold.brute_series, orbifold.closed_series):
                     best = dict.fromkeys(FACTOR_TRIES, float("inf"))
                     for rep in range(args.reps):
                         for bits in FACTOR_TRIES[::1 if rep % 2 == 0 else -1]:
                             layouts.FACTOR_BITS = bits
-                            t = timed(build, kind, Xs[name], order)
+                            t = timed(build, kind, Xs[name], order, check)
                             best[bits] = min(best[bits], t)
                     for bits in FACTOR_TRIES:
                         totals[bits] += best[bits]
