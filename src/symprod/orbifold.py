@@ -448,21 +448,21 @@ def _compare(name, a, b):
     return CheckResult(name, "fail", lines)
 
 
-def _build_key(X, build, kind, order):
-    """What build(kind, X, order) reads besides X, for build in
-    {brute_series, closed_series}: the route, its builder in the spec, the
-    spec's twisted and cycles, the order and the contents of its table."""
+def _build_key(X, route, kind, order):
+    """What the route's series of (kind, X, order) reads besides X: the
+    route ("brute" or "closed"), its builder in the spec, the spec's
+    twisted and cycles, the order and the contents of its table."""
     spec = KINDS[kind]
     T = getattr(X, spec.table)
-    return (build, spec.brute if build is brute_series else spec.single,
+    return (route, spec.brute if route == "brute" else spec.single,
             spec.twisted, spec.cycles, order,
             None if T is None else frozenset(T.dims.items()))
 
 
 def _series_of(X):
-    """(build, kind, order) -> build(kind, X, order, its kind_check) for
-    build in {brute_series, closed_series}, each distinct series built once
-    per run, and each kind check once for the two routes of a kind.
+    """(route, kind, order) -> brute_series or closed_series of (kind, X,
+    order) on its kind_check, for route "brute" or "closed": each distinct
+    series built once per run, and each kind check once per kind.
 
     The memo is keyed by _build_key, what a build reads, and not by the
     kind: gottsche_hodge reuses the brute hodge_orb, and where the B-table
@@ -472,13 +472,14 @@ def _series_of(X):
     key matches a series already built."""
     memo, checks = {}, {}
 
-    def built(build, kind, order):
+    def built(route, kind, order):
         _require(kind, X)
-        key = _build_key(X, build, kind, order)
+        key = _build_key(X, route, kind, order)
         series = memo.get(key)
         if series is None:
             if (kind, order) not in checks:
                 checks[kind, order] = kind_check(kind, X, order)
+            build = brute_series if route == "brute" else closed_series
             series = memo[key] = build(kind, X, order, checks[kind, order])
         return series
     return built
@@ -490,8 +491,7 @@ def verify(kind, X, order, built=None):
     if reason is not None:
         return CheckResult("%s order %d" % (kind, order), "skip", [reason])
     built = built or _series_of(X)
-    b = built(brute_series, kind, order)
-    c = built(closed_series, kind, order)
+    b, c = (built(route, kind, order) for route in ("brute", "closed"))
     return _compare("%s order %d" % (kind, order), b, c)
 
 
@@ -500,21 +500,21 @@ def verify(kind, X, order, built=None):
 # on the lhs, and extra, unless None, is a further requirement on X.  A row
 # runs when both kinds apply, at the order verify uses for its lhs kind.
 CROSS_CHECKS = (
-    ("cross hodge_orb(x=y=t) = poincare_orb", brute_series, "hodge_orb",
+    ("cross hodge_orb(x=y=t) = poincare_orb", "brute", "hodge_orb",
      (("x", {"t": 1}, 1), ("y", {"t": 1}, 1)), "poincare_orb", None),
-    ("cross chiy_orb(y=1) = euler_orb", brute_series, "chiy_orb",
+    ("cross chiy_orb(y=1) = euler_orb", "brute", "chiy_orb",
      (("y", {}, 1),), "euler_orb", None),
-    ("cross chiy_sym(y=1) = euler_sym", brute_series, "chiy_sym",
+    ("cross chiy_sym(y=1) = euler_sym", "brute", "chiy_sym",
      (("y", {}, 1),), "euler_sym", None),
-    ("cross chiy_sym(y=-1) = sign_sym", brute_series, "chiy_sym",
+    ("cross chiy_sym(y=-1) = sign_sym", "brute", "chiy_sym",
      (("y", {}, -1),), "sign_sym", None),
-    ("cross chiy_orb(y=-1) = sign_orb", brute_series, "chiy_orb",
+    ("cross chiy_orb(y=-1) = sign_orb", "brute", "chiy_orb",
      (("y", {}, -1),), "sign_orb", None),
-    ("cross poincare_orb(t=-1) = euler_orb", brute_series, "poincare_orb",
+    ("cross poincare_orb(t=-1) = euler_orb", "brute", "poincare_orb",
      (("t", {}, -1),), "euler_orb", lambda X: X.m % 2 == 0),
-    ("cross gottsche_poincare = poincare_orb", closed_series,
+    ("cross gottsche_poincare = poincare_orb", "closed",
      "gottsche_poincare", (), "poincare_orb", None),
-    ("cross gottsche_hodge = hodge_orb", closed_series, "gottsche_hodge",
+    ("cross gottsche_hodge = hodge_orb", "closed", "gottsche_hodge",
      (), "hodge_orb", None),
 )
 

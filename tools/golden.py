@@ -4,14 +4,21 @@ and the sha256 of its stdout and of its stderr.
     python3 tools/golden.py            # replay the corpus; exit 1 on a change
     python3 tools/golden.py --write    # regenerate tests/golden/outputs.json
 
-Run it from the root of a source checkout; it reads the program from src/.
-The corpus holds every input file a job reads besides the catalog: the
-seeded manifolds of perfbench/workloads.py at seeds 1 to 3, the refusal
-payloads of tests/golden/refusals.json and an odd-class Betti file.  A
-replay writes them into a scratch directory, runs each job through
-symprod.cli.main in this process with that directory as the working
-directory, so that file names in error messages do not depend on where it
-lies, and compares.  The corpus pins bytes, not truth: an intended output
+It imports symprod from the src/ beside tools/, and where there is none,
+from the installed package: CI replays the corpus from copies of tools/,
+perfbench/ and tests/golden/ outside the checkout, so that it checks the
+installed package.  The corpus holds every input file a job reads besides
+the catalog: the seeded manifolds of perfbench/workloads.py at seeds 1 to
+3, the refusal payloads of tests/golden/refusals.json, an odd-class Betti
+file, three pairing files and a Calabi-Yau curve whose B-table breaks
+Serre duality.  A replay writes them into a scratch directory, runs each
+job through symprod.cli.main in this process with that directory as the
+working directory, so that file names in error messages do not depend on
+where it lies, and compares.
+
+The corpus is the one place where output bytes are pinned (the benchmark's
+copy of the catalog verify-all digests is held equal to it by
+tests/test_golden.py).  It pins bytes, not truth: an intended output
 change regenerates it, and the change names the entries that moved.
 """
 
@@ -45,11 +52,30 @@ def inputs():
     files.update(("refusal/%02d.json" % i, payload)
                  for i, payload in enumerate(refusals))
     files["odd4.json"] = {"dim_real": 4, "betti": [1, 2, 0, 2, 1]}
+    p2 = {"dim_c": 2, "hodge": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    top = {"degree": 2, "matrix": [[1]]}
+    # a good pairing may hold a fraction
+    files["pairing/half.json"] = dict(p2, pairing=[
+        top, {"degree": 0, "matrix": [["1/2"]]}])
+    # a pairing is checked against the Betti counts, never one object per
+    # class, so a 4000-digit count is refused at once
+    files["pairing/nines.json"] = {
+        "dim_real": 4, "betti": [1, 0, int("9" * 4000), 0, 1],
+        "pairing": [top, {"degree": 0, "matrix": [[1]]}]}
+    # a 0x1 block between degrees of different counts is degenerate
+    files["pairing/uneven.json"] = {
+        "dim_real": 4, "betti": [1, 0, 2, 1, 1],
+        "pairing": [top, {"degree": 1, "matrix": []},
+                    {"degree": 0, "matrix": [[1, 0], [0, 1]]}]}
+    # a Calabi-Yau curve whose B-table breaks Serre duality: a mismatch
+    # report, and exit 1
+    files["serre.json"] = {"dim_c": 1, "hodge": [[1, 1], [1, 1]],
+                           "calabi_yau": True, "hodgeB": [[1, 1], [0, 2]]}
     return files
 
 
 def jobs(files):
-    """The argv of every job, in a fixed order."""
+    """The argv of every job, each once, in a fixed order."""
     names = workloads.CATALOG
     out = [["catalog", "list"]]
     for name in names:
@@ -59,6 +85,7 @@ def jobs(files):
             for mode in ("brute", "closed"):
                 out.append(["series", kind, "--manifold", name, "--order",
                             "5", "--mode", mode])
+            out.append(["series", kind, "--manifold", name])
     out += [["verify-all", "--manifold", name] for name in names]
     out += [["fock-verify", "--manifold", name, "--max-charge", str(charge)]
             for name in names + ("odd4.json",) for charge in range(4)]
@@ -70,7 +97,23 @@ def jobs(files):
     for path in sorted(p for p in files if p.startswith("refusal/")):
         out += [["verify-all", "--manifold", path],
                 ["fock-verify", "--manifold", path, "--max-charge", "1"]]
-    return out
+    # each route alone at a larger order, slot maps of unequal widths, two
+    # sign families, and the Fock check at charge 4
+    out += [["series", "hodge_orb", "--manifold", "k3", "--order", "8",
+             "--mode", mode] for mode in ("brute", "closed", "both")]
+    out += [["series", kind, "--manifold", name, "--order", order,
+             "--mode", "both"]
+            for kind, name, order in (("chiy_orb", "abelian", "8"),
+                                      ("poincare_orb", "genus2", "12"),
+                                      ("arith_orb", "k3", "12"))]
+    out += [["fock-verify", "--manifold", name, "--max-charge", "4"]
+            for name in ("p2", "k3")]
+    out += [["verify-all", "--manifold", "pairing/half.json"],
+            ["series", "euler_orb", "--manifold", "pairing/nines.json"],
+            ["verify-all", "--manifold", "pairing/uneven.json"],
+            ["fock-verify", "--manifold", "point", "--max-charge", "100000"],
+            ["verify-all", "--manifold", "serre.json", "--order", "4"]]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 
 def run(argv):
