@@ -338,7 +338,7 @@ def check_relations(X, max_charge):
     cre = {n: family(n) for n in range(1, C + 1)}
     ann = {m: family(-m) for m in range(1, C)}
     mixed = cc = aa = 0
-    for m in range(1, C):
+    for m in range(1, C if G else 1):  # no generator, no bracket
         for n in range(1, C - m + 1):
             domain = range(upto(C - max(m, n)))
             # [annihilate_m(a), create_n(b)] = m eta(a,b) delta_{m,n} Id

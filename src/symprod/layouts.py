@@ -13,11 +13,13 @@ takes half the box, and where all lie on a line (a diagonal Hodge table)
 one slot per point of it.  A slot map built from more units than a
 product forms holds that product too, so the two routes of a kind check
 share the slot map of the union of their units and keep each its own
-width.  Products are int arithmetic: mul_add multiplies by a factor in
-the form factor picks from the value, and symmetric_powers builds every
-Sym^N of a sector block by shifts and adds of ints in the frame of its
-keys.  sector_units lists a sector sum's units at three cycle lengths,
-which fix the slot map of every length, and sector_bound its bound.
+width.  Products are int arithmetic: mul_add multiplies an int by a
+factor, one product per run of its nonzero slots, which a gap of more
+than RUN_BITS bits of empty slots ends, and symmetric_powers builds
+every Sym^N of a sector block by shifts and adds of ints in the frame of
+its keys.  sector_units lists a sector sum's units at three cycle
+lengths, which fix the slot map of every length, and sector_bound its
+bound.
 decode turns each int into the lists of its nonzero slots and their
 digits, found in C with no Python step per empty slot, and drops the int;
 columns builds the keys of one degree a coordinate column at a time, with
@@ -45,9 +47,10 @@ _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 _LITTLE_ENDIAN = byteorder == "little"
 _SIGN_BYTE = bytes(255 if b > 127 else 0 for b in range(256))
 
-# A factor pays as one int below FACTOR_BITS bits per term (_one_int), chosen
-# by tools/dense_threshold.py on the heavy catalog and seeded shapes.
-FACTOR_BITS = 256
+# A run of a factor's nonzero slots ends at a gap of more than RUN_BITS bits
+# of empty slots, chosen by tools/dense_threshold.py on the heavy catalog,
+# seeded and dense shapes.
+RUN_BITS = 96
 # 16 MiB of ints per layout, about 200 times the largest that the catalog
 # or the benchmark builds; hodge_orb on k3 fits to order 97.
 MAX_LAYOUT_BITS = 1 << 27
@@ -204,45 +207,59 @@ class Kronecker(SlotMap):
         digits = memoryview(data).cast(_CASTS[nb])
         return list(compress(count(), digits)), list(filter(None, digits))
 
-    def packed(self, slots, low=0):
-        """The int of a {slot: int coeff} map, slots moved down by low."""
-        nb, half = self.nbytes, 1 << self.width - 1
-        zero = self._zero * (1 + max(slots, default=low) - low)
-        raw = bytearray(zero)
-        for i, c in slots.items():
-            i = (i - low) * nb
-            raw[i:i + nb] = (c + half).to_bytes(nb, "little")
-        return int.from_bytes(raw, "little") - int.from_bytes(zero, "little")
-
-    def _one_int(self, low, top, terms):  # terms in slots low to top
-        return (top - low) * self.width < FACTOR_BITS * terms
-
     def slot_factor(self, slots):
-        """factor(packed(slots)), made from the {slot: coeff} map itself."""
-        slots = {i: c for i, c in slots.items() if c}
-        if not slots:
-            return 0, ()
-        w, low = self.width, min(slots)
-        if self._one_int(low, max(slots), len(slots)):
-            return w * low, ((0, self.packed(slots, low)),)
-        return w * low, [(w * (i - low), c) for i, c in sorted(slots.items())]
+        """factor of the int packed from a {slot: coeff} map, made from
+        the map itself: its terms, lowest slot first, are summed into
+        runs, each shifted to its slot above the first of its run."""
+        # the farthest past a run's last slot that its next one may lie
+        w, reach = self.width, RUN_BITS // self.width + 1
+        firsts, runs = [], []  # the first slot of each run, and its int
+        for i, c in sorted(slots.items()):
+            if c:
+                if runs and i - last <= reach:
+                    runs[-1] += c << w * (i - firsts[-1])
+                else:
+                    firsts.append(i)
+                    runs.append(c)
+                last = i
+        low = firsts[0] if runs else 0
+        return w * low, [(w * (i - low), c) for i, c in zip(firsts, runs)]
 
     def factor(self, value):
         """value as the factor b of mul_add: the shift of its lowest slot
-        and (shift, coeff) pairs above it, one per term, or one of the
-        whole int where its slots hold fewer than FACTOR_BITS bits per
-        term.  The flag of its nonzero slots alone picks the form; only the
-        per-term form decodes digits."""
+        and the runs of its nonzero slots above it, as (shift, int) pairs;
+        a run ends at a gap of more than RUN_BITS bits of empty slots, and
+        a factor of one run is the whole int.  The flag of the nonzero
+        slots finds the runs: where the empty ones hold at most RUN_BITS
+        bits in all, there is one; else cover marks each slot at most g
+        slots above a nonzero one, so a nonzero slot starts a run where the
+        slot below it is not covered and ends one where the slot g + 1
+        above it is not.  Only a factor of several runs reads its digits,
+        each run from its slice of their bytes."""
         x, flag, size = self._flagged(value)
         if not flag:
-            return 0, ()
-        w = self.width
-        low = (flag & -flag).bit_length() // w - 1
-        top = flag.bit_length() // w - 1
-        if self._one_int(low, top, flag.bit_count()):
-            return w * low, ((0, value >> w * low),)
-        slots, digits = self._digits(x, flag, size)
-        return w * low, [(w * (i - low), c) for i, c in zip(slots, digits)]
+            return 0, []
+        w, nb = self.width, self.nbytes
+        starts = flag & -flag  # the lowest nonzero slot starts a run
+        low = starts.bit_length() // w - 1
+        if (flag.bit_length() // w - low - flag.bit_count()) * w > RUN_BITS:
+            g, cover = RUN_BITS // w, flag  # g is below the empty slots
+            for j in range(1, g + 1):
+                cover |= flag << w * j
+            starts = flag & ~(cover << w)
+        if not starts & starts - 1:
+            return w * low, [(0, value >> w * low)]
+        firsts, lasts = (compress(count(), bits.to_bytes(
+            size * nb, "little")[nb - 1::nb])
+            for bits in (starts, flag & ~(cover >> w * (g + 1))))
+        data, runs = x.to_bytes(size * nb, "little"), []
+        for a, b in zip(firsts, lasts):
+            # flipping each top bit of the slice's two's complement digits
+            # offsets them by half a slot, and top takes the offset back
+            top = int.from_bytes(self._zero * (b + 1 - a), "little")
+            runs.append((w * (a - low), (int.from_bytes(
+                data[a * nb:b * nb + nb], "little") ^ top) - top))
+        return w * low, runs
 
     @staticmethod
     def mul_add(acc, a, b):

@@ -263,10 +263,21 @@ def pe_oracle(f):
     return Series(f.var, order, terms)
 
 
+def pack_slots(layout, slots):
+    """The int of a {slot: int coeff} map in layout, digit by digit."""
+    nb, half = layout.nbytes, 1 << layout.width - 1
+    zero = layout._zero * (1 + max(slots, default=0))
+    raw = bytearray(zero)
+    for i, c in slots.items():
+        raw[i * nb:i * nb + nb] = (c + half).to_bytes(nb, "little")
+    return int.from_bytes(raw, "little") - int.from_bytes(zero, "little")
+
+
 def packed(layout, terms, n):
     """The int of a {key: int coeff} map of degree n in layout, packed from
     the slot of each key."""
-    return layout.packed({layout.slot(key, n): c for key, c in terms.items()})
+    return pack_slots(layout, {layout.slot(key, n): c
+                               for key, c in terms.items()})
 
 
 # The canonical order and factor text of the rendering, spelled out as an

@@ -590,6 +590,34 @@ def test_mirrored_brackets_run_once(catalog, monkeypatch, name, charge):
            for s in (1, -1)])
 
 
+def test_a_space_without_classes_runs_no_bracket(tmp_path, capsys,
+                                                 monkeypatch):
+    # the vacuum alone has no generator, so no pair to bracket: at charge
+    # 2000 the check counts no _violations call among its ~2 million
+    # level pairs, and every check passes
+    calls, violations = [], fock._violations
+
+    def counted(*args):
+        calls.append(args[4:])
+        return violations(*args)
+
+    monkeypatch.setattr(fock, "_violations", counted)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "empty", "dim_real": 4,
+                                "betti": [0, 0, 0, 0, 0]}))
+    code, out = fock_verify(capsys, "--manifold", str(path),
+                            "--max-charge", "2000")
+    assert (code, calls) == (0, [])
+    assert out == (
+        "# fock-verify empty max-charge=2000\n"
+        "PASS heisenberg mixed commutators (max charge 2000)\n"
+        "PASS create/create super-commutators vanish\n"
+        "PASS annihilate/annihilate super-commutators vanish\n"
+        "PASS compositional (Hopf) creation matches direct creation\n"
+        "PASS Fock character = regraded sector series\n"
+        "5 checks, 0 failed\n")
+
+
 def fock_verify(capsys, *argv):
     code = cli.main(["fock-verify", *argv])
     return code, capsys.readouterr().out

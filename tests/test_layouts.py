@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kronecker, mul, packed, pe_oracle, read, ref_render
+from conftest import (kronecker, mul, pack_slots, packed, pe_oracle, read,
+                      ref_render)
 from symprod import layouts
 from symprod import orbifold as ob
 from symprod.layouts import (MAX_LAYOUT_BITS, Kronecker, sector_bound,
@@ -113,9 +114,13 @@ def as_series(terms, n):
                               for key, c in terms.items()})
 
 
+# a run at every empty slot, the one in use, and no gap ever ending a run
+RUN_TRIES = (0, layouts.RUN_BITS, 1 << 60)
+
+
 @settings(max_examples=200, deadline=None)
-@given(factor_pair(), st.sampled_from((0, 256, 1 << 40)))
-def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
+@given(factor_pair(), st.sampled_from(RUN_TRIES))
+def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, run_bits):
     # on every kind of lattice: each map round-trips through its slots,
     # and the product of the ints is the product of the tuple keys, by
     # the factor of b's int and by the one built from b's slot map
@@ -125,16 +130,16 @@ def test_kronecker_product_matches_mul_add_and_tuple_keys(pair, factor_bits):
     # no digit of a, of b or of the product outgrows this
     sa, sb = sum(map(abs, a.values())), sum(map(abs, b.values()))
     bound = max(sa * sb, sa, sb)
-    lay, saved = kronecker(units, da + db, bound), layouts.FACTOR_BITS
+    lay, saved = kronecker(units, da + db, bound), layouts.RUN_BITS
     for terms, n in ((a, da), (b, db)):
         assert read(lay, [0] * n + [packed(lay, terms, n)]) == \
             as_series(terms, n).terms
-    layouts.FACTOR_BITS = factor_bits  # one int, or a shift-add per term
+    layouts.RUN_BITS = run_bits
     try:
         factors = (lay.factor(packed(lay, b, db)), lay.slot_factor(
             {lay.slot(key, db): c for key, c in b.items()}))
     finally:
-        layouts.FACTOR_BITS = saved
+        layouts.RUN_BITS = saved
     for factor in factors:
         value = lay.mul_add(0, packed(lay, a, da), factor)
         got = read(lay, [0] * (da + db) + [value])
@@ -450,19 +455,63 @@ def test_packed_series_compare_by_degree_and_the_whole_slot_map():
 
 
 @settings(max_examples=200, deadline=None)
-@given(read_case(), st.sampled_from((0, 256, 2**60)))
-def test_a_slot_map_gives_the_factor_of_its_packed_int(case, factor_bits):
+@given(read_case(), st.sampled_from(RUN_TRIES))
+def test_a_slot_map_gives_the_factor_of_its_packed_int(case, run_bits):
     # zero coefficients, empty maps and every slot width: the factor built
-    # from a map is the one factor decodes from its int, in either form
+    # from a map is the one factor cuts from its int, at every run bound
     kind, lay, maps = case
     event(kind)
-    saved, layouts.FACTOR_BITS = layouts.FACTOR_BITS, factor_bits
+    saved, layouts.RUN_BITS = layouts.RUN_BITS, run_bits
     try:
         for n, terms in maps.items():
             slots = {lay.slot(key, n): c for key, c in terms.items()}
-            assert lay.slot_factor(slots) == lay.factor(lay.packed(slots))
+            assert lay.slot_factor(slots) == lay.factor(pack_slots(lay, slots))
     finally:
-        layouts.FACTOR_BITS = saved
+        layouts.RUN_BITS = saved
+
+
+def balanced_digits(value, w):
+    """The digits of value in balanced base 2^w, lowest slot first, one
+    remainder per slot."""
+    out = []
+    while value:
+        c = value & (1 << w) - 1
+        if c >= 1 << w - 1:
+            c -= 1 << w
+        out.append(c)
+        value = (value - c) >> w
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 300), st.integers(), max_size=40),
+       st.sampled_from((1, 2, 3, 8, 9)), st.sampled_from(RUN_TRIES + (100,)))
+def test_a_run_ends_exactly_at_a_gap_wider_than_run_bits(slots, nbytes,
+                                                         run_bits):
+    # each run of a factor holds the digits of its slots from a nonzero
+    # one to a nonzero one, with no gap of empty slots wider than RUN_BITS
+    # bits inside it, and the gap between two runs is wider
+    top = 2**(8 * nbytes - 1) - 1  # the widest digit of 8 nbytes bits
+    lay = kronecker([(1, (0,) * 5)], 1, top)
+    w = lay.width
+    slots = {i: c % (2 * top + 1) - top for i, c in slots.items()}
+    saved, layouts.RUN_BITS = layouts.RUN_BITS, run_bits
+    try:
+        low, runs = lay.factor(pack_slots(lay, slots))
+    finally:
+        layouts.RUN_BITS = saved
+    got, cut = {}, []  # every nonzero digit, and each run's slots
+    for s, c in runs:
+        digits = balanced_digits(c, w)
+        assert (low + s) % w == 0 and digits[0] and digits[-1]
+        cut.append([(low + s) // w + j for j, d in enumerate(digits) if d])
+        got.update(zip(cut[-1], filter(None, digits)))
+        assert all((j - i - 1) * w <= run_bits
+                   for i, j in zip(cut[-1], cut[-1][1:]))
+    assert got == {i: c for i, c in slots.items() if c}
+    assert runs or low == 0
+    for before, after in zip(cut, cut[1:]):
+        assert (after[0] - before[-1] - 1) * w > run_bits
 
 
 def test_a_digit_at_the_width_bound_is_exact():

@@ -1229,8 +1229,6 @@ SHARED_WITH_ORACLE = {
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.SlotMap.slot":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
-    "layouts.Kronecker._one_int":
-        "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.Kronecker.mul_add":
         "test_layouts.test_kronecker_product_matches_mul_add_and_tuple_keys",
     "layouts.euler_transform":
